@@ -449,11 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--n", type=int, default=0)
     check.add_argument("--perm", help="restrict to one permutation")
-    check.add_argument(
-        "--all",
-        action="store_true",
-        help="sweep every permutation (the default when --perm is absent)",
-    )
     check.add_argument("--sample", type=int, default=0, help="random sample size")
     check.add_argument("--files", nargs="*", help="extra permuton JSON files")
     check.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -488,9 +483,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PreprojError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CertificateFailure, DomainError, NotGridAligned
-from .finite import CurveModule, DiamondCurve, Kind, ideal_of
+from . import symgroup
+from .finite import CurveModule, DiamondCurve, Kind, ideal_via_word
 from .permuton import GridPermuton, boundary_function, from_perm, permuton_bruhat_leq
 from .plfunc import (
     BFunc,
@@ -141,11 +142,14 @@ def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
 
 def finite_vs_continuous(w: Perm, i: int) -> bool:
     """Does the ideal curve of w at vertex i equal the boundary function of
-    the permuton of w at apex i/n?  Exact structural comparison."""
+    the permuton of w at apex i/n?  Exact structural comparison of a stripped
+    summand; ideal_of's closed form is the permuton formula itself."""
     n = w.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"vertex {i} outside 1..{n - 1}")
-    discrete = ideal_of(w)[i - 1].curve.as_plfunc()
+    rep = symgroup.min_coset_rep(w, i)
+    word = symgroup.canonical_reduced_word_of_rep(rep, i)
+    discrete = ideal_via_word(word, n)[i - 1].curve.as_plfunc()
     continuous = boundary_function(from_perm(w), Fraction(i, n)).f
     return discrete == continuous
 
@@ -203,7 +207,7 @@ def discretize(d: DecorousSub, n: int) -> CurveModule:
     for s0, s1 in zip(samples, samples[1:]):
         if abs(s1 - s0) != step:
             raise NotGridAligned("curve slopes are not +-1 on the grid")
-    return CurveModule(Kind.SUB, DiamondCurve(i, n, samples))
+    return CurveModule(Kind.SUB, DiamondCurve.from_values(i, n, samples))
 
 
 def staircase(d: DecorousSub, n: int) -> CurveModule:
@@ -222,4 +226,4 @@ def staircase(d: DecorousSub, n: int) -> CurveModule:
         if (fl - i - j) % 2:
             fl -= 1
         units.append(fl)
-    return CurveModule(Kind.SUB, DiamondCurve(i, n, (Fraction(u, n) for u in units)))
+    return CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units)))

@@ -28,7 +28,7 @@ from .errors import (
 from .limits import scale_limit
 from .linalg import Matrix, rank_of_sparse_rows
 from .plfunc import PLFunc
-from .rat import frac
+from .rat import frac, rat_str
 from .symgroup import Perm, Word
 
 ZERO = Fraction(0)
@@ -64,37 +64,44 @@ def factor_depths(i: int, n: int, j: int) -> range:
 class DiamondCurve:
     """A +-1-slope curve across the diamond of P_i on the 1/n grid.
 
-    values[j] = c(j/n); c(0) = i/n and c(1) = (n-i)/n, and the curve stays
-    between the diamond's top |x - i/n| and bottom 1 - |1 - i/n - x|.
+    Stored in integer units of 1/n: units[j] = n * c(j/n), staying between
+    the diamond's top |j - i| and bottom n - |n - i - j|, which pin
+    units[0] = i and units[n] = n - i.  ``values`` is the curve as rationals.
     """
 
     i: int
     n: int
-    values: tuple[Fraction, ...]
+    units: tuple[int, ...]
 
-    def __init__(self, i: int, n: int, values: Sequence) -> None:
-        i, n = int(i), int(n)
+    def __post_init__(self) -> None:
+        i, n, units = self.i, self.n, tuple(self.units)
         if not 1 <= i <= n - 1:
             raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
-        vals = tuple(frac(v) for v in values)
-        if len(vals) != n + 1:
-            raise DomainError(f"expected {n + 1} grid values, got {len(vals)}")
-        if vals[0] != Fraction(i, n) or vals[-1] != Fraction(n - i, n):
-            raise DomainError("curve endpoints must be i/n and (n-i)/n")
-        step = Fraction(1, n)
-        for a, b in zip(vals, vals[1:]):
-            if abs(b - a) != step:
+        if len(units) != n + 1:
+            raise DomainError(f"expected {n + 1} grid values, got {len(units)}")
+        for a, b in zip(units, units[1:]):
+            if abs(b - a) != 1:
                 raise DomainError("curve steps must be exactly +-1/n")
-        for j, v in enumerate(vals):
-            if not Fraction(abs(j - i), n) <= v <= Fraction(n - abs(n - i - j), n):
+        for j, u in enumerate(units):
+            if not abs(j - i) <= u <= n - abs(n - i - j):
                 raise DomainError(f"curve leaves the diamond at column {j}")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "units", units)
 
-    def units(self) -> tuple[int, ...]:
-        """Values in units of 1/n, as integers."""
-        return tuple(int(v * self.n) for v in self.values)
+    @classmethod
+    def from_values(cls, i: int, n: int, values: Sequence) -> "DiamondCurve":
+        """The curve through the rationals values[j] = c(j/n), each on the 1/n grid."""
+        units = []
+        for v in map(frac, values):
+            t = v * n
+            if t.denominator != 1:
+                raise DomainError(f"curve value {rat_str(v)} is off the 1/{n} grid")
+            units.append(t.numerator)
+        return cls(i, n, tuple(units))
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """c(j/n) for j = 0..n, as rationals."""
+        return tuple(Fraction(u, self.n) for u in self.units)
 
     def as_plfunc(self) -> PLFunc:
         return PLFunc.from_samples(self.values)
@@ -127,11 +134,11 @@ class CurveModule:
 
 
 def top_boundary(i: int, n: int) -> DiamondCurve:
-    return DiamondCurve(i, n, (Fraction(abs(j - i), n) for j in range(n + 1)))
+    return DiamondCurve(i, n, tuple(abs(j - i) for j in range(n + 1)))
 
 
 def bottom_boundary(i: int, n: int) -> DiamondCurve:
-    return DiamondCurve(i, n, (Fraction(n - abs(n - i - j), n) for j in range(n + 1)))
+    return DiamondCurve(i, n, tuple(n - abs(n - i - j) for j in range(n + 1)))
 
 
 def projective(i: int, n: int) -> CurveModule:
@@ -141,7 +148,7 @@ def projective(i: int, n: int) -> CurveModule:
 
 def factors(m: CurveModule) -> Iterator[tuple[int, int]]:
     """The (column, depth) positions of the simple factors of m, column-major."""
-    units = m.curve.units()
+    units = m.curve.units
     for j in range(1, m.n):
         cj = units[j]
         for d in factor_depths(m.i, m.n, j):
@@ -153,60 +160,68 @@ def is_zero(m: CurveModule) -> bool:
     return next(factors(m), None) is None
 
 
-def top_removable(m: CurveModule) -> frozenset[int]:
-    """Columns j whose simple S_j lies in the top of the submodule m.
+def _peaks(units: Sequence[int], j: int) -> bool:
+    """Does the curve peak at column j (both neighbours one step lower on the
+    page)?  An interior peak never lies on the diamond's bottom, which rises
+    to a single highest point, so a factor always sits just below it."""
+    return units[j - 1] == units[j] + 1 == units[j + 1]
 
-    The factor just below the curve at column j is in the top exactly when
-    the curve peaks there (both neighbours one step lower on the page).
-    """
+
+def top_removable(m: CurveModule) -> frozenset[int]:
+    """Columns j whose simple S_j lies in the top of the submodule m: the
+    factor just below the curve at column j is in the top exactly when the
+    curve peaks there."""
     if m.kind is not Kind.SUB:
         raise WrongKind("top removal applies to submodules of projectives")
-    units = m.curve.units()
-    out = set()
-    for j in range(1, m.n):
-        if units[j] + 1 not in factor_depths(m.i, m.n, j):
-            continue
-        if units[j - 1] == units[j] + 1 and units[j + 1] == units[j] + 1:
-            out.add(j)
-    return frozenset(out)
+    units = m.curve.units
+    return frozenset(j for j in range(1, m.n) if _peaks(units, j))
 
 
 def strip(m: CurveModule, j: int) -> CurveModule:
     """Remove the top copy of S_j from m, pushing the curve down two steps."""
     if j not in top_removable(m):
         raise NoTopSimple(f"S_{j} is not in the top of this module")
-    vals = list(m.curve.values)
-    vals[j] += Fraction(2, m.n)
-    return CurveModule(Kind.SUB, DiamondCurve(m.i, m.n, vals))
+    units = list(m.curve.units)
+    units[j] += 2
+    return CurveModule(Kind.SUB, DiamondCurve(m.i, m.n, tuple(units)))
 
 
 def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
     """The ideal of a reduced word: process letters left to right, stripping
-    the top copy of S_j from every summand that has one."""
+    the top copy of S_j from every summand that has one.  The definition
+    that the mizuno and bridge checks hold ideal_of and the permuton to."""
     word = tuple(word)
     if not symgroup.is_reduced(word, n):
         raise NotReduced(f"{word} is not reduced")
-    summands = [projective(i, n) for i in range(1, n)]
+    curves = [list(top_boundary(i, n).units) for i in range(1, n)]
     for letter in word:
-        summands = [
-            strip(m, letter) if letter in top_removable(m) else m for m in summands
-        ]
-    return tuple(summands)
+        for units in curves:
+            if _peaks(units, letter):
+                units[letter] += 2
+    return tuple(
+        CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units)))
+        for i, units in enumerate(curves, start=1)
+    )
 
 
 def ideal_of(w: Perm) -> tuple[CurveModule, ...]:
-    """The permutation ideal of w, one curve module per projective.
+    """The permutation ideal of w, one curve module per projective, in O(n^2).
 
-    Each summand comes from the canonical reduced word of the minimal coset
-    representative for its vertex; the result agrees with ideal_via_word on
-    any reduced word for w.
+    In units of 1/n the summand at vertex i has the curve
+    c_i(j) = i + j - 2 #{a <= j : w(a) <= i}, the boundary function of the
+    permuton of w at apex i/n.  Stripping along a reduced word
+    (ideal_via_word) stays the definition: the mizuno check compares this
+    closed form against every reduced word of w.
     """
     n = w.n
     out = []
     for i in range(1, n):
-        rep = symgroup.min_coset_rep(w, i)
-        word = symgroup.canonical_reduced_word_of_rep(rep, i)
-        out.append(ideal_via_word(word, n)[i - 1])
+        units = [i]
+        below = 0
+        for j, v in enumerate(w.one_line, start=1):
+            below += v <= i
+            units.append(i + j - 2 * below)
+        out.append(CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units))))
     return tuple(out)
 
 
@@ -403,14 +418,10 @@ def is_tau_rigid_ideal(w: Perm) -> bool:
 
 def random_curve(i: int, n: int, rng: random.Random) -> DiamondCurve:
     """A randomly wandering +-1 lattice path inside the diamond of P_i."""
-    vals = [Fraction(i, n)]
+    units = [i]
     for j in range(1, n + 1):
-        top = Fraction(abs(j - i), n)
-        bottom = Fraction(n - abs(n - i - j), n)
-        choices = [
-            v
-            for v in (vals[-1] + Fraction(1, n), vals[-1] - Fraction(1, n))
-            if top <= v <= bottom
-        ]
-        vals.append(rng.choice(choices))
-    return DiamondCurve(i, n, vals)
+        top, bottom = abs(j - i), n - abs(n - i - j)
+        units.append(
+            rng.choice([u for u in (units[-1] + 1, units[-1] - 1) if top <= u <= bottom])
+        )
+    return DiamondCurve(i, n, tuple(units))

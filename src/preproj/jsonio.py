@@ -24,11 +24,21 @@ from .rat import frac, rat_str
 from .sheets import SawtoothDesc, Sheet, SimpleModule, sheet_new
 
 
-def _need(obj: dict, key: str) -> Any:
+def _need(obj: dict, key: str, kind: type = object) -> Any:
     try:
-        return obj[key]
+        value = obj[key]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field {key!r}") from exc
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+        raise ParseError(f"field {key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _need_rows(obj: dict, key: str, width: int) -> list[list]:
+    rows = _need(obj, key, list)
+    if not all(isinstance(row, list) and len(row) == width for row in rows):
+        raise ParseError(f"field {key!r} must hold lists of length {width}")
+    return rows
 
 
 def plfunc_to_json(f: PLFunc) -> dict:
@@ -36,7 +46,7 @@ def plfunc_to_json(f: PLFunc) -> dict:
 
 
 def plfunc_from_json(obj: dict) -> PLFunc:
-    pts = _need(obj, "breakpoints")
+    pts = _need_rows(obj, "breakpoints", 2)
     return PLFunc((frac(x), frac(y)) for x, y in pts)
 
 
@@ -65,8 +75,8 @@ def curve_module_from_json(obj: dict) -> CurveModule:
         kind = Kind(kind_raw)
     except ValueError as exc:
         raise ParseError(f"kind must be 'sub' or 'quot', got {kind_raw!r}") from exc
-    curve = DiamondCurve(
-        int(_need(obj, "i")), int(_need(obj, "n")), [frac(v) for v in _need(obj, "curve")]
+    curve = DiamondCurve.from_values(
+        _need(obj, "i", int), _need(obj, "n", int), _need(obj, "curve", list)
     )
     return CurveModule(kind, curve)
 
@@ -76,7 +86,8 @@ def permuton_to_json(mu: GridPermuton) -> dict:
 
 
 def permuton_from_json(obj: dict) -> GridPermuton:
-    return GridPermuton(int(_need(obj, "m")), _need(obj, "mass"))
+    m = _need(obj, "m", int)
+    return GridPermuton(m, _need_rows(obj, "mass", m))
 
 
 def sheet_to_json(s: Sheet) -> dict:
@@ -106,12 +117,12 @@ def sawtooth_to_json(st: SawtoothDesc) -> dict:
 
 def sawtooth_from_json(obj: dict) -> SawtoothDesc:
     flags = obj.get("endpoints", [True, True])
-    if len(flags) != 2:
+    if not isinstance(flags, list) or len(flags) != 2:
         raise ParseError("endpoints must be a pair of booleans")
     return SawtoothDesc(
         frac(_need(obj, "a")),
         frac(_need(obj, "b")),
-        [(frac(x), frac(v)) for x, v in _need(obj, "teeth")],
+        [(frac(x), frac(v)) for x, v in _need_rows(obj, "teeth", 2)],
         (bool(flags[0]), bool(flags[1])),
     )
 

@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import ParseError
+
 DEFAULT_MAX_N = 6
 
 
@@ -13,4 +15,4 @@ def scale_limit() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_MAX_N
+        raise ParseError(f"PREPROJ_MAX_N must be an integer, got {raw!r}") from None

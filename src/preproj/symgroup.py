@@ -31,8 +31,8 @@ class Perm:
     one_line: tuple[int, ...]
 
     def __init__(self, one_line: Iterable[int]) -> None:
-        ol = tuple(int(v) for v in one_line)
-        if sorted(ol) != list(range(1, len(ol) + 1)):
+        ol = tuple(one_line)
+        if any(type(v) is not int for v in ol) or sorted(ol) != list(range(1, len(ol) + 1)):
             raise DomainError(f"not a permutation of 1..{len(ol)}: {ol}")
         object.__setattr__(self, "one_line", ol)
 
@@ -99,10 +99,6 @@ def apply_word(word: Iterable[int], n: int) -> Perm:
 def is_reduced(word: Iterable[int], n: int) -> bool:
     word = tuple(word)
     return length(apply_word(word, n)) == len(word)
-
-
-def right_descents(w: Perm) -> list[int]:
-    return [i for i in range(1, w.n) if w(i) > w(i + 1)]
 
 
 def all_reduced_words(w: Perm) -> frozenset[Word]:

@@ -7,6 +7,7 @@ from preproj import jsonio
 from preproj.cli import main, parse_perm
 from preproj.errors import ParseError
 from preproj.finite import projective
+from preproj.limits import scale_limit
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, bottom_curve, top_curve
 from preproj.sheets import sheet_new
@@ -64,6 +65,17 @@ class TestIdealCommands:
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["ideal", "perm", "99"]) == 2
+
+    @pytest.mark.parametrize("text", ["[1,2.7,3]", "[true,2]", '["1","2"]', "[1,[2]]"])
+    def test_non_integer_entries_rejected(self, capsys, text):
+        assert main(["ideal", "perm", text]) == 2
+
+    @pytest.mark.parametrize(
+        "payload", [{"m": 1, "mass": 5}, {"m": "x", "mass": [["1"]]}]
+    )
+    def test_malformed_permuton_file(self, capsys, tmp_path, payload):
+        path = write_json(tmp_path, "mu.json", payload)
+        assert main(["ideal", "permuton", path, "--at", "1/2"]) == 2
 
 
 class TestOrderCommands:
@@ -129,6 +141,12 @@ class TestCheckCommand:
         code, lines = run(capsys, "check", "bridge", "--perm", "253416")
         assert code == 0 and lines[-1]["pass"]
 
+    def test_bad_guard_value(self, capsys, monkeypatch):
+        monkeypatch.setenv("PREPROJ_MAX_N", "six")
+        with pytest.raises(ParseError):
+            scale_limit()
+        assert main(["check", "taurigid", "--perm", "2413"]) == 2
+
     def test_guard_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PREPROJ_MAX_N", "3")
         assert main(["check", "mizuno", "--n", "3"]) == 2  # exhaustive limit is 2
@@ -142,6 +160,11 @@ class TestBrickAndSheet:
         path = write_json(tmp_path, "m.json", {"type": "simple", "x": "1/3"})
         code, lines = run(capsys, "brick", "check", path)
         assert code == 0 and lines[0]["brick"] is True
+
+    def test_brick_check_malformed_vertex(self, capsys, tmp_path):
+        payload = {"type": "curve_module", **jsonio.curve_module_to_json(projective(2, 5))}
+        path = write_json(tmp_path, "m.json", {**payload, "i": "x"})
+        assert main(["brick", "check", path]) == 2
 
     def test_brick_check_projective(self, capsys, tmp_path):
         path = write_json(

@@ -262,7 +262,7 @@ class TestDiscretize:
 
     def test_staircase_of_flat_chord(self):
         cm = staircase(d_sub(CHORD_HALF), 8)
-        assert cm.curve.units() == (4, 3, 4, 3, 4, 3, 4, 3, 4)
+        assert cm.curve.units == (4, 3, 4, 3, 4, 3, 4, 3, 4)
 
     def test_staircase_fixes_grid_curves(self):
         d = ideal_summand(PermutonIdeal(from_perm(W)), F(2, 5))

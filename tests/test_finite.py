@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preproj.errors import (
     DomainError,
@@ -33,9 +35,26 @@ from preproj.finite import (
     top_removable,
     zero_rep,
 )
-from preproj.symgroup import Perm, all_perms, all_reduced_words, bruhat_leq
+from preproj.symgroup import Perm, all_perms, all_reduced_words, apply_word, bruhat_leq
 
 W = Perm((2, 5, 3, 4, 1))
+
+
+def descent_walk_word(w: Perm, rng: random.Random) -> tuple[int, ...]:
+    """A reduced word for w: swap away a random right descent until none is
+    left; the swaps, last first, spell w."""
+    ol = list(w.one_line)
+    undone = []
+    while True:
+        descents = [p for p in range(len(ol) - 1) if ol[p] > ol[p + 1]]
+        if not descents:
+            word = tuple(reversed(undone))
+            assert apply_word(word, w.n) == w
+            return word
+        p = rng.choice(descents)
+        ol[p], ol[p + 1] = ol[p + 1], ol[p]
+        undone.append(p + 1)
+
 
 # dim Hom(i, j) over the algebra on five vertices
 A5_TABLE = [
@@ -88,6 +107,15 @@ class TestProjective:
     def test_curve_validation(self):
         with pytest.raises(DomainError):
             DiamondCurve(2, 5, [F(2, 5)] * 6)
+
+    def test_off_grid_values_rejected(self):
+        with pytest.raises(DomainError):
+            DiamondCurve.from_values(2, 5, ["2/5", "1/3", "2/5", "3/5", "4/5", "3/5"])
+
+    def test_values_round_trip_through_units(self):
+        curve = ideal_of(W)[1].curve
+        assert curve.units == (2, 1, 2, 3, 4, 3)
+        assert DiamondCurve.from_values(2, 5, curve.values) == curve
 
 
 class TestStripping:
@@ -161,6 +189,21 @@ class TestIdealOf:
             reference = ideal_of(w)
             for word in all_reduced_words(w):
                 assert ideal_via_word(word, 4) == reference
+
+    def test_closed_form_matches_stripping_s3_to_s6(self):
+        rng = random.Random(7)
+        for n in range(3, 7):
+            for w in all_perms(n):
+                assert ideal_of(w) == ideal_via_word(descent_walk_word(w, rng), n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.randoms(use_true_random=False),
+    )
+    def test_closed_form_matches_stripping_random(self, one_line, rng):
+        w = Perm(one_line)
+        assert ideal_of(w) == ideal_via_word(descent_walk_word(w, rng), w.n)
 
     def test_bruhat_monotone_curves_s4(self):
         ideals = {w.one_line: ideal_of(w) for w in all_perms(4)}

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import random_bfunc
 from preproj import jsonio
-from preproj.errors import ParseError
-from preproj.finite import CurveModule, Kind, random_curve
+from preproj.errors import DomainError, ParseError
+from preproj.finite import CurveModule, Kind, ideal_of, random_curve
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.rat import frac, rat_str
@@ -70,6 +70,25 @@ class TestRoundTrips:
         )
         assert m.kind is Kind.SUB and m.curve.values[0] == F(2, 5)
 
+    def test_curve_module_wire_bytes(self):
+        expected = [
+            '{"type": "curve_module", "n": 5, "i": 1, "kind": "sub", '
+            '"curve": ["1/5", "2/5", "3/5", "4/5", "1", "4/5"]}',
+            '{"type": "curve_module", "n": 5, "i": 2, "kind": "sub", '
+            '"curve": ["2/5", "1/5", "2/5", "3/5", "4/5", "3/5"]}',
+            '{"type": "curve_module", "n": 5, "i": 3, "kind": "sub", '
+            '"curve": ["3/5", "2/5", "3/5", "2/5", "3/5", "2/5"]}',
+            '{"type": "curve_module", "n": 5, "i": 4, "kind": "sub", '
+            '"curve": ["4/5", "3/5", "4/5", "3/5", "2/5", "1/5"]}',
+            '{"type": "curve_module", "n": 7, "i": 3, "kind": "quot", '
+            '"curve": ["3/7", "2/7", "1/7", "2/7", "1/7", "2/7", "3/7", "4/7"]}',
+        ]
+        modules = list(ideal_of(Perm((2, 5, 3, 4, 1))))
+        modules.append(CurveModule(Kind.QUOT, random_curve(3, 7, random.Random(5))))
+        assert [json.dumps(jsonio.module_to_json(m)) for m in modules] == expected
+        reloaded = [jsonio.module_from_json(json.loads(text)) for text in expected]
+        assert [json.dumps(jsonio.module_to_json(m)) for m in reloaded] == expected
+
     def test_permuton(self):
         for mu in (from_perm(Perm((2, 5, 3, 4, 1))), uniform(3)):
             assert (
@@ -110,6 +129,52 @@ class TestErrors:
             jsonio.curve_module_from_json(
                 {"n": 5, "i": 2, "kind": "nope", "curve": ["2/5"] * 6}
             )
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 5, "i": "x", "kind": "sub", "curve": ["2/5"] * 6},
+            {"n": 5.0, "i": 2, "kind": "sub", "curve": ["2/5"] * 6},
+            {"n": 5, "i": True, "kind": "sub", "curve": ["2/5"] * 6},
+            {"n": 5, "i": 2, "kind": "sub", "curve": 5},
+        ],
+    )
+    def test_malformed_curve_module_fields(self, obj):
+        with pytest.raises(ParseError):
+            jsonio.curve_module_from_json(obj)
+
+    def test_off_grid_curve_value(self):
+        with pytest.raises(DomainError):
+            jsonio.curve_module_from_json(
+                {"n": 5, "i": 2, "kind": "sub",
+                 "curve": ["2/5", "1/3", "2/5", "3/5", "4/5", "3/5"]}
+            )
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"m": 1, "mass": 5},
+            {"m": 1, "mass": [5]},
+            {"m": "x", "mass": [["1"]]},
+            {"m": 1.0, "mass": [["1"]]},
+        ],
+    )
+    def test_malformed_permuton_fields(self, obj):
+        with pytest.raises(ParseError):
+            jsonio.permuton_from_json(obj)
+
+    @pytest.mark.parametrize("pts", [5, [5], [["0", "1"], ["1"]]])
+    def test_malformed_breakpoints(self, pts):
+        with pytest.raises(ParseError):
+            jsonio.plfunc_from_json({"breakpoints": pts})
+
+    @pytest.mark.parametrize("flags", [5, None, {"0": True, "1": True}, [True]])
+    def test_malformed_sawtooth_endpoints(self, flags):
+        obj = jsonio.sawtooth_to_json(
+            SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))])
+        )
+        with pytest.raises(ParseError):
+            jsonio.sawtooth_from_json({**obj, "endpoints": flags})
 
     def test_unknown_module_type(self):
         with pytest.raises(ParseError):

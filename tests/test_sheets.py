@@ -334,7 +334,7 @@ class TestBricks:
             n = rng.randint(4, 6)
             i = rng.randint(1, n - 1)
             m = CurveModule(Kind.SUB, random_curve(i, n, rng))
-            units = m.curve.units()
+            units = m.curve.units
             gap = max(
                 n - abs(n - i - j) - units[j] for j in range(n + 1)
             )

@@ -29,6 +29,11 @@ class TestPerm:
         with pytest.raises(DomainError):
             Perm((1, 1, 2))
 
+    @pytest.mark.parametrize("one_line", [(1, 2.7, 3), (True, 2), ("1", "2")])
+    def test_rejects_non_integer_entries(self, one_line):
+        with pytest.raises(DomainError):
+            Perm(one_line)
+
     def test_inverse(self):
         assert mul(W, W.inverse()) == Perm.identity(5)
 
