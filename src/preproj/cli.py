@@ -15,16 +15,19 @@ Commands::
 Permutations are digit strings for n <= 9 ("25341") and JSON arrays
 otherwise.  Check reports are JSON lines followed by a summary record; the
 exit code is 0 exactly when every case passed.  PREPROJ_MAX_N (default 6)
-bounds the exhaustive sweeps.
+bounds the exhaustive sweeps; --jobs is capped at the CPU count and the
+number of cases.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from multiprocessing import Pool
 
 from . import continuous, finite, jsonio, permuton, render, sheets, symgroup
@@ -150,12 +153,18 @@ def _case_bridge(payload) -> dict:
     return {"case": f"{w}@{i}", "ok": continuous.finite_vs_continuous(w, i)}
 
 
+@lru_cache(maxsize=None)
+def _perm_permuton(one_line: tuple[int, ...]) -> permuton.GridPermuton:
+    # one build per permutation and sweep: cmd_check clears it before each
+    return permuton.from_perm(Perm(one_line))
+
+
 def _case_bruhat(payload) -> dict:
     u_line, v_line = payload
     u, v = Perm(u_line), Perm(v_line)
     discrete = symgroup.bruhat_leq(u, v)
     measured = permuton.permuton_bruhat_leq(
-        permuton.from_perm(u), permuton.from_perm(v)
+        _perm_permuton(u_line), _perm_permuton(v_line)
     )
     return {"case": f"{u}<={v}", "ok": discrete == measured}
 
@@ -170,6 +179,7 @@ _CASE_RUNNERS = {
 
 def _run_cases(name: str, payloads: list, jobs: int) -> list[dict]:
     runner = _CASE_RUNNERS[name]
+    jobs = min(jobs, os.cpu_count() or 1, len(payloads))
     if jobs > 1:
         with Pool(jobs) as pool:
             records = pool.map(runner, payloads)
@@ -246,7 +256,10 @@ def _check_permutons(args, n: int) -> list[tuple[str, permuton.GridPermuton]]:
 
 def cmd_check(args) -> int:
     name = args.name
-    jobs = max(args.jobs, 1)
+    for flag in ("n", "sample", "jobs"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ParseError(f"--{flag} must be at least 1, got {value}")
     if name in ("mizuno", "taurigid"):
         if args.perm:
             w = parse_perm(args.perm)
@@ -254,13 +267,13 @@ def cmd_check(args) -> int:
             payloads = [(w.one_line, w.n)]
         else:
             n = args.n or 4
-            _guard(n, exhaustive=not args.sample)
+            _guard(n, exhaustive=args.sample is None)
             perms = list(symgroup.all_perms(n))
-            if args.sample and args.sample < len(perms):
+            if args.sample is not None and args.sample < len(perms):
                 rng = random.Random(0)
                 perms = rng.sample(perms, args.sample)
             payloads = [(w.one_line, n) for w in perms]
-        records = _run_cases(name, payloads, jobs)
+        records = _run_cases(name, payloads, args.jobs)
     elif name == "bridge":
         if args.perm:
             perms = [parse_perm(args.perm)]
@@ -270,13 +283,14 @@ def cmd_check(args) -> int:
             _guard(n, exhaustive=True)
             perms = list(symgroup.all_perms(n))
         payloads = [(w.one_line, i) for w in perms for i in range(1, w.n)]
-        records = _run_cases(name, payloads, jobs)
+        records = _run_cases(name, payloads, args.jobs)
     elif name == "bruhat":
         n = args.n or 4
         _guard(n, exhaustive=True)
         perms = list(symgroup.all_perms(n))
         payloads = [(u.one_line, v.one_line) for u in perms for v in perms]
-        records = _run_cases(name, payloads, jobs)
+        _perm_permuton.cache_clear()
+        records = _run_cases(name, payloads, args.jobs)
     elif name == "twosided":
         n = args.n or 4
         _guard(n, exhaustive=not (args.perm or args.files))
@@ -447,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         choices=["mizuno", "taurigid", "bridge", "bruhat", "twosided", "homvanish"],
     )
-    check.add_argument("--n", type=int, default=0)
+    check.add_argument("--n", type=int)
     check.add_argument("--perm", help="restrict to one permutation")
-    check.add_argument("--sample", type=int, default=0, help="random sample size")
+    check.add_argument("--sample", type=int, help="random sample size")
     check.add_argument("--files", nargs="*", help="extra permuton JSON files")
     check.add_argument("--jobs", type=int, default=1, help="worker processes")
     check.set_defaults(func=cmd_check)

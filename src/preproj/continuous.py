@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 
 from .errors import CertificateFailure, DomainError, NotGridAligned
 from . import symgroup
 from .finite import CurveModule, DiamondCurve, Kind, ideal_via_word
-from .permuton import GridPermuton, boundary_function, from_perm, permuton_bruhat_leq
+from .permuton import (GridPermuton, boundary_function, from_perm,
+                       permuton_bruhat_leq, union_grid)
 from .plfunc import (
     BFunc,
     MonotoneClass,
@@ -116,21 +116,17 @@ def left_act(f: BFunc, p) -> BFunc:
     return BFunc(p, g)
 
 
-def _comparison_apexes(mu: GridPermuton, nu: GridPermuton) -> list[Fraction]:
-    common = lcm(mu.m, nu.m)
-    apexes = [Fraction(r, common) for r in range(1, common)]
-    apexes += [Fraction(2 * r + 1, 2 * common) for r in range(common)]
-    return sorted(apexes)
-
-
 def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
     """Ideal inclusion I_mu <= I_nu, decided two ways and cross-checked:
-    summand curves of mu dominate those of nu at every apex of the common
-    grid (and cell midpoints), equivalently cdf(mu) <= cdf(nu) everywhere."""
+    summand curves of mu dominate those of nu at every interior apex y of the
+    union grid, equivalently cdf(mu) <= cdf(nu) everywhere.  Those apexes
+    suffice: the curve gap at (x, y) is 2 (cdf(nu) - cdf(mu)), which for fixed
+    x is linear in y between union rows (both CDFs are bilinear on union
+    cells) and vanishes at y = 0 and y = 1."""
     mu, nu = a.mu, b.mu
     by_curves = all(
         pointwise_leq(boundary_function(nu, y).f, boundary_function(mu, y).f)
-        for y in _comparison_apexes(mu, nu)
+        for y in union_grid(mu, nu)
     )
     by_cdf = permuton_bruhat_leq(nu, mu)
     if by_curves != by_cdf:

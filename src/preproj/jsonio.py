@@ -25,13 +25,21 @@ from .sheets import SawtoothDesc, Sheet, SimpleModule, sheet_new
 
 
 def _need(obj: dict, key: str, kind: type = object) -> Any:
-    try:
-        value = obj[key]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"missing field {key!r}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}")
+    value = obj[key]
     if not isinstance(value, kind) or kind is int and isinstance(value, bool):
         raise ParseError(f"field {key!r} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _get(obj: dict, key: str, kind: type, default: Any) -> Any:
+    """An optional field: the default when obj lacks it, else as _need."""
+    if isinstance(obj, dict) and key not in obj:
+        return default
+    return _need(obj, key, kind)
 
 
 def _need_rows(obj: dict, key: str, width: int) -> list[list]:
@@ -116,8 +124,8 @@ def sawtooth_to_json(st: SawtoothDesc) -> dict:
 
 
 def sawtooth_from_json(obj: dict) -> SawtoothDesc:
-    flags = obj.get("endpoints", [True, True])
-    if not isinstance(flags, list) or len(flags) != 2:
+    flags = _get(obj, "endpoints", list, [True, True])
+    if len(flags) != 2:
         raise ParseError("endpoints must be a pair of booleans")
     return SawtoothDesc(
         frac(_need(obj, "a")),

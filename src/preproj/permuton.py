@@ -4,13 +4,18 @@ A GridPermuton carries an m x m matrix of cell masses, uniform within each
 cell, with every row and column summing to 1/m.  Rows index the vertical
 coordinate y (increasing downwards) and columns the horizontal coordinate x,
 so ``mass[r][c]`` is the measure of ((c/m, (c+1)/m] x (r/m, (r+1)/m]).
+
+Every CDF query reads one corner-sum table built with the permuton:
+``cum[r][c]`` is mu([0,c/m] x [0,r/m]), for r, c = 0..m.  Mass is uniform in
+each cell, so the CDF is bilinear within each cell and ``_cdf_grid`` reads
+any point by interpolating the table along y, then along x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import DomainError
@@ -19,13 +24,13 @@ from .rat import frac
 from .symgroup import Perm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class GridPermuton:
     m: int
     mass: tuple[tuple[Fraction, ...], ...]
+    cum: tuple[tuple[Fraction, ...], ...] = field(repr=False, compare=False)
 
     def __init__(self, m: int, mass: Sequence[Sequence]) -> None:
         m = int(m)
@@ -36,15 +41,21 @@ class GridPermuton:
             raise DomainError(f"mass matrix must be {m}x{m}")
         if any(v < 0 for row in rows for v in row):
             raise DomainError("cell masses must be nonnegative")
+        cum = [(ZERO,) * (m + 1)]
+        for row in rows:
+            run = accumulate(row, initial=ZERO)
+            cum.append(tuple(a + b for a, b in zip(cum[-1], run)))
+        # the row and column sums are differences along the last column and row
         target = Fraction(1, m)
-        for r, row in enumerate(rows):
-            if sum(row) != target:
+        for r in range(m):
+            if cum[r + 1][m] - cum[r][m] != target:
                 raise DomainError(f"row {r} does not sum to 1/{m}")
         for c in range(m):
-            if sum(rows[r][c] for r in range(m)) != target:
+            if cum[m][c + 1] - cum[m][c] != target:
                 raise DomainError(f"column {c} does not sum to 1/{m}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mass", rows)
+        object.__setattr__(self, "cum", tuple(cum))
 
 
 def from_perm(w: Perm) -> GridPermuton:
@@ -63,8 +74,20 @@ def uniform(m: int) -> GridPermuton:
     return GridPermuton(m, [[cell] * m for _ in range(m)])
 
 
-def _clamp01(v: Fraction) -> Fraction:
-    return ZERO if v < 0 else ONE if v > 1 else v
+def _cdf_grid(mu: GridPermuton, ys, xs) -> list[list[Fraction]]:
+    """cdf at every (x, y) of xs x ys, one row per y.  Each coordinate t comes
+    as (i, f) = divmod(t * m, 1), so t = (i + f)/m with 0 <= f < 1; an
+    on-grid point (f = 0) is a plain table read."""
+    cols = {j for j, _ in xs} | {j + 1 for j, g in xs if g}
+    out = []
+    for i, f in ys:
+        row = mu.cum[i]
+        if f:
+            below = mu.cum[i + 1]
+            row = {j: row[j] + f * (below[j] - row[j]) for j in cols}
+        out.append([row[j] + g * (row[j + 1] - row[j]) if g else row[j]
+                    for j, g in xs])
+    return out
 
 
 def cdf(mu: GridPermuton, a, b) -> Fraction:
@@ -72,20 +95,7 @@ def cdf(mu: GridPermuton, a, b) -> Fraction:
     a, b = frac(a), frac(b)
     if not (0 <= a <= 1 and 0 <= b <= 1):
         raise DomainError(f"({a},{b}) outside the unit square")
-    m = mu.m
-    total = ZERO
-    for r in range(m):
-        fy = _clamp01(b * m - r)
-        if fy == 0:
-            continue
-        for c in range(m):
-            cell = mu.mass[r][c]
-            if cell == 0:
-                continue
-            fx = _clamp01(a * m - c)
-            if fx:
-                total += cell * fx * fy
-    return total
+    return _cdf_grid(mu, [divmod(b * mu.m, 1)], [divmod(a * mu.m, 1)])[0][0]
 
 
 def boundary_function(mu: GridPermuton, y) -> BFunc:
@@ -95,10 +105,8 @@ def boundary_function(mu: GridPermuton, y) -> BFunc:
     if not 0 < y < 1:
         raise DomainError(f"apex {y} outside (0,1)")
     m = mu.m
-    samples = []
-    for c in range(m + 1):
-        x = Fraction(c, m)
-        samples.append(-2 * cdf(mu, x, y) + y + x)
+    row = _cdf_grid(mu, [divmod(y * m, 1)], [(c, ZERO) for c in range(m + 1)])[0]
+    samples = [-2 * v + y + Fraction(c, m) for c, v in enumerate(row)]
     return BFunc(y, PLFunc.from_samples(samples))
 
 
@@ -123,34 +131,27 @@ def refine(mu: GridPermuton, factor: int) -> GridPermuton:
     return GridPermuton(m2, mass)
 
 
-def _corner_cdfs(mu: GridPermuton) -> list[list[Fraction]]:
-    """Prefix sums: cdf at the grid corners (i/m, j/m), indexed [j][i]."""
-    m = mu.m
-    table = [[ZERO] * (m + 1) for _ in range(m + 1)]
-    for r in range(1, m + 1):
-        for c in range(1, m + 1):
-            table[r][c] = (
-                table[r - 1][c]
-                + table[r][c - 1]
-                - table[r - 1][c - 1]
-                + mu.mass[r - 1][c - 1]
-            )
-    return table
+def union_grid(mu: GridPermuton, nu: GridPermuton) -> list[Fraction]:
+    """Interior points of the union of the two grid partitions, increasing."""
+    return sorted({Fraction(r, p.m) for p in (mu, nu) for r in range(1, p.m)})
+
+
+def _union_cdfs(mu: GridPermuton, nu: GridPermuton) -> tuple[list, list]:
+    """Both CDFs at the interior corners of the union grid.  Both are
+    bilinear on every union cell and agree on the square's boundary, so these
+    corners decide order and equality exactly."""
+    points = union_grid(mu, nu)
+    at = [[divmod(t * p.m, 1) for t in points] for p in (mu, nu)]
+    return _cdf_grid(mu, at[0], at[0]), _cdf_grid(nu, at[1], at[1])
 
 
 def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
-    """mu <= nu in the permuton Bruhat order, i.e. cdf(mu) >= cdf(nu)
-    everywhere.  The CDF difference is bilinear on each common-grid cell, so
-    checking the interior corners of the common grid decides it exactly."""
-    common = lcm(mu.m, nu.m)
-    a = _corner_cdfs(refine(mu, common // mu.m))
-    b = _corner_cdfs(refine(nu, common // nu.m))
-    return all(
-        a[r][c] >= b[r][c] for r in range(1, common) for c in range(1, common)
-    )
+    """mu <= nu in the permuton Bruhat order: cdf(mu) >= cdf(nu) everywhere."""
+    a, b = _union_cdfs(mu, nu)
+    return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def permuton_equal(mu: GridPermuton, nu: GridPermuton) -> bool:
-    """Equality as measures (mass matrices agree on the common refinement)."""
-    common = lcm(mu.m, nu.m)
-    return refine(mu, common // mu.m).mass == refine(nu, common // nu.m).mass
+    """Equality as measures: equal CDFs."""
+    a, b = _union_cdfs(mu, nu)
+    return a == b

@@ -15,6 +15,8 @@ from typing import Iterable
 from .errors import ParseError
 from .finite import CurveModule, bottom_boundary, factor_depths
 from .jsonio import (
+    _get,
+    _need,
     bfunc_from_json,
     curve_module_from_json,
     sheet_from_json,
@@ -52,13 +54,13 @@ def _item_parts(item) -> tuple[str, object, str]:
 
 
 def spec_from_json(obj: dict) -> RenderSpec:
-    width = int(obj.get("width_px", 1000))
+    width = _get(obj, "width_px", int, 1000)
     if width <= 0:
         raise ParseError("width_px must be positive")
     items = []
-    for raw in obj.get("items", []):
-        kind = raw.get("type")
-        style = raw.get("style", "")
+    for raw in _get(obj, "items", list, []):
+        kind = _need(raw, "type", str)
+        style = _get(raw, "style", str, "")
         if style not in STYLES:
             raise ParseError(f"unknown style tag {style!r}")
         if kind == "curve_module":

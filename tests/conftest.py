@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from preproj.permuton import GridPermuton, uniform
 from preproj.plfunc import BFunc, PLFunc, to_bfunc
 from preproj.symgroup import Perm, all_perms, length
 
@@ -45,6 +46,35 @@ def count_cdf_oracle(w: Perm, a: Fraction, b: Fraction) -> Fraction:
     i = int(a * n)
     j = int(b * n)
     return Fraction(sum(1 for p in range(1, i + 1) if w(p) <= j), n)
+
+
+def cell_sum_cdf(mu: GridPermuton, a: Fraction, b: Fraction) -> Fraction:
+    """cdf of a grid permuton at any point, summing the covered share of
+    every cell (the library's former per-point loop)."""
+
+    def clamp(v: Fraction) -> Fraction:
+        return min(max(v, Fraction(0)), Fraction(1))
+
+    m = mu.m
+    return sum(
+        (mu.mass[r][c] * clamp(a * m - c) * clamp(b * m - r)
+         for r in range(m) for c in range(m)),
+        Fraction(0),
+    )
+
+
+def random_permuton(rng: random.Random, m: int) -> GridPermuton:
+    """The uniform permuton on m x m cells one time in five; otherwise a
+    random convex combination of one to three permutation matrices."""
+    if rng.random() < 0.2:
+        return uniform(m)
+    weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    mass = [[Fraction(0)] * m for _ in range(m)]
+    for weight in weights:
+        rows = rng.sample(range(m), m)
+        for c in range(m):
+            mass[rows[c]][c] += Fraction(weight, sum(weights) * m)
+    return GridPermuton(m, mass)
 
 
 def random_lipschitz_plfunc(rng: random.Random, max_den: int = 8) -> PLFunc:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from preproj import jsonio
+from preproj import cli, jsonio, permuton
 from preproj.cli import main, parse_perm
 from preproj.errors import ParseError
 from preproj.finite import projective
@@ -131,6 +131,36 @@ class TestCheckCommand:
         assert code1 == code2 == 0
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sample", "-3"], ["--sample", "0"], ["--n", "0"], ["--n", "-1"],
+         ["--jobs", "-2"], ["--jobs", "0"]],
+    )
+    def test_bad_flag_values(self, capsys, flags):
+        assert main(["check", "mizuno", *flags]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_jobs_capped_at_case_count(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-case check started worker processes")
+
+        monkeypatch.setattr(cli, "Pool", no_pool)
+        code, lines = run(capsys, "check", "taurigid", "--perm", "2413", "--jobs", "64")
+        assert code == 0 and lines[-1]["cases"] == 1
+
+    def test_bruhat_builds_each_permuton_once_per_sweep(self, capsys, monkeypatch):
+        built = []
+
+        def counting(w):
+            built.append(w.one_line)
+            return from_perm(w)
+
+        monkeypatch.setattr(permuton, "from_perm", counting)
+        for _ in range(2):
+            code, lines = run(capsys, "check", "bruhat", "--n", "3")
+            assert code == 0 and lines[-1]["cases"] == 36
+        assert len(built) == 12 and len(set(built)) == 6
+
     def test_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("PREPROJ_MAX_N", "4")
         assert main(["check", "bridge", "--n", "5"]) == 2
@@ -211,3 +241,13 @@ class TestRenderCommand:
         first = out.read_bytes()
         assert main(["render", spec_path, "-o", str(out)]) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "spec",
+        [[], {"items": 5}, {"items": [5]}, {"width_px": "x"}, {"width_px": 1.5},
+         {"width_px": True}, {"items": [{"style": "bold"}]}],
+    )
+    def test_malformed_spec(self, capsys, tmp_path, spec):
+        spec_path = write_json(tmp_path, "spec.json", spec)
+        assert main(["render", spec_path, "-o", str(tmp_path / "fig.svg")]) == 2
+        assert not (tmp_path / "fig.svg").exists()

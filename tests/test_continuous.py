@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_bfunc
+from conftest import random_bfunc, random_permuton
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
@@ -24,7 +24,7 @@ from preproj.continuous import (
 )
 from preproj.errors import DomainError, NotGridAligned
 from preproj.finite import hom_dim, ideal_of, projective, tau_sub, to_rep
-from preproj.permuton import boundary_function, from_perm, uniform
+from preproj.permuton import boundary_function, from_perm, permuton_bruhat_leq, uniform
 from preproj.plfunc import (
     BFunc,
     PLFunc,
@@ -187,6 +187,18 @@ class TestIdealOrder:
             for v in perms:
                 assert ideal_leq(ideals[u.one_line], ideals[v.one_line]) == bruhat_leq(
                     v, u
+                )
+
+    def test_matches_reversed_permuton_order_on_random_grids(self):
+        # ideal_leq raises CertificateFailure if its two routes disagree
+        rng = random.Random(12)
+        sizes = [(11, 12), (12, 7), (5, 12), (12, 12), (1, 11)]
+        sizes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(30)]
+        for m, k in sizes:
+            mu, nu = random_permuton(rng, m), random_permuton(rng, k)
+            for x, y in ((mu, nu), (nu, mu), (mu, from_perm(Perm.identity(k)))):
+                assert ideal_leq(PermutonIdeal(x), PermutonIdeal(y)) == (
+                    permuton_bruhat_leq(y, x)
                 )
 
 

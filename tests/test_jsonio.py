@@ -3,14 +3,18 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bfunc
 from preproj import jsonio
-from preproj.errors import DomainError, ParseError
+from preproj.cli import parse_perm
+from preproj.errors import DomainError, ParseError, PreprojError
 from preproj.finite import CurveModule, Kind, ideal_of, random_curve
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.rat import frac, rat_str
+from preproj.render import spec_from_json
 from preproj.sheets import SawtoothDesc, SimpleModule, sheet_new
 from preproj.symgroup import Perm
 
@@ -176,6 +180,64 @@ class TestErrors:
         with pytest.raises(ParseError):
             jsonio.sawtooth_from_json({**obj, "endpoints": flags})
 
+    @pytest.mark.parametrize("obj", [[], "sawtooth", 5, None])
+    def test_sawtooth_not_an_object(self, obj):
+        with pytest.raises(ParseError):
+            jsonio.sawtooth_from_json(obj)
+
     def test_unknown_module_type(self):
         with pytest.raises(ParseError):
             jsonio.module_from_json({"type": "mystery"})
+
+
+LOADERS = [getattr(jsonio, name) for name in dir(jsonio) if name.endswith("_from_json")]
+LOADERS.append(spec_from_json)
+
+_H = F(1, 2)
+# one well-formed object per loader, for fuzzing one field at a time
+VALID = [
+    jsonio.permuton_to_json(from_perm(Perm((2, 1, 3)))),
+    {"type": "curve_module", **jsonio.curve_module_to_json(ideal_of(Perm((2, 3, 1)))[0])},
+    {"type": "sawtooth", **jsonio.sawtooth_to_json(
+        SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))]))},
+    jsonio.sheet_to_json(sheet_new(_H, BFunc(_H, top_curve(_H)), BFunc(_H, bottom_curve(_H)))),
+    {"type": "simple", "x": "1/3"},
+    {"width_px": 10, "items": [{"type": "bfunc", **jsonio.bfunc_to_json(BFunc(_H, top_curve(_H)))}]},
+]
+FIELDS = sorted({key for obj in VALID for key in obj} | {"style", "breakpoints"})
+SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.sampled_from(["", "x", "0", "1", "-1", "1/2", "2/5", "1/0", "sub", "quot",
+                       "simple", "sawtooth", "curve_module", "bfunc", "sheet", "bold"])
+    | st.text(max_size=5)
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=5),
+    max_leaves=16,
+)
+MUTATED = st.builds(lambda base, key, value: {**base, key: value},
+                    st.sampled_from(VALID), st.sampled_from(FIELDS), JSON)
+
+
+class TestLoaderFuzz:
+    """Malformed input of any shape ends as a PreprojError, never another
+    exception."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=JSON | MUTATED)
+    def test_json_loaders(self, obj):
+        for load in LOADERS:
+            try:
+                load(obj)
+            except PreprojError:
+                pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(max_size=12) | JSON.map(json.dumps))
+    def test_parse_perm(self, text):
+        try:
+            parse_perm(text)
+        except PreprojError:
+            pass

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from conftest import count_cdf_oracle
+from conftest import cell_sum_cdf, count_cdf_oracle, random_permuton
 from preproj.errors import DomainError
 from preproj.permuton import (
     GridPermuton,
@@ -76,6 +77,14 @@ class TestCdf:
                 for j in range(5):
                     a, b = F(i, 4), F(j, 4)
                     assert cdf(mu, a, b) == count_cdf_oracle(w, a, b)
+
+    def test_matches_cell_sum_oracle_off_grid(self):
+        rng = random.Random(8)
+        for m in [11, 12, 7] + [rng.randint(1, 12) for _ in range(30)]:
+            mu = random_permuton(rng, m)
+            for _ in range(10):
+                a, b = F(rng.randint(0, 97), 97), F(rng.randint(0, 89), 89)
+                assert cdf(mu, a, b) == cell_sum_cdf(mu, a, b)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -177,6 +186,40 @@ class TestPermutonBruhat:
 
     def test_mixed_grids(self):
         assert permuton_bruhat_leq(from_perm(Perm.identity(3)), uniform(2))
+
+    def test_orders_and_equality_match_lcm_reference(self):
+        rng = random.Random(11)
+        sizes = [(11, 12), (12, 7), (5, 12), (9, 10), (12, 12), (1, 12)]
+        sizes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(24)]
+        pairs = [(random_permuton(rng, m), random_permuton(rng, k)) for m, k in sizes]
+        mixed = random_permuton(rng, 6)
+        pairs += [(uniform(4), uniform(9)), (mixed, refine(mixed, 2))]
+        pairs += [(from_perm(Perm.identity(7)), random_permuton(rng, 12))]
+        for mu, nu in pairs:
+            common = lcm(mu.m, nu.m)
+            a, b = (refine(p, common // p.m) for p in (mu, nu))
+            ta, tb = _prefix_sums(a), _prefix_sums(b)
+            inner = [(r, c) for r in range(1, common) for c in range(1, common)]
+            assert permuton_bruhat_leq(mu, nu) == all(
+                ta[r][c] >= tb[r][c] for r, c in inner
+            )
+            assert permuton_bruhat_leq(nu, mu) == all(
+                ta[r][c] <= tb[r][c] for r, c in inner
+            )
+            assert permuton_equal(mu, nu) == (a.mass == b.mass)
+        assert permuton_equal(*pairs[-3]) and permuton_equal(*pairs[-2])
+
+
+def _prefix_sums(mu):
+    """cdf at the grid corners (c/m, r/m), indexed [r][c], from the masses."""
+    m = mu.m
+    table = [[F(0)] * (m + 1) for _ in range(m + 1)]
+    for r in range(m):
+        for c in range(m):
+            table[r + 1][c + 1] = (
+                table[r][c + 1] + table[r + 1][c] - table[r][c] + mu.mass[r][c]
+            )
+    return table
 
 
 class TestBFuncInvariant:
