@@ -222,19 +222,15 @@ def _homvanish_records(mus: list[tuple[str, permuton.GridPermuton]]) -> list[dic
         solver_ok = True
         if mu.m <= 4:
             n = 8
-            apexes = [x for x in _grid_apexes(mu.m) if (x * n).denominator == 1]
-            for a in apexes:
-                sub = continuous.staircase(
-                    continuous.ideal_summand(continuous.PermutonIdeal(mu), a), n
-                )
-                for b in apexes:
-                    quot = finite.tau_sub(
-                        continuous.staircase(
-                            continuous.ideal_summand(continuous.PermutonIdeal(mu), b), n
-                        )
-                    )
-                    if finite.hom_dim(finite.to_rep(sub), finite.to_rep(quot)) != 0:
-                        solver_ok = False
+            ideal = continuous.PermutonIdeal(mu)
+            summands = [
+                continuous.staircase(continuous.ideal_summand(ideal, a), n)
+                for a in _grid_apexes(mu.m)
+                if (a * n).denominator == 1
+            ]
+            subs = [finite.to_rep(m) for m in summands]
+            quots = [finite.to_rep(finite.tau_sub(m)) for m in summands]
+            solver_ok = all(finite.hom_dim(s, q) == 0 for s in subs for q in quots)
         records.append({"case": label, "ok": ok and solver_ok})
     return records
 

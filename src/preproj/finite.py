@@ -26,13 +26,10 @@ from .errors import (
     WrongKind,
 )
 from .limits import scale_limit
-from .linalg import Matrix, rank_of_sparse_rows
+from .linalg import rank_of_links
 from .plfunc import PLFunc
 from .rat import frac, rat_str
 from .symgroup import Perm, Word
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -232,34 +229,38 @@ def tau_sub(m: CurveModule) -> CurveModule:
     return CurveModule(Kind.QUOT, m.curve)
 
 
+BasisMap = tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class QuiverRep:
-    """Explicit matrices of a module over the preprojective algebra.
+    """A module over the preprojective algebra, given in a basis that every
+    arrow sends to basis vectors or to zero, injectively.
 
     alpha[e] : V_{e+1} -> V_{e+2} and alpha_star[e] : V_{e+2} -> V_{e+1}
-    (vertices 1-indexed, e = 0..n-3), subject to the preprojective relation
-    alpha*_j alpha_j = alpha_{j-1} alpha*_{j-1} at every vertex.
+    (vertices 1-indexed, e = 0..n-3) are basis maps: entry c is the index of
+    the image of basis vector c, or -1 when it goes to zero.  The preprojective
+    relation alpha*_j alpha_j = alpha_{j-1} alpha*_{j-1} must hold at every
+    vertex.  Curve modules, simples and sawtooth modules all have such a basis.
     """
 
     n: int
     dims: tuple[int, ...]
-    alpha: tuple[Matrix, ...]
-    alpha_star: tuple[Matrix, ...]
+    alpha: tuple[BasisMap, ...]
+    alpha_star: tuple[BasisMap, ...]
 
     def __init__(self, n, dims, alpha, alpha_star) -> None:
         n = int(n)
         dims = tuple(int(d) for d in dims)
         if n < 2 or len(dims) != n - 1:
             raise DomainError(f"expected {n - 1} vertex dimensions")
-        alpha = tuple(tuple(tuple(frac(v) for v in row) for row in m) for m in alpha)
-        alpha_star = tuple(
-            tuple(tuple(frac(v) for v in row) for row in m) for m in alpha_star
-        )
-        if len(alpha) != max(n - 2, 0) or len(alpha_star) != max(n - 2, 0):
-            raise DomainError(f"expected {n - 2} arrow matrices each way")
+        alpha = tuple(tuple(f) for f in alpha)
+        alpha_star = tuple(tuple(f) for f in alpha_star)
+        if len(alpha) != n - 2 or len(alpha_star) != n - 2:
+            raise DomainError(f"expected {n - 2} arrow maps each way")
         for e in range(n - 2):
-            _check_shape(alpha[e], dims[e + 1], dims[e])
-            _check_shape(alpha_star[e], dims[e], dims[e + 1])
+            _check_map(alpha[e], dims[e], dims[e + 1])
+            _check_map(alpha_star[e], dims[e + 1], dims[e])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "alpha", alpha)
@@ -269,39 +270,37 @@ class QuiverRep:
                 raise DomainError(f"preprojective relation fails at vertex {j + 1}")
 
 
-def _check_shape(m: Matrix, rows: int, cols: int) -> None:
-    if len(m) != rows or any(len(r) != cols for r in m):
-        raise DomainError(f"matrix must be {rows}x{cols}")
+def _check_map(f: BasisMap, source: int, target: int) -> None:
+    if len(f) != source:
+        raise DomainError(f"arrow map must have {source} entries, got {len(f)}")
+    hits = [t for t in f if t != -1]
+    if not all(type(t) is int and 0 <= t < target for t in hits):
+        raise DomainError(f"arrow map entries must lie in -1..{target - 1}")
+    if len(set(hits)) != len(hits):
+        raise DomainError("arrow map sends two basis vectors to one")
 
 
-def _right_loop(rep: QuiverRep, j: int) -> Matrix:
+def _compose(g: BasisMap, f: BasisMap) -> BasisMap:
+    """The basis map g after f."""
+    return tuple(-1 if t == -1 else g[t] for t in f)
+
+
+def _right_loop(rep: QuiverRep, j: int) -> BasisMap:
     """alpha*_j alpha_j on V_{j+1} (0-indexed j; zero past the right end)."""
-    d = rep.dims[j]
     if j >= rep.n - 2:
-        return tuple(tuple(ZERO for _ in range(d)) for _ in range(d))
-    mid = rep.dims[j + 1]
-    fwd, bwd = rep.alpha[j], rep.alpha_star[j]
-    return tuple(
-        tuple(sum((bwd[r][t] * fwd[t][c] for t in range(mid)), ZERO) for c in range(d))
-        for r in range(d)
-    )
+        return (-1,) * rep.dims[j]
+    return _compose(rep.alpha_star[j], rep.alpha[j])
 
 
-def _left_loop(rep: QuiverRep, j: int) -> Matrix:
+def _left_loop(rep: QuiverRep, j: int) -> BasisMap:
     """alpha_{j-1} alpha*_{j-1} on V_{j+1} (0-indexed j; zero at the left end)."""
-    d = rep.dims[j]
     if j == 0:
-        return tuple(tuple(ZERO for _ in range(d)) for _ in range(d))
-    mid = rep.dims[j - 1]
-    fwd, bwd = rep.alpha[j - 1], rep.alpha_star[j - 1]
-    return tuple(
-        tuple(sum((fwd[r][t] * bwd[t][c] for t in range(mid)), ZERO) for c in range(d))
-        for r in range(d)
-    )
+        return (-1,) * rep.dims[j]
+    return _compose(rep.alpha[j - 1], rep.alpha_star[j - 1])
 
 
-def loop_action(rep: QuiverRep, j: int) -> Matrix:
-    """The length-two loop at 1-indexed vertex j acting on V_j.
+def loop_action(rep: QuiverRep, j: int) -> BasisMap:
+    """The length-two loop at 1-indexed vertex j acting on V_j, as a basis map.
 
     Both length-two loops at a vertex agree by the preprojective relation.
     """
@@ -319,91 +318,71 @@ def simple_rep(i: int, n: int) -> QuiverRep:
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
     dims = tuple(1 if j == i else 0 for j in range(1, n))
-    alpha = tuple(tuple(() for _ in range(dims[e + 1])) for e in range(n - 2))
-    alpha_star = tuple(tuple(() for _ in range(dims[e])) for e in range(n - 2))
+    alpha = tuple((-1,) * dims[e] for e in range(n - 2))
+    alpha_star = tuple((-1,) * dims[e + 1] for e in range(n - 2))
     return QuiverRep(n, dims, alpha, alpha_star)
 
 
 def to_rep(m: CurveModule) -> QuiverRep:
-    """Matrices of a curve module: alpha sends (j,d) to (j+1,d+1) when that
-    factor is present (and to zero otherwise); alpha* sends (j+1,d) to (j,d+1)."""
+    """The factor basis of a curve module: alpha sends (j,d) to (j+1,d+1) when
+    that factor is present (and to zero otherwise); alpha* sends (j+1,d) to
+    (j,d+1)."""
     n = m.n
     cols: dict[int, list[int]] = {j: [] for j in range(1, n)}
     for j, d in factors(m):
         cols[j].append(d)
     index = {(j, d): t for j in range(1, n) for t, d in enumerate(cols[j])}
     dims = tuple(len(cols[j]) for j in range(1, n))
-    alpha = []
-    alpha_star = []
-    for e in range(n - 2):
-        j = e + 1
-        fwd = [[ZERO] * dims[e] for _ in range(dims[e + 1])]
-        for c, d in enumerate(cols[j]):
-            r = index.get((j + 1, d + 1))
-            if r is not None:
-                fwd[r][c] = ONE
-        bwd = [[ZERO] * dims[e + 1] for _ in range(dims[e])]
-        for c, d in enumerate(cols[j + 1]):
-            r = index.get((j, d + 1))
-            if r is not None:
-                bwd[r][c] = ONE
-        alpha.append(tuple(tuple(row) for row in fwd))
-        alpha_star.append(tuple(tuple(row) for row in bwd))
-    return QuiverRep(n, dims, tuple(alpha), tuple(alpha_star))
+    alpha = tuple(
+        tuple(index.get((j + 1, d + 1), -1) for d in cols[j]) for j in range(1, n - 1)
+    )
+    alpha_star = tuple(
+        tuple(index.get((j, d + 1), -1) for d in cols[j + 1]) for j in range(1, n - 1)
+    )
+    return QuiverRep(n, dims, alpha, alpha_star)
 
 
 def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
     """dim Hom(a, b): the solution space of the interchange conditions
-    phi_{j+1} a(alpha_j) = b(alpha_j) phi_j and phi_j a(alpha*_j) =
-    b(alpha*_j) phi_{j+1}, solved exactly over the rationals."""
+    phi_k a(f) = b(f) phi_j for every arrow f : j -> k, exact over the rationals.
+
+    The unknowns are the entries phi_j[r][c] (r over b's basis at j, c over
+    a's).  In basis maps the (r, c) entry of an interchange condition reads
+    phi_k[r][a(f)(c)] = phi_j[b(f)^-1(r)][c], where a side is 0 when the basis
+    vector goes to zero or r has no preimage; b(f) is injective, so there is
+    at most one preimage.  Each condition is therefore x = y, x = 0 or y = 0:
+    the rows are those of a signed incidence matrix of a graph on the unknowns
+    plus one zero node, with the zero node's column dropped.  Such rows have
+    rank over any field equal to the number of edges of a spanning forest
+    (``linalg.rank_of_links``), so dim Hom is the number of classes of
+    unknowns that are not joined to zero.
+    """
     if a.n != b.n:
         raise SizeMismatch(f"ranks {a.n} and {b.n} differ")
-    n = a.n
     offsets = []
     total = 0
-    for j in range(n - 1):
+    for p, q in zip(b.dims, a.dims):
         offsets.append(total)
-        total += b.dims[j] * a.dims[j]
+        total += p * q
 
     def var(j: int, r: int, c: int) -> int:
-        # phi_j[r][c], r over b.dims[j], c over a.dims[j]
-        return offsets[j] + r * a.dims[j] + c
+        # phi_j[r][c], r over b.dims[j], c over a.dims[j]; -1 is the zero
+        return -1 if r == -1 or c == -1 else offsets[j] + r * a.dims[j] + c
 
-    rows: list[dict[int, Fraction]] = []
-    for e in range(n - 2):
-        ma, mb = a.alpha[e], b.alpha[e]
-        for r in range(b.dims[e + 1]):
-            for c in range(a.dims[e]):
-                row: dict[int, Fraction] = {}
-                for s in range(a.dims[e + 1]):
-                    if ma[s][c]:
-                        _acc(row, var(e + 1, r, s), ma[s][c])
-                for t in range(b.dims[e]):
-                    if mb[r][t]:
-                        _acc(row, var(e, t, c), -mb[r][t])
-                if row:
-                    rows.append(row)
-        sa, sb = a.alpha_star[e], b.alpha_star[e]
-        for r in range(b.dims[e]):
-            for c in range(a.dims[e + 1]):
-                row = {}
-                for s in range(a.dims[e]):
-                    if sa[s][c]:
-                        _acc(row, var(e, r, s), sa[s][c])
-                for t in range(b.dims[e + 1]):
-                    if sb[r][t]:
-                        _acc(row, var(e + 1, t, c), -sb[r][t])
-                if row:
-                    rows.append(row)
-    return total - rank_of_sparse_rows(rows)
-
-
-def _acc(row: dict[int, Fraction], key: int, value: Fraction) -> None:
-    nv = row.get(key, ZERO) + value
-    if nv:
-        row[key] = nv
-    else:
-        row.pop(key, None)
+    links: list[tuple[int, int]] = []
+    for e in range(a.n - 2):
+        arrows = ((e, e + 1, a.alpha[e], b.alpha[e]),
+                  (e + 1, e, a.alpha_star[e], b.alpha_star[e]))
+        for j, k, fa, fb in arrows:
+            preimage = [-1] * b.dims[k]
+            for t, r in enumerate(fb):
+                if r != -1:
+                    preimage[r] = t
+            for r, t in enumerate(preimage):
+                for c, s in enumerate(fa):
+                    if s != -1 or t != -1:
+                        links.append((var(k, r, s), var(j, t, c)))
+    return total - rank_of_links(total, links)
 
 
 def is_tau_rigid_ideal(w: Perm) -> bool:

@@ -1,40 +1,30 @@
-"""Exact rank computation for the sparse interchange systems."""
+"""Exact rank of the equality systems that interchange conditions reduce to."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+def rank_of_links(count: int, links: list[tuple[int, int]]) -> int:
+    """Rank over the rationals of the rows e_u - e_v, one per link (u, v),
+    on unknowns 0..count-1, where -1 stands for zero (e_{-1} = 0).
 
-ZERO = Fraction(0)
-
-
-def rank_of_sparse_rows(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a matrix given as sparse rows {column: value}.
-
-    Gauss elimination with the leftmost column as pivot; rows here are tiny
-    (interchange conditions touch at most a handful of unknowns), so the
-    dict representation keeps the elimination near-linear.
+    The rows form a signed incidence matrix of a graph on the unknowns plus
+    a zero node, with that node's column dropped; its rank is the number of
+    edges in a spanning forest, counted here as the merges of a union-find.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    # the extra slot ``count`` is the zero node
+    parent = list(range(count + 1))
+
+    def find(u: int) -> int:
+        root = u if u != -1 else count
+        while parent[root] != root:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
     rank = 0
-    for raw in rows:
-        row = {c: v for c, v in raw.items() if v != 0}
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = 1 / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                rank += 1
-                break
-            coef = row.pop(col)
-            for c, v in pivot.items():
-                if c == col:
-                    continue
-                nv = row.get(c, ZERO) - coef * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+    for u, v in links:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            rank += 1
     return rank

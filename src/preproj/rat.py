@@ -6,9 +6,17 @@ rejected at the boundary so no rounding can sneak in.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
+
+# Fraction expands "1e<k>" into a k-digit integer, so a short literal could
+# take unbounded time and memory; exponents are capped at the digit limit
+# Python itself puts on int <-> str conversion.
+MAX_EXPONENT = sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
 
 
 def frac(value) -> Fraction:
@@ -20,6 +28,11 @@ def frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+                raise ParseError(f"exponent of {value[:40]!r} exceeds {MAX_EXPONENT}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

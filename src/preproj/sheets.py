@@ -205,10 +205,7 @@ def _leq_on(f: PLFunc, g: PLFunc, lo: Fraction, hi: Fraction) -> bool:
 
 def is_deep(rep: QuiverRep) -> bool:
     """Does some length-two loop act nonzero on the representation?"""
-    for j in range(1, rep.n - 1):
-        if any(v for row in loop_action(rep, j) for v in row):
-            return True
-    return False
+    return any(t != -1 for j in range(1, rep.n - 1) for t in loop_action(rep, j))
 
 
 @dataclass(frozen=True)
@@ -340,16 +337,11 @@ def sawtooth_rep(st: SawtoothDesc, n: int) -> QuiverRep:
     alpha_star = []
     for e in range(n - 2):
         j = e + 1
-        fwd = [[ZERO] * dims[e] for _ in range(dims[e + 1])]
-        bwd = [[ZERO] * dims[e + 1] for _ in range(dims[e])]
-        if j in support and j + 1 in support:
-            if slope_on(j) == 1:
-                fwd[0][0] = ONE
-            else:
-                bwd[0][0] = ONE
-        alpha.append(tuple(tuple(r) for r in fwd))
-        alpha_star.append(tuple(tuple(r) for r in bwd))
-    return QuiverRep(n, dims, tuple(alpha), tuple(alpha_star))
+        linked = j in support and j + 1 in support
+        rising = linked and slope_on(j) == 1
+        alpha.append((0,) if rising else (-1,) * dims[e])
+        alpha_star.append((0,) if linked and not rising else (-1,) * dims[e + 1])
+    return QuiverRep(n, dims, alpha, alpha_star)
 
 
 def is_brick(module) -> bool:

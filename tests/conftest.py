@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from preproj.finite import QuiverRep
 from preproj.permuton import GridPermuton, uniform
 from preproj.plfunc import BFunc, PLFunc, to_bfunc
 from preproj.symgroup import Perm, all_perms, length
@@ -75,6 +76,72 @@ def random_permuton(rng: random.Random, m: int) -> GridPermuton:
         for c in range(m):
             mass[rows[c]][c] += Fraction(weight, sum(weights) * m)
     return GridPermuton(m, mass)
+
+
+def rank_of_sparse_rows(rows: list[dict[int, Fraction]]) -> int:
+    """Rank of a matrix given as sparse rows {column: value}, by Gauss
+    elimination over the rationals with the leftmost column as pivot."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    rank = 0
+    for raw in rows:
+        row = {c: v for c, v in raw.items() if v != 0}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = 1 / row[col]
+                pivots[col] = {c: v * inv for c, v in row.items()}
+                rank += 1
+                break
+            coef = row.pop(col)
+            for c, v in pivot.items():
+                if c == col:
+                    continue
+                nv = row.get(c, Fraction(0)) - coef * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return rank
+
+
+def basis_matrix(f: tuple[int, ...], rows: int) -> list[list[Fraction]]:
+    """The dense rational matrix of a basis map into a space of dimension rows."""
+    m = [[Fraction(0)] * len(f) for _ in range(rows)]
+    for c, r in enumerate(f):
+        if r != -1:
+            m[r][c] = Fraction(1)
+    return m
+
+
+def hom_dim_by_elimination(a: QuiverRep, b: QuiverRep) -> int:
+    """dim Hom(a, b) from the dense interchange conditions
+    phi_k A = B phi_j of every arrow j -> k, one rational row per matrix
+    entry, ranked by Gauss elimination."""
+    offsets = [0]
+    for p, q in zip(b.dims, a.dims):
+        offsets.append(offsets[-1] + p * q)
+
+    def var(j: int, r: int, c: int) -> int:
+        return offsets[j] + r * a.dims[j] + c
+
+    rows = []
+    for e in range(a.n - 2):
+        for j, k, fa, fb in ((e, e + 1, a.alpha[e], b.alpha[e]),
+                             (e + 1, e, a.alpha_star[e], b.alpha_star[e])):
+            ma = basis_matrix(fa, a.dims[k])
+            mb = basis_matrix(fb, b.dims[k])
+            for r in range(b.dims[k]):
+                for c in range(a.dims[j]):
+                    row: dict[int, Fraction] = {}
+                    for s in range(a.dims[k]):
+                        key = var(k, r, s)
+                        row[key] = row.get(key, Fraction(0)) + ma[s][c]
+                    for t in range(b.dims[j]):
+                        key = var(j, t, c)
+                        row[key] = row.get(key, Fraction(0)) - mb[r][t]
+                    rows.append(row)
+    return offsets[-1] - rank_of_sparse_rows(rows)
 
 
 def random_lipschitz_plfunc(rng: random.Random, max_den: int = 8) -> PLFunc:

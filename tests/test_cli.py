@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from preproj import cli, jsonio, permuton
+from preproj import cli, finite, jsonio, permuton
 from preproj.cli import main, parse_perm
 from preproj.errors import ParseError
 from preproj.finite import projective
@@ -66,6 +66,10 @@ class TestIdealCommands:
     def test_parse_error_exit_code(self, capsys):
         assert main(["ideal", "perm", "99"]) == 2
 
+    def test_huge_exponent_at_flag(self, capsys, tmp_path):
+        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
+        assert main(["ideal", "permuton", path, "--at", "1e999999999"]) == 2
+
     @pytest.mark.parametrize("text", ["[1,2.7,3]", "[true,2]", '["1","2"]', "[1,[2]]"])
     def test_non_integer_entries_rejected(self, capsys, text):
         assert main(["ideal", "perm", text]) == 2
@@ -124,6 +128,25 @@ class TestCheckCommand:
         code, lines = run(capsys, "check", "homvanish", "--files", path)
         assert code == 0
         assert lines[-1]["pass"]
+
+    def test_homvanish_builds_each_apex_rep_once(self, capsys, monkeypatch):
+        built, homs = [], []
+        to_rep, hom_dim = finite.to_rep, finite.hom_dim
+
+        def counting_to_rep(m):
+            built.append(m)
+            return to_rep(m)
+
+        def counting_hom_dim(a, b):
+            homs.append((a, b))
+            return hom_dim(a, b)
+
+        monkeypatch.setattr(finite, "to_rep", counting_to_rep)
+        monkeypatch.setattr(finite, "hom_dim", counting_hom_dim)
+        code, lines = run(capsys, "check", "homvanish", "--perm", "2143")
+        assert code == 0 and lines[-1]["pass"]
+        # grid m = 4 at n = 8: apexes 1/4, 1/2, 3/4, a sub and a quotient rep each
+        assert len(built) == 6 and len(homs) == 9
 
     def test_parallel_matches_serial(self, capsys):
         code1, serial = run(capsys, "check", "bridge", "--n", "3")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import hom_dim_by_elimination
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from preproj.finite import (
     CurveModule,
     DiamondCurve,
     Kind,
+    QuiverRep,
     bottom_boundary,
     factors,
     hom_dim,
@@ -26,6 +28,7 @@ from preproj.finite import (
     ideal_via_word,
     is_tau_rigid_ideal,
     is_zero,
+    loop_action,
     projective,
     random_curve,
     simple_rep,
@@ -35,6 +38,7 @@ from preproj.finite import (
     top_removable,
     zero_rep,
 )
+from preproj.sheets import SawtoothDesc, sawtooth_rep
 from preproj.symgroup import Perm, all_perms, all_reduced_words, apply_word, bruhat_leq
 
 W = Perm((2, 5, 3, 4, 1))
@@ -244,6 +248,14 @@ class TestToRep:
         z = CurveModule(Kind.SUB, bottom_boundary(2, 5))
         assert to_rep(z).dims == (0, 0, 0, 0)
 
+    def test_p2_basis_maps(self):
+        # factors (1,2); (2,1), (2,3); (3,2) of P_2 at n = 4
+        rep = to_rep(projective(2, 4))
+        assert rep.alpha == ((1,), (0, -1))
+        assert rep.alpha_star == ((0, -1), (1,))
+        assert loop_action(rep, 2) == (1, -1)
+        assert loop_action(rep, 1) == loop_action(rep, 3) == (-1,)
+
     def test_random_curve_reps_satisfy_relations(self):
         # QuiverRep raises on construction if the relation fails
         rng = random.Random(5)
@@ -253,6 +265,81 @@ class TestToRep:
             curve = random_curve(i, n, rng)
             for kind in (Kind.SUB, Kind.QUOT):
                 to_rep(CurveModule(kind, curve))
+
+
+class TestQuiverRep:
+    """Hand-built basis maps: (dims, alpha, alpha_star) at n = 4 unless noted."""
+
+    def test_valid_reps_construct(self):
+        QuiverRep(3, (1, 1), ((0,),), ((-1,),))
+        QuiverRep(4, (0, 1, 1), ((), (0,)), ((-1,), (-1,)))
+        QuiverRep(2, (3,), (), ())
+
+    def test_wrong_vertex_count(self):
+        with pytest.raises(DomainError, match="vertex dimensions"):
+            QuiverRep(4, (1, 1), ((0,),), ((-1,),))
+
+    def test_wrong_arrow_count(self):
+        with pytest.raises(DomainError, match="arrow maps"):
+            QuiverRep(3, (1, 1), (), ())
+
+    def test_map_of_wrong_length(self):
+        with pytest.raises(DomainError, match="must have 1 entries"):
+            QuiverRep(3, (1, 1), ((0, 0),), ((-1,),))
+
+    @pytest.mark.parametrize("entry", [1, -2, 5, "0", True])
+    def test_index_out_of_range(self, entry):
+        with pytest.raises(DomainError, match="entries must lie in"):
+            QuiverRep(3, (1, 1), ((entry,),), ((-1,),))
+
+    def test_non_injective_map(self):
+        # alpha_1 sends both basis vectors of V_1 to the one of V_2; the
+        # relation holds, since alpha* is zero
+        with pytest.raises(DomainError, match="two basis vectors to one"):
+            QuiverRep(3, (2, 1), ((0, 0),), ((-1,),))
+
+    def test_relation_fails_at_interior_vertex(self):
+        # at vertex 2, alpha*_2 alpha_2 sends v -> w -> v but alpha*_1 is zero
+        with pytest.raises(DomainError, match="fails at vertex 2$"):
+            QuiverRep(4, (0, 1, 1), ((), (0,)), ((-1,), (0,)))
+
+    def test_relation_fails_at_end_vertex(self):
+        with pytest.raises(DomainError, match="fails at vertex 1$"):
+            QuiverRep(3, (1, 1), ((0,),), ((0,),))
+
+
+# Representation kinds the library builds, for the elimination oracle.
+REP_KINDS = ("sub", "quot", "simple", "sawtooth", "zero")
+
+
+def random_sawtooth(n: int, rng: random.Random) -> SawtoothDesc:
+    """Random +-1 steps across a random grid interval; the teeth are the
+    interval's ends and the points where the slope turns."""
+    lo = rng.randint(0, n - 1)
+    hi = rng.randint(lo + 1, n)
+    teeth = [(F(lo, n), F(rng.randint(0, n), n))]
+    last = 0
+    for x in range(lo + 1, hi + 1):
+        slope = rng.choice((1, -1))
+        point = (F(x, n), teeth[-1][1] + F(slope, n))
+        if slope == last:
+            teeth[-1] = point
+        else:
+            teeth.append(point)
+        last = slope
+    flags = (rng.random() < 0.5, rng.random() < 0.5)
+    return SawtoothDesc(teeth[0][0], teeth[-1][0], teeth, flags)
+
+
+def random_rep(kind: str, n: int, rng: random.Random) -> QuiverRep:
+    if kind in ("sub", "quot"):
+        curve = random_curve(rng.randint(1, n - 1), n, rng)
+        return to_rep(CurveModule(Kind(kind), curve))
+    if kind == "simple":
+        return simple_rep(rng.randint(1, n - 1), n)
+    if kind == "sawtooth":
+        return sawtooth_rep(random_sawtooth(n, rng), n)
+    return zero_rep(n)
 
 
 class TestHomDim:
@@ -267,7 +354,7 @@ class TestHomDim:
         assert hom_dim(to_rep(projective(2, 5)), to_rep(projective(2, 5))) == 2
 
     def test_matches_length_table(self):
-        for n in range(2, 7):
+        for n in range(2, 11):
             reps = {i: to_rep(projective(i, n)) for i in range(1, n)}
             for i in range(1, n):
                 for j in range(1, n):
@@ -286,6 +373,25 @@ class TestHomDim:
 
     def test_zero_rep(self):
         assert hom_dim(zero_rep(5), to_rep(projective(1, 5))) == 0
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.integers(2, 14),
+        st.sampled_from(REP_KINDS),
+        st.sampled_from(REP_KINDS),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_elimination(self, n, kind_a, kind_b, rng):
+        a, b = random_rep(kind_a, n, rng), random_rep(kind_b, n, rng)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert hom_dim(x, y) == hom_dim_by_elimination(x, y)
+
+    def test_simples_match_elimination(self):
+        for n in range(2, 9):
+            simples = [simple_rep(i, n) for i in range(1, n)]
+            for i, a in enumerate(simples):
+                for j, b in enumerate(simples):
+                    assert hom_dim(a, b) == hom_dim_by_elimination(a, b) == (i == j)
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):

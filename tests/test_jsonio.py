@@ -34,6 +34,22 @@ class TestRat:
         with pytest.raises(ParseError):
             frac("2/5/7")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1e999999999", "1E-999999999", " 2.5e+4301 ", "1e" + "9" * 5000],
+        ids=["huge", "huge-negative", "just-over-padded", "5000-digit"],
+    )
+    def test_huge_exponent_rejected(self, text):
+        with pytest.raises(ParseError, match="exceeds 4300"):
+            frac(text)
+
+    def test_bounded_exponents_parse(self):
+        assert frac("1e3") == 1000
+        assert frac("2.5e-1") == F(1, 4)
+        assert frac("3/4") == F(3, 4)
+        assert frac("1e4300") == 10**4300
+        assert frac("1e-0_4300") == F(1, 10**4300)
+
 
 def _roundtrip(obj, dump, load):
     return load(json.loads(json.dumps(dump(obj))))

@@ -15,6 +15,7 @@ from preproj.errors import (
 from preproj.finite import (
     CurveModule,
     Kind,
+    QuiverRep,
     hom_dim,
     projective,
     random_curve,
@@ -230,6 +231,14 @@ class TestDeep:
 
     def test_projective_deep(self):
         assert is_deep(to_rep(projective(2, 5)))
+
+    def test_hand_built_deep(self):
+        # P_2 at n = 4 in its factor basis: V_1 = <a>, V_2 = <b, c>, V_3 = <d>,
+        # a -> c, b -> d forward; b -> a, d -> c backward; both loops at
+        # vertex 2 send b to c
+        rep = QuiverRep(4, (1, 2, 1), ((1,), (0, -1)), ((0, -1), (1,)))
+        assert is_deep(rep)
+        assert not is_deep(QuiverRep(4, (1, 2, 1), ((1,), (-1, -1)), ((-1, -1), (1,))))
 
     def test_nonzero_sheets_deep(self):
         assert is_deep_sheet(FULL)
