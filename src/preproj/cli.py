@@ -52,7 +52,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -195,15 +195,11 @@ def _grid_apexes(m: int) -> list[Fraction]:
 def _twosided_records(mus: list[tuple[str, permuton.GridPermuton]]) -> list[dict]:
     records = []
     for label, mu in mus:
-        ok = True
-        for q in _grid_apexes(mu.m):
-            f_q = permuton.boundary_function(mu, q)
-            for p in _grid_apexes(mu.m):
-                if p == q:
-                    continue
-                pushed = continuous.left_act(f_q, p)
-                if not pointwise_leq(permuton.boundary_function(mu, p).f, pushed.f):
-                    ok = False
+        curves = [permuton.boundary_function(mu, q) for q in _grid_apexes(mu.m)]
+        ok = all(
+            pointwise_leq(f_p.f, continuous.left_act(f_q, f_p.k).f)
+            for f_q in curves for f_p in curves if f_p is not f_q
+        )
         records.append({"case": label, "ok": ok})
     return records
 
@@ -212,13 +208,9 @@ def _homvanish_records(mus: list[tuple[str, permuton.GridPermuton]]) -> list[dic
     records = []
     grid = [Fraction(t, 21) for t in range(1, 21)]
     for label, mu in mus:
-        ok = True
-        try:
-            for a in grid:
-                for b in grid:
-                    continuous.tau_rigidity_cert(mu, a, b)
-        except PreprojError:
-            ok = False
+        curves = [permuton.boundary_function(mu, a) for a in grid]
+        certs = {continuous.hom_vanishing_cert(f, g) for f in curves for g in curves}
+        ok = continuous.Certificate.NO_CERTIFICATE not in certs
         solver_ok = True
         if mu.m <= 4:
             n = 8
@@ -418,6 +410,7 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="preproj",
@@ -489,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PreprojError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Sequence
 
 from .errors import DomainError
@@ -136,13 +137,21 @@ def union_grid(mu: GridPermuton, nu: GridPermuton) -> list[Fraction]:
     return sorted({Fraction(r, p.m) for p in (mu, nu) for r in range(1, p.m)})
 
 
+def _union_coords(m: int, m2: int) -> list[list[tuple[int, Fraction]]]:
+    """divmod(t * p, 1) for p = m, m2 at the interior points t = k/L of the union
+    grid, L = lcm(m, m2): divmod(k p, L) in integers, a Fraction only off grid p."""
+    big = lcm(m, m2)
+    points = sorted({r * big // p for p in (m, m2) for r in range(1, p)})
+    return [[(i, Fraction(r, big) if r else 0)
+             for i, r in (divmod(k * p, big) for k in points)] for p in (m, m2)]
+
+
 def _union_cdfs(mu: GridPermuton, nu: GridPermuton) -> tuple[list, list]:
     """Both CDFs at the interior corners of the union grid.  Both are
     bilinear on every union cell and agree on the square's boundary, so these
     corners decide order and equality exactly."""
-    points = union_grid(mu, nu)
-    at = [[divmod(t * p.m, 1) for t in points] for p in (mu, nu)]
-    return _cdf_grid(mu, at[0], at[0]), _cdf_grid(nu, at[1], at[1])
+    at, at2 = _union_coords(mu.m, nu.m)
+    return _cdf_grid(mu, at, at), _cdf_grid(nu, at2, at2)
 
 
 def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:

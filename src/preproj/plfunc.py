@@ -134,40 +134,55 @@ def equivalent_mod_shift(f: PLFunc, g: PLFunc) -> Optional[Fraction]:
     return a if f == vshift(g, a) else None
 
 
-def _union_xs(f: PLFunc, g: PLFunc) -> list[Fraction]:
-    return sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+def _walk(f: PLFunc, g: PLFunc) -> Iterable[tuple[Fraction, Fraction, Fraction]]:
+    """(x, f(x), g(x)) at every breakpoint of f or g, increasing, read in one
+    forward pass over both breakpoint lists."""
+    p, q = f.breakpoints, g.breakpoints
+    i = j = 0
+    while i < len(p):
+        (x, y), (u, v) = p[i], q[j]
+        if x < u:
+            u0, v0 = q[j - 1]
+            yield x, y, v0 + (v - v0) * (x - u0) / (u - u0)
+        elif u < x:
+            x0, y0 = p[i - 1]
+            yield u, y0 + (y - y0) * (u - x0) / (x - x0), v
+        else:
+            yield x, y, v
+        i += x <= u
+        j += u <= x
 
 
-def _xs_with_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:
+def _crossed(f: PLFunc, g: PLFunc) -> list[tuple[Fraction, Fraction, Fraction]]:
     # f - g is linear between union breakpoints; insert its interior roots
     # so that min/max stay piecewise linear on the listed grid.
-    xs = _union_xs(f, g)
-    out: list[Fraction] = []
-    for x0, x1 in zip(xs, xs[1:]):
-        out.append(x0)
-        d0 = f.at(x0) - g.at(x0)
-        d1 = f.at(x1) - g.at(x1)
+    pts = list(_walk(f, g))
+    out = pts[:1]
+    for (x0, a0, b0), (x1, a1, b1) in zip(pts, pts[1:]):
+        d0, d1 = a0 - b0, a1 - b1
         if (d0 < 0 < d1) or (d1 < 0 < d0):
-            out.append(x0 + (x1 - x0) * d0 / (d0 - d1))
-    out.append(xs[-1])
+            t = d0 / (d0 - d1)
+            y = a0 + (a1 - a0) * t
+            out.append((x0 + (x1 - x0) * t, y, y))
+        out.append((x1, a1, b1))
     return out
 
 
 def pointwise_min(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc((x, min(f.at(x), g.at(x))) for x in _xs_with_crossings(f, g))
+    return PLFunc((x, min(a, b)) for x, a, b in _crossed(f, g))
 
 
 def pointwise_max(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc((x, max(f.at(x), g.at(x))) for x in _xs_with_crossings(f, g))
+    return PLFunc((x, max(a, b)) for x, a, b in _crossed(f, g))
 
 
 def pointwise_leq(f: PLFunc, g: PLFunc) -> bool:
     """f <= g everywhere; the union breakpoint grid decides it exactly."""
-    return all(f.at(x) <= g.at(x) for x in _union_xs(f, g))
+    return all(a <= b for _, a, b in _walk(f, g))
 
 
 def pointwise_sub(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc((x, f.at(x) - g.at(x)) for x in _union_xs(f, g))
+    return PLFunc((x, a - b) for x, a, b in _walk(f, g))
 
 
 def top_at(k, x) -> Fraction:

@@ -13,9 +13,10 @@ from fractions import Fraction
 from .errors import ParseError
 
 # Fraction expands "1e<k>" into a k-digit integer, so a short literal could
-# take unbounded time and memory; exponents are capped at the digit limit
-# Python itself puts on int <-> str conversion.
+# take unbounded time and memory; exponents and the digits of a value are
+# capped at Python's own int <-> str limit, so every value prints back.
 MAX_EXPONENT = sys.int_info.default_max_str_digits
+_TOO_LONG = 10**MAX_EXPONENT
 _EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
 
 
@@ -34,9 +35,12 @@ def frac(value) -> Fraction:
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
                 raise ParseError(f"exponent of {value[:40]!r} exceeds {MAX_EXPONENT}")
         try:
-            return Fraction(value.strip())
+            q = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {value!r}") from exc
+        if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+            raise ParseError(f"{value[:40]!r} needs more than {MAX_EXPONENT} digits")
+        return q
     raise ParseError(f"cannot interpret {value!r} as a rational")
 
 

@@ -129,11 +129,11 @@ def all_reduced_words(w: Perm) -> frozenset[Word]:
 
 def dominance_table(u: Perm) -> list[list[int]]:
     """table[i][j] = #{a <= i : u(a) > j} for 1 <= i,j <= n (1-indexed lists)."""
-    n = u.n
-    table = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            table[i][j] = table[i - 1][j] + (1 if u(i) > j else 0)
+    cols = range(1, u.n + 1)
+    table = [[0] * (u.n + 1)]
+    for v in u.one_line:
+        above = table[-1]
+        table.append([0] + [above[j] + (v > j) for j in cols])
     return table
 
 
@@ -141,9 +141,9 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Bruhat order via the dominance criterion u[i,j] <= v[i,j] for all i,j."""
     if u.n != v.n:
         raise SizeMismatch(f"sizes {u.n} and {v.n} differ")
-    tu, tv = dominance_table(u), dominance_table(v)
-    n = u.n
-    return all(tu[i][j] <= tv[i][j] for i in range(1, n + 1) for j in range(1, n + 1))
+    # row and column 0 are zero in both tables
+    return all(a <= b for ru, rv in zip(dominance_table(u), dominance_table(v))
+               for a, b in zip(ru, rv))
 
 
 def min_coset_rep(w: Perm, i: int) -> Perm:

@@ -144,6 +144,52 @@ def hom_dim_by_elimination(a: QuiverRep, b: QuiverRep) -> int:
     return offsets[-1] - rank_of_sparse_rows(rows)
 
 
+def union_xs(f: PLFunc, g: PLFunc) -> list[Fraction]:
+    return sorted({x for x, _ in f.breakpoints} | {x for x, _ in g.breakpoints})
+
+
+def xs_with_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:
+    """The union breakpoints plus the interior roots of f - g, each value read
+    by a binary-searched ``at`` (the library's former route)."""
+    xs = union_xs(f, g)
+    out: list[Fraction] = []
+    for x0, x1 in zip(xs, xs[1:]):
+        out.append(x0)
+        d0 = f.at(x0) - g.at(x0)
+        d1 = f.at(x1) - g.at(x1)
+        if (d0 < 0 < d1) or (d1 < 0 < d0):
+            out.append(x0 + (x1 - x0) * d0 / (d0 - d1))
+    out.append(xs[-1])
+    return out
+
+
+def min_by_at(f: PLFunc, g: PLFunc) -> PLFunc:
+    return PLFunc((x, min(f.at(x), g.at(x))) for x in xs_with_crossings(f, g))
+
+
+def max_by_at(f: PLFunc, g: PLFunc) -> PLFunc:
+    return PLFunc((x, max(f.at(x), g.at(x))) for x in xs_with_crossings(f, g))
+
+
+def leq_by_at(f: PLFunc, g: PLFunc) -> bool:
+    return all(f.at(x) <= g.at(x) for x in union_xs(f, g))
+
+
+def sub_by_at(f: PLFunc, g: PLFunc) -> PLFunc:
+    return PLFunc((x, f.at(x) - g.at(x)) for x in union_xs(f, g))
+
+
+def dominance_by_cells(u: Perm) -> list[list[int]]:
+    """table[i][j] = #{a <= i : u(a) > j}, one ``u(i)`` call per cell (the
+    library's former double loop); row and column 0 are zero."""
+    n = u.n
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            table[i][j] = table[i - 1][j] + (1 if u(i) > j else 0)
+    return table
+
+
 def random_lipschitz_plfunc(rng: random.Random, max_den: int = 8) -> PLFunc:
     """A random 1-Lipschitz PL function with breakpoints on a random grid."""
     den = rng.randint(2, max_den)

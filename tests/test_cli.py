@@ -1,11 +1,13 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from preproj import cli, finite, jsonio, permuton
+from conftest import random_permuton
+from preproj import cli, continuous, finite, jsonio, permuton
 from preproj.cli import main, parse_perm
-from preproj.errors import ParseError
+from preproj.errors import CertificateFailure, ParseError
 from preproj.finite import projective
 from preproj.limits import scale_limit
 from preproj.permuton import from_perm, uniform
@@ -69,6 +71,22 @@ class TestIdealCommands:
     def test_huge_exponent_at_flag(self, capsys, tmp_path):
         path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
         assert main(["ideal", "permuton", path, "--at", "1e999999999"]) == 2
+
+    def test_too_many_digits_at_flag(self, capsys, tmp_path):
+        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
+        assert main(["ideal", "permuton", path, "--at", "1e-4300"]) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"m": ' + b"1" * 5000 + b', "mass": []}', b"\xff\xfe{"],
+        ids=["integer-over-digit-limit", "not-utf8"],
+    )
+    def test_unreadable_json_file(self, capsys, tmp_path, content):
+        path = tmp_path / "mu.json"
+        path.write_bytes(content)
+        assert main(["ideal", "permuton", str(path), "--at", "1/2"]) == 2
+        assert "cannot read JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[1,2.7,3]", "[true,2]", '["1","2"]', "[1,[2]]"])
     def test_non_integer_entries_rejected(self, capsys, text):
@@ -147,6 +165,88 @@ class TestCheckCommand:
         assert code == 0 and lines[-1]["pass"]
         # grid m = 4 at n = 8: apexes 1/4, 1/2, 3/4, a sub and a quotient rep each
         assert len(built) == 6 and len(homs) == 9
+
+    @staticmethod
+    def count_boundary_functions(monkeypatch) -> list:
+        # the CLI reads the curve through permuton, the ideal through continuous
+        calls = []
+        original = permuton.boundary_function
+
+        def counting(mu, y):
+            calls.append(y)
+            return original(mu, y)
+
+        monkeypatch.setattr(permuton, "boundary_function", counting)
+        monkeypatch.setattr(continuous, "boundary_function", counting)
+        return calls
+
+    def test_homvanish_builds_each_curve_once(self, capsys, monkeypatch):
+        calls = self.count_boundary_functions(monkeypatch)
+        code, lines = run(capsys, "check", "homvanish", "--perm", "2143")
+        assert code == 0 and lines[-1]["pass"]
+        # 20 apexes t/21, then the staircase summands at 1/4, 1/2, 3/4
+        assert len(calls) == 23 and len(set(calls)) == 23
+
+    def test_twosided_builds_each_curve_once(self, capsys, monkeypatch):
+        calls = self.count_boundary_functions(monkeypatch)
+        code, lines = run(capsys, "check", "twosided", "--perm", "25341")
+        assert code == 0 and lines[-1]["pass"]
+        assert calls == [F(r, 5) for r in range(1, 5)]
+
+    def test_homvanish_verdict_matches_per_pair_certificates(self):
+        rng = random.Random(5)
+        grid = [F(t, 21) for t in range(1, 21)]
+
+        def by_pairs(mu) -> bool:
+            try:
+                for a in grid:
+                    for b in grid:
+                        continuous.tau_rigidity_cert(mu, a, b)
+            except CertificateFailure:
+                return False
+            return True
+
+        for _ in range(4):
+            mu = random_permuton(rng, rng.randint(5, 9))
+            (record,) = cli._homvanish_records([("mu", mu)])
+            assert record["ok"] == by_pairs(mu)
+            for _ in range(20):
+                a, b = (F(rng.randint(1, d - 1), d) for d in rng.choices(range(2, 50), k=2))
+                assert continuous.hom_vanishing_cert(
+                    permuton.boundary_function(mu, a), permuton.boundary_function(mu, b)
+                ) is continuous.tau_rigidity_cert(mu, a, b)
+
+    def test_homvanish_fails_without_certificate(self, monkeypatch):
+        mu = from_perm(Perm((2, 5, 3, 4, 1)))
+        cert = continuous.hom_vanishing_cert
+        bad = (F(4, 21), F(11, 21))
+
+        def one_missing(f, g):
+            if (f.k, g.k) == bad:
+                return continuous.Certificate.NO_CERTIFICATE
+            return cert(f, g)
+
+        monkeypatch.setattr(continuous, "hom_vanishing_cert", one_missing)
+        with pytest.raises(CertificateFailure):
+            continuous.tau_rigidity_cert(mu, *bad)
+        assert cli._homvanish_records([("mu", mu)]) == [{"case": "mu", "ok": False}]
+
+    def test_parser_built_once_and_flags_do_not_leak(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        check_permutons = cli._check_permutons
+
+        def recording(args, n):
+            seen.append(args.files)
+            return check_permutons(args, n)
+
+        monkeypatch.setattr(cli, "_check_permutons", recording)
+        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
+        code, lines = run(capsys, "check", "twosided", "--files", path)
+        assert code == 0 and lines[-1]["cases"] == 1
+        code, lines = run(capsys, "check", "twosided", "--n", "3")
+        assert code == 0 and lines[-1]["cases"] == 8
+        assert seen == [[path], None]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_parallel_matches_serial(self, capsys):
         code1, serial = run(capsys, "check", "bridge", "--n", "3")

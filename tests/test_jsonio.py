@@ -47,8 +47,19 @@ class TestRat:
         assert frac("1e3") == 1000
         assert frac("2.5e-1") == F(1, 4)
         assert frac("3/4") == F(3, 4)
-        assert frac("1e4300") == 10**4300
-        assert frac("1e-0_4300") == F(1, 10**4300)
+        assert frac("1e4299") == 10**4299
+        assert frac("1e-0_4299") == F(1, 10**4299)
+        assert rat_str(frac("-1e-4299")) == "-1/1" + "0" * 4299
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4300", "-1e-4300", "0." + "0" * 4299 + "1"],
+        ids=["numerator", "denominator", "long-decimal"],
+    )
+    def test_too_many_digits_rejected(self, text):
+        # rat_str could not print these back: str() of a 4301-digit int raises
+        with pytest.raises(ParseError, match="needs more than 4300 digits"):
+            frac(text)
 
 
 def _roundtrip(obj, dump, load):

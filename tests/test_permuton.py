@@ -3,11 +3,14 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cell_sum_cdf, count_cdf_oracle, random_permuton
 from preproj.errors import DomainError
 from preproj.permuton import (
     GridPermuton,
+    _union_coords,
     boundary_function,
     cdf,
     from_perm,
@@ -220,6 +223,19 @@ def _prefix_sums(mu):
                 table[r][c + 1] + table[r + 1][c] - table[r][c] + mu.mass[r][c]
             )
     return table
+
+
+class TestUnionCoords:
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30))
+    @settings(max_examples=300, deadline=None)
+    def test_match_fraction_divmod(self, m, m2):
+        points = sorted({F(r, p) for p in (m, m2) for r in range(1, p)})
+        expected = [[divmod(t * p, 1) for t in points] for p in (m, m2)]
+        assert _union_coords(m, m2) == expected
+
+    def test_shared_grid_reads_the_table(self):
+        at, at2 = _union_coords(12, 12)
+        assert at == at2 == [(i, 0) for i in range(1, 12)]
 
 
 class TestBFuncInvariant:

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bfunc, random_lipschitz_plfunc
+from conftest import (
+    leq_by_at,
+    max_by_at,
+    min_by_at,
+    random_bfunc,
+    random_lipschitz_plfunc,
+    sub_by_at,
+    xs_with_crossings,
+)
 from preproj.errors import DegenerateEndpoints, DomainError, NotLipschitz
 from preproj.plfunc import (
     BFunc,
@@ -191,6 +199,39 @@ def test_min_assoc_comm(f, g, h):
 @settings(max_examples=80, deadline=None)
 def test_leq_iff_min_is_left(f, g):
     assert pointwise_leq(f, g) == (pointwise_min(f, g) == f)
+
+
+@st.composite
+def wide_plfuncs(draw):
+    """Up to 20 breakpoints with values in [-1, 1], so that two draws cross
+    many times."""
+    den = draw(st.integers(min_value=2, max_value=30))
+    inner = draw(st.sets(st.integers(min_value=1, max_value=den - 1), max_size=18))
+    xs = [F(0)] + [F(k, den) for k in sorted(inner)] + [F(1)]
+    ys = st.integers(min_value=-7, max_value=7).map(lambda k: F(k, 7))
+    return PLFunc((x, draw(ys)) for x in xs)
+
+
+@given(wide_plfuncs(), wide_plfuncs())
+@settings(max_examples=200, deadline=None)
+def test_one_pass_ops_match_at_route(f, g):
+    """The forward walk gives the same functions and verdicts as evaluating
+    both functions with ``at`` at the union breakpoints and crossings."""
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert pointwise_min(a, b) == min_by_at(a, b)
+        assert pointwise_max(a, b) == max_by_at(a, b)
+        assert pointwise_sub(a, b) == sub_by_at(a, b)
+        assert pointwise_leq(a, b) == leq_by_at(a, b)
+        assert pointwise_leq(a, pointwise_max(a, b))
+
+
+def test_crossings_inserted():
+    f = PLFunc([(0, 0), (F(1, 3), 1), (F(2, 3), -1), (1, 1)])
+    g = PLFunc([(0, F(1, 2)), (F(1, 2), 0), (1, F(1, 2))])
+    xs = xs_with_crossings(f, g)
+    assert len(xs) > len({x for x, _ in f.breakpoints + g.breakpoints})
+    assert pointwise_min(f, g) == min_by_at(f, g)
+    assert pointwise_max(f, g) == max_by_at(f, g)
 
 
 class TestMonotoneClass:

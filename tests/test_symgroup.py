@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bruhat_by_covers
+from conftest import bruhat_by_covers, dominance_by_cells
 from preproj.errors import (
     DomainError,
     LetterOutOfRange,
@@ -15,6 +17,7 @@ from preproj.symgroup import (
     apply_word,
     bruhat_leq,
     canonical_reduced_word_of_rep,
+    dominance_table,
     is_reduced,
     length,
     min_coset_rep,
@@ -140,6 +143,26 @@ class TestBruhat:
                 for w in perms:
                     if leq[(u.one_line, v.one_line)] and leq[(v.one_line, w.one_line)]:
                         assert leq[(u.one_line, w.one_line)]
+
+
+perms_up_to_9 = st.integers(min_value=1, max_value=9).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+).map(Perm)
+
+
+class TestDominanceTable:
+    def test_25341(self):
+        assert dominance_table(W)[3] == [0, 3, 2, 1, 1, 0]
+
+    @given(perms_up_to_9, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cell_loop(self, u, rng):
+        assert dominance_table(u) == dominance_by_cells(u)
+        v = Perm(rng.sample(range(1, u.n + 1), u.n))
+        tu, tv = dominance_by_cells(u), dominance_by_cells(v)
+        assert bruhat_leq(u, v) == all(
+            tu[i][j] <= tv[i][j] for i in range(u.n + 1) for j in range(u.n + 1)
+        )
 
 
 class TestCosetReps:
