@@ -9,14 +9,18 @@ Commands::
     preproj order ideal <A.json> <B.json>
     preproj check <name> [--n N] [--perm W] [--sample K] [--files F ...] [--jobs J]
     preproj brick check <file.json>
-    preproj sheet analyze <file.json> [--against FILE] [--cone y,a] [--codep y,a] [--multi a,...]
+    preproj sheet analyze <file.json> [--against FILE] [--cone y,a] [--codep y,a]
     preproj render <spec.json> -o out.svg
 
 Permutations are digit strings for n <= 9 ("25341") and JSON arrays
 otherwise.  Check reports are JSON lines followed by a summary record; the
-exit code is 0 exactly when every case passed.  PREPROJ_MAX_N (default 6)
-bounds the exhaustive sweeps; --jobs is capped at the CPU count and the
-number of cases.
+exit code is 0 exactly when every case passed.  Every check reads --jobs
+(capped at the CPU count and the number of cases) and --perm; mizuno,
+taurigid, bridge and bruhat also read --n and --sample, twosided reads
+--n, --sample and --files, and homvanish reads --files.  A flag the check
+does not read is an error.  Sweeps over all of S_n, a --sample as large as
+S_n included, stop at n = PREPROJ_MAX_N - 1 (5 by default); --perm and
+smaller --sample runs stop at n = PREPROJ_MAX_N.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from multiprocessing import Pool
 
 from . import continuous, finite, jsonio, permuton, render, sheets, symgroup
@@ -56,6 +61,14 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
@@ -77,8 +90,7 @@ def cmd_ideal_perm(args) -> int:
     _emit(out)
     if args.svg:
         spec = render.RenderSpec(1000, tuple(("curve_module", m) for m in summands))
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render.render_svg(spec))
+        _write_text(args.svg, render.render_svg(spec))
     return 0
 
 
@@ -132,184 +144,149 @@ def _guard(n: int, exhaustive: bool = False) -> None:
         )
 
 
-def _case_mizuno(payload) -> dict:
-    one_line, n = payload
-    w = Perm(one_line)
+def _perms(args, default_n: int) -> list[Perm]:
+    """--perm W alone, or all of S_n, or a seeded --sample of S_n, with
+    n = --n or default_n; guarded at the size enumerated."""
+    if args.perm:
+        w = parse_perm(args.perm)
+        _guard(w.n)
+        return [w]
+    n = args.n or default_n
+    _guard(n, exhaustive=args.sample is None)
+    perms = list(symgroup.all_perms(n))
+    if args.sample is None or args.sample >= len(perms):
+        _guard(n, exhaustive=True)  # a sample as large as S_n is a full sweep
+        return perms
+    picked = random.Random(0).sample(range(len(perms)), args.sample)
+    return [perms[t] for t in sorted(picked)]
+
+
+def _permutons(args, default_perms) -> list[tuple[str, permuton.GridPermuton]]:
+    """The --perm and --files permutons; without either flag, those of
+    default_perms() and the uniform permutons on 2 x 2 and 4 x 4 cells."""
+    if not (args.perm or args.files):
+        perms = default_perms()
+        uniforms = [(f"uniform:{m}", permuton.uniform(m)) for m in (2, 4)]
+    else:
+        perms = _perms(args, 0) if args.perm else []
+        uniforms = []
+    files = [(path, jsonio.permuton_from_json(_load_json(path)))
+             for path in args.files or []]
+    return [(f"perm:{w}", permuton.from_perm(w)) for w in perms] + files + uniforms
+
+
+def _case_mizuno(w: Perm) -> dict:
     words = symgroup.all_reduced_words(w)
     reference = finite.ideal_of(w)
-    ok = all(finite.ideal_via_word(word, n) == reference for word in words)
+    ok = all(finite.ideal_via_word(word, w.n) == reference for word in words)
     return {"case": str(w), "ok": ok, "words": len(words)}
 
 
-def _case_taurigid(payload) -> dict:
-    one_line, _n = payload
-    w = Perm(one_line)
+def _case_taurigid(w: Perm) -> dict:
     return {"case": str(w), "ok": finite.is_tau_rigid_ideal(w)}
 
 
-def _case_bridge(payload) -> dict:
-    one_line, i = payload
-    w = Perm(one_line)
+def _case_bridge(payload: tuple[Perm, int]) -> dict:
+    w, i = payload
     return {"case": f"{w}@{i}", "ok": continuous.finite_vs_continuous(w, i)}
 
 
 @lru_cache(maxsize=None)
-def _perm_permuton(one_line: tuple[int, ...]) -> permuton.GridPermuton:
+def _perm_permuton(w: Perm) -> permuton.GridPermuton:
     # one build per permutation and sweep: cmd_check clears it before each
-    return permuton.from_perm(Perm(one_line))
+    return permuton.from_perm(w)
 
 
-def _case_bruhat(payload) -> dict:
-    u_line, v_line = payload
-    u, v = Perm(u_line), Perm(v_line)
+def _case_bruhat(payload: tuple[Perm, Perm]) -> dict:
+    u, v = payload
     discrete = symgroup.bruhat_leq(u, v)
-    measured = permuton.permuton_bruhat_leq(
-        _perm_permuton(u_line), _perm_permuton(v_line)
-    )
+    measured = permuton.permuton_bruhat_leq(_perm_permuton(u), _perm_permuton(v))
     return {"case": f"{u}<={v}", "ok": discrete == measured}
-
-
-_CASE_RUNNERS = {
-    "mizuno": _case_mizuno,
-    "taurigid": _case_taurigid,
-    "bridge": _case_bridge,
-    "bruhat": _case_bruhat,
-}
-
-
-def _run_cases(name: str, payloads: list, jobs: int) -> list[dict]:
-    runner = _CASE_RUNNERS[name]
-    jobs = min(jobs, os.cpu_count() or 1, len(payloads))
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            records = pool.map(runner, payloads)
-    else:
-        records = [runner(p) for p in payloads]
-    return sorted(records, key=lambda r: r["case"])
 
 
 def _grid_apexes(m: int) -> list[Fraction]:
     return [Fraction(r, m) for r in range(1, m)]
 
 
-def _twosided_records(mus: list[tuple[str, permuton.GridPermuton]]) -> list[dict]:
-    records = []
-    for label, mu in mus:
-        curves = [permuton.boundary_function(mu, q) for q in _grid_apexes(mu.m)]
-        ok = all(
-            pointwise_leq(f_p.f, continuous.left_act(f_q, f_p.k).f)
-            for f_q in curves for f_p in curves if f_p is not f_q
-        )
-        records.append({"case": label, "ok": ok})
-    return records
+def _case_twosided(payload: tuple[str, permuton.GridPermuton]) -> dict:
+    label, mu = payload
+    curves = [permuton.boundary_function(mu, q) for q in _grid_apexes(mu.m)]
+    ok = all(
+        pointwise_leq(f_p.f, continuous.left_act(f_q, f_p.k).f)
+        for f_q in curves for f_p in curves if f_p is not f_q
+    )
+    return {"case": label, "ok": ok}
 
 
-def _homvanish_records(mus: list[tuple[str, permuton.GridPermuton]]) -> list[dict]:
-    records = []
+def _case_homvanish(payload: tuple[str, permuton.GridPermuton]) -> dict:
+    label, mu = payload
     grid = [Fraction(t, 21) for t in range(1, 21)]
-    for label, mu in mus:
-        curves = [permuton.boundary_function(mu, a) for a in grid]
-        certs = {continuous.hom_vanishing_cert(f, g) for f in curves for g in curves}
-        ok = continuous.Certificate.NO_CERTIFICATE not in certs
-        solver_ok = True
-        if mu.m <= 4:
-            n = 8
-            ideal = continuous.PermutonIdeal(mu)
-            summands = [
-                continuous.staircase(continuous.ideal_summand(ideal, a), n)
-                for a in _grid_apexes(mu.m)
-                if (a * n).denominator == 1
-            ]
-            subs = [finite.to_rep(m) for m in summands]
-            quots = [finite.to_rep(finite.tau_sub(m)) for m in summands]
-            solver_ok = all(finite.hom_dim(s, q) == 0 for s in subs for q in quots)
-        records.append({"case": label, "ok": ok and solver_ok})
-    return records
+    curves = [permuton.boundary_function(mu, a) for a in grid]
+    certs = {continuous.hom_vanishing_cert(f, g) for f in curves for g in curves}
+    ok = continuous.Certificate.NO_CERTIFICATE not in certs
+    solver_ok = True
+    if mu.m <= 4:
+        n = 8
+        ideal = continuous.PermutonIdeal(mu)
+        summands = [
+            continuous.staircase(continuous.ideal_summand(ideal, a), n)
+            for a in _grid_apexes(mu.m)
+            if (a * n).denominator == 1
+        ]
+        subs = [finite.to_rep(m) for m in summands]
+        quots = [finite.to_rep(finite.tau_sub(m)) for m in summands]
+        solver_ok = all(finite.hom_dim(s, q) == 0 for s in subs for q in quots)
+    return {"case": label, "ok": ok and solver_ok}
 
 
-def _check_permutons(args, n: int) -> list[tuple[str, permuton.GridPermuton]]:
-    mus: list[tuple[str, permuton.GridPermuton]] = []
-    if args.perm:
-        w = parse_perm(args.perm)
-        mus.append((f"perm:{w}", permuton.from_perm(w)))
-    for path in args.files or []:
-        mus.append((path, jsonio.permuton_from_json(_load_json(path))))
-    if not mus:
-        for w in symgroup.all_perms(n):
-            mus.append((f"perm:{w}", permuton.from_perm(w)))
-        mus.append(("uniform:2", permuton.uniform(2)))
-        mus.append(("uniform:4", permuton.uniform(4)))
-    return mus
+# name -> (case runner, payload source, flags the check does not read)
+_CHECKS = {
+    "mizuno": (_case_mizuno, lambda args: _perms(args, 4), ("files",)),
+    "taurigid": (_case_taurigid, lambda args: _perms(args, 4), ("files",)),
+    "bridge": (
+        _case_bridge,
+        lambda args: [(w, i) for w in _perms(args, 5) for i in range(1, w.n)],
+        ("files",),
+    ),
+    "bruhat": (
+        _case_bruhat,
+        lambda args: list(product(_perms(args, 4), repeat=2)),
+        ("files",),
+    ),
+    "twosided": (
+        _case_twosided, lambda args: _permutons(args, lambda: _perms(args, 4)), ()
+    ),
+    "homvanish": (
+        _case_homvanish,
+        lambda args: _permutons(args, lambda: [parse_perm("25341"), parse_perm("2413")]),
+        ("n", "sample"),
+    ),
+}
 
 
 def cmd_check(args) -> int:
     name = args.name
+    runner, source, unread = _CHECKS[name]
     for flag in ("n", "sample", "jobs"):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ParseError(f"--{flag} must be at least 1, got {value}")
-    if name in ("mizuno", "taurigid"):
-        if args.perm:
-            w = parse_perm(args.perm)
-            _guard(w.n)
-            payloads = [(w.one_line, w.n)]
-        else:
-            n = args.n or 4
-            _guard(n, exhaustive=args.sample is None)
-            perms = list(symgroup.all_perms(n))
-            if args.sample is not None and args.sample < len(perms):
-                rng = random.Random(0)
-                perms = rng.sample(perms, args.sample)
-            payloads = [(w.one_line, n) for w in perms]
-        records = _run_cases(name, payloads, args.jobs)
-    elif name == "bridge":
-        if args.perm:
-            perms = [parse_perm(args.perm)]
-            _guard(perms[0].n)
-        else:
-            n = args.n or 5
-            _guard(n, exhaustive=True)
-            perms = list(symgroup.all_perms(n))
-        payloads = [(w.one_line, i) for w in perms for i in range(1, w.n)]
-        records = _run_cases(name, payloads, args.jobs)
-    elif name == "bruhat":
-        n = args.n or 4
-        _guard(n, exhaustive=True)
-        perms = list(symgroup.all_perms(n))
-        payloads = [(u.one_line, v.one_line) for u in perms for v in perms]
-        _perm_permuton.cache_clear()
-        records = _run_cases(name, payloads, args.jobs)
-    elif name == "twosided":
-        n = args.n or 4
-        _guard(n, exhaustive=not (args.perm or args.files))
-        records = _twosided_records(_check_permutons(args, n))
-    elif name == "homvanish":
-        n = args.n or 4
-        _guard(n)
-        mus = _check_permutons(args, n) if (args.perm or args.files) else [
-            ("perm:25341", permuton.from_perm(parse_perm("25341"))),
-            ("perm:2413", permuton.from_perm(parse_perm("2413"))),
-            ("uniform:2", permuton.uniform(2)),
-            ("uniform:4", permuton.uniform(4)),
-        ]
-        records = _homvanish_records(mus)
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise ParseError(f"check {name} does not read --{flag}")
+    payloads = source(args)
+    _perm_permuton.cache_clear()
+    jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
+    if jobs > 1:
+        with Pool(jobs) as pool:
+            records = pool.map(runner, payloads)
     else:
-        raise ParseError(f"unknown check {name!r}")
-
-    failures = 0
+        records = [runner(p) for p in payloads]
+    failures = sum(not record["ok"] for record in records)
     for record in records:
-        if not record["ok"]:
-            failures += 1
         _emit({"check": name, **record})
-    _emit(
-        {
-            "summary": True,
-            "check": name,
-            "cases": len(records),
-            "failures": failures,
-            "pass": failures == 0,
-        }
-    )
+    _emit({"summary": True, "check": name, "cases": len(records),
+           "failures": failures, "pass": failures == 0})
     return 0 if failures == 0 else 1
 
 
@@ -365,35 +342,8 @@ def cmd_sheet_analyze(args) -> int:
             "a": rat_str(a),
             "class": [rat_str(z) for z in cls],
         }
-    if args.multi:
-        shifts = [frac(part) for part in args.multi.split(",")]
-        out["multi_elementary"] = _multi_report(sheet, against, shifts)
     _emit(out)
     return 0
-
-
-def _multi_report(s: sheets.Sheet, s_prime: sheets.Sheet, shifts) -> dict:
-    """Experimental: count a maximal family of elementary morphisms with
-    pairwise disjoint headroom intervals (greedy interval scheduling)."""
-    candidates = []
-    for a in shifts:
-        for y in sheets.generators(s):
-            try:
-                if not sheets.elementary_exists(s, s_prime, y, a):
-                    continue
-            except PreprojError:
-                continue
-            interval = sheets.b_interval(s, s_prime, y, a)
-            if interval is not None:
-                candidates.append((interval[1], interval[0], rat_str(y), rat_str(a)))
-    candidates.sort()
-    chosen = []
-    frontier = None
-    for hi, lo, y, a in candidates:
-        if frontier is None or lo >= frontier:
-            chosen.append({"y": y, "a": a, "b_interval": [rat_str(lo), rat_str(hi)]})
-            frontier = hi
-    return {"candidates": len(candidates), "disjoint_family": chosen}
 
 
 # ---------------------------------------------------------------- render
@@ -401,9 +351,7 @@ def _multi_report(s: sheets.Sheet, s_prime: sheets.Sheet, shifts) -> dict:
 
 def cmd_render(args) -> int:
     spec = render.spec_from_json(_load_json(args.spec))
-    svg = render.render_svg(spec)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write_text(args.output, render.render_svg(spec))
     return 0
 
 
@@ -446,10 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     oi.set_defaults(func=cmd_order_ideal)
 
     check = sub.add_parser("check", help="verification sweeps")
-    check.add_argument(
-        "name",
-        choices=["mizuno", "taurigid", "bridge", "bruhat", "twosided", "homvanish"],
-    )
+    check.add_argument("name", choices=list(_CHECKS))
     check.add_argument("--n", type=int)
     check.add_argument("--perm", help="restrict to one permutation")
     check.add_argument("--sample", type=int, help="random sample size")
@@ -470,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     sa.add_argument("--against", help="target sheet (defaults to the sheet itself)")
     sa.add_argument("--cone", help="y,a: headroom interval and elementary test")
     sa.add_argument("--codep", help="y,a: codependence class")
-    sa.add_argument("--multi", help="comma list of shifts for the experimental report")
     sa.set_defaults(func=cmd_sheet_analyze)
 
     rend = sub.add_parser("render", help="render a spec to SVG")

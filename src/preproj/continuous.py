@@ -17,7 +17,7 @@ from .errors import CertificateFailure, DomainError, NotGridAligned
 from . import symgroup
 from .finite import CurveModule, DiamondCurve, Kind, ideal_via_word
 from .permuton import (GridPermuton, boundary_function, from_perm,
-                       permuton_bruhat_leq, union_grid)
+                       permuton_bruhat_leq, union_ticks)
 from .plfunc import (
     BFunc,
     MonotoneClass,
@@ -124,9 +124,10 @@ def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
     x is linear in y between union rows (both CDFs are bilinear on union
     cells) and vanishes at y = 0 and y = 1."""
     mu, nu = a.mu, b.mu
+    big, ticks = union_ticks(mu.m, nu.m)
     by_curves = all(
         pointwise_leq(boundary_function(nu, y).f, boundary_function(mu, y).f)
-        for y in union_grid(mu, nu)
+        for y in (Fraction(k, big) for k in ticks)
     )
     by_cdf = permuton_bruhat_leq(nu, mu)
     if by_curves != by_cdf:

@@ -111,56 +111,25 @@ def boundary_function(mu: GridPermuton, y) -> BFunc:
     return BFunc(y, PLFunc.from_samples(samples))
 
 
-def refine(mu: GridPermuton, factor: int) -> GridPermuton:
-    """Split every cell into factor x factor uniform subcells; same measure."""
-    factor = int(factor)
-    if factor < 1:
-        raise DomainError("refinement factor must be >= 1")
-    if factor == 1:
-        return mu
-    m2 = mu.m * factor
-    scale = Fraction(1, factor * factor)
-    mass = [[ZERO] * m2 for _ in range(m2)]
-    for r in range(mu.m):
-        for c in range(mu.m):
-            v = mu.mass[r][c] * scale
-            if v == 0:
-                continue
-            for dr in range(factor):
-                for dc in range(factor):
-                    mass[r * factor + dr][c * factor + dc] = v
-    return GridPermuton(m2, mass)
-
-
-def union_grid(mu: GridPermuton, nu: GridPermuton) -> list[Fraction]:
-    """Interior points of the union of the two grid partitions, increasing."""
-    return sorted({Fraction(r, p.m) for p in (mu, nu) for r in range(1, p.m)})
+def union_ticks(m: int, m2: int) -> tuple[int, list[int]]:
+    """L = lcm(m, m2) and the numerators k of the interior points k/L of the
+    union of the two grid partitions, increasing."""
+    big = lcm(m, m2)
+    return big, sorted({r * big // p for p in (m, m2) for r in range(1, p)})
 
 
 def _union_coords(m: int, m2: int) -> list[list[tuple[int, Fraction]]]:
     """divmod(t * p, 1) for p = m, m2 at the interior points t = k/L of the union
     grid, L = lcm(m, m2): divmod(k p, L) in integers, a Fraction only off grid p."""
-    big = lcm(m, m2)
-    points = sorted({r * big // p for p in (m, m2) for r in range(1, p)})
+    big, points = union_ticks(m, m2)
     return [[(i, Fraction(r, big) if r else 0)
              for i, r in (divmod(k * p, big) for k in points)] for p in (m, m2)]
 
 
-def _union_cdfs(mu: GridPermuton, nu: GridPermuton) -> tuple[list, list]:
-    """Both CDFs at the interior corners of the union grid.  Both are
-    bilinear on every union cell and agree on the square's boundary, so these
-    corners decide order and equality exactly."""
-    at, at2 = _union_coords(mu.m, nu.m)
-    return _cdf_grid(mu, at, at), _cdf_grid(nu, at2, at2)
-
-
 def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
-    """mu <= nu in the permuton Bruhat order: cdf(mu) >= cdf(nu) everywhere."""
-    a, b = _union_cdfs(mu, nu)
+    """mu <= nu in the permuton Bruhat order: cdf(mu) >= cdf(nu) everywhere.
+    Both CDFs are bilinear on every cell of the union grid and agree on the
+    square's boundary, so its interior corners decide the order exactly."""
+    at, at2 = _union_coords(mu.m, nu.m)
+    a, b = _cdf_grid(mu, at, at), _cdf_grid(nu, at2, at2)
     return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def permuton_equal(mu: GridPermuton, nu: GridPermuton) -> bool:
-    """Equality as measures: equal CDFs."""
-    a, b = _union_cdfs(mu, nu)
-    return a == b

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateEndpoints, DomainError, NotLipschitz
 from .rat import frac
@@ -126,12 +126,6 @@ def vshift(f: PLFunc, a) -> PLFunc:
     """f + a pointwise."""
     a = frac(a)
     return PLFunc((x, y + a) for x, y in f.breakpoints)
-
-
-def equivalent_mod_shift(f: PLFunc, g: PLFunc) -> Optional[Fraction]:
-    """The unique a with f = g + a pointwise, if one exists."""
-    a = f.breakpoints[0][1] - g.breakpoints[0][1]
-    return a if f == vshift(g, a) else None
 
 
 def _walk(f: PLFunc, g: PLFunc) -> Iterable[tuple[Fraction, Fraction, Fraction]]:

@@ -86,10 +86,6 @@ def sheet_support(s: Sheet) -> list[Interval]:
     return _positive_intervals(pointwise_sub(s.down.f, s.up.f))
 
 
-def is_zero_sheet(s: Sheet) -> bool:
-    return not sheet_support(s)
-
-
 def is_deep_sheet(s: Sheet) -> bool:
     """Every nonzero sheet is deep: a short loop acts nonzero on its interior."""
     return bool(sheet_support(s))

@@ -61,13 +61,6 @@ class Perm:
         return "[" + ",".join(str(v) for v in self.one_line) + "]"
 
 
-def mul(u: Perm, v: Perm) -> Perm:
-    """Composite u after v: (u*v)(x) = u(v(x))."""
-    if u.n != v.n:
-        raise SizeMismatch(f"sizes {u.n} and {v.n} differ")
-    return Perm(u.one_line[x - 1] for x in v.one_line)
-
-
 def all_perms(n: int) -> Iterator[Perm]:
     for ol in itertools.permutations(range(1, n + 1)):
         yield Perm(ol)

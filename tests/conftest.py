@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from preproj.finite import QuiverRep
-from preproj.permuton import GridPermuton, uniform
+from preproj.permuton import GridPermuton, permuton_bruhat_leq, uniform
 from preproj.plfunc import BFunc, PLFunc, to_bfunc
 from preproj.symgroup import Perm, all_perms, length
 
@@ -62,6 +62,27 @@ def cell_sum_cdf(mu: GridPermuton, a: Fraction, b: Fraction) -> Fraction:
          for r in range(m) for c in range(m)),
         Fraction(0),
     )
+
+
+def mul(u: Perm, v: Perm) -> Perm:
+    """Composite u after v: (u*v)(x) = u(v(x))."""
+    return Perm(u.one_line[x - 1] for x in v.one_line)
+
+
+def refine(mu: GridPermuton, factor: int) -> GridPermuton:
+    """Split every cell into factor x factor uniform subcells; same measure."""
+    if factor == 1:
+        return mu
+    m2 = mu.m * factor
+    scale = Fraction(1, factor * factor)
+    return GridPermuton(
+        m2, [[mu.mass[r // factor][c // factor] * scale for c in range(m2)]
+             for r in range(m2)])
+
+
+def permuton_equal(mu: GridPermuton, nu: GridPermuton) -> bool:
+    """Equality as measures, by antisymmetry of the permuton Bruhat order."""
+    return permuton_bruhat_leq(mu, nu) and permuton_bruhat_leq(nu, mu)
 
 
 def random_permuton(rng: random.Random, m: int) -> GridPermuton:

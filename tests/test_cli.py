@@ -208,7 +208,7 @@ class TestCheckCommand:
 
         for _ in range(4):
             mu = random_permuton(rng, rng.randint(5, 9))
-            (record,) = cli._homvanish_records([("mu", mu)])
+            record = cli._case_homvanish(("mu", mu))
             assert record["ok"] == by_pairs(mu)
             for _ in range(20):
                 a, b = (F(rng.randint(1, d - 1), d) for d in rng.choices(range(2, 50), k=2))
@@ -229,17 +229,17 @@ class TestCheckCommand:
         monkeypatch.setattr(continuous, "hom_vanishing_cert", one_missing)
         with pytest.raises(CertificateFailure):
             continuous.tau_rigidity_cert(mu, *bad)
-        assert cli._homvanish_records([("mu", mu)]) == [{"case": "mu", "ok": False}]
+        assert cli._case_homvanish(("mu", mu)) == {"case": "mu", "ok": False}
 
     def test_parser_built_once_and_flags_do_not_leak(self, capsys, monkeypatch, tmp_path):
         seen = []
-        check_permutons = cli._check_permutons
+        permutons = cli._permutons
 
-        def recording(args, n):
+        def recording(args, default_perms):
             seen.append(args.files)
-            return check_permutons(args, n)
+            return permutons(args, default_perms)
 
-        monkeypatch.setattr(cli, "_check_permutons", recording)
+        monkeypatch.setattr(cli, "_permutons", recording)
         path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
         code, lines = run(capsys, "check", "twosided", "--files", path)
         assert code == 0 and lines[-1]["cases"] == 1
@@ -248,11 +248,31 @@ class TestCheckCommand:
         assert seen == [[path], None]
         assert cli.build_parser() is cli.build_parser()
 
-    def test_parallel_matches_serial(self, capsys):
-        code1, serial = run(capsys, "check", "bridge", "--n", "3")
-        code2, parallel = run(capsys, "check", "bridge", "--n", "3", "--jobs", "2")
+    @pytest.mark.parametrize("name", list(cli._CHECKS))
+    def test_parallel_matches_serial(self, capsys, name):
+        flags = [] if name == "homvanish" else ["--n", "3"]
+        code1, serial = run(capsys, "check", name, *flags)
+        code2, parallel = run(capsys, "check", name, *flags, "--jobs", "2")
         assert code1 == code2 == 0
         assert serial == parallel
+
+    @pytest.mark.parametrize(
+        "name,flags",
+        [(name, ["--files", "missing.json"])
+         for name in ("mizuno", "taurigid", "bridge", "bruhat")]
+        + [("homvanish", ["--n", "9"]), ("homvanish", ["--sample", "2"])],
+    )
+    def test_unread_flags_rejected(self, capsys, name, flags):
+        assert main(["check", name, *flags]) == 2
+        assert f"check {name} does not read {flags[0]}" in capsys.readouterr().err
+
+    def test_perm_and_sample_flags_are_read(self, capsys):
+        code, lines = run(capsys, "check", "bruhat", "--perm", "21")
+        assert code == 0 and [r["case"] for r in lines[:-1]] == ["21<=21"]
+        code, lines = run(capsys, "check", "bridge", "--n", "4", "--sample", "1")
+        assert code == 0 and lines[-1]["cases"] == 3
+        code, lines = run(capsys, "check", "twosided", "--n", "4", "--sample", "2")
+        assert code == 0 and lines[-1]["cases"] == 4
 
     @pytest.mark.parametrize(
         "flags",
@@ -291,6 +311,7 @@ class TestCheckCommand:
     def test_exhaustive_guard_is_tighter_than_targeted(self, capsys):
         # default limits: exhaustive sweeps stop at n=5, single-perm runs at n=6
         assert main(["check", "bridge", "--n", "6"]) == 2
+        assert main(["check", "taurigid", "--n", "6", "--sample", "720"]) == 2
         code, lines = run(capsys, "check", "bridge", "--perm", "253416")
         assert code == 0 and lines[-1]["pass"]
 
@@ -337,7 +358,7 @@ class TestBrickAndSheet:
         path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
         code, lines = run(
             capsys, "sheet", "analyze", path,
-            "--cone", "1/2,0", "--codep", "1/2,0", "--multi", "0,1/4",
+            "--cone", "1/2,0", "--codep", "1/2,0",
         )
         assert code == 0
         out = lines[0]
@@ -346,8 +367,6 @@ class TestBrickAndSheet:
         assert out["cone"]["b_interval"] == ["0", "1"]
         assert out["cone"]["elementary"] is True
         assert out["codependence"]["class"] == ["1/2"]
-        assert out["multi_elementary"]["candidates"] == 2
-        assert len(out["multi_elementary"]["disjoint_family"]) == 1
 
 
 class TestRenderCommand:
@@ -364,6 +383,18 @@ class TestRenderCommand:
         first = out.read_bytes()
         assert main(["render", spec_path, "-o", str(out)]) == 0
         assert out.read_bytes() == first
+
+    @pytest.mark.parametrize("command", ["ideal", "render"])
+    def test_unwritable_output(self, capsys, tmp_path, command):
+        target = str(tmp_path / "missing" / "fig.svg")
+        if command == "ideal":
+            argv = ["ideal", "perm", "213", "--svg", target]
+        else:
+            spec = {"items": [{"type": "curve_module",
+                               **jsonio.curve_module_to_json(projective(1, 4))}]}
+            argv = ["render", write_json(tmp_path, "spec.json", spec), "-o", target]
+        assert main(argv) == 2
+        assert f"cannot write {target}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "spec",

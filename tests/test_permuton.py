@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_sum_cdf, count_cdf_oracle, random_permuton
+from conftest import (cell_sum_cdf, count_cdf_oracle, permuton_equal, random_permuton,
+                      refine)
 from preproj.errors import DomainError
 from preproj.permuton import (
     GridPermuton,
@@ -15,8 +16,6 @@ from preproj.permuton import (
     cdf,
     from_perm,
     permuton_bruhat_leq,
-    permuton_equal,
-    refine,
     uniform,
 )
 from preproj.plfunc import PLFunc, bottom_curve, top_curve

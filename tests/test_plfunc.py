@@ -21,7 +21,6 @@ from preproj.plfunc import (
     PLFunc,
     bottom_at,
     bottom_curve,
-    equivalent_mod_shift,
     is_lipschitz1,
     monotone_class,
     pointwise_leq,
@@ -113,22 +112,6 @@ class TestToBFunc:
             b = random_bfunc(rng)
             again = to_bfunc(b.f)
             assert again == b
-
-
-class TestShift:
-    def test_detects_shift(self):
-        f = TENT
-        assert equivalent_mod_shift(vshift(f, F(3, 7)), f) == F(3, 7)
-
-    def test_different_shapes(self):
-        assert equivalent_mod_shift(TENT, PLFunc([(0, 0), (1, 1)])) is None
-
-    def test_roundtrip(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            f = random_lipschitz_plfunc(rng)
-            a = F(rng.randint(-5, 5), rng.randint(1, 9))
-            assert equivalent_mod_shift(vshift(f, a), f) == a
 
 
 class TestMinMaxLeq:

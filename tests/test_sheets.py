@@ -38,7 +38,6 @@ from preproj.sheets import (
     is_deep,
     is_deep_sheet,
     is_sawtooth,
-    is_zero_sheet,
     sawtooth_rep,
     sheet_new,
     sheet_support,
@@ -78,7 +77,6 @@ class TestSheetBasics:
 
     def test_zero_sheet(self):
         assert sheet_support(ZERO) == []
-        assert is_zero_sheet(ZERO)
         assert not is_deep_sheet(ZERO)
 
     def test_two_bubbles(self):

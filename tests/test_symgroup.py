@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bruhat_by_covers, dominance_by_cells
+from conftest import bruhat_by_covers, dominance_by_cells, mul
 from preproj.errors import (
     DomainError,
     LetterOutOfRange,
@@ -21,7 +21,6 @@ from preproj.symgroup import (
     is_reduced,
     length,
     min_coset_rep,
-    mul,
 )
 
 W = Perm((2, 5, 3, 4, 1))
