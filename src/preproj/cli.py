@@ -18,9 +18,10 @@ exit code is 0 exactly when every case passed.  Every check reads --jobs
 (capped at the CPU count and the number of cases) and --perm; mizuno,
 taurigid, bridge and bruhat also read --n and --sample, twosided reads
 --n, --sample and --files, and homvanish reads --files.  A flag the check
-does not read is an error.  Sweeps over all of S_n, a --sample as large as
-S_n included, stop at n = PREPROJ_MAX_N - 1 (5 by default); --perm and
-smaller --sample runs stop at n = PREPROJ_MAX_N.
+does not read is an error, and so are --perm beside --sample and an --n
+that differs from the size of --perm.  Sweeps over all of S_n, a --sample
+as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5 by default);
+--perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
+def _load_permuton(path: str) -> permuton.GridPermuton:
+    return jsonio.permuton_from_json(_load_json(path))
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -95,7 +100,7 @@ def cmd_ideal_perm(args) -> int:
 
 
 def cmd_ideal_permuton(args) -> int:
-    mu = jsonio.permuton_from_json(_load_json(args.file))
+    mu = _load_permuton(args.file)
     summand = continuous.ideal_summand(continuous.PermutonIdeal(mu), frac(args.at))
     _emit(jsonio.bfunc_to_json(summand.b))
     return 0
@@ -104,31 +109,22 @@ def cmd_ideal_permuton(args) -> int:
 # ---------------------------------------------------------------- order
 
 
-def _order_record(leq: bool, geq: bool) -> dict:
-    return {"leq": leq, "geq": geq, "comparable": leq or geq}
+# what -> (operand loader, order)
+_ORDERS = {
+    "bruhat": (parse_perm, symgroup.bruhat_leq),
+    "permuton": (_load_permuton, permuton.permuton_bruhat_leq),
+    "ideal": (
+        lambda path: continuous.PermutonIdeal(_load_permuton(path)),
+        continuous.ideal_leq,
+    ),
+}
 
 
-def cmd_order_bruhat(args) -> int:
-    u, v = parse_perm(args.u), parse_perm(args.v)
-    _emit(_order_record(symgroup.bruhat_leq(u, v), symgroup.bruhat_leq(v, u)))
-    return 0
-
-
-def cmd_order_permuton(args) -> int:
-    a = jsonio.permuton_from_json(_load_json(args.a))
-    b = jsonio.permuton_from_json(_load_json(args.b))
-    _emit(
-        _order_record(
-            permuton.permuton_bruhat_leq(a, b), permuton.permuton_bruhat_leq(b, a)
-        )
-    )
-    return 0
-
-
-def cmd_order_ideal(args) -> int:
-    a = continuous.PermutonIdeal(jsonio.permuton_from_json(_load_json(args.a)))
-    b = continuous.PermutonIdeal(jsonio.permuton_from_json(_load_json(args.b)))
-    _emit(_order_record(continuous.ideal_leq(a, b), continuous.ideal_leq(b, a)))
+def cmd_order(args) -> int:
+    load, leq = _ORDERS[args.what]
+    a, b = load(args.a), load(args.b)
+    below, above = leq(a, b), leq(b, a)
+    _emit({"leq": below, "geq": above, "comparable": below or above})
     return 0
 
 
@@ -146,9 +142,14 @@ def _guard(n: int, exhaustive: bool = False) -> None:
 
 def _perms(args, default_n: int) -> list[Perm]:
     """--perm W alone, or all of S_n, or a seeded --sample of S_n, with
-    n = --n or default_n; guarded at the size enumerated."""
+    n = --n or default_n; guarded at the size enumerated.  --perm takes no
+    --sample, and an --n beside it must be the size of W."""
     if args.perm:
         w = parse_perm(args.perm)
+        if args.sample is not None:
+            raise ParseError("--perm does not combine with --sample")
+        if args.n is not None and args.n != w.n:
+            raise ParseError(f"--n {args.n} differs from the size {w.n} of --perm {w}")
         _guard(w.n)
         return [w]
     n = args.n or default_n
@@ -170,8 +171,7 @@ def _permutons(args, default_perms) -> list[tuple[str, permuton.GridPermuton]]:
     else:
         perms = _perms(args, 0) if args.perm else []
         uniforms = []
-    files = [(path, jsonio.permuton_from_json(_load_json(path)))
-             for path in args.files or []]
+    files = [(path, _load_permuton(path)) for path in args.files or []]
     return [(f"perm:{w}", permuton.from_perm(w)) for w in perms] + files + uniforms
 
 
@@ -233,9 +233,7 @@ def _case_homvanish(payload: tuple[str, permuton.GridPermuton]) -> dict:
             for a in _grid_apexes(mu.m)
             if (a * n).denominator == 1
         ]
-        subs = [finite.to_rep(m) for m in summands]
-        quots = [finite.to_rep(finite.tau_sub(m)) for m in summands]
-        solver_ok = all(finite.hom_dim(s, q) == 0 for s in subs for q in quots)
+        solver_ok = finite.is_tau_rigid(summands)
     return {"case": label, "ok": ok and solver_ok}
 
 
@@ -294,13 +292,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_brick_check(args) -> int:
-    module = jsonio.module_from_json(_load_json(args.file))
-    record = {"type": jsonio.module_to_json(module)["type"],
-              "brick": sheets.is_brick(module)}
-    if isinstance(module, finite.CurveModule):
-        rep = finite.to_rep(module)
-        record["end_dim"] = finite.hom_dim(rep, rep)
-        record["deep"] = sheets.is_deep(rep)
+    obj = _load_json(args.file)
+    module = jsonio.module_from_json(obj)
+    curve = isinstance(module, finite.CurveModule)
+    subject = finite.to_rep(module) if curve else module
+    end_dim = sheets.end_dim(subject)
+    record = {"type": obj["type"], "brick": end_dim == 1}
+    if curve:
+        record.update(end_dim=end_dim, deep=sheets.is_deep(subject))
     _emit(record)
     return 0
 
@@ -380,18 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     order = sub.add_parser("order", help="order comparisons")
     order_sub = order.add_subparsers(dest="what", required=True)
-    ob = order_sub.add_parser("bruhat")
-    ob.add_argument("u")
-    ob.add_argument("v")
-    ob.set_defaults(func=cmd_order_bruhat)
-    op = order_sub.add_parser("permuton")
-    op.add_argument("a")
-    op.add_argument("b")
-    op.set_defaults(func=cmd_order_permuton)
-    oi = order_sub.add_parser("ideal")
-    oi.add_argument("a")
-    oi.add_argument("b")
-    oi.set_defaults(func=cmd_order_ideal)
+    for what in _ORDERS:
+        op = order_sub.add_parser(what)
+        op.add_argument("a")
+        op.add_argument("b")
+        op.set_defaults(func=cmd_order)
 
     check = sub.add_parser("check", help="verification sweeps")
     check.add_argument("name", choices=list(_CHECKS))

@@ -9,11 +9,10 @@ factors in the submodule (below the curve) from those outside it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import symgroup
 from .errors import (
@@ -309,27 +308,15 @@ def loop_action(rep: QuiverRep, j: int) -> BasisMap:
     return _right_loop(rep, j - 1)
 
 
-def zero_rep(n: int) -> QuiverRep:
-    dims = (0,) * (n - 1)
-    return QuiverRep(n, dims, ((),) * (n - 2), ((),) * (n - 2))
-
-
-def simple_rep(i: int, n: int) -> QuiverRep:
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
-    dims = tuple(1 if j == i else 0 for j in range(1, n))
-    alpha = tuple((-1,) * dims[e] for e in range(n - 2))
-    alpha_star = tuple((-1,) * dims[e + 1] for e in range(n - 2))
-    return QuiverRep(n, dims, alpha, alpha_star)
-
-
-def to_rep(m: CurveModule) -> QuiverRep:
-    """The factor basis of a curve module: alpha sends (j,d) to (j+1,d+1) when
-    that factor is present (and to zero otherwise); alpha* sends (j+1,d) to
-    (j,d+1)."""
-    n = m.n
+def factor_rep(n: int, positions: Iterable[tuple[int, int]]) -> QuiverRep:
+    """The representation with one basis vector per lattice factor (j, d),
+    ordered by depth within each column: alpha sends (j, d) to (j+1, d+1)
+    and alpha* sends (j+1, d) to (j, d+1) when that factor is present, and
+    to zero otherwise."""
     cols: dict[int, list[int]] = {j: [] for j in range(1, n)}
-    for j, d in factors(m):
+    for j, d in sorted(positions):
+        if j not in cols:
+            raise IndexOutOfRange(f"vertex {j} outside 1..{n - 1}")
         cols[j].append(d)
     index = {(j, d): t for j in range(1, n) for t, d in enumerate(cols[j])}
     dims = tuple(len(cols[j]) for j in range(1, n))
@@ -340,6 +327,19 @@ def to_rep(m: CurveModule) -> QuiverRep:
         tuple(index.get((j, d + 1), -1) for d in cols[j + 1]) for j in range(1, n - 1)
     )
     return QuiverRep(n, dims, alpha, alpha_star)
+
+
+def zero_rep(n: int) -> QuiverRep:
+    return factor_rep(n, ())
+
+
+def simple_rep(i: int, n: int) -> QuiverRep:
+    return factor_rep(n, [(i, 0)])
+
+
+def to_rep(m: CurveModule) -> QuiverRep:
+    """The factor basis of a curve module."""
+    return factor_rep(m.n, factors(m))
 
 
 def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
@@ -385,22 +385,16 @@ def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
     return total - rank_of_links(total, links)
 
 
-def is_tau_rigid_ideal(w: Perm) -> bool:
-    """Hom((I_w)^i, P_j/(I_w)^j) = 0 for all i, j."""
-    if w.n > scale_limit():
-        raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
-    summands = ideal_of(w)
+def is_tau_rigid(summands: Sequence[CurveModule]) -> bool:
+    """Hom(M^i, tau M^j) = 0 for every pair of submodules M^i, M^j of
+    projectives among the summands: their direct sum is tau-rigid."""
     subs = [to_rep(m) for m in summands]
     quots = [to_rep(tau_sub(m)) for m in summands]
     return all(hom_dim(s, q) == 0 for s in subs for q in quots)
 
 
-def random_curve(i: int, n: int, rng: random.Random) -> DiamondCurve:
-    """A randomly wandering +-1 lattice path inside the diamond of P_i."""
-    units = [i]
-    for j in range(1, n + 1):
-        top, bottom = abs(j - i), n - abs(n - i - j)
-        units.append(
-            rng.choice([u for u in (units[-1] + 1, units[-1] - 1) if top <= u <= bottom])
-        )
-    return DiamondCurve(i, n, tuple(units))
+def is_tau_rigid_ideal(w: Perm) -> bool:
+    """Hom((I_w)^i, P_j/(I_w)^j) = 0 for all i, j."""
+    if w.n > scale_limit():
+        raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
+    return is_tau_rigid(ideal_of(w))

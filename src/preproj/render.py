@@ -45,12 +45,14 @@ class RenderSpec:
     items: tuple = field(default_factory=tuple)
 
 
-def _item_parts(item) -> tuple[str, object, str]:
-    kind, payload = item[0], item[1]
-    style = item[2] if len(item) > 2 else ""
+def _entry(kind: str, style: str) -> tuple:
+    """(payload from JSON, panel drawing, stroke width) of an item type and
+    style tag; an unknown tag or type is a ParseError."""
     if style not in STYLES:
         raise ParseError(f"unknown style tag {style!r}")
-    return kind, payload, style
+    if kind not in ITEMS:
+        raise ParseError(f"unknown render item type {kind!r}")
+    return (*ITEMS[kind], STYLES[style])
 
 
 def spec_from_json(obj: dict) -> RenderSpec:
@@ -61,16 +63,8 @@ def spec_from_json(obj: dict) -> RenderSpec:
     for raw in _get(obj, "items", list, []):
         kind = _need(raw, "type", str)
         style = _get(raw, "style", str, "")
-        if style not in STYLES:
-            raise ParseError(f"unknown style tag {style!r}")
-        if kind == "curve_module":
-            items.append(("curve_module", curve_module_from_json(raw), style))
-        elif kind == "bfunc":
-            items.append(("bfunc", bfunc_from_json(raw), style))
-        elif kind == "sheet":
-            items.append(("sheet", sheet_from_json(raw), style))
-        else:
-            raise ParseError(f"unknown render item type {kind!r}")
+        from_json = _entry(kind, style)[0]
+        items.append((kind, from_json(raw), style))
     return RenderSpec(width, tuple(items))
 
 
@@ -169,6 +163,14 @@ def _render_sheet(panel: _Panel, s: Sheet, width: str) -> list[str]:
     return out
 
 
+# item type -> (payload from JSON, panel drawing)
+ITEMS = {
+    "curve_module": (curve_module_from_json, _render_curve_module),
+    "bfunc": (bfunc_from_json, _render_bfunc),
+    "sheet": (sheet_from_json, _render_sheet),
+}
+
+
 def render_svg(spec: RenderSpec) -> str:
     """Render the described items to an SVG document string (byte-deterministic)."""
     count = max(len(spec.items), 1)
@@ -181,16 +183,7 @@ def render_svg(spec: RenderSpec) -> str:
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     for idx, item in enumerate(spec.items):
-        kind, payload, style = _item_parts(item)
-        width = STYLES[style]
-        panel = _Panel(idx, spec.width_px)
-        if kind == "curve_module":
-            lines.extend(_render_curve_module(panel, payload, width))
-        elif kind == "bfunc":
-            lines.extend(_render_bfunc(panel, payload, width))
-        elif kind == "sheet":
-            lines.extend(_render_sheet(panel, payload, width))
-        else:
-            raise ParseError(f"unknown render item type {kind!r}")
+        _, draw, stroke = _entry(item[0], item[2] if len(item) > 2 else "")
+        lines.extend(draw(_Panel(idx, spec.width_px), item[1], stroke))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from .errors import (
     NotGridAligned,
     NotInSupport,
 )
-from .finite import CurveModule, QuiverRep, hom_dim, loop_action, to_rep
+from .finite import CurveModule, QuiverRep, factor_rep, hom_dim, loop_action, to_rep
 from .plfunc import BFunc, PLFunc, pointwise_sub, to_bfunc, vshift
 from .rat import frac
 
@@ -242,9 +242,8 @@ class SawtoothDesc:
         object.__setattr__(self, "teeth", pts)
         object.__setattr__(self, "endpoint_flags", tuple(bool(f) for f in endpoint_flags))
 
-    def first_slope(self) -> Fraction:
-        (x0, v0), (x1, v1) = self.teeth[0], self.teeth[1]
-        return (v1 - v0) / (x1 - x0)
+    def first_slope(self) -> int:
+        return 1 if self.teeth[1][1] > self.teeth[0][1] else -1
 
     def min_index_odd(self) -> bool:
         # slope -1 leaves an even-indexed tooth, slope +1 an odd-indexed one
@@ -305,49 +304,41 @@ def decorous_cover(st: SawtoothDesc) -> BFunc:
 
 
 def sawtooth_rep(st: SawtoothDesc, n: int) -> QuiverRep:
-    """The thin representation of a grid-aligned sawtooth: one basis vector
-    per interior grid column of [a, b], with the rightward arrow acting on
-    rising segments and the leftward arrow on falling ones."""
+    """The thin representation of a grid-aligned sawtooth: one factor per
+    interior grid column of [a, b], at the depth the teeth reach from the
+    first tooth in +-1 steps, so alpha acts on rising segments and alpha* on
+    falling ones."""
     n = int(n)
+    cols = []
     for x, _ in st.teeth:
-        if (x * n).denominator != 1:
+        if n % x.denominator:
             raise NotGridAligned(f"tooth at {x} off the 1/{n} grid")
-    lo, hi = int(st.a * n), int(st.b * n)
-    cols = [j for j in range(max(lo, 1), min(hi, n - 1) + 1)]
-    if not st.endpoint_flags[0] and lo >= 1 and lo in cols:
-        cols.remove(lo)
-    if not st.endpoint_flags[1] and hi <= n - 1 and hi in cols:
-        cols.remove(hi)
-    support = set(cols)
-    dims = tuple(1 if j in support else 0 for j in range(1, n))
+        cols.append(x.numerator * (n // x.denominator))
+    depths = [0]  # depths[k] at column cols[0] + k
+    step = st.first_slope()
+    for c0, c1 in zip(cols, cols[1:]):
+        depths += [depths[-1] + step * t for t in range(1, c1 - c0 + 1)]
+        step = -step
+    lo, hi = cols[0], cols[-1]
+    first = lo if st.endpoint_flags[0] else lo + 1
+    last = hi if st.endpoint_flags[1] else hi - 1
+    return factor_rep(
+        n, [(j, depths[j - lo]) for j in range(max(first, 1), min(last, n - 1) + 1)]
+    )
 
-    def slope_on(j: int) -> Fraction:
-        # slope of the sawtooth on (j/n, (j+1)/n)
-        mid = Fraction(2 * j + 1, 2 * n)
-        for (x0, v0), (x1, v1) in zip(st.teeth, st.teeth[1:]):
-            if x0 <= mid <= x1:
-                return (v1 - v0) / (x1 - x0)
-        raise NotGridAligned(f"column {j} outside the sawtooth domain")
 
-    alpha = []
-    alpha_star = []
-    for e in range(n - 2):
-        j = e + 1
-        linked = j in support and j + 1 in support
-        rising = linked and slope_on(j) == 1
-        alpha.append((0,) if rising else (-1,) * dims[e])
-        alpha_star.append((0,) if linked and not rising else (-1,) * dims[e + 1])
-    return QuiverRep(n, dims, alpha, alpha_star)
+def end_dim(module) -> int:
+    """dim End(module).  Simples and sawtooth modules have the field as
+    endomorphisms; a curve module, or any QuiverRep, is measured by hom_dim."""
+    if isinstance(module, (SimpleModule, SawtoothDesc)):
+        return 1
+    if isinstance(module, CurveModule):
+        module = to_rep(module)
+    if isinstance(module, QuiverRep):
+        return hom_dim(module, module)
+    raise DomainError(f"not a module descriptor: {module!r}")
 
 
 def is_brick(module) -> bool:
-    """Brick test: simples and sawtooth modules are bricks; a curve-backed
-    module is tested by its endomorphism dimension."""
-    if isinstance(module, SimpleModule):
-        return True
-    if isinstance(module, SawtoothDesc):
-        return True
-    if isinstance(module, CurveModule):
-        rep = to_rep(module)
-        return hom_dim(rep, rep) == 1
-    raise DomainError(f"not a module descriptor: {module!r}")
+    """A brick is a module whose endomorphisms form the field: End dim 1."""
+    return end_dim(module) == 1

@@ -6,10 +6,59 @@ import itertools
 import random
 from fractions import Fraction
 
-from preproj.finite import QuiverRep
+from preproj.errors import NotGridAligned
+from preproj.finite import DiamondCurve, QuiverRep
 from preproj.permuton import GridPermuton, permuton_bruhat_leq, uniform
 from preproj.plfunc import BFunc, PLFunc, to_bfunc
+from preproj.sheets import SawtoothDesc
 from preproj.symgroup import Perm, all_perms, length
+
+
+def random_curve(i: int, n: int, rng: random.Random) -> DiamondCurve:
+    """A randomly wandering +-1 lattice path inside the diamond of P_i."""
+    units = [i]
+    for j in range(1, n + 1):
+        top, bottom = abs(j - i), n - abs(n - i - j)
+        units.append(
+            rng.choice([u for u in (units[-1] + 1, units[-1] - 1) if top <= u <= bottom])
+        )
+    return DiamondCurve(i, n, tuple(units))
+
+
+def sawtooth_rep_by_midpoints(st: SawtoothDesc, n: int) -> QuiverRep:
+    """The thin representation of a grid-aligned sawtooth, built arrow by
+    arrow: the slope of each grid segment is read at its rational midpoint
+    (the library's former route)."""
+    n = int(n)
+    for x, _ in st.teeth:
+        if (x * n).denominator != 1:
+            raise NotGridAligned(f"tooth at {x} off the 1/{n} grid")
+    lo, hi = int(st.a * n), int(st.b * n)
+    cols = [j for j in range(max(lo, 1), min(hi, n - 1) + 1)]
+    if not st.endpoint_flags[0] and lo >= 1 and lo in cols:
+        cols.remove(lo)
+    if not st.endpoint_flags[1] and hi <= n - 1 and hi in cols:
+        cols.remove(hi)
+    support = set(cols)
+    dims = tuple(1 if j in support else 0 for j in range(1, n))
+
+    def slope_on(j: int) -> Fraction:
+        # slope of the sawtooth on (j/n, (j+1)/n)
+        mid = Fraction(2 * j + 1, 2 * n)
+        for (x0, v0), (x1, v1) in zip(st.teeth, st.teeth[1:]):
+            if x0 <= mid <= x1:
+                return (v1 - v0) / (x1 - x0)
+        raise NotGridAligned(f"column {j} outside the sawtooth domain")
+
+    alpha = []
+    alpha_star = []
+    for e in range(n - 2):
+        j = e + 1
+        linked = j in support and j + 1 in support
+        rising = linked and slope_on(j) == 1
+        alpha.append((0,) if rising else (-1,) * dims[e])
+        alpha_star.append((0,) if linked and not rising else (-1,) * dims[e + 1])
+    return QuiverRep(n, dims, alpha, alpha_star)
 
 
 def bruhat_by_covers(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], bool]:

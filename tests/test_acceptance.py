@@ -10,6 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+from conftest import random_curve
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
@@ -29,7 +30,6 @@ from preproj.finite import (
     ideal_of,
     ideal_via_word,
     projective,
-    random_curve,
     tau_sub,
     to_rep,
 )

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_permuton
-from preproj import cli, continuous, finite, jsonio, permuton
+from preproj import cli, continuous, finite, jsonio, permuton, sheets
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
 from preproj.finite import projective
@@ -283,6 +283,15 @@ class TestCheckCommand:
         assert main(["check", "mizuno", *flags]) == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [(["--perm", "2413", "--sample", "3"], "--sample"),
+         (["--perm", "2413", "--n", "5"], "--n 5")],
+    )
+    def test_perm_conflicts_rejected(self, capsys, flags, named):
+        assert main(["check", "mizuno", *flags]) == 2
+        assert named in capsys.readouterr().err
+
     def test_jobs_capped_at_case_count(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-case check started worker processes")
@@ -351,6 +360,31 @@ class TestBrickAndSheet:
         assert lines[0] == {
             "type": "curve_module", "brick": False, "end_dim": 2, "deep": True,
         }
+
+    def test_brick_check_solves_one_endomorphism_space(self, capsys, tmp_path,
+                                                         monkeypatch):
+        built, homs = [], []
+        to_rep, hom_dim = finite.to_rep, finite.hom_dim
+
+        def counting_to_rep(m):
+            built.append(m)
+            return to_rep(m)
+
+        def counting_hom_dim(a, b):
+            homs.append((a, b))
+            return hom_dim(a, b)
+
+        for module in (finite, sheets):
+            monkeypatch.setattr(module, "to_rep", counting_to_rep)
+            monkeypatch.setattr(module, "hom_dim", counting_hom_dim)
+        path = write_json(
+            tmp_path,
+            "m.json",
+            {"type": "curve_module", **jsonio.curve_module_to_json(projective(3, 8))},
+        )
+        code, lines = run(capsys, "brick", "check", path)
+        assert code == 0 and lines[0]["end_dim"] == 3
+        assert len(built) == 1 and len(homs) == 1
 
     def test_sheet_analyze(self, capsys, tmp_path):
         h = F(1, 2)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import hom_dim_by_elimination
+from conftest import hom_dim_by_elimination, random_curve, sawtooth_rep_by_midpoints
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +10,7 @@ from preproj.errors import (
     DomainError,
     IndexOutOfRange,
     NoTopSimple,
+    NotGridAligned,
     NotReduced,
     SizeMismatch,
     TooLarge,
@@ -21,6 +22,7 @@ from preproj.finite import (
     Kind,
     QuiverRep,
     bottom_boundary,
+    factor_rep,
     factors,
     hom_dim,
     hom_lengths,
@@ -30,7 +32,6 @@ from preproj.finite import (
     is_zero,
     loop_action,
     projective,
-    random_curve,
     simple_rep,
     strip,
     tau_sub,
@@ -265,6 +266,55 @@ class TestToRep:
             curve = random_curve(i, n, rng)
             for kind in (Kind.SUB, Kind.QUOT):
                 to_rep(CurveModule(kind, curve))
+
+
+class TestFactorRep:
+    def test_simple_and_zero_are_one_factor_and_none(self):
+        for n in range(2, 10):
+            assert zero_rep(n) == factor_rep(n, ())
+            assert zero_rep(n) == QuiverRep(n, (0,) * (n - 1), ((),) * (n - 2),
+                                            ((),) * (n - 2))
+            for i in range(1, n):
+                dims = tuple(int(j == i) for j in range(1, n))
+                assert simple_rep(i, n) == factor_rep(n, [(i, 0)])
+                assert simple_rep(i, n) == QuiverRep(
+                    n, dims,
+                    tuple((-1,) * dims[e] for e in range(n - 2)),
+                    tuple((-1,) * dims[e + 1] for e in range(n - 2)),
+                )
+
+    def test_factor_order_does_not_matter(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(2, 9)
+            m = CurveModule(rng.choice(list(Kind)), random_curve(rng.randint(1, n - 1), n, rng))
+            shuffled = list(factors(m))
+            rng.shuffle(shuffled)
+            assert factor_rep(n, shuffled) == to_rep(m)
+
+    @pytest.mark.parametrize("column", [0, 5, -1])
+    def test_column_outside_the_quiver(self, column):
+        with pytest.raises(IndexOutOfRange):
+            factor_rep(5, [(2, 1), (column, 1)])
+
+    @pytest.mark.parametrize("flags", [(True, True), (True, False), (False, True),
+                                       (False, False)])
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.randoms(use_true_random=False))
+    def test_sawtooth_matches_midpoint_builder(self, flags, n, rng):
+        teeth = random_sawtooth(n, rng).teeth
+        # depths are relative to the first tooth: values off the grid too
+        shift = F(rng.randint(-3, 3), rng.randint(1, 7))
+        desc = SawtoothDesc(teeth[0][0], teeth[-1][0],
+                            [(x, v + shift) for x, v in teeth], flags)
+        for m in (n, n + 1, 2 * n):
+            outcomes = []
+            for build in (sawtooth_rep, sawtooth_rep_by_midpoints):
+                try:
+                    outcomes.append(build(desc, m))
+                except NotGridAligned:
+                    outcomes.append(NotGridAligned)
+            assert outcomes[0] == outcomes[1]
 
 
 class TestQuiverRep:

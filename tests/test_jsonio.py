@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bfunc
+from conftest import random_bfunc, random_curve
 from preproj import jsonio
 from preproj.cli import parse_perm
 from preproj.errors import DomainError, ParseError, PreprojError
-from preproj.finite import CurveModule, Kind, ideal_of, random_curve
+from preproj.finite import CurveModule, Kind, ideal_of
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.rat import frac, rat_str

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import random_curve
 
 from preproj.errors import (
     BadShift,
@@ -18,7 +19,6 @@ from preproj.finite import (
     QuiverRep,
     hom_dim,
     projective,
-    random_curve,
     simple_rep,
     to_rep,
 )
