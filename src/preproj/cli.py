@@ -18,10 +18,11 @@ exit code is 0 exactly when every case passed.  Every check reads --jobs
 (capped at the CPU count and the number of cases) and --perm; mizuno,
 taurigid, bridge and bruhat also read --n and --sample, twosided reads
 --n, --sample and --files, and homvanish reads --files.  A flag the check
-does not read is an error, and so are --perm beside --sample and an --n
-that differs from the size of --perm.  Sweeps over all of S_n, a --sample
-as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5 by default);
---perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
+does not read is an error, and so are --perm beside --sample, an --n that
+differs from the size of --perm, an empty --perm, a --files with no path
+and flags that leave the check with no cases.  Sweeps over all of S_n, a
+--sample as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5 by
+default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 """
 
 from __future__ import annotations
@@ -47,11 +48,12 @@ from .symgroup import Perm
 def parse_perm(text: str) -> Perm:
     text = text.strip()
     try:
-        if text.startswith("["):
-            return Perm(json.loads(text))
-        return Perm(int(ch) for ch in text)
+        w = Perm(json.loads(text)) if text.startswith("[") else Perm(map(int, text))
     except (ValueError, PreprojError) as exc:
         raise ParseError(f"cannot parse permutation {text!r}") from exc
+    if w.n == 0:
+        raise ParseError(f"cannot parse permutation {text!r}: it is empty")
+    return w
 
 
 def _load_json(path: str) -> dict:
@@ -144,7 +146,7 @@ def _perms(args, default_n: int) -> list[Perm]:
     """--perm W alone, or all of S_n, or a seeded --sample of S_n, with
     n = --n or default_n; guarded at the size enumerated.  --perm takes no
     --sample, and an --n beside it must be the size of W."""
-    if args.perm:
+    if args.perm is not None:
         w = parse_perm(args.perm)
         if args.sample is not None:
             raise ParseError("--perm does not combine with --sample")
@@ -165,11 +167,11 @@ def _perms(args, default_n: int) -> list[Perm]:
 def _permutons(args, default_perms) -> list[tuple[str, permuton.GridPermuton]]:
     """The --perm and --files permutons; without either flag, those of
     default_perms() and the uniform permutons on 2 x 2 and 4 x 4 cells."""
-    if not (args.perm or args.files):
+    if args.perm is None and args.files is None:
         perms = default_perms()
         uniforms = [(f"uniform:{m}", permuton.uniform(m)) for m in (2, 4)]
     else:
-        perms = _perms(args, 0) if args.perm else []
+        perms = _perms(args, 0) if args.perm is not None else []
         uniforms = []
     files = [(path, _load_permuton(path)) for path in args.files or []]
     return [(f"perm:{w}", permuton.from_perm(w)) for w in perms] + files + uniforms
@@ -273,6 +275,8 @@ def cmd_check(args) -> int:
         if getattr(args, flag) is not None:
             raise ParseError(f"check {name} does not read --{flag}")
     payloads = source(args)
+    if not payloads:
+        raise ParseError(f"check {name} has no cases for these flags")
     _perm_permuton.cache_clear()
     jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if jobs > 1:
@@ -390,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--n", type=int)
     check.add_argument("--perm", help="restrict to one permutation")
     check.add_argument("--sample", type=int, help="random sample size")
-    check.add_argument("--files", nargs="*", help="extra permuton JSON files")
+    check.add_argument("--files", nargs="+", help="extra permuton JSON files")
     check.add_argument("--jobs", type=int, default=1, help="worker processes")
     check.set_defaults(func=cmd_check)
 

@@ -189,22 +189,13 @@ def tau_rigidity_cert(mu: GridPermuton, a, b) -> Certificate:
 
 
 def discretize(d: DecorousSub, n: int) -> CurveModule:
-    """Read an already grid-aligned boundary as a diamond curve: apex i/n,
-    breakpoints on the 1/n grid, +-1 slopes between samples."""
-    n = int(n)
-    k = d.b.k
-    if (k * n).denominator != 1:
-        raise NotGridAligned(f"apex {k} not on the 1/{n} grid")
-    i = int(k * n)
-    for x, _ in d.b.f.breakpoints:
-        if (x * n).denominator != 1:
-            raise NotGridAligned(f"breakpoint at {x} off the 1/{n} grid")
-    samples = [d.b.f.at(Fraction(j, n)) for j in range(n + 1)]
-    step = Fraction(1, n)
-    for s0, s1 in zip(samples, samples[1:]):
-        if abs(s1 - s0) != step:
-            raise NotGridAligned("curve slopes are not +-1 on the grid")
-    return CurveModule(Kind.SUB, DiamondCurve.from_values(i, n, samples))
+    """Read an already grid-aligned boundary as a diamond curve: its
+    staircase, which must trace the boundary exactly (apex i/n, breakpoints
+    on the 1/n grid, +-1 slopes between samples)."""
+    module = staircase(d, n)
+    if module.curve.as_plfunc() != d.b.f:
+        raise NotGridAligned(f"boundary is not a +-1 staircase on the 1/{n} grid")
+    return module
 
 
 def staircase(d: DecorousSub, n: int) -> CurveModule:

@@ -125,13 +125,13 @@ def sawtooth_to_json(st: SawtoothDesc) -> dict:
 
 def sawtooth_from_json(obj: dict) -> SawtoothDesc:
     flags = _get(obj, "endpoints", list, [True, True])
-    if len(flags) != 2:
-        raise ParseError("endpoints must be a pair of booleans")
+    if len(flags) != 2 or not all(isinstance(f, bool) for f in flags):
+        raise ParseError("endpoints must be a pair of JSON booleans")
     return SawtoothDesc(
         frac(_need(obj, "a")),
         frac(_need(obj, "b")),
         [(frac(x), frac(v)) for x, v in _need_rows(obj, "teeth", 2)],
-        (bool(flags[0]), bool(flags[1])),
+        tuple(flags),
     )
 
 

@@ -99,8 +99,11 @@ class PLFunc:
             for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
         )
 
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.breakpoints)
+    def on(self, lo, hi) -> list[tuple[Fraction, Fraction]]:
+        """The points of f restricted to [lo, hi]: both ends and every
+        breakpoint strictly between."""
+        inner = [(x, y) for x, y in self.breakpoints if lo < x < hi]
+        return [(lo, self.at(lo)), *inner, (hi, self.at(hi))]
 
 
 def is_lipschitz1(f: PLFunc) -> bool:

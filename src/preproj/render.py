@@ -21,8 +21,8 @@ from .jsonio import (
     curve_module_from_json,
     sheet_from_json,
 )
-from .plfunc import BFunc, PLFunc, bottom_curve, top_curve
-from .sheets import Sheet, sheet_support
+from .plfunc import BFunc, bottom_curve, top_curve
+from .sheets import Sheet
 
 GREY = "#999999"
 INK = "#000000"
@@ -104,17 +104,10 @@ class _Panel:
         )
 
 
-def _curve_points(f: PLFunc, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    xs = [lo] + [x for x in f.xs() if lo < x < hi] + [hi]
-    return [(x, f.at(x)) for x in xs]
-
-
 def _diamond(panel: _Panel, k: Fraction) -> list[str]:
-    top = _curve_points(top_curve(k), Fraction(0), Fraction(1))
-    bottom = _curve_points(bottom_curve(k), Fraction(0), Fraction(1))
     return [
-        panel.polyline(top, GREY, "1.5"),
-        panel.polyline(bottom, GREY, "1.5"),
+        panel.polyline(top_curve(k).breakpoints, GREY, "1.5"),
+        panel.polyline(bottom_curve(k).breakpoints, GREY, "1.5"),
     ]
 
 
@@ -154,9 +147,8 @@ def _render_bfunc(panel: _Panel, b: BFunc, width: str) -> list[str]:
 
 def _render_sheet(panel: _Panel, s: Sheet, width: str) -> list[str]:
     out = _diamond(panel, s.k)
-    for lo, hi in sheet_support(s):
-        upper = _curve_points(s.up.f, lo, hi)
-        lower = _curve_points(s.down.f, lo, hi)
+    for lo, hi in s.support:
+        upper, lower = s.up.f.on(lo, hi), s.down.f.on(lo, hi)
         out.append(panel.polygon(upper + lower[::-1], FILL, FILL_OPACITY))
     out.append(panel.polyline(list(s.up.f.breakpoints), INK, width))
     out.append(panel.polyline(list(s.down.f.breakpoints), INK, width))

@@ -9,7 +9,7 @@ bricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -23,7 +23,7 @@ from .errors import (
     NotInSupport,
 )
 from .finite import CurveModule, QuiverRep, factor_rep, hom_dim, loop_action, to_rep
-from .plfunc import BFunc, PLFunc, pointwise_sub, to_bfunc, vshift
+from .plfunc import BFunc, PLFunc, pointwise_max, pointwise_sub, to_bfunc, vshift
 from .rat import frac
 
 ZERO = Fraction(0)
@@ -37,12 +37,18 @@ class Sheet:
     """Image of a composition D -> P_k -> U for decorous D and U.
 
     ``up`` bounds the submodule from above, ``down`` the quotient from below;
-    the sheet is supported where up < down and is zero elsewhere.
+    the sheet is supported where up < down and is zero elsewhere.  ``support``
+    holds those maximal open intervals, found once at construction.
     """
 
     k: Fraction
     up: BFunc
     down: BFunc
+    support: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        gap = pointwise_sub(self.down.f, self.up.f)
+        object.__setattr__(self, "support", tuple(_positive_intervals(gap)))
 
 
 def sheet_new(k, up: BFunc, down: BFunc) -> Sheet:
@@ -52,47 +58,37 @@ def sheet_new(k, up: BFunc, down: BFunc) -> Sheet:
     return Sheet(k, up, down)
 
 
-def _positive_intervals(d: PLFunc) -> list[Interval]:
-    """Maximal open intervals where d > 0, with exact rational endpoints."""
-    xs = [x for x, _ in d.breakpoints]
-    pts: list[Fraction] = []
-    for x0, x1 in zip(xs, xs[1:]):
-        pts.append(x0)
-        y0, y1 = d.at(x0), d.at(x1)
-        if (y0 < 0 < y1) or (y1 < 0 < y0):
-            pts.append(x0 + (x1 - x0) * y0 / (y0 - y1))
-    pts.append(xs[-1])
+_ZERO_FN = PLFunc.constant(ZERO)
 
-    # After root insertion the sign is constant on each open subinterval;
-    # a zero value at a shared endpoint splits the support there.
+
+def _positive_intervals(d: PLFunc) -> list[Interval]:
+    """Maximal open intervals where d > 0, with exact rational endpoints.
+
+    max(d, 0) breaks at every root of d, so d keeps one sign inside each of
+    its segments: a segment is positive when one of its ends is, and a zero
+    at a shared breakpoint splits the support there."""
     out: list[Interval] = []
-    open_at: Optional[Fraction] = None
-    for p0, p1 in zip(pts, pts[1:]):
-        positive = d.at((p0 + p1) / 2) > 0
-        if positive and open_at is None:
-            open_at = p0
-        if open_at is not None:
-            if not positive:
-                out.append((open_at, p0))
-                open_at = None
-            elif d.at(p1) <= 0 or p1 == pts[-1]:
-                out.append((open_at, p1))
-                open_at = None
+    pts = pointwise_max(d, _ZERO_FN).breakpoints
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if y0 > 0 and out:  # continues the interval that ends at x0
+            out[-1] = (out[-1][0], x1)
+        elif y0 > 0 or y1 > 0:
+            out.append((x0, x1))
     return out
 
 
 def sheet_support(s: Sheet) -> list[Interval]:
     """Maximal open intervals where the sheet is nonzero (up < down)."""
-    return _positive_intervals(pointwise_sub(s.down.f, s.up.f))
+    return list(s.support)
 
 
 def is_deep_sheet(s: Sheet) -> bool:
     """Every nonzero sheet is deep: a short loop acts nonzero on its interior."""
-    return bool(sheet_support(s))
+    return bool(s.support)
 
 
 def _in_support(s: Sheet, y: Fraction) -> bool:
-    return any(lo < y < hi for lo, hi in sheet_support(s))
+    return any(lo < y < hi for lo, hi in s.support)
 
 
 def generators(s: Sheet) -> tuple[Fraction, ...]:
@@ -104,13 +100,12 @@ def generators(s: Sheet) -> tuple[Fraction, ...]:
     with slope strictly inside (-1,1) generates at all its points and is
     represented here by its endpoints.
     """
-    support = sheet_support(s)
     slopes = s.up.f.slopes()
     pts = s.up.f.breakpoints
     out = []
     for t in range(1, len(pts) - 1):
         y = pts[t][0]
-        if not any(lo < y < hi for lo, hi in support):
+        if not _in_support(s, y):
             continue
         if slopes[t - 1] < 1 and slopes[t] > -1:
             out.append(y)
@@ -135,10 +130,8 @@ def b_interval(s: Sheet, s_prime: Sheet, y, a) -> Optional[Interval]:
     y = frac(y)
     if not _in_support(s, y):
         raise NotInSupport(f"{y} is outside the support of the source sheet")
-    delta = delta_fn(s, s_prime, a)
-    if delta.at(y) <= 0:
-        return None
-    for lo, hi in _positive_intervals(delta):
+    # y lies in a positive interval of Delta exactly when Delta(y) > 0
+    for lo, hi in _positive_intervals(delta_fn(s, s_prime, a)):
         if lo < y < hi:
             return (lo, hi)
     return None
@@ -191,12 +184,10 @@ def elementary_exists(s: Sheet, s_prime: Sheet, y, a) -> bool:
 
 
 def _leq_on(f: PLFunc, g: PLFunc, lo: Fraction, hi: Fraction) -> bool:
-    """f <= g on [lo, hi]: checked at lo, hi and every breakpoint between."""
-    xs = {lo, hi}
-    for x in set(f.xs()) | set(g.xs()):
-        if lo < x < hi:
-            xs.add(x)
-    return all(f.at(x) <= g.at(x) for x in xs)
+    """f <= g on [lo, hi], lo < hi: no positive interval of f - g meets it."""
+    return not any(
+        a < hi and lo < b for a, b in _positive_intervals(pointwise_sub(f, g))
+    )
 
 
 def is_deep(rep: QuiverRep) -> bool:
@@ -275,8 +266,7 @@ def is_sawtooth(f: PLFunc, a, b) -> Optional[SawtoothDesc]:
         raise DomainError(f"[{a},{b}] is not a subinterval of [0,1]")
     # Breakpoints of f strictly inside (a, b) are genuine slope changes, so
     # these points are the teeth once every slope is known to be +-1.
-    xs = [a] + [x for x in f.xs() if a < x < b] + [b]
-    pts = [(x, f.at(x)) for x in xs]
+    pts = f.on(a, b)
     for (x0, v0), (x1, v1) in zip(pts, pts[1:]):
         slope = (v1 - v0) / (x1 - x0)
         if slope != 1 and slope != -1:

@@ -278,6 +278,57 @@ def random_lipschitz_plfunc(rng: random.Random, max_den: int = 8) -> PLFunc:
     return PLFunc(pts)
 
 
+def random_signed_plfunc(rng: random.Random, max_den: int = 8) -> PLFunc:
+    """A PL function on a random grid whose values are zero half the time and
+    otherwise small levels of either sign, so that zeros at breakpoints,
+    tangent zeros, flat zero runs and roots inside segments all occur."""
+    den = rng.randint(1, max_den)
+    levels = [Fraction(v, rng.randint(1, 3)) for v in (-2, -1, 1, 2)]
+    return PLFunc(
+        (Fraction(j, den), Fraction(0) if rng.random() < 0.5 else rng.choice(levels))
+        for j in range(den + 1)
+    )
+
+
+def positive_intervals_by_at(d: PLFunc) -> list[tuple[Fraction, Fraction]]:
+    """Maximal open intervals where d > 0: roots inserted between breakpoints,
+    then the sign read by ``at`` at every point and midpoint (the library's
+    former route)."""
+    xs = [x for x, _ in d.breakpoints]
+    pts: list[Fraction] = []
+    for x0, x1 in zip(xs, xs[1:]):
+        pts.append(x0)
+        y0, y1 = d.at(x0), d.at(x1)
+        if (y0 < 0 < y1) or (y1 < 0 < y0):
+            pts.append(x0 + (x1 - x0) * y0 / (y0 - y1))
+    pts.append(xs[-1])
+    # a zero value at a shared endpoint splits the support there
+    out = []
+    open_at = None
+    for p0, p1 in zip(pts, pts[1:]):
+        positive = d.at((p0 + p1) / 2) > 0
+        if positive and open_at is None:
+            open_at = p0
+        if open_at is not None:
+            if not positive:
+                out.append((open_at, p0))
+                open_at = None
+            elif d.at(p1) <= 0 or p1 == pts[-1]:
+                out.append((open_at, p1))
+                open_at = None
+    return out
+
+
+def leq_on_by_at(f: PLFunc, g: PLFunc, lo: Fraction, hi: Fraction) -> bool:
+    """f <= g on [lo, hi], read by ``at`` at lo, hi and every breakpoint of
+    f or g between them (the library's former route)."""
+    xs = {lo, hi}
+    for x, _ in f.breakpoints + g.breakpoints:
+        if lo < x < hi:
+            xs.add(x)
+    return all(f.at(x) <= g.at(x) for x in xs)
+
+
 def random_bfunc(rng: random.Random, max_den: int = 8) -> BFunc:
     """A random boundary class representative (canonical BFunc)."""
     while True:

@@ -39,6 +39,11 @@ class TestParsePerm:
         with pytest.raises(ParseError):
             parse_perm("99")
 
+    @pytest.mark.parametrize("text", ["", "  ", "[]"])
+    def test_empty_permutation_rejected(self, text):
+        with pytest.raises(ParseError, match="empty"):
+            parse_perm(text)
+
 
 class TestIdealCommands:
     def test_ideal_perm(self, capsys, tmp_path):
@@ -88,7 +93,9 @@ class TestIdealCommands:
         assert main(["ideal", "permuton", str(path), "--at", "1/2"]) == 2
         assert "cannot read JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["[1,2.7,3]", "[true,2]", '["1","2"]', "[1,[2]]"])
+    @pytest.mark.parametrize(
+        "text", ["[1,2.7,3]", "[true,2]", '["1","2"]', "[1,[2]]", "", "[]"]
+    )
     def test_non_integer_entries_rejected(self, capsys, text):
         assert main(["ideal", "perm", text]) == 2
 
@@ -291,6 +298,30 @@ class TestCheckCommand:
     def test_perm_conflicts_rejected(self, capsys, flags, named):
         assert main(["check", "mizuno", *flags]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,flags",
+        [("bridge", ["--perm", "1"]), ("bridge", ["--n", "1"]),
+         ("bridge", ["--n", "1", "--sample", "1"])],
+    )
+    def test_check_without_cases_rejected(self, capsys, name, flags):
+        assert main(["check", name, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"check {name} has no cases" in captured.err
+
+    @pytest.mark.parametrize("name", ["mizuno", "twosided", "homvanish"])
+    def test_empty_perm_flag_rejected(self, capsys, name):
+        assert main(["check", name, "--perm", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty" in captured.err
+
+    @pytest.mark.parametrize("name", ["twosided", "homvanish"])
+    def test_files_flag_needs_a_path(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", name, "--files"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_jobs_capped_at_case_count(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):

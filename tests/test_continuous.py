@@ -280,6 +280,22 @@ class TestDiscretize:
         d = ideal_summand(PermutonIdeal(from_perm(W)), F(2, 5))
         assert staircase(d, 5) == discretize(d, 5)
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_discretize_is_staircase_on_ideal_curves(self, n):
+        modules = {m for w in all_perms(n) for m in ideal_of(w)}
+        for m in modules:
+            d = d_sub(BFunc(F(m.i, n), m.curve.as_plfunc()))
+            assert discretize(d, n) == staircase(d, n) == m
+
+    def test_off_grid_breakpoints(self):
+        # +-1 slopes throughout, turning at 3/8 and 5/8, off the 1/4 grid
+        d = d_sub(BFunc(F(1, 2), PLFunc([(0, F(1, 2)), (F(3, 8), F(1, 8)),
+                                          (F(5, 8), F(3, 8)), (F(3, 4), F(1, 4)),
+                                          (1, F(1, 2))])))
+        with pytest.raises(NotGridAligned):
+            discretize(d, 4)
+        assert discretize(d, 8) == staircase(d, 8)
+
     def test_staircase_sits_weakly_above(self):
         for a in (F(1, 4), F(1, 2), F(3, 4)):
             d = ideal_summand(PermutonIdeal(uniform(4)), a)

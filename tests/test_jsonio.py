@@ -199,7 +199,9 @@ class TestErrors:
         with pytest.raises(ParseError):
             jsonio.plfunc_from_json({"breakpoints": pts})
 
-    @pytest.mark.parametrize("flags", [5, None, {"0": True, "1": True}, [True]])
+    @pytest.mark.parametrize(
+        "flags", [5, None, {"0": True, "1": True}, [True], ["false", "no"], [1, 0]]
+    )
     def test_malformed_sawtooth_endpoints(self, flags):
         obj = jsonio.sawtooth_to_json(
             SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))])

@@ -83,7 +83,7 @@ def _quantified_generators(sheet, n: int):
         cuts = sorted(
             {lo, hi}
             | {F(t, n) for t in range(n + 1) if lo < F(t, n) < hi}
-            | {x for x in up.xs() if lo < x < hi}
+            | {x for x, _ in up.breakpoints if lo < x < hi}
         )
         zs.extend(z for z in cuts if lo < z < hi)
         zs.extend((a + c) / 2 for a, c in zip(cuts, cuts[1:]))

@@ -2,7 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import random_curve
+from conftest import (
+    leq_on_by_at,
+    positive_intervals_by_at,
+    random_curve,
+    random_signed_plfunc,
+)
 
 from preproj.errors import (
     BadShift,
@@ -22,10 +27,13 @@ from preproj.finite import (
     simple_rep,
     to_rep,
 )
-from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
+from preproj import sheets
+from preproj.plfunc import BFunc, PLFunc, bottom_curve, pointwise_sub, top_curve
 from preproj.sheets import (
     SawtoothDesc,
     SimpleModule,
+    _leq_on,
+    _positive_intervals,
     b_interval,
     codependence_class,
     cone_contains,
@@ -92,6 +100,44 @@ class TestSheetBasics:
         )
         sheet = sheet_new(H, BFunc(H, PLFunc.constant(H)), down)
         assert sheet_support(sheet) == [(F(0), F(2, 5)), (F(3, 5), F(1))]
+
+
+class TestSignRoutes:
+    """The breakpoint scan of max(d, 0) against the at-based routes it replaced."""
+
+    def test_positive_intervals_match_oracle(self):
+        rng = random.Random(8)
+        for _ in range(5000):
+            d = random_signed_plfunc(rng)
+            assert _positive_intervals(d) == positive_intervals_by_at(d), d
+
+    def test_leq_on_matches_oracle(self):
+        rng = random.Random(9)
+        outcomes = set()
+        for _ in range(5000):
+            d = random_signed_plfunc(rng)
+            f = random_signed_plfunc(rng, 4)
+            g = pointwise_sub(f, d)  # f - g = d
+            grid = [x for x, _ in d.breakpoints]
+            ends = [F(0), F(1), *grid, F(rng.randint(0, 12), 12), F(rng.randint(0, 7), 7)]
+            lo, hi = sorted(rng.sample(ends, 2))
+            if lo == hi:
+                continue
+            verdict = _leq_on(f, g, lo, hi)
+            assert verdict == leq_on_by_at(f, g, lo, hi), (d, lo, hi)
+            outcomes.add(verdict)
+        assert outcomes == {True, False}
+
+    def test_support_found_once(self, monkeypatch):
+        sheet = sheet_new(H, W_UP, M_ROOF)
+
+        def refuse(d):
+            raise AssertionError("support recomputed")
+
+        monkeypatch.setattr(sheets, "_positive_intervals", refuse)
+        assert sheet_support(sheet) == list(sheet.support)
+        assert is_deep_sheet(sheet)
+        assert generators(sheet) == (F(2, 5), F(3, 5))
 
 
 class TestGenerators:
