@@ -23,6 +23,12 @@ differs from the size of --perm, an empty --perm, a --files with no path
 and flags that leave the check with no cases.  Sweeps over all of S_n, a
 --sample as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5 by
 default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
+
+A mizuno case w walks the cover edges of its lower right weak interval
+[e, w] instead of listing reduced words; each record's "words" is the
+number of reduced words of w, and a failing one names its lowest failing
+edge [v, s].  The mizuno and bruhat sweeps keep per-permutation data
+(weak-order nodes, permutons) in caches cleared before each check.
 """
 
 from __future__ import annotations
@@ -177,11 +183,43 @@ def _permutons(args, default_perms) -> list[tuple[str, permuton.GridPermuton]]:
     return [(f"perm:{w}", permuton.from_perm(w)) for w in perms] + files + uniforms
 
 
+@lru_cache(maxsize=None)
+def _weak_node(ol: tuple[int, ...]) -> tuple[tuple[finite.CurveModule, ...],
+                                             tuple[str, int | None] | None, int]:
+    """(ideal_of(w), the first failing edge (v, s) of the lower right weak
+    interval [e, w] or None, the number of reduced words of w) for the w
+    with one-line notation ol.
+
+    Reduced words of w are the saturated chains e -> w of the right weak
+    order, so ideal_of agrees with stripping along every reduced word of
+    every element of [e, w] exactly when it is stripping's empty word at e
+    and every cover edge v s -> v (s a right descent of v) strips letter s
+    from ideal_of(v s) to ideal_of(v).  The base fails as (e, None).  One
+    call per permutation and sweep: cmd_check clears it before each."""
+    w = Perm(ol)
+    ideal = finite.ideal_of(w)
+    below = {}
+    for s in range(1, w.n):
+        if ol[s - 1] > ol[s]:
+            shorter = list(ol)
+            shorter[s - 1], shorter[s] = ol[s], ol[s - 1]
+            below[s] = _weak_node(tuple(shorter))
+    if not below:
+        base_ok = ideal == finite.ideal_via_word((), w.n)
+        return ideal, None if base_ok else (str(w), None), 1
+    witness = next((node[1] for node in below.values() if node[1]), None)
+    if witness is None:
+        witness = next(((str(w), s) for s, (lower, _, _) in below.items()
+                        if finite.strip_letter(lower, s) != ideal), None)
+    return ideal, witness, sum(node[2] for node in below.values())
+
+
 def _case_mizuno(w: Perm) -> dict:
-    words = symgroup.all_reduced_words(w)
-    reference = finite.ideal_of(w)
-    ok = all(finite.ideal_via_word(word, w.n) == reference for word in words)
-    return {"case": str(w), "ok": ok, "words": len(words)}
+    _, witness, words = _weak_node(w.one_line)
+    record = {"case": str(w), "ok": witness is None, "words": words}
+    if witness is not None:
+        record["edge"] = list(witness)
+    return record
 
 
 def _case_taurigid(w: Perm) -> dict:
@@ -278,6 +316,7 @@ def cmd_check(args) -> int:
     if not payloads:
         raise ParseError(f"check {name} has no cases for these flags")
     _perm_permuton.cache_clear()
+    _weak_node.cache_clear()
     jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if jobs > 1:
         with Pool(jobs) as pool:

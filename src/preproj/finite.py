@@ -18,6 +18,7 @@ from . import symgroup
 from .errors import (
     DomainError,
     IndexOutOfRange,
+    LetterOutOfRange,
     NoTopSimple,
     NotReduced,
     SizeMismatch,
@@ -173,13 +174,29 @@ def top_removable(m: CurveModule) -> frozenset[int]:
     return frozenset(j for j in range(1, m.n) if _peaks(units, j))
 
 
+def _strip_letter(curves: list[list[int]], letter: int) -> None:
+    """One letter of the stripping algorithm, in place on integer curve units
+    (one list per projective): remove the top copy of S_letter from every
+    summand that has one, pushing its curve down two steps at that column."""
+    for units in curves:
+        if _peaks(units, letter):
+            units[letter] += 2
+
+
 def strip(m: CurveModule, j: int) -> CurveModule:
     """Remove the top copy of S_j from m, pushing the curve down two steps."""
     if j not in top_removable(m):
         raise NoTopSimple(f"S_{j} is not in the top of this module")
     units = list(m.curve.units)
-    units[j] += 2
+    _strip_letter([units], j)
     return CurveModule(Kind.SUB, DiamondCurve(m.i, m.n, tuple(units)))
+
+
+def _sub_modules(n: int, curves: Sequence[Sequence[int]]) -> tuple[CurveModule, ...]:
+    return tuple(
+        CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units)))
+        for i, units in enumerate(curves, start=1)
+    )
 
 
 def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
@@ -191,13 +208,20 @@ def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
         raise NotReduced(f"{word} is not reduced")
     curves = [list(top_boundary(i, n).units) for i in range(1, n)]
     for letter in word:
-        for units in curves:
-            if _peaks(units, letter):
-                units[letter] += 2
-    return tuple(
-        CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units)))
-        for i, units in enumerate(curves, start=1)
-    )
+        _strip_letter(curves, letter)
+    return _sub_modules(n, curves)
+
+
+def strip_letter(ideal: Sequence[CurveModule], letter: int) -> tuple[CurveModule, ...]:
+    """The ideal one letter further along a word: stripping ``letter`` from
+    the ideal of a reduced word u gives the ideal of u + (letter,) when that
+    word is reduced.  The mizuno check walks the right weak order with it."""
+    n = ideal[0].n if ideal else 1
+    if not 1 <= letter <= n - 1:
+        raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
+    curves = [list(m.curve.units) for m in ideal]
+    _strip_letter(curves, letter)
+    return _sub_modules(n, curves)
 
 
 def ideal_of(w: Perm) -> tuple[CurveModule, ...]:
@@ -206,8 +230,8 @@ def ideal_of(w: Perm) -> tuple[CurveModule, ...]:
     In units of 1/n the summand at vertex i has the curve
     c_i(j) = i + j - 2 #{a <= j : w(a) <= i}, the boundary function of the
     permuton of w at apex i/n.  Stripping along a reduced word
-    (ideal_via_word) stays the definition: the mizuno check compares this
-    closed form against every reduced word of w.
+    (ideal_via_word) stays the definition: the mizuno check holds this
+    closed form to it across every cover edge of the right weak order.
     """
     n = w.n
     out = []

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import ge
 from typing import Sequence
 
 from .errors import DomainError
@@ -129,7 +130,12 @@ def _union_coords(m: int, m2: int) -> list[list[tuple[int, Fraction]]]:
 def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
     """mu <= nu in the permuton Bruhat order: cdf(mu) >= cdf(nu) everywhere.
     Both CDFs are bilinear on every cell of the union grid and agree on the
-    square's boundary, so its interior corners decide the order exactly."""
-    at, at2 = _union_coords(mu.m, nu.m)
+    square's boundary, so its interior corners decide the order exactly; on
+    a common grid those corners are the interiors of the two ``cum`` tables."""
+    m = mu.m
+    if m == nu.m:
+        return all(all(map(ge, ra[1:m], rb[1:m]))
+                   for ra, rb in zip(mu.cum[1:m], nu.cum[1:m]))
+    at, at2 = _union_coords(m, nu.m)
     a, b = _cdf_grid(mu, at, at), _cdf_grid(nu, at2, at2)
     return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

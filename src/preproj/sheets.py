@@ -10,6 +10,7 @@ bricks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -38,7 +39,8 @@ class Sheet:
 
     ``up`` bounds the submodule from above, ``down`` the quotient from below;
     the sheet is supported where up < down and is zero elsewhere.  ``support``
-    holds those maximal open intervals, found once at construction.
+    holds those maximal open intervals, found once at construction, and
+    ``generators`` the generating positions, scanned once on first use.
     """
 
     k: Fraction
@@ -49,6 +51,16 @@ class Sheet:
     def __post_init__(self) -> None:
         gap = pointwise_sub(self.down.f, self.up.f)
         object.__setattr__(self, "support", tuple(_positive_intervals(gap)))
+
+    @cached_property
+    def generators(self) -> tuple[Fraction, ...]:
+        """The scan behind ``sheets.generators``, which documents it."""
+        slopes = self.up.f.slopes()
+        pts = self.up.f.breakpoints
+        return tuple(
+            pts[t][0] for t in range(1, len(pts) - 1)
+            if slopes[t - 1] < 1 and slopes[t] > -1 and _in_support(self, pts[t][0])
+        )
 
 
 def sheet_new(k, up: BFunc, down: BFunc) -> Sheet:
@@ -100,16 +112,7 @@ def generators(s: Sheet) -> tuple[Fraction, ...]:
     with slope strictly inside (-1,1) generates at all its points and is
     represented here by its endpoints.
     """
-    slopes = s.up.f.slopes()
-    pts = s.up.f.breakpoints
-    out = []
-    for t in range(1, len(pts) - 1):
-        y = pts[t][0]
-        if not _in_support(s, y):
-            continue
-        if slopes[t - 1] < 1 and slopes[t] > -1:
-            out.append(y)
-    return tuple(out)
+    return s.generators
 
 
 def cone_contains(s: Sheet, s_prime: Sheet, y, a, z, b) -> bool:
@@ -144,7 +147,7 @@ def codependence_class(s: Sheet, s_prime: Sheet, y, a) -> tuple[Fraction, ...]:
     if interval is None:
         return ()
     lo, hi = interval
-    return tuple(g for g in generators(s) if lo < g < hi)
+    return tuple(g for g in s.generators if lo < g < hi)
 
 
 def in_range_of_codependence(s: Sheet, s_prime: Sheet, y, a, b) -> bool:
@@ -168,7 +171,7 @@ def elementary_exists(s: Sheet, s_prime: Sheet, y, a) -> bool:
     shifted boundaries to nest over the whole headroom interval:
     up' <= a + up < down' <= a + down on B_a(y)."""
     y, a = frac(y), frac(a)
-    if y not in generators(s):
+    if y not in s.generators:
         raise NotGenerator(f"{y} is not a generator of the source sheet")
     if not (s_prime.up.f.at(y) <= a + s.up.f.at(y) < s_prime.down.f.at(y)):
         return False
@@ -231,7 +234,10 @@ class SawtoothDesc:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "teeth", pts)
-        object.__setattr__(self, "endpoint_flags", tuple(bool(f) for f in endpoint_flags))
+        flags = tuple(endpoint_flags)
+        if len(flags) != 2 or not all(isinstance(f, bool) for f in flags):
+            raise DomainError(f"endpoint_flags must be a pair of bools, got {flags!r}")
+        object.__setattr__(self, "endpoint_flags", flags)
 
     def first_slope(self) -> int:
         return 1 if self.teeth[1][1] > self.teeth[0][1] else -1

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from operator import le
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -54,6 +56,13 @@ class Perm:
         for i, v in enumerate(self.one_line, start=1):
             inv[v - 1] = i
         return Perm(inv)
+
+    @cached_property
+    def dominance(self) -> tuple[int, ...]:
+        """The interior of the dominance table, table[i][j] for 1 <= i, j < n,
+        row by row; built once per permutation.  Row and column 0 are zero
+        and row n and column n are the same for every permutation of 1..n."""
+        return tuple(v for row in dominance_table(self)[1:-1] for v in row[1:-1])
 
     def __str__(self) -> str:
         if self.n <= 9:
@@ -134,9 +143,7 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Bruhat order via the dominance criterion u[i,j] <= v[i,j] for all i,j."""
     if u.n != v.n:
         raise SizeMismatch(f"sizes {u.n} and {v.n} differ")
-    # row and column 0 are zero in both tables
-    return all(a <= b for ru, rv in zip(dominance_table(u), dominance_table(v))
-               for a, b in zip(ru, rv))
+    return all(map(le, u.dominance, v.dominance))
 
 
 def min_coset_rep(w: Perm, i: int) -> Perm:

@@ -7,11 +7,17 @@ import random
 from fractions import Fraction
 
 from preproj.errors import NotGridAligned
-from preproj.finite import DiamondCurve, QuiverRep
-from preproj.permuton import GridPermuton, permuton_bruhat_leq, uniform
+from preproj.finite import DiamondCurve, QuiverRep, ideal_of, ideal_via_word
+from preproj.permuton import (
+    GridPermuton,
+    _cdf_grid,
+    _union_coords,
+    permuton_bruhat_leq,
+    uniform,
+)
 from preproj.plfunc import BFunc, PLFunc, to_bfunc
 from preproj.sheets import SawtoothDesc
-from preproj.symgroup import Perm, all_perms, length
+from preproj.symgroup import Perm, all_perms, all_reduced_words, length
 
 
 def random_curve(i: int, n: int, rng: random.Random) -> DiamondCurve:
@@ -88,6 +94,24 @@ def bruhat_by_covers(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], bo
         for s, v in enumerate(perms):
             table[(u.one_line, v.one_line)] = (t == s) or (s in above[t])
     return table
+
+
+def mizuno_by_words(w: Perm) -> dict:
+    """The mizuno record of w from the list of its reduced words, each one
+    stripped and held to ideal_of(w) (the check's former route)."""
+    words = all_reduced_words(w)
+    reference = ideal_of(w)
+    ok = all(ideal_via_word(word, w.n) == reference for word in words)
+    return {"case": str(w), "ok": ok, "words": len(words)}
+
+
+def bruhat_leq_on_union_grid(mu: GridPermuton, nu: GridPermuton) -> bool:
+    """The permuton Bruhat order read at the interior corners of the union
+    grid through the interpolating CDF reader, whatever the two grid sizes
+    (the library's former route for equal sizes too)."""
+    at, at2 = _union_coords(mu.m, nu.m)
+    a, b = _cdf_grid(mu, at, at), _cdf_grid(nu, at2, at2)
+    return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def count_cdf_oracle(w: Perm, a: Fraction, b: Fraction) -> Fraction:

@@ -1,11 +1,15 @@
 import json
 import random
+import time
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_permuton
-from preproj import cli, continuous, finite, jsonio, permuton, sheets
+from conftest import mizuno_by_words, random_permuton
+from preproj import cli, continuous, finite, jsonio, permuton, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
 from preproj.finite import projective
@@ -13,7 +17,7 @@ from preproj.limits import scale_limit
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, bottom_curve, top_curve
 from preproj.sheets import sheet_new
-from preproj.symgroup import Perm
+from preproj.symgroup import Perm, all_perms
 
 
 def run(capsys, *argv):
@@ -369,6 +373,105 @@ class TestCheckCommand:
         assert code == 0 and lines[-1]["pass"]
 
 
+def raised_by_letters(n: int, letters) -> Perm:
+    """The permutation reached from the identity by applying each letter as a
+    swap of positions s, s+1 when that raises the length, and skipping it
+    otherwise: at most len(letters) inversions."""
+    ol = list(range(1, n + 1))
+    for s in letters:
+        if ol[s - 1] < ol[s]:
+            ol[s - 1], ol[s] = ol[s], ol[s - 1]
+    return Perm(ol)
+
+
+class TestMizunoWalk:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_records_match_all_words_oracle(self, capsys, n):
+        code, lines = run(capsys, "check", "mizuno", "--n", str(n))
+        assert code == 0
+        assert lines[:-1] == [{"check": "mizuno", **mizuno_by_words(w)}
+                              for w in all_perms(n)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(6, 7).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=12))))
+    def test_perm_record_matches_all_words_oracle(self, n_letters):
+        w = raised_by_letters(*n_letters)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PREPROJ_MAX_N", "7")
+            assert cli._case_mizuno(w) == mizuno_by_words(w)
+
+    def test_planted_fault_names_an_edge_into_it(self, capsys, monkeypatch):
+        u = Perm((2, 4, 1, 3))
+        true_ideal_of = finite.ideal_of
+
+        def planted(w):
+            return true_ideal_of(Perm.identity(w.n) if w == u else w)
+
+        monkeypatch.setattr(finite, "ideal_of", planted)
+        code, lines = run(capsys, "check", "mizuno", "--n", "4")
+        failed = [r for r in lines[:-1] if not r["ok"]]
+        assert code == 1 and "2413" in [r["case"] for r in failed]
+        descents = [s for s in range(1, 4) if u(s) > u(s + 1)]
+        assert all(r["edge"][0] == "2413" and r["edge"][1] in descents
+                   for r in failed)
+        assert all("edge" not in r for r in lines[:-1] if r["ok"])
+
+    def test_planted_fault_at_the_identity_fails_the_base(self, capsys, monkeypatch):
+        true_ideal_of = finite.ideal_of
+        e = Perm.identity(3)
+        monkeypatch.setattr(finite, "ideal_of",
+                            lambda w: true_ideal_of(Perm((1, 3, 2)) if w == e else w))
+        code, lines = run(capsys, "check", "mizuno", "--perm", "213")
+        assert code == 1 and lines[0]["edge"] == ["123", None]
+
+    def test_each_permutation_walked_once(self, capsys, monkeypatch):
+        calls = []
+        true_ideal_of = finite.ideal_of
+
+        def counting(w):
+            calls.append(w.one_line)
+            return true_ideal_of(w)
+
+        def no_word_lists(w):
+            raise AssertionError("the mizuno check listed reduced words")
+
+        monkeypatch.setattr(finite, "ideal_of", counting)
+        monkeypatch.setattr(symgroup, "all_reduced_words", no_word_lists)
+        code, lines = run(capsys, "check", "mizuno", "--n", "5")
+        assert code == 0 and lines[-1]["cases"] == 120
+        assert len(calls) == len(set(calls)) == 120
+
+    def test_reaches_all_of_s6(self, capsys, monkeypatch):
+        monkeypatch.setenv("PREPROJ_MAX_N", "7")
+        start = time.perf_counter()
+        code, lines = run(capsys, "check", "mizuno", "--n", "6")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and lines[-1] == {"summary": True, "check": "mizuno",
+                                           "cases": 720, "failures": 0, "pass": True}
+        assert lines[-2] == {"check": "mizuno", "case": "654321", "ok": True,
+                             "words": 292864}
+        assert elapsed < 20  # listing its 1 095 266 reduced words took 106 s
+
+
+class TestBruhatTables:
+    def test_each_table_built_once_per_sweep(self, capsys, monkeypatch):
+        tables, grids = [], []
+        true_table = symgroup.dominance_table
+
+        def counting_table(u):
+            tables.append(u.one_line)
+            return true_table(u)
+
+        monkeypatch.setattr(symgroup, "dominance_table", counting_table)
+        monkeypatch.setattr(permuton, "_cdf_grid",
+                            lambda *args: grids.append(args) or [])
+        code, lines = run(capsys, "check", "bruhat", "--n", "5")
+        assert code == 0 and lines[-1]["cases"] == 14400
+        assert len(tables) == len(set(tables)) == 120
+        assert grids == []
+
+
 class TestBrickAndSheet:
     def test_brick_check_simple(self, capsys, tmp_path):
         path = write_json(tmp_path, "m.json", {"type": "simple", "x": "1/3"})
@@ -432,6 +535,25 @@ class TestBrickAndSheet:
         assert out["cone"]["b_interval"] == ["0", "1"]
         assert out["cone"]["elementary"] is True
         assert out["codependence"]["class"] == ["1/2"]
+
+    def test_sheet_analyze_scans_generators_once(self, capsys, tmp_path, monkeypatch):
+        scans = []
+        scan = sheets.Sheet.generators.func
+
+        def counting(sheet):
+            scans.append(sheet)
+            return scan(sheet)
+
+        counted = cached_property(counting)
+        counted.__set_name__(sheets.Sheet, "generators")
+        monkeypatch.setattr(sheets.Sheet, "generators", counted)
+        h = F(1, 2)
+        sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
+        path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
+        code, lines = run(capsys, "sheet", "analyze", path,
+                          "--cone", "1/2,0", "--codep", "1/2,0")
+        assert code == 0 and lines[0]["cone"]["elementary"] is True
+        assert len(scans) == 1
 
 
 class TestRenderCommand:

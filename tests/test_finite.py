@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from preproj.errors import (
     DomainError,
     IndexOutOfRange,
+    LetterOutOfRange,
     NoTopSimple,
     NotGridAligned,
     NotReduced,
@@ -34,6 +35,7 @@ from preproj.finite import (
     projective,
     simple_rep,
     strip,
+    strip_letter,
     tau_sub,
     to_rep,
     top_removable,
@@ -173,6 +175,27 @@ class TestIdealViaWord:
     def test_rejects_non_reduced(self):
         with pytest.raises(NotReduced):
             ideal_via_word((1, 1), 5)
+
+
+class TestStripLetter:
+    def test_extends_every_reduced_word_s4(self):
+        # appending an ascent s to a reduced word keeps it reduced
+        for w in all_perms(4):
+            for word in all_reduced_words(w):
+                for s in range(1, 4):
+                    if w(s) < w(s + 1):
+                        assert strip_letter(ideal_via_word(word, 4), s) == \
+                            ideal_via_word(word + (s,), 4)
+
+    def test_leaves_its_argument_alone(self):
+        ideal = ideal_via_word((2,), 5)
+        assert strip_letter(ideal, 1) != ideal
+        assert ideal == ideal_via_word((2,), 5)
+
+    @pytest.mark.parametrize("n,letter", [(5, 0), (5, 5), (1, 1)])
+    def test_rejects_letters_outside_the_range(self, n, letter):
+        with pytest.raises(LetterOutOfRange):
+            strip_letter(ideal_via_word((), n), letter)
 
 
 class TestIdealOf:

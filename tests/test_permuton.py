@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cell_sum_cdf, count_cdf_oracle, permuton_equal, random_permuton,
-                      refine)
+from conftest import (bruhat_leq_on_union_grid, cell_sum_cdf, count_cdf_oracle,
+                      permuton_equal, random_permuton, refine)
 from preproj.errors import DomainError
 from preproj.permuton import (
     GridPermuton,
@@ -210,6 +210,23 @@ class TestPermutonBruhat:
             )
             assert permuton_equal(mu, nu) == (a.mass == b.mass)
         assert permuton_equal(*pairs[-3]) and permuton_equal(*pairs[-2])
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 9), st.randoms(use_true_random=False))
+    def test_equal_sizes_match_union_grid_oracle(self, m, rng):
+        # mixtures of permutation matrices and uniform measures, not only
+        # permutation permutons, on one common grid
+        mu, nu = random_permuton(rng, m), random_permuton(rng, m)
+        assert permuton_bruhat_leq(mu, nu) == bruhat_leq_on_union_grid(mu, nu)
+        assert permuton_bruhat_leq(nu, mu) == bruhat_leq_on_union_grid(nu, mu)
+        assert permuton_bruhat_leq(mu, mu)
+
+    def test_matches_union_grid_oracle_on_s4(self):
+        permutons = [from_perm(w) for w in all_perms(4)]
+        for mu in permutons:
+            for nu in permutons:
+                assert permuton_bruhat_leq(mu, nu) == bruhat_leq_on_union_grid(mu, nu)
 
 
 def _prefix_sums(mu):

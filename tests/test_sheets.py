@@ -156,6 +156,21 @@ class TestGenerators:
         sheet = sheet_new(H, up, BOTTOM)
         assert generators(sheet) == (F(1, 4), F(3, 4))
 
+    def test_scanned_once_per_sheet(self, monkeypatch):
+        sheet = sheet_new(H, W_SHEET.up, W_SHEET.down)
+        scans = []
+        true_slopes = PLFunc.slopes
+
+        def counting(f):
+            scans.append(f)
+            return true_slopes(f)
+
+        monkeypatch.setattr(PLFunc, "slopes", counting)
+        y = generators(sheet)[0]
+        codependence_class(sheet, sheet, y, 0)
+        elementary_exists(sheet, sheet, y, 0)
+        assert generators(sheet) == (F(2, 5), F(3, 5)) and len(scans) == 1
+
     def test_quantified_definition_on_grid(self):
         # brute force |y - z| > up(y) - up(z) over the support for the W sheet
         up = W_SHEET.up.f
@@ -322,6 +337,17 @@ class TestSawtooth:
     def test_alternation_enforced(self):
         with pytest.raises(DomainError):
             SawtoothDesc(0, 1, [(0, 0), (H, H), (1, 1)])
+
+    @pytest.mark.parametrize(
+        "flags", [("false", "no"), (1, 0), (True, None), (True,), (True, False, True)]
+    )
+    def test_endpoint_flags_must_be_two_bools(self, flags):
+        with pytest.raises(DomainError):
+            SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))], flags)
+
+    def test_endpoint_flags_kept(self):
+        st = SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))], [False, True])
+        assert st.endpoint_flags == (False, True)
 
 
 class TestDecorousCover:

@@ -163,6 +163,14 @@ class TestDominanceTable:
             tu[i][j] <= tv[i][j] for i in range(u.n + 1) for j in range(u.n + 1)
         )
 
+    @given(perms_up_to_9)
+    @settings(max_examples=100, deadline=None)
+    def test_dominance_is_the_table_interior(self, u):
+        table = dominance_by_cells(u)
+        assert u.dominance == tuple(table[i][j] for i in range(1, u.n)
+                                    for j in range(1, u.n))
+        assert u.dominance is u.dominance  # built once per permutation
+
 
 class TestCosetReps:
     def test_paper_examples(self):
