@@ -27,8 +27,8 @@ default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 A mizuno case w walks the cover edges of its lower right weak interval
 [e, w] instead of listing reduced words; each record's "words" is the
 number of reduced words of w, and a failing one names its lowest failing
-edge [v, s].  The mizuno and bruhat sweeps keep per-permutation data
-(weak-order nodes, permutons) in caches cleared before each check.
+edge [v, s].  The mizuno, bridge and bruhat sweeps keep per-permutation
+data (weak-order nodes, permutons) in caches cleared before each check.
 """
 
 from __future__ import annotations
@@ -228,7 +228,8 @@ def _case_taurigid(w: Perm) -> dict:
 
 def _case_bridge(payload: tuple[Perm, int]) -> dict:
     w, i = payload
-    return {"case": f"{w}@{i}", "ok": continuous.finite_vs_continuous(w, i)}
+    ok = continuous.finite_vs_continuous(w, i, _perm_permuton(w))
+    return {"case": f"{w}@{i}", "ok": ok}
 
 
 @lru_cache(maxsize=None)

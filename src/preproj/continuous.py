@@ -137,17 +137,19 @@ def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
     return by_curves
 
 
-def finite_vs_continuous(w: Perm, i: int) -> bool:
+def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None) -> bool:
     """Does the ideal curve of w at vertex i equal the boundary function of
-    the permuton of w at apex i/n?  Exact structural comparison of a stripped
-    summand; ideal_of's closed form is the permuton formula itself."""
+    the permuton mu of w (from_perm(w) by default) at apex i/n?  Exact
+    structural comparison of a stripped summand; ideal_of's closed form is the
+    permuton formula itself."""
     n = w.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"vertex {i} outside 1..{n - 1}")
     rep = symgroup.min_coset_rep(w, i)
     word = symgroup.canonical_reduced_word_of_rep(rep, i)
     discrete = ideal_via_word(word, n)[i - 1].curve.as_plfunc()
-    continuous = boundary_function(from_perm(w), Fraction(i, n)).f
+    continuous = boundary_function(from_perm(w) if mu is None else mu,
+                                   Fraction(i, n)).f
     return discrete == continuous
 
 

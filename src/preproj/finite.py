@@ -101,7 +101,7 @@ class DiamondCurve:
         return tuple(Fraction(u, self.n) for u in self.units)
 
     def as_plfunc(self) -> PLFunc:
-        return PLFunc.from_samples(self.values)
+        return PLFunc.from_lattice(self.n, self.units, self.n)
 
 
 class Kind(Enum):

@@ -5,10 +5,10 @@ cell, with every row and column summing to 1/m.  Rows index the vertical
 coordinate y (increasing downwards) and columns the horizontal coordinate x,
 so ``mass[r][c]`` is the measure of ((c/m, (c+1)/m] x (r/m, (r+1)/m]).
 
-Every CDF query reads one corner-sum table built with the permuton:
-``cum[r][c]`` is mu([0,c/m] x [0,r/m]), for r, c = 0..m.  Mass is uniform in
-each cell, so the CDF is bilinear within each cell and ``_cdf_grid`` reads
-any point by interpolating the table along y, then along x.
+Every CDF query reads one integer corner-sum table built with the permuton:
+``cum[r][c] / den`` is mu([0,c/m] x [0,r/m]), r, c = 0..m, den = lcm(m, mass
+denominators).  The CDF is bilinear within each cell, so ``_cdf_ints`` reads
+any point by interpolating the table along y, then x; values leave as Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import ge
+from operator import add, ge
 from typing import Sequence
 
 from .errors import DomainError
@@ -32,7 +32,8 @@ ZERO = Fraction(0)
 class GridPermuton:
     m: int
     mass: tuple[tuple[Fraction, ...], ...]
-    cum: tuple[tuple[Fraction, ...], ...] = field(repr=False, compare=False)
+    den: int = field(repr=False, compare=False)
+    cum: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def __init__(self, m: int, mass: Sequence[Sequence]) -> None:
         m = int(m)
@@ -43,12 +44,14 @@ class GridPermuton:
             raise DomainError(f"mass matrix must be {m}x{m}")
         if any(v < 0 for row in rows for v in row):
             raise DomainError("cell masses must be nonnegative")
-        cum = [(ZERO,) * (m + 1)]
+        den = lcm(m, *{v.denominator for row in rows for v in row})
+        cum = [(0,) * (m + 1)]
         for row in rows:
-            run = accumulate(row, initial=ZERO)
-            cum.append(tuple(a + b for a, b in zip(cum[-1], run)))
+            run = accumulate((v.numerator * (den // v.denominator) for v in row),
+                             initial=0)
+            cum.append(tuple(map(add, cum[-1], run)))
         # the row and column sums are differences along the last column and row
-        target = Fraction(1, m)
+        target = den // m
         for r in range(m):
             if cum[r + 1][m] - cum[r][m] != target:
                 raise DomainError(f"row {r} does not sum to 1/{m}")
@@ -57,6 +60,7 @@ class GridPermuton:
                 raise DomainError(f"column {c} does not sum to 1/{m}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "mass", rows)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "cum", tuple(cum))
 
 
@@ -76,18 +80,12 @@ def uniform(m: int) -> GridPermuton:
     return GridPermuton(m, [[cell] * m for _ in range(m)])
 
 
-def _cdf_grid(mu: GridPermuton, ys, xs) -> list[list[Fraction]]:
-    """cdf at every (x, y) of xs x ys, one row per y.  Each coordinate t comes
-    as (i, f) = divmod(t * m, 1), so t = (i + f)/m with 0 <= f < 1; an
-    on-grid point (f = 0) is a plain table read."""
-    cols = {j for j, _ in xs} | {j + 1 for j, g in xs if g}
+def _cdf_ints(mu: GridPermuton, ys, xs, s: int) -> list[list[int]]:
+    """s^2 den cdf at every (x, y) of xs x ys, one row per y; (i, r) is (i + r/s)/m."""
     out = []
-    for i, f in ys:
-        row = mu.cum[i]
-        if f:
-            below = mu.cum[i + 1]
-            row = {j: row[j] + f * (below[j] - row[j]) for j in cols}
-        out.append([row[j] + g * (row[j + 1] - row[j]) if g else row[j]
+    for i, r in ys:  # r = 0 at i = m
+        row = [(s - r) * a + r * b for a, b in zip(mu.cum[i], mu.cum[min(i + 1, mu.m)])]
+        out.append([(s - g) * row[j] + g * row[j + 1] if g else s * row[j]
                     for j, g in xs])
     return out
 
@@ -97,19 +95,22 @@ def cdf(mu: GridPermuton, a, b) -> Fraction:
     a, b = frac(a), frac(b)
     if not (0 <= a <= 1 and 0 <= b <= 1):
         raise DomainError(f"({a},{b}) outside the unit square")
-    return _cdf_grid(mu, [divmod(b * mu.m, 1)], [divmod(a * mu.m, 1)])[0][0]
+    s = lcm(a.denominator, b.denominator)
+    y, x = (divmod(t.numerator * (s // t.denominator) * mu.m, s) for t in (b, a))
+    return Fraction(_cdf_ints(mu, [y], [x], s)[0][0], s * s * mu.den)
 
 
 def boundary_function(mu: GridPermuton, y) -> BFunc:
     """The curve f(x) = -2 mu([0,x] x [0,y]) + y + x bounding the ideal
-    summand of mu at apex y; breaks only at column boundaries."""
+    summand of mu at apex y; breaks only at column boundaries.  For y = p/q
+    the sample at c/m is one integer over q^2 den m."""
     y = frac(y)
     if not 0 < y < 1:
         raise DomainError(f"apex {y} outside (0,1)")
-    m = mu.m
-    row = _cdf_grid(mu, [divmod(y * m, 1)], [(c, ZERO) for c in range(m + 1)])[0]
-    samples = [-2 * v + y + Fraction(c, m) for c, v in enumerate(row)]
-    return BFunc(y, PLFunc.from_samples(samples))
+    m, den, p, q = mu.m, mu.den, y.numerator, y.denominator
+    row = _cdf_ints(mu, [divmod(p * m, q)], [(c, 0) for c in range(m + 1)], q)[0]
+    samples = [(p * q * den - 2 * v) * m + c * q * q * den for c, v in enumerate(row)]
+    return BFunc(y, PLFunc.from_lattice(m, samples, q * q * den * m))
 
 
 def union_ticks(m: int, m2: int) -> tuple[int, list[int]]:
@@ -119,23 +120,26 @@ def union_ticks(m: int, m2: int) -> tuple[int, list[int]]:
     return big, sorted({r * big // p for p in (m, m2) for r in range(1, p)})
 
 
-def _union_coords(m: int, m2: int) -> list[list[tuple[int, Fraction]]]:
-    """divmod(t * p, 1) for p = m, m2 at the interior points t = k/L of the union
-    grid, L = lcm(m, m2): divmod(k p, L) in integers, a Fraction only off grid p."""
+def _union_coords(m: int, m2: int) -> tuple[int, list[list[tuple[int, int]]]]:
+    """L = lcm(m, m2) and, for p = m, m2, divmod(k p, L) at the interior
+    points k/L of the union grid: (i, r) stands for the point (i + r/L)/p."""
     big, points = union_ticks(m, m2)
-    return [[(i, Fraction(r, big) if r else 0)
-             for i, r in (divmod(k * p, big) for k in points)] for p in (m, m2)]
+    return big, [[divmod(k * p, big) for k in points] for p in (m, m2)]
 
 
 def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
     """mu <= nu in the permuton Bruhat order: cdf(mu) >= cdf(nu) everywhere.
     Both CDFs are bilinear on every cell of the union grid and agree on the
     square's boundary, so its interior corners decide the order exactly; on
-    a common grid those corners are the interiors of the two ``cum`` tables."""
+    a common grid those corners are the interior rows of the two ``cum``
+    tables, whose end columns agree.  Both sides are integers over their own
+    den, so they compare crossed."""
     m = mu.m
     if m == nu.m:
-        return all(all(map(ge, ra[1:m], rb[1:m]))
-                   for ra, rb in zip(mu.cum[1:m], nu.cum[1:m]))
-    at, at2 = _union_coords(m, nu.m)
-    a, b = _cdf_grid(mu, at, at), _cdf_grid(nu, at2, at2)
-    return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+        a, b = mu.cum[1:m], nu.cum[1:m]
+    else:
+        big, (at, at2) = _union_coords(m, nu.m)
+        a, b = _cdf_ints(mu, at, at, big), _cdf_ints(nu, at2, at2, big)
+    if mu.den != nu.den:
+        a, b = [[v * nu.den for v in r] for r in a], [[v * mu.den for v in r] for r in b]
+    return all(all(map(ge, ra, rb)) for ra, rb in zip(a, b))

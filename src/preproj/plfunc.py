@@ -4,6 +4,9 @@ The boundary of every module studied here is a piecewise-linear function with
 rational breakpoints, drawn with y increasing downwards.  ``PLFunc`` is the
 universal carrier; ``BFunc`` is the 1-Lipschitz subclass pinned to the diamond
 of the projective at apex k (value k at x=0 and 1-k at x=1).
+
+A PLFunc stores each breakpoint (X/W, Y/W) as its own integer triple (X, Y, W),
+W > 0, gcd 1; the algebra runs on these integers and values leave as Fractions.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DegenerateEndpoints, DomainError, NotLipschitz
@@ -27,9 +32,39 @@ class MonotoneClass(Enum):
     NEITHER = "neither"
 
 
+def _point(x: int, y: int, w: int) -> tuple[int, int, int]:
+    g = gcd(x, y, w)  # w > 0
+    return x // g, y // g, w // g
+
+
 def _collinear(p0, p1, p2) -> bool:
-    (x0, y0), (x1, y1), (x2, y2) = p0, p1, p2
-    return (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0)
+    (x0, y0, w0), (x1, y1, w1), (x2, y2, w2) = p0, p1, p2
+    return (x0 * (y1 * w2 - w1 * y2) + y0 * (w1 * x2 - x1 * w2)
+            + w0 * (x1 * y2 - y1 * x2)) == 0
+
+
+def _line(p0, p1) -> tuple[int, int, int]:
+    """p0 x p1 = (a, b, c): the line a x + b y + c w = 0, b > 0 if x0 < x1."""
+    (x0, y0, w0), (x1, y1, w1) = p0, p1
+    return y0 * w1 - w0 * y1, w0 * x1 - x0 * w1, x0 * y1 - y0 * x1
+
+
+def _merged(points: Iterable) -> tuple[tuple[int, int, int], ...]:
+    """The points (x, y, w), w > 0, increasing in x, less collinear points,
+    normalised."""
+    out: list = []
+    for pt in points:
+        while len(out) >= 2 and _collinear(out[-2], out[-1], pt):
+            out.pop()
+        out.append(pt)
+    return tuple(_point(*pt) for pt in out)
+
+
+def _plfunc(pts: tuple[tuple[int, int, int], ...]) -> "PLFunc":
+    """The function through normalised points, increasing in x, none collinear."""
+    f = object.__new__(PLFunc)
+    object.__setattr__(f, "_pts", pts)
+    return f
 
 
 @dataclass(frozen=True)
@@ -41,7 +76,7 @@ class PLFunc:
     structurally equal.
     """
 
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
+    _pts: tuple[tuple[int, int, int], ...]
 
     def __init__(self, breakpoints: Iterable) -> None:
         pts = [(frac(x), frac(y)) for x, y in breakpoints]
@@ -52,21 +87,22 @@ class PLFunc:
                 raise DomainError("breakpoint x-coordinates must strictly increase")
         if pts[0][0] != 0 or pts[-1][0] != 1:
             raise DomainError("domain must be exactly [0,1]")
-        merged: list[tuple[Fraction, Fraction]] = []
-        for pt in pts:
-            while len(merged) >= 2 and _collinear(merged[-2], merged[-1], pt):
-                merged.pop()
-            merged.append(pt)
-        object.__setattr__(self, "breakpoints", tuple(merged))
+        object.__setattr__(self, "_pts", _merged(
+            (x.numerator * y.denominator, y.numerator * x.denominator,
+             x.denominator * y.denominator) for x, y in pts))
+
+    @cached_property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self._pts)
 
     @classmethod
-    def from_samples(cls, values: Sequence) -> "PLFunc":
-        """Function through (j/n, values[j]) for j = 0..n."""
-        vals = [frac(v) for v in values]
-        n = len(vals) - 1
-        if n < 1:
-            raise DomainError("need at least two samples")
-        return cls((Fraction(j, n), v) for j, v in enumerate(vals))
+    def from_lattice(cls, n: int, numerators: Sequence[int], den: int) -> "PLFunc":
+        """Function through (j/n, numerators[j]/den) for j = 0..n, n, den > 0;
+        the kept samples, where the second difference is nonzero, are exactly
+        its breakpoints."""
+        v = numerators
+        kept = [0, *(j for j in range(1, n) if v[j - 1] + v[j + 1] != 2 * v[j]), n]
+        return _plfunc(tuple(_point(j * den, v[j] * n, n * den) for j in kept))
 
     @classmethod
     def constant(cls, c) -> "PLFunc":
@@ -78,26 +114,20 @@ class PLFunc:
         x = frac(x)
         if x < 0 or x > 1:
             raise DomainError(f"{x} outside [0,1]")
-        pts = self.breakpoints
+        p, q = x.numerator, x.denominator
+        pts = self._pts
         lo, hi = 0, len(pts) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if pts[mid][0] <= x:
+            if pts[mid][0] * q <= p * pts[mid][2]:
                 lo = mid
             else:
                 hi = mid
-        (x0, y0), (x1, y1) = pts[lo], pts[hi]
-        if x == x0:
-            return y0
-        if x == x1:
-            return y1
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        a, b, c = _line(pts[lo], pts[hi])
+        return Fraction(-(a * p + c * q), b * q)
 
     def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(
-            (y1 - y0) / (x1 - x0)
-            for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:])
-        )
+        return tuple(Fraction(rise, run) for rise, run in _steps(self))
 
     def on(self, lo, hi) -> list[tuple[Fraction, Fraction]]:
         """The points of f restricted to [lo, hi]: both ends and every
@@ -106,16 +136,23 @@ class PLFunc:
         return [(lo, self.at(lo)), *inner, (hi, self.at(hi))]
 
 
+def _steps(f: PLFunc) -> list[tuple[int, int]]:
+    """(rise, run) of every segment, scaled by w0 w1: slope rise/run, run > 0."""
+    pts = f._pts
+    return [(y1 * w0 - y0 * w1, x1 * w0 - x0 * w1)
+            for (x0, y0, w0), (x1, y1, w1) in zip(pts, pts[1:])]
+
+
 def is_lipschitz1(f: PLFunc) -> bool:
     """True iff every segment slope lies in [-1, 1]."""
-    return all(-1 <= s <= 1 for s in f.slopes())
+    return all(-run <= rise <= run for rise, run in _steps(f))
 
 
 def monotone_class(f: PLFunc) -> MonotoneClass:
     """Classify by segment slopes; CONSTANT when the function is flat."""
-    slopes = f.slopes()
-    inc = all(s >= 0 for s in slopes)
-    dec = all(s <= 0 for s in slopes)
+    rises = [rise for rise, _ in _steps(f)]
+    inc = all(r >= 0 for r in rises)
+    dec = all(r <= 0 for r in rises)
     if inc and dec:
         return MonotoneClass.CONSTANT
     if inc:
@@ -128,58 +165,59 @@ def monotone_class(f: PLFunc) -> MonotoneClass:
 def vshift(f: PLFunc, a) -> PLFunc:
     """f + a pointwise."""
     a = frac(a)
-    return PLFunc((x, y + a) for x, y in f.breakpoints)
+    p, q = a.numerator, a.denominator
+    return _plfunc(_merged((x * q, y * q + p * w, w * q) for x, y, w in f._pts))
 
 
-def _walk(f: PLFunc, g: PLFunc) -> Iterable[tuple[Fraction, Fraction, Fraction]]:
-    """(x, f(x), g(x)) at every breakpoint of f or g, increasing, read in one
-    forward pass over both breakpoint lists."""
-    p, q = f.breakpoints, g.breakpoints
+def _walk(f: PLFunc, g: PLFunc) -> Iterable[tuple[int, int, int, int]]:
+    """(x, f(x), g(x)) as (X, A, B, W), W > 0, at every breakpoint of f or g,
+    increasing, read in one forward pass over both breakpoint lists."""
+    p, q = f._pts, g._pts
     i = j = 0
     while i < len(p):
-        (x, y), (u, v) = p[i], q[j]
-        if x < u:
-            u0, v0 = q[j - 1]
-            yield x, y, v0 + (v - v0) * (x - u0) / (u - u0)
-        elif u < x:
-            x0, y0 = p[i - 1]
-            yield u, y0 + (y - y0) * (u - x0) / (x - x0), v
+        (x, y, w), (u, v, t) = p[i], q[j]
+        s, r = x * t, u * w
+        if s < r:
+            a, b, c = _line(q[j - 1], q[j])
+            yield b * x, b * y, -(a * x + c * w), b * w
+        elif r < s:
+            a, b, c = _line(p[i - 1], p[i])
+            yield b * u, -(a * u + c * t), b * v, b * t
         else:
-            yield x, y, v
-        i += x <= u
-        j += u <= x
+            yield s, y * t, v * w, w * t
+        i += s <= r
+        j += r <= s
 
 
-def _crossed(f: PLFunc, g: PLFunc) -> list[tuple[Fraction, Fraction, Fraction]]:
+def _crossed(f: PLFunc, g: PLFunc) -> list[tuple[int, int, int, int]]:
     # f - g is linear between union breakpoints; insert its interior roots
-    # so that min/max stay piecewise linear on the listed grid.
+    # so that min/max stay piecewise linear: where it goes from d0 to d1 of
+    # the other sign, the root is |d1| p0 + |d0| p1, on both segments.
     pts = list(_walk(f, g))
     out = pts[:1]
-    for (x0, a0, b0), (x1, a1, b1) in zip(pts, pts[1:]):
-        d0, d1 = a0 - b0, a1 - b1
+    for p0, p1 in zip(pts, pts[1:]):
+        d0, d1 = p0[1] - p0[2], p1[1] - p1[2]
         if (d0 < 0 < d1) or (d1 < 0 < d0):
-            t = d0 / (d0 - d1)
-            y = a0 + (a1 - a0) * t
-            out.append((x0 + (x1 - x0) * t, y, y))
-        out.append((x1, a1, b1))
+            out.append(tuple(abs(d1) * c0 + abs(d0) * c1 for c0, c1 in zip(p0, p1)))
+        out.append(p1)
     return out
 
 
 def pointwise_min(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc((x, min(a, b)) for x, a, b in _crossed(f, g))
+    return _plfunc(_merged((x, min(a, b), w) for x, a, b, w in _crossed(f, g)))
 
 
 def pointwise_max(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc((x, max(a, b)) for x, a, b in _crossed(f, g))
+    return _plfunc(_merged((x, max(a, b), w) for x, a, b, w in _crossed(f, g)))
 
 
 def pointwise_leq(f: PLFunc, g: PLFunc) -> bool:
     """f <= g everywhere; the union breakpoint grid decides it exactly."""
-    return all(a <= b for _, a, b in _walk(f, g))
+    return all(a <= b for _, a, b, _ in _walk(f, g))
 
 
 def pointwise_sub(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc((x, a - b) for x, a, b in _walk(f, g))
+    return _plfunc(_merged((x, a - b, w) for x, a, b, w in _walk(f, g)))
 
 
 def top_at(k, x) -> Fraction:

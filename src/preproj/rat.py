@@ -1,7 +1,7 @@
 """Exact rational plumbing: coercion and the "p/q" wire format.
 
-Everything in this package computes over ``fractions.Fraction``; floats are
-rejected at the boundary so no rounding can sneak in.
+Public values and the wire format are ``fractions.Fraction``, the kernels
+integers; floats are rejected at the boundary so no rounding can sneak in.
 """
 
 from __future__ import annotations

@@ -39,14 +39,16 @@ class Sheet:
 
     ``up`` bounds the submodule from above, ``down`` the quotient from below;
     the sheet is supported where up < down and is zero elsewhere.  ``support``
-    holds those maximal open intervals, found once at construction, and
-    ``generators`` the generating positions, scanned once on first use.
+    holds those maximal open intervals, found once at construction,
+    ``generators`` the generating positions, scanned once on first use, and
+    ``headroom`` each ``b_interval`` answer, keyed by (target, y, a).
     """
 
     k: Fraction
     up: BFunc
     down: BFunc
     support: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
+    headroom: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         gap = pointwise_sub(self.down.f, self.up.f)
@@ -130,14 +132,15 @@ def delta_fn(s: Sheet, s_prime: Sheet, a) -> PLFunc:
 
 def b_interval(s: Sheet, s_prime: Sheet, y, a) -> Optional[Interval]:
     """Largest open interval around y on which Delta > 0; None if Delta(y) <= 0."""
-    y = frac(y)
+    y, a = frac(y), frac(a)
     if not _in_support(s, y):
         raise NotInSupport(f"{y} is outside the support of the source sheet")
-    # y lies in a positive interval of Delta exactly when Delta(y) > 0
-    for lo, hi in _positive_intervals(delta_fn(s, s_prime, a)):
-        if lo < y < hi:
-            return (lo, hi)
-    return None
+    key = (s_prime, y, a)
+    if key not in s.headroom:
+        # y lies in a positive interval of Delta exactly when Delta(y) > 0
+        s.headroom[key] = next((iv for iv in _positive_intervals(
+            delta_fn(s, s_prime, a)) if iv[0] < y < iv[1]), None)
+    return s.headroom[key]
 
 
 def codependence_class(s: Sheet, s_prime: Sheet, y, a) -> tuple[Fraction, ...]:

@@ -64,10 +64,15 @@ class Perm:
         and row n and column n are the same for every permutation of 1..n."""
         return tuple(v for row in dominance_table(self)[1:-1] for v in row[1:-1])
 
-    def __str__(self) -> str:
+    @cached_property
+    def label(self) -> str:
+        """Digits for n <= 9, a JSON array otherwise; built once per permutation."""
         if self.n <= 9:
             return "".join(str(v) for v in self.one_line)
         return "[" + ",".join(str(v) for v in self.one_line) + "]"
+
+    def __str__(self) -> str:
+        return self.label
 
 
 def all_perms(n: int) -> Iterator[Perm]:

@@ -8,13 +8,7 @@ from fractions import Fraction
 
 from preproj.errors import NotGridAligned
 from preproj.finite import DiamondCurve, QuiverRep, ideal_of, ideal_via_word
-from preproj.permuton import (
-    GridPermuton,
-    _cdf_grid,
-    _union_coords,
-    permuton_bruhat_leq,
-    uniform,
-)
+from preproj.permuton import GridPermuton, permuton_bruhat_leq, union_ticks, uniform
 from preproj.plfunc import BFunc, PLFunc, to_bfunc
 from preproj.sheets import SawtoothDesc
 from preproj.symgroup import Perm, all_perms, all_reduced_words, length
@@ -105,12 +99,48 @@ def mizuno_by_words(w: Perm) -> dict:
     return {"case": str(w), "ok": ok, "words": len(words)}
 
 
+def fraction_cum(mu: GridPermuton) -> list[list[Fraction]]:
+    """cum[r][c] = mu([0,c/m] x [0,r/m]) as Fractions, by running sums of the
+    masses (the library's former table)."""
+    cum = [[Fraction(0)] * (mu.m + 1)]
+    for row in mu.mass:
+        run = itertools.accumulate(row, initial=Fraction(0))
+        cum.append([a + b for a, b in zip(cum[-1], run)])
+    return cum
+
+
+def cdf_grid_by_fractions(mu: GridPermuton, ys, xs) -> list[list[Fraction]]:
+    """cdf at every (x, y) of xs x ys, one row per y, from ``fraction_cum``;
+    each coordinate t comes as (i, f) = divmod(t * m, 1) (the library's former
+    interpolating reader)."""
+    cum = fraction_cum(mu)
+    out = []
+    for i, f in ys:
+        row = cum[i]
+        if f:
+            row = [a + f * (b - a) for a, b in zip(row, cum[i + 1])]
+        out.append([row[j] + g * (row[j + 1] - row[j]) if g else row[j]
+                    for j, g in xs])
+    return out
+
+
+def boundary_points_by_fractions(mu: GridPermuton, y: Fraction) -> list:
+    """The merged breakpoints of the boundary curve at apex y, its samples
+    -2 cdf(c/m, y) + y + c/m read in Fractions (the library's former route)."""
+    m = mu.m
+    row = cdf_grid_by_fractions(mu, [divmod(y * m, 1)],
+                                [(c, Fraction(0)) for c in range(m + 1)])[0]
+    return merge_by_fractions(
+        (Fraction(c, m), -2 * v + y + Fraction(c, m)) for c, v in enumerate(row))
+
+
 def bruhat_leq_on_union_grid(mu: GridPermuton, nu: GridPermuton) -> bool:
     """The permuton Bruhat order read at the interior corners of the union
-    grid through the interpolating CDF reader, whatever the two grid sizes
-    (the library's former route for equal sizes too)."""
-    at, at2 = _union_coords(mu.m, nu.m)
-    a, b = _cdf_grid(mu, at, at), _cdf_grid(nu, at2, at2)
+    grid through the Fraction CDF reader, whatever the two grid sizes (the
+    library's former route for equal sizes too)."""
+    big, ticks = union_ticks(mu.m, nu.m)
+    at, at2 = ([divmod(Fraction(k, big) * p, 1) for k in ticks] for p in (mu.m, nu.m))
+    a, b = cdf_grid_by_fractions(mu, at, at), cdf_grid_by_fractions(nu, at2, at2)
     return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
@@ -158,12 +188,13 @@ def permuton_equal(mu: GridPermuton, nu: GridPermuton) -> bool:
     return permuton_bruhat_leq(mu, nu) and permuton_bruhat_leq(nu, mu)
 
 
-def random_permuton(rng: random.Random, m: int) -> GridPermuton:
+def random_permuton(rng: random.Random, m: int, max_weight: int = 4) -> GridPermuton:
     """The uniform permuton on m x m cells one time in five; otherwise a
-    random convex combination of one to three permutation matrices."""
+    random convex combination of one to three permutation matrices, with
+    integer weights up to max_weight."""
     if rng.random() < 0.2:
         return uniform(m)
-    weights = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
+    weights = [rng.randint(1, max_weight) for _ in range(rng.randint(1, 3))]
     mass = [[Fraction(0)] * m for _ in range(m)]
     for weight in weights:
         rows = rng.sample(range(m), m)
@@ -236,6 +267,122 @@ def hom_dim_by_elimination(a: QuiverRep, b: QuiverRep) -> int:
                         row[key] = row.get(key, Fraction(0)) - mb[r][t]
                     rows.append(row)
     return offsets[-1] - rank_of_sparse_rows(rows)
+
+
+def merge_by_fractions(points) -> list[tuple[Fraction, Fraction]]:
+    """Fraction points with increasing x, less every interior point collinear
+    with its neighbours (the library's former merge)."""
+    out: list = []
+    for pt in points:
+        while len(out) >= 2:
+            (x0, y0), (x1, y1), (x2, y2) = out[-2], out[-1], pt
+            if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
+                break
+            out.pop()
+        out.append(pt)
+    return out
+
+
+def walk_by_fractions(f: PLFunc, g: PLFunc) -> list:
+    """(x, f(x), g(x)) at every breakpoint of f or g, interpolated in
+    Fractions in one forward pass (the library's former walk)."""
+    p, q = f.breakpoints, g.breakpoints
+    out = []
+    i = j = 0
+    while i < len(p):
+        (x, y), (u, v) = p[i], q[j]
+        if x < u:
+            u0, v0 = q[j - 1]
+            out.append((x, y, v0 + (v - v0) * (x - u0) / (u - u0)))
+        elif u < x:
+            x0, y0 = p[i - 1]
+            out.append((u, y0 + (y - y0) * (u - x0) / (x - x0), v))
+        else:
+            out.append((x, y, v))
+        i += x <= u
+        j += u <= x
+    return out
+
+
+def crossed_by_fractions(f: PLFunc, g: PLFunc) -> list:
+    """``walk_by_fractions`` with the interior roots of f - g inserted (the
+    library's former crossing code)."""
+    pts = walk_by_fractions(f, g)
+    out = pts[:1]
+    for (x0, a0, b0), (x1, a1, b1) in zip(pts, pts[1:]):
+        d0, d1 = a0 - b0, a1 - b1
+        if (d0 < 0 < d1) or (d1 < 0 < d0):
+            t = d0 / (d0 - d1)
+            y = a0 + (a1 - a0) * t
+            out.append((x0 + (x1 - x0) * t, y, y))
+        out.append((x1, a1, b1))
+    return out
+
+
+def min_by_fractions(f: PLFunc, g: PLFunc) -> list:
+    return merge_by_fractions((x, min(a, b)) for x, a, b in crossed_by_fractions(f, g))
+
+
+def max_by_fractions(f: PLFunc, g: PLFunc) -> list:
+    return merge_by_fractions((x, max(a, b)) for x, a, b in crossed_by_fractions(f, g))
+
+
+def sub_by_fractions(f: PLFunc, g: PLFunc) -> list:
+    return merge_by_fractions((x, a - b) for x, a, b in walk_by_fractions(f, g))
+
+
+def leq_by_fractions(f: PLFunc, g: PLFunc) -> bool:
+    return all(a <= b for _, a, b in walk_by_fractions(f, g))
+
+
+def at_by_fractions(f: PLFunc, x: Fraction) -> Fraction:
+    """f(x) interpolated in Fractions between the breakpoints around x (the
+    library's former ``at``)."""
+    pts = f.breakpoints
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 <= x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise ValueError(f"{x} outside [0,1]")
+
+
+def slopes_by_fractions(f: PLFunc) -> list[Fraction]:
+    pts = f.breakpoints
+    return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+
+
+PRIMES = [p for p in range(2, 400) if all(p % d for d in range(2, p))]
+
+
+def mixed_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
+    """A rational k/q with lo <= k/q <= hi, q small, large (up to 40 digits)
+    or a product of two of the primes below 400."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        q = rng.randint(1, 12)
+    elif kind == 1:
+        q = rng.randint(10**15, 10**40)
+    else:
+        q = rng.choice(PRIMES) * rng.choice(PRIMES)
+    return Fraction(rng.randint(lo * q, hi * q), q)
+
+
+def random_mixed_pair(rng: random.Random) -> tuple[PLFunc, PLFunc]:
+    """Two PL functions on random breakpoints with mixed denominators.  On
+    a shared set of points f - g is zero half the time and otherwise a small
+    value of either sign, so zeros at breakpoints, tangent zeros, flat zero
+    runs and roots off every grid all occur; each function then keeps a
+    random part of the points, so the walk also interpolates."""
+    inner = sorted({mixed_rational(rng, 0, 1) for _ in range(rng.randint(0, 12))}
+                   - {0, 1})
+    xs = [Fraction(0), *inner, Fraction(1)]
+    g = [mixed_rational(rng, -1, 1) for _ in xs]
+    f = [v if rng.random() < 0.5 else v + mixed_rational(rng, -1, 1) / 4 for v in g]
+
+    def part(values):
+        keep = [t for t in range(1, len(xs) - 1) if rng.random() < 0.7]
+        return PLFunc((xs[t], values[t]) for t in [0, *keep, len(xs) - 1])
+
+    return part(f), part(g)
 
 
 def union_xs(f: PLFunc, g: PLFunc) -> list[Fraction]:

@@ -15,7 +15,8 @@ from preproj.errors import CertificateFailure, ParseError
 from preproj.finite import projective
 from preproj.limits import scale_limit
 from preproj.permuton import from_perm, uniform
-from preproj.plfunc import BFunc, bottom_curve, top_curve
+from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
+from preproj.rat import rat_str
 from preproj.sheets import sheet_new
 from preproj.symgroup import Perm, all_perms
 
@@ -464,12 +465,46 @@ class TestBruhatTables:
             return true_table(u)
 
         monkeypatch.setattr(symgroup, "dominance_table", counting_table)
-        monkeypatch.setattr(permuton, "_cdf_grid",
+        monkeypatch.setattr(permuton, "_cdf_ints",
                             lambda *args: grids.append(args) or [])
         code, lines = run(capsys, "check", "bruhat", "--n", "5")
         assert code == 0 and lines[-1]["cases"] == 14400
         assert len(tables) == len(set(tables)) == 120
         assert grids == []
+
+    def test_each_label_built_once_per_sweep(self, capsys, monkeypatch):
+        built = []
+        label = Perm.label.func
+
+        def counting(w):
+            built.append(w.one_line)
+            return label(w)
+
+        counted = cached_property(counting)
+        counted.__set_name__(Perm, "label")
+        monkeypatch.setattr(Perm, "label", counted)
+        code, lines = run(capsys, "check", "bruhat", "--n", "5")
+        assert code == 0 and lines[-1]["cases"] == 14400
+        assert len(built) == len(set(built)) == 120
+        digits = ["".join(map(str, w.one_line)) for w in all_perms(5)]
+        assert [r["case"] for r in lines[:-1]] == [f"{u}<={v}" for u in digits
+                                                   for v in digits]
+
+
+class TestBridgePermutons:
+    def test_each_permuton_built_once_per_sweep(self, capsys, monkeypatch):
+        built = []
+        true_from_perm = permuton.from_perm
+
+        def counting(w):
+            built.append(w.one_line)
+            return true_from_perm(w)
+
+        for module in (permuton, continuous):
+            monkeypatch.setattr(module, "from_perm", counting)
+        code, lines = run(capsys, "check", "bridge", "--n", "5")
+        assert code == 0 and lines[-1]["cases"] == 480
+        assert len(built) == len(set(built)) == 120
 
 
 class TestBrickAndSheet:
@@ -554,6 +589,57 @@ class TestBrickAndSheet:
                           "--cone", "1/2,0", "--codep", "1/2,0")
         assert code == 0 and lines[0]["cone"]["elementary"] is True
         assert len(scans) == 1
+
+    def test_sheet_analyze_finds_one_headroom_interval(self, capsys, tmp_path,
+                                                       monkeypatch):
+        deltas = []
+        delta_fn = sheets.delta_fn
+
+        def counting(s, s_prime, a):
+            deltas.append(a)
+            return delta_fn(s, s_prime, a)
+
+        monkeypatch.setattr(sheets, "delta_fn", counting)
+        h = F(1, 2)
+        sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
+        path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
+        code, lines = run(capsys, "sheet", "analyze", path,
+                          "--cone", "1/2,1/4", "--codep", "1/2,1/4")
+        assert code == 0 and lines[0]["cone"]["b_interval"] == ["1/8", "7/8"]
+        assert lines[0]["codependence"]["class"] == ["1/2"]
+        assert len(deltas) == 1
+
+    def test_sheet_analyze_many_prime_denominators(self, capsys, tmp_path):
+        # a zigzag through x_t = t/N + 1/(4 N p_t), p_t the first primes above
+        # 1000: one denominator per breakpoint, which a shared denominator
+        # over all breakpoints would multiply into every coordinate
+        n, primes = 1000, []
+        candidate = 1000
+        while len(primes) < n - 1:
+            candidate += 1
+            if all(candidate % d for d in range(2, int(candidate ** 0.5) + 1)):
+                primes.append(candidate)
+        h = F(1, 2)
+        xs = [F(t, n) + F(1, 4 * n * p) for t, p in enumerate(primes, start=1)]
+        up = PLFunc([(0, h), *((x, h + F(t % 2, 4 * n)) for t, x in enumerate(xs, 1)),
+                     (1, h)])
+        sheet = sheet_new(h, BFunc(h, up), BFunc(h, bottom_curve(h)))
+        path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
+        y = rat_str(xs[n // 2])
+        start = time.perf_counter()
+        code, lines = run(capsys, "sheet", "analyze", path,
+                          "--cone", f"{y},0", "--codep", f"{y},0")
+        elapsed = time.perf_counter() - start
+        # up < down on all of (0, 1), and every zigzag corner generates
+        generators = [rat_str(x) for x in xs]
+        assert code == 0 and lines[0] == {
+            "support": [["0", "1"]],
+            "generators": generators,
+            "deep": True,
+            "cone": {"y": y, "a": "0", "b_interval": ["0", "1"], "elementary": True},
+            "codependence": {"y": y, "a": "0", "class": generators},
+        }
+        assert elapsed < 10  # over one shared denominator it took 20 s
 
 
 class TestRenderCommand:

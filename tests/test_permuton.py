@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bruhat_leq_on_union_grid, cell_sum_cdf, count_cdf_oracle,
-                      permuton_equal, random_permuton, refine)
+from conftest import (boundary_points_by_fractions, bruhat_leq_on_union_grid,
+                      cdf_grid_by_fractions, cell_sum_cdf, count_cdf_oracle,
+                      fraction_cum, permuton_equal, random_permuton, refine)
 from preproj.errors import DomainError
 from preproj.permuton import (
     GridPermuton,
@@ -229,6 +230,29 @@ class TestPermutonBruhat:
                 assert permuton_bruhat_leq(mu, nu) == bruhat_leq_on_union_grid(mu, nu)
 
 
+class TestIntegerTables:
+    """The integer table over den against the Fraction table and readers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([4, 10**15]),
+           st.randoms(use_true_random=False))
+    def test_match_fraction_routes(self, m, m2, max_weight, rng):
+        mu = random_permuton(rng, m, max_weight)
+        nu = random_permuton(rng, m2, max_weight)
+        assert [[F(v, mu.den) for v in row] for row in mu.cum] == fraction_cum(mu)
+        apexes = [F(r, m) for r in range(1, m)]
+        apexes += [F(rng.randint(1, q - 1), q) for q in (2, 7, 3 * m + 1, 10**20 + 1)]
+        for y in apexes:
+            expected = tuple(boundary_points_by_fractions(mu, y))
+            assert boundary_function(mu, y).f.breakpoints == expected
+        for q in (1, m, 5, 10**12 + 39):
+            a, b = F(rng.randint(0, q), q), F(rng.randint(0, q), q)
+            expected = cdf_grid_by_fractions(mu, [divmod(b * m, 1)], [divmod(a * m, 1)])
+            assert cdf(mu, a, b) == expected[0][0]
+        for a, b in ((mu, nu), (nu, mu), (mu, refine(mu, 2))):
+            assert permuton_bruhat_leq(a, b) == bruhat_leq_on_union_grid(a, b)
+
+
 def _prefix_sums(mu):
     """cdf at the grid corners (c/m, r/m), indexed [r][c], from the masses."""
     m = mu.m
@@ -247,11 +271,12 @@ class TestUnionCoords:
     def test_match_fraction_divmod(self, m, m2):
         points = sorted({F(r, p) for p in (m, m2) for r in range(1, p)})
         expected = [[divmod(t * p, 1) for t in points] for p in (m, m2)]
-        assert _union_coords(m, m2) == expected
+        big, coords = _union_coords(m, m2)
+        assert [[(i, F(r, big)) for i, r in at] for at in coords] == expected
 
     def test_shared_grid_reads_the_table(self):
-        at, at2 = _union_coords(12, 12)
-        assert at == at2 == [(i, 0) for i in range(1, 12)]
+        big, (at, at2) = _union_coords(12, 12)
+        assert big == 12 and at == at2 == [(i, 0) for i in range(1, 12)]
 
 
 class TestBFuncInvariant:

@@ -1,17 +1,25 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    at_by_fractions,
     leq_by_at,
+    leq_by_fractions,
     max_by_at,
+    max_by_fractions,
     min_by_at,
+    min_by_fractions,
     random_bfunc,
     random_lipschitz_plfunc,
+    random_mixed_pair,
+    slopes_by_fractions,
     sub_by_at,
+    sub_by_fractions,
     xs_with_crossings,
 )
 from preproj.errors import DegenerateEndpoints, DomainError, NotLipschitz
@@ -206,6 +214,63 @@ def test_one_pass_ops_match_at_route(f, g):
         assert pointwise_sub(a, b) == sub_by_at(a, b)
         assert pointwise_leq(a, b) == leq_by_at(a, b)
         assert pointwise_leq(a, pointwise_max(a, b))
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_integer_kernel_matches_fraction_oracles(rng):
+    """Mixed, large and pairwise-coprime denominators; zeros of f - g at
+    breakpoints, tangent, in flat runs and off every grid."""
+    f, g = random_mixed_pair(rng)
+    for a, b in ((f, g), (g, f), (f, f)):
+        assert pointwise_min(a, b).breakpoints == tuple(min_by_fractions(a, b))
+        assert pointwise_max(a, b).breakpoints == tuple(max_by_fractions(a, b))
+        assert pointwise_sub(a, b).breakpoints == tuple(sub_by_fractions(a, b))
+        assert pointwise_leq(a, b) == leq_by_fractions(a, b)
+    slopes = slopes_by_fractions(f)
+    assert list(f.slopes()) == slopes
+    assert is_lipschitz1(f) == all(-1 <= s <= 1 for s in slopes)
+    inc, dec = all(s >= 0 for s in slopes), all(s <= 0 for s in slopes)
+    expected = {(True, True): MonotoneClass.CONSTANT,
+                (True, False): MonotoneClass.WEAKLY_INCREASING,
+                (False, True): MonotoneClass.WEAKLY_DECREASING,
+                (False, False): MonotoneClass.NEITHER}[inc, dec]
+    assert monotone_class(f) == expected
+    c = F(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+    assert vshift(f, c).breakpoints == tuple((x, y + c) for x, y in f.breakpoints)
+    for x in [F(rng.randint(0, q), q) for q in (1, 7, 10**30 + 57, 2 * 3 * 5 * 7)]:
+        assert f.at(x) == at_by_fractions(f, x)
+
+
+class TestIntegerStorage:
+    POINTS = [(0, F(2, 5)), (F(1, 3), F(1, 7)), (F(5, 11), F(3, 4)), (1, F(-1, 9))]
+
+    def test_differently_scaled_inputs_are_equal(self):
+        f = PLFunc(self.POINTS)
+        zero = PLFunc.constant(0)
+        padded = PLFunc([self.POINTS[0], (F(1, 6), F(19, 70)), *self.POINTS[1:]])
+        same = [padded, vshift(vshift(f, F(3, 10**20 + 39)), F(-3, 10**20 + 39)),
+                pointwise_sub(f, zero), pointwise_max(f, f), pointwise_min(f, f)]
+        for g in same:
+            assert g == f and hash(g) == hash(f)
+
+    def test_lattice_and_fraction_samples_agree(self):
+        values = [F(1, 2), F(1, 3), F(1, 6), F(1, 3), F(1, 2)]
+        f = PLFunc((F(j, 4), v) for j, v in enumerate(values))
+        for den in (6, 12, 6 * 10**25):
+            g = PLFunc.from_lattice(4, [int(v * den) for v in values], den)
+            assert g == f and hash(g) == hash(f)
+
+    def test_each_triple_holds_only_its_own_denominators(self):
+        f = PLFunc(self.POINTS)
+        huge = F(1, 10**40 + 1)
+        g = PLFunc([*self.POINTS[:2], (F(2, 5), huge), *self.POINTS[2:]])
+        for pts in (f, g):
+            for (x, y), (big_x, big_y, w) in zip(pts.breakpoints, pts._pts):
+                assert w == x.denominator * y.denominator // gcd(x.denominator,
+                                                                 y.denominator)
+                assert (big_x, big_y) == (x * w, y * w)
+        assert g._pts[:2] == f._pts[:2] and g._pts[3:] == f._pts[2:]
 
 
 def test_crossings_inserted():
