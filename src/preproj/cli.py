@@ -17,18 +17,20 @@ otherwise.  Check reports are JSON lines followed by a summary record; the
 exit code is 0 exactly when every case passed.  Every check reads --jobs
 (capped at the CPU count and the number of cases) and --perm; mizuno,
 taurigid, bridge and bruhat also read --n and --sample, twosided reads
---n, --sample and --files, and homvanish reads --files.  A flag the check
-does not read is an error, and so are --perm beside --sample, an --n that
-differs from the size of --perm, an empty --perm, a --files with no path
-and flags that leave the check with no cases.  Sweeps over all of S_n, a
---sample as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5 by
-default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
+--n, --sample and --files (running both), and homvanish --files.  A flag
+the check does not read is an error, and so are --perm beside --sample, an
+--n that differs from the size of --perm, an empty --perm, a --files with
+no path and flags that leave the check with no cases.  Sweeps over all of
+S_n, a --sample as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5
+by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 
 A mizuno case w walks the cover edges of its lower right weak interval
 [e, w] instead of listing reduced words; each record's "words" is the
 number of reduced words of w, and a failing one names its lowest failing
-edge [v, s].  The mizuno, bridge and bruhat sweeps keep per-permutation
-data (weak-order nodes, permutons) in caches cleared before each check.
+edge [v, s].  Caches cleared before each check do each weak-order node
+(mizuno), permuton (bridge, bruhat), curve representation and Hom pair
+(taurigid) and stripped (min coset rep, i) summand (bridge) once per sweep;
+twosided and homvanish read integer summand rows, each curve's samples at c/m.
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from functools import lru_cache
 from itertools import product
 from multiprocessing import Pool
 
-from . import continuous, finite, jsonio, permuton, render, sheets, symgroup
+from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
 from .limits import scale_limit
-from .plfunc import pointwise_leq
 from .rat import frac, rat_str
 from .symgroup import Perm
 
@@ -171,14 +172,13 @@ def _perms(args, default_n: int) -> list[Perm]:
 
 
 def _permutons(args, default_perms) -> list[tuple[str, permuton.GridPermuton]]:
-    """The --perm and --files permutons; without either flag, those of
-    default_perms() and the uniform permutons on 2 x 2 and 4 x 4 cells."""
-    if args.perm is None and args.files is None:
-        perms = default_perms()
-        uniforms = [(f"uniform:{m}", permuton.uniform(m)) for m in (2, 4)]
-    else:
-        perms = _perms(args, 0) if args.perm is not None else []
-        uniforms = []
+    """The permutons of default_perms() (which reads --perm, --n, --sample) and
+    of --files, which alone takes no permutations; without --perm and --files,
+    also the uniform permutons on 2 x 2 and 4 x 4 cells."""
+    alone = args.files is not None and (args.perm, args.n, args.sample) == (None,) * 3
+    perms = [] if alone else default_perms()
+    uniforms = [] if args.perm is not None or args.files is not None else [
+        (f"uniform:{m}", permuton.uniform(m)) for m in (2, 4)]
     files = [(path, _load_permuton(path)) for path in args.files or []]
     return [(f"perm:{w}", permuton.from_perm(w)) for w in perms] + files + uniforms
 
@@ -222,13 +222,28 @@ def _case_mizuno(w: Perm) -> dict:
     return record
 
 
+@lru_cache(maxsize=None)
+def _curve_rep(m: finite.CurveModule) -> finite.QuiverRep:
+    return finite.to_rep(m)  # one build per curve module and sweep
+
+
+@lru_cache(maxsize=None)
+def _hom_vanishes(a: finite.CurveModule, b: finite.CurveModule) -> bool:
+    return finite.hom_dim(_curve_rep(a), _curve_rep(b)) == 0  # one per curve pair
+
+
 def _case_taurigid(w: Perm) -> dict:
-    return {"case": str(w), "ok": finite.is_tau_rigid_ideal(w)}
+    return {"case": str(w), "ok": finite.is_tau_rigid(finite.ideal_of(w), _hom_vanishes)}
+
+
+@lru_cache(maxsize=None)
+def _stripped(rep: Perm, i: int) -> plfunc.PLFunc:
+    return continuous.stripped_summand(rep, i)  # one per (min coset rep, vertex)
 
 
 def _case_bridge(payload: tuple[Perm, int]) -> dict:
     w, i = payload
-    ok = continuous.finite_vs_continuous(w, i, _perm_permuton(w))
+    ok = continuous.finite_vs_continuous(w, i, _perm_permuton(w), _stripped)
     return {"case": f"{w}@{i}", "ok": ok}
 
 
@@ -245,37 +260,31 @@ def _case_bruhat(payload: tuple[Perm, Perm]) -> dict:
     return {"case": f"{u}<={v}", "ok": discrete == measured}
 
 
-def _grid_apexes(m: int) -> list[Fraction]:
-    return [Fraction(r, m) for r in range(1, m)]
-
-
 def _case_twosided(payload: tuple[str, permuton.GridPermuton]) -> dict:
+    # f_p <= left_act(f_q, p) = min(bottom_p, f_q + |p - q|) for grid apexes
+    # p != q: all three are linear between columns, so the rows decide it
     label, mu = payload
-    curves = [permuton.boundary_function(mu, q) for q in _grid_apexes(mu.m)]
-    ok = all(
-        pointwise_leq(f_p.f, continuous.left_act(f_q, f_p.k).f)
-        for f_q in curves for f_p in curves if f_p is not f_q
-    )
+    m, unit = mu.m, mu.m * mu.m * mu.den  # unit: 1/m over the rows' m^3 den
+    rows = {p: permuton.boundary_row(mu, p, m) for p in range(1, m)}
+    ok = all(v <= min((m - abs(m - p - c)) * unit, u + abs(p - q) * unit)
+             for p, f_p in rows.items() for q, f_q in rows.items() if p != q
+             for c, (v, u) in enumerate(zip(f_p, f_q)))
     return {"case": label, "ok": ok}
 
 
 def _case_homvanish(payload: tuple[str, permuton.GridPermuton]) -> dict:
+    # hom_vanishing_cert's certificate for the curves at t/21: f - g is linear
+    # between columns, so the signs of its rises there classify it
     label, mu = payload
-    grid = [Fraction(t, 21) for t in range(1, 21)]
-    curves = [permuton.boundary_function(mu, a) for a in grid]
-    certs = {continuous.hom_vanishing_cert(f, g) for f in curves for g in curves}
-    ok = continuous.Certificate.NO_CERTIFICATE not in certs
-    solver_ok = True
-    if mu.m <= 4:
-        n = 8
-        ideal = continuous.PermutonIdeal(mu)
-        summands = [
-            continuous.staircase(continuous.ideal_summand(ideal, a), n)
-            for a in _grid_apexes(mu.m)
-            if (a * n).denominator == 1
-        ]
-        solver_ok = finite.is_tau_rigid(summands)
-    return {"case": label, "ok": ok and solver_ok}
+    rows = [permuton.boundary_row(mu, t, 21) for t in range(1, 21)]
+    steps = [[b - a for a, b in zip(row, row[1:])] for row in rows]
+    certified = all(plfunc.rises_class([a - b for a, b in zip(s, t)])
+                    is not plfunc.MonotoneClass.NEITHER for s in steps for t in steps)
+    # for m <= 4, also the solver on the staircase summands at the grid apexes t/8
+    ideal = continuous.PermutonIdeal(mu)
+    summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
+                for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
+    return {"case": label, "ok": certified and finite.is_tau_rigid(summands, _hom_vanishes)}
 
 
 # name -> (case runner, payload source, flags the check does not read)
@@ -297,7 +306,8 @@ _CHECKS = {
     ),
     "homvanish": (
         _case_homvanish,
-        lambda args: _permutons(args, lambda: [parse_perm("25341"), parse_perm("2413")]),
+        lambda args: _permutons(args, lambda: _perms(args, 0) if args.perm is not None
+                                else [parse_perm("25341"), parse_perm("2413")]),
         ("n", "sample"),
     ),
 }
@@ -316,8 +326,8 @@ def cmd_check(args) -> int:
     payloads = source(args)
     if not payloads:
         raise ParseError(f"check {name} has no cases for these flags")
-    _perm_permuton.cache_clear()
-    _weak_node.cache_clear()
+    for memo in (_weak_node, _perm_permuton, _curve_rep, _hom_vanishes, _stripped):
+        memo.cache_clear()  # the per-sweep memos
     jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if jobs > 1:
         with Pool(jobs) as pool:

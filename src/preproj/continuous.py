@@ -21,6 +21,7 @@ from .permuton import (GridPermuton, boundary_function, from_perm,
 from .plfunc import (
     BFunc,
     MonotoneClass,
+    PLFunc,
     bottom_at,
     bottom_curve,
     monotone_class,
@@ -137,17 +138,23 @@ def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
     return by_curves
 
 
-def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None) -> bool:
+def stripped_summand(rep: Perm, i: int) -> PLFunc:
+    """The curve at vertex i of the ideal stripped along the canonical word
+    of rep; (I_w)^i depends on w only through rep = min_coset_rep(w, i)."""
+    word = symgroup.canonical_reduced_word_of_rep(rep, i)
+    return ideal_via_word(word, rep.n)[i - 1].curve.as_plfunc()
+
+
+def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None,
+                         stripped=stripped_summand) -> bool:
     """Does the ideal curve of w at vertex i equal the boundary function of
     the permuton mu of w (from_perm(w) by default) at apex i/n?  Exact
-    structural comparison of a stripped summand; ideal_of's closed form is the
-    permuton formula itself."""
+    structural comparison of a stripped summand, read through
+    stripped(rep, i); ideal_of's closed form is the permuton formula itself."""
     n = w.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"vertex {i} outside 1..{n - 1}")
-    rep = symgroup.min_coset_rep(w, i)
-    word = symgroup.canonical_reduced_word_of_rep(rep, i)
-    discrete = ideal_via_word(word, n)[i - 1].curve.as_plfunc()
+    discrete = stripped(symgroup.min_coset_rep(w, i), i)
     continuous = boundary_function(from_perm(w) if mu is None else mu,
                                    Fraction(i, n)).f
     return discrete == continuous

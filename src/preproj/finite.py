@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import symgroup
 from .errors import (
@@ -388,11 +388,6 @@ def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
     for p, q in zip(b.dims, a.dims):
         offsets.append(total)
         total += p * q
-
-    def var(j: int, r: int, c: int) -> int:
-        # phi_j[r][c], r over b.dims[j], c over a.dims[j]; -1 is the zero
-        return -1 if r == -1 or c == -1 else offsets[j] + r * a.dims[j] + c
-
     links: list[tuple[int, int]] = []
     for e in range(a.n - 2):
         arrows = ((e, e + 1, a.alpha[e], b.alpha[e]),
@@ -403,22 +398,28 @@ def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
                 if r != -1:
                     preimage[r] = t
             for r, t in enumerate(preimage):
+                # phi_k[r][s] is unknown row_k + s, phi_j[t][c] is row_j + c;
+                # -1 is the zero
+                row_k, row_j = offsets[k] + r * a.dims[k], offsets[j] + t * a.dims[j]
                 for c, s in enumerate(fa):
                     if s != -1 or t != -1:
-                        links.append((var(k, r, s), var(j, t, c)))
+                        links.append((-1 if s == -1 else row_k + s,
+                                      -1 if t == -1 else row_j + c))
     return total - rank_of_links(total, links)
 
 
-def is_tau_rigid(summands: Sequence[CurveModule]) -> bool:
+def is_tau_rigid(summands: Sequence[CurveModule], hom_vanishes: Callable) -> bool:
     """Hom(M^i, tau M^j) = 0 for every pair of submodules M^i, M^j of
-    projectives among the summands: their direct sum is tau-rigid."""
-    subs = [to_rep(m) for m in summands]
-    quots = [to_rep(tau_sub(m)) for m in summands]
-    return all(hom_dim(s, q) == 0 for s in subs for q in quots)
+    projectives among the summands: their direct sum is tau-rigid.
+    hom_vanishes(sub, quot) decides Hom(sub, quot) = 0 for one pair."""
+    quots = [tau_sub(m) for m in summands]
+    return all(hom_vanishes(s, q) for s in summands for q in quots)
 
 
 def is_tau_rigid_ideal(w: Perm) -> bool:
     """Hom((I_w)^i, P_j/(I_w)^j) = 0 for all i, j."""
     if w.n > scale_limit():
         raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
-    return is_tau_rigid(ideal_of(w))
+    summands = ideal_of(w)
+    reps = {m: to_rep(m) for m in (*summands, *map(tau_sub, summands))}
+    return is_tau_rigid(summands, lambda a, b: hom_dim(reps[a], reps[b]) == 0)

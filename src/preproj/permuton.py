@@ -42,14 +42,13 @@ class GridPermuton:
         rows = tuple(tuple(frac(v) for v in row) for row in mass)
         if len(rows) != m or any(len(row) != m for row in rows):
             raise DomainError(f"mass matrix must be {m}x{m}")
-        if any(v < 0 for row in rows for v in row):
-            raise DomainError("cell masses must be nonnegative")
         den = lcm(m, *{v.denominator for row in rows for v in row})
+        cells = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+        if min(map(min, cells)) < 0:
+            raise DomainError("cell masses must be nonnegative")
         cum = [(0,) * (m + 1)]
-        for row in rows:
-            run = accumulate((v.numerator * (den // v.denominator) for v in row),
-                             initial=0)
-            cum.append(tuple(map(add, cum[-1], run)))
+        for row in cells:
+            cum.append(tuple(map(add, cum[-1], accumulate(row, initial=0))))
         # the row and column sums are differences along the last column and row
         target = den // m
         for r in range(m):
@@ -100,17 +99,23 @@ def cdf(mu: GridPermuton, a, b) -> Fraction:
     return Fraction(_cdf_ints(mu, [y], [x], s)[0][0], s * s * mu.den)
 
 
+def boundary_row(mu: GridPermuton, p: int, q: int) -> list[int]:
+    """The samples at c/m, c = 0..m, of the boundary curve of mu at apex
+    p/q, 0 < p < q, each one integer over q^2 den m; the curve is linear
+    between them, so they decide every pointwise question about it."""
+    m, den = mu.m, mu.den
+    row = _cdf_ints(mu, [divmod(p * m, q)], [(c, 0) for c in range(m + 1)], q)[0]
+    return [(p * q * den - 2 * v) * m + c * q * q * den for c, v in enumerate(row)]
+
+
 def boundary_function(mu: GridPermuton, y) -> BFunc:
     """The curve f(x) = -2 mu([0,x] x [0,y]) + y + x bounding the ideal
-    summand of mu at apex y; breaks only at column boundaries.  For y = p/q
-    the sample at c/m is one integer over q^2 den m."""
+    summand of mu at apex y; breaks only at column boundaries."""
     y = frac(y)
-    if not 0 < y < 1:
+    p, q = y.numerator, y.denominator
+    if not 0 < p < q:
         raise DomainError(f"apex {y} outside (0,1)")
-    m, den, p, q = mu.m, mu.den, y.numerator, y.denominator
-    row = _cdf_ints(mu, [divmod(p * m, q)], [(c, 0) for c in range(m + 1)], q)[0]
-    samples = [(p * q * den - 2 * v) * m + c * q * q * den for c, v in enumerate(row)]
-    return BFunc(y, PLFunc.from_lattice(m, samples, q * q * den * m))
+    return BFunc(y, PLFunc.from_lattice(mu.m, boundary_row(mu, p, q), q * q * mu.den * mu.m))
 
 
 def union_ticks(m: int, m2: int) -> tuple[int, list[int]]:

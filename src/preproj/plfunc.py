@@ -150,7 +150,11 @@ def is_lipschitz1(f: PLFunc) -> bool:
 
 def monotone_class(f: PLFunc) -> MonotoneClass:
     """Classify by segment slopes; CONSTANT when the function is flat."""
-    rises = [rise for rise, _ in _steps(f)]
+    return rises_class([rise for rise, _ in _steps(f)])
+
+
+def rises_class(rises: Sequence[int]) -> MonotoneClass:
+    """Classify by the signs of the rises over consecutive linear pieces."""
     inc = all(r >= 0 for r in rises)
     dec = all(r <= 0 for r in rises)
     if inc and dec:
@@ -253,11 +257,13 @@ class BFunc:
 
     def __init__(self, k, f: PLFunc) -> None:
         k = frac(k)
-        if not 0 < k < 1:
+        p, q = k.numerator, k.denominator
+        if not 0 < p < q:
             raise DomainError(f"apex {k} outside (0,1)")
         if not is_lipschitz1(f):
             raise NotLipschitz("boundary curve must be 1-Lipschitz")
-        if f.at(ZERO) != k or f.at(ONE) != 1 - k:
+        (_, y0, w0), (_, y1, w1) = f._pts[0], f._pts[-1]
+        if y0 * q != p * w0 or y1 * q != (q - p) * w1:
             raise DomainError("curve endpoints must be f(0)=k, f(1)=1-k")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "f", f)

@@ -6,10 +6,14 @@ import itertools
 import random
 from fractions import Fraction
 
+from preproj.continuous import (Certificate, PermutonIdeal, hom_vanishing_cert,
+                                ideal_summand, left_act, staircase)
 from preproj.errors import NotGridAligned
-from preproj.finite import DiamondCurve, QuiverRep, ideal_of, ideal_via_word
-from preproj.permuton import GridPermuton, permuton_bruhat_leq, union_ticks, uniform
-from preproj.plfunc import BFunc, PLFunc, to_bfunc
+from preproj.finite import (DiamondCurve, QuiverRep, hom_dim, ideal_of, ideal_via_word,
+                            is_tau_rigid, to_rep)
+from preproj.permuton import (GridPermuton, boundary_function, permuton_bruhat_leq,
+                              union_ticks, uniform)
+from preproj.plfunc import BFunc, PLFunc, pointwise_leq, to_bfunc
 from preproj.sheets import SawtoothDesc
 from preproj.symgroup import Perm, all_perms, all_reduced_words, length
 
@@ -132,6 +136,32 @@ def boundary_points_by_fractions(mu: GridPermuton, y: Fraction) -> list:
                                 [(c, Fraction(0)) for c in range(m + 1)])[0]
     return merge_by_fractions(
         (Fraction(c, m), -2 * v + y + Fraction(c, m)) for c, v in enumerate(row))
+
+
+def twosided_by_plfuncs(mu: GridPermuton) -> bool:
+    """The twosided verdict by PLFunc algebra (the check's former route):
+    f_p <= left_act(f_q, p) pointwise for all grid apexes p != q."""
+    curves = [boundary_function(mu, Fraction(r, mu.m)) for r in range(1, mu.m)]
+    return all(
+        pointwise_leq(f_p.f, left_act(f_q, f_p.k).f)
+        for f_q in curves for f_p in curves if f_p is not f_q
+    )
+
+
+def homvanish_by_plfuncs(mu: GridPermuton) -> bool:
+    """The homvanish verdict by PLFunc algebra (the check's former route):
+    hom_vanishing_cert on every pair of curves at the apexes t/21, and for
+    m <= 4 the solver on the staircase summands at n = 8."""
+    curves = [boundary_function(mu, Fraction(t, 21)) for t in range(1, 21)]
+    certs = {hom_vanishing_cert(f, g) for f in curves for g in curves}
+    solver_ok = True
+    if mu.m <= 4:
+        ideal = PermutonIdeal(mu)
+        solver_ok = is_tau_rigid([
+            staircase(ideal_summand(ideal, Fraction(r, mu.m)), 8)
+            for r in range(1, mu.m) if (Fraction(r, mu.m) * 8).denominator == 1
+        ], lambda a, b: hom_dim(to_rep(a), to_rep(b)) == 0)
+    return Certificate.NO_CERTIFICATE not in certs and solver_ok
 
 
 def bruhat_leq_on_union_grid(mu: GridPermuton, nu: GridPermuton) -> bool:

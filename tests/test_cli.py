@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mizuno_by_words, random_permuton
-from preproj import cli, continuous, finite, jsonio, permuton, sheets, symgroup
+from conftest import (homvanish_by_plfuncs, mizuno_by_words, random_permuton,
+                      twosided_by_plfuncs)
+from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
 from preproj.finite import projective
@@ -179,31 +180,30 @@ class TestCheckCommand:
         assert len(built) == 6 and len(homs) == 9
 
     @staticmethod
-    def count_boundary_functions(monkeypatch) -> list:
-        # the CLI reads the curve through permuton, the ideal through continuous
+    def count_boundary_rows(monkeypatch) -> list:
+        # the checks read rows directly, boundary_function reads them too
         calls = []
-        original = permuton.boundary_function
+        original = permuton.boundary_row
 
-        def counting(mu, y):
-            calls.append(y)
-            return original(mu, y)
+        def counting(mu, p, q):
+            calls.append((p, q))
+            return original(mu, p, q)
 
-        monkeypatch.setattr(permuton, "boundary_function", counting)
-        monkeypatch.setattr(continuous, "boundary_function", counting)
+        monkeypatch.setattr(permuton, "boundary_row", counting)
         return calls
 
     def test_homvanish_builds_each_curve_once(self, capsys, monkeypatch):
-        calls = self.count_boundary_functions(monkeypatch)
+        calls = self.count_boundary_rows(monkeypatch)
         code, lines = run(capsys, "check", "homvanish", "--perm", "2143")
         assert code == 0 and lines[-1]["pass"]
         # 20 apexes t/21, then the staircase summands at 1/4, 1/2, 3/4
-        assert len(calls) == 23 and len(set(calls)) == 23
+        assert len(calls) == 23 and len({F(p, q) for p, q in calls}) == 23
 
     def test_twosided_builds_each_curve_once(self, capsys, monkeypatch):
-        calls = self.count_boundary_functions(monkeypatch)
+        calls = self.count_boundary_rows(monkeypatch)
         code, lines = run(capsys, "check", "twosided", "--perm", "25341")
         assert code == 0 and lines[-1]["pass"]
-        assert calls == [F(r, 5) for r in range(1, 5)]
+        assert calls == [(r, 5) for r in range(1, 5)]
 
     def test_homvanish_verdict_matches_per_pair_certificates(self):
         rng = random.Random(5)
@@ -241,7 +241,22 @@ class TestCheckCommand:
         monkeypatch.setattr(continuous, "hom_vanishing_cert", one_missing)
         with pytest.raises(CertificateFailure):
             continuous.tau_rigidity_cert(mu, *bad)
+        # the check classifies f - g by the rises of its samples at c/m
+        f, g = (permuton.boundary_row(mu, t, 21) for t in (4, 11))
+        d = [a - b for a, b in zip(f, g)]
+        bad_rises = [b - a for a, b in zip(d, d[1:])]
+        classify, hits = plfunc.rises_class, []
+
+        def one_unclassified(rises):
+            if list(rises) == bad_rises:
+                hits.append(rises)
+                return plfunc.MonotoneClass.NEITHER
+            return classify(rises)
+
+        assert cli._case_homvanish(("mu", mu)) == {"case": "mu", "ok": True}
+        monkeypatch.setattr(plfunc, "rises_class", one_unclassified)
         assert cli._case_homvanish(("mu", mu)) == {"case": "mu", "ok": False}
+        assert len(hits) == 1
 
     def test_parser_built_once_and_flags_do_not_leak(self, capsys, monkeypatch, tmp_path):
         seen = []
@@ -259,6 +274,15 @@ class TestCheckCommand:
         assert code == 0 and lines[-1]["cases"] == 8
         assert seen == [[path], None]
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("flags,perms", [
+        (["--n", "3"], 6), (["--n", "4", "--sample", "2"], 2), (["--sample", "3"], 3),
+        (["--perm", "2413"], 1), ([], 0)])
+    def test_twosided_runs_selected_perms_and_files(self, capsys, tmp_path, flags, perms):
+        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(3)))
+        code, lines = run(capsys, "check", "twosided", "--files", path, *flags)
+        assert code == 0 and lines[-1]["cases"] == perms + 1
+        assert [r["case"].startswith("perm:") for r in lines[:-1]] == [True] * perms + [False]
 
     @pytest.mark.parametrize("name", list(cli._CHECKS))
     def test_parallel_matches_serial(self, capsys, name):
@@ -505,6 +529,186 @@ class TestBridgePermutons:
         code, lines = run(capsys, "check", "bridge", "--n", "5")
         assert code == 0 and lines[-1]["cases"] == 480
         assert len(built) == len(set(built)) == 120
+
+
+def perturbed_rows(seed: int, share: F):
+    """A boundary_row that moves one interior sample of a seeded share of the
+    curves to a random value that keeps the curve 1-Lipschitz.  The choice
+    depends on the permuton and the apex, not on how p/q is written."""
+    true_row = permuton.boundary_row
+
+    def row(mu, p, q):
+        apex = F(p, q)
+        scale = (q // apex.denominator) ** 2
+        out = true_row(mu, apex.numerator, apex.denominator)
+        rng = random.Random(f"{seed}:{apex}:{mu.cum}")
+        if rng.random() < share:
+            c, h = rng.randrange(1, mu.m), apex.denominator ** 2 * mu.den
+            a, b = out[c - 1], out[c + 1]
+            out[c] = rng.randint(max(a, b) - h, min(a, b) + h)
+        return [v * scale for v in out]
+
+    return row
+
+
+def lowest_sample(apex: F, c: int):
+    """A boundary_row whose curve at apex dips at column c as low as a
+    1-Lipschitz curve can: one perturbed sample."""
+    true_row = permuton.boundary_row
+
+    def row(mu, p, q):
+        out = true_row(mu, p, q)
+        if F(p, q) == apex:
+            out[c] = max(out[c - 1], out[c + 1]) - q * q * mu.den
+        return out
+
+    return row
+
+
+class TestSummandRows:
+    """twosided and homvanish on integer rows against their PLFunc oracles."""
+
+    @staticmethod
+    def verdicts(mu) -> tuple[bool, bool, bool, bool]:
+        return (cli._case_twosided(("mu", mu))["ok"], twosided_by_plfuncs(mu),
+                cli._case_homvanish(("mu", mu))["ok"], homvanish_by_plfuncs(mu))
+
+    def test_all_of_s6_matches_oracles(self, monkeypatch):
+        monkeypatch.setattr(permuton, "boundary_row", perturbed_rows(6, F(1, 4)))
+        seen = set()
+        for w in all_perms(6):
+            two, two_oracle, hom, hom_oracle = self.verdicts(from_perm(w))
+            assert (two, hom) == (two_oracle, hom_oracle), w
+            seen.add((two, hom))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_random_mixtures_match_oracles(self):
+        rng = random.Random(11)
+        seen = set()
+        for t in range(120):
+            mu = random_permuton(rng, rng.randint(2, 13), rng.choice([4, 10**6]))
+            share = rng.choice([0, F(1, 10), F(1, 3)])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(permuton, "boundary_row", perturbed_rows(t, share))
+                two, two_oracle, hom, hom_oracle = self.verdicts(mu)
+            assert (two, hom) == (two_oracle, hom_oracle), (t, mu)
+            assert two and hom or share
+            seen.add((two, hom))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("apex,c,check", [(F(3, 5), 2, 0), (F(10, 21), 2, 2)])
+    def test_planted_sample_fails_kernel_and_oracle(self, capsys, monkeypatch,
+                                                    apex, c, check):
+        mu = from_perm(Perm((2, 5, 3, 4, 1)))
+        assert self.verdicts(mu) == (True,) * 4
+        monkeypatch.setattr(permuton, "boundary_row", lowest_sample(apex, c))
+        verdicts = self.verdicts(mu)
+        assert verdicts[check] is verdicts[check + 1] is False
+        name = "twosided" if check == 0 else "homvanish"
+        code, lines = run(capsys, "check", name, "--perm", "25341")
+        assert code == 1 and lines[-1]["failures"] == 1
+
+    def test_swapped_class_fails_kernel_and_oracle(self, monkeypatch):
+        mu = from_perm(Perm((2, 5, 3, 4, 1)))
+        classify = plfunc.rises_class
+        swap = {plfunc.MonotoneClass.CONSTANT: plfunc.MonotoneClass.NEITHER,
+                plfunc.MonotoneClass.NEITHER: plfunc.MonotoneClass.CONSTANT}
+
+        def swapped(rises):
+            cls = classify(rises)
+            return swap.get(cls, cls)
+
+        monkeypatch.setattr(plfunc, "rises_class", swapped)
+        assert self.verdicts(mu)[2:] == (False, False)
+
+    def test_boundary_row_is_the_curve_over_its_denominator(self):
+        rng = random.Random(3)
+        for _ in range(40):
+            m = rng.randint(1, 13)
+            mu = random_permuton(rng, m, rng.choice([4, 10**6]))
+            for p, q in [(r, m) for r in range(1, m)] + [(3, 7), (2, 14), (1, 2)]:
+                row = permuton.boundary_row(mu, p, q)
+                f = permuton.boundary_function(mu, F(p, q)).f
+                assert [F(v, q * q * mu.den * m) for v in row] == [
+                    f.at(F(c, m)) for c in range(m + 1)]
+
+
+class TestSummandMemos:
+    """taurigid and bridge do each distinct summand's work once per sweep."""
+
+    @staticmethod
+    def summand_pairs(n: int) -> set:
+        return {(a, finite.tau_sub(b)) for w in all_perms(n)
+                for a in finite.ideal_of(w) for b in finite.ideal_of(w)}
+
+    def test_taurigid_solves_each_curve_pair_once(self, capsys, monkeypatch):
+        built, homs = [], []
+        to_rep, hom_dim = finite.to_rep, finite.hom_dim
+        monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
+        monkeypatch.setattr(finite, "hom_dim",
+                            lambda a, b: homs.append((a, b)) or hom_dim(a, b))
+        pairs = self.summand_pairs(5)
+        modules = {m for pair in pairs for m in pair}
+        for sweep in (1, 2):  # a second check recomputes: the caches are cleared
+            code, lines = run(capsys, "check", "taurigid", "--n", "5")
+            assert code == 0 and lines[-1]["cases"] == 120
+            assert len(homs) == sweep * len(pairs) < sweep * 120 * 16
+            assert len(built) == sweep * len(modules)
+        half = len(built) // 2
+        assert set(built[:half]) == set(built[half:]) == modules
+
+    @pytest.mark.parametrize("quot_vertex,count", [(None, 12), (4, 4)])
+    def test_planted_hom_fails_every_case_with_that_summand(self, capsys, monkeypatch,
+                                                            quot_vertex, count):
+        # a wrong Hom from one summand into every quotient, or into one
+        ideal = finite.ideal_of(Perm((2, 4, 1, 5, 3)))
+        sub = ideal[1]
+        other = ideal[quot_vertex - 1] if quot_vertex else sub
+        assert not finite.is_zero(sub) and not finite.is_zero(other)
+        wrong, hom_dim = finite.to_rep(sub), finite.hom_dim
+        quot = finite.to_rep(finite.tau_sub(other))
+        monkeypatch.setattr(finite, "hom_dim", lambda a, b: 1 if a == wrong and (
+            quot_vertex is None or b == quot) else hom_dim(a, b))
+        code, lines = run(capsys, "check", "taurigid", "--n", "5")
+        failed = {r["case"] for r in lines[:-1] if not r["ok"]}
+        expected = {str(w) for w in all_perms(5)
+                    if sub in finite.ideal_of(w) and other in finite.ideal_of(w)}
+        assert code == 1 and failed == expected and len(expected) == count
+
+    def test_bridge_strips_each_coset_rep_once(self, capsys, monkeypatch):
+        words = []
+        true_ideal_via_word = continuous.ideal_via_word
+
+        def counting(word, n):
+            words.append((tuple(word), n))
+            return true_ideal_via_word(word, n)
+
+        monkeypatch.setattr(continuous, "ideal_via_word", counting)
+        for sweep in (1, 2):
+            code, lines = run(capsys, "check", "bridge", "--n", "5")
+            assert code == 0 and lines[-1]["cases"] == 480
+            assert len(words) == sweep * (2 ** 5 - 2)  # one per (rep, i)
+        assert sorted(words[:30]) == sorted(words[30:])
+
+    def test_planted_strip_fails_every_case_with_that_summand(self, capsys, monkeypatch):
+        rep0, i0 = Perm((1, 3, 4, 2, 5)), 2
+        word_of = symgroup.canonical_reduced_word_of_rep
+        monkeypatch.setattr(symgroup, "canonical_reduced_word_of_rep",
+                            lambda u, i: () if (u, i) == (rep0, i0) else word_of(u, i))
+        code, lines = run(capsys, "check", "bridge", "--n", "5")
+        failed = {r["case"] for r in lines[:-1] if not r["ok"]}
+        below = {a for a in range(1, 6) if rep0(a) <= i0}
+        expected = {f"{w}@{i0}" for w in all_perms(5)
+                    if {a for a in range(1, 6) if w(a) <= i0} == below}
+        assert code == 1 and failed == expected and len(expected) == 2 * 6
+
+    @pytest.mark.parametrize("name", ["taurigid", "bridge", "twosided"])
+    def test_parallel_output_is_byte_identical(self, capsys, name):
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["check", name, "--n", "4", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") > 24
 
 
 class TestBrickAndSheet:

@@ -305,6 +305,18 @@ class TestBFunc:
         with pytest.raises(DomainError):
             BFunc(F(1, 3), TENT)
 
+    @pytest.mark.parametrize("start,end,ok", [
+        (F(2, 7), F(5, 7), True), (F(3, 7), F(5, 7), False), (F(2, 7), F(4, 7), False),
+        (F(2, 7), F(2, 7), False), (F(5, 7), F(2, 7), False)])
+    def test_each_bad_endpoint_raises(self, start, end, ok):
+        f = PLFunc([(0, start), (F(1, 11), start + F(1, 13)), (F(10, 11), end - F(1, 13)),
+                    (1, end)])
+        if ok:
+            assert BFunc(F(2, 7), f).f is f
+        else:
+            with pytest.raises(DomainError, match="endpoints"):
+                BFunc(F(2, 7), f)
+
     def test_validates_lipschitz(self):
         steep = PLFunc([(0, F(1, 2)), (F(1, 8), F(7, 8)), (1, F(1, 2))])
         with pytest.raises(NotLipschitz):
