@@ -3,18 +3,21 @@
 A GridPermuton carries an m x m matrix of cell masses, uniform within each
 cell, with every row and column summing to 1/m.  Rows index the vertical
 coordinate y (increasing downwards) and columns the horizontal coordinate x,
-so ``mass[r][c]`` is the measure of ((c/m, (c+1)/m] x (r/m, (r+1)/m]).
+so ``cells[r][c] / den`` is the measure of ((c/m, (c+1)/m] x (r/m, (r+1)/m]),
+den = lcm(m, mass denominators); ``mass`` is the same matrix of Fractions, built
+on first use.  The constructor reads each distinct cell literal once per call.
 
 Every CDF query reads one integer corner-sum table built with the permuton:
-``cum[r][c] / den`` is mu([0,c/m] x [0,r/m]), r, c = 0..m, den = lcm(m, mass
-denominators).  The CDF is bilinear within each cell, so ``_cdf_ints`` reads
-any point by interpolating the table along y, then x; values leave as Fractions.
+``cum[r][c] / den`` is mu([0,c/m] x [0,r/m]), r, c = 0..m.  The CDF is bilinear
+within each cell, so ``_cdf_ints`` reads any point by interpolating the table
+along y, then x; values leave as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from operator import add, ge
@@ -22,28 +25,29 @@ from typing import Sequence
 
 from .errors import DomainError
 from .plfunc import BFunc, PLFunc
-from .rat import frac
+from .rat import frac, num_den
 from .symgroup import Perm
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class GridPermuton:
     m: int
-    mass: tuple[tuple[Fraction, ...], ...]
-    den: int = field(repr=False, compare=False)
+    den: int
+    cells: tuple[tuple[int, ...], ...]
     cum: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def __init__(self, m: int, mass: Sequence[Sequence]) -> None:
-        m = int(m)
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise DomainError(f"grid size must be an int, got {m!r}")
         if m < 1:
             raise DomainError("grid size must be positive")
-        rows = tuple(tuple(frac(v) for v in row) for row in mass)
+        read: dict[str, tuple[int, int]] = {}  # each distinct literal parsed once
+        rows = [[(read.get(v) or read.setdefault(v, num_den(v))) if v.__class__ is str
+                 else num_den(v) for v in row] for row in mass]
         if len(rows) != m or any(len(row) != m for row in rows):
             raise DomainError(f"mass matrix must be {m}x{m}")
-        den = lcm(m, *{v.denominator for row in rows for v in row})
-        cells = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+        den = lcm(m, *{q for row in rows for _, q in row})
+        cells = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
         if min(map(min, cells)) < 0:
             raise DomainError("cell masses must be nonnegative")
         cum = [(0,) * (m + 1)]
@@ -58,16 +62,21 @@ class GridPermuton:
             if cum[m][c + 1] - cum[m][c] != target:
                 raise DomainError(f"column {c} does not sum to 1/{m}")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mass", rows)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "cum", tuple(cum))
+
+    @cached_property
+    def mass(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The cell masses as Fractions, ``cells`` over ``den``."""
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.cells)
 
 
 def from_perm(w: Perm) -> GridPermuton:
     """Mass 1/n on the cell in row w(i), column i, for each i."""
     n = w.n
-    cell = Fraction(1, n)
-    mass = [[ZERO] * n for _ in range(n)]
+    cell = f"1/{n}"  # wire literals: the constructor parses each distinct one once
+    mass = [["0"] * n for _ in range(n)]
     for i in range(1, n + 1):
         mass[w(i) - 1][i - 1] = cell
     return GridPermuton(n, mass)
@@ -75,8 +84,7 @@ def from_perm(w: Perm) -> GridPermuton:
 
 def uniform(m: int) -> GridPermuton:
     """Lebesgue measure on the square, carried on an m x m grid."""
-    cell = Fraction(1, m * m)
-    return GridPermuton(m, [[cell] * m for _ in range(m)])
+    return GridPermuton(m, [[f"1/{m * m}"] * m for _ in range(m)])
 
 
 def _cdf_ints(mu: GridPermuton, ys, xs, s: int) -> list[list[int]]:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
+import sys
 from fractions import Fraction
 
 from preproj.continuous import (Certificate, PermutonIdeal, hom_vanishing_cert,
                                 ideal_summand, left_act, staircase)
-from preproj.errors import NotGridAligned
+from preproj.errors import NotGridAligned, ParseError
 from preproj.finite import (DiamondCurve, QuiverRep, hom_dim, ideal_of, ideal_via_word,
                             is_tau_rigid, to_rep)
 from preproj.permuton import (GridPermuton, boundary_function, permuton_bruhat_leq,
@@ -541,3 +543,33 @@ def random_bfunc(rng: random.Random, max_den: int = 8) -> BFunc:
 
 def s4_pairs():
     return list(itertools.product(all_perms(4), all_perms(4)))
+
+
+_MAX_DIGITS = sys.int_info.default_max_str_digits
+_EXPONENT = re.compile(r"[eE][-+]?0*([\d_]*)\s*\Z")
+
+
+def frac_by_fraction_parse(value) -> Fraction:
+    """Coerce an int, Fraction or rational literal to a Fraction, every
+    literal parsed by ``Fraction(str)`` under the exponent and digit caps
+    (the library's former reader)."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ParseError(f"exact rational required, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "")
+            if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) > _MAX_DIGITS:
+                raise ParseError(f"exponent of {value[:40]!r} exceeds {_MAX_DIGITS}")
+        try:
+            q = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational literal {value!r}") from exc
+        if max(abs(q.numerator), q.denominator) >= 10**_MAX_DIGITS:
+            raise ParseError(f"{value[:40]!r} needs more than {_MAX_DIGITS} digits")
+        return q
+    raise ParseError(f"cannot interpret {value!r} as a rational")

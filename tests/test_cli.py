@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (homvanish_by_plfuncs, mizuno_by_words, random_permuton,
-                      twosided_by_plfuncs)
+from conftest import (frac_by_fraction_parse, homvanish_by_plfuncs, mizuno_by_words,
+                      random_permuton, twosided_by_plfuncs)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
@@ -136,6 +136,64 @@ class TestOrderCommands:
         code, lines = run(capsys, "order", "ideal", a, b)
         assert code == 0
         assert lines[0] == {"leq": True, "geq": False, "comparable": True}
+
+
+def _off_canonical(literal: str, k: int) -> str:
+    """An equal cell literal off the wire's canonical form, chosen by k."""
+    q = F(literal)
+    return [f"{3 * q.numerator}/{3 * q.denominator}", f" +{literal} ",
+            "-0" if q == 0 else f"{q.numerator}_0/{q.denominator}0",
+            "0.0e1" if q == 0 else f"0{q.numerator}/00{q.denominator}"][k % 4]
+
+
+class TestCellLiterals:
+    """Permuton files with non-canonical cells print the same bytes as the
+    canonical file; a rejected cell exits 2 with the former reader's text."""
+
+    def write_pair(self, tmp_path, mu, nu):
+        for folder, reform in (("canonical", False), ("wire", True)):
+            (tmp_path / folder).mkdir()
+            for name, p in (("mu.json", mu), ("nu.json", nu)):
+                wire = jsonio.permuton_to_json(p)
+                if reform:
+                    wire["mass"] = [[_off_canonical(v, r * p.m + c)
+                                     for c, v in enumerate(row)]
+                                    for r, row in enumerate(wire["mass"])]
+                write_json(tmp_path / folder, name, wire)
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "permuton", "mu.json", "nu.json"),
+        ("order", "ideal", "mu.json", "nu.json"),
+        ("order", "ideal", "nu.json", "mu.json"),
+        ("ideal", "permuton", "mu.json", "--at", "3/7"),
+        ("ideal", "permuton", "nu.json", "--at", "2/5"),
+        ("check", "twosided", "--perm", "2413", "--files", "mu.json", "nu.json"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_same_bytes_as_canonical(self, capsys, tmp_path, monkeypatch, argv):
+        rng = random.Random(29)
+        self.write_pair(tmp_path, random_permuton(rng, 5, 9), random_permuton(rng, 7, 9))
+        outs = []
+        for folder in ("canonical", "wire"):
+            monkeypatch.chdir(tmp_path / folder)
+            code = main(list(argv))
+            outs.append((code, capsys.readouterr()))
+        assert outs[0][0] == 0 and outs[0][1].out.strip()
+        assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("cell", ["1/0", "1/5/2", "1" * 4301],
+                             ids=["zero-den", "two-slashes", "4301-digits"])
+    def test_rejected_cell_exits_2(self, capsys, tmp_path, cell):
+        wire = jsonio.permuton_to_json(uniform(2))
+        wire["mass"][1][0] = cell
+        path = write_json(tmp_path, "mu.json", wire)
+        with pytest.raises(ParseError) as former:
+            frac_by_fraction_parse(cell)
+        assert str(former.value) == f"bad rational literal {cell!r}"
+        for argv in (("ideal", "permuton", path, "--at", "1/2"),
+                     ("order", "permuton", path, path),
+                     ("check", "twosided", "--perm", "21", "--files", path)):
+            assert main(list(argv)) == 2
+            assert capsys.readouterr() == ("", f"error: {former.value}\n")
 
 
 class TestCheckCommand:

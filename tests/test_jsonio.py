@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction as F
 
@@ -6,14 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_bfunc, random_curve
+from conftest import frac_by_fraction_parse, random_bfunc, random_curve
 from preproj import jsonio
 from preproj.cli import parse_perm
 from preproj.errors import DomainError, ParseError, PreprojError
 from preproj.finite import CurveModule, Kind, ideal_of
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
-from preproj.rat import frac, rat_str
+from preproj.rat import frac, num_den, rat_str
 from preproj.render import spec_from_json
 from preproj.sheets import SawtoothDesc, SimpleModule, sheet_new
 from preproj.symgroup import Perm
@@ -60,6 +61,57 @@ class TestRat:
         # rat_str could not print these back: str() of a 4301-digit int raises
         with pytest.raises(ParseError, match="needs more than 4300 digits"):
             frac(text)
+
+
+def _outcome(read, value):
+    """(p, q) of what read makes of value, or the text of its ParseError."""
+    try:
+        got = read(value)
+    except ParseError as exc:
+        return str(exc)
+    return (got.numerator, got.denominator) if isinstance(got, F) else got
+
+
+# literals off the canonical "p/q" form, values that are not literals, and the
+# rejected cases of every cap: num_den must match the former Fraction reader
+NOT_CANONICAL = [
+    "+1/5", " 1/5 ", "1_0/3", "0.2", "2.5e-1", "1e4299", "\u0661/\u0665",
+    "\uff11\uff10/\uff14", "1/5\n", "1/-5", "--1", "1/0", "0/0", "1/5/2", "", " ",
+    "abc", "1" * 4301, "1" * 4301 + "/3", "1/" + "3" * 4301, "4" * 4300,
+    "-" + "4" * 4299, "1e99999", "1e-4300", 0.5, True, False, None, [1],
+    F(-4, 6), F(0), 7, -3, 0,
+]
+CANONICAL = ["0", "-0", "7", "-7", "2/10", "-2/10", "0/9", "007/010", "1/00",
+             "4" * 4299, "-" + "4" * 4298, "1/" + "3" * 4297]
+
+
+class TestNumDen:
+    """num_den, the one literal reader, against the former Fraction route."""
+
+    @pytest.mark.parametrize("value", NOT_CANONICAL + CANONICAL,
+                             ids=lambda v: repr(v)[:24])
+    def test_matches_fraction_reader(self, value):
+        expected = _outcome(frac_by_fraction_parse, value)
+        assert _outcome(num_den, value) == expected
+        assert _outcome(frac, value) == expected
+        if not isinstance(expected, str):
+            p, q = expected
+            assert rat_str(value) == (str(p) if q == 1 else f"{p}/{q}")
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True)
+           | st.text(st.sampled_from("0123456789-+/._eE \u0663"), max_size=12))
+    def test_matches_fraction_reader_on_drawn_literals(self, text):
+        expected = _outcome(frac_by_fraction_parse, text)
+        assert _outcome(num_den, text) == expected
+        if not isinstance(expected, str):
+            assert expected[1] > 0 and math.gcd(*expected) == 1
+
+    def test_lowest_terms(self):
+        assert num_den("-12/30") == (-2, 5)
+        assert num_den("-0") == (0, 1)
+        assert num_den(F(6, 4)) == (3, 2)
+        assert num_den(12) == (12, 1)
 
 
 def _roundtrip(obj, dump, load):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import (boundary_points_by_fractions, bruhat_leq_on_union_grid,
                       cdf_grid_by_fractions, cell_sum_cdf, count_cdf_oracle,
                       fraction_cum, permuton_equal, random_permuton, refine)
-from preproj.errors import DomainError
+from preproj import jsonio, permuton
+from preproj.errors import DomainError, ParseError
 from preproj.permuton import (
     GridPermuton,
     _union_coords,
@@ -20,6 +21,7 @@ from preproj.permuton import (
     uniform,
 )
 from preproj.plfunc import PLFunc, bottom_curve, top_curve
+from preproj.rat import num_den, rat_str
 from preproj.symgroup import Perm, all_perms, bruhat_leq
 
 W = Perm((2, 5, 3, 4, 1))
@@ -49,6 +51,60 @@ class TestGridPermuton:
             GridPermuton(2, [[F(1, 2), 0], [F(1, 2), 0]])
         with pytest.raises(DomainError):
             GridPermuton(2, [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 8)]])
+
+
+class TestCellReading:
+    """Every input form of a cell gives the same permuton; each distinct
+    literal is read once per constructor call."""
+
+    @pytest.mark.parametrize("m", [2.9, 2.0, True, "2", F(2), None])
+    def test_grid_size_must_be_an_int(self, m):
+        with pytest.raises(DomainError, match="grid size must be an int"):
+            GridPermuton(m, [[F(1, 4)] * 2] * 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 9), st.integers(2, 6), st.randoms(use_true_random=False))
+    def test_input_forms_agree(self, m, scale, rng):
+        mass = random_permuton(rng, m, 6).mass
+        forms = [
+            [[rat_str(v) for v in row] for row in mass],
+            [[f"{v.numerator * scale}/{v.denominator * scale}" for v in row]
+             for row in mass],
+            [[rng.choice([f" +{v.numerator}/{v.denominator} ",
+                          f"{v.numerator * scale}/{v.denominator * scale}", v,
+                          int(v) if v.denominator == 1 else v, "-0" if v == 0 else v])
+              for v in row] for row in mass],
+            [[int(v) if v.denominator == 1 else v for v in row] for row in mass],
+        ]
+        reference = GridPermuton(m, mass)
+        for cells in forms:
+            mu = GridPermuton(m, cells)
+            assert mu == reference and hash(mu) == hash(reference)
+            assert (mu.den, mu.cells, mu.cum) == (reference.den, reference.cells,
+                                                 reference.cum)
+            assert mu.mass == reference.mass == mass
+            assert mu.den == lcm(m, *(v.denominator for row in mass for v in row))
+
+    def test_each_distinct_literal_read_once(self, monkeypatch):
+        rng = random.Random(13)
+        wire = jsonio.permuton_to_json(random_permuton(rng, 13))
+        wire["mass"][0][wire["mass"][0].index("0")] = "0/26"  # same value, new literal
+        wire["mass"][5] = [f"{2 * F(v).numerator}/{2 * F(v).denominator}"
+                           for v in wire["mass"][5]]
+        calls = []
+        monkeypatch.setattr(permuton, "num_den",
+                            lambda v: calls.append(v) or num_den(v))
+        mu = jsonio.permuton_from_json(wire)
+        distinct = {v for row in wire["mass"] for v in row}
+        assert sorted(calls) == sorted(distinct) and len(distinct) < 13 * 13
+        monkeypatch.undo()
+        assert mu == jsonio.permuton_from_json(jsonio.permuton_to_json(mu))
+
+    def test_literals_parsed_before_the_shape(self):
+        with pytest.raises(ParseError, match="bad rational literal '1/0'"):
+            GridPermuton(2, [["1/4", "1/4"], ["1/4", "1/0", "1/4"]])
+        with pytest.raises(DomainError, match="2x2"):
+            GridPermuton(2, [["1/4", "1/4"], ["1/4", "1/4", "1/4"]])
 
 
 class TestCdf:
