@@ -28,9 +28,13 @@ A mizuno case w walks the cover edges of its lower right weak interval
 [e, w] instead of listing reduced words; each record's "words" is the
 number of reduced words of w, and a failing one names its lowest failing
 edge [v, s].  Caches cleared before each check do each weak-order node
-(mizuno), permuton (bridge, bruhat), curve representation and Hom pair
-(taurigid) and stripped (min coset rep, i) summand (bridge) once per sweep;
-twosided and homvanish read integer summand rows, each curve's samples at c/m.
+(mizuno), curve representation and Hom pair (taurigid) and stripped (min
+coset rep, i) summand (bridge) once per sweep; the bridge and bruhat payload
+sources build each permutation's permuton once and hand it to every case of
+that permutation; twosided and homvanish read integer summand rows, each
+curve's samples at c/m.  Every output line is json.dumps of its record, written
+by one JSON encoder built once per process; a check writes its case lines in
+one streamed pass.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from multiprocessing import Pool
+from typing import Iterable
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
@@ -83,8 +89,26 @@ def _write_text(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
+# json.dumps' own C encoder for its default arguments, built once (json.dumps
+# itself where the C accelerator is missing): the same bytes, no per-call set-up
+_ENCODE = c_make_encoder and c_make_encoder(
+    {}, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ",
+    False, False, True)
+
+
+def _line(obj) -> str:
+    """json.dumps(obj) and a newline: one output line."""
+    return ("".join(_ENCODE(obj, 0)) if _ENCODE else json.dumps(obj)) + "\n"
+
+
+def _write(objs: Iterable[dict]) -> None:
+    """The one writer: a line per object, streamed in one call to the
+    sys.stdout of the moment (callers such as test capture swap it)."""
+    sys.stdout.writelines(map(_line, objs))
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
+    _write((obj,))
 
 
 # ---------------------------------------------------------------- ideal
@@ -241,23 +265,21 @@ def _stripped(rep: Perm, i: int) -> plfunc.PLFunc:
     return continuous.stripped_summand(rep, i)  # one per (min coset rep, vertex)
 
 
-def _case_bridge(payload: tuple[Perm, int]) -> dict:
-    w, i = payload
-    ok = continuous.finite_vs_continuous(w, i, _perm_permuton(w), _stripped)
+def _case_bridge(payload: tuple[Perm, int, permuton.GridPermuton]) -> dict:
+    w, i, mu = payload
+    ok = continuous.finite_vs_continuous(w, i, mu, _stripped)
     return {"case": f"{w}@{i}", "ok": ok}
 
 
-@lru_cache(maxsize=None)
-def _perm_permuton(w: Perm) -> permuton.GridPermuton:
-    # one build per permutation and sweep: cmd_check clears it before each
-    return permuton.from_perm(w)
+def _with_permutons(perms: list[Perm]) -> list[tuple[Perm, permuton.GridPermuton]]:
+    # one build per permutation and sweep, shared by all of its cases
+    return [(w, permuton.from_perm(w)) for w in perms]
 
 
-def _case_bruhat(payload: tuple[Perm, Perm]) -> dict:
-    u, v = payload
-    discrete = symgroup.bruhat_leq(u, v)
-    measured = permuton.permuton_bruhat_leq(_perm_permuton(u), _perm_permuton(v))
-    return {"case": f"{u}<={v}", "ok": discrete == measured}
+def _case_bruhat(payload: tuple[tuple[Perm, permuton.GridPermuton], ...]) -> dict:
+    (u, mu), (v, nu) = payload
+    ok = symgroup.bruhat_leq(u, v) == permuton.permuton_bruhat_leq(mu, nu)
+    return {"case": f"{u}<={v}", "ok": ok}
 
 
 def _case_twosided(payload: tuple[str, permuton.GridPermuton]) -> dict:
@@ -293,12 +315,13 @@ _CHECKS = {
     "taurigid": (_case_taurigid, lambda args: _perms(args, 4), ("files",)),
     "bridge": (
         _case_bridge,
-        lambda args: [(w, i) for w in _perms(args, 5) for i in range(1, w.n)],
+        lambda args: [(w, i, mu) for w, mu in _with_permutons(_perms(args, 5))
+                      for i in range(1, w.n)],
         ("files",),
     ),
     "bruhat": (
         _case_bruhat,
-        lambda args: list(product(_perms(args, 4), repeat=2)),
+        lambda args: list(product(_with_permutons(_perms(args, 4)), repeat=2)),
         ("files",),
     ),
     "twosided": (
@@ -326,7 +349,7 @@ def cmd_check(args) -> int:
     payloads = source(args)
     if not payloads:
         raise ParseError(f"check {name} has no cases for these flags")
-    for memo in (_weak_node, _perm_permuton, _curve_rep, _hom_vanishes, _stripped):
+    for memo in (_weak_node, _curve_rep, _hom_vanishes, _stripped):
         memo.cache_clear()  # the per-sweep memos
     jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
     if jobs > 1:
@@ -335,8 +358,7 @@ def cmd_check(args) -> int:
     else:
         records = [runner(p) for p in payloads]
     failures = sum(not record["ok"] for record in records)
-    for record in records:
-        _emit({"check": name, **record})
+    _write({"check": name, **record} for record in records)
     _emit({"summary": True, "check": name, "cases": len(records),
            "failures": failures, "pass": failures == 0})
     return 0 if failures == 0 else 1

@@ -29,7 +29,6 @@ from .plfunc import (
     pointwise_min,
     pointwise_sub,
     top_at,
-    top_curve,
     vshift,
 )
 from .rat import frac
@@ -52,20 +51,6 @@ class DecorousQuot:
 
 def d_sub(f: BFunc) -> DecorousSub:
     return DecorousSub(f)
-
-
-def u_quot(f: BFunc) -> DecorousQuot:
-    return DecorousQuot(f)
-
-
-def is_full(d: DecorousSub) -> bool:
-    """All of P_k: the boundary is the diamond's top curve."""
-    return d.b.f == top_curve(d.b.k)
-
-
-def is_zero_sub(d: DecorousSub) -> bool:
-    """The zero submodule: the boundary is the diamond's bottom curve."""
-    return d.b.f == bottom_curve(d.b.k)
 
 
 def member(d: DecorousSub, x, length) -> bool:

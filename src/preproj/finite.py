@@ -32,24 +32,6 @@ from .rat import frac, rat_str
 from .symgroup import Perm, Word
 
 
-@dataclass(frozen=True)
-class HomLengths:
-    """Lengths of the pathlike basis of Hom(i, j); the dimension is their count."""
-
-    i: int
-    j: int
-    n: int
-    lengths: tuple[int, ...]
-
-
-def hom_lengths(i: int, j: int, n: int) -> HomLengths:
-    """Path lengths |i-j| + 2t for 0 <= t < min(i, j, n-i, n-j)."""
-    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise IndexOutOfRange(f"vertices {i},{j} outside 1..{n - 1}")
-    count = min(i, j, n - i, n - j)
-    return HomLengths(i, j, n, tuple(abs(i - j) + 2 * t for t in range(count)))
-
-
 def factor_depths(i: int, n: int, j: int) -> range:
     """Depths d carrying a simple factor of P_i at column j (parity i+j+1)."""
     lo = abs(j - i) + 1
@@ -351,10 +333,6 @@ def factor_rep(n: int, positions: Iterable[tuple[int, int]]) -> QuiverRep:
         tuple(index.get((j, d + 1), -1) for d in cols[j + 1]) for j in range(1, n - 1)
     )
     return QuiverRep(n, dims, alpha, alpha_star)
-
-
-def zero_rep(n: int) -> QuiverRep:
-    return factor_rep(n, ())
 
 
 def simple_rep(i: int, n: int) -> QuiverRep:

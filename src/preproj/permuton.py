@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from math import lcm
-from operator import add, ge
+from operator import add, ge, mul
 from typing import Sequence
 
 from .errors import DomainError
@@ -146,13 +146,14 @@ def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
     square's boundary, so its interior corners decide the order exactly; on
     a common grid those corners are the interior rows of the two ``cum``
     tables, whose end columns agree.  Both sides are integers over their own
-    den, so they compare crossed."""
+    den, so they compare crossed, all rows in one flat pass."""
     m = mu.m
     if m == nu.m:
         a, b = mu.cum[1:m], nu.cum[1:m]
     else:
         big, (at, at2) = _union_coords(m, nu.m)
         a, b = _cdf_ints(mu, at, at, big), _cdf_ints(nu, at2, at2, big)
+    a, b = chain.from_iterable(a), chain.from_iterable(b)
     if mu.den != nu.den:
-        a, b = [[v * nu.den for v in r] for r in a], [[v * mu.den for v in r] for r in b]
-    return all(all(map(ge, ra, rb)) for ra, rb in zip(a, b))
+        a, b = map(mul, a, repeat(nu.den)), map(mul, b, repeat(mu.den))
+    return all(map(ge, a, b))

@@ -42,7 +42,7 @@ def num_den(value) -> tuple[int, int]:
         try:
             exact = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {value!r}") from exc
+            raise ParseError(f"bad rational literal {value[:40]!r}") from exc
         if max(abs(exact.numerator), exact.denominator) >= _TOO_LONG:
             raise ParseError(f"{value[:40]!r} needs more than {MAX_EXPONENT} digits")
         return exact.numerator, exact.denominator

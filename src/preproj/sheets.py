@@ -117,14 +117,6 @@ def generators(s: Sheet) -> tuple[Fraction, ...]:
     return s.generators
 
 
-def cone_contains(s: Sheet, s_prime: Sheet, y, a, z, b) -> bool:
-    """Is (z, b) in the cone C_a(y) of the target sheet: a pathlike of length
-    b in the target at z, reachable from height a + up(y) at y?"""
-    y, a, z, b = frac(y), frac(a), frac(z), frac(b)
-    in_target = s_prime.up.f.at(z) <= b < s_prime.down.f.at(z)
-    return in_target and b - (a + s.up.f.at(y)) >= abs(y - z)
-
-
 def delta_fn(s: Sheet, s_prime: Sheet, a) -> PLFunc:
     """Headroom function Delta(y) = down'(y) - (a + up(y))."""
     return vshift(pointwise_sub(s_prime.down.f, s.up.f), -frac(a))

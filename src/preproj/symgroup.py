@@ -146,7 +146,7 @@ def dominance_table(u: Perm) -> list[list[int]]:
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Bruhat order via the dominance criterion u[i,j] <= v[i,j] for all i,j."""
-    if u.n != v.n:
+    if len(u.one_line) != len(v.one_line):
         raise SizeMismatch(f"sizes {u.n} and {v.n} differ")
     return all(map(le, u.dominance, v.dominance))
 

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 
-from preproj.continuous import (Certificate, PermutonIdeal, hom_vanishing_cert,
-                                ideal_summand, left_act, staircase)
-from preproj.errors import NotGridAligned, ParseError
-from preproj.finite import (DiamondCurve, QuiverRep, hom_dim, ideal_of, ideal_via_word,
-                            is_tau_rigid, to_rep)
-from preproj.permuton import (GridPermuton, boundary_function, permuton_bruhat_leq,
-                              union_ticks, uniform)
-from preproj.plfunc import BFunc, PLFunc, pointwise_leq, to_bfunc
-from preproj.sheets import SawtoothDesc
+from preproj.continuous import (Certificate, DecorousQuot, DecorousSub, PermutonIdeal,
+                                hom_vanishing_cert, ideal_summand, left_act, staircase)
+from preproj.errors import IndexOutOfRange, NotGridAligned, ParseError
+from preproj.finite import (DiamondCurve, QuiverRep, factor_rep, hom_dim, ideal_of,
+                            ideal_via_word, is_tau_rigid, to_rep)
+from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
+                              permuton_bruhat_leq, union_ticks, uniform)
+from preproj.plfunc import BFunc, PLFunc, bottom_curve, pointwise_leq, to_bfunc, top_curve
+from preproj.rat import frac
+from preproj.sheets import SawtoothDesc, Sheet
 from preproj.symgroup import Perm, all_perms, all_reduced_words, length
 
 
@@ -174,6 +178,21 @@ def bruhat_leq_on_union_grid(mu: GridPermuton, nu: GridPermuton) -> bool:
     at, at2 = ([divmod(Fraction(k, big) * p, 1) for k in ticks] for p in (mu.m, nu.m))
     a, b = cdf_grid_by_fractions(mu, at, at), cdf_grid_by_fractions(nu, at2, at2)
     return all(x >= y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def bruhat_leq_by_rows(mu: GridPermuton, nu: GridPermuton) -> bool:
+    """The permuton Bruhat order on the same integer corners, one ``all`` per
+    row pair, the rows first cross-multiplied to a common den as lists (the
+    library's former comparison)."""
+    m = mu.m
+    if m == nu.m:
+        a, b = mu.cum[1:m], nu.cum[1:m]
+    else:
+        big, (at, at2) = _union_coords(m, nu.m)
+        a, b = _cdf_ints(mu, at, at, big), _cdf_ints(nu, at2, at2, big)
+    if mu.den != nu.den:
+        a, b = [[v * nu.den for v in r] for r in a], [[v * mu.den for v in r] for r in b]
+    return all(all(map(ge, ra, rb)) for ra, rb in zip(a, b))
 
 
 def count_cdf_oracle(w: Perm, a: Fraction, b: Fraction) -> Fraction:
@@ -573,3 +592,55 @@ def frac_by_fraction_parse(value) -> Fraction:
             raise ParseError(f"{value[:40]!r} needs more than {_MAX_DIGITS} digits")
         return q
     raise ParseError(f"cannot interpret {value!r} as a rational")
+
+
+@dataclass(frozen=True)
+class HomLengths:
+    """Lengths of the pathlike basis of Hom(i, j); the dimension is their count."""
+
+    i: int
+    j: int
+    n: int
+    lengths: tuple[int, ...]
+
+
+def hom_lengths(i: int, j: int, n: int) -> HomLengths:
+    """Path lengths |i-j| + 2t for 0 <= t < min(i, j, n-i, n-j): the table
+    hom_dim must reproduce (formerly ``finite.hom_lengths``)."""
+    if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
+        raise IndexOutOfRange(f"vertices {i},{j} outside 1..{n - 1}")
+    count = min(i, j, n - i, n - j)
+    return HomLengths(i, j, n, tuple(abs(i - j) + 2 * t for t in range(count)))
+
+
+def zero_rep(n: int) -> QuiverRep:
+    """The zero representation: no lattice factors (formerly ``finite.zero_rep``)."""
+    return factor_rep(n, ())
+
+
+def u_quot(f: BFunc) -> DecorousQuot:
+    return DecorousQuot(f)
+
+
+def is_full(d: DecorousSub) -> bool:
+    """All of P_k: the boundary is the diamond's top curve."""
+    return d.b.f == top_curve(d.b.k)
+
+
+def is_zero_sub(d: DecorousSub) -> bool:
+    """The zero submodule: the boundary is the diamond's bottom curve."""
+    return d.b.f == bottom_curve(d.b.k)
+
+
+def cone_contains(s: Sheet, s_prime: Sheet, y, a, z, b) -> bool:
+    """Is (z, b) in the cone C_a(y) of the target sheet: a pathlike of length
+    b in the target at z, reachable from height a + up(y) at y?"""
+    y, a, z, b = frac(y), frac(a), frac(z), frac(b)
+    in_target = s_prime.up.f.at(z) <= b < s_prime.down.f.at(z)
+    return in_target and b - (a + s.up.f.at(y)) >= abs(y - z)
+
+
+def write_by_print(objs) -> None:
+    """One ``print(json.dumps(obj))`` per object (the CLI's former writer)."""
+    for obj in objs:
+        print(json.dumps(obj))

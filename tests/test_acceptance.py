@@ -10,14 +10,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from conftest import random_curve
+from conftest import hom_lengths, is_full, is_zero_sub, random_curve
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
     ideal_leq,
     ideal_summand,
-    is_full,
-    is_zero_sub,
     left_act,
     staircase,
     tau_rigidity_cert,
@@ -26,7 +24,6 @@ from preproj.finite import (
     CurveModule,
     Kind,
     hom_dim,
-    hom_lengths,
     ideal_of,
     ideal_via_word,
     projective,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (frac_by_fraction_parse, homvanish_by_plfuncs, mizuno_by_words,
-                      random_permuton, twosided_by_plfuncs)
+                      random_permuton, twosided_by_plfuncs, write_by_print)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
@@ -189,11 +189,14 @@ class TestCellLiterals:
         with pytest.raises(ParseError) as former:
             frac_by_fraction_parse(cell)
         assert str(former.value) == f"bad rational literal {cell!r}"
+        # the same error, its literal cut at 40 characters like the other caps'
+        error = f"error: bad rational literal {cell[:40]!r}\n"
+        assert len(error) < 80
         for argv in (("ideal", "permuton", path, "--at", "1/2"),
                      ("order", "permuton", path, path),
                      ("check", "twosided", "--perm", "21", "--files", path)):
             assert main(list(argv)) == 2
-            assert capsys.readouterr() == ("", f"error: {former.value}\n")
+            assert capsys.readouterr() == ("", error)
 
 
 class TestCheckCommand:
@@ -902,6 +905,81 @@ class TestBrickAndSheet:
             "codependence": {"y": y, "a": "0", "class": generators},
         }
         assert elapsed < 10  # over one shared denominator it took 20 s
+
+
+def former_writer_agrees(capsys, argv) -> tuple[int, str]:
+    """Runs argv through the CLI's writer and through the former
+    print(json.dumps(obj)) writer; both must give the same exit code and
+    stdout.  Returns the first."""
+    ours = main(list(argv)), capsys.readouterr().out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_write", write_by_print)
+        former = main(list(argv)), capsys.readouterr().out
+    assert ours == former
+    return ours
+
+
+CHECK_ARGVS = [
+    ("check", name, "--n", str(n), *jobs)
+    for name in ("mizuno", "taurigid", "bridge", "bruhat", "twosided")
+    for n in (1, 2, 3, 4) for jobs in ((), ("--jobs", "2"))
+] + [("check", "homvanish", *more) for more in ((), ("--jobs", "2"), ("--perm", "2413"))]
+
+
+class TestWriter:
+    """Every output line from the one encoder, byte for byte as json.dumps."""
+
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(31)
+        write_json(tmp_path, "mu.json", jsonio.permuton_to_json(random_permuton(rng, 4)))
+        write_json(tmp_path, "nu.json", jsonio.permuton_to_json(random_permuton(rng, 6)))
+        write_json(tmp_path, "m.json", {"type": "curve_module",
+                                         **jsonio.curve_module_to_json(projective(2, 5))})
+        h = F(1, 2)
+        up = PLFunc([(0, h), (F(1, 4), h + F(1, 8)), (F(1, 2), h), (1, h)])
+        write_json(tmp_path, "s.json", jsonio.sheet_to_json(
+            sheet_new(h, BFunc(h, up), BFunc(h, bottom_curve(h)))))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv", CHECK_ARGVS, ids=" ".join)
+    def test_checks(self, capsys, argv):
+        code, out = former_writer_agrees(capsys, argv)
+        assert code == (2 if argv[1:4] == ("bridge", "--n", "1") else 0)
+
+    @pytest.mark.parametrize("argv", [
+        ("ideal", "perm", "25341"),
+        ("ideal", "perm", "[10,2,3,4,5,6,7,8,9,1]"),
+        ("ideal", "permuton", "mu.json", "--at", "3/7"),
+        ("order", "bruhat", "2143", "3412"),
+        ("order", "permuton", "mu.json", "nu.json"),
+        ("order", "ideal", "nu.json", "mu.json"),
+        ("brick", "check", "m.json"),
+        ("sheet", "analyze", "s.json", "--cone", "1/2,0", "--codep", "1/2,0"),
+        ("sheet", "analyze", "s.json", "--against", "s.json"),
+    ], ids=" ".join)
+    def test_single_record_commands(self, capsys, files, argv):
+        code, out = former_writer_agrees(capsys, argv)
+        assert code == 0 and out.count("\n") == 1
+
+    def test_failing_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(symgroup, "bruhat_leq", lambda u, v: True)
+        code, out = former_writer_agrees(capsys, ("check", "bruhat", "--n", "3"))
+        assert code == 1 and '"failures": 17' in out
+
+    def test_label_with_escapes(self, capsys, files):
+        name = 'm\u00fc "q" \\ \u00f8.json'
+        (files / name).write_text((files / "mu.json").read_text(), encoding="utf-8")
+        code, out = former_writer_agrees(capsys, ("check", "twosided", "--files", name))
+        assert code == 0
+        assert '"case": "m\\u00fc \\"q\\" \\\\ \\u00f8.json"' in out
+
+    def test_planted_separators_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "_line", lambda obj: json.dumps(obj, separators=(",", ":")) + "\n")
+        with pytest.raises(AssertionError):
+            former_writer_agrees(capsys, ("check", "bruhat", "--n", "2"))
 
 
 class TestRenderCommand:

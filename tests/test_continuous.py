@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_bfunc, random_permuton
+from conftest import is_full, is_zero_sub, random_bfunc, random_permuton, u_quot
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
@@ -13,14 +13,11 @@ from preproj.continuous import (
     hom_vanishing_cert,
     ideal_leq,
     ideal_summand,
-    is_full,
-    is_zero_sub,
     left_act,
     member,
     member_quot,
     staircase,
     tau_rigidity_cert,
-    u_quot,
 )
 from preproj.errors import DomainError, NotGridAligned
 from preproj.finite import hom_dim, ideal_of, projective, tau_sub, to_rep

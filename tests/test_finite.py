@@ -2,7 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import hom_dim_by_elimination, random_curve, sawtooth_rep_by_midpoints
+from conftest import (hom_dim_by_elimination, hom_lengths, random_curve,
+                      sawtooth_rep_by_midpoints, zero_rep)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,6 @@ from preproj.finite import (
     factor_rep,
     factors,
     hom_dim,
-    hom_lengths,
     ideal_of,
     ideal_via_word,
     is_tau_rigid_ideal,
@@ -39,7 +39,6 @@ from preproj.finite import (
     tau_sub,
     to_rep,
     top_removable,
-    zero_rep,
 )
 from preproj.sheets import SawtoothDesc, sawtooth_rep
 from preproj.symgroup import Perm, all_perms, all_reduced_words, apply_word, bruhat_leq

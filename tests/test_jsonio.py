@@ -63,6 +63,14 @@ class TestRat:
             frac(text)
 
 
+def _as_num_den_reports(outcome, value):
+    """The former reader's outcome with a rejected literal cut at 40
+    characters, as num_den reports it."""
+    if outcome == f"bad rational literal {value!r}":
+        return f"bad rational literal {value[:40]!r}"
+    return outcome
+
+
 def _outcome(read, value):
     """(p, q) of what read makes of value, or the text of its ParseError."""
     try:
@@ -91,7 +99,7 @@ class TestNumDen:
     @pytest.mark.parametrize("value", NOT_CANONICAL + CANONICAL,
                              ids=lambda v: repr(v)[:24])
     def test_matches_fraction_reader(self, value):
-        expected = _outcome(frac_by_fraction_parse, value)
+        expected = _as_num_den_reports(_outcome(frac_by_fraction_parse, value), value)
         assert _outcome(num_den, value) == expected
         assert _outcome(frac, value) == expected
         if not isinstance(expected, str):
@@ -102,7 +110,7 @@ class TestNumDen:
     @given(st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True)
            | st.text(st.sampled_from("0123456789-+/._eE \u0663"), max_size=12))
     def test_matches_fraction_reader_on_drawn_literals(self, text):
-        expected = _outcome(frac_by_fraction_parse, text)
+        expected = _as_num_den_reports(_outcome(frac_by_fraction_parse, text), text)
         assert _outcome(num_den, text) == expected
         if not isinstance(expected, str):
             assert expected[1] > 0 and math.gcd(*expected) == 1

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (boundary_points_by_fractions, bruhat_leq_on_union_grid,
-                      cdf_grid_by_fractions, cell_sum_cdf, count_cdf_oracle,
-                      fraction_cum, permuton_equal, random_permuton, refine)
+from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
+                      bruhat_leq_on_union_grid, cdf_grid_by_fractions, cell_sum_cdf,
+                      count_cdf_oracle, fraction_cum, permuton_equal, random_permuton,
+                      refine)
 from preproj import jsonio, permuton
 from preproj.errors import DomainError, ParseError
 from preproj.permuton import (
@@ -284,6 +285,47 @@ class TestPermutonBruhat:
         for mu in permutons:
             for nu in permutons:
                 assert permuton_bruhat_leq(mu, nu) == bruhat_leq_on_union_grid(mu, nu)
+
+
+def drawn_pair(rng, m: int, grids: str, max_weight: int):
+    """Two random permutons on m x m cells, or on m and m + 1 (coprime) cells;
+    their dens differ whenever their weight sums do."""
+    m2 = m if grids == "same" else m + 1
+    return random_permuton(rng, m, max_weight), random_permuton(rng, m2, max_weight)
+
+
+class TestFlatComparison:
+    """permuton_bruhat_leq's one flat pass against the former row-by-row pass."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from(["same", "coprime"]),
+           st.sampled_from([1, 4, 10**15]), st.randoms(use_true_random=False))
+    def test_matches_nested_rows(self, m, grids, max_weight, rng):
+        mu, nu = drawn_pair(rng, m, grids, max_weight)
+        assert permuton_bruhat_leq(mu, nu) == bruhat_leq_by_rows(mu, nu)
+        assert permuton_bruhat_leq(nu, mu) == bruhat_leq_by_rows(nu, mu)
+
+    def test_draws_reach_every_path_and_verdict(self):
+        # same grid or union grid, equal or cross-multiplied dens; both
+        # verdicts on each grid path and on differing dens, where a comparison
+        # of the raw integers (a dropped cross-multiplication) goes wrong
+        rng = random.Random(13)
+        verdicts, raw_wrong = set(), 0
+        for _ in range(600):
+            mu, nu = drawn_pair(rng, rng.randint(1, 6), rng.choice(["same", "coprime"]),
+                                rng.choice([1, 4, 10**15]))
+            got = permuton_bruhat_leq(mu, nu)
+            assert got == bruhat_leq_by_rows(mu, nu)
+            verdicts.add((mu.m == nu.m, mu.den == nu.den, got))
+            if mu.m == nu.m and mu.den != nu.den:
+                raw = all(x >= y for ra, rb in zip(mu.cum, nu.cum) for x, y in zip(ra, rb))
+                raw_wrong += raw != got
+        assert {(grid, den) for grid, den, _ in verdicts} == {
+            (True, True), (True, False), (False, True), (False, False)}
+        for path in (lambda grid, den: grid, lambda grid, den: not grid,
+                     lambda grid, den: not den):
+            assert {got for grid, den, got in verdicts if path(grid, den)} == {True, False}
+        assert raw_wrong > 0
 
 
 class TestIntegerTables:

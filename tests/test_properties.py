@@ -9,8 +9,8 @@ definition on grid-aligned sheets.  Seeded RNG keeps them reproducible.
 import random
 from fractions import Fraction as F
 
-from conftest import random_bfunc, random_curve
-from preproj.continuous import d_sub, member, member_quot, u_quot
+from conftest import random_bfunc, random_curve, u_quot
+from preproj.continuous import d_sub, member, member_quot
 from preproj.plfunc import BFunc, bottom_at, top_at
 from preproj.sheets import generators, sheet_new, sheet_support
 

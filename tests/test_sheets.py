@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    cone_contains,
     leq_on_by_at,
     positive_intervals_by_at,
     random_curve,
@@ -36,7 +37,6 @@ from preproj.sheets import (
     _positive_intervals,
     b_interval,
     codependence_class,
-    cone_contains,
     decorous_cover,
     delta_fn,
     elementary_exists,
