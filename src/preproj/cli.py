@@ -28,13 +28,13 @@ A mizuno case w walks the cover edges of its lower right weak interval
 [e, w] instead of listing reduced words; each record's "words" is the
 number of reduced words of w, and a failing one names its lowest failing
 edge [v, s].  Caches cleared before each check do each weak-order node
-(mizuno), curve representation and Hom pair (taurigid) and stripped (min
-coset rep, i) summand (bridge) once per sweep; the bridge and bruhat payload
-sources build each permutation's permuton once and hand it to every case of
-that permutation; twosided and homvanish read integer summand rows, each
-curve's samples at c/m.  Every output line is json.dumps of its record, written
-by one JSON encoder built once per process; a check writes its case lines in
-one streamed pass.
+(mizuno), Hom pair (taurigid, homvanish; counted on the two curves by
+finite.curve_hom_dim, so only brick check builds a QuiverRep, for is_deep)
+and stripped (min coset rep, i) summand (bridge) once per sweep; the bridge
+and bruhat payload sources build each permutation's permuton once for all
+its cases; twosided and homvanish read integer summand rows, each curve's
+samples at c/m.  Every output line is json.dumps of its record, written by
+one JSON encoder built once per process, each case line as its runner returns.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import product
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from multiprocessing import Pool
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
@@ -247,13 +247,8 @@ def _case_mizuno(w: Perm) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _curve_rep(m: finite.CurveModule) -> finite.QuiverRep:
-    return finite.to_rep(m)  # one build per curve module and sweep
-
-
-@lru_cache(maxsize=None)
 def _hom_vanishes(a: finite.CurveModule, b: finite.CurveModule) -> bool:
-    return finite.hom_dim(_curve_rep(a), _curve_rep(b)) == 0  # one per curve pair
+    return finite.curve_hom_dim(a, b) == 0  # one per curve pair and sweep
 
 
 def _case_taurigid(w: Perm) -> dict:
@@ -349,17 +344,24 @@ def cmd_check(args) -> int:
     payloads = source(args)
     if not payloads:
         raise ParseError(f"check {name} has no cases for these flags")
-    for memo in (_weak_node, _curve_rep, _hom_vanishes, _stripped):
+    for memo in (_weak_node, _hom_vanishes, _stripped):
         memo.cache_clear()  # the per-sweep memos
     jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
+    failures = 0
+
+    def lines(records: Iterable[dict]) -> Iterator[dict]:
+        nonlocal failures
+        for record in records:  # each written as its runner returns
+            failures += not record["ok"]
+            yield {"check": name, **record}
+
     if jobs > 1:
+        chunks, extra = divmod(len(payloads), jobs * 4)  # Pool.map's chunk size
         with Pool(jobs) as pool:
-            records = pool.map(runner, payloads)
+            _write(lines(pool.imap(runner, payloads, chunks + bool(extra))))
     else:
-        records = [runner(p) for p in payloads]
-    failures = sum(not record["ok"] for record in records)
-    _write({"check": name, **record} for record in records)
-    _emit({"summary": True, "check": name, "cases": len(records),
+        _write(lines(map(runner, payloads)))
+    _emit({"summary": True, "check": name, "cases": len(payloads),
            "failures": failures, "pass": failures == 0})
     return 0 if failures == 0 else 1
 
@@ -370,12 +372,10 @@ def cmd_check(args) -> int:
 def cmd_brick_check(args) -> int:
     obj = _load_json(args.file)
     module = jsonio.module_from_json(obj)
-    curve = isinstance(module, finite.CurveModule)
-    subject = finite.to_rep(module) if curve else module
-    end_dim = sheets.end_dim(subject)
+    end_dim = sheets.end_dim(module)
     record = {"type": obj["type"], "brick": end_dim == 1}
-    if curve:
-        record.update(end_dim=end_dim, deep=sheets.is_deep(subject))
+    if isinstance(module, finite.CurveModule):
+        record.update(end_dim=end_dim, deep=sheets.is_deep(finite.to_rep(module)))
     _emit(record)
     return 0
 

@@ -182,16 +182,6 @@ def tau_rigidity_cert(mu: GridPermuton, a, b) -> Certificate:
     return cert
 
 
-def discretize(d: DecorousSub, n: int) -> CurveModule:
-    """Read an already grid-aligned boundary as a diamond curve: its
-    staircase, which must trace the boundary exactly (apex i/n, breakpoints
-    on the 1/n grid, +-1 slopes between samples)."""
-    module = staircase(d, n)
-    if module.curve.as_plfunc() != d.b.f:
-        raise NotGridAligned(f"boundary is not a +-1 staircase on the 1/{n} grid")
-    return module
-
-
 def staircase(d: DecorousSub, n: int) -> CurveModule:
     """Discretise with refinement: replace the boundary by the finest +-1
     staircase above it on the 1/n grid (largest lattice value <= f at each

@@ -5,6 +5,10 @@ projective P_i occupies the diamond with apex at (i/n, 0), the simple factor
 at vertex j and depth d (in units of 1/n) sits at (j/n, d/n), and an ideal
 summand inside P_i is encoded by the +-1-slope grid curve separating the
 factors in the submodule (below the curve) from those outside it.
+
+Hom between curve modules is counted on their curves (curve_hom_dim).  A
+QuiverRep is built for other modules, for hom_dim (the reference that count
+is tested against) and for the loop action that decides deepness.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import symgroup
@@ -30,13 +35,6 @@ from .linalg import rank_of_links
 from .plfunc import PLFunc
 from .rat import frac, rat_str
 from .symgroup import Perm, Word
-
-
-def factor_depths(i: int, n: int, j: int) -> range:
-    """Depths d carrying a simple factor of P_i at column j (parity i+j+1)."""
-    lo = abs(j - i) + 1
-    hi = n - 1 - abs(j - (n - i))
-    return range(lo, hi + 1, 2)
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,19 @@ class CurveModule:
         return self.curve.n
 
 
+@lru_cache(maxsize=None)
+def _diamond(i: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The top and bottom boundaries of P_i's diamond, in units of 1/n."""
+    return (tuple(abs(j - i) for j in range(n + 1)),
+            tuple(n - abs(n - i - j) for j in range(n + 1)))
+
+
 def top_boundary(i: int, n: int) -> DiamondCurve:
-    return DiamondCurve(i, n, tuple(abs(j - i) for j in range(n + 1)))
+    return DiamondCurve(i, n, _diamond(i, n)[0])
 
 
 def bottom_boundary(i: int, n: int) -> DiamondCurve:
-    return DiamondCurve(i, n, tuple(n - abs(n - i - j) for j in range(n + 1)))
+    return DiamondCurve(i, n, _diamond(i, n)[1])
 
 
 def projective(i: int, n: int) -> CurveModule:
@@ -125,14 +130,16 @@ def projective(i: int, n: int) -> CurveModule:
     return CurveModule(Kind.SUB, top_boundary(i, n))
 
 
+def _band(m: CurveModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up, down): the factors of m are the (j, d) with up[j] < d < down[j]."""
+    top, bottom = _diamond(m.i, m.n)
+    return (m.curve.units, bottom) if m.kind is Kind.SUB else (top, m.curve.units)
+
+
 def factors(m: CurveModule) -> Iterator[tuple[int, int]]:
     """The (column, depth) positions of the simple factors of m, column-major."""
-    units = m.curve.units
-    for j in range(1, m.n):
-        cj = units[j]
-        for d in factor_depths(m.i, m.n, j):
-            if (m.kind is Kind.SUB and d > cj) or (m.kind is Kind.QUOT and d < cj):
-                yield (j, d)
+    up, down = _band(m)
+    return ((j, d) for j in range(1, m.n) for d in range(up[j] + 1, down[j], 2))
 
 
 def is_zero(m: CurveModule) -> bool:
@@ -188,7 +195,7 @@ def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
     word = tuple(word)
     if not symgroup.is_reduced(word, n):
         raise NotReduced(f"{word} is not reduced")
-    curves = [list(top_boundary(i, n).units) for i in range(1, n)]
+    curves = [list(_diamond(i, n)[0]) for i in range(1, n)]
     for letter in word:
         _strip_letter(curves, letter)
     return _sub_modules(n, curves)
@@ -335,10 +342,6 @@ def factor_rep(n: int, positions: Iterable[tuple[int, int]]) -> QuiverRep:
     return QuiverRep(n, dims, alpha, alpha_star)
 
 
-def simple_rep(i: int, n: int) -> QuiverRep:
-    return factor_rep(n, [(i, 0)])
-
-
 def to_rep(m: CurveModule) -> QuiverRep:
     """The factor basis of a curve module."""
     return factor_rep(m.n, factors(m))
@@ -386,6 +389,46 @@ def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
     return total - rank_of_links(total, links)
 
 
+def _steps(lo: int, hi: int) -> int:
+    """The e with lo < e < hi and e - lo odd, as the bits e of an int."""
+    return ((1 << (hi - lo)) - 1) // 3 << (lo + 1) if hi > lo else 0
+
+
+def curve_hom_dim(a: CurveModule, b: CurveModule) -> int:
+    """dim Hom(a, b) for curve modules of either kind, read off their curves.
+
+    It equals hom_dim(to_rep(a), to_rep(b)), whose conditions link the
+    unknown (j, d, d + e), from factor d of a to factor d + e of b, to
+    (j +- 1, d + 1, d + 1 + e) or to zero.  At offset e the unknowns of column
+    j lie between the +-1 curves max(up_a, up_b - e) and min(down_a,
+    down_b - e); the classes are the maximal runs of columns where that band
+    is nonempty, and dim Hom counts the runs never joined to zero.  A run is
+    joined at a's deepest factor of a column j next to a k with down_a(k) =
+    down_a(j) - 1 and depth down_a(j) + e in b, or at b's shallowest where
+    up_b(k) = up_b(j) + 1 and a has depth up_b(j) - e at k.  Each such set of
+    e is one interval per column, kept as the bits e + n of an int.
+    """
+    if a.n != b.n:
+        raise SizeMismatch(f"ranks {a.n} and {b.n} differ")
+    n = a.n
+    ua, da = _band(a)
+    ub, db = ([u + n for u in units] for units in _band(b))  # bit e + n for offset e
+    dim = alive = band = 0  # alive: the runs through column j - 1 not yet joined to zero
+    for j in range(1, n):
+        here = dead = 0
+        if ua[j] < da[j] and ub[j] < db[j]:
+            here = _steps(ub[j] - da[j] + 1, db[j] - ua[j] - 1)
+            for k in (j - 1, j + 1):
+                if da[k] == da[j] - 1:
+                    dead |= _steps(ub[k] - da[j], db[k] - da[j])
+                if ub[k] == ub[j] + 1:
+                    dead |= _steps(ub[j] - da[k], ub[j] - ua[k])
+        dim += (alive & ~here).bit_count()
+        alive = here & ~dead & (alive | ~band)
+        band = here
+    return dim + alive.bit_count()
+
+
 def is_tau_rigid(summands: Sequence[CurveModule], hom_vanishes: Callable) -> bool:
     """Hom(M^i, tau M^j) = 0 for every pair of submodules M^i, M^j of
     projectives among the summands: their direct sum is tau-rigid.
@@ -398,6 +441,4 @@ def is_tau_rigid_ideal(w: Perm) -> bool:
     """Hom((I_w)^i, P_j/(I_w)^j) = 0 for all i, j."""
     if w.n > scale_limit():
         raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
-    summands = ideal_of(w)
-    reps = {m: to_rep(m) for m in (*summands, *map(tau_sub, summands))}
-    return is_tau_rigid(summands, lambda a, b: hom_dim(reps[a], reps[b]) == 0)
+    return is_tau_rigid(ideal_of(w), lambda a, b: curve_hom_dim(a, b) == 0)

@@ -89,21 +89,9 @@ def curve_module_from_json(obj: dict) -> CurveModule:
     return CurveModule(kind, curve)
 
 
-def permuton_to_json(mu: GridPermuton) -> dict:
-    return {"m": mu.m, "mass": [[rat_str(v) for v in row] for row in mu.mass]}
-
-
 def permuton_from_json(obj: dict) -> GridPermuton:
     m = _need(obj, "m", int)
     return GridPermuton(m, _need_rows(obj, "mass", m))
-
-
-def sheet_to_json(s: Sheet) -> dict:
-    return {
-        "k": rat_str(s.k),
-        "up": bfunc_to_json(s.up),
-        "down": bfunc_to_json(s.down),
-    }
 
 
 def sheet_from_json(obj: dict) -> Sheet:
@@ -112,15 +100,6 @@ def sheet_from_json(obj: dict) -> Sheet:
         bfunc_from_json(_need(obj, "up")),
         bfunc_from_json(_need(obj, "down")),
     )
-
-
-def sawtooth_to_json(st: SawtoothDesc) -> dict:
-    return {
-        "a": rat_str(st.a),
-        "b": rat_str(st.b),
-        "teeth": [[rat_str(x), rat_str(v)] for x, v in st.teeth],
-        "endpoints": list(st.endpoint_flags),
-    }
 
 
 def sawtooth_from_json(obj: dict) -> SawtoothDesc:
@@ -133,16 +112,6 @@ def sawtooth_from_json(obj: dict) -> SawtoothDesc:
         [(frac(x), frac(v)) for x, v in _need_rows(obj, "teeth", 2)],
         tuple(flags),
     )
-
-
-def module_to_json(module) -> dict:
-    if isinstance(module, SimpleModule):
-        return {"type": "simple", "x": rat_str(module.x)}
-    if isinstance(module, SawtoothDesc):
-        return {"type": "sawtooth", **sawtooth_to_json(module)}
-    if isinstance(module, CurveModule):
-        return {"type": "curve_module", **curve_module_to_json(module)}
-    raise ParseError(f"not a module descriptor: {module!r}")
 
 
 def module_from_json(obj: dict):

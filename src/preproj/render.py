@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ParseError
-from .finite import CurveModule, bottom_boundary, factor_depths
+from .finite import CurveModule, bottom_boundary, factors, projective
 from .jsonio import (
     _get,
     _need,
@@ -117,17 +117,16 @@ def _render_curve_module(panel: _Panel, m: CurveModule, width: str) -> list[str]
     out = _diamond(panel, k)
     # grey lattice: the rotated square of every factor position of P_i
     half = Fraction(1, n)
-    for j in range(1, n):
-        for d in factor_depths(i, n, j):
-            cx, cy = Fraction(j, n), Fraction(d, n)
-            square = [
-                (cx, cy - half),
-                (cx + half, cy),
-                (cx, cy + half),
-                (cx - half, cy),
-                (cx, cy - half),
-            ]
-            out.append(panel.polyline(square, GREY, "0.5"))
+    for j, d in factors(projective(i, n)):
+        cx, cy = Fraction(j, n), Fraction(d, n)
+        square = [
+            (cx, cy - half),
+            (cx + half, cy),
+            (cx, cy + half),
+            (cx - half, cy),
+            (cx, cy - half),
+        ]
+        out.append(panel.polyline(square, GREY, "0.5"))
     curve = [(Fraction(j, n), v) for j, v in enumerate(m.curve.values)]
     bottom = [
         (Fraction(j, n), v)

@@ -23,7 +23,8 @@ from .errors import (
     NotGridAligned,
     NotInSupport,
 )
-from .finite import CurveModule, QuiverRep, factor_rep, hom_dim, loop_action, to_rep
+from .finite import (CurveModule, QuiverRep, curve_hom_dim, factor_rep, hom_dim,
+                     loop_action)
 from .plfunc import BFunc, PLFunc, pointwise_max, pointwise_sub, to_bfunc, vshift
 from .rat import frac
 
@@ -320,11 +321,12 @@ def sawtooth_rep(st: SawtoothDesc, n: int) -> QuiverRep:
 
 def end_dim(module) -> int:
     """dim End(module).  Simples and sawtooth modules have the field as
-    endomorphisms; a curve module, or any QuiverRep, is measured by hom_dim."""
+    endomorphisms; a curve module is measured on its curve by curve_hom_dim,
+    any other QuiverRep by hom_dim."""
     if isinstance(module, (SimpleModule, SawtoothDesc)):
         return 1
     if isinstance(module, CurveModule):
-        module = to_rep(module)
+        return curve_hom_dim(module, module)
     if isinstance(module, QuiverRep):
         return hom_dim(module, module)
     raise DomainError(f"not a module descriptor: {module!r}")

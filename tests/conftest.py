@@ -14,13 +14,14 @@ from operator import ge
 from preproj.continuous import (Certificate, DecorousQuot, DecorousSub, PermutonIdeal,
                                 hom_vanishing_cert, ideal_summand, left_act, staircase)
 from preproj.errors import IndexOutOfRange, NotGridAligned, ParseError
-from preproj.finite import (DiamondCurve, QuiverRep, factor_rep, hom_dim, ideal_of,
-                            ideal_via_word, is_tau_rigid, to_rep)
+from preproj.finite import (CurveModule, DiamondCurve, QuiverRep, factor_rep, hom_dim,
+                            ideal_of, ideal_via_word, is_tau_rigid, to_rep)
+from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, pointwise_leq, to_bfunc, top_curve
-from preproj.rat import frac
-from preproj.sheets import SawtoothDesc, Sheet
+from preproj.rat import frac, rat_str
+from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
 from preproj.symgroup import Perm, all_perms, all_reduced_words, length
 
 
@@ -613,6 +614,11 @@ def hom_lengths(i: int, j: int, n: int) -> HomLengths:
     return HomLengths(i, j, n, tuple(abs(i - j) + 2 * t for t in range(count)))
 
 
+def simple_rep(i: int, n: int) -> QuiverRep:
+    """The simple module at vertex i (formerly ``finite.simple_rep``)."""
+    return factor_rep(n, [(i, 0)])
+
+
 def zero_rep(n: int) -> QuiverRep:
     """The zero representation: no lattice factors (formerly ``finite.zero_rep``)."""
     return factor_rep(n, ())
@@ -644,3 +650,44 @@ def write_by_print(objs) -> None:
     """One ``print(json.dumps(obj))`` per object (the CLI's former writer)."""
     for obj in objs:
         print(json.dumps(obj))
+
+
+# JSON writers of the fixtures the CLI tests read (formerly in preproj.jsonio)
+
+
+def permuton_to_json(mu: GridPermuton) -> dict:
+    return {"m": mu.m, "mass": [[rat_str(v) for v in row] for row in mu.mass]}
+
+
+def sheet_to_json(s: Sheet) -> dict:
+    return {"k": rat_str(s.k), "up": bfunc_to_json(s.up), "down": bfunc_to_json(s.down)}
+
+
+def sawtooth_to_json(st: SawtoothDesc) -> dict:
+    return {
+        "a": rat_str(st.a),
+        "b": rat_str(st.b),
+        "teeth": [[rat_str(x), rat_str(v)] for x, v in st.teeth],
+        "endpoints": list(st.endpoint_flags),
+    }
+
+
+def module_to_json(module) -> dict:
+    if isinstance(module, SimpleModule):
+        return {"type": "simple", "x": rat_str(module.x)}
+    if isinstance(module, SawtoothDesc):
+        return {"type": "sawtooth", **sawtooth_to_json(module)}
+    if isinstance(module, CurveModule):
+        return {"type": "curve_module", **curve_module_to_json(module)}
+    raise ParseError(f"not a module descriptor: {module!r}")
+
+
+def discretize(d: DecorousSub, n: int) -> CurveModule:
+    """Read an already grid-aligned boundary as a diamond curve: its
+    staircase, which must trace the boundary exactly (apex i/n, breakpoints
+    on the 1/n grid, +-1 slopes between samples); formerly
+    ``continuous.discretize``."""
+    module = staircase(d, n)
+    if module.curve.as_plfunc() != d.b.f:
+        raise NotGridAligned(f"boundary is not a +-1 staircase on the 1/{n} grid")
+    return module

@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import sys
 import time
 from fractions import Fraction as F
 from functools import cached_property
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (frac_by_fraction_parse, homvanish_by_plfuncs, mizuno_by_words,
-                      random_permuton, twosided_by_plfuncs, write_by_print)
+                      permuton_to_json, random_permuton, sheet_to_json, twosided_by_plfuncs,
+                      write_by_print)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
@@ -69,7 +72,7 @@ class TestIdealCommands:
 
     def test_ideal_permuton(self, capsys, tmp_path):
         path = write_json(
-            tmp_path, "mu.json", jsonio.permuton_to_json(from_perm(Perm((2, 5, 3, 4, 1))))
+            tmp_path, "mu.json", permuton_to_json(from_perm(Perm((2, 5, 3, 4, 1))))
         )
         code, lines = run(capsys, "ideal", "permuton", path, "--at", "2/5")
         assert code == 0
@@ -80,11 +83,11 @@ class TestIdealCommands:
         assert main(["ideal", "perm", "99"]) == 2
 
     def test_huge_exponent_at_flag(self, capsys, tmp_path):
-        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
+        path = write_json(tmp_path, "mu.json", permuton_to_json(uniform(2)))
         assert main(["ideal", "permuton", path, "--at", "1e999999999"]) == 2
 
     def test_too_many_digits_at_flag(self, capsys, tmp_path):
-        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
+        path = write_json(tmp_path, "mu.json", permuton_to_json(uniform(2)))
         assert main(["ideal", "permuton", path, "--at", "1e-4300"]) == 2
         assert "more than 4300 digits" in capsys.readouterr().err
 
@@ -120,18 +123,18 @@ class TestOrderCommands:
         assert lines[0] == {"leq": True, "geq": False, "comparable": True}
 
     def test_permuton(self, capsys, tmp_path):
-        a = write_json(tmp_path, "a.json", jsonio.permuton_to_json(from_perm(Perm((1, 2)))))
-        b = write_json(tmp_path, "b.json", jsonio.permuton_to_json(uniform(2)))
+        a = write_json(tmp_path, "a.json", permuton_to_json(from_perm(Perm((1, 2)))))
+        b = write_json(tmp_path, "b.json", permuton_to_json(uniform(2)))
         code, lines = run(capsys, "order", "permuton", a, b)
         assert code == 0
         assert lines[0]["leq"] is True and lines[0]["geq"] is False
 
     def test_ideal(self, capsys, tmp_path):
         a = write_json(
-            tmp_path, "a.json", jsonio.permuton_to_json(from_perm(Perm((3, 2, 1))))
+            tmp_path, "a.json", permuton_to_json(from_perm(Perm((3, 2, 1))))
         )
         b = write_json(
-            tmp_path, "b.json", jsonio.permuton_to_json(from_perm(Perm((2, 3, 1))))
+            tmp_path, "b.json", permuton_to_json(from_perm(Perm((2, 3, 1))))
         )
         code, lines = run(capsys, "order", "ideal", a, b)
         assert code == 0
@@ -154,7 +157,7 @@ class TestCellLiterals:
         for folder, reform in (("canonical", False), ("wire", True)):
             (tmp_path / folder).mkdir()
             for name, p in (("mu.json", mu), ("nu.json", nu)):
-                wire = jsonio.permuton_to_json(p)
+                wire = permuton_to_json(p)
                 if reform:
                     wire["mass"] = [[_off_canonical(v, r * p.m + c)
                                      for c, v in enumerate(row)]
@@ -183,7 +186,7 @@ class TestCellLiterals:
     @pytest.mark.parametrize("cell", ["1/0", "1/5/2", "1" * 4301],
                              ids=["zero-den", "two-slashes", "4301-digits"])
     def test_rejected_cell_exits_2(self, capsys, tmp_path, cell):
-        wire = jsonio.permuton_to_json(uniform(2))
+        wire = permuton_to_json(uniform(2))
         wire["mass"][1][0] = cell
         path = write_json(tmp_path, "mu.json", wire)
         with pytest.raises(ParseError) as former:
@@ -216,29 +219,23 @@ class TestCheckCommand:
         assert lines[0]["case"] == "25341" and lines[0]["ok"]
 
     def test_homvanish_with_file(self, capsys, tmp_path):
-        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
+        path = write_json(tmp_path, "mu.json", permuton_to_json(uniform(2)))
         code, lines = run(capsys, "check", "homvanish", "--files", path)
         assert code == 0
         assert lines[-1]["pass"]
 
     def test_homvanish_builds_each_apex_rep_once(self, capsys, monkeypatch):
         built, homs = [], []
-        to_rep, hom_dim = finite.to_rep, finite.hom_dim
-
-        def counting_to_rep(m):
-            built.append(m)
-            return to_rep(m)
-
-        def counting_hom_dim(a, b):
-            homs.append((a, b))
-            return hom_dim(a, b)
-
-        monkeypatch.setattr(finite, "to_rep", counting_to_rep)
-        monkeypatch.setattr(finite, "hom_dim", counting_hom_dim)
+        to_rep, curve_hom_dim = finite.to_rep, finite.curve_hom_dim
+        monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
+        monkeypatch.setattr(finite, "curve_hom_dim",
+                            lambda a, b: homs.append((a, b)) or curve_hom_dim(a, b))
         code, lines = run(capsys, "check", "homvanish", "--perm", "2143")
         assert code == 0 and lines[-1]["pass"]
-        # grid m = 4 at n = 8: apexes 1/4, 1/2, 3/4, a sub and a quotient rep each
-        assert len(built) == 6 and len(homs) == 9
+        # grid m = 4 at n = 8: apexes 1/4, 1/2, 3/4, one Hom per (sub, quot) pair
+        # counted on the curves, so no representation is built
+        assert len(built) == 0 and len(homs) == 9
+        assert len({m for pair in homs for m in pair}) == 6
 
     @staticmethod
     def count_boundary_rows(monkeypatch) -> list:
@@ -328,7 +325,7 @@ class TestCheckCommand:
             return permutons(args, default_perms)
 
         monkeypatch.setattr(cli, "_permutons", recording)
-        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(2)))
+        path = write_json(tmp_path, "mu.json", permuton_to_json(uniform(2)))
         code, lines = run(capsys, "check", "twosided", "--files", path)
         assert code == 0 and lines[-1]["cases"] == 1
         code, lines = run(capsys, "check", "twosided", "--n", "3")
@@ -340,7 +337,7 @@ class TestCheckCommand:
         (["--n", "3"], 6), (["--n", "4", "--sample", "2"], 2), (["--sample", "3"], 3),
         (["--perm", "2413"], 1), ([], 0)])
     def test_twosided_runs_selected_perms_and_files(self, capsys, tmp_path, flags, perms):
-        path = write_json(tmp_path, "mu.json", jsonio.permuton_to_json(uniform(3)))
+        path = write_json(tmp_path, "mu.json", permuton_to_json(uniform(3)))
         code, lines = run(capsys, "check", "twosided", "--files", path, *flags)
         assert code == 0 and lines[-1]["cases"] == perms + 1
         assert [r["case"].startswith("perm:") for r in lines[:-1]] == [True] * perms + [False]
@@ -704,19 +701,18 @@ class TestSummandMemos:
 
     def test_taurigid_solves_each_curve_pair_once(self, capsys, monkeypatch):
         built, homs = [], []
-        to_rep, hom_dim = finite.to_rep, finite.hom_dim
+        to_rep, curve_hom_dim = finite.to_rep, finite.curve_hom_dim
         monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
-        monkeypatch.setattr(finite, "hom_dim",
-                            lambda a, b: homs.append((a, b)) or hom_dim(a, b))
+        monkeypatch.setattr(finite, "curve_hom_dim",
+                            lambda a, b: homs.append((a, b)) or curve_hom_dim(a, b))
         pairs = self.summand_pairs(5)
-        modules = {m for pair in pairs for m in pair}
         for sweep in (1, 2):  # a second check recomputes: the caches are cleared
             code, lines = run(capsys, "check", "taurigid", "--n", "5")
             assert code == 0 and lines[-1]["cases"] == 120
             assert len(homs) == sweep * len(pairs) < sweep * 120 * 16
-            assert len(built) == sweep * len(modules)
-        half = len(built) // 2
-        assert set(built[:half]) == set(built[half:]) == modules
+            assert len(built) == 0  # Hom is counted on the curves
+        half = len(homs) // 2
+        assert set(homs[:half]) == set(homs[half:]) == pairs
 
     @pytest.mark.parametrize("quot_vertex,count", [(None, 12), (4, 4)])
     def test_planted_hom_fails_every_case_with_that_summand(self, capsys, monkeypatch,
@@ -726,10 +722,9 @@ class TestSummandMemos:
         sub = ideal[1]
         other = ideal[quot_vertex - 1] if quot_vertex else sub
         assert not finite.is_zero(sub) and not finite.is_zero(other)
-        wrong, hom_dim = finite.to_rep(sub), finite.hom_dim
-        quot = finite.to_rep(finite.tau_sub(other))
-        monkeypatch.setattr(finite, "hom_dim", lambda a, b: 1 if a == wrong and (
-            quot_vertex is None or b == quot) else hom_dim(a, b))
+        quot, curve_hom_dim = finite.tau_sub(other), finite.curve_hom_dim
+        monkeypatch.setattr(finite, "curve_hom_dim", lambda a, b: 1 if a == sub and (
+            quot_vertex is None or b == quot) else curve_hom_dim(a, b))
         code, lines = run(capsys, "check", "taurigid", "--n", "5")
         failed = {r["case"] for r in lines[:-1] if not r["ok"]}
         expected = {str(w) for w in all_perms(5)
@@ -797,33 +792,29 @@ class TestBrickAndSheet:
 
     def test_brick_check_solves_one_endomorphism_space(self, capsys, tmp_path,
                                                          monkeypatch):
-        built, homs = [], []
-        to_rep, hom_dim = finite.to_rep, finite.hom_dim
-
-        def counting_to_rep(m):
-            built.append(m)
-            return to_rep(m)
-
-        def counting_hom_dim(a, b):
-            homs.append((a, b))
-            return hom_dim(a, b)
-
+        built, homs, solves = [], [], []
+        to_rep, curve_hom_dim, hom_dim = finite.to_rep, finite.curve_hom_dim, finite.hom_dim
+        monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
         for module in (finite, sheets):
-            monkeypatch.setattr(module, "to_rep", counting_to_rep)
-            monkeypatch.setattr(module, "hom_dim", counting_hom_dim)
+            monkeypatch.setattr(module, "curve_hom_dim",
+                                lambda a, b: homs.append((a, b)) or curve_hom_dim(a, b))
+            monkeypatch.setattr(module, "hom_dim",
+                                lambda a, b: solves.append((a, b)) or hom_dim(a, b))
         path = write_json(
             tmp_path,
             "m.json",
             {"type": "curve_module", **jsonio.curve_module_to_json(projective(3, 8))},
         )
         code, lines = run(capsys, "brick", "check", path)
-        assert code == 0 and lines[0]["end_dim"] == 3
-        assert len(built) == 1 and len(homs) == 1
+        assert code == 0 and lines[0]["end_dim"] == 3 and lines[0]["deep"]
+        # one endomorphism count on the curve; one representation, for is_deep
+        assert len(built) == 1 and len(homs) == 1 and len(solves) == 0
+        assert homs == [(projective(3, 8),) * 2] and built == [projective(3, 8)]
 
     def test_sheet_analyze(self, capsys, tmp_path):
         h = F(1, 2)
         sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
-        path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
+        path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         code, lines = run(
             capsys, "sheet", "analyze", path,
             "--cone", "1/2,0", "--codep", "1/2,0",
@@ -849,7 +840,7 @@ class TestBrickAndSheet:
         monkeypatch.setattr(sheets.Sheet, "generators", counted)
         h = F(1, 2)
         sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
-        path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
+        path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         code, lines = run(capsys, "sheet", "analyze", path,
                           "--cone", "1/2,0", "--codep", "1/2,0")
         assert code == 0 and lines[0]["cone"]["elementary"] is True
@@ -867,7 +858,7 @@ class TestBrickAndSheet:
         monkeypatch.setattr(sheets, "delta_fn", counting)
         h = F(1, 2)
         sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
-        path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
+        path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         code, lines = run(capsys, "sheet", "analyze", path,
                           "--cone", "1/2,1/4", "--codep", "1/2,1/4")
         assert code == 0 and lines[0]["cone"]["b_interval"] == ["1/8", "7/8"]
@@ -889,7 +880,7 @@ class TestBrickAndSheet:
         up = PLFunc([(0, h), *((x, h + F(t % 2, 4 * n)) for t, x in enumerate(xs, 1)),
                      (1, h)])
         sheet = sheet_new(h, BFunc(h, up), BFunc(h, bottom_curve(h)))
-        path = write_json(tmp_path, "s.json", jsonio.sheet_to_json(sheet))
+        path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         y = rat_str(xs[n // 2])
         start = time.perf_counter()
         code, lines = run(capsys, "sheet", "analyze", path,
@@ -933,13 +924,13 @@ class TestWriter:
     def files(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         rng = random.Random(31)
-        write_json(tmp_path, "mu.json", jsonio.permuton_to_json(random_permuton(rng, 4)))
-        write_json(tmp_path, "nu.json", jsonio.permuton_to_json(random_permuton(rng, 6)))
+        write_json(tmp_path, "mu.json", permuton_to_json(random_permuton(rng, 4)))
+        write_json(tmp_path, "nu.json", permuton_to_json(random_permuton(rng, 6)))
         write_json(tmp_path, "m.json", {"type": "curve_module",
                                          **jsonio.curve_module_to_json(projective(2, 5))})
         h = F(1, 2)
         up = PLFunc([(0, h), (F(1, 4), h + F(1, 8)), (F(1, 2), h), (1, h)])
-        write_json(tmp_path, "s.json", jsonio.sheet_to_json(
+        write_json(tmp_path, "s.json", sheet_to_json(
             sheet_new(h, BFunc(h, up), BFunc(h, bottom_curve(h)))))
         return tmp_path
 
@@ -974,6 +965,21 @@ class TestWriter:
         code, out = former_writer_agrees(capsys, ("check", "twosided", "--files", name))
         assert code == 0
         assert '"case": "m\\u00fc \\"q\\" \\\\ \\u00f8.json"' in out
+
+    def test_case_lines_stream_before_the_sweep_ends(self, monkeypatch):
+        out, seen = io.StringIO(), []
+        runner, source, unread = cli._CHECKS["taurigid"]
+
+        def watching(w):
+            seen.append(out.getvalue())  # what is written when case w starts
+            return runner(w)
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setitem(cli._CHECKS, "taurigid", (watching, source, unread))
+        assert main(["check", "taurigid", "--n", "3"]) == 0
+        assert len(seen) == 6 and seen[0] == ""
+        assert [json.loads(line)["case"] for line in seen[-1].splitlines()] == [
+            "123", "132", "213", "231", "312"]
 
     def test_planted_separators_fail(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import is_full, is_zero_sub, random_bfunc, random_permuton, u_quot
+from conftest import (discretize, is_full, is_zero_sub, random_bfunc, random_permuton,
+                      u_quot)
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
     d_sub,
-    discretize,
     finite_vs_continuous,
     hom_vanishing_cert,
     ideal_leq,

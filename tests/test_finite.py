@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (hom_dim_by_elimination, hom_lengths, random_curve,
-                      sawtooth_rep_by_midpoints, zero_rep)
+                      sawtooth_rep_by_midpoints, simple_rep, zero_rep)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from preproj.finite import (
     Kind,
     QuiverRep,
     bottom_boundary,
+    curve_hom_dim,
     factor_rep,
     factors,
     hom_dim,
@@ -33,7 +34,6 @@ from preproj.finite import (
     is_zero,
     loop_action,
     projective,
-    simple_rep,
     strip,
     strip_letter,
     tau_sub,
@@ -468,6 +468,64 @@ class TestHomDim:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             hom_dim(simple_rep(1, 4), simple_rep(1, 5))
+
+
+def all_curve_modules(n: int) -> list[CurveModule]:
+    """Every curve module of both kinds at every vertex of rank n."""
+    out = []
+    for i in range(1, n):
+        paths = [[i]]
+        for j in range(1, n + 1):
+            top, bottom = abs(j - i), n - abs(n - i - j)
+            paths = [p + [u] for p in paths for u in (p[-1] - 1, p[-1] + 1)
+                     if top <= u <= bottom]
+        out += [CurveModule(kind, DiamondCurve(i, n, tuple(p)))
+                for p in paths for kind in Kind]
+    return out
+
+
+class TestCurveHomDim:
+    """curve_hom_dim, counted on the curves, against hom_dim on to_rep."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_every_pair_matches_hom_dim(self, n):
+        modules = all_curve_modules(n)
+        reps = {m: to_rep(m) for m in modules}
+        assert len(modules) == 2 * (2 ** n - 2)  # C(n, i) curves at vertex i
+        for a in modules:
+            for b in modules:
+                assert curve_hom_dim(a, b) == hom_dim(reps[a], reps[b]), (a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 20), st.sampled_from(Kind), st.sampled_from(Kind),
+           st.randoms(use_true_random=False))
+    def test_random_pairs_match_hom_dim(self, n, kind_a, kind_b, rng):
+        a = CurveModule(kind_a, random_curve(rng.randint(1, n - 1), n, rng))
+        b = CurveModule(kind_b, random_curve(rng.randint(1, n - 1), n, rng))
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert curve_hom_dim(x, y) == hom_dim(to_rep(x), to_rep(y))
+
+    @pytest.mark.parametrize("n", [10, 14, 18])
+    def test_ideal_summand_pairs_match_hom_dim(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            summands = ideal_of(Perm(rng.sample(range(1, n + 1), n)))
+            modules = [*summands, *map(tau_sub, summands)]
+            reps = {m: to_rep(m) for m in modules}
+            for a in modules:
+                for b in modules:
+                    assert curve_hom_dim(a, b) == hom_dim(reps[a], reps[b])
+
+    def test_projective_endomorphisms(self):
+        for n in range(2, 12):
+            for i in range(1, n):
+                assert curve_hom_dim(projective(i, n), projective(i, n)) == min(i, n - i)
+
+    def test_size_mismatch(self):
+        for a, b in ((projective(1, 4), projective(1, 5)),
+                     (tau_sub(projective(2, 6)), projective(2, 5))):
+            with pytest.raises(SizeMismatch):
+                curve_hom_dim(a, b)
 
 
 class TestTauRigidity:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frac_by_fraction_parse, random_bfunc, random_curve
+from conftest import (frac_by_fraction_parse, module_to_json, permuton_to_json,
+                      random_bfunc, random_curve, sawtooth_to_json, sheet_to_json)
 from preproj import jsonio
 from preproj.cli import parse_perm
 from preproj.errors import DomainError, ParseError, PreprojError
@@ -176,27 +177,27 @@ class TestRoundTrips:
         ]
         modules = list(ideal_of(Perm((2, 5, 3, 4, 1))))
         modules.append(CurveModule(Kind.QUOT, random_curve(3, 7, random.Random(5))))
-        assert [json.dumps(jsonio.module_to_json(m)) for m in modules] == expected
+        assert [json.dumps(module_to_json(m)) for m in modules] == expected
         reloaded = [jsonio.module_from_json(json.loads(text)) for text in expected]
-        assert [json.dumps(jsonio.module_to_json(m)) for m in reloaded] == expected
+        assert [json.dumps(module_to_json(m)) for m in reloaded] == expected
 
     def test_permuton(self):
         for mu in (from_perm(Perm((2, 5, 3, 4, 1))), uniform(3)):
             assert (
-                _roundtrip(mu, jsonio.permuton_to_json, jsonio.permuton_from_json)
+                _roundtrip(mu, permuton_to_json, jsonio.permuton_from_json)
                 == mu
             )
 
     def test_sheet(self):
         h = F(1, 2)
         s = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
-        assert _roundtrip(s, jsonio.sheet_to_json, jsonio.sheet_from_json) == s
+        assert _roundtrip(s, sheet_to_json, jsonio.sheet_from_json) == s
 
     def test_sawtooth(self):
         st = SawtoothDesc(
             0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))], (True, False)
         )
-        assert _roundtrip(st, jsonio.sawtooth_to_json, jsonio.sawtooth_from_json) == st
+        assert _roundtrip(st, sawtooth_to_json, jsonio.sawtooth_from_json) == st
 
     def test_module_descriptors(self):
         for module in (
@@ -205,7 +206,7 @@ class TestRoundTrips:
             CurveModule(Kind.SUB, random_curve(2, 5, random.Random(1))),
         ):
             assert (
-                _roundtrip(module, jsonio.module_to_json, jsonio.module_from_json)
+                _roundtrip(module, module_to_json, jsonio.module_from_json)
                 == module
             )
 
@@ -263,7 +264,7 @@ class TestErrors:
         "flags", [5, None, {"0": True, "1": True}, [True], ["false", "no"], [1, 0]]
     )
     def test_malformed_sawtooth_endpoints(self, flags):
-        obj = jsonio.sawtooth_to_json(
+        obj = sawtooth_to_json(
             SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))])
         )
         with pytest.raises(ParseError):
@@ -285,11 +286,11 @@ LOADERS.append(spec_from_json)
 _H = F(1, 2)
 # one well-formed object per loader, for fuzzing one field at a time
 VALID = [
-    jsonio.permuton_to_json(from_perm(Perm((2, 1, 3)))),
+    permuton_to_json(from_perm(Perm((2, 1, 3)))),
     {"type": "curve_module", **jsonio.curve_module_to_json(ideal_of(Perm((2, 3, 1)))[0])},
-    {"type": "sawtooth", **jsonio.sawtooth_to_json(
+    {"type": "sawtooth", **sawtooth_to_json(
         SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))]))},
-    jsonio.sheet_to_json(sheet_new(_H, BFunc(_H, top_curve(_H)), BFunc(_H, bottom_curve(_H)))),
+    sheet_to_json(sheet_new(_H, BFunc(_H, top_curve(_H)), BFunc(_H, bottom_curve(_H)))),
     {"type": "simple", "x": "1/3"},
     {"width_px": 10, "items": [{"type": "bfunc", **jsonio.bfunc_to_json(BFunc(_H, top_curve(_H)))}]},
 ]

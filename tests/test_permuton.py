@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
                       bruhat_leq_on_union_grid, cdf_grid_by_fractions, cell_sum_cdf,
-                      count_cdf_oracle, fraction_cum, permuton_equal, random_permuton,
-                      refine)
+                      count_cdf_oracle, fraction_cum, permuton_equal, permuton_to_json,
+                      random_permuton, refine)
 from preproj import jsonio, permuton
 from preproj.errors import DomainError, ParseError
 from preproj.permuton import (
@@ -88,7 +88,7 @@ class TestCellReading:
 
     def test_each_distinct_literal_read_once(self, monkeypatch):
         rng = random.Random(13)
-        wire = jsonio.permuton_to_json(random_permuton(rng, 13))
+        wire = permuton_to_json(random_permuton(rng, 13))
         wire["mass"][0][wire["mass"][0].index("0")] = "0/26"  # same value, new literal
         wire["mass"][5] = [f"{2 * F(v).numerator}/{2 * F(v).denominator}"
                            for v in wire["mass"][5]]
@@ -99,7 +99,7 @@ class TestCellReading:
         distinct = {v for row in wire["mass"] for v in row}
         assert sorted(calls) == sorted(distinct) and len(distinct) < 13 * 13
         monkeypatch.undo()
-        assert mu == jsonio.permuton_from_json(jsonio.permuton_to_json(mu))
+        assert mu == jsonio.permuton_from_json(permuton_to_json(mu))
 
     def test_literals_parsed_before_the_shape(self):
         with pytest.raises(ParseError, match="bad rational literal '1/0'"):

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import sheet_to_json
 from preproj.errors import ParseError
 from preproj.finite import ideal_of, projective
 from preproj.plfunc import BFunc, bottom_curve, top_curve
 from preproj.render import RenderSpec, render_svg, spec_from_json
-from preproj.jsonio import bfunc_to_json, curve_module_to_json, sheet_to_json
+from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.sheets import sheet_new
 from preproj.symgroup import Perm
 

@@ -8,6 +8,7 @@ from conftest import (
     positive_intervals_by_at,
     random_curve,
     random_signed_plfunc,
+    simple_rep,
 )
 
 from preproj.errors import (
@@ -25,7 +26,6 @@ from preproj.finite import (
     QuiverRep,
     hom_dim,
     projective,
-    simple_rep,
     to_rep,
 )
 from preproj import sheets
