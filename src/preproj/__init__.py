@@ -3,7 +3,6 @@ type A and their continuous, permuton-indexed analogues."""
 
 from .continuous import (
     Certificate,
-    DecorousQuot,
     DecorousSub,
     PermutonIdeal,
     d_sub,
@@ -12,8 +11,6 @@ from .continuous import (
     ideal_leq,
     ideal_summand,
     left_act,
-    member,
-    member_quot,
     staircase,
     tau_rigidity_cert,
 )

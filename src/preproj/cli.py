@@ -28,13 +28,14 @@ A mizuno case w walks the cover edges of its lower right weak interval
 [e, w] instead of listing reduced words; each record's "words" is the
 number of reduced words of w, and a failing one names its lowest failing
 edge [v, s].  Caches cleared before each check do each weak-order node
-(mizuno), Hom pair (taurigid, homvanish; counted on the two curves by
-finite.curve_hom_dim, so only brick check builds a QuiverRep, for is_deep)
-and stripped (min coset rep, i) summand (bridge) once per sweep; the bridge
-and bruhat payload sources build each permutation's permuton once for all
-its cases; twosided and homvanish read integer summand rows, each curve's
-samples at c/m.  Every output line is json.dumps of its record, written by
-one JSON encoder built once per process, each case line as its runner returns.
+(mizuno), Hom pair (taurigid, homvanish; counted on the two curves, so no
+command builds a QuiverRep) and stripped (min coset rep, i) summand (bridge,
+integer units held to the permuton's boundary row) once per sweep; bridge and
+bruhat build each permutation's permuton once for all its cases, and bruhat
+makes its pairs as they run; twosided and homvanish read integer summand
+rows, each curve's samples at c/m.  Every output line is json.dumps of its
+record, written by one JSON encoder built once per process, each case line
+as its runner returns.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def _case_taurigid(w: Perm) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _stripped(rep: Perm, i: int) -> plfunc.PLFunc:
+def _stripped(rep: Perm, i: int) -> tuple[int, ...]:
     return continuous.stripped_summand(rep, i)  # one per (min coset rep, vertex)
 
 
@@ -269,6 +270,20 @@ def _case_bridge(payload: tuple[Perm, int, permuton.GridPermuton]) -> dict:
 def _with_permutons(perms: list[Perm]) -> list[tuple[Perm, permuton.GridPermuton]]:
     # one build per permutation and sweep, shared by all of its cases
     return [(w, permuton.from_perm(w)) for w in perms]
+
+
+class _Pairs:
+    """Every ordered pair of items, made as the sweep reads them: a sized
+    payload that holds no list of len(items)^2 pairs."""
+
+    def __init__(self, items: list) -> None:
+        self.items = items
+
+    def __len__(self) -> int:
+        return len(self.items) ** 2
+
+    def __iter__(self) -> Iterator[tuple]:
+        return product(self.items, repeat=2)
 
 
 def _case_bruhat(payload: tuple[tuple[Perm, permuton.GridPermuton], ...]) -> dict:
@@ -316,7 +331,7 @@ _CHECKS = {
     ),
     "bruhat": (
         _case_bruhat,
-        lambda args: list(product(_with_permutons(_perms(args, 4)), repeat=2)),
+        lambda args: _Pairs(_with_permutons(_perms(args, 4))),
         ("files",),
     ),
     "twosided": (
@@ -375,7 +390,7 @@ def cmd_brick_check(args) -> int:
     end_dim = sheets.end_dim(module)
     record = {"type": obj["type"], "brick": end_dim == 1}
     if isinstance(module, finite.CurveModule):
-        record.update(end_dim=end_dim, deep=sheets.is_deep(finite.to_rep(module)))
+        record.update(end_dim=end_dim, deep=sheets.is_deep(module))
     _emit(record)
     return 0
 

@@ -12,23 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
-from .errors import CertificateFailure, DomainError, NotGridAligned
+from .errors import CertificateFailure, DomainError, NotGridAligned, SizeMismatch
 from . import symgroup
-from .finite import CurveModule, DiamondCurve, Kind, ideal_via_word
-from .permuton import (GridPermuton, boundary_function, from_perm,
+from .finite import CurveModule, DiamondCurve, Kind, summand_via_word
+from .permuton import (GridPermuton, boundary_function, boundary_row, from_perm,
                        permuton_bruhat_leq, union_ticks)
 from .plfunc import (
     BFunc,
     MonotoneClass,
-    PLFunc,
-    bottom_at,
     bottom_curve,
     monotone_class,
     pointwise_leq,
     pointwise_min,
     pointwise_sub,
-    top_at,
     vshift,
 )
 from .rat import frac
@@ -42,35 +40,8 @@ class DecorousSub:
     b: BFunc
 
 
-@dataclass(frozen=True)
-class DecorousQuot:
-    """Decorous quotient of P_k, boundary from below (shallower lengths kept)."""
-
-    b: BFunc
-
-
 def d_sub(f: BFunc) -> DecorousSub:
     return DecorousSub(f)
-
-
-def member(d: DecorousSub, x, length) -> bool:
-    """Does the pathlike of the given length at column x lie in the submodule?"""
-    x, length = frac(x), frac(length)
-    if not 0 < x < 1:
-        raise DomainError(f"column {x} outside (0,1)")
-    if length < 0:
-        raise DomainError("lengths are nonnegative")
-    return d.b.f.at(x) <= length < bottom_at(d.b.k, x)
-
-
-def member_quot(u: DecorousQuot, x, length) -> bool:
-    """Does the pathlike of the given length at column x survive in the quotient?"""
-    x, length = frac(x), frac(length)
-    if not 0 < x < 1:
-        raise DomainError(f"column {x} outside (0,1)")
-    if length < 0:
-        raise DomainError("lengths are nonnegative")
-    return top_at(u.b.k, x) <= length < u.b.f.at(x)
 
 
 @dataclass(frozen=True)
@@ -123,26 +94,32 @@ def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
     return by_curves
 
 
-def stripped_summand(rep: Perm, i: int) -> PLFunc:
-    """The curve at vertex i of the ideal stripped along the canonical word
-    of rep; (I_w)^i depends on w only through rep = min_coset_rep(w, i)."""
+def stripped_summand(rep: Perm, i: int) -> tuple[int, ...]:
+    """The curve units at vertex i of the ideal stripped along the canonical
+    word of rep; (I_w)^i depends on w only through rep = min_coset_rep(w, i)."""
     word = symgroup.canonical_reduced_word_of_rep(rep, i)
-    return ideal_via_word(word, rep.n)[i - 1].curve.as_plfunc()
+    return summand_via_word(word, rep.n, i)
 
 
 def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None,
                          stripped=stripped_summand) -> bool:
     """Does the ideal curve of w at vertex i equal the boundary function of
-    the permuton mu of w (from_perm(w) by default) at apex i/n?  Exact
-    structural comparison of a stripped summand, read through
-    stripped(rep, i); ideal_of's closed form is the permuton formula itself."""
+    the permuton mu of w (from_perm(w) by default, on w's n-grid) at apex i/n?
+    Both are linear between the columns c/n, so their samples there decide:
+    the stripped summand's units of 1/n, read through stripped(rep, i), and
+    boundary_row's over q^2 den n for i/n = p/q in lowest terms.  (ideal_of's
+    closed form is the permuton formula itself, so the summand is stripped.)"""
     n = w.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"vertex {i} outside 1..{n - 1}")
+    mu = from_perm(w) if mu is None else mu
+    if mu.m != n:
+        raise SizeMismatch(f"permuton on the 1/{mu.m} grid, not w's 1/{n} grid")
     discrete = stripped(symgroup.min_coset_rep(w, i), i)
-    continuous = boundary_function(from_perm(w) if mu is None else mu,
-                                   Fraction(i, n)).f
-    return discrete == continuous
+    g = gcd(i, n)
+    p, q = i // g, n // g
+    scale = q * q * mu.den
+    return [u * scale for u in discrete] == boundary_row(mu, p, q)
 
 
 class Certificate(Enum):

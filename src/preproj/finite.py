@@ -6,9 +6,9 @@ at vertex j and depth d (in units of 1/n) sits at (j/n, d/n), and an ideal
 summand inside P_i is encoded by the +-1-slope grid curve separating the
 factors in the submodule (below the curve) from those outside it.
 
-Hom between curve modules is counted on their curves (curve_hom_dim).  A
-QuiverRep is built for other modules, for hom_dim (the reference that count
-is tested against) and for the loop action that decides deepness.
+Hom between curve modules is counted on their curves (curve_hom_dim) and
+deepness on their bands (sheets.is_deep); a QuiverRep is built only for
+other modules and for hom_dim, the reference that count is tested against.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .errors import (
 )
 from .limits import scale_limit
 from .linalg import rank_of_links
-from .plfunc import PLFunc
-from .rat import frac, rat_str
+from .rat import num_den
 from .symgroup import Perm, Word
 
 
@@ -68,20 +67,16 @@ class DiamondCurve:
     def from_values(cls, i: int, n: int, values: Sequence) -> "DiamondCurve":
         """The curve through the rationals values[j] = c(j/n), each on the 1/n grid."""
         units = []
-        for v in map(frac, values):
-            t = v * n
-            if t.denominator != 1:
-                raise DomainError(f"curve value {rat_str(v)} is off the 1/{n} grid")
-            units.append(t.numerator)
+        for p, q in map(num_den, values):
+            if p * n % q:
+                raise DomainError(f"curve value {p}/{q} is off the 1/{n} grid")
+            units.append(p * n // q)
         return cls(i, n, tuple(units))
 
     @property
     def values(self) -> tuple[Fraction, ...]:
         """c(j/n) for j = 0..n, as rationals."""
         return tuple(Fraction(u, self.n) for u in self.units)
-
-    def as_plfunc(self) -> PLFunc:
-        return PLFunc.from_lattice(self.n, self.units, self.n)
 
 
 class Kind(Enum):
@@ -130,7 +125,7 @@ def projective(i: int, n: int) -> CurveModule:
     return CurveModule(Kind.SUB, top_boundary(i, n))
 
 
-def _band(m: CurveModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def band(m: CurveModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(up, down): the factors of m are the (j, d) with up[j] < d < down[j]."""
     top, bottom = _diamond(m.i, m.n)
     return (m.curve.units, bottom) if m.kind is Kind.SUB else (top, m.curve.units)
@@ -138,7 +133,7 @@ def _band(m: CurveModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def factors(m: CurveModule) -> Iterator[tuple[int, int]]:
     """The (column, depth) positions of the simple factors of m, column-major."""
-    up, down = _band(m)
+    up, down = band(m)
     return ((j, d) for j in range(1, m.n) for d in range(up[j] + 1, down[j], 2))
 
 
@@ -188,17 +183,30 @@ def _sub_modules(n: int, curves: Sequence[Sequence[int]]) -> tuple[CurveModule, 
     )
 
 
-def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
-    """The ideal of a reduced word: process letters left to right, stripping
-    the top copy of S_j from every summand that has one.  The definition
-    that the mizuno and bridge checks hold ideal_of and the permuton to."""
+def _strip_word(word: Word, n: int, vertices: Iterable[int]) -> list[list[int]]:
+    """The curve units of the reduced word's ideal at the given vertices."""
     word = tuple(word)
     if not symgroup.is_reduced(word, n):
         raise NotReduced(f"{word} is not reduced")
-    curves = [list(_diamond(i, n)[0]) for i in range(1, n)]
+    curves = [list(_diamond(i, n)[0]) for i in vertices]
     for letter in word:
         _strip_letter(curves, letter)
-    return _sub_modules(n, curves)
+    return curves
+
+
+def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
+    """The ideal of a reduced word: process letters left to right, stripping
+    the top copy of S_j from every summand that has one.  The definition
+    that the mizuno check holds ideal_of to."""
+    return _sub_modules(n, _strip_word(word, n, range(1, n)))
+
+
+def summand_via_word(word: Word, n: int, i: int) -> tuple[int, ...]:
+    """The curve units of ideal_via_word(word, n)[i - 1], stripped alone (a
+    letter acts on each summand by itself): what the bridge check reads."""
+    if not 1 <= i <= n - 1:
+        raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
+    return tuple(_strip_word(word, n, (i,))[0])
 
 
 def strip_letter(ideal: Sequence[CurveModule], letter: int) -> tuple[CurveModule, ...]:
@@ -411,9 +419,9 @@ def curve_hom_dim(a: CurveModule, b: CurveModule) -> int:
     if a.n != b.n:
         raise SizeMismatch(f"ranks {a.n} and {b.n} differ")
     n = a.n
-    ua, da = _band(a)
-    ub, db = ([u + n for u in units] for units in _band(b))  # bit e + n for offset e
-    dim = alive = band = 0  # alive: the runs through column j - 1 not yet joined to zero
+    ua, da = band(a)
+    ub, db = ([u + n for u in units] for units in band(b))  # bit e + n for offset e
+    dim = alive = before = 0  # alive: the runs through column j - 1 not yet joined to zero
     for j in range(1, n):
         here = dead = 0
         if ua[j] < da[j] and ub[j] < db[j]:
@@ -424,8 +432,8 @@ def curve_hom_dim(a: CurveModule, b: CurveModule) -> int:
                 if ub[k] == ub[j] + 1:
                     dead |= _steps(ub[j] - da[k], ub[j] - ua[k])
         dim += (alive & ~here).bit_count()
-        alive = here & ~dead & (alive | ~band)
-        band = here
+        alive = here & ~dead & (alive | ~before)
+        before = here
     return dim + alive.bit_count()
 
 

@@ -14,6 +14,7 @@ Formats:
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Any
 
 from .errors import ParseError
@@ -68,12 +69,18 @@ def bfunc_from_json(obj: dict) -> BFunc:
     return BFunc(frac(_need(obj, "k")), plfunc_from_json(obj))
 
 
+def _unit_str(u: int, n: int) -> str:
+    """u/n, n > 0, in the wire's lowest terms."""
+    g = gcd(u, n)
+    return str(u // g) if g == n else f"{u // g}/{n // g}"
+
+
 def curve_module_to_json(m: CurveModule) -> dict:
     return {
         "n": m.n,
         "i": m.i,
         "kind": m.kind.value,
-        "curve": [rat_str(v) for v in m.curve.values],
+        "curve": [_unit_str(u, m.n) for u in m.curve.units],
     }
 
 

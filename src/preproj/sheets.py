@@ -23,7 +23,7 @@ from .errors import (
     NotGridAligned,
     NotInSupport,
 )
-from .finite import (CurveModule, QuiverRep, curve_hom_dim, factor_rep, hom_dim,
+from .finite import (CurveModule, QuiverRep, band, curve_hom_dim, factor_rep, hom_dim,
                      loop_action)
 from .plfunc import BFunc, PLFunc, pointwise_max, pointwise_sub, to_bfunc, vshift
 from .rat import frac
@@ -189,9 +189,15 @@ def _leq_on(f: PLFunc, g: PLFunc, lo: Fraction, hi: Fraction) -> bool:
     )
 
 
-def is_deep(rep: QuiverRep) -> bool:
-    """Does some length-two loop act nonzero on the representation?"""
-    return any(t != -1 for j in range(1, rep.n - 1) for t in loop_action(rep, j))
+def is_deep(module) -> bool:
+    """Does some length-two loop act nonzero on a CurveModule or QuiverRep?
+    A loop sends the factor (j, d) through (j+1, d+1) to (j, d+2); a band's
+    +-1 curves hold the middle one whenever they hold both ends, so a curve
+    module is deep exactly when some column holds two factors."""
+    if isinstance(module, CurveModule):
+        up, down = band(module)
+        return any(b - a >= 4 for a, b in zip(up, down))
+    return any(t != -1 for j in range(1, module.n - 1) for t in loop_action(module, j))
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import ge
 
-from preproj.continuous import (Certificate, DecorousQuot, DecorousSub, PermutonIdeal,
-                                hom_vanishing_cert, ideal_summand, left_act, staircase)
-from preproj.errors import IndexOutOfRange, NotGridAligned, ParseError
+from preproj.continuous import (Certificate, DecorousSub, PermutonIdeal, hom_vanishing_cert,
+                                ideal_summand, left_act, staircase)
+from preproj.errors import (DomainError, IndexOutOfRange, NotGridAligned, NotLipschitz,
+                            ParseError)
 from preproj.finite import (CurveModule, DiamondCurve, QuiverRep, factor_rep, hom_dim,
                             ideal_of, ideal_via_word, is_tau_rigid, to_rep)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
-from preproj.plfunc import BFunc, PLFunc, bottom_curve, pointwise_leq, to_bfunc, top_curve
+from preproj.plfunc import (BFunc, PLFunc, bottom_at, bottom_curve, pointwise_leq, to_bfunc,
+                            top_at, top_curve)
 from preproj.rat import frac, rat_str
 from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
-from preproj.symgroup import Perm, all_perms, all_reduced_words, length
+from preproj.symgroup import (Perm, all_perms, all_reduced_words,
+                              canonical_reduced_word_of_rep, length, min_coset_rep)
+
+
+def as_plfunc(curve: DiamondCurve) -> PLFunc:
+    """The curve as a PL function (formerly ``DiamondCurve.as_plfunc``)."""
+    return PLFunc.from_lattice(curve.n, curve.units, curve.n)
 
 
 def random_curve(i: int, n: int, rng: random.Random) -> DiamondCurve:
@@ -624,8 +632,38 @@ def zero_rep(n: int) -> QuiverRep:
     return factor_rep(n, ())
 
 
+@dataclass(frozen=True)
+class DecorousQuot:
+    """Decorous quotient of P_k, boundary from below (shallower lengths kept);
+    formerly ``continuous.DecorousQuot``."""
+
+    b: BFunc
+
+
 def u_quot(f: BFunc) -> DecorousQuot:
     return DecorousQuot(f)
+
+
+def member(d: DecorousSub, x, length) -> bool:
+    """Does the pathlike of the given length at column x lie in the submodule?
+    (formerly ``continuous.member``)"""
+    x, length = frac(x), frac(length)
+    if not 0 < x < 1:
+        raise DomainError(f"column {x} outside (0,1)")
+    if length < 0:
+        raise DomainError("lengths are nonnegative")
+    return d.b.f.at(x) <= length < bottom_at(d.b.k, x)
+
+
+def member_quot(u: DecorousQuot, x, length) -> bool:
+    """Does the pathlike of the given length at column x survive in the
+    quotient?  (formerly ``continuous.member_quot``)"""
+    x, length = frac(x), frac(length)
+    if not 0 < x < 1:
+        raise DomainError(f"column {x} outside (0,1)")
+    if length < 0:
+        raise DomainError("lengths are nonnegative")
+    return top_at(u.b.k, x) <= length < u.b.f.at(x)
 
 
 def is_full(d: DecorousSub) -> bool:
@@ -688,6 +726,38 @@ def discretize(d: DecorousSub, n: int) -> CurveModule:
     on the 1/n grid, +-1 slopes between samples); formerly
     ``continuous.discretize``."""
     module = staircase(d, n)
-    if module.curve.as_plfunc() != d.b.f:
+    if as_plfunc(module.curve) != d.b.f:
         raise NotGridAligned(f"boundary is not a +-1 staircase on the 1/{n} grid")
     return module
+
+
+def bridge_by_plfuncs(w: Perm, i: int, mu: GridPermuton) -> bool:
+    """finite_vs_continuous's former route: summand i of the whole stripped
+    ideal, as a PLFunc, against the permuton's boundary function at i/n.  A
+    row that is no boundary curve (BFunc refuses it) is no summand's curve."""
+    rep = min_coset_rep(w, i)
+    word = canonical_reduced_word_of_rep(rep, i)
+    discrete = as_plfunc(ideal_via_word(word, w.n)[i - 1].curve)
+    try:
+        return discrete == boundary_function(mu, Fraction(i, w.n)).f
+    except (DomainError, NotLipschitz):
+        return False
+
+
+def curve_from_values_by_fractions(i: int, n: int, values) -> DiamondCurve:
+    """The curve through the rationals values[j] = c(j/n), each read as a
+    Fraction (formerly ``DiamondCurve.from_values``)."""
+    units = []
+    for v in map(frac, values):
+        t = v * n
+        if t.denominator != 1:
+            raise DomainError(f"curve value {rat_str(v)} is off the 1/{n} grid")
+        units.append(t.numerator)
+    return DiamondCurve(i, n, tuple(units))
+
+
+def curve_module_to_json_by_fractions(m: CurveModule) -> dict:
+    """A curve module's JSON, each value a Fraction through ``rat_str``
+    (formerly ``jsonio.curve_module_to_json``)."""
+    return {"n": m.n, "i": m.i, "kind": m.kind.value,
+            "curve": [rat_str(v) for v in m.curve.values]}

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from conftest import hom_lengths, is_full, is_zero_sub, random_curve
+from conftest import as_plfunc, hom_lengths, is_full, is_zero_sub, random_curve
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
@@ -94,7 +94,7 @@ def test_criterion_3_discrete_continuous_bridge():
             mu = from_perm(w)
             summands = ideal_via_word(min(all_reduced_words(w)), 5)
             for i in range(1, 5):
-                discrete = summands[i - 1].curve.as_plfunc()
+                discrete = as_plfunc(summands[i - 1].curve)
                 assert discrete == boundary_function(mu, F(i, 5)).f
                 cases += 1
         assert cases == 480
@@ -103,8 +103,8 @@ def test_criterion_3_discrete_continuous_bridge():
         f1 = PLFunc([(0, F(1, 5)), (F(4, 5), 1), (1, F(4, 5))])
         f2 = PLFunc([(0, F(2, 5)), (F(1, 5), F(1, 5)), (F(4, 5), F(4, 5)), (1, F(3, 5))])
         stripped = ideal_via_word((1, 2, 4, 3, 2, 4), 5)
-        assert stripped[0].curve.as_plfunc() == f1
-        assert stripped[1].curve.as_plfunc() == f2
+        assert as_plfunc(stripped[0].curve) == f1
+        assert as_plfunc(stripped[1].curve) == f2
 
 
 def test_criterion_4_bruhat_equivalence():
@@ -175,7 +175,7 @@ def test_criterion_6_worked_permuton_examples():
                 pts = sorted((1 - x, y) for x, y in pts)
             expected = PLFunc(pts)
             assert boundary_function(mu, F(i, 5)).f == expected
-            assert ideal_of(W)[i - 1].curve.as_plfunc() == expected
+            assert as_plfunc(ideal_of(W)[i - 1].curve) == expected
 
 
 def test_criterion_7_two_sidedness():

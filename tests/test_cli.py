@@ -733,13 +733,13 @@ class TestSummandMemos:
 
     def test_bridge_strips_each_coset_rep_once(self, capsys, monkeypatch):
         words = []
-        true_ideal_via_word = continuous.ideal_via_word
+        true_summand_via_word = continuous.summand_via_word
 
-        def counting(word, n):
-            words.append((tuple(word), n))
-            return true_ideal_via_word(word, n)
+        def counting(word, n, i):
+            words.append((tuple(word), n, i))
+            return true_summand_via_word(word, n, i)
 
-        monkeypatch.setattr(continuous, "ideal_via_word", counting)
+        monkeypatch.setattr(continuous, "summand_via_word", counting)
         for sweep in (1, 2):
             code, lines = run(capsys, "check", "bridge", "--n", "5")
             assert code == 0 and lines[-1]["cases"] == 480
@@ -807,9 +807,9 @@ class TestBrickAndSheet:
         )
         code, lines = run(capsys, "brick", "check", path)
         assert code == 0 and lines[0]["end_dim"] == 3 and lines[0]["deep"]
-        # one endomorphism count on the curve; one representation, for is_deep
-        assert len(built) == 1 and len(homs) == 1 and len(solves) == 0
-        assert homs == [(projective(3, 8),) * 2] and built == [projective(3, 8)]
+        # one endomorphism count on the curve; deepness read off its band
+        assert len(built) == 0 and len(homs) == 1 and len(solves) == 0
+        assert homs == [(projective(3, 8),) * 2]
 
     def test_sheet_analyze(self, capsys, tmp_path):
         h = F(1, 2)

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (discretize, is_full, is_zero_sub, random_bfunc, random_permuton,
-                      u_quot)
+from conftest import (as_plfunc, bridge_by_plfuncs, discretize, is_full, is_zero_sub, member,
+                      member_quot, random_bfunc, random_permuton, u_quot)
+from preproj import continuous, permuton
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
@@ -14,12 +17,10 @@ from preproj.continuous import (
     ideal_leq,
     ideal_summand,
     left_act,
-    member,
-    member_quot,
     staircase,
     tau_rigidity_cert,
 )
-from preproj.errors import DomainError, NotGridAligned
+from preproj.errors import DomainError, NotGridAligned, SizeMismatch
 from preproj.finite import hom_dim, ideal_of, projective, tau_sub, to_rep
 from preproj.permuton import boundary_function, from_perm, permuton_bruhat_leq, uniform
 from preproj.plfunc import (
@@ -213,6 +214,84 @@ class TestBridge:
             for i in range(1, 4):
                 assert finite_vs_continuous(w, i)
 
+    def test_permuton_off_the_grid_of_w(self):
+        for mu in (uniform(4), from_perm(Perm.identity(6))):
+            with pytest.raises(SizeMismatch):
+                finite_vs_continuous(W, 2, mu)
+
+
+def perturbed_row(seed: int, share: F):
+    """A boundary_row that moves one sample, at any column c = 0..m, of a
+    seeded share of the curves: by one unit or by one or two steps of 1/m."""
+    true_row = permuton.boundary_row
+
+    def row(mu, p, q):
+        out = true_row(mu, p, q)
+        rng = random.Random(f"{seed}:{p}/{q}:{mu.cum}")
+        if rng.random() < share:
+            step = q * q * mu.den
+            out[rng.randrange(mu.m + 1)] += rng.choice([-2 * step, -step, -1, 1, step, 2 * step])
+        return out
+
+    return row
+
+
+def moved_sample(true_row, c: int, delta: int):
+    """true_row with sample c moved by delta units."""
+
+    def row(mu, p, q):
+        out = true_row(mu, p, q)
+        out[c] += delta
+        return out
+
+    return row
+
+
+class TestBridgeOnRows:
+    """The bridge verdict on integer rows against the former PLFunc route."""
+
+    def test_all_of_s2_to_s6(self):
+        for n in range(2, 7):
+            for w in all_perms(n):
+                mu = from_perm(w)
+                for i in range(1, n):
+                    assert finite_vs_continuous(w, i, mu) is bridge_by_plfuncs(w, i, mu) is True
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_random_permutations(self, one_line):
+        w = Perm(one_line)
+        mu = from_perm(w)
+        for i in range(1, w.n):
+            assert finite_vs_continuous(w, i, mu) is bridge_by_plfuncs(w, i, mu) is True
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perturbed_rows(self, monkeypatch, seed):
+        for module in (permuton, continuous):
+            monkeypatch.setattr(module, "boundary_row", perturbed_row(seed, F(1, 3)))
+        rng = random.Random(seed)
+        seen = set()
+        for n in range(2, 8):
+            perms = list(all_perms(n))
+            for w in rng.sample(perms, min(30, len(perms))):
+                mu = from_perm(w)
+                for i in range(1, n):
+                    verdict = finite_vs_continuous(w, i, mu)
+                    assert verdict is bridge_by_plfuncs(w, i, mu), (w, i)
+                    seen.add(verdict)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_a_moved_sample_at_any_column_fails(self, monkeypatch, delta):
+        w = Perm((2, 5, 3, 4, 1))
+        mu = from_perm(w)
+        true_row = permuton.boundary_row
+        for c in range(6):
+            for module in (permuton, continuous):
+                monkeypatch.setattr(module, "boundary_row", moved_sample(true_row, c, delta))
+            for i in range(1, 5):
+                assert finite_vs_continuous(w, i, mu) is bridge_by_plfuncs(w, i, mu) is False
+
 
 class TestCertificates:
     def test_equal_curves_constant(self):
@@ -281,7 +360,7 @@ class TestDiscretize:
     def test_discretize_is_staircase_on_ideal_curves(self, n):
         modules = {m for w in all_perms(n) for m in ideal_of(w)}
         for m in modules:
-            d = d_sub(BFunc(F(m.i, n), m.curve.as_plfunc()))
+            d = d_sub(BFunc(F(m.i, n), as_plfunc(m.curve)))
             assert discretize(d, n) == staircase(d, n) == m
 
     def test_off_grid_breakpoints(self):

@@ -36,11 +36,12 @@ from preproj.finite import (
     projective,
     strip,
     strip_letter,
+    summand_via_word,
     tau_sub,
     to_rep,
     top_removable,
 )
-from preproj.sheets import SawtoothDesc, sawtooth_rep
+from preproj.sheets import SawtoothDesc, is_deep, sawtooth_rep
 from preproj.symgroup import Perm, all_perms, all_reduced_words, apply_word, bruhat_leq
 
 W = Perm((2, 5, 3, 4, 1))
@@ -174,6 +175,30 @@ class TestIdealViaWord:
     def test_rejects_non_reduced(self):
         with pytest.raises(NotReduced):
             ideal_via_word((1, 1), 5)
+
+
+class TestSummandViaWord:
+    """One summand stripped alone, against that summand of the whole ideal."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 14).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_the_whole_ideal(self, one_line, rng):
+        w = Perm(one_line)
+        word = descent_walk_word(w, rng)
+        for prefix in (word, word[:rng.randint(0, len(word))]):  # both reduced
+            ideal = ideal_via_word(prefix, w.n)
+            for i in range(1, w.n):
+                assert summand_via_word(prefix, w.n, i) == ideal[i - 1].curve.units
+
+    def test_rejects_non_reduced_words_and_vertices_outside(self):
+        with pytest.raises(NotReduced):
+            summand_via_word((1, 1), 5, 1)
+        for i in (0, 5):
+            with pytest.raises(IndexOutOfRange):
+                summand_via_word((), 5, i)
 
 
 class TestStripLetter:
@@ -542,3 +567,21 @@ class TestTauRigidity:
         monkeypatch.setenv("PREPROJ_MAX_N", "4")
         with pytest.raises(TooLarge):
             is_tau_rigid_ideal(Perm.identity(5))
+
+
+class TestBandDeepness:
+    """sheets.is_deep of a curve module, read off its band, against the loop
+    action on its representation."""
+
+    def test_every_curve_module_matches_its_rep(self):
+        modules = [m for n in range(2, 9) for m in all_curve_modules(n)]
+        verdicts = [is_deep(m) for m in modules]
+        assert len(modules) == 988
+        assert verdicts == [is_deep(to_rep(m)) for m in modules]
+        assert 0 < sum(verdicts) < len(modules)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 20), st.sampled_from(Kind), st.randoms(use_true_random=False))
+    def test_random_modules_match_their_reps(self, n, kind, rng):
+        m = CurveModule(kind, random_curve(rng.randint(1, n - 1), n, rng))
+        assert is_deep(m) == is_deep(to_rep(m))

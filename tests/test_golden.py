@@ -1,0 +1,112 @@
+"""Golden digests: the sha256 of stdout and the exit code of fixed commands.
+
+The digests were taken from the program before curve modules were read and
+written in integer units, so a change that claims the same output bytes is
+held to them here.  They cover every check at n = 1..5, the homvanish and
+twosided defaults, ideal perm at n = 12, 16, 20, and brick check on fixed
+curve-module files at the same sizes.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+
+from preproj.cli import main
+
+CHECKS = ("mizuno", "taurigid", "bridge", "bruhat", "twosided")
+
+# a fixed permutation per size, as a JSON array
+PERMS = {
+    12: [7, 2, 11, 4, 9, 12, 1, 6, 3, 10, 5, 8],
+    16: [9, 14, 3, 16, 6, 1, 12, 8, 15, 2, 11, 5, 13, 4, 10, 7],
+    20: [11, 3, 18, 7, 20, 1, 15, 9, 13, 5, 19, 2, 16, 8, 12, 4, 17, 6, 14, 10],
+}
+
+
+def projective_units(i: int, n: int) -> list[int]:
+    """P_i: the curve on the diamond's top, in units of 1/n."""
+    return [abs(j - i) for j in range(n + 1)]
+
+
+def deep_sub_units(i: int, n: int) -> list[int]:
+    """A submodule of P_i cut flat at depth about n/4: the top boundary or the
+    level n/4 (n/4 - 1 where the parity of the lattice asks), the deeper."""
+    d = n // 4
+    return [max(abs(j - i), d - (d - i - j) % 2) for j in range(n + 1)]
+
+
+def curve_file(tmp_path, name: str, i: int, n: int, units: list[int]) -> str:
+    """A curve-module JSON file, its values written by Fraction itself."""
+    payload = {"type": "curve_module", "n": n, "i": i, "kind": "sub",
+               "curve": [str(Fraction(u, n)) for u in units]}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def argvs(tmp_path) -> dict[str, list[str]]:
+    runs = {f"check {name} --n {n}": ["check", name, "--n", str(n)]
+            for name in CHECKS for n in range(1, 6)}
+    runs["check homvanish"] = ["check", "homvanish"]
+    runs["check twosided"] = ["check", "twosided"]
+    for n, w in PERMS.items():
+        runs[f"ideal perm {n}"] = ["ideal", "perm", json.dumps(w)]
+        i = n // 2
+        for name, units in (("projective", projective_units(i, n)),
+                            ("deep", deep_sub_units(i, n))):
+            path = curve_file(tmp_path, f"{name}{n}", i, n, units)
+            runs[f"brick check {name} {n}"] = ["brick", "check", path]
+    return runs
+
+
+GOLDEN = {
+    "brick check deep 12": ("e2f25145a4006e4006b1add4ec1de278e30ea600182aa86c60741c91c5a192a4", 0),
+    "brick check deep 16": ("65a130b17a9c69ea45c5062b0a3df7270f460f7bfd9cac29a92e4d5e24db1aac", 0),
+    "brick check deep 20": ("94946b92a0ee23bd06ad47f477d8dc696296b03ecf5c82396b63be4710b5b4d4", 0),
+    "brick check projective 12": ("65a130b17a9c69ea45c5062b0a3df7270f460f7bfd9cac29a92e4d5e24db1aac", 0),
+    "brick check projective 16": ("94946b92a0ee23bd06ad47f477d8dc696296b03ecf5c82396b63be4710b5b4d4", 0),
+    "brick check projective 20": ("2e0b64ca38dc780149e58a799296a3dc96cb6edc95be3544131930a985e7c350", 0),
+    "check bridge --n 1": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    "check bridge --n 2": ("269bb48e2c19a208fdef3d21e29deeeb4aa46f32171ed82e8b24d735753feb8c", 0),
+    "check bridge --n 3": ("a57ca790bb11c25386c388f0d1761d1027eb58614f3d5bb9c2f0af7d2e19a1fb", 0),
+    "check bridge --n 4": ("a121f574b37a640afda0b4df5d9829052fd77802421bbfcbc8bf77eaa09c74c9", 0),
+    "check bridge --n 5": ("62d8f1461b47505182ff9c9e87998c058717baf57b24478f5f962ea99e61d53b", 0),
+    "check bruhat --n 1": ("5b906b25be524efc91c0831bc0f6acb9730fc958872c94e855903edd5258b6e9", 0),
+    "check bruhat --n 2": ("2469e089dceeeccca217b2f45ce5546da39880daf5e184f4cf8340d3b43643ae", 0),
+    "check bruhat --n 3": ("140d434e3170929ffe5cc950cbf9cf84158dcd8b85cd2363d1da562313c2a7fb", 0),
+    "check bruhat --n 4": ("d229fd759b45a0c0bd0e1dadfd3bacf8f3d74a10d48fc8141cc1ae766fcf2714", 0),
+    "check bruhat --n 5": ("cf78b9e41f7f9e1c347d7946af23b17bcbb1ef7fc8f8422439558e4c4c02d73b", 0),
+    "check homvanish": ("3270d898ea673ca328fa5a1592a8f87ea062fc35f6bca3f9b6c41178804a4d72", 0),
+    "check mizuno --n 1": ("0220a08bf3b9d5f34dc119ff88b7f02932c5615de48fc74ced34057ea549a011", 0),
+    "check mizuno --n 2": ("328be3a280e059be37783c4363f90582c1ebb2f4eacc7edc2762780daed1bce0", 0),
+    "check mizuno --n 3": ("0930f20c87fc7627c453093835a7f92e0bc74678414688187c7fe71e4a2e20ff", 0),
+    "check mizuno --n 4": ("611a976c38fe7edb6391cfc7b32f2c2510be080402a68b2a22765e4db4c0723c", 0),
+    "check mizuno --n 5": ("f5bb6e0294bde69c5aa6483663318f30b9284c4d46e94fceb8a9be285b14f4b1", 0),
+    "check taurigid --n 1": ("8a861dab663441ff3197156360a16c42271b699a767cf676179501ee2d70b3c5", 0),
+    "check taurigid --n 2": ("fd8a322cc6aa3678949e48f2b82ad8f51e4ec8e575b79b848c28f5efe0815b0b", 0),
+    "check taurigid --n 3": ("b9093bc03f4e5f9ccb675812d2b7d98d9edd7bba137a0f2b77a385188b32ea12", 0),
+    "check taurigid --n 4": ("851e8031697b4673e3ef3a52084a7b0a5febf79b4d5c2f84e7e8d6c27757a5be", 0),
+    "check taurigid --n 5": ("fc82bc504651334184ef8d409db95d4d948f63ecf0fd92d4c2681585dee1011b", 0),
+    "check twosided": ("b13de9c94fd0ef958737ea325fa3a459150032b5a2b2d9c530338efba20b05eb", 0),
+    "check twosided --n 1": ("46d342e5a071806d716aea6e43e126e6c9b4299bd5a55c496ef7e81a95a6f981", 0),
+    "check twosided --n 2": ("18e2e0d6731c2136c9a7be4747660fda5db2b04a281ec4de007eb07e04fbdc0c", 0),
+    "check twosided --n 3": ("9aaaec8265ea0ac09bcf8a51f09c416eb682ceb6ec51077334f7a62328807b8f", 0),
+    "check twosided --n 4": ("b13de9c94fd0ef958737ea325fa3a459150032b5a2b2d9c530338efba20b05eb", 0),
+    "check twosided --n 5": ("77fc59ec1aba009db86ef0ce26b65cb8c154df4112e58904b6212bd494994f1c", 0),
+    "ideal perm 12": ("c1c680472b58d1161b93f5af95134f4a4d6ebbb72d599204a78dfd4e60fd4168", 0),
+    "ideal perm 16": ("caf7141c79c0513bd94c96cb7104acdb46c9b5e7ea3ee6b886ec38f4e39daf1e", 0),
+    "ideal perm 20": ("47320c0f4175fad4b9fb9bdde8096dc67d937a1fe63b8951baf92f9e76abad9a", 0),
+}
+
+
+def test_every_command_is_pinned(tmp_path):
+    assert set(argvs(tmp_path)) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_same_bytes_and_exit_code(capsys, tmp_path, label):
+    code = main(argvs(tmp_path)[label])
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[label]

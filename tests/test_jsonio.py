@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (frac_by_fraction_parse, module_to_json, permuton_to_json,
-                      random_bfunc, random_curve, sawtooth_to_json, sheet_to_json)
+from conftest import (curve_from_values_by_fractions, curve_module_to_json_by_fractions,
+                      frac_by_fraction_parse, module_to_json, permuton_to_json, random_bfunc,
+                      random_curve, sawtooth_to_json, sheet_to_json)
 from preproj import jsonio
 from preproj.cli import parse_perm
 from preproj.errors import DomainError, ParseError, PreprojError
-from preproj.finite import CurveModule, Kind, ideal_of
+from preproj.finite import CurveModule, DiamondCurve, Kind, ideal_of, projective
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.rat import frac, num_den, rat_str
@@ -209,6 +210,44 @@ class TestRoundTrips:
                 _roundtrip(module, module_to_json, jsonio.module_from_json)
                 == module
             )
+
+
+def outcome(read, *args):
+    """What read(*args) returns, or the type and text of the error it raises."""
+    try:
+        return read(*args)
+    except PreprojError as exc:
+        return type(exc), str(exc)
+
+
+# on the grid or off it, unreduced, signed zero, non-wire literals, non-literals
+CURVE_LITERALS = ["2/4", "1/2", "-0", "0", 0, 1, "1", F(1, 2), "0.5", "5e-1", " 1/2 ",
+                  "+1/2", "1/3", "2/6", "-1/2", "3/12", 0.5, 0.0, True, False, None, "x",
+                  "1/0", "1e99999", [], 10**5]
+
+
+class TestCurveUnitsWire:
+    """The integer curve reader and writer against the Fraction ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 24), st.sampled_from(Kind), st.randoms(use_true_random=False))
+    def test_writer_bytes(self, n, kind, rng):
+        m = CurveModule(kind, random_curve(rng.randint(1, n - 1), n, rng))
+        assert json.dumps(jsonio.curve_module_to_json(m)) == json.dumps(
+            curve_module_to_json_by_fractions(m))
+
+    def test_reader_values_and_errors(self):
+        seen = set()
+        for n in (3, 4, 6, 12):
+            for i in range(1, n):
+                values = [rat_str(v) for v in projective(i, n).curve.values]
+                for j in range(n + 1):
+                    for literal in CURVE_LITERALS:
+                        edited = values[:j] + [literal] + values[j + 1:]
+                        got = outcome(DiamondCurve.from_values, i, n, edited)
+                        assert got == outcome(curve_from_values_by_fractions, i, n, edited)
+                        seen.add(got[0] if isinstance(got, tuple) else DiamondCurve)
+        assert seen == {DiamondCurve, DomainError, ParseError}
 
 
 class TestErrors:

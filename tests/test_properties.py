@@ -9,8 +9,8 @@ definition on grid-aligned sheets.  Seeded RNG keeps them reproducible.
 import random
 from fractions import Fraction as F
 
-from conftest import random_bfunc, random_curve, u_quot
-from preproj.continuous import d_sub, member, member_quot
+from conftest import as_plfunc, member, member_quot, random_bfunc, random_curve, u_quot
+from preproj.continuous import d_sub
 from preproj.plfunc import BFunc, bottom_at, top_at
 from preproj.sheets import generators, sheet_new, sheet_support
 
@@ -66,7 +66,7 @@ def _grid_bfunc(rng, n: int) -> BFunc:
     """A +-1-slope boundary curve on the 1/n grid (uses a diamond walk)."""
     i = rng.randint(1, n - 1)
     curve = random_curve(i, n, rng)
-    return BFunc(F(i, n), curve.as_plfunc())
+    return BFunc(F(i, n), as_plfunc(curve))
 
 
 def _quantified_generators(sheet, n: int):
