@@ -23,6 +23,7 @@ from .finite import (
     curve_hom_dim,
     factors,
     hom_dim,
+    hom_dims,
     ideal_of,
     ideal_via_word,
     is_tau_rigid_ideal,

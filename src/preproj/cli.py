@@ -27,15 +27,19 @@ by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 A mizuno case w walks the cover edges of its lower right weak interval
 [e, w] instead of listing reduced words; each record's "words" is the
 number of reduced words of w, and a failing one names its lowest failing
-edge [v, s].  Caches cleared before each check do each weak-order node
-(mizuno), Hom pair (taurigid, homvanish; counted on the two curves, so no
-command builds a QuiverRep) and stripped (min coset rep, i) summand (bridge,
-integer units held to the permuton's boundary row) once per sweep; bridge and
-bruhat build each permutation's permuton once for all its cases, and bruhat
-makes its pairs as they run; twosided and homvanish read integer summand
-rows, each curve's samples at c/m.  Every output line is json.dumps of its
-record, written by one JSON encoder built once per process, each case line
-as its runner returns.
+edge [v, s], and a failing taurigid record its first pair [i, j] with
+Hom(M^i, tau M^j) != 0.  Caches cleared before each check do each weak-order
+node (mizuno), Hom pair (taurigid, homvanish; a dict keyed by the integer
+units of the two curves, each case packing its quotients into the lanes of
+one int only when some pair is missing, so no command builds a QuiverRep)
+and stripped (min coset rep, i) summand (bridge, integer units held to the
+permuton's boundary row) once per sweep; bridge and bruhat build each
+permutation's permuton once for all its cases (bridge as the sweep reaches
+it) and make their cases as they run.  Under --jobs the pool is fed a window
+of cases at a time.  twosided and homvanish read integer summand rows, each
+curve's samples at c/m.  Every output line is json.dumps of its record,
+written by one JSON encoder built once per process, each case line as its
+runner returns.
 """
 
 from __future__ import annotations
@@ -47,10 +51,10 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
@@ -247,13 +251,17 @@ def _case_mizuno(w: Perm) -> dict:
     return record
 
 
-@lru_cache(maxsize=None)
-def _hom_vanishes(a: finite.CurveModule, b: finite.CurveModule) -> bool:
-    return finite.curve_hom_dim(a, b) == 0  # one per curve pair and sweep
+# {sub's curve units: {quotient's curve units: Hom vanishes}}: each distinct
+# pair's Hom once per sweep (taurigid, homvanish), emptied by cmd_check
+_HOMS: dict[tuple[int, ...], dict[tuple[int, ...], bool]] = {}
 
 
 def _case_taurigid(w: Perm) -> dict:
-    return {"case": str(w), "ok": finite.is_tau_rigid(finite.ideal_of(w), _hom_vanishes)}
+    pair = finite.tau_rigid_witness(finite.ideal_of(w), _HOMS)
+    record = {"case": str(w), "ok": pair is None}
+    if pair is not None:
+        record["pair"] = list(pair)
+    return record
 
 
 @lru_cache(maxsize=None)
@@ -267,23 +275,34 @@ def _case_bridge(payload: tuple[Perm, int, permuton.GridPermuton]) -> dict:
     return {"case": f"{w}@{i}", "ok": ok}
 
 
-def _with_permutons(perms: list[Perm]) -> list[tuple[Perm, permuton.GridPermuton]]:
-    # one build per permutation and sweep, shared by all of its cases
-    return [(w, permuton.from_perm(w)) for w in perms]
+class _Lazy:
+    """A sized payload whose cases are made as the sweep reads them: len
+    cases from a fresh cases() on each pass, and no list of them held."""
 
-
-class _Pairs:
-    """Every ordered pair of items, made as the sweep reads them: a sized
-    payload that holds no list of len(items)^2 pairs."""
-
-    def __init__(self, items: list) -> None:
-        self.items = items
+    def __init__(self, size: int, cases: Callable[[], Iterator[tuple]]) -> None:
+        self.size, self.cases = size, cases
 
     def __len__(self) -> int:
-        return len(self.items) ** 2
+        return self.size
 
     def __iter__(self) -> Iterator[tuple]:
-        return product(self.items, repeat=2)
+        return self.cases()
+
+
+def _vertices(perms: list[Perm]) -> _Lazy:
+    """(w, i, the permuton of w) for each w and vertex i = 1..n - 1, the
+    permuton built once per w as the sweep reaches it."""
+    def cases() -> Iterator[tuple]:
+        for w in perms:
+            mu = permuton.from_perm(w)
+            yield from ((w, i, mu) for i in range(1, w.n))
+    return _Lazy(sum(w.n - 1 for w in perms), cases)
+
+
+def _pairs(perms: list[Perm]) -> _Lazy:
+    """Every ordered pair of (w, the permuton of w), each permuton built once."""
+    items = [(w, permuton.from_perm(w)) for w in perms]
+    return _Lazy(len(items) ** 2, lambda: product(items, repeat=2))
 
 
 def _case_bruhat(payload: tuple[tuple[Perm, permuton.GridPermuton], ...]) -> dict:
@@ -316,24 +335,15 @@ def _case_homvanish(payload: tuple[str, permuton.GridPermuton]) -> dict:
     ideal = continuous.PermutonIdeal(mu)
     summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
-    return {"case": label, "ok": certified and finite.is_tau_rigid(summands, _hom_vanishes)}
+    return {"case": label, "ok": certified and finite.is_tau_rigid(summands, _HOMS)}
 
 
 # name -> (case runner, payload source, flags the check does not read)
 _CHECKS = {
     "mizuno": (_case_mizuno, lambda args: _perms(args, 4), ("files",)),
     "taurigid": (_case_taurigid, lambda args: _perms(args, 4), ("files",)),
-    "bridge": (
-        _case_bridge,
-        lambda args: [(w, i, mu) for w, mu in _with_permutons(_perms(args, 5))
-                      for i in range(1, w.n)],
-        ("files",),
-    ),
-    "bruhat": (
-        _case_bruhat,
-        lambda args: _Pairs(_with_permutons(_perms(args, 4))),
-        ("files",),
-    ),
+    "bridge": (_case_bridge, lambda args: _vertices(_perms(args, 5)), ("files",)),
+    "bruhat": (_case_bruhat, lambda args: _pairs(_perms(args, 4)), ("files",)),
     "twosided": (
         _case_twosided, lambda args: _permutons(args, lambda: _perms(args, 4)), ()
     ),
@@ -344,6 +354,24 @@ _CHECKS = {
         ("n", "sample"),
     ),
 }
+
+
+_WINDOW = 32768  # cases handed to the worker pool at a time
+
+
+def _windowed(pool, runner, payloads, jobs: int) -> Iterator[dict]:
+    """pool.imap over the payloads in order, a window of _WINDOW cases at a
+    time, cut into one chunk per worker.  The next window is handed over
+    while the current one's records are read, so a worker that finishes its
+    chunk finds the next one waiting, and a lazy payload is read at most two
+    windows ahead of the output."""
+    items, running = iter(payloads), iter(())
+    for window in iter(lambda: list(islice(items, _WINDOW)), []):
+        chunks, extra = divmod(len(window), jobs)
+        ahead = pool.imap(runner, window, chunks + bool(extra))
+        yield from running
+        running = ahead
+    yield from running
 
 
 def cmd_check(args) -> int:
@@ -359,8 +387,9 @@ def cmd_check(args) -> int:
     payloads = source(args)
     if not payloads:
         raise ParseError(f"check {name} has no cases for these flags")
-    for memo in (_weak_node, _hom_vanishes, _stripped):
+    for memo in (_weak_node, _stripped):
         memo.cache_clear()  # the per-sweep memos
+    _HOMS.clear()
     jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
     failures = 0
 
@@ -371,9 +400,8 @@ def cmd_check(args) -> int:
             yield {"check": name, **record}
 
     if jobs > 1:
-        chunks, extra = divmod(len(payloads), jobs * 4)  # Pool.map's chunk size
         with Pool(jobs) as pool:
-            _write(lines(pool.imap(runner, payloads, chunks + bool(extra))))
+            _write(lines(_windowed(pool, runner, payloads, jobs)))
     else:
         _write(lines(map(runner, payloads)))
     _emit({"summary": True, "check": name, "cases": len(payloads),

@@ -6,9 +6,11 @@ at vertex j and depth d (in units of 1/n) sits at (j/n, d/n), and an ideal
 summand inside P_i is encoded by the +-1-slope grid curve separating the
 factors in the submodule (below the curve) from those outside it.
 
-Hom between curve modules is counted on their curves (curve_hom_dim) and
-deepness on their bands (sheets.is_deep); a QuiverRep is built only for
-other modules and for hom_dim, the reference that count is tested against.
+Hom between curve modules is counted on their curves, from one source into
+many targets in one walk with each target in its own lane of an int
+(HomLanes, hom_dims; curve_hom_dim is its one-target case), and deepness on
+their bands (sheets.is_deep); a QuiverRep is built only for other modules
+and for hom_dim, the reference that count is tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import symgroup
 from .errors import (
@@ -397,56 +399,165 @@ def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
     return total - rank_of_links(total, links)
 
 
-def _steps(lo: int, hi: int) -> int:
-    """The e with lo < e < hi and e - lo odd, as the bits e of an int."""
-    return ((1 << (hi - lo)) - 1) // 3 << (lo + 1) if hi > lo else 0
+@lru_cache(maxsize=None)
+def _lane_values(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
+    """HomLanes' lane width L at rank n and its lane values: the bits above
+    u + n and those below d + n, for u, d in 0..n, and for b.i's parity the
+    parity masks of the bits 0..2n, one for each parity of a.i."""
+    width = 3 * n + 2
+    full, evens = (1 << width) - 1, ((1 << 2 * n + 2) - 1) // 3
+    return (width,
+            tuple(full ^ (2 << u + n) - 1 for u in range(n + 1)),
+            tuple((1 << d + n) - 1 for d in range(n + 1)),
+            tuple(tuple(evens >> (j + n + c) % 2 for c in (0, 1)) for j in (0, 1)))
+
+
+def _pack(rows: list, width: int) -> list[int]:
+    """Row t's entry of each column in lane t of one int per column."""
+    packed = rows[-1] if rows else []
+    for row in reversed(rows[:-1]):
+        packed = [m << width | v for m, v in zip(packed, row)]
+    return packed
+
+
+class HomLanes:
+    """dim Hom(a, b) from any curve module a into each target b, in one walk
+    over a's columns.
+
+    Hom between curve modules is counted on their bands: every interchange
+    condition links the unknown (j, d, d + e), from factor d of a to factor
+    d + e of b, to (j +- 1, d + 1, d + 1 + e) or to zero, so the offset e is
+    kept.  At offset e the unknowns of column j lie between the +-1 curves
+    max(up_a, up_b - e) and min(down_a, down_b - e); the classes are the
+    maximal runs of columns where that band is nonempty, and dim Hom counts
+    the runs never joined to zero.  A run is joined at a's deepest factor of
+    a column j next to a k with down_a(k) = down_a(j) - 1 and depth
+    down_a(j) + e in b, or at b's shallowest where up_b(k) = up_b(j) + 1 and
+    a has depth up_b(j) - e at k.  Each such set of offsets is an interval,
+    cut from the targets' masks by shifts that a alone sets.
+
+    Target t owns lane t, the bits t*L .. t*L + L - 1 of one int, and offset
+    e is bit e + n of its lane, in 0..2n.  Every shift is a right shift by at
+    most n + 1, so it moves at most n + 1 bits of lane t + 1 into the top of
+    lane t, above those 2n + 1 bits: L = 3n + 2.  The admissible offsets of
+    a lane have the parity of b.i - a.i in every column, and the parity mask
+    keeps just those bits, so it also clears what a shift spilled.
+    """
+
+    __slots__ = ("targets", "n", "width", "lo", "hi", "parity")
+
+    def __init__(self, targets: Sequence[CurveModule]) -> None:
+        self.targets = targets = tuple(targets)
+        n = targets[0].n if targets else 1
+        if any(b.n != n for b in targets):
+            raise SizeMismatch("targets of different ranks")
+        width, above, below, parities = _lane_values(n)
+        self.n, self.width = n, width
+        bands = [band(b) for b in targets]
+        # lo[x]: the bits above up_b(x) + n; hi[x]: the bits below
+        # down_b(x) + n, none where b's column x is empty
+        lo = _pack([[above[u] for u in up] for up, _ in bands], width)
+        hi = _pack([[below[d] if u < d else 0 for u, d in zip(up, down)]
+                    for up, down in bands], width)
+        self.lo, self.hi = lo, hi
+        self.parity = _pack([parities[b.i % 2] for b in targets], width)
+
+    def dims(self, a: CurveModule, lanes: Iterable[int] | None = None) -> list[int]:
+        """dim Hom(a, targets[t]) for each t in lanes (all by default); a
+        lane not selected is not computed and reads 0."""
+        if a.n != self.n:
+            raise SizeMismatch(f"ranks {a.n} and {self.n} differ")
+        width, lo, hi = self.width, self.lo, self.hi
+        full = (1 << width) - 1
+        keep = self.parity[a.i % 2]
+        if lanes is not None:
+            keep &= sum(full << t * width for t in set(lanes))
+        ua, da = band(a)
+        closed = []  # runs that ended, to be counted per lane
+        alive = before = 0  # alive: the runs through column x - 1 not joined to zero
+        for x in range(1, self.n):
+            u, d = ua[x], da[x]
+            if u < d and hi[x]:  # a and some target hold factors at column x
+                here = lo[x] >> d - 1 & hi[x] >> u + 1 & keep
+                # joined at a's deepest factor next to a k with da[k] = d - 1,
+                # b's factors at k seen from depth d
+                dead = (lo[x - 1] & hi[x - 1]) >> d if da[x - 1] == d - 1 else 0
+                if da[x + 1] == d - 1:
+                    dead |= (lo[x + 1] & hi[x + 1]) >> d
+                # or at b's shallowest, where a holds factors at k: in the
+                # lanes where up_b(k) = up_b(x) + 1, lo[x] & ~lo[k] is the
+                # one bit up_b(x) + n + 1, seen from a's depths at k
+                if ua[x - 1] < da[x - 1]:
+                    side = lo[x] & ~lo[x - 1]
+                    if side:
+                        dead |= (side >> ua[x - 1] + 1) - (side >> da[x - 1])
+                if ua[x + 1] < da[x + 1]:
+                    side = lo[x] & ~lo[x + 1]
+                    if side:
+                        dead |= (side >> ua[x + 1] + 1) - (side >> da[x + 1])
+                gone = alive & ~here
+                alive = here & ~dead & (alive | ~before)
+            else:
+                gone, here, alive = alive, 0, 0
+            if gone:
+                closed.append(gone)
+            before = here
+        if alive:
+            closed.append(alive)
+        out = [0] * len(self.targets)
+        for bits in closed:
+            for t in range(len(out)):
+                out[t] += (bits >> t * width & full).bit_count()
+        return out
+
+
+def hom_dims(a: CurveModule, targets: Sequence[CurveModule]) -> list[int]:
+    """[dim Hom(a, b) for b in targets], for curve modules of either kind,
+    read off their curves in one pass (HomLanes); it equals hom_dim(to_rep(a),
+    to_rep(b)) for each b."""
+    return HomLanes(targets).dims(a) if targets else []
 
 
 def curve_hom_dim(a: CurveModule, b: CurveModule) -> int:
-    """dim Hom(a, b) for curve modules of either kind, read off their curves.
-
-    It equals hom_dim(to_rep(a), to_rep(b)), whose conditions link the
-    unknown (j, d, d + e), from factor d of a to factor d + e of b, to
-    (j +- 1, d + 1, d + 1 + e) or to zero.  At offset e the unknowns of column
-    j lie between the +-1 curves max(up_a, up_b - e) and min(down_a,
-    down_b - e); the classes are the maximal runs of columns where that band
-    is nonempty, and dim Hom counts the runs never joined to zero.  A run is
-    joined at a's deepest factor of a column j next to a k with down_a(k) =
-    down_a(j) - 1 and depth down_a(j) + e in b, or at b's shallowest where
-    up_b(k) = up_b(j) + 1 and a has depth up_b(j) - e at k.  Each such set of
-    e is one interval per column, kept as the bits e + n of an int.
-    """
-    if a.n != b.n:
-        raise SizeMismatch(f"ranks {a.n} and {b.n} differ")
-    n = a.n
-    ua, da = band(a)
-    ub, db = ([u + n for u in units] for units in band(b))  # bit e + n for offset e
-    dim = alive = before = 0  # alive: the runs through column j - 1 not yet joined to zero
-    for j in range(1, n):
-        here = dead = 0
-        if ua[j] < da[j] and ub[j] < db[j]:
-            here = _steps(ub[j] - da[j] + 1, db[j] - ua[j] - 1)
-            for k in (j - 1, j + 1):
-                if da[k] == da[j] - 1:
-                    dead |= _steps(ub[k] - da[j], db[k] - da[j])
-                if ub[k] == ub[j] + 1:
-                    dead |= _steps(ub[j] - da[k], ub[j] - ua[k])
-        dim += (alive & ~here).bit_count()
-        alive = here & ~dead & (alive | ~before)
-        before = here
-    return dim + alive.bit_count()
+    """dim Hom(a, b) for two curve modules: hom_dims with one target."""
+    return hom_dims(a, (b,))[0]
 
 
-def is_tau_rigid(summands: Sequence[CurveModule], hom_vanishes: Callable) -> bool:
+def tau_rigid_witness(summands: Sequence[CurveModule],
+                      memo: dict | None = None) -> tuple[int, int] | None:
+    """The vertices (i, j) of the first pair, in summand order, with
+    Hom(M^i, tau M^j) != 0 for submodules M^i, M^j of projectives among the
+    summands, or None when their direct sum is tau-rigid.
+
+    memo maps a sub's curve units to {a quotient's curve units: Hom vanishes};
+    pairs it already holds are not computed again.  The quotients are packed
+    into lanes once, when some pair is missing, and each sub then makes one
+    pass over the lanes of its missing pairs."""
+    memo = {} if memo is None else memo
+    keys = [m.curve.units for m in summands]
+    quots = None
+    for s, key in zip(summands, keys):
+        known = memo.setdefault(key, {})
+        vanishes = list(map(known.get, keys))  # None: not known yet
+        if None in vanishes:
+            missing = [t for t, v in enumerate(vanishes) if v is None]
+            quots = quots or HomLanes([tau_sub(m) for m in summands])
+            dims = quots.dims(s, missing)
+            for t in missing:
+                known[keys[t]] = vanishes[t] = dims[t] == 0
+        if not all(vanishes):
+            return s.i, summands[vanishes.index(False)].i
+    return None
+
+
+def is_tau_rigid(summands: Sequence[CurveModule], memo: dict | None = None) -> bool:
     """Hom(M^i, tau M^j) = 0 for every pair of submodules M^i, M^j of
-    projectives among the summands: their direct sum is tau-rigid.
-    hom_vanishes(sub, quot) decides Hom(sub, quot) = 0 for one pair."""
-    quots = [tau_sub(m) for m in summands]
-    return all(hom_vanishes(s, q) for s in summands for q in quots)
+    projectives among the summands: their direct sum is tau-rigid."""
+    return tau_rigid_witness(summands, memo) is None
 
 
 def is_tau_rigid_ideal(w: Perm) -> bool:
     """Hom((I_w)^i, P_j/(I_w)^j) = 0 for all i, j."""
     if w.n > scale_limit():
         raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
-    return is_tau_rigid(ideal_of(w), lambda a, b: curve_hom_dim(a, b) == 0)
+    return is_tau_rigid(ideal_of(w))

@@ -37,6 +37,26 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+def count_lanes(monkeypatch) -> tuple[list, list]:
+    """Record each HomLanes packing (its targets) and each pair (source,
+    target) that a pass computes, in order."""
+    packings, pairs = [], []
+    init, dims = finite.HomLanes.__init__, finite.HomLanes.dims
+
+    def packing(self, targets):
+        init(self, targets)
+        packings.append(self.targets)
+
+    def counting(self, a, lanes=None):
+        chosen = range(len(self.targets)) if lanes is None else sorted(set(lanes))
+        pairs.extend((a, self.targets[t]) for t in chosen)
+        return dims(self, a, lanes)
+
+    monkeypatch.setattr(finite.HomLanes, "__init__", packing)
+    monkeypatch.setattr(finite.HomLanes, "dims", counting)
+    return packings, pairs
+
+
 class TestParsePerm:
     def test_digits(self):
         assert parse_perm("25341") == Perm((2, 5, 3, 4, 1))
@@ -225,16 +245,16 @@ class TestCheckCommand:
         assert lines[-1]["pass"]
 
     def test_homvanish_builds_each_apex_rep_once(self, capsys, monkeypatch):
-        built, homs = [], []
-        to_rep, curve_hom_dim = finite.to_rep, finite.curve_hom_dim
+        built = []
+        to_rep = finite.to_rep
         monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
-        monkeypatch.setattr(finite, "curve_hom_dim",
-                            lambda a, b: homs.append((a, b)) or curve_hom_dim(a, b))
+        packings, homs = count_lanes(monkeypatch)
         code, lines = run(capsys, "check", "homvanish", "--perm", "2143")
         assert code == 0 and lines[-1]["pass"]
-        # grid m = 4 at n = 8: apexes 1/4, 1/2, 3/4, one Hom per (sub, quot) pair
-        # counted on the curves, so no representation is built
-        assert len(built) == 0 and len(homs) == 9
+        # grid m = 4 at n = 8: apexes 1/4, 1/2, 3/4, one lane per (sub, quot)
+        # pair, the three quotients packed once; counted on the curves, so no
+        # representation is built
+        assert len(built) == 0 and len(homs) == 9 and len(packings) == 1
         assert len({m for pair in homs for m in pair}) == 6
 
     @staticmethod
@@ -588,6 +608,67 @@ class TestBridgePermutons:
         assert code == 0 and lines[-1]["cases"] == 480
         assert len(built) == len(set(built)) == 120
 
+    def test_permutons_built_as_the_sweep_reaches_them(self, capsys, monkeypatch):
+        events = []
+        true_from_perm, true_compare = permuton.from_perm, continuous.finite_vs_continuous
+        monkeypatch.setattr(permuton, "from_perm",
+                            lambda w: events.append(str(w)) or true_from_perm(w))
+        monkeypatch.setattr(continuous, "finite_vs_continuous",
+                            lambda w, i, mu, strip: events.append(f"{w}@{i}")
+                            or true_compare(w, i, mu, strip))
+        code, lines = run(capsys, "check", "bridge", "--n", "4")
+        assert code == 0 and lines[-1]["cases"] == 24 * 3
+        # each permuton just before its w's three cases, none held ahead
+        assert events == [e for w in all_perms(4)
+                          for e in (str(w), f"{w}@1", f"{w}@2", f"{w}@3")]
+
+    def test_payload_is_sized_and_lazy(self):
+        payload = cli._vertices(list(all_perms(5)))
+        assert len(payload) == 120 * 4
+        cases = iter(payload)
+        first = [next(cases) for _ in range(4)]
+        assert [(str(w), i) for w, i, _ in first] == [("12345", i) for i in range(1, 5)]
+        assert len({id(mu) for _, _, mu in first}) == 1
+        assert len(list(cases)) == 476
+
+
+class TestWindowedFeed:
+    """Under --jobs the pool gets the payload a window at a time."""
+
+    class FakePool:
+        def __init__(self):
+            self.windows = []
+
+        def imap(self, runner, window, chunk):
+            self.windows.append((len(window), chunk))
+            return map(runner, window)
+
+    def test_reads_at_most_two_windows_ahead(self, monkeypatch):
+        monkeypatch.setattr(cli, "_WINDOW", 10)
+        read = []
+
+        def payload():
+            for t in range(45):
+                read.append(t)
+                yield t
+
+        pool = self.FakePool()
+        out = cli._windowed(pool, lambda t: -t, payload(), 3)
+        for t in range(45):
+            assert next(out) == -t
+            assert len(read) <= (t // 10 + 2) * 10
+        assert list(out) == [] and len(read) == 45
+        # one chunk per worker in each window
+        assert pool.windows == [(10, 4), (10, 4), (10, 4), (10, 4), (5, 2)]
+
+    @pytest.mark.parametrize("name", ["taurigid", "bridge", "bruhat"])
+    def test_small_windows_keep_lines_and_order(self, capsys, monkeypatch, name):
+        assert main(["check", name, "--n", "4"]) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_WINDOW", 7)
+        assert main(["check", name, "--n", "4", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial and serial.count("\n") > 24
+
 
 def perturbed_rows(seed: int, share: F):
     """A boundary_row that moves one interior sample of a seeded share of the
@@ -700,16 +781,25 @@ class TestSummandMemos:
                 for a in finite.ideal_of(w) for b in finite.ideal_of(w)}
 
     def test_taurigid_solves_each_curve_pair_once(self, capsys, monkeypatch):
-        built, homs = [], []
-        to_rep, curve_hom_dim = finite.to_rep, finite.curve_hom_dim
+        built = []
+        to_rep = finite.to_rep
         monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
-        monkeypatch.setattr(finite, "curve_hom_dim",
-                            lambda a, b: homs.append((a, b)) or curve_hom_dim(a, b))
+        packings, homs = count_lanes(monkeypatch)
         pairs = self.summand_pairs(5)
-        for sweep in (1, 2):  # a second check recomputes: the caches are cleared
+        # the cases that meet a pair no earlier case of the sweep met: the
+        # only ones that pack their quotients
+        seen, fresh = set(), 0
+        for w in all_perms(5):
+            ideal = finite.ideal_of(w)
+            new = {(a, finite.tau_sub(b)) for a in ideal for b in ideal} - seen
+            fresh += bool(new)
+            seen |= new
+        assert 0 < fresh < 120
+        for sweep in (1, 2):  # a second check recomputes: the memo is emptied
             code, lines = run(capsys, "check", "taurigid", "--n", "5")
             assert code == 0 and lines[-1]["cases"] == 120
             assert len(homs) == sweep * len(pairs) < sweep * 120 * 16
+            assert len(packings) == sweep * fresh  # no pass on a memoised case
             assert len(built) == 0  # Hom is counted on the curves
         half = len(homs) // 2
         assert set(homs[:half]) == set(homs[half:]) == pairs
@@ -722,14 +812,25 @@ class TestSummandMemos:
         sub = ideal[1]
         other = ideal[quot_vertex - 1] if quot_vertex else sub
         assert not finite.is_zero(sub) and not finite.is_zero(other)
-        quot, curve_hom_dim = finite.tau_sub(other), finite.curve_hom_dim
-        monkeypatch.setattr(finite, "curve_hom_dim", lambda a, b: 1 if a == sub and (
-            quot_vertex is None or b == quot) else curve_hom_dim(a, b))
+        quot, dims = finite.tau_sub(other), finite.HomLanes.dims
+
+        def planted(self, a, lanes=None):
+            out = dims(self, a, lanes)
+            chosen = range(len(out)) if lanes is None else set(lanes)
+            return [1 if t in chosen and a == sub and (
+                quot_vertex is None or self.targets[t] == quot) else d
+                for t, d in enumerate(out)]
+
+        monkeypatch.setattr(finite.HomLanes, "dims", planted)
         code, lines = run(capsys, "check", "taurigid", "--n", "5")
         failed = {r["case"] for r in lines[:-1] if not r["ok"]}
         expected = {str(w) for w in all_perms(5)
                     if sub in finite.ideal_of(w) and other in finite.ideal_of(w)}
         assert code == 1 and failed == expected and len(expected) == count
+        # the witness: the first pair (i, j) with Hom(M^i, tau M^j) != 0
+        pair = [sub.i, quot_vertex or 1]
+        assert all(r["pair"] == pair for r in lines[:-1] if not r["ok"])
+        assert not any("pair" in r for r in lines[:-1] if r["ok"])
 
     def test_bridge_strips_each_coset_rep_once(self, capsys, monkeypatch):
         words = []

@@ -2,8 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import (hom_dim_by_elimination, hom_lengths, random_curve,
-                      sawtooth_rep_by_midpoints, simple_rep, zero_rep)
+from conftest import (curve_hom_dim_by_pair, hom_dim_by_elimination, hom_lengths,
+                      random_curve, sawtooth_rep_by_midpoints, simple_rep, zero_rep)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +21,7 @@ from preproj.errors import (
 from preproj.finite import (
     CurveModule,
     DiamondCurve,
+    HomLanes,
     Kind,
     QuiverRep,
     bottom_boundary,
@@ -28,8 +29,10 @@ from preproj.finite import (
     factor_rep,
     factors,
     hom_dim,
+    hom_dims,
     ideal_of,
     ideal_via_word,
+    is_tau_rigid,
     is_tau_rigid_ideal,
     is_zero,
     loop_action,
@@ -37,6 +40,7 @@ from preproj.finite import (
     strip,
     strip_letter,
     summand_via_word,
+    tau_rigid_witness,
     tau_sub,
     to_rep,
     top_removable,
@@ -551,6 +555,128 @@ class TestCurveHomDim:
                      (tau_sub(projective(2, 6)), projective(2, 5))):
             with pytest.raises(SizeMismatch):
                 curve_hom_dim(a, b)
+
+
+class TestHomLanes:
+    """One HomLanes pass, every target in its own lane of one int, against
+    hom_dim on to_rep and against the one-pair walk on the curves."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_pass_matches_hom_dim(self, n):
+        # every curve module at n, of both kinds, at every vertex, the zero
+        # modules (a curve on the diamond's far boundary) included
+        modules = all_curve_modules(n)
+        assert sum(map(is_zero, modules)) == 2 * (n - 1)
+        reps = [to_rep(m) for m in modules]
+        lanes = HomLanes(modules)
+        for a, rep in zip(modules, reps):
+            assert lanes.dims(a) == [hom_dim(rep, b) for b in reps], a
+
+    def test_one_pass_matches_pair_walk_at_7(self):
+        modules = all_curve_modules(7)
+        lanes = HomLanes(modules)
+        for a in modules:
+            assert lanes.dims(a) == [curve_hom_dim_by_pair(a, b) for b in modules], a
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 20), st.data())
+    def test_random_passes_match_pair_walk(self, n, data):
+        rng = data.draw(st.randoms(use_true_random=False))
+
+        def module():
+            kind = data.draw(st.sampled_from(Kind))
+            return CurveModule(kind, random_curve(rng.randint(1, n - 1), n, rng))
+
+        a = module()
+        targets = [module() for _ in range(data.draw(st.integers(1, max(1, n - 1))))]
+        chosen = data.draw(st.sets(st.integers(0, len(targets) - 1)))
+        lanes = HomLanes(targets)
+        expected = [curve_hom_dim_by_pair(a, b) for b in targets]
+        assert lanes.dims(a) == expected == hom_dims(a, targets)
+        assert lanes.dims(a, chosen) == [d if t in chosen else 0
+                                         for t, d in enumerate(expected)]
+
+    def test_unselected_lanes_are_not_computed(self):
+        for n in range(2, 12):
+            for i in range(1, n):
+                p = projective(i, n)
+                lanes = HomLanes([p, tau_sub(p), p, p])
+                ends = min(i, n - i)
+                assert lanes.dims(p) == [ends, 0, ends, ends]
+                assert lanes.dims(p, [2]) == [0, 0, ends, 0]
+                assert lanes.dims(p, []) == [0] * 4
+
+    def test_lanes_of_empty_columns(self):
+        # a target empty at a column where the source holds two or more
+        # factors: the empty band there must give no unknowns
+        n = 6
+        a = projective(3, n)
+        for b in all_curve_modules(n):
+            assert HomLanes([b, a, b]).dims(a) == [curve_hom_dim_by_pair(a, b),
+                                                   min(3, n - 3),
+                                                   curve_hom_dim_by_pair(a, b)]
+
+    def test_no_targets(self):
+        assert hom_dims(projective(1, 3), []) == []
+
+    def test_size_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            HomLanes([projective(1, 4), projective(1, 5)])
+        with pytest.raises(SizeMismatch):
+            HomLanes([projective(1, 4)]).dims(projective(1, 5))
+        with pytest.raises(SizeMismatch):
+            hom_dims(projective(2, 6), [projective(2, 5)])
+
+
+class TestTauRigidWitness:
+    """tau_rigid_witness over a list of summands, with its per-sweep memo
+    keyed by integer curve units."""
+
+    def test_memo_holds_each_pair_by_units(self):
+        ideal = ideal_of(W)
+        memo = {}
+        assert tau_rigid_witness(ideal, memo) is None
+        assert memo == {a.curve.units: {b.curve.units: True for b in ideal} for a in ideal}
+
+    def test_memoised_case_packs_nothing(self, monkeypatch):
+        ideal = ideal_of(W)
+        memo = {}
+        assert is_tau_rigid(ideal, memo)
+        packed = []
+        init = HomLanes.__init__
+        monkeypatch.setattr(HomLanes, "__init__",
+                            lambda self, targets: packed.append(targets) or init(self, targets))
+        assert is_tau_rigid(ideal, memo) and packed == []
+        # one pair forgotten: one packing, one pass with that one lane
+        del memo[ideal[2].curve.units][ideal[0].curve.units]
+        dims = HomLanes.dims
+        passes = []
+        monkeypatch.setattr(HomLanes, "dims",
+                            lambda self, a, lanes=None: passes.append((a, list(lanes)))
+                            or dims(self, a, lanes))
+        assert is_tau_rigid(ideal, memo) and len(packed) == 1
+        assert passes == [(ideal[2], [0])]
+
+    def test_first_failing_pair(self):
+        ideal = ideal_of(W)
+        keys = [m.curve.units for m in ideal]
+        memo = {a: {b: True for b in keys} for a in keys}
+        memo[keys[3]][keys[1]] = memo[keys[2]][keys[3]] = False
+        assert tau_rigid_witness(ideal, memo) == (3, 4)
+        assert not is_tau_rigid(ideal, memo)
+
+    def test_matches_hom_dim_on_random_summands(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            subs = [CurveModule(Kind.SUB, random_curve(rng.randint(1, n - 1), n, rng))
+                    for _ in range(rng.randint(1, 4))]
+            bad = [(a.i, b.i) for a in subs for b in subs
+                   if hom_dim(to_rep(a), to_rep(tau_sub(b)))]
+            assert tau_rigid_witness(subs) == (bad[0] if bad else None)
+            seen.add(bool(bad))
+        assert seen == {True, False}
 
 
 class TestTauRigidity:
