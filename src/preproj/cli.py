@@ -33,10 +33,14 @@ node (mizuno), Hom pair (taurigid, homvanish; a dict keyed by the integer
 units of the two curves, each case packing its quotients into the lanes of
 one int only when some pair is missing, so no command builds a QuiverRep)
 and stripped (min coset rep, i) summand (bridge, integer units held to the
-permuton's boundary row) once per sweep; bridge and bruhat build each
-permutation's permuton once for all its cases (bridge as the sweep reaches
-it) and make their cases as they run.  Under --jobs the pool is fed a window
-of cases at a time.  twosided and homvanish read integer summand rows, each
+permuton's boundary row) once per sweep; bridge builds each permutation's
+permuton once for all its cases, as the sweep reaches it.  A bruhat case
+(rows, i, j) reads one bit: rows holds every permutation's Ehresmann tableau
+(symgroup) and its permuton's interior CDF corners (permuton) in lanes, and
+each source's row per route, one packed pass each; a failing record also
+carries each route's verdict as "tableau" and "cdf".  bridge and bruhat make
+their cases as they run.  Under --jobs the pool is fed a window of cases at
+a time.  twosided and homvanish read integer summand rows, each
 curve's samples at c/m.  Every output line is json.dumps of its record,
 written by one JSON encoder built once per process, each case line as its
 runner returns.
@@ -53,11 +57,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from json.encoder import c_make_encoder, encode_basestring_ascii
+from math import lcm
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
+from .lanes import Lanes
 from .limits import scale_limit
 from .rat import frac, rat_str
 from .symgroup import Perm
@@ -299,16 +305,52 @@ def _vertices(perms: list[Perm]) -> _Lazy:
     return _Lazy(sum(w.n - 1 for w in perms), cases)
 
 
+class _Rows:
+    """A bruhat sweep's two routes with one lane per permutation: the
+    Ehresmann tableaux (symgroup) and the permutons' interior CDF corners
+    (permuton), on lanes of one width, and each permutation's label.  memo
+    holds, per source i, where its two rows differ and its tableau row, made
+    the first time a case of i runs on this copy; a pickle leaves it out, so
+    a window sent to a worker carries the lanes and labels alone."""
+
+    def __init__(self, labels: list[str], tableaux: Lanes, cdfs: Lanes) -> None:
+        self.labels, self.tableaux, self.cdfs = labels, tableaux, cdfs
+        self.memo: dict[int, tuple[int, int]] = {}
+
+    def __reduce__(self):
+        return type(self), (self.labels, self.tableaux, self.cdfs)
+
+    def row(self, i: int) -> tuple[int, int]:
+        """(tableau row ^ CDF row, tableau row) of source i, stored in memo:
+        the guard bit of lane j is set in a row when its route puts perms[i]
+        below perms[j]."""
+        tableau = self.tableaux.at_least(self.tableaux.lane(i))
+        cdf = self.cdfs.at_most(self.cdfs.lane(i))
+        self.memo[i] = got = (tableau ^ cdf, tableau)
+        return got
+
+
 def _pairs(perms: list[Perm]) -> _Lazy:
-    """Every ordered pair of (w, the permuton of w), each permuton built once."""
-    items = [(w, permuton.from_perm(w)) for w in perms]
-    return _Lazy(len(items) ** 2, lambda: product(items, repeat=2))
+    """(rows, i, j) for every ordered pair of perms, rows their one _Rows;
+    each permuton is built once, to read its corners."""
+    mus = [permuton.from_perm(w) for w in perms]
+    den = lcm(*(mu.den for mu in mus))
+    top = max(perms[0].n, den)  # the two routes' lanes have one width
+    rows = _Rows([w.label for w in perms], Lanes([w.tableau for w in perms], top),
+                 Lanes([permuton.corners(mu, den) for mu in mus], top))
+    size = len(perms)
+    return _Lazy(size * size, lambda: product((rows,), range(size), range(size)))
 
 
-def _case_bruhat(payload: tuple[tuple[Perm, permuton.GridPermuton], ...]) -> dict:
-    (u, mu), (v, nu) = payload
-    ok = symgroup.bruhat_leq(u, v) == permuton.permuton_bruhat_leq(mu, nu)
-    return {"case": f"{u}<={v}", "ok": ok}
+def _case_bruhat(payload: tuple[_Rows, int, int]) -> dict:
+    rows, i, j = payload
+    differ, tableau = rows.memo.get(i) or rows.row(i)
+    bit = rows.tableaux.width * (j + 1) - 1  # lane j's guard bit
+    if not differ >> bit & 1:
+        return {"case": f"{rows.labels[i]}<={rows.labels[j]}", "ok": True}
+    below = bool(tableau >> bit & 1)
+    return {"case": f"{rows.labels[i]}<={rows.labels[j]}", "ok": False,
+            "tableau": below, "cdf": not below}
 
 
 def _case_twosided(payload: tuple[str, permuton.GridPermuton]) -> dict:

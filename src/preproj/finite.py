@@ -32,6 +32,7 @@ from .errors import (
     TooLarge,
     WrongKind,
 )
+from .lanes import pack
 from .limits import scale_limit
 from .linalg import rank_of_links
 from .rat import num_den
@@ -412,14 +413,6 @@ def _lane_values(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
             tuple(tuple(evens >> (j + n + c) % 2 for c in (0, 1)) for j in (0, 1)))
 
 
-def _pack(rows: list, width: int) -> list[int]:
-    """Row t's entry of each column in lane t of one int per column."""
-    packed = rows[-1] if rows else []
-    for row in reversed(rows[:-1]):
-        packed = [m << width | v for m, v in zip(packed, row)]
-    return packed
-
-
 class HomLanes:
     """dim Hom(a, b) from any curve module a into each target b, in one walk
     over a's columns.
@@ -456,11 +449,11 @@ class HomLanes:
         bands = [band(b) for b in targets]
         # lo[x]: the bits above up_b(x) + n; hi[x]: the bits below
         # down_b(x) + n, none where b's column x is empty
-        lo = _pack([[above[u] for u in up] for up, _ in bands], width)
-        hi = _pack([[below[d] if u < d else 0 for u, d in zip(up, down)]
+        lo = pack([[above[u] for u in up] for up, _ in bands], width)
+        hi = pack([[below[d] if u < d else 0 for u, d in zip(up, down)]
                     for up, down in bands], width)
         self.lo, self.hi = lo, hi
-        self.parity = _pack([parities[b.i % 2] for b in targets], width)
+        self.parity = pack([parities[b.i % 2] for b in targets], width)
 
     def dims(self, a: CurveModule, lanes: Iterable[int] | None = None) -> list[int]:
         """dim Hom(a, targets[t]) for each t in lanes (all by default); a

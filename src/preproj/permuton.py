@@ -24,6 +24,7 @@ from operator import add, ge, mul
 from typing import Sequence
 
 from .errors import DomainError
+from .lanes import Lanes
 from .plfunc import BFunc, PLFunc
 from .rat import frac, num_den
 from .symgroup import Perm
@@ -70,6 +71,13 @@ class GridPermuton:
     def mass(self) -> tuple[tuple[Fraction, ...], ...]:
         """The cell masses as Fractions, ``cells`` over ``den``."""
         return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.cells)
+
+    @cached_property
+    def interior(self) -> tuple[int, ...]:
+        """The CDF at the interior grid corners (c/m, r/m), 0 < r, c < m,
+        row after row, over ``den``: ``cum`` without its boundary, which is
+        the same for every permuton on m x m cells; built on first use."""
+        return tuple(chain.from_iterable(row[1:-1] for row in self.cum[1:-1]))
 
 
 def from_perm(w: Perm) -> GridPermuton:
@@ -140,20 +148,27 @@ def _union_coords(m: int, m2: int) -> tuple[int, list[list[tuple[int, int]]]]:
     return big, [[divmod(k * p, big) for k in points] for p in (m, m2)]
 
 
+def corners(mu: GridPermuton, den: int) -> Sequence[int]:
+    """``mu.interior`` over den, a multiple of mu.den."""
+    if den == mu.den:
+        return mu.interior
+    return list(map(mul, mu.interior, repeat(den // mu.den)))
+
+
 def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
     """mu <= nu in the permuton Bruhat order: cdf(mu) >= cdf(nu) everywhere.
     Both CDFs are bilinear on every cell of the union grid and agree on the
-    square's boundary, so its interior corners decide the order exactly; on
-    a common grid those corners are the interior rows of the two ``cum``
-    tables, whose end columns agree.  Both sides are integers over their own
-    den, so they compare crossed, all rows in one flat pass."""
+    square's boundary, so its interior corners decide the order exactly.  On
+    a common grid those are the corners of the two ``cum`` tables, over a
+    common den: the one-target case of Lanes.  Otherwise both sides are
+    integers over their own den, so they compare crossed, in one flat pass."""
     m = mu.m
     if m == nu.m:
-        a, b = mu.cum[1:m], nu.cum[1:m]
-    else:
-        big, (at, at2) = _union_coords(m, nu.m)
-        a, b = _cdf_ints(mu, at, at, big), _cdf_ints(nu, at2, at2, big)
-    a, b = chain.from_iterable(a), chain.from_iterable(b)
+        den = lcm(mu.den, nu.den)
+        return Lanes((corners(nu, den),), den).at_most(corners(mu, den)) != 0
+    big, (at, at2) = _union_coords(m, nu.m)
+    a = chain.from_iterable(_cdf_ints(mu, at, at, big))
+    b = chain.from_iterable(_cdf_ints(nu, at2, at2, big))
     if mu.den != nu.den:
         a, b = map(mul, a, repeat(nu.den)), map(mul, b, repeat(mu.den))
     return all(map(ge, a, b))

@@ -8,9 +8,9 @@ last.  Words are plain tuples of letters i denoting the transposition s_i.
 from __future__ import annotations
 
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -21,6 +21,7 @@ from .errors import (
     SizeMismatch,
     TooLarge,
 )
+from .lanes import Lanes
 from .limits import scale_limit
 
 Word = tuple[int, ...]
@@ -58,11 +59,16 @@ class Perm:
         return Perm(inv)
 
     @cached_property
-    def dominance(self) -> tuple[int, ...]:
-        """The interior of the dominance table, table[i][j] for 1 <= i, j < n,
-        row by row; built once per permutation.  Row and column 0 are zero
-        and row n and column n are the same for every permutation of 1..n."""
-        return tuple(v for row in dominance_table(self)[1:-1] for v in row[1:-1])
+    def tableau(self) -> tuple[int, ...]:
+        """Ehresmann's tableau, flat: the sorted values u(1..i) for
+        i = 1..n - 1, row after row, n(n - 1)/2 entries; built once per
+        permutation.  Row n is the same for every permutation of 1..n."""
+        prefix: list[int] = []
+        flat: list[int] = []
+        for v in self.one_line[:-1]:
+            insort(prefix, v)
+            flat += prefix
+        return tuple(flat)
 
     @cached_property
     def label(self) -> str:
@@ -134,21 +140,13 @@ def all_reduced_words(w: Perm) -> frozenset[Word]:
     return rec(w.one_line)
 
 
-def dominance_table(u: Perm) -> list[list[int]]:
-    """table[i][j] = #{a <= i : u(a) > j} for 1 <= i,j <= n (1-indexed lists)."""
-    cols = range(1, u.n + 1)
-    table = [[0] * (u.n + 1)]
-    for v in u.one_line:
-        above = table[-1]
-        table.append([0] + [above[j] + (v > j) for j in cols])
-    return table
-
-
 def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Bruhat order via the dominance criterion u[i,j] <= v[i,j] for all i,j."""
+    """Bruhat order by Ehresmann's tableau criterion: u <= v exactly when
+    every entry of u's tableau is at most v's (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, Thm 2.6.3); the one-target case of Lanes."""
     if len(u.one_line) != len(v.one_line):
         raise SizeMismatch(f"sizes {u.n} and {v.n} differ")
-    return all(map(le, u.dominance, v.dominance))
+    return Lanes((v.tableau,), v.n).at_least(u.tableau) != 0
 
 
 def min_coset_rep(w: Perm, i: int) -> Perm:

@@ -9,7 +9,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ge
+from operator import ge, le
 
 from preproj.continuous import (Certificate, DecorousSub, PermutonIdeal, hom_vanishing_cert,
                                 ideal_summand, left_act, staircase)
@@ -509,6 +509,31 @@ def leq_by_at(f: PLFunc, g: PLFunc) -> bool:
 
 def sub_by_at(f: PLFunc, g: PLFunc) -> PLFunc:
     return PLFunc((x, f.at(x) - g.at(x)) for x in union_xs(f, g))
+
+
+def dominance_table(u: Perm) -> list[list[int]]:
+    """table[i][j] = #{a <= i : u(a) > j} for 1 <= i,j <= n (1-indexed
+    lists), as running sums over the one-line notation (the library's
+    former table)."""
+    cols = range(1, u.n + 1)
+    table = [[0] * (u.n + 1)]
+    for v in u.one_line:
+        above = table[-1]
+        table.append([0] + [above[j] + (v > j) for j in cols])
+    return table
+
+
+def dominance(u: Perm) -> tuple[int, ...]:
+    """The interior of the dominance table, table[i][j] for 1 <= i, j < n,
+    row by row (the library's former ``Perm.dominance``): row and column 0
+    are zero, and row n and column n are the same for every permutation."""
+    return tuple(v for row in dominance_table(u)[1:-1] for v in row[1:-1])
+
+
+def bruhat_leq_by_dominance(u: Perm, v: Perm) -> bool:
+    """Bruhat order by the dominance criterion u[i, j] <= v[i, j] for all
+    i, j (the library's former route)."""
+    return all(map(le, dominance(u), dominance(v)))
 
 
 def dominance_by_cells(u: Perm) -> list[list[int]]:

@@ -1,22 +1,25 @@
 import io
 import json
+import pickle
 import random
 import sys
 import time
 from fractions import Fraction as F
 from functools import cached_property
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (frac_by_fraction_parse, homvanish_by_plfuncs, mizuno_by_words,
-                      permuton_to_json, random_permuton, sheet_to_json, twosided_by_plfuncs,
-                      write_by_print)
+from conftest import (bruhat_by_covers, frac_by_fraction_parse, homvanish_by_plfuncs,
+                      mizuno_by_words, permuton_to_json, random_permuton, sheet_to_json,
+                      twosided_by_plfuncs, write_by_print)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
 from preproj.finite import projective
+from preproj.lanes import Lanes
 from preproj.limits import scale_limit
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
@@ -557,22 +560,31 @@ class TestMizunoWalk:
         assert elapsed < 20  # listing its 1 095 266 reduced words took 106 s
 
 
+def plant_tableau(monkeypatch, wrong) -> None:
+    """Perm.tableau becomes wrong(w, the true tableau of w), still built
+    once per permutation."""
+    true = Perm.tableau.func
+    planted = cached_property(lambda w: wrong(w, true(w)))
+    planted.__set_name__(Perm, "tableau")
+    monkeypatch.setattr(Perm, "tableau", planted)
+
+
 class TestBruhatTables:
     def test_each_table_built_once_per_sweep(self, capsys, monkeypatch):
-        tables, grids = [], []
-        true_table = symgroup.dominance_table
-
-        def counting_table(u):
-            tables.append(u.one_line)
-            return true_table(u)
-
-        monkeypatch.setattr(symgroup, "dominance_table", counting_table)
+        tableaux, grids, passes = [], [], []
+        plant_tableau(monkeypatch, lambda w, t: tableaux.append(w.one_line) or t)
         monkeypatch.setattr(permuton, "_cdf_ints",
                             lambda *args: grids.append(args) or [])
+        for name in ("at_least", "at_most"):
+            true = getattr(Lanes, name)
+            monkeypatch.setattr(Lanes, name, lambda self, a, true=true, name=name:
+                                passes.append(name) or true(self, a))
         code, lines = run(capsys, "check", "bruhat", "--n", "5")
         assert code == 0 and lines[-1]["cases"] == 14400
-        assert len(tables) == len(set(tables)) == 120
+        assert len(tableaux) == len(set(tableaux)) == 120
         assert grids == []
+        # one row per source and route, each over all 120 targets
+        assert sorted(passes) == ["at_least"] * 120 + ["at_most"] * 120
 
     def test_each_label_built_once_per_sweep(self, capsys, monkeypatch):
         built = []
@@ -591,6 +603,71 @@ class TestBruhatTables:
         digits = ["".join(map(str, w.one_line)) for w in all_perms(5)]
         assert [r["case"] for r in lines[:-1]] == [f"{u}<={v}" for u in digits
                                                    for v in digits]
+
+    def test_one_wrong_tableau_entry_fails(self, capsys, monkeypatch):
+        # the identity's first entry raised to 2: its pairs, and no others, fail
+        order = bruhat_by_covers(4)
+        plant_tableau(monkeypatch, lambda w, t: (2,) + t[1:] if w.label == "1234" else t)
+        code, lines = run(capsys, "check", "bruhat", "--n", "4")
+        failing = [r for r in lines[:-1] if not r["ok"]]
+        assert code == 1 and lines[-1]["failures"] == len(failing) > 0
+        for record in failing:
+            u, v = record["case"].split("<=")
+            assert "1234" in (u, v)
+            truth = order[(tuple(map(int, u)), tuple(map(int, v)))]
+            assert record["cdf"] is truth and record["tableau"] is not truth
+
+    def test_failure_witness_names_each_route(self, capsys, monkeypatch):
+        # only the first entry kept: u <= v whenever u(1) <= v(1)
+        plant_tableau(monkeypatch, lambda w, t: t[:1] * len(t))
+        code, lines = run(capsys, "check", "bruhat", "--n", "3")
+        wrong = sum(u[0] <= v[0] and not leq for (u, v), leq in bruhat_by_covers(3).items())
+        assert code == 1 and lines[-1]["failures"] == wrong == 5
+        for record in lines[:-1]:
+            keys = ["check", "case", "ok"] + ([] if record["ok"] else ["tableau", "cdf"])
+            assert list(record) == keys
+            if not record["ok"]:
+                assert record["tableau"] is not record["cdf"]
+
+    @pytest.mark.parametrize("n,cases", [(1, ["1<=1"]), (2, ["12<=12", "12<=21",
+                                                            "21<=12", "21<=21"])])
+    def test_edge_sizes(self, capsys, n, cases):
+        rows = next(iter(cli._pairs(list(all_perms(n)))))[0]
+        assert rows.tableaux.length == n * (n - 1) // 2
+        assert rows.cdfs.length == (n - 1) ** 2
+        code, lines = run(capsys, "check", "bruhat", "--n", str(n))
+        assert code == 0 and [r["case"] for r in lines[:-1]] == cases
+        assert all(r["ok"] for r in lines[:-1])
+
+    def test_perm_and_sample_span_only_their_perms(self, capsys):
+        code, full = run(capsys, "check", "bruhat", "--n", "4")
+        verdicts = {r["case"]: r for r in full[:-1]}
+        code, one = run(capsys, "check", "bruhat", "--perm", "2413")
+        assert code == 0 and one[:-1] == [verdicts["2413<=2413"]]
+        code, some = run(capsys, "check", "bruhat", "--n", "4", "--sample", "5")
+        labels = {r["case"].split("<=")[0] for r in some[:-1]}
+        assert code == 0 and len(labels) == 5 and some[-1]["cases"] == 25
+        assert some[:-1] == [verdicts[f"{u}<={v}"] for u in sorted(labels)
+                             for v in sorted(labels)]
+        payload = cli._pairs([parse_perm(w) for w in sorted(labels)])
+        assert len(payload) == 25 and next(iter(payload))[0].tableaux.size == 5
+
+    def test_pickled_window_carries_the_lanes_once(self):
+        window = list(islice(cli._pairs(list(all_perms(5))), 4096))
+        rows = window[0][0]
+        expected = [cli._case_bruhat(case) for case in window]
+        assert len(rows.memo) == 35  # sources 0..34 in the window
+        data = pickle.dumps(window)
+        assert b"GridPermuton" not in data and b"Perm" not in data
+        assert data.count(b"_Rows") == 1 and data.count(b"Lanes") == 1
+        back = pickle.loads(data)
+        assert len({id(case[0]) for case in back}) == 1
+        copy = back[0][0]
+        assert copy.memo == {} and copy.labels == rows.labels
+        for lanes, original in ((copy.tableaux, rows.tableaux), (copy.cdfs, rows.cdfs)):
+            assert (lanes.width, lanes.cols, lanes.guard) == (
+                original.width, original.cols, original.guard)
+        assert [cli._case_bruhat(case) for case in back] == expected
 
 
 class TestBridgePermutons:
@@ -1056,9 +1133,11 @@ class TestWriter:
         assert code == 0 and out.count("\n") == 1
 
     def test_failing_check(self, capsys, monkeypatch):
-        monkeypatch.setattr(symgroup, "bruhat_leq", lambda u, v: True)
+        # the tableau route planted to put every source below every target
+        monkeypatch.setattr(Lanes, "at_least", lambda self, a: self.guard)
         code, out = former_writer_agrees(capsys, ("check", "bruhat", "--n", "3"))
         assert code == 1 and '"failures": 17' in out
+        assert out.count('"ok": false, "tableau": true, "cdf": false}') == 17
 
     def test_label_with_escapes(self, capsys, files):
         name = 'm\u00fc "q" \\ \u00f8.json'

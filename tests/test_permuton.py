@@ -12,11 +12,13 @@ from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
                       random_permuton, refine)
 from preproj import jsonio, permuton
 from preproj.errors import DomainError, ParseError
+from preproj.lanes import Lanes
 from preproj.permuton import (
     GridPermuton,
     _union_coords,
     boundary_function,
     cdf,
+    corners,
     from_perm,
     permuton_bruhat_leq,
     uniform,
@@ -326,6 +328,43 @@ class TestFlatComparison:
                      lambda grid, den: not den):
             assert {got for grid, den, got in verdicts if path(grid, den)} == {True, False}
         assert raw_wrong > 0
+
+
+class TestCdfLanes:
+    """Many permutons on one grid, their interior corners in the lanes of
+    one int per corner, against the row-by-row comparison."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7), st.lists(st.sampled_from([1, 4, 10**15]), min_size=1,
+                                       max_size=8), st.randoms(use_true_random=False))
+    def test_rows_match_pairs_on_mixed_dens(self, m, weights, rng):
+        mus = [random_permuton(rng, m, w) for w in weights]
+        mus += [from_perm(Perm(rng.sample(range(1, m + 1), m))) for _ in range(3)]
+        den = lcm(*(mu.den for mu in mus))
+        lanes = Lanes([corners(nu, den) for nu in mus], den)
+        for mu in mus:
+            row = lanes.at_most(corners(mu, den))
+            got = [bool(row >> lanes.width * (t + 1) - 1 & 1) for t in range(len(mus))]
+            assert got == [bruhat_leq_by_rows(mu, nu) for nu in mus]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 9), st.sampled_from([1, 4, 10**15]),
+           st.randoms(use_true_random=False))
+    def test_corners_are_the_cdf(self, m, max_weight, rng):
+        mu = random_permuton(rng, m, max_weight)
+        den = mu.den * rng.randint(1, 5)
+        table = fraction_cum(mu)
+        assert [F(v, den) for v in corners(mu, den)] == [
+            table[r][c] for r in range(1, m) for c in range(1, m)]
+        assert corners(mu, mu.den) is mu.interior is mu.interior  # built once
+
+    def test_common_grid_reads_the_tables(self, monkeypatch):
+        monkeypatch.setattr(permuton, "_cdf_ints", None)
+        rng = random.Random(5)
+        for m in (1, 2, 5):
+            mu, nu = random_permuton(rng, m, 10**15), random_permuton(rng, m, 4)
+            assert permuton_bruhat_leq(mu, nu) == bruhat_leq_by_rows(mu, nu)
+            assert permuton_bruhat_leq(mu, mu)
 
 
 class TestIntegerTables:

@@ -1,8 +1,11 @@
+from operator import le
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bruhat_by_covers, dominance_by_cells, mul
+from conftest import (bruhat_by_covers, bruhat_leq_by_dominance, dominance, dominance_by_cells,
+                      dominance_table, mul)
 from preproj.errors import (
     DomainError,
     LetterOutOfRange,
@@ -10,6 +13,7 @@ from preproj.errors import (
     SizeMismatch,
     TooLarge,
 )
+from preproj.lanes import Lanes
 from preproj.symgroup import (
     Perm,
     all_perms,
@@ -17,7 +21,6 @@ from preproj.symgroup import (
     apply_word,
     bruhat_leq,
     canonical_reduced_word_of_rep,
-    dominance_table,
     is_reduced,
     length,
     min_coset_rep,
@@ -167,9 +170,73 @@ class TestDominanceTable:
     @settings(max_examples=100, deadline=None)
     def test_dominance_is_the_table_interior(self, u):
         table = dominance_by_cells(u)
-        assert u.dominance == tuple(table[i][j] for i in range(1, u.n)
-                                    for j in range(1, u.n))
-        assert u.dominance is u.dominance  # built once per permutation
+        assert dominance(u) == tuple(table[i][j] for i in range(1, u.n)
+                                     for j in range(1, u.n))
+
+
+def bruhat_below(v: Perm, rng, steps: int) -> Perm:
+    """A permutation at or below v in Bruhat order: up to steps times, swap
+    two values that stand in decreasing order (an inversion), which makes it
+    shorter."""
+    ol = list(v.one_line)
+    for _ in range(steps):
+        inversions = [(p, q) for p in range(len(ol)) for q in range(p + 1, len(ol))
+                      if ol[p] > ol[q]]
+        if not inversions:
+            break
+        p, q = rng.choice(inversions)
+        ol[p], ol[q] = ol[q], ol[p]
+    return Perm(ol)
+
+
+perms_up_to_12 = st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+).map(Perm)
+
+
+class TestTableau:
+    """Ehresmann's tableau criterion against the dominance criterion."""
+
+    def test_25341(self):
+        assert W.tableau == (2, 2, 5, 2, 3, 5, 2, 3, 4, 5)
+        assert W.tableau is W.tableau  # built once per permutation
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sizes(self, n):
+        for u in all_perms(n):
+            assert len(u.tableau) == n * (n - 1) // 2
+        assert Perm((1,)).tableau == () and Perm((2, 1)).tableau == (2,)
+
+    def test_every_pair_of_s6_matches_dominance(self):
+        perms = list(all_perms(6))
+        lanes = Lanes([v.tableau for v in perms], 6)
+        tables = [dominance(v) for v in perms]
+        for u, tu in zip(perms, tables):
+            row = lanes.at_least(u.tableau)
+            got = [bool(row >> lanes.width * (t + 1) - 1 & 1) for t in range(len(perms))]
+            assert got == [all(map(le, tu, tv)) for tv in tables]
+        assert sum(bruhat_leq(u, v) for u in perms[::7] for v in perms) == sum(
+            bruhat_leq_by_dominance(u, v) for u in perms[::7] for v in perms)
+
+    @given(perms_up_to_12, st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dominance_up_to_12(self, v, rng):
+        u = bruhat_below(v, rng, rng.randint(0, 4))
+        other = Perm(rng.sample(range(1, v.n + 1), v.n))
+        for a, b in ((u, v), (v, u), (u, other), (other, v)):
+            assert bruhat_leq(a, b) == bruhat_leq_by_dominance(a, b)
+        assert bruhat_leq(u, v)
+
+    @given(st.integers(1, 12), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_packed_rows_match_pairs(self, n, rng):
+        targets = [Perm(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(1, 30))]
+        sources = [bruhat_below(rng.choice(targets), rng, 2) for _ in range(5)]
+        lanes = Lanes([v.tableau for v in targets], n)
+        for u in sources:
+            row = lanes.at_least(u.tableau)
+            assert [bool(row >> lanes.width * (t + 1) - 1 & 1) for t in range(len(targets))] \
+                == [bruhat_leq_by_dominance(u, v) for v in targets]
 
 
 class TestCosetReps:
