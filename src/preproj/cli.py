@@ -14,36 +14,22 @@ Commands::
 
 Permutations are digit strings for n <= 9 ("25341") and JSON arrays
 otherwise.  Check reports are JSON lines followed by a summary record; the
-exit code is 0 exactly when every case passed.  Every check reads --jobs
-(capped at the CPU count and the number of cases) and --perm; mizuno,
-taurigid, bridge and bruhat also read --n and --sample, twosided reads
---n, --sample and --files (running both), and homvanish --files.  A flag
-the check does not read is an error, and so are --perm beside --sample, an
+exit code is 0 exactly when every case passed.  A flag the check does not
+read (README lists them) is an error, and so are --perm beside --sample, an
 --n that differs from the size of --perm, an empty --perm, a --files with
 no path and flags that leave the check with no cases.  Sweeps over all of
 S_n, a --sample as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5
 by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 
-A mizuno case w walks the cover edges of its lower right weak interval
-[e, w] instead of listing reduced words; each record's "words" is the
-number of reduced words of w, and a failing one names its lowest failing
-edge [v, s], and a failing taurigid record its first pair [i, j] with
-Hom(M^i, tau M^j) != 0.  Caches cleared before each check do each weak-order
-node (mizuno), Hom pair (taurigid, homvanish; a dict keyed by the integer
-units of the two curves, each case packing its quotients into the lanes of
-one int only when some pair is missing, so no command builds a QuiverRep)
-and stripped (min coset rep, i) summand (bridge, integer units held to the
-permuton's boundary row) once per sweep; bridge builds each permutation's
-permuton once for all its cases, as the sweep reaches it.  A bruhat case
-(rows, i, j) reads one bit: rows holds every permutation's Ehresmann tableau
-(symgroup) and its permuton's interior CDF corners (permuton) in lanes, and
-each source's row per route, one packed pass each; a failing record also
-carries each route's verdict as "tableau" and "cdf".  bridge and bruhat make
-their cases as they run.  Under --jobs the pool is fed a window of cases at
-a time.  twosided and homvanish read integer summand rows, each
-curve's samples at c/m.  Every output line is json.dumps of its record,
-written by one JSON encoder built once per process, each case line as its
-runner returns.
+A check runs tasks: a permutation (mizuno, taurigid, bridge), a source
+(rows, i) against every target (bruhat), or a permutation or a (label,
+permuton) (twosided, homvanish).  A task's runner returns its records,
+"check" first, and builds a permutation's permuton itself.  cmd_check
+writes each task's lines, encoded by _line, as they come back, serially or
+from a pool of --jobs workers (capped at the CPU count and the number of
+tasks), and counts the cases and failures.  Per-sweep memos, cleared
+before each check, do each weak-order node (mizuno), Hom pair (taurigid,
+homvanish) and stripped summand (bridge) once per process.
 """
 
 from __future__ import annotations
@@ -53,13 +39,13 @@ import json
 import os
 import random
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from functools import lru_cache
-from itertools import islice, product
+from functools import lru_cache, partial
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import lcm
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator
+from typing import NamedTuple
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
@@ -73,10 +59,10 @@ def parse_perm(text: str) -> Perm:
     text = text.strip()
     try:
         w = Perm(json.loads(text)) if text.startswith("[") else Perm(map(int, text))
-    except (ValueError, PreprojError) as exc:
-        raise ParseError(f"cannot parse permutation {text!r}") from exc
+    except (ValueError, RecursionError, PreprojError) as exc:
+        raise ParseError(f"cannot parse permutation {text[:40]!r}") from exc
     if w.n == 0:
-        raise ParseError(f"cannot parse permutation {text!r}: it is empty")
+        raise ParseError(f"cannot parse permutation {text[:40]!r}: it is empty")
     return w
 
 
@@ -84,7 +70,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -112,14 +98,9 @@ def _line(obj) -> str:
     return ("".join(_ENCODE(obj, 0)) if _ENCODE else json.dumps(obj)) + "\n"
 
 
-def _write(objs: Iterable[dict]) -> None:
-    """The one writer: a line per object, streamed in one call to the
-    sys.stdout of the moment (callers such as test capture swap it)."""
-    sys.stdout.writelines(map(_line, objs))
-
-
 def _emit(obj: dict) -> None:
-    _write((obj,))
+    """One line to the sys.stdout of the moment (test capture swaps it)."""
+    sys.stdout.write(_line(obj))
 
 
 # ---------------------------------------------------------------- ideal
@@ -206,16 +187,17 @@ def _perms(args, default_n: int) -> list[Perm]:
     return [perms[t] for t in sorted(picked)]
 
 
-def _permutons(args, default_perms) -> list[tuple[str, permuton.GridPermuton]]:
-    """The permutons of default_perms() (which reads --perm, --n, --sample) and
-    of --files, which alone takes no permutations; without --perm and --files,
-    also the uniform permutons on 2 x 2 and 4 x 4 cells."""
+def _permutons(args, default_perms) -> list:
+    """The permutations of default_perms() (which reads --perm, --n, --sample)
+    and (path, permuton) for each of --files, which alone takes no
+    permutations; without --perm and --files, also the uniform permutons on
+    2 x 2 and 4 x 4 cells."""
     alone = args.files is not None and (args.perm, args.n, args.sample) == (None,) * 3
     perms = [] if alone else default_perms()
     uniforms = [] if args.perm is not None or args.files is not None else [
         (f"uniform:{m}", permuton.uniform(m)) for m in (2, 4)]
     files = [(path, _load_permuton(path)) for path in args.files or []]
-    return [(f"perm:{w}", permuton.from_perm(w)) for w in perms] + files + uniforms
+    return perms + files + uniforms
 
 
 @lru_cache(maxsize=None)
@@ -249,12 +231,12 @@ def _weak_node(ol: tuple[int, ...]) -> tuple[tuple[finite.CurveModule, ...],
     return ideal, witness, sum(node[2] for node in below.values())
 
 
-def _case_mizuno(w: Perm) -> dict:
+def _case_mizuno(w: Perm) -> list[dict]:
     _, witness, words = _weak_node(w.one_line)
-    record = {"case": str(w), "ok": witness is None, "words": words}
+    record = {"check": "mizuno", "case": str(w), "ok": witness is None, "words": words}
     if witness is not None:
         record["edge"] = list(witness)
-    return record
+    return [record]
 
 
 # {sub's curve units: {quotient's curve units: Hom vanishes}}: each distinct
@@ -262,12 +244,12 @@ def _case_mizuno(w: Perm) -> dict:
 _HOMS: dict[tuple[int, ...], dict[tuple[int, ...], bool]] = {}
 
 
-def _case_taurigid(w: Perm) -> dict:
+def _case_taurigid(w: Perm) -> list[dict]:
     pair = finite.tau_rigid_witness(finite.ideal_of(w), _HOMS)
-    record = {"case": str(w), "ok": pair is None}
+    record = {"check": "taurigid", "case": str(w), "ok": pair is None}
     if pair is not None:
         record["pair"] = list(pair)
-    return record
+    return [record]
 
 
 @lru_cache(maxsize=None)
@@ -275,100 +257,75 @@ def _stripped(rep: Perm, i: int) -> tuple[int, ...]:
     return continuous.stripped_summand(rep, i)  # one per (min coset rep, vertex)
 
 
-def _case_bridge(payload: tuple[Perm, int, permuton.GridPermuton]) -> dict:
-    w, i, mu = payload
-    ok = continuous.finite_vs_continuous(w, i, mu, _stripped)
-    return {"case": f"{w}@{i}", "ok": ok}
+def _case_bridge(w: Perm) -> list[dict]:
+    mu = permuton.from_perm(w)
+    return [{"check": "bridge", "case": f"{w}@{i}",
+             "ok": continuous.finite_vs_continuous(w, i, mu, _stripped)}
+            for i in range(1, w.n)]
 
 
-class _Lazy:
-    """A sized payload whose cases are made as the sweep reads them: len
-    cases from a fresh cases() on each pass, and no list of them held."""
-
-    def __init__(self, size: int, cases: Callable[[], Iterator[tuple]]) -> None:
-        self.size, self.cases = size, cases
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __iter__(self) -> Iterator[tuple]:
-        return self.cases()
-
-
-def _vertices(perms: list[Perm]) -> _Lazy:
-    """(w, i, the permuton of w) for each w and vertex i = 1..n - 1, the
-    permuton built once per w as the sweep reaches it."""
-    def cases() -> Iterator[tuple]:
-        for w in perms:
-            mu = permuton.from_perm(w)
-            yield from ((w, i, mu) for i in range(1, w.n))
-    return _Lazy(sum(w.n - 1 for w in perms), cases)
-
-
-class _Rows:
+class _Rows(NamedTuple):
     """A bruhat sweep's two routes with one lane per permutation: the
     Ehresmann tableaux (symgroup) and the permutons' interior CDF corners
-    (permuton), on lanes of one width, and each permutation's label.  memo
-    holds, per source i, where its two rows differ and its tableau row, made
-    the first time a case of i runs on this copy; a pickle leaves it out, so
-    a window sent to a worker carries the lanes and labels alone."""
+    (permuton), on lanes of one width, and each permutation's label."""
 
-    def __init__(self, labels: list[str], tableaux: Lanes, cdfs: Lanes) -> None:
-        self.labels, self.tableaux, self.cdfs = labels, tableaux, cdfs
-        self.memo: dict[int, tuple[int, int]] = {}
-
-    def __reduce__(self):
-        return type(self), (self.labels, self.tableaux, self.cdfs)
-
-    def row(self, i: int) -> tuple[int, int]:
-        """(tableau row ^ CDF row, tableau row) of source i, stored in memo:
-        the guard bit of lane j is set in a row when its route puts perms[i]
-        below perms[j]."""
-        tableau = self.tableaux.at_least(self.tableaux.lane(i))
-        cdf = self.cdfs.at_most(self.cdfs.lane(i))
-        self.memo[i] = got = (tableau ^ cdf, tableau)
-        return got
+    labels: list[str]
+    tableaux: Lanes
+    cdfs: Lanes
 
 
-def _pairs(perms: list[Perm]) -> _Lazy:
-    """(rows, i, j) for every ordered pair of perms, rows their one _Rows;
-    each permuton is built once, to read its corners."""
+def _sources(perms: list[Perm]) -> list[tuple[_Rows, int]]:
+    """(rows, i) for each source perms[i], rows their one _Rows; each
+    permuton is built once, to read its corners."""
     mus = [permuton.from_perm(w) for w in perms]
     den = lcm(*(mu.den for mu in mus))
     top = max(perms[0].n, den)  # the two routes' lanes have one width
     rows = _Rows([w.label for w in perms], Lanes([w.tableau for w in perms], top),
                  Lanes([permuton.corners(mu, den) for mu in mus], top))
-    size = len(perms)
-    return _Lazy(size * size, lambda: product((rows,), range(size), range(size)))
+    return [(rows, i) for i in range(len(perms))]
 
 
-def _case_bruhat(payload: tuple[_Rows, int, int]) -> dict:
-    rows, i, j = payload
-    differ, tableau = rows.memo.get(i) or rows.row(i)
-    bit = rows.tableaux.width * (j + 1) - 1  # lane j's guard bit
-    if not differ >> bit & 1:
-        return {"case": f"{rows.labels[i]}<={rows.labels[j]}", "ok": True}
-    below = bool(tableau >> bit & 1)
-    return {"case": f"{rows.labels[i]}<={rows.labels[j]}", "ok": False,
-            "tableau": below, "cdf": not below}
+def _case_bruhat(task: tuple[_Rows, int]) -> list[dict]:
+    """Source i against every target j, one packed pass per route: the guard
+    bit of lane j is set in a route's row when it puts perms[i] below
+    perms[j], and a failing record carries each route's verdict."""
+    (labels, tableaux, cdfs), i = task
+    tableau = tableaux.at_least(tableaux.lane(i))
+    differ = tableau ^ cdfs.at_most(cdfs.lane(i))
+    records = [{"check": "bruhat", "case": f"{labels[i]}<={v}", "ok": True}
+               for v in labels]
+    while differ:  # the guard bits of the targets where the routes disagree
+        bit = differ.bit_length() - 1
+        below = bool(tableau >> bit & 1)
+        records[bit // tableaux.width].update(ok=False, tableau=below, cdf=not below)
+        differ ^= 1 << bit
+    return records
 
 
-def _case_twosided(payload: tuple[str, permuton.GridPermuton]) -> dict:
+def _labelled(task) -> tuple[str, permuton.GridPermuton]:
+    """A twosided or homvanish task's label and permuton; a permutation's is
+    built here, as the sweep reaches it."""
+    if isinstance(task, Perm):
+        return f"perm:{task}", permuton.from_perm(task)
+    return task
+
+
+def _case_twosided(task) -> list[dict]:
     # f_p <= left_act(f_q, p) = min(bottom_p, f_q + |p - q|) for grid apexes
     # p != q: all three are linear between columns, so the rows decide it
-    label, mu = payload
+    label, mu = _labelled(task)
     m, unit = mu.m, mu.m * mu.m * mu.den  # unit: 1/m over the rows' m^3 den
     rows = {p: permuton.boundary_row(mu, p, m) for p in range(1, m)}
     ok = all(v <= min((m - abs(m - p - c)) * unit, u + abs(p - q) * unit)
              for p, f_p in rows.items() for q, f_q in rows.items() if p != q
              for c, (v, u) in enumerate(zip(f_p, f_q)))
-    return {"case": label, "ok": ok}
+    return [{"check": "twosided", "case": label, "ok": ok}]
 
 
-def _case_homvanish(payload: tuple[str, permuton.GridPermuton]) -> dict:
+def _case_homvanish(task) -> list[dict]:
     # hom_vanishing_cert's certificate for the curves at t/21: f - g is linear
     # between columns, so the signs of its rises there classify it
-    label, mu = payload
+    label, mu = _labelled(task)
     rows = [permuton.boundary_row(mu, t, 21) for t in range(1, 21)]
     steps = [[b - a for a, b in zip(row, row[1:])] for row in rows]
     certified = all(plfunc.rises_class([a - b for a, b in zip(s, t)])
@@ -377,15 +334,16 @@ def _case_homvanish(payload: tuple[str, permuton.GridPermuton]) -> dict:
     ideal = continuous.PermutonIdeal(mu)
     summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
-    return {"case": label, "ok": certified and finite.is_tau_rigid(summands, _HOMS)}
+    ok = certified and finite.is_tau_rigid(summands, _HOMS)
+    return [{"check": "homvanish", "case": label, "ok": ok}]
 
 
-# name -> (case runner, payload source, flags the check does not read)
+# name -> (task runner, task source, flags the check does not read)
 _CHECKS = {
     "mizuno": (_case_mizuno, lambda args: _perms(args, 4), ("files",)),
     "taurigid": (_case_taurigid, lambda args: _perms(args, 4), ("files",)),
-    "bridge": (_case_bridge, lambda args: _vertices(_perms(args, 5)), ("files",)),
-    "bruhat": (_case_bruhat, lambda args: _pairs(_perms(args, 4)), ("files",)),
+    "bridge": (_case_bridge, lambda args: _perms(args, 5), ("files",)),
+    "bruhat": (_case_bruhat, lambda args: _sources(_perms(args, 4)), ("files",)),
     "twosided": (
         _case_twosided, lambda args: _permutons(args, lambda: _perms(args, 4)), ()
     ),
@@ -398,27 +356,16 @@ _CHECKS = {
 }
 
 
-_WINDOW = 32768  # cases handed to the worker pool at a time
-
-
-def _windowed(pool, runner, payloads, jobs: int) -> Iterator[dict]:
-    """pool.imap over the payloads in order, a window of _WINDOW cases at a
-    time, cut into one chunk per worker.  The next window is handed over
-    while the current one's records are read, so a worker that finishes its
-    chunk finds the next one waiting, and a lazy payload is read at most two
-    windows ahead of the output."""
-    items, running = iter(payloads), iter(())
-    for window in iter(lambda: list(islice(items, _WINDOW)), []):
-        chunks, extra = divmod(len(window), jobs)
-        ahead = pool.imap(runner, window, chunks + bool(extra))
-        yield from running
-        running = ahead
-    yield from running
+def _run(name: str, task) -> tuple[str, int, int]:
+    """A task's output lines, with its numbers of cases and of failures."""
+    records = _CHECKS[name][0](task)
+    return ("".join(map(_line, records)), len(records),
+            sum(not record["ok"] for record in records))
 
 
 def cmd_check(args) -> int:
     name = args.name
-    runner, source, unread = _CHECKS[name]
+    _, source, unread = _CHECKS[name]
     for flag in ("n", "sample", "jobs"):
         value = getattr(args, flag)
         if value is not None and value < 1:
@@ -426,27 +373,23 @@ def cmd_check(args) -> int:
     for flag in unread:
         if getattr(args, flag) is not None:
             raise ParseError(f"check {name} does not read --{flag}")
-    payloads = source(args)
-    if not payloads:
-        raise ParseError(f"check {name} has no cases for these flags")
+    tasks = source(args)
     for memo in (_weak_node, _stripped):
         memo.cache_clear()  # the per-sweep memos
     _HOMS.clear()
-    jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
-    failures = 0
-
-    def lines(records: Iterable[dict]) -> Iterator[dict]:
-        nonlocal failures
-        for record in records:  # each written as its runner returns
-            failures += not record["ok"]
-            yield {"check": name, **record}
-
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            _write(lines(_windowed(pool, runner, payloads, jobs)))
-    else:
-        _write(lines(map(runner, payloads)))
-    _emit({"summary": True, "check": name, "cases": len(payloads),
+    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    run, cases, failures = partial(_run, name), 0, 0
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        # Pool.map's chunks, ceil(tasks / 4 jobs); workers return finished text
+        results = (pool.imap(run, tasks, -(-len(tasks) // (4 * jobs))) if pool
+                   else map(run, tasks))
+        for text, count, failed in results:
+            sys.stdout.write(text)
+            cases += count
+            failures += failed
+    if not cases:  # nothing was written
+        raise ParseError(f"check {name} has no cases for these flags")
+    _emit({"summary": True, "check": name, "cases": cases,
            "failures": failures, "pass": failures == 0})
     return 0 if failures == 0 else 1
 

@@ -109,6 +109,24 @@ def bruhat_by_covers(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], bo
     return table
 
 
+def bruhat_by_subwords(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], bool]:
+    """Bruhat order by the subword property (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, Thm 2.2.2): u <= v exactly when u is the product of a
+    subword of one reduced word of v, here the least of all_reduced_words(v).
+    A subword that is not reduced reduces, by the deletion property, to a
+    reduced subword of the same product, so every subword counts; the
+    products are grown letter by letter, each extended on the right."""
+    perms = list(all_perms(n))
+    table = {}
+    for v in perms:
+        below = {tuple(range(1, n + 1))}
+        for s in min(all_reduced_words(v)):
+            below |= {x[:s - 1] + (x[s], x[s - 1]) + x[s + 1:] for x in below}
+        assert v.one_line in below
+        table.update(((u.one_line, v.one_line), u.one_line in below) for u in perms)
+    return table
+
+
 def mizuno_by_words(w: Perm) -> dict:
     """The mizuno record of w from the list of its reduced words, each one
     stripped and held to ideal_of(w) (the check's former route)."""
@@ -740,10 +758,9 @@ def cone_contains(s: Sheet, s_prime: Sheet, y, a, z, b) -> bool:
     return in_target and b - (a + s.up.f.at(y)) >= abs(y - z)
 
 
-def write_by_print(objs) -> None:
-    """One ``print(json.dumps(obj))`` per object (the CLI's former writer)."""
-    for obj in objs:
-        print(json.dumps(obj))
+def line_by_dumps(obj) -> str:
+    """``json.dumps(obj)`` and a newline (the CLI's former encoder)."""
+    return json.dumps(obj) + "\n"
 
 
 # JSON writers of the fixtures the CLI tests read (formerly in preproj.jsonio)

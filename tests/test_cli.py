@@ -2,19 +2,22 @@ import io
 import json
 import pickle
 import random
+import re
 import sys
 import time
 from fractions import Fraction as F
 from functools import cached_property
-from itertools import islice
+from multiprocessing.pool import Pool
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bruhat_by_covers, frac_by_fraction_parse, homvanish_by_plfuncs,
-                      mizuno_by_words, permuton_to_json, random_permuton, sheet_to_json,
-                      twosided_by_plfuncs, write_by_print)
+from conftest import (bruhat_by_covers, bruhat_by_subwords, frac_by_fraction_parse,
+                      homvanish_by_plfuncs, line_by_dumps, mizuno_by_words,
+                      permuton_to_json, random_permuton, sheet_to_json,
+                      twosided_by_plfuncs)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
@@ -301,7 +304,7 @@ class TestCheckCommand:
 
         for _ in range(4):
             mu = random_permuton(rng, rng.randint(5, 9))
-            record = cli._case_homvanish(("mu", mu))
+            [record] = cli._case_homvanish(("mu", mu))
             assert record["ok"] == by_pairs(mu)
             for _ in range(20):
                 a, b = (F(rng.randint(1, d - 1), d) for d in rng.choices(range(2, 50), k=2))
@@ -334,9 +337,10 @@ class TestCheckCommand:
                 return plfunc.MonotoneClass.NEITHER
             return classify(rises)
 
-        assert cli._case_homvanish(("mu", mu)) == {"case": "mu", "ok": True}
+        record = {"check": "homvanish", "case": "mu", "ok": True}
+        assert cli._case_homvanish(("mu", mu)) == [record]
         monkeypatch.setattr(plfunc, "rises_class", one_unclassified)
-        assert cli._case_homvanish(("mu", mu)) == {"case": "mu", "ok": False}
+        assert cli._case_homvanish(("mu", mu)) == [{**record, "ok": False}]
         assert len(hits) == 1
 
     def test_parser_built_once_and_flags_do_not_leak(self, capsys, monkeypatch, tmp_path):
@@ -505,7 +509,7 @@ class TestMizunoWalk:
         w = raised_by_letters(*n_letters)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("PREPROJ_MAX_N", "7")
-            assert cli._case_mizuno(w) == mizuno_by_words(w)
+            assert cli._case_mizuno(w) == [{"check": "mizuno", **mizuno_by_words(w)}]
 
     def test_planted_fault_names_an_edge_into_it(self, capsys, monkeypatch):
         u = Perm((2, 4, 1, 3))
@@ -632,7 +636,7 @@ class TestBruhatTables:
     @pytest.mark.parametrize("n,cases", [(1, ["1<=1"]), (2, ["12<=12", "12<=21",
                                                             "21<=12", "21<=21"])])
     def test_edge_sizes(self, capsys, n, cases):
-        rows = next(iter(cli._pairs(list(all_perms(n)))))[0]
+        rows = cli._sources(list(all_perms(n)))[0][0]
         assert rows.tableaux.length == n * (n - 1) // 2
         assert rows.cdfs.length == (n - 1) ** 2
         code, lines = run(capsys, "check", "bruhat", "--n", str(n))
@@ -649,25 +653,35 @@ class TestBruhatTables:
         assert code == 0 and len(labels) == 5 and some[-1]["cases"] == 25
         assert some[:-1] == [verdicts[f"{u}<={v}"] for u in sorted(labels)
                              for v in sorted(labels)]
-        payload = cli._pairs([parse_perm(w) for w in sorted(labels)])
-        assert len(payload) == 25 and next(iter(payload))[0].tableaux.size == 5
+        tasks = cli._sources([parse_perm(w) for w in sorted(labels)])
+        assert [i for _, i in tasks] == list(range(5)) and tasks[0][0].tableaux.size == 5
 
-    def test_pickled_window_carries_the_lanes_once(self):
-        window = list(islice(cli._pairs(list(all_perms(5))), 4096))
-        rows = window[0][0]
-        expected = [cli._case_bruhat(case) for case in window]
-        assert len(rows.memo) == 35  # sources 0..34 in the window
-        data = pickle.dumps(window)
+    def test_pickled_chunk_carries_the_lanes_once(self):
+        chunk = cli._sources(list(all_perms(5)))[:30]
+        rows = chunk[0][0]
+        expected = [cli._case_bruhat(task) for task in chunk]
+        data = pickle.dumps(chunk)
         assert b"GridPermuton" not in data and b"Perm" not in data
         assert data.count(b"_Rows") == 1 and data.count(b"Lanes") == 1
         back = pickle.loads(data)
-        assert len({id(case[0]) for case in back}) == 1
+        assert len({id(task[0]) for task in back}) == 1
         copy = back[0][0]
-        assert copy.memo == {} and copy.labels == rows.labels
+        assert copy.labels == rows.labels
         for lanes, original in ((copy.tableaux, rows.tableaux), (copy.cdfs, rows.cdfs)):
             assert (lanes.width, lanes.cols, lanes.guard) == (
                 original.width, original.cols, original.guard)
-        assert [cli._case_bruhat(case) for case in back] == expected
+        assert [cli._case_bruhat(task) for task in back] == expected
+
+    def test_records_match_the_subword_oracle(self, capsys, monkeypatch):
+        # the CDF route negated: every pair fails, and its record names the
+        # tableau route's verdict
+        at_most = Lanes.at_most
+        monkeypatch.setattr(Lanes, "at_most", lambda self, a: self.guard ^ at_most(self, a))
+        code, lines = run(capsys, "check", "bruhat", "--n", "4")
+        assert code == 1 and lines[-1]["failures"] == 576
+        verdicts = {tuple(tuple(map(int, side)) for side in r["case"].split("<=")):
+                    r["tableau"] for r in lines[:-1]}
+        assert verdicts == bruhat_by_subwords(4)
 
 
 class TestBridgePermutons:
@@ -699,52 +713,95 @@ class TestBridgePermutons:
         assert events == [e for w in all_perms(4)
                           for e in (str(w), f"{w}@1", f"{w}@2", f"{w}@3")]
 
-    def test_payload_is_sized_and_lazy(self):
-        payload = cli._vertices(list(all_perms(5)))
-        assert len(payload) == 120 * 4
-        cases = iter(payload)
-        first = [next(cases) for _ in range(4)]
-        assert [(str(w), i) for w, i, _ in first] == [("12345", i) for i in range(1, 5)]
-        assert len({id(mu) for _, _, mu in first}) == 1
-        assert len(list(cases)) == 476
+
+class TestPermutonTasks:
+    @pytest.mark.parametrize("name,flags,perms", [
+        ("twosided", ["--n", "3"], [str(w) for w in all_perms(3)]),
+        ("homvanish", [], ["25341", "2413"])])
+    def test_permutons_built_as_the_sweep_reaches_them(self, monkeypatch, name, flags,
+                                                       perms):
+        events = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                events.extend(("line", json.loads(line).get("case", "summary"))
+                              for line in text.splitlines())
+                return super().write(text)
+
+        true_from_perm = permuton.from_perm
+        monkeypatch.setattr(permuton, "from_perm",
+                            lambda w: events.append(("built", f"perm:{w}"))
+                            or true_from_perm(w))
+        monkeypatch.setattr(sys, "stdout", Recording())
+        assert main(["check", name, *flags]) == 0
+        # each permuton just before its task's record, none held ahead
+        assert events == [e for w in perms for e in (("built", f"perm:{w}"),
+                                                     ("line", f"perm:{w}"))] + [
+            ("line", "uniform:2"), ("line", "uniform:4"), ("line", "summary")]
 
 
 class TestWindowedFeed:
-    """Under --jobs the pool gets the payload a window at a time."""
+    """Under --jobs the pool gets the tasks in Pool.map's chunks (windows)
+    of ceil(tasks / 4 jobs), and each worker returns its tasks' finished text."""
 
-    class FakePool:
-        def __init__(self):
-            self.windows = []
+    @staticmethod
+    def chunked(monkeypatch, force=None) -> list:
+        """Record (tasks, workers, chunk) of each pool's imap; with force,
+        hand the pool chunks of that size instead."""
+        seen = []
 
-        def imap(self, runner, window, chunk):
-            self.windows.append((len(window), chunk))
-            return map(runner, window)
+        class Chunked(Pool):
+            def imap(self, func, iterable, chunksize=1):
+                seen.append((len(iterable), self._processes, chunksize))
+                return super().imap(func, iterable, force or chunksize)
 
-    def test_reads_at_most_two_windows_ahead(self, monkeypatch):
-        monkeypatch.setattr(cli, "_WINDOW", 10)
-        read = []
+        monkeypatch.setattr(cli, "Pool", Chunked)
+        return seen
 
-        def payload():
-            for t in range(45):
-                read.append(t)
-                yield t
-
-        pool = self.FakePool()
-        out = cli._windowed(pool, lambda t: -t, payload(), 3)
-        for t in range(45):
-            assert next(out) == -t
-            assert len(read) <= (t // 10 + 2) * 10
-        assert list(out) == [] and len(read) == 45
-        # one chunk per worker in each window
-        assert pool.windows == [(10, 4), (10, 4), (10, 4), (10, 4), (5, 2)]
+    @pytest.mark.parametrize("name,tasks", [("taurigid", 24), ("bridge", 24),
+                                            ("bruhat", 24), ("twosided", 26)])
+    def test_chunks_follow_pool_map(self, capsys, monkeypatch, name, tasks):
+        assert main(["check", name, "--n", "4"]) == 0
+        serial = capsys.readouterr().out
+        seen = self.chunked(monkeypatch)
+        assert main(["check", name, "--n", "4", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert seen == [(tasks, 2, -(-tasks // 8))]
 
     @pytest.mark.parametrize("name", ["taurigid", "bridge", "bruhat"])
     def test_small_windows_keep_lines_and_order(self, capsys, monkeypatch, name):
         assert main(["check", name, "--n", "4"]) == 0
         serial = capsys.readouterr().out
-        monkeypatch.setattr(cli, "_WINDOW", 7)
+        self.chunked(monkeypatch, force=1)
         assert main(["check", name, "--n", "4", "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial and serial.count("\n") > 24
+
+    @pytest.mark.parametrize("name,flags", [
+        ("mizuno", ["--n", "4"]), ("taurigid", ["--n", "4"]), ("bridge", ["--n", "4"]),
+        ("bruhat", ["--n", "4"]), ("twosided", ["--n", "4"]), ("homvanish", [])])
+    def test_planted_failures_come_back_from_the_workers(self, capsys, monkeypatch,
+                                                         name, flags):
+        u, rep0 = Perm((2, 4, 1, 3)), Perm((1, 3, 2, 4))
+        true_ideal_of, word_of = finite.ideal_of, symgroup.canonical_reduced_word_of_rep
+        witness = finite.tau_rigid_witness
+        monkeypatch.setattr(finite, "ideal_of",
+                            lambda w: true_ideal_of(Perm.identity(w.n) if w == u else w))
+        monkeypatch.setattr(finite, "tau_rigid_witness", lambda ideal, homs: (
+            (1, 1) if ideal and finite.is_zero(ideal[0]) else witness(ideal, homs)))
+        monkeypatch.setattr(symgroup, "canonical_reduced_word_of_rep",
+                            lambda w, i: () if (w, i) == (rep0, 2) else word_of(w, i))
+        plant_tableau(monkeypatch, lambda w, t: (2,) + t[1:] if w.label == "1234" else t)
+        # a homvanish task reads 20 curves, a twosided one n - 1
+        share = F(1, 20) if name == "homvanish" else F(1, 4)
+        monkeypatch.setattr(permuton, "boundary_row", perturbed_rows(6, share))
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["check", name, *flags, "--jobs", jobs]) == 1
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        lines = [json.loads(line) for line in outputs[0].splitlines()]
+        failed = sum(not r["ok"] for r in lines[:-1])
+        assert 0 < failed < len(lines) - 1 and lines[-1]["failures"] == failed
 
 
 def perturbed_rows(seed: int, share: F):
@@ -786,8 +843,8 @@ class TestSummandRows:
 
     @staticmethod
     def verdicts(mu) -> tuple[bool, bool, bool, bool]:
-        return (cli._case_twosided(("mu", mu))["ok"], twosided_by_plfuncs(mu),
-                cli._case_homvanish(("mu", mu))["ok"], homvanish_by_plfuncs(mu))
+        return (cli._case_twosided(("mu", mu))[0]["ok"], twosided_by_plfuncs(mu),
+                cli._case_homvanish(("mu", mu))[0]["ok"], homvanish_by_plfuncs(mu))
 
     def test_all_of_s6_matches_oracles(self, monkeypatch):
         monkeypatch.setattr(permuton, "boundary_row", perturbed_rows(6, F(1, 4)))
@@ -1077,12 +1134,12 @@ class TestBrickAndSheet:
 
 
 def former_writer_agrees(capsys, argv) -> tuple[int, str]:
-    """Runs argv through the CLI's writer and through the former
-    print(json.dumps(obj)) writer; both must give the same exit code and
-    stdout.  Returns the first."""
+    """Runs argv through the CLI's encoder and through the former
+    json.dumps(obj) encoder; both must give the same exit code and stdout.
+    Returns the first."""
     ours = main(list(argv)), capsys.readouterr().out
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_write", write_by_print)
+        mp.setattr(cli, "_line", line_by_dumps)
         former = main(list(argv)), capsys.readouterr().out
     assert ours == former
     return ours
@@ -1204,3 +1261,53 @@ class TestRenderCommand:
         spec_path = write_json(tmp_path, "spec.json", spec)
         assert main(["render", spec_path, "-o", str(tmp_path / "fig.svg")]) == 2
         assert not (tmp_path / "fig.svg").exists()
+
+
+class TestDeepJson:
+    """Nesting past the interpreter's recursion limit is a parse error."""
+
+    DEEP = "[" * 50000
+
+    @pytest.mark.parametrize("argv", [
+        ("brick", "check", "deep.json"),
+        ("order", "permuton", "deep.json", "deep.json"),
+        ("ideal", "permuton", "deep.json", "--at", "1/2"),
+        ("render", "deep.json", "-o", "out.svg"),
+        ("check", "twosided", "--files", "deep.json"),
+        ("check", "homvanish", "--files", "deep.json"),
+    ], ids=" ".join)
+    def test_deep_file(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "deep.json").write_text(self.DEEP, encoding="utf-8")
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "cannot read JSON from deep.json" in captured.err
+        assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("order", "bruhat", DEEP, "21"),
+        ("ideal", "perm", DEEP),
+        ("check", "mizuno", "--perm", DEEP),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_deep_permutation(self, capsys, argv):
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot parse permutation {self.DEEP[:40]!r}\n"
+
+
+def test_readme_flag_table_matches_the_registry():
+    """README's table of the flags each check reads is the check parser's
+    options less each _CHECKS entry's unread flags."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| check | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        names, flags = row.strip("|").split("|")
+        documented.update((name, re.findall(r"`(--\w+)`", flags))
+                          for name in re.findall(r"`(\w+)`", names))
+    check = cli.build_parser()._subparsers._group_actions[0].choices["check"]
+    options = [a.option_strings[-1] for a in check._actions
+               if a.option_strings and a.dest != "help"]
+    assert documented == {name: [o for o in options if o[2:] not in unread]
+                          for name, (_, _, unread) in cli._CHECKS.items()}

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bruhat_by_covers, bruhat_leq_by_dominance, dominance, dominance_by_cells,
-                      dominance_table, mul)
+from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_leq_by_dominance,
+                      dominance, dominance_by_cells, dominance_table, mul)
 from preproj.errors import (
     DomainError,
     LetterOutOfRange,
@@ -125,6 +125,15 @@ class TestBruhat:
         for u in all_perms(n):
             for v in all_perms(n):
                 assert bruhat_leq(u, v) == oracle[(u.one_line, v.one_line)]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_matches_subword_oracle(self, n):
+        oracle = bruhat_by_subwords(n)
+        perms = list(all_perms(n))
+        assert {(u.one_line, v.one_line): bruhat_leq(u, v)
+                for u in perms for v in perms} == oracle
+        if n == 4:
+            assert oracle == bruhat_by_covers(4)
 
     def test_length_monotone_on_s4(self):
         for u in all_perms(4):
