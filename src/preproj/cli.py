@@ -23,13 +23,14 @@ by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 
 A check runs tasks: a permutation (mizuno, taurigid, bridge), a source
 (rows, i) against every target (bruhat), or a permutation or a (label,
-permuton) (twosided, homvanish).  A task's runner returns its records,
-"check" first, and builds a permutation's permuton itself.  cmd_check
-writes each task's lines, encoded by _line, as they come back, serially or
-from a pool of --jobs workers (capped at the CPU count and the number of
-tasks), and counts the cases and failures.  Per-sweep memos, cleared
-before each check, do each weak-order node (mizuno), Hom pair (taurigid,
-homvanish) and stripped summand (bridge) once per process.
+permuton) (twosided, homvanish).  A task's runner returns its lines, a
+bruhat row spliced from pieces encoded once per sweep and any other record
+encoded by _line, with its numbers of cases and of failures; cmd_check
+writes them as they come back, serially or from a pool of --jobs workers
+(capped at the CPU count and the number of tasks).  Per-sweep memos,
+cleared before each check, do each weak-order node (mizuno), Hom pair
+(taurigid, homvanish) and stripped summand (bridge) once per process.  A
+reader that closes the pipe early ends the command with exit code 141.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import random
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from math import lcm
+from math import factorial, lcm
 from multiprocessing import Pool
 from typing import NamedTuple
 
@@ -96,6 +97,11 @@ _ENCODE = c_make_encoder and c_make_encoder(
 def _line(obj) -> str:
     """json.dumps(obj) and a newline: one output line."""
     return ("".join(_ENCODE(obj, 0)) if _ENCODE else json.dumps(obj)) + "\n"
+
+
+def _lines(records: list[dict]) -> tuple[str, int, int]:
+    """The records' output lines, with their numbers of cases and of failures."""
+    return "".join(map(_line, records)), len(records), sum(not r["ok"] for r in records)
 
 
 def _emit(obj: dict) -> None:
@@ -179,12 +185,12 @@ def _perms(args, default_n: int) -> list[Perm]:
         return [w]
     n = args.n or default_n
     _guard(n, exhaustive=args.sample is None)
-    perms = list(symgroup.all_perms(n))
-    if args.sample is None or args.sample >= len(perms):
+    size = factorial(n)
+    if args.sample is None or args.sample >= size:
         _guard(n, exhaustive=True)  # a sample as large as S_n is a full sweep
-        return perms
-    picked = random.Random(0).sample(range(len(perms)), args.sample)
-    return [perms[t] for t in sorted(picked)]
+        return list(symgroup.all_perms(n))
+    picked = random.Random(0).sample(range(size), args.sample)
+    return [symgroup.perm_at(n, t) for t in sorted(picked)]
 
 
 def _permutons(args, default_perms) -> list:
@@ -231,12 +237,12 @@ def _weak_node(ol: tuple[int, ...]) -> tuple[tuple[finite.CurveModule, ...],
     return ideal, witness, sum(node[2] for node in below.values())
 
 
-def _case_mizuno(w: Perm) -> list[dict]:
+def _case_mizuno(w: Perm) -> tuple[str, int, int]:
     _, witness, words = _weak_node(w.one_line)
     record = {"check": "mizuno", "case": str(w), "ok": witness is None, "words": words}
     if witness is not None:
         record["edge"] = list(witness)
-    return [record]
+    return _lines([record])
 
 
 # {sub's curve units: {quotient's curve units: Hom vanishes}}: each distinct
@@ -244,12 +250,12 @@ def _case_mizuno(w: Perm) -> list[dict]:
 _HOMS: dict[tuple[int, ...], dict[tuple[int, ...], bool]] = {}
 
 
-def _case_taurigid(w: Perm) -> list[dict]:
+def _case_taurigid(w: Perm) -> tuple[str, int, int]:
     pair = finite.tau_rigid_witness(finite.ideal_of(w), _HOMS)
     record = {"check": "taurigid", "case": str(w), "ok": pair is None}
     if pair is not None:
         record["pair"] = list(pair)
-    return [record]
+    return _lines([record])
 
 
 @lru_cache(maxsize=None)
@@ -257,21 +263,30 @@ def _stripped(rep: Perm, i: int) -> tuple[int, ...]:
     return continuous.stripped_summand(rep, i)  # one per (min coset rep, vertex)
 
 
-def _case_bridge(w: Perm) -> list[dict]:
+def _case_bridge(w: Perm) -> tuple[str, int, int]:
     mu = permuton.from_perm(w)
-    return [{"check": "bridge", "case": f"{w}@{i}",
-             "ok": continuous.finite_vs_continuous(w, i, mu, _stripped)}
-            for i in range(1, w.n)]
+    return _lines([{"check": "bridge", "case": f"{w}@{i}",
+                    "ok": continuous.finite_vs_continuous(w, i, mu, _stripped)}
+                   for i in range(1, w.n)])
 
 
 class _Rows(NamedTuple):
     """A bruhat sweep's two routes with one lane per permutation: the
     Ehresmann tableaux (symgroup) and the permutons' interior CDF corners
-    (permuton), on lanes of one width, and each permutation's label."""
+    (permuton), on lanes of one width; each permutation's label, and the
+    end of a passing line with it as the target, JSON-encoded."""
 
     labels: list[str]
+    tails: list[str]
     tableaux: Lanes
     cdfs: Lanes
+
+
+# the end of a bruhat line after its target's label: passing, and failing
+# with the tableau route's verdict (the key order json.dumps keeps)
+_PASS = ', "ok": true}\n'
+_FAIL = {True: ', "ok": false, "tableau": true, "cdf": false}\n',
+         False: ', "ok": false, "tableau": false, "cdf": true}\n'}
 
 
 def _sources(perms: list[Perm]) -> list[tuple[_Rows, int]]:
@@ -280,26 +295,30 @@ def _sources(perms: list[Perm]) -> list[tuple[_Rows, int]]:
     mus = [permuton.from_perm(w) for w in perms]
     den = lcm(*(mu.den for mu in mus))
     top = max(perms[0].n, den)  # the two routes' lanes have one width
-    rows = _Rows([w.label for w in perms], Lanes([w.tableau for w in perms], top),
+    labels = [w.label for w in perms]
+    rows = _Rows(labels, [encode_basestring_ascii(v)[1:] + _PASS for v in labels],
+                 Lanes([w.tableau for w in perms], top),
                  Lanes([permuton.corners(mu, den) for mu in mus], top))
     return [(rows, i) for i in range(len(perms))]
 
 
-def _case_bruhat(task: tuple[_Rows, int]) -> list[dict]:
+def _case_bruhat(task: tuple[_Rows, int]) -> tuple[str, int, int]:
     """Source i against every target j, one packed pass per route: the guard
     bit of lane j is set in a route's row when it puts perms[i] below
-    perms[j], and a failing record carries each route's verdict."""
-    (labels, tableaux, cdfs), i = task
+    perms[j], and a failing line carries each route's verdict.  Every line
+    is the source's prefix and a target's tail: JSON escapes a string
+    character by character, so these are json.dumps' bytes."""
+    (labels, tails, tableaux, cdfs), i = task
     tableau = tableaux.at_least(tableaux.lane(i))
     differ = tableau ^ cdfs.at_most(cdfs.lane(i))
-    records = [{"check": "bruhat", "case": f"{labels[i]}<={v}", "ok": True}
-               for v in labels]
+    failures, tails = differ.bit_count(), tails.copy()
     while differ:  # the guard bits of the targets where the routes disagree
         bit = differ.bit_length() - 1
-        below = bool(tableau >> bit & 1)
-        records[bit // tableaux.width].update(ok=False, tableau=below, cdf=not below)
+        j = bit // tableaux.width
+        tails[j] = tails[j][:-len(_PASS)] + _FAIL[bool(tableau >> bit & 1)]
         differ ^= 1 << bit
-    return records
+    prefix = '{"check": "bruhat", "case": ' + encode_basestring_ascii(labels[i])[:-1] + "<="
+    return prefix + prefix.join(tails), len(tails), failures
 
 
 def _labelled(task) -> tuple[str, permuton.GridPermuton]:
@@ -310,7 +329,7 @@ def _labelled(task) -> tuple[str, permuton.GridPermuton]:
     return task
 
 
-def _case_twosided(task) -> list[dict]:
+def _case_twosided(task) -> tuple[str, int, int]:
     # f_p <= left_act(f_q, p) = min(bottom_p, f_q + |p - q|) for grid apexes
     # p != q: all three are linear between columns, so the rows decide it
     label, mu = _labelled(task)
@@ -319,10 +338,10 @@ def _case_twosided(task) -> list[dict]:
     ok = all(v <= min((m - abs(m - p - c)) * unit, u + abs(p - q) * unit)
              for p, f_p in rows.items() for q, f_q in rows.items() if p != q
              for c, (v, u) in enumerate(zip(f_p, f_q)))
-    return [{"check": "twosided", "case": label, "ok": ok}]
+    return _lines([{"check": "twosided", "case": label, "ok": ok}])
 
 
-def _case_homvanish(task) -> list[dict]:
+def _case_homvanish(task) -> tuple[str, int, int]:
     # hom_vanishing_cert's certificate for the curves at t/21: f - g is linear
     # between columns, so the signs of its rises there classify it
     label, mu = _labelled(task)
@@ -335,7 +354,7 @@ def _case_homvanish(task) -> list[dict]:
     summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
     ok = certified and finite.is_tau_rigid(summands, _HOMS)
-    return [{"check": "homvanish", "case": label, "ok": ok}]
+    return _lines([{"check": "homvanish", "case": label, "ok": ok}])
 
 
 # name -> (task runner, task source, flags the check does not read)
@@ -356,16 +375,9 @@ _CHECKS = {
 }
 
 
-def _run(name: str, task) -> tuple[str, int, int]:
-    """A task's output lines, with its numbers of cases and of failures."""
-    records = _CHECKS[name][0](task)
-    return ("".join(map(_line, records)), len(records),
-            sum(not record["ok"] for record in records))
-
-
 def cmd_check(args) -> int:
     name = args.name
-    _, source, unread = _CHECKS[name]
+    run, source, unread = _CHECKS[name]
     for flag in ("n", "sample", "jobs"):
         value = getattr(args, flag)
         if value is not None and value < 1:
@@ -378,7 +390,7 @@ def cmd_check(args) -> int:
         memo.cache_clear()  # the per-sweep memos
     _HOMS.clear()
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
-    run, cases, failures = partial(_run, name), 0, 0
+    cases = failures = 0
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:
         # Pool.map's chunks, ceil(tasks / 4 jobs); workers return finished text
         results = (pool.imap(run, tasks, -(-len(tasks) // (4 * jobs))) if pool
@@ -524,10 +536,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return code
     except PreprojError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: 128 + SIGPIPE, as the shell reports
+        # the rest of the buffer goes to devnull, so shutdown's flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

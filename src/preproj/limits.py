@@ -13,6 +13,9 @@ def scale_limit() -> int:
     if raw is None:
         return DEFAULT_MAX_N
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise ParseError(f"PREPROJ_MAX_N must be an integer, got {raw!r}") from None
+    if limit < 1:
+        raise ParseError(f"PREPROJ_MAX_N must be at least 1, got {raw!r}")
+    return limit

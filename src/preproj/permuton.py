@@ -5,7 +5,9 @@ cell, with every row and column summing to 1/m.  Rows index the vertical
 coordinate y (increasing downwards) and columns the horizontal coordinate x,
 so ``cells[r][c] / den`` is the measure of ((c/m, (c+1)/m] x (r/m, (r+1)/m]),
 den = lcm(m, mass denominators); ``mass`` is the same matrix of Fractions, built
-on first use.  The constructor reads each distinct cell literal once per call.
+on first use.  Every permuton is checked and gets its tables on one path from
+its integer cells; the constructor reads each distinct cell literal once per
+call, and ``from_perm`` and ``uniform`` write no literals.
 
 Every CDF query reads one integer corner-sum table built with the permuton:
 ``cum[r][c] / den`` is mu([0,c/m] x [0,r/m]), r, c = 0..m.  The CDF is bilinear
@@ -30,6 +32,13 @@ from .rat import frac, num_den
 from .symgroup import Perm
 
 
+def _check_size(m) -> None:
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise DomainError(f"grid size must be an int, got {m!r}")
+    if m < 1:
+        raise DomainError("grid size must be positive")
+
+
 @dataclass(frozen=True)
 class GridPermuton:
     m: int
@@ -38,17 +47,19 @@ class GridPermuton:
     cum: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def __init__(self, m: int, mass: Sequence[Sequence]) -> None:
-        if not isinstance(m, int) or isinstance(m, bool):
-            raise DomainError(f"grid size must be an int, got {m!r}")
-        if m < 1:
-            raise DomainError("grid size must be positive")
+        _check_size(m)  # before the shape check reads it
         read: dict[str, tuple[int, int]] = {}  # each distinct literal parsed once
         rows = [[(read.get(v) or read.setdefault(v, num_den(v))) if v.__class__ is str
                  else num_den(v) for v in row] for row in mass]
         if len(rows) != m or any(len(row) != m for row in rows):
             raise DomainError(f"mass matrix must be {m}x{m}")
         den = lcm(m, *{q for row in rows for _, q in row})
-        cells = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
+        self._fill(m, den, tuple(tuple(p * (den // q) for p, q in row) for row in rows))
+
+    def _fill(self, m: int, den: int, cells: tuple[tuple[int, ...], ...]) -> GridPermuton:
+        """Sets ``cells`` over den = lcm(m, reduced mass denominators) once
+        they are nonnegative and every row and column sums to 1/m; builds cum."""
+        _check_size(m)
         if min(map(min, cells)) < 0:
             raise DomainError("cell masses must be nonnegative")
         cum = [(0,) * (m + 1)]
@@ -66,6 +77,7 @@ class GridPermuton:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "cum", tuple(cum))
+        return self
 
     @cached_property
     def mass(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -83,16 +95,15 @@ class GridPermuton:
 def from_perm(w: Perm) -> GridPermuton:
     """Mass 1/n on the cell in row w(i), column i, for each i."""
     n = w.n
-    cell = f"1/{n}"  # wire literals: the constructor parses each distinct one once
-    mass = [["0"] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        mass[w(i) - 1][i - 1] = cell
-    return GridPermuton(n, mass)
+    cells = [[0] * n for _ in range(n)]
+    for i, v in enumerate(w.one_line):
+        cells[v - 1][i] = 1
+    return GridPermuton.__new__(GridPermuton)._fill(n, n, tuple(map(tuple, cells)))
 
 
 def uniform(m: int) -> GridPermuton:
     """Lebesgue measure on the square, carried on an m x m grid."""
-    return GridPermuton(m, [[f"1/{m * m}"] * m for _ in range(m)])
+    return GridPermuton.__new__(GridPermuton)._fill(m, m * m, ((1,) * m,) * m)
 
 
 def _cdf_ints(mu: GridPermuton, ys, xs, s: int) -> list[list[int]]:

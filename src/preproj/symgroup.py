@@ -11,6 +11,7 @@ import itertools
 from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -84,6 +85,19 @@ class Perm:
 def all_perms(n: int) -> Iterator[Perm]:
     for ol in itertools.permutations(range(1, n + 1)):
         yield Perm(ol)
+
+
+def perm_at(n: int, rank: int) -> Perm:
+    """all_perms(n)'s permutation number rank, from 0, listing none: that
+    order is lexicographic, so the digits of rank in the factorial number
+    system pick each value among those left."""
+    if not 0 <= rank < factorial(n):
+        raise IndexOutOfRange(f"rank {rank} outside 0..{n}! - 1")
+    left, ol = list(range(1, n + 1)), []
+    for k in range(n - 1, -1, -1):
+        digit, rank = divmod(rank, factorial(k))
+        ol.append(left.pop(digit))
+    return Perm(ol)
 
 
 def length(w: Perm) -> int:

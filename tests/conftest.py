@@ -763,6 +763,46 @@ def line_by_dumps(obj) -> str:
     return json.dumps(obj) + "\n"
 
 
+def bruhat_row_by_records(task) -> str:
+    """A bruhat task's lines by the former route: a record per target, with
+    both routes' verdicts where they differ, each encoded by json.dumps."""
+    rows, i = task
+    tableau = rows.tableaux.at_least(rows.tableaux.lane(i))
+    cdf = rows.cdfs.at_most(rows.cdfs.lane(i))
+    lines = []
+    for j, target in enumerate(rows.labels):
+        guard = (j + 1) * rows.tableaux.width - 1
+        below, cdf_below = (bool(row >> guard & 1) for row in (tableau, cdf))
+        record = {"check": "bruhat", "case": f"{rows.labels[i]}<={target}", "ok": True}
+        if below is not cdf_below:
+            record.update(ok=False, tableau=below, cdf=cdf_below)
+        lines.append(line_by_dumps(record))
+    return "".join(lines)
+
+
+def sample_by_listing(n: int, k: int) -> list[Perm]:
+    """The seeded --sample of k from S_n, k < n!, picked from the listed S_n
+    (the CLI's former route)."""
+    perms = list(all_perms(n))
+    picked = random.Random(0).sample(range(len(perms)), k)
+    return [perms[t] for t in sorted(picked)]
+
+
+def permuton_by_literals(w: Perm) -> GridPermuton:
+    """w's permuton from wire literals, "1/n" on its cells (the former
+    ``permuton.from_perm``)."""
+    n = w.n
+    mass = [["0"] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        mass[w(i) - 1][i - 1] = f"1/{n}"
+    return GridPermuton(n, mass)
+
+
+def uniform_by_literals(m: int) -> GridPermuton:
+    """The uniform permuton from wire literals (the former ``permuton.uniform``)."""
+    return GridPermuton(m, [[f"1/{m * m}"] * m for _ in range(m)])
+
+
 # JSON writers of the fixtures the CLI tests read (formerly in preproj.jsonio)
 
 

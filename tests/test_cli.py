@@ -1,12 +1,16 @@
+import argparse
 import io
 import json
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
 from functools import cached_property
+from math import factorial
 from multiprocessing.pool import Pool
 from pathlib import Path
 
@@ -14,10 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bruhat_by_covers, bruhat_by_subwords, frac_by_fraction_parse,
-                      homvanish_by_plfuncs, line_by_dumps, mizuno_by_words,
-                      permuton_to_json, random_permuton, sheet_to_json,
-                      twosided_by_plfuncs)
+from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_row_by_records,
+                      frac_by_fraction_parse, homvanish_by_plfuncs, line_by_dumps,
+                      mizuno_by_words, permuton_to_json, random_permuton,
+                      sample_by_listing, sheet_to_json, twosided_by_plfuncs)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
@@ -35,6 +39,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def records(result) -> list[dict]:
+    """A runner's records, read back from its lines; its counts of cases and
+    failures must be theirs."""
+    text, cases, failures = result
+    out = [json.loads(line) for line in text.splitlines()]
+    assert (cases, failures) == (len(out), sum(not r["ok"] for r in out))
+    return out
 
 
 def write_json(tmp_path, name, payload):
@@ -304,7 +317,7 @@ class TestCheckCommand:
 
         for _ in range(4):
             mu = random_permuton(rng, rng.randint(5, 9))
-            [record] = cli._case_homvanish(("mu", mu))
+            [record] = records(cli._case_homvanish(("mu", mu)))
             assert record["ok"] == by_pairs(mu)
             for _ in range(20):
                 a, b = (F(rng.randint(1, d - 1), d) for d in rng.choices(range(2, 50), k=2))
@@ -338,9 +351,9 @@ class TestCheckCommand:
             return classify(rises)
 
         record = {"check": "homvanish", "case": "mu", "ok": True}
-        assert cli._case_homvanish(("mu", mu)) == [record]
+        assert records(cli._case_homvanish(("mu", mu))) == [record]
         monkeypatch.setattr(plfunc, "rises_class", one_unclassified)
-        assert cli._case_homvanish(("mu", mu)) == [{**record, "ok": False}]
+        assert records(cli._case_homvanish(("mu", mu))) == [{**record, "ok": False}]
         assert len(hits) == 1
 
     def test_parser_built_once_and_flags_do_not_leak(self, capsys, monkeypatch, tmp_path):
@@ -475,6 +488,35 @@ class TestCheckCommand:
             scale_limit()
         assert main(["check", "taurigid", "--perm", "2413"]) == 2
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_guard_below_one_refused(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PREPROJ_MAX_N", value)
+        with pytest.raises(ParseError, match="must be at least 1"):
+            scale_limit()
+        assert main(["check", "bruhat", "--n", "3"]) == 2
+        assert "PREPROJ_MAX_N must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sample_picks_what_the_listing_picked(self, monkeypatch, n):
+        monkeypatch.setenv("PREPROJ_MAX_N", "8")
+        for k in sorted({1, 2, 5, 17, factorial(n) - 1} & set(range(1, factorial(n)))):
+            args = argparse.Namespace(perm=None, n=n, sample=k)
+            assert cli._perms(args, 4) == sample_by_listing(n, k)
+
+    def test_sample_lists_no_symmetric_group(self, capsys, monkeypatch):
+        def no_listing(n):
+            raise AssertionError(f"a --sample run listed S_{n}")
+
+        monkeypatch.setenv("PREPROJ_MAX_N", "12")
+        monkeypatch.setattr(symgroup, "all_perms", no_listing)
+        start = time.perf_counter()
+        code, lines = run(capsys, "check", "taurigid", "--n", "12", "--sample", "5")
+        elapsed = time.perf_counter() - start
+        picked = sorted(random.Random(0).sample(range(factorial(12)), 5))
+        assert code == 0 and [r["case"] for r in lines[:-1]] == [
+            str(symgroup.perm_at(12, t)) for t in picked]
+        assert elapsed < 10  # listing S_12 would take about 100 GB
+
     def test_guard_override(self, capsys, monkeypatch):
         monkeypatch.setenv("PREPROJ_MAX_N", "3")
         assert main(["check", "mizuno", "--n", "3"]) == 2  # exhaustive limit is 2
@@ -509,7 +551,8 @@ class TestMizunoWalk:
         w = raised_by_letters(*n_letters)
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("PREPROJ_MAX_N", "7")
-            assert cli._case_mizuno(w) == [{"check": "mizuno", **mizuno_by_words(w)}]
+            assert records(cli._case_mizuno(w)) == [{"check": "mizuno",
+                                                     **mizuno_by_words(w)}]
 
     def test_planted_fault_names_an_edge_into_it(self, capsys, monkeypatch):
         u = Perm((2, 4, 1, 3))
@@ -684,6 +727,41 @@ class TestBruhatTables:
         assert verdicts == bruhat_by_subwords(4)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_spliced_rows_match_the_record_route(self, data):
+        # any verdicts of the two routes on each lane, and digit, array or
+        # arbitrary labels: the spliced row is the records' json.dumps bytes
+        n = data.draw(st.sampled_from([1, 3, 5, 10, 12]))
+        perms = [Perm(ol) for ol in data.draw(st.lists(
+            st.permutations(range(1, n + 1)), min_size=1, max_size=7))]
+        texts = data.draw(st.none() | st.lists(st.text(max_size=5), min_size=len(perms),
+                                               max_size=len(perms)))
+        verdicts = data.draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                                      min_size=len(perms), max_size=len(perms)))
+        with pytest.MonkeyPatch.context() as mp:
+            if texts is not None:
+                label = cached_property(lambda w: texts[perms.index(w)])
+                label.__set_name__(Perm, "label")
+                mp.setattr(Perm, "label", label)
+            tasks = cli._sources(perms)
+            width = tasks[0][0].tableaux.width
+            rows = [sum(1 << (j + 1) * width - 1 for j, pair in enumerate(verdicts)
+                        if pair[route]) for route in (0, 1)]
+            mp.setattr(Lanes, "at_least", lambda self, a: rows[0])
+            mp.setattr(Lanes, "at_most", lambda self, a: rows[1])
+            failures = sum(t is not c for t, c in verdicts)
+            for task in tasks:
+                assert cli._case_bruhat(task) == (bruhat_row_by_records(task),
+                                                  len(perms), failures)
+
+    def test_passing_sweep_encodes_only_its_summary(self, capsys, monkeypatch):
+        encoded, line = [], cli._line
+        monkeypatch.setattr(cli, "_line", lambda obj: encoded.append(obj) or line(obj))
+        code, lines = run(capsys, "check", "bruhat", "--n", "5")
+        assert code == 0 and encoded == [lines[-1]] and lines[-1]["cases"] == 14400
+
+
 class TestBridgePermutons:
     def test_each_permuton_built_once_per_sweep(self, capsys, monkeypatch):
         built = []
@@ -843,8 +921,9 @@ class TestSummandRows:
 
     @staticmethod
     def verdicts(mu) -> tuple[bool, bool, bool, bool]:
-        return (cli._case_twosided(("mu", mu))[0]["ok"], twosided_by_plfuncs(mu),
-                cli._case_homvanish(("mu", mu))[0]["ok"], homvanish_by_plfuncs(mu))
+        [two], [hom] = (records(runner(("mu", mu)))
+                        for runner in (cli._case_twosided, cli._case_homvanish))
+        return two["ok"], twosided_by_plfuncs(mu), hom["ok"], homvanish_by_plfuncs(mu)
 
     def test_all_of_s6_matches_oracles(self, monkeypatch):
         monkeypatch.setattr(permuton, "boundary_row", perturbed_rows(6, F(1, 4)))
@@ -1223,6 +1302,25 @@ class TestWriter:
             cli, "_line", lambda obj: json.dumps(obj, separators=(",", ":")) + "\n")
         with pytest.raises(AssertionError):
             former_writer_agrees(capsys, ("check", "bruhat", "--n", "2"))
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_ends_quietly(self):
+        src = Path(cli.__file__).parents[1]
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [path])])}
+        program = "import sys; from preproj.cli import main; sys.exit(main())"
+        argv = [sys.executable, "-c", program, "check", "bruhat", "--n", "5"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=env)
+        first = proc.stdout.readline()  # of about 700 kB, far beyond the pipe's buffer
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert json.loads(first)["case"] == "12345<=12345"
+        assert (code, err) == (141, b"")
 
 
 class TestRenderCommand:

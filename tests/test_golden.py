@@ -4,7 +4,9 @@ The digests were taken from the program before curve modules were read and
 written in integer units, so a change that claims the same output bytes is
 held to them here.  They cover every check at n = 1..5, the homvanish and
 twosided defaults, ideal perm at n = 12, 16, 20, and brick check on fixed
-curve-module files at the same sizes.
+curve-module files at the same sizes.  Two sampled sweeps at n = 10, under
+PREPROJ_MAX_N=10, pin the JSON-array form of the labels; their digests were
+taken from the program that still picked a sample from the listed S_n.
 """
 
 import hashlib
@@ -49,6 +51,10 @@ def curve_file(tmp_path, name: str, i: int, n: int, units: list[int]) -> str:
 def argvs(tmp_path) -> dict[str, list[str]]:
     runs = {f"check {name} --n {n}": ["check", name, "--n", str(n)]
             for name in CHECKS for n in range(1, 6)}
+    runs["check bruhat --n 10 --sample 12"] = ["check", "bruhat", "--n", "10",
+                                               "--sample", "12"]
+    runs["check bridge --n 10 --sample 4"] = ["check", "bridge", "--n", "10",
+                                              "--sample", "4"]
     runs["check homvanish"] = ["check", "homvanish"]
     runs["check twosided"] = ["check", "twosided"]
     for n, w in PERMS.items():
@@ -73,11 +79,13 @@ GOLDEN = {
     "check bridge --n 3": ("a57ca790bb11c25386c388f0d1761d1027eb58614f3d5bb9c2f0af7d2e19a1fb", 0),
     "check bridge --n 4": ("a121f574b37a640afda0b4df5d9829052fd77802421bbfcbc8bf77eaa09c74c9", 0),
     "check bridge --n 5": ("62d8f1461b47505182ff9c9e87998c058717baf57b24478f5f962ea99e61d53b", 0),
+    "check bridge --n 10 --sample 4": ("a55341a1785bfda6cab8dddcb4cd73492ddd7561595b027fcb5eacc7d5b459dd", 0),
     "check bruhat --n 1": ("5b906b25be524efc91c0831bc0f6acb9730fc958872c94e855903edd5258b6e9", 0),
     "check bruhat --n 2": ("2469e089dceeeccca217b2f45ce5546da39880daf5e184f4cf8340d3b43643ae", 0),
     "check bruhat --n 3": ("140d434e3170929ffe5cc950cbf9cf84158dcd8b85cd2363d1da562313c2a7fb", 0),
     "check bruhat --n 4": ("d229fd759b45a0c0bd0e1dadfd3bacf8f3d74a10d48fc8141cc1ae766fcf2714", 0),
     "check bruhat --n 5": ("cf78b9e41f7f9e1c347d7946af23b17bcbb1ef7fc8f8422439558e4c4c02d73b", 0),
+    "check bruhat --n 10 --sample 12": ("f4f15ec1070423ba5eb4f4d80bbb227c2b6248c61c428a08634762a266b9207c", 0),
     "check homvanish": ("3270d898ea673ca328fa5a1592a8f87ea062fc35f6bca3f9b6c41178804a4d72", 0),
     "check mizuno --n 1": ("0220a08bf3b9d5f34dc119ff88b7f02932c5615de48fc74ced34057ea549a011", 0),
     "check mizuno --n 2": ("328be3a280e059be37783c4363f90582c1ebb2f4eacc7edc2762780daed1bce0", 0),
@@ -106,7 +114,9 @@ def test_every_command_is_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("label", sorted(GOLDEN))
-def test_same_bytes_and_exit_code(capsys, tmp_path, label):
+def test_same_bytes_and_exit_code(capsys, monkeypatch, tmp_path, label):
+    if "--n 10" in label:
+        monkeypatch.setenv("PREPROJ_MAX_N", "10")
     code = main(argvs(tmp_path)[label])
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[label]

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
                       bruhat_leq_on_union_grid, cdf_grid_by_fractions, cell_sum_cdf,
-                      count_cdf_oracle, fraction_cum, permuton_equal, permuton_to_json,
-                      random_permuton, refine)
+                      count_cdf_oracle, fraction_cum, permuton_by_literals,
+                      permuton_equal, permuton_to_json, random_permuton, refine,
+                      uniform_by_literals)
 from preproj import jsonio, permuton
 from preproj.errors import DomainError, ParseError
 from preproj.lanes import Lanes
@@ -54,6 +55,53 @@ class TestGridPermuton:
             GridPermuton(2, [[F(1, 2), 0], [F(1, 2), 0]])
         with pytest.raises(DomainError):
             GridPermuton(2, [[F(1, 4), F(1, 4)], [F(1, 4), F(1, 8)]])
+
+
+def assert_same_permuton(mu: GridPermuton, reference: GridPermuton) -> None:
+    assert (mu.m, mu.den, mu.cells, mu.cum) == (reference.m, reference.den,
+                                                reference.cells, reference.cum)
+    assert mu == reference and hash(mu) == hash(reference)
+
+
+def from_perm_matches_literals(max_n: int) -> None:
+    for n in range(1, max_n + 1):
+        for w in all_perms(n):
+            assert_same_permuton(permuton.from_perm(w), permuton_by_literals(w))
+
+
+class TestIntegerCells:
+    """from_perm and uniform hand integer cells to the validating path; the
+    same permutons from wire literals are the oracle."""
+
+    def test_from_perm_on_all_of_s6(self):
+        from_perm_matches_literals(6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_from_perm_up_to_12(self, one_line):
+        w = Perm(one_line)
+        assert_same_permuton(from_perm(w), permuton_by_literals(w))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_uniform(self, m):
+        assert_same_permuton(uniform(m), uniform_by_literals(m))
+
+    def test_planted_wrong_cells_fail(self, monkeypatch):
+        true = permuton.from_perm
+        # the cells of w's first two columns trade rows: still a permuton
+        monkeypatch.setattr(permuton, "from_perm", lambda w: true(
+            Perm(w.one_line[1::-1] + w.one_line[2:])) if w.n > 1 else true(w))
+        with pytest.raises(AssertionError):
+            from_perm_matches_literals(4)
+
+    def test_moved_cell_is_refused(self):
+        # one cell of 2413 moved down a row: the private path still checks sums
+        cells = [list(row) for row in from_perm(Perm((2, 4, 1, 3))).cells]
+        cells[1][0], cells[2][0] = 0, 1
+        with pytest.raises(DomainError, match="row 1 does not sum"):
+            GridPermuton.__new__(GridPermuton)._fill(4, 4, tuple(map(tuple, cells)))
+        with pytest.raises(DomainError, match="grid size must be positive"):
+            from_perm(Perm(()))
 
 
 class TestCellReading:

@@ -1,3 +1,4 @@
+from math import factorial
 from operator import le
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_leq_by_domina
                       dominance, dominance_by_cells, dominance_table, mul)
 from preproj.errors import (
     DomainError,
+    IndexOutOfRange,
     LetterOutOfRange,
     NotMinimalRep,
     SizeMismatch,
@@ -24,6 +26,7 @@ from preproj.symgroup import (
     is_reduced,
     length,
     min_coset_rep,
+    perm_at,
 )
 
 W = Perm((2, 5, 3, 4, 1))
@@ -44,6 +47,21 @@ class TestPerm:
 
     def test_str(self):
         assert str(W) == "25341"
+
+
+class TestPermAt:
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_ranks_follow_all_perms(self, n):
+        assert [perm_at(n, t) for t in range(factorial(n))] == list(all_perms(n))
+
+    @pytest.mark.parametrize("rank", [-1, 24])
+    def test_rank_out_of_range(self, rank):
+        with pytest.raises(IndexOutOfRange):
+            perm_at(4, rank)
+
+    def test_large_n_lists_nothing(self):
+        assert perm_at(20, 0) == Perm.identity(20)
+        assert perm_at(20, factorial(20) - 1) == Perm(range(20, 0, -1))
 
 
 class TestLength:
