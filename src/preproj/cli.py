@@ -23,14 +23,15 @@ by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 
 A check runs tasks: a permutation (mizuno, taurigid, bridge), a source
 (rows, i) against every target (bruhat), or a permutation or a (label,
-permuton) (twosided, homvanish).  A task's runner returns its lines, a
-bruhat row spliced from pieces encoded once per sweep and any other record
-encoded by _line, with its numbers of cases and of failures; cmd_check
-writes them as they come back, serially or from a pool of --jobs workers
-(capped at the CPU count and the number of tasks).  Per-sweep memos,
-cleared before each check, do each weak-order node (mizuno), Hom pair
-(taurigid, homvanish) and stripped summand (bridge) once per process.  A
-reader that closes the pipe early ends the command with exit code 141.
+permuton) (twosided, homvanish).  A runner decides on integers (curve
+units, one-line tuples, boundary rows), builds no validated curve, and
+returns its task's lines, a bruhat row spliced from pieces encoded once
+per sweep and other records encoded by _line, with its counts of cases and
+failures; cmd_check writes them as they come, serially or from --jobs
+workers (capped at the CPU and task counts).  Per-sweep memos, cleared
+before each check, do each weak-order node (mizuno), Hom pair (taurigid,
+homvanish) and stripped summand (bridge) once per process.  A reader
+closing the pipe early ends the command with exit code 141.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import factorial, lcm
 from multiprocessing import Pool
+from operator import add, gt, le, sub
 from typing import NamedTuple
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
@@ -206,12 +209,23 @@ def _permutons(args, default_perms) -> list:
     return perms + files + uniforms
 
 
+def _record(check: str, case: str, key: str, witness, **counters) -> dict:
+    """A case's record, ok when witness is None and naming it under key if not."""
+    record = {"check": check, "case": case, "ok": witness is None, **counters}
+    if witness is not None:
+        record[key] = witness
+    return record
+
+
+# each distinct curve of a sweep (2^n - 2 at most) once, emptied by cmd_check
+_CURVES: dict[finite.Units, finite.Units] = {}
+
+
 @lru_cache(maxsize=None)
-def _weak_node(ol: tuple[int, ...]) -> tuple[tuple[finite.CurveModule, ...],
-                                             tuple[str, int | None] | None, int]:
-    """(ideal_of(w), the first failing edge (v, s) of the lower right weak
-    interval [e, w] or None, the number of reduced words of w) for the w
-    with one-line notation ol.
+def _weak_node(ol: tuple[int, ...]) -> tuple[tuple, tuple | None, int]:
+    """(ideal_curves(ol), the first failing edge (v, s) of the lower right
+    weak interval [e, w] or None, the number of reduced words of w) for the
+    w with one-line notation ol.
 
     Reduced words of w are the saturated chains e -> w of the right weak
     order, so ideal_of agrees with stripping along every reduced word of
@@ -219,54 +233,43 @@ def _weak_node(ol: tuple[int, ...]) -> tuple[tuple[finite.CurveModule, ...],
     and every cover edge v s -> v (s a right descent of v) strips letter s
     from ideal_of(v s) to ideal_of(v).  The base fails as (e, None).  One
     call per permutation and sweep: cmd_check clears it before each."""
-    w = Perm(ol)
-    ideal = finite.ideal_of(w)
-    below = {}
-    for s in range(1, w.n):
-        if ol[s - 1] > ol[s]:
-            shorter = list(ol)
-            shorter[s - 1], shorter[s] = ol[s], ol[s - 1]
-            below[s] = _weak_node(tuple(shorter))
+    curves = finite.ideal_curves(ol)
+    ideal = tuple(map(_CURVES.setdefault, curves, curves))
+    below = {s: _weak_node((*ol[:s - 1], ol[s], ol[s - 1], *ol[s + 1:]))
+             for s in range(1, len(ol)) if ol[s - 1] > ol[s]}
     if not below:
-        base_ok = ideal == finite.ideal_via_word((), w.n)
-        return ideal, None if base_ok else (str(w), None), 1
+        base_ok = ideal == finite.word_curves((), len(ol), range(1, len(ol)))
+        return ideal, None if base_ok else (Perm(ol).label, None), 1
     witness = next((node[1] for node in below.values() if node[1]), None)
     if witness is None:
-        witness = next(((str(w), s) for s, (lower, _, _) in below.items()
-                        if finite.strip_letter(lower, s) != ideal), None)
+        witness = next(((Perm(ol).label, s) for s, (lower, _, _) in below.items()
+                        if finite.strip_curves(lower, s) != ideal), None)
     return ideal, witness, sum(node[2] for node in below.values())
 
 
 def _case_mizuno(w: Perm) -> tuple[str, int, int]:
     _, witness, words = _weak_node(w.one_line)
-    record = {"check": "mizuno", "case": str(w), "ok": witness is None, "words": words}
-    if witness is not None:
-        record["edge"] = list(witness)
-    return _lines([record])
+    return _lines([_record("mizuno", str(w), "edge", witness, words=words)])
 
 
 # {sub's curve units: {quotient's curve units: Hom vanishes}}: each distinct
 # pair's Hom once per sweep (taurigid, homvanish), emptied by cmd_check
-_HOMS: dict[tuple[int, ...], dict[tuple[int, ...], bool]] = {}
+_HOMS: dict[finite.Units, dict[finite.Units, bool]] = {}
 
 
 def _case_taurigid(w: Perm) -> tuple[str, int, int]:
-    pair = finite.tau_rigid_witness(finite.ideal_of(w), _HOMS)
-    record = {"check": "taurigid", "case": str(w), "ok": pair is None}
-    if pair is not None:
-        record["pair"] = list(pair)
-    return _lines([record])
+    pair = finite.tau_rigid_witness(finite.ideal_curves(w.one_line), _HOMS)
+    return _lines([_record("taurigid", str(w), "pair", pair)])
 
 
-@lru_cache(maxsize=None)
-def _stripped(rep: Perm, i: int) -> tuple[int, ...]:
-    return continuous.stripped_summand(rep, i)  # one per (min coset rep, vertex)
+# one strip per (min coset rep's one-line notation, vertex) and sweep
+_stripped = lru_cache(maxsize=None)(continuous.stripped_summand)
 
 
 def _case_bridge(w: Perm) -> tuple[str, int, int]:
     mu = permuton.from_perm(w)
-    return _lines([{"check": "bridge", "case": f"{w}@{i}",
-                    "ok": continuous.finite_vs_continuous(w, i, mu, _stripped)}
+    return _lines([_record("bridge", f"{w}@{i}", "column",
+                           continuous.bridge_mismatch(w, i, mu, _stripped))
                    for i in range(1, w.n)])
 
 
@@ -335,10 +338,18 @@ def _case_twosided(task) -> tuple[str, int, int]:
     label, mu = _labelled(task)
     m, unit = mu.m, mu.m * mu.m * mu.den  # unit: 1/m over the rows' m^3 den
     rows = {p: permuton.boundary_row(mu, p, m) for p in range(1, m)}
-    ok = all(v <= min((m - abs(m - p - c)) * unit, u + abs(p - q) * unit)
-             for p, f_p in rows.items() for q, f_q in rows.items() if p != q
-             for c, (v, u) in enumerate(zip(f_p, f_q)))
-    return _lines([{"check": "twosided", "case": label, "ok": ok}])
+    pair = None
+    for p, f_p in rows.items():
+        bottom = [(m - abs(m - p - c)) * unit for c in range(m + 1)]
+        shifted = {q: list(map(add, f_q, repeat(abs(p - q) * unit)))
+                   for q, f_q in rows.items() if q != p}
+        # bottom_p twice: min needs two rows where there is no q
+        if not all(map(le, f_p, map(min, bottom, bottom, *shifted.values()))):
+            # the witness (p, q), q None where f_p leaves the diamond
+            pair = next((p, q) for q, g in {None: bottom, **shifted}.items()
+                        if any(map(gt, f_p, g)))
+            break
+    return _lines([_record("twosided", label, "pair", pair)])
 
 
 def _case_homvanish(task) -> tuple[str, int, int]:
@@ -346,14 +357,15 @@ def _case_homvanish(task) -> tuple[str, int, int]:
     # between columns, so the signs of its rises there classify it
     label, mu = _labelled(task)
     rows = [permuton.boundary_row(mu, t, 21) for t in range(1, 21)]
-    steps = [[b - a for a, b in zip(row, row[1:])] for row in rows]
-    certified = all(plfunc.rises_class([a - b for a, b in zip(s, t)])
+    steps = [list(map(sub, row[1:], row)) for row in rows]
+    certified = all(plfunc.rises_class(list(map(sub, s, t)))
                     is not plfunc.MonotoneClass.NEITHER for s in steps for t in steps)
     # for m <= 4, also the solver on the staircase summands at the grid apexes t/8
     ideal = continuous.PermutonIdeal(mu)
     summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
-    ok = certified and finite.is_tau_rigid(summands, _HOMS)
+    ok = certified and finite.tau_rigid_witness(
+        [m.curve.units for m in summands], _HOMS) is None
     return _lines([{"check": "homvanish", "case": label, "ok": ok}])
 
 
@@ -386,9 +398,8 @@ def cmd_check(args) -> int:
         if getattr(args, flag) is not None:
             raise ParseError(f"check {name} does not read --{flag}")
     tasks = source(args)
-    for memo in (_weak_node, _stripped):
-        memo.cache_clear()  # the per-sweep memos
-    _HOMS.clear()
+    for clear in (_weak_node.cache_clear, _stripped.cache_clear, _HOMS.clear, _CURVES.clear):
+        clear()  # the per-sweep memos
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     cases = failures = 0
     with Pool(jobs) if jobs > 1 else nullcontext() as pool:

@@ -94,32 +94,41 @@ def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
     return by_curves
 
 
-def stripped_summand(rep: Perm, i: int) -> tuple[int, ...]:
+def stripped_summand(rep: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The curve units at vertex i of the ideal stripped along the canonical
-    word of rep; (I_w)^i depends on w only through rep = min_coset_rep(w, i)."""
-    word = symgroup.canonical_reduced_word_of_rep(rep, i)
-    return summand_via_word(word, rep.n, i)
+    word of the minimal coset rep with one-line notation rep; (I_w)^i
+    depends on w only through rep = min_coset_line(w.one_line, i)."""
+    word = symgroup.canonical_reduced_word_of_rep(Perm(rep), i)
+    return summand_via_word(word, len(rep), i)
 
 
-def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None,
-                         stripped=stripped_summand) -> bool:
-    """Does the ideal curve of w at vertex i equal the boundary function of
-    the permuton mu of w (from_perm(w) by default, on w's n-grid) at apex i/n?
-    Both are linear between the columns c/n, so their samples there decide:
-    the stripped summand's units of 1/n, read through stripped(rep, i), and
-    boundary_row's over q^2 den n for i/n = p/q in lowest terms.  (ideal_of's
-    closed form is the permuton formula itself, so the summand is stripped.)"""
+def bridge_mismatch(w: Perm, i: int, mu: GridPermuton | None = None,
+                    stripped=stripped_summand) -> int | None:
+    """The first column c where the ideal curve of w at vertex i and the
+    boundary function of the permuton mu of w (from_perm(w) by default, on
+    w's n-grid) at apex i/n differ at c/n, or None.  Both are linear between
+    columns, so their samples decide: the stripped summand's units of 1/n,
+    from stripped(min_coset_line(w.one_line, i), i), and boundary_row's over
+    q^2 den n for i/n = p/q in lowest terms.  (ideal_of's closed form is the
+    permuton formula itself, so the summand is stripped.)"""
     n = w.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"vertex {i} outside 1..{n - 1}")
     mu = from_perm(w) if mu is None else mu
     if mu.m != n:
         raise SizeMismatch(f"permuton on the 1/{mu.m} grid, not w's 1/{n} grid")
-    discrete = stripped(symgroup.min_coset_rep(w, i), i)
+    discrete = stripped(symgroup.min_coset_line(w.one_line, i), i)
     g = gcd(i, n)
     p, q = i // g, n // g
     scale = q * q * mu.den
-    return [u * scale for u in discrete] == boundary_row(mu, p, q)
+    return next((c for c, (u, v) in enumerate(zip(discrete, boundary_row(mu, p, q)))
+                 if u * scale != v), None)
+
+
+def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None,
+                         stripped=stripped_summand) -> bool:
+    """Does bridge_mismatch find no column: the two curves agree?"""
+    return bridge_mismatch(w, i, mu, stripped) is None
 
 
 class Certificate(Enum):

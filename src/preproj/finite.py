@@ -6,11 +6,12 @@ at vertex j and depth d (in units of 1/n) sits at (j/n, d/n), and an ideal
 summand inside P_i is encoded by the +-1-slope grid curve separating the
 factors in the submodule (below the curve) from those outside it.
 
-Hom between curve modules is counted on their curves, from one source into
-many targets in one walk with each target in its own lane of an int
-(HomLanes, hom_dims; curve_hom_dim is its one-target case), and deepness on
-their bands (sheets.is_deep); a QuiverRep is built only for other modules
-and for hom_dim, the reference that count is tested against.
+Sweeps compute on integer curves, tuples of units of 1/n (ideal_curves,
+strip_curves, word_curves, tau_rigid_witness), validated as a DiamondCurve
+only where they enter the library: JSON and public constructors (ideal_of).
+Hom is counted on bands (up, down), one source into many targets in one
+walk, each target in its own lane of an int (HomLanes), and deepness on
+bands too (sheets.is_deep); hom_dim on a QuiverRep is the reference.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from . import symgroup
@@ -37,6 +39,10 @@ from .limits import scale_limit
 from .linalg import rank_of_links
 from .rat import num_den
 from .symgroup import Perm, Word
+
+# a curve in integer units of 1/n (units[0] is its vertex), and a band
+Units = tuple[int, ...]
+Band = tuple[Units, Units]
 
 
 @dataclass(frozen=True)
@@ -109,7 +115,7 @@ class CurveModule:
 
 
 @lru_cache(maxsize=None)
-def _diamond(i: int, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _diamond(i: int, n: int) -> Band:
     """The top and bottom boundaries of P_i's diamond, in units of 1/n."""
     return (tuple(abs(j - i) for j in range(n + 1)),
             tuple(n - abs(n - i - j) for j in range(n + 1)))
@@ -128,7 +134,7 @@ def projective(i: int, n: int) -> CurveModule:
     return CurveModule(Kind.SUB, top_boundary(i, n))
 
 
-def band(m: CurveModule) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def band(m: CurveModule) -> Band:
     """(up, down): the factors of m are the (j, d) with up[j] < d < down[j]."""
     top, bottom = _diamond(m.i, m.n)
     return (m.curve.units, bottom) if m.kind is Kind.SUB else (top, m.curve.units)
@@ -161,39 +167,37 @@ def top_removable(m: CurveModule) -> frozenset[int]:
     return frozenset(j for j in range(1, m.n) if _peaks(units, j))
 
 
-def _strip_letter(curves: list[list[int]], letter: int) -> None:
-    """One letter of the stripping algorithm, in place on integer curve units
-    (one list per projective): remove the top copy of S_letter from every
-    summand that has one, pushing its curve down two steps at that column."""
-    for units in curves:
-        if _peaks(units, letter):
-            units[letter] += 2
+def strip_curves(curves: Sequence[Units], letter: int) -> tuple[Units, ...]:
+    """One letter of the stripping algorithm on integer curve units (one
+    tuple per projective): remove the top copy of S_letter from every summand
+    that has one, pushing its curve down two steps at that column."""
+    return tuple((*u[:letter], u[letter] + 2, *u[letter + 1:]) if _peaks(u, letter)
+                 else u for u in curves)
 
 
 def strip(m: CurveModule, j: int) -> CurveModule:
     """Remove the top copy of S_j from m, pushing the curve down two steps."""
     if j not in top_removable(m):
         raise NoTopSimple(f"S_{j} is not in the top of this module")
-    units = list(m.curve.units)
-    _strip_letter([units], j)
-    return CurveModule(Kind.SUB, DiamondCurve(m.i, m.n, tuple(units)))
+    [units] = strip_curves((m.curve.units,), j)
+    return CurveModule(Kind.SUB, DiamondCurve(m.i, m.n, units))
 
 
-def _sub_modules(n: int, curves: Sequence[Sequence[int]]) -> tuple[CurveModule, ...]:
+def _sub_modules(n: int, curves: Sequence[Units]) -> tuple[CurveModule, ...]:
     return tuple(
-        CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units)))
+        CurveModule(Kind.SUB, DiamondCurve(i, n, units))
         for i, units in enumerate(curves, start=1)
     )
 
 
-def _strip_word(word: Word, n: int, vertices: Iterable[int]) -> list[list[int]]:
+def word_curves(word: Word, n: int, vertices: Iterable[int]) -> tuple[Units, ...]:
     """The curve units of the reduced word's ideal at the given vertices."""
     word = tuple(word)
     if not symgroup.is_reduced(word, n):
         raise NotReduced(f"{word} is not reduced")
-    curves = [list(_diamond(i, n)[0]) for i in vertices]
+    curves = tuple(_diamond(i, n)[0] for i in vertices)
     for letter in word:
-        _strip_letter(curves, letter)
+        curves = strip_curves(curves, letter)
     return curves
 
 
@@ -201,15 +205,15 @@ def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
     """The ideal of a reduced word: process letters left to right, stripping
     the top copy of S_j from every summand that has one.  The definition
     that the mizuno check holds ideal_of to."""
-    return _sub_modules(n, _strip_word(word, n, range(1, n)))
+    return _sub_modules(n, word_curves(word, n, range(1, n)))
 
 
-def summand_via_word(word: Word, n: int, i: int) -> tuple[int, ...]:
+def summand_via_word(word: Word, n: int, i: int) -> Units:
     """The curve units of ideal_via_word(word, n)[i - 1], stripped alone (a
     letter acts on each summand by itself): what the bridge check reads."""
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
-    return tuple(_strip_word(word, n, (i,))[0])
+    return word_curves(word, n, (i,))[0]
 
 
 def strip_letter(ideal: Sequence[CurveModule], letter: int) -> tuple[CurveModule, ...]:
@@ -219,30 +223,23 @@ def strip_letter(ideal: Sequence[CurveModule], letter: int) -> tuple[CurveModule
     n = ideal[0].n if ideal else 1
     if not 1 <= letter <= n - 1:
         raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
-    curves = [list(m.curve.units) for m in ideal]
-    _strip_letter(curves, letter)
-    return _sub_modules(n, curves)
+    return _sub_modules(n, strip_curves([m.curve.units for m in ideal], letter))
+
+
+def ideal_curves(one_line: Sequence[int]) -> tuple[Units, ...]:
+    """The curves of the ideal of w, given in one-line notation, one per
+    projective, in O(n^2): in units of 1/n the summand at vertex i has the
+    curve c_i(j) = i + j - 2 #{a <= j : w(a) <= i}, the boundary function of
+    the permuton of w at apex i/n.  Stripping along a reduced word
+    (word_curves) stays the definition: the mizuno check holds this closed
+    form to it across every cover edge of the right weak order."""
+    return tuple(tuple(accumulate([1 if v > i else -1 for v in one_line], initial=i))
+                 for i in range(1, len(one_line)))
 
 
 def ideal_of(w: Perm) -> tuple[CurveModule, ...]:
-    """The permutation ideal of w, one curve module per projective, in O(n^2).
-
-    In units of 1/n the summand at vertex i has the curve
-    c_i(j) = i + j - 2 #{a <= j : w(a) <= i}, the boundary function of the
-    permuton of w at apex i/n.  Stripping along a reduced word
-    (ideal_via_word) stays the definition: the mizuno check holds this
-    closed form to it across every cover edge of the right weak order.
-    """
-    n = w.n
-    out = []
-    for i in range(1, n):
-        units = [i]
-        below = 0
-        for j, v in enumerate(w.one_line, start=1):
-            below += v <= i
-            units.append(i + j - 2 * below)
-        out.append(CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units))))
-    return tuple(out)
+    """The permutation ideal of w: ideal_curves' curve modules, validated."""
+    return _sub_modules(w.n, ideal_curves(w.one_line))
 
 
 def tau_sub(m: CurveModule) -> CurveModule:
@@ -415,7 +412,8 @@ def _lane_values(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
 
 class HomLanes:
     """dim Hom(a, b) from any curve module a into each target b, in one walk
-    over a's columns.
+    over a's columns.  A module is its band(m) = (up, down): every curve
+    starts at its vertex, so the vertex is up[0] and the rank len(up) - 1.
 
     Hom between curve modules is counted on their bands: every interchange
     condition links the unknown (j, d, d + e), from factor d of a to factor
@@ -439,33 +437,31 @@ class HomLanes:
 
     __slots__ = ("targets", "n", "width", "lo", "hi", "parity")
 
-    def __init__(self, targets: Sequence[CurveModule]) -> None:
+    def __init__(self, targets: Iterable[Band]) -> None:
         self.targets = targets = tuple(targets)
-        n = targets[0].n if targets else 1
-        if any(b.n != n for b in targets):
+        n = len(targets[0][0]) - 1 if targets else 1
+        if any(len(up) != n + 1 for up, _ in targets):
             raise SizeMismatch("targets of different ranks")
         width, above, below, parities = _lane_values(n)
         self.n, self.width = n, width
-        bands = [band(b) for b in targets]
         # lo[x]: the bits above up_b(x) + n; hi[x]: the bits below
         # down_b(x) + n, none where b's column x is empty
-        lo = pack([[above[u] for u in up] for up, _ in bands], width)
-        hi = pack([[below[d] if u < d else 0 for u, d in zip(up, down)]
-                    for up, down in bands], width)
-        self.lo, self.hi = lo, hi
-        self.parity = pack([parities[b.i % 2] for b in targets], width)
+        self.lo = pack([[above[u] for u in up] for up, _ in targets], width)
+        self.hi = pack([[below[d] if u < d else 0 for u, d in zip(up, down)]
+                        for up, down in targets], width)
+        self.parity = pack([parities[up[0] % 2] for up, _ in targets], width)
 
-    def dims(self, a: CurveModule, lanes: Iterable[int] | None = None) -> list[int]:
+    def dims(self, a: Band, lanes: Iterable[int] | None = None) -> list[int]:
         """dim Hom(a, targets[t]) for each t in lanes (all by default); a
         lane not selected is not computed and reads 0."""
-        if a.n != self.n:
-            raise SizeMismatch(f"ranks {a.n} and {self.n} differ")
+        ua, da = a
+        if len(ua) - 1 != self.n:
+            raise SizeMismatch(f"ranks {len(ua) - 1} and {self.n} differ")
         width, lo, hi = self.width, self.lo, self.hi
         full = (1 << width) - 1
-        keep = self.parity[a.i % 2]
+        keep = self.parity[ua[0] % 2]
         if lanes is not None:
             keep &= sum(full << t * width for t in set(lanes))
-        ua, da = band(a)
         closed = []  # runs that ended, to be counted per lane
         alive = before = 0  # alive: the runs through column x - 1 not joined to zero
         for x in range(1, self.n):
@@ -506,9 +502,9 @@ class HomLanes:
 
 def hom_dims(a: CurveModule, targets: Sequence[CurveModule]) -> list[int]:
     """[dim Hom(a, b) for b in targets], for curve modules of either kind,
-    read off their curves in one pass (HomLanes); it equals hom_dim(to_rep(a),
+    read off their bands in one pass (HomLanes); it equals hom_dim(to_rep(a),
     to_rep(b)) for each b."""
-    return HomLanes(targets).dims(a) if targets else []
+    return HomLanes(map(band, targets)).dims(band(a)) if targets else []
 
 
 def curve_hom_dim(a: CurveModule, b: CurveModule) -> int:
@@ -516,41 +512,35 @@ def curve_hom_dim(a: CurveModule, b: CurveModule) -> int:
     return hom_dims(a, (b,))[0]
 
 
-def tau_rigid_witness(summands: Sequence[CurveModule],
+def tau_rigid_witness(curves: Sequence[Units],
                       memo: dict | None = None) -> tuple[int, int] | None:
-    """The vertices (i, j) of the first pair, in summand order, with
-    Hom(M^i, tau M^j) != 0 for submodules M^i, M^j of projectives among the
-    summands, or None when their direct sum is tau-rigid.
-
-    memo maps a sub's curve units to {a quotient's curve units: Hom vanishes};
-    pairs it already holds are not computed again.  The quotients are packed
-    into lanes once, when some pair is missing, and each sub then makes one
-    pass over the lanes of its missing pairs."""
+    """The vertices (i, j) of the first pair, in order, with
+    Hom(M^i, tau M^j) != 0 for the submodules M^i, M^j of projectives cut
+    out by the given curves (the sub of curve c is the band (c, bottom), its
+    tau (top, c)), or None when their direct sum is tau-rigid.  memo maps
+    a sub's curve to {a quotient's curve: Hom vanishes}; pairs it holds are
+    not computed again.  The quotients are packed into lanes once, when some
+    pair is missing, and each sub then makes one pass over the lanes of its
+    missing pairs."""
     memo = {} if memo is None else memo
-    keys = [m.curve.units for m in summands]
     quots = None
-    for s, key in zip(summands, keys):
+    for key in curves:
         known = memo.setdefault(key, {})
-        vanishes = list(map(known.get, keys))  # None: not known yet
+        vanishes = list(map(known.get, curves))  # None: not known yet
         if None in vanishes:
             missing = [t for t, v in enumerate(vanishes) if v is None]
-            quots = quots or HomLanes([tau_sub(m) for m in summands])
-            dims = quots.dims(s, missing)
+            n = len(key) - 1
+            quots = quots or HomLanes([(_diamond(c[0], n)[0], c) for c in curves])
+            dims = quots.dims((key, _diamond(key[0], n)[1]), missing)
             for t in missing:
-                known[keys[t]] = vanishes[t] = dims[t] == 0
+                known[curves[t]] = vanishes[t] = dims[t] == 0
         if not all(vanishes):
-            return s.i, summands[vanishes.index(False)].i
+            return key[0], curves[vanishes.index(False)][0]
     return None
-
-
-def is_tau_rigid(summands: Sequence[CurveModule], memo: dict | None = None) -> bool:
-    """Hom(M^i, tau M^j) = 0 for every pair of submodules M^i, M^j of
-    projectives among the summands: their direct sum is tau-rigid."""
-    return tau_rigid_witness(summands, memo) is None
 
 
 def is_tau_rigid_ideal(w: Perm) -> bool:
     """Hom((I_w)^i, P_j/(I_w)^j) = 0 for all i, j."""
     if w.n > scale_limit():
         raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
-    return is_tau_rigid(ideal_of(w))
+    return tau_rigid_witness(ideal_curves(w.one_line)) is None

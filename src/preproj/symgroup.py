@@ -12,7 +12,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainError,
@@ -163,23 +163,19 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     return Lanes((v.tableau,), v.n).at_least(u.tableau) != 0
 
 
+def min_coset_line(one_line: Sequence[int], i: int) -> tuple[int, ...]:
+    """min_coset_rep on a one-line notation, as one: the values 1..i, then
+    i+1..n, each set in increasing order within its positions."""
+    low, high = itertools.count(1), itertools.count(i + 1)
+    return tuple(next(low) if v <= i else next(high) for v in one_line)
+
+
 def min_coset_rep(w: Perm, i: int) -> Perm:
     """Minimal-length representative of the coset of w w.r.t. the subgroup
-    generated by all adjacent transpositions except s_i.
-
-    Obtained by sorting the values 1..i into increasing order within their
-    positions, and likewise the values i+1..n.
-    """
+    generated by all adjacent transpositions except s_i (min_coset_line)."""
     if not 1 <= i <= w.n - 1:
         raise IndexOutOfRange(f"vertex {i} outside 1..{w.n - 1}")
-    ol = list(w.one_line)
-    low_positions = [p for p, v in enumerate(ol) if v <= i]
-    high_positions = [p for p, v in enumerate(ol) if v > i]
-    for value, p in enumerate(low_positions, start=1):
-        ol[p] = value
-    for value, p in enumerate(high_positions, start=i + 1):
-        ol[p] = value
-    return Perm(ol)
+    return Perm(min_coset_line(w.one_line, i))
 
 
 def canonical_reduced_word_of_rep(u: Perm, i: int) -> Word:

@@ -21,7 +21,7 @@ from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
 from preproj.plfunc import (BFunc, PLFunc, bottom_at, bottom_curve, pointwise_leq, to_bfunc,
-                            top_at, top_curve)
+                            top_at, top_curve, vshift)
 from preproj.rat import frac, rat_str
 from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
 from preproj.symgroup import (Perm, all_perms, all_reduced_words,
@@ -179,6 +179,22 @@ def twosided_by_plfuncs(mu: GridPermuton) -> bool:
         pointwise_leq(f_p.f, left_act(f_q, f_p.k).f)
         for f_q in curves for f_p in curves if f_p is not f_q
     )
+
+
+def twosided_pair_by_plfuncs(mu: GridPermuton) -> list | None:
+    """The first failing twosided pair [p, q] by PLFunc algebra, apexes p/m
+    in order: q is None where f_p leaves the diamond of P_p, else the first
+    q with f_p above f_q + |p - q|/m somewhere; None when every pair holds
+    (left_act's min of the two bounds, one at a time)."""
+    m = mu.m
+    curves = {r: boundary_function(mu, Fraction(r, m)).f for r in range(1, m)}
+    for p, f_p in curves.items():
+        if not pointwise_leq(f_p, bottom_curve(Fraction(p, m))):
+            return [p, None]
+        for q, f_q in curves.items():
+            if q != p and not pointwise_leq(f_p, vshift(f_q, Fraction(abs(p - q), m))):
+                return [p, q]
+    return None
 
 
 def homvanish_by_plfuncs(mu: GridPermuton) -> bool:

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_row_by_records,
                       frac_by_fraction_parse, homvanish_by_plfuncs, line_by_dumps,
                       mizuno_by_words, permuton_to_json, random_permuton,
-                      sample_by_listing, sheet_to_json, twosided_by_plfuncs)
+                      sample_by_listing, sheet_to_json, twosided_by_plfuncs,
+                      twosided_pair_by_plfuncs)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
 from preproj.cli import main, parse_perm
 from preproj.errors import CertificateFailure, ParseError
@@ -556,12 +557,12 @@ class TestMizunoWalk:
 
     def test_planted_fault_names_an_edge_into_it(self, capsys, monkeypatch):
         u = Perm((2, 4, 1, 3))
-        true_ideal_of = finite.ideal_of
+        true_ideal_curves = finite.ideal_curves
 
-        def planted(w):
-            return true_ideal_of(Perm.identity(w.n) if w == u else w)
+        def planted(ol):
+            return true_ideal_curves(tuple(sorted(ol)) if ol == u.one_line else ol)
 
-        monkeypatch.setattr(finite, "ideal_of", planted)
+        monkeypatch.setattr(finite, "ideal_curves", planted)
         code, lines = run(capsys, "check", "mizuno", "--n", "4")
         failed = [r for r in lines[:-1] if not r["ok"]]
         assert code == 1 and "2413" in [r["case"] for r in failed]
@@ -571,25 +572,24 @@ class TestMizunoWalk:
         assert all("edge" not in r for r in lines[:-1] if r["ok"])
 
     def test_planted_fault_at_the_identity_fails_the_base(self, capsys, monkeypatch):
-        true_ideal_of = finite.ideal_of
-        e = Perm.identity(3)
-        monkeypatch.setattr(finite, "ideal_of",
-                            lambda w: true_ideal_of(Perm((1, 3, 2)) if w == e else w))
+        true_ideal_curves = finite.ideal_curves
+        monkeypatch.setattr(finite, "ideal_curves", lambda ol: true_ideal_curves(
+            (1, 3, 2) if ol == (1, 2, 3) else ol))
         code, lines = run(capsys, "check", "mizuno", "--perm", "213")
         assert code == 1 and lines[0]["edge"] == ["123", None]
 
     def test_each_permutation_walked_once(self, capsys, monkeypatch):
         calls = []
-        true_ideal_of = finite.ideal_of
+        true_ideal_curves = finite.ideal_curves
 
-        def counting(w):
-            calls.append(w.one_line)
-            return true_ideal_of(w)
+        def counting(ol):
+            calls.append(ol)
+            return true_ideal_curves(ol)
 
         def no_word_lists(w):
             raise AssertionError("the mizuno check listed reduced words")
 
-        monkeypatch.setattr(finite, "ideal_of", counting)
+        monkeypatch.setattr(finite, "ideal_curves", counting)
         monkeypatch.setattr(symgroup, "all_reduced_words", no_word_lists)
         code, lines = run(capsys, "check", "mizuno", "--n", "5")
         assert code == 0 and lines[-1]["cases"] == 120
@@ -779,10 +779,10 @@ class TestBridgePermutons:
 
     def test_permutons_built_as_the_sweep_reaches_them(self, capsys, monkeypatch):
         events = []
-        true_from_perm, true_compare = permuton.from_perm, continuous.finite_vs_continuous
+        true_from_perm, true_compare = permuton.from_perm, continuous.bridge_mismatch
         monkeypatch.setattr(permuton, "from_perm",
                             lambda w: events.append(str(w)) or true_from_perm(w))
-        monkeypatch.setattr(continuous, "finite_vs_continuous",
+        monkeypatch.setattr(continuous, "bridge_mismatch",
                             lambda w, i, mu, strip: events.append(f"{w}@{i}")
                             or true_compare(w, i, mu, strip))
         code, lines = run(capsys, "check", "bridge", "--n", "4")
@@ -860,12 +860,14 @@ class TestWindowedFeed:
     def test_planted_failures_come_back_from_the_workers(self, capsys, monkeypatch,
                                                          name, flags):
         u, rep0 = Perm((2, 4, 1, 3)), Perm((1, 3, 2, 4))
-        true_ideal_of, word_of = finite.ideal_of, symgroup.canonical_reduced_word_of_rep
+        true_ideal_curves, word_of = finite.ideal_curves, symgroup.canonical_reduced_word_of_rep
         witness = finite.tau_rigid_witness
-        monkeypatch.setattr(finite, "ideal_of",
-                            lambda w: true_ideal_of(Perm.identity(w.n) if w == u else w))
-        monkeypatch.setattr(finite, "tau_rigid_witness", lambda ideal, homs: (
-            (1, 1) if ideal and finite.is_zero(ideal[0]) else witness(ideal, homs)))
+        monkeypatch.setattr(finite, "ideal_curves", lambda ol: true_ideal_curves(
+            tuple(sorted(ol)) if ol == u.one_line else ol))
+        # a zero first summand: its curve is the diamond's bottom at vertex 1
+        monkeypatch.setattr(finite, "tau_rigid_witness", lambda curves, homs: (
+            (1, 1) if curves and curves[0] == finite.bottom_boundary(1, len(curves[0]) - 1).units
+            else witness(curves, homs)))
         monkeypatch.setattr(symgroup, "canonical_reduced_word_of_rep",
                             lambda w, i: () if (w, i) == (rep0, 2) else word_of(w, i))
         plant_tableau(monkeypatch, lambda w, t: (2,) + t[1:] if w.label == "1234" else t)
@@ -990,7 +992,8 @@ class TestSummandMemos:
 
     @staticmethod
     def summand_pairs(n: int) -> set:
-        return {(a, finite.tau_sub(b)) for w in all_perms(n)
+        """The (sub, quotient) band pairs of the sweep's cases."""
+        return {(finite.band(a), finite.band(finite.tau_sub(b))) for w in all_perms(n)
                 for a in finite.ideal_of(w) for b in finite.ideal_of(w)}
 
     def test_taurigid_solves_each_curve_pair_once(self, capsys, monkeypatch):
@@ -1004,7 +1007,8 @@ class TestSummandMemos:
         seen, fresh = set(), 0
         for w in all_perms(5):
             ideal = finite.ideal_of(w)
-            new = {(a, finite.tau_sub(b)) for a in ideal for b in ideal} - seen
+            new = {(finite.band(a), finite.band(finite.tau_sub(b)))
+                   for a in ideal for b in ideal} - seen
             fresh += bool(new)
             seen |= new
         assert 0 < fresh < 120
@@ -1025,12 +1029,14 @@ class TestSummandMemos:
         sub = ideal[1]
         other = ideal[quot_vertex - 1] if quot_vertex else sub
         assert not finite.is_zero(sub) and not finite.is_zero(other)
-        quot, dims = finite.tau_sub(other), finite.HomLanes.dims
+        # HomLanes reads bands
+        source, quot = finite.band(sub), finite.band(finite.tau_sub(other))
+        dims = finite.HomLanes.dims
 
         def planted(self, a, lanes=None):
             out = dims(self, a, lanes)
             chosen = range(len(out)) if lanes is None else set(lanes)
-            return [1 if t in chosen and a == sub and (
+            return [1 if t in chosen and a == source and (
                 quot_vertex is None or self.targets[t] == quot) else d
                 for t, d in enumerate(out)]
 
@@ -1079,6 +1085,69 @@ class TestSummandMemos:
             assert main(["check", name, "--n", "4", "--jobs", jobs]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] and outputs[0].count("\n") > 24
+
+
+class TestFailureWitnesses:
+    """A failing bridge or twosided record names where the check broke: the
+    column, or the pair of apexes.  A passing record carries no witness."""
+
+    def test_bridge_names_the_first_column_of_a_planted_strip(self, capsys, monkeypatch):
+        rep0, i0 = Perm((1, 3, 4, 2, 5)), 2
+        word_of = symgroup.canonical_reduced_word_of_rep
+        monkeypatch.setattr(symgroup, "canonical_reduced_word_of_rep",
+                            lambda u, i: () if (u, i) == (rep0, i0) else word_of(u, i))
+        code, lines = run(capsys, "check", "bridge", "--n", "5")
+        top = projective(i0, 5).curve.units  # the empty word strips nothing
+        failed = [r for r in lines[:-1] if not r["ok"]]
+        assert code == 1 and len(failed) == 12
+        for r in failed:
+            true = finite.ideal_of(parse_perm(r["case"].split("@")[0]))[i0 - 1].curve.units
+            assert r["column"] == next(c for c, (a, b) in enumerate(zip(top, true)) if a != b)
+        assert not any("column" in r for r in lines[:-1] if r["ok"])
+
+    def test_bridge_names_the_first_column_of_a_perturbed_row(self, monkeypatch):
+        for module in (permuton, continuous):  # continuous holds its own name
+            monkeypatch.setattr(module, "boundary_row", perturbed_rows(3, F(1, 3)))
+        cli._stripped.cache_clear()  # the runner reads the sweep's memo, as a sweep does
+        seen = set()
+        for w in all_perms(5):
+            for i, r in enumerate(records(cli._case_bridge(w)), start=1):
+                # the curve the permuton route reads, against the ideal's own
+                f = permuton.boundary_function(from_perm(w), F(i, 5)).f
+                wrong = [c for c, v in enumerate(finite.ideal_of(w)[i - 1].curve.values)
+                         if f.at(F(c, 5)) != v]
+                assert r.get("column") == (wrong[0] if wrong else None), (w, i)
+                assert r["ok"] is not wrong
+                seen.add(r["ok"])
+        assert seen == {True, False}
+
+    def test_twosided_names_the_first_failing_pair(self, monkeypatch):
+        monkeypatch.setattr(permuton, "boundary_row", perturbed_rows(6, F(1, 4)))
+        seen = set()
+        for w in all_perms(5):
+            [r] = records(cli._case_twosided(w))
+            pair = twosided_pair_by_plfuncs(from_perm(w))
+            assert r.get("pair") == pair and r["ok"] == (pair is None), w
+            seen.add(pair and pair[0])
+        assert {None, 1, 2} <= seen
+
+    def test_twosided_names_an_apex_that_leaves_its_diamond(self, monkeypatch):
+        # the curve at apex 2/5 lifted above the diamond's bottom at column 2;
+        # no 1-Lipschitz curve with the right ends can, so the rows are raw
+        mu, true_row = from_perm(Perm((2, 5, 3, 4, 1))), permuton.boundary_row
+        unit = 5 * 5 * mu.den  # 1/5 over the rows' denominator
+
+        def raised(mu, p, q):
+            out = true_row(mu, p, q)
+            if F(p, q) == F(2, 5):
+                out[2] = (5 - abs(5 - 2 - 2)) * unit + 2 * unit
+            return out
+
+        assert records(cli._case_twosided(("mu", mu))) == [
+            {"check": "twosided", "case": "mu", "ok": True}]
+        monkeypatch.setattr(permuton, "boundary_row", raised)
+        assert records(cli._case_twosided(("mu", mu))) == [
+            {"check": "twosided", "case": "mu", "ok": False, "pair": [2, None]}]
 
 
 class TestBrickAndSheet:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -24,26 +25,29 @@ from preproj.finite import (
     HomLanes,
     Kind,
     QuiverRep,
+    band,
     bottom_boundary,
     curve_hom_dim,
     factor_rep,
     factors,
     hom_dim,
     hom_dims,
+    ideal_curves,
     ideal_of,
     ideal_via_word,
-    is_tau_rigid,
     is_tau_rigid_ideal,
     is_zero,
     loop_action,
     projective,
     strip,
+    strip_curves,
     strip_letter,
     summand_via_word,
     tau_rigid_witness,
     tau_sub,
     to_rep,
     top_removable,
+    word_curves,
 )
 from preproj.sheets import SawtoothDesc, is_deep, sawtooth_rep
 from preproj.symgroup import Perm, all_perms, all_reduced_words, apply_word, bruhat_leq
@@ -270,6 +274,52 @@ class TestIdealOf:
                         assert all(
                             a <= b for a, b in zip(mu.curve.values, mv.curve.values)
                         )
+
+
+class TestIntegerCore:
+    """The integer curves the sweeps compute on: every curve the closed form
+    and the strip step make is a valid DiamondCurve, and the closed form is
+    stripping along any reduced word."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_form_and_cover_edges_make_valid_curves(self, n):
+        made = set()
+        for ol in itertools.permutations(range(1, n + 1)):
+            curves = ideal_curves(ol)
+            made.update(curves)
+            # each cover edge ol -> ol s up the right weak order
+            for s in range(1, n):
+                if ol[s - 1] < ol[s]:
+                    made.update(strip_curves(curves, s))
+        assert len(made) == 2 ** n - 2  # one curve per (vertex, set w^-1{1..i})
+        for units in made:
+            assert DiamondCurve(units[0], n, units).units == units
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 20).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_curves_stay_valid_at_any_letter(self, one_line):
+        n = len(one_line)
+        curves = ideal_curves(one_line)
+        for s in range(1, n):
+            for units in (*curves, *strip_curves(curves, s)):
+                DiamondCurve(units[0], n, units)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.randoms(use_true_random=False),
+    )
+    def test_closed_form_is_stripping_along_a_drawn_word(self, one_line, rng):
+        w = Perm(one_line)
+        word = descent_walk_word(w, rng)
+        assert ideal_curves(one_line) == word_curves(word, w.n, range(1, w.n)) == tuple(
+            m.curve.units for m in ideal_via_word(word, w.n))
+
+    def test_strip_step_leaves_curves_without_a_peak_alone(self):
+        curves = ideal_curves((2, 5, 3, 4, 1))
+        stripped = strip_curves(curves, 3)
+        assert [a is b for a, b in zip(curves, stripped)] == [
+            not (a[2] == a[3] + 1 == a[4]) for a in curves]
 
 
 class TestTau:
@@ -568,15 +618,24 @@ class TestHomLanes:
         modules = all_curve_modules(n)
         assert sum(map(is_zero, modules)) == 2 * (n - 1)
         reps = [to_rep(m) for m in modules]
-        lanes = HomLanes(modules)
+        lanes = HomLanes(map(band, modules))
         for a, rep in zip(modules, reps):
-            assert lanes.dims(a) == [hom_dim(rep, b) for b in reps], a
+            assert lanes.dims(band(a)) == [hom_dim(rep, b) for b in reps], a
+
+    def test_sampled_pairs_match_hom_dim_at_8(self):
+        modules = all_curve_modules(8)
+        rng = random.Random(8)
+        targets = rng.sample(modules, 40)
+        lanes = HomLanes(map(band, targets))
+        reps = [to_rep(b) for b in targets]
+        for a in rng.sample(modules, 40):
+            assert lanes.dims(band(a)) == [hom_dim(to_rep(a), b) for b in reps], a
 
     def test_one_pass_matches_pair_walk_at_7(self):
         modules = all_curve_modules(7)
-        lanes = HomLanes(modules)
+        lanes = HomLanes(map(band, modules))
         for a in modules:
-            assert lanes.dims(a) == [curve_hom_dim_by_pair(a, b) for b in modules], a
+            assert lanes.dims(band(a)) == [curve_hom_dim_by_pair(a, b) for b in modules], a
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 20), st.data())
@@ -590,17 +649,17 @@ class TestHomLanes:
         a = module()
         targets = [module() for _ in range(data.draw(st.integers(1, max(1, n - 1))))]
         chosen = data.draw(st.sets(st.integers(0, len(targets) - 1)))
-        lanes = HomLanes(targets)
+        lanes = HomLanes(map(band, targets))
         expected = [curve_hom_dim_by_pair(a, b) for b in targets]
-        assert lanes.dims(a) == expected == hom_dims(a, targets)
-        assert lanes.dims(a, chosen) == [d if t in chosen else 0
+        assert lanes.dims(band(a)) == expected == hom_dims(a, targets)
+        assert lanes.dims(band(a), chosen) == [d if t in chosen else 0
                                          for t, d in enumerate(expected)]
 
     def test_unselected_lanes_are_not_computed(self):
         for n in range(2, 12):
             for i in range(1, n):
-                p = projective(i, n)
-                lanes = HomLanes([p, tau_sub(p), p, p])
+                p = band(projective(i, n))
+                lanes = HomLanes([p, band(tau_sub(projective(i, n))), p, p])
                 ends = min(i, n - i)
                 assert lanes.dims(p) == [ends, 0, ends, ends]
                 assert lanes.dims(p, [2]) == [0, 0, ends, 0]
@@ -612,58 +671,55 @@ class TestHomLanes:
         n = 6
         a = projective(3, n)
         for b in all_curve_modules(n):
-            assert HomLanes([b, a, b]).dims(a) == [curve_hom_dim_by_pair(a, b),
-                                                   min(3, n - 3),
-                                                   curve_hom_dim_by_pair(a, b)]
+            assert HomLanes(map(band, [b, a, b])).dims(band(a)) == [
+                curve_hom_dim_by_pair(a, b), min(3, n - 3), curve_hom_dim_by_pair(a, b)]
 
     def test_no_targets(self):
         assert hom_dims(projective(1, 3), []) == []
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            HomLanes([projective(1, 4), projective(1, 5)])
+            HomLanes(map(band, [projective(1, 4), projective(1, 5)]))
         with pytest.raises(SizeMismatch):
-            HomLanes([projective(1, 4)]).dims(projective(1, 5))
+            HomLanes([band(projective(1, 4))]).dims(band(projective(1, 5)))
         with pytest.raises(SizeMismatch):
             hom_dims(projective(2, 6), [projective(2, 5)])
 
 
 class TestTauRigidWitness:
-    """tau_rigid_witness over a list of summands, with its per-sweep memo
-    keyed by integer curve units."""
+    """tau_rigid_witness over the summands' integer curves, with its
+    per-sweep memo keyed by those curves."""
 
     def test_memo_holds_each_pair_by_units(self):
-        ideal = ideal_of(W)
+        curves = ideal_curves(W.one_line)
         memo = {}
-        assert tau_rigid_witness(ideal, memo) is None
-        assert memo == {a.curve.units: {b.curve.units: True for b in ideal} for a in ideal}
+        assert tau_rigid_witness(curves, memo) is None
+        assert memo == {a: {b: True for b in curves} for a in curves}
 
     def test_memoised_case_packs_nothing(self, monkeypatch):
-        ideal = ideal_of(W)
+        curves = ideal_curves(W.one_line)
         memo = {}
-        assert is_tau_rigid(ideal, memo)
+        assert tau_rigid_witness(curves, memo) is None
         packed = []
         init = HomLanes.__init__
         monkeypatch.setattr(HomLanes, "__init__",
                             lambda self, targets: packed.append(targets) or init(self, targets))
-        assert is_tau_rigid(ideal, memo) and packed == []
+        assert tau_rigid_witness(curves, memo) is None and packed == []
         # one pair forgotten: one packing, one pass with that one lane
-        del memo[ideal[2].curve.units][ideal[0].curve.units]
+        del memo[curves[2]][curves[0]]
         dims = HomLanes.dims
         passes = []
         monkeypatch.setattr(HomLanes, "dims",
                             lambda self, a, lanes=None: passes.append((a, list(lanes)))
                             or dims(self, a, lanes))
-        assert is_tau_rigid(ideal, memo) and len(packed) == 1
-        assert passes == [(ideal[2], [0])]
+        assert tau_rigid_witness(curves, memo) is None and len(packed) == 1
+        assert passes == [(band(ideal_of(W)[2]), [0])]
 
     def test_first_failing_pair(self):
-        ideal = ideal_of(W)
-        keys = [m.curve.units for m in ideal]
+        keys = ideal_curves(W.one_line)
         memo = {a: {b: True for b in keys} for a in keys}
         memo[keys[3]][keys[1]] = memo[keys[2]][keys[3]] = False
-        assert tau_rigid_witness(ideal, memo) == (3, 4)
-        assert not is_tau_rigid(ideal, memo)
+        assert tau_rigid_witness(keys, memo) == (3, 4)
 
     def test_matches_hom_dim_on_random_summands(self):
         rng = random.Random(7)
@@ -674,7 +730,8 @@ class TestTauRigidWitness:
                     for _ in range(rng.randint(1, 4))]
             bad = [(a.i, b.i) for a in subs for b in subs
                    if hom_dim(to_rep(a), to_rep(tau_sub(b)))]
-            assert tau_rigid_witness(subs) == (bad[0] if bad else None)
+            assert tau_rigid_witness([a.curve.units for a in subs]) == (
+                bad[0] if bad else None)
             seen.add(bool(bad))
         assert seen == {True, False}
 

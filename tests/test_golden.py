@@ -2,8 +2,10 @@
 
 The digests were taken from the program before curve modules were read and
 written in integer units, so a change that claims the same output bytes is
-held to them here.  They cover every check at n = 1..5, the homvanish and
-twosided defaults, ideal perm at n = 12, 16, 20, and brick check on fixed
+held to them here.  They cover every check at n = 1..5, the mizuno,
+taurigid, bridge and twosided sweeps at n = 6 under PREPROJ_MAX_N=7 (taken
+from the program that still built a validated curve for every summand of
+every case), the homvanish and twosided defaults, ideal perm at n = 12, 16, 20, and brick check on fixed
 curve-module files at the same sizes.  Two sampled sweeps at n = 10, under
 PREPROJ_MAX_N=10, pin the JSON-array form of the labels; their digests were
 taken from the program that still picked a sample from the listed S_n.
@@ -18,6 +20,8 @@ import pytest
 from preproj.cli import main
 
 CHECKS = ("mizuno", "taurigid", "bridge", "bruhat", "twosided")
+# the sweeps pinned at n = 6 too, where the memos and shared curves matter
+CHECKS_AT_6 = ("mizuno", "taurigid", "bridge", "twosided")
 
 # a fixed permutation per size, as a JSON array
 PERMS = {
@@ -51,6 +55,7 @@ def curve_file(tmp_path, name: str, i: int, n: int, units: list[int]) -> str:
 def argvs(tmp_path) -> dict[str, list[str]]:
     runs = {f"check {name} --n {n}": ["check", name, "--n", str(n)]
             for name in CHECKS for n in range(1, 6)}
+    runs.update({f"check {name} --n 6": ["check", name, "--n", "6"] for name in CHECKS_AT_6})
     runs["check bruhat --n 10 --sample 12"] = ["check", "bruhat", "--n", "10",
                                                "--sample", "12"]
     runs["check bridge --n 10 --sample 4"] = ["check", "bridge", "--n", "10",
@@ -79,6 +84,7 @@ GOLDEN = {
     "check bridge --n 3": ("a57ca790bb11c25386c388f0d1761d1027eb58614f3d5bb9c2f0af7d2e19a1fb", 0),
     "check bridge --n 4": ("a121f574b37a640afda0b4df5d9829052fd77802421bbfcbc8bf77eaa09c74c9", 0),
     "check bridge --n 5": ("62d8f1461b47505182ff9c9e87998c058717baf57b24478f5f962ea99e61d53b", 0),
+    "check bridge --n 6": ("f5b46086427e06a295d8536d80b054755574e7ac85e1fb1dc7e03742e97e10da", 0),
     "check bridge --n 10 --sample 4": ("a55341a1785bfda6cab8dddcb4cd73492ddd7561595b027fcb5eacc7d5b459dd", 0),
     "check bruhat --n 1": ("5b906b25be524efc91c0831bc0f6acb9730fc958872c94e855903edd5258b6e9", 0),
     "check bruhat --n 2": ("2469e089dceeeccca217b2f45ce5546da39880daf5e184f4cf8340d3b43643ae", 0),
@@ -92,17 +98,20 @@ GOLDEN = {
     "check mizuno --n 3": ("0930f20c87fc7627c453093835a7f92e0bc74678414688187c7fe71e4a2e20ff", 0),
     "check mizuno --n 4": ("611a976c38fe7edb6391cfc7b32f2c2510be080402a68b2a22765e4db4c0723c", 0),
     "check mizuno --n 5": ("f5bb6e0294bde69c5aa6483663318f30b9284c4d46e94fceb8a9be285b14f4b1", 0),
+    "check mizuno --n 6": ("a921da88d698c3b6c32780946147753c301e4266503b8441a2a1d90f2e71bac7", 0),
     "check taurigid --n 1": ("8a861dab663441ff3197156360a16c42271b699a767cf676179501ee2d70b3c5", 0),
     "check taurigid --n 2": ("fd8a322cc6aa3678949e48f2b82ad8f51e4ec8e575b79b848c28f5efe0815b0b", 0),
     "check taurigid --n 3": ("b9093bc03f4e5f9ccb675812d2b7d98d9edd7bba137a0f2b77a385188b32ea12", 0),
     "check taurigid --n 4": ("851e8031697b4673e3ef3a52084a7b0a5febf79b4d5c2f84e7e8d6c27757a5be", 0),
     "check taurigid --n 5": ("fc82bc504651334184ef8d409db95d4d948f63ecf0fd92d4c2681585dee1011b", 0),
+    "check taurigid --n 6": ("c027f98a7b0fdf7721d703cafce09d61de7bff7c38fd6c29c0f0c339601e5cf0", 0),
     "check twosided": ("b13de9c94fd0ef958737ea325fa3a459150032b5a2b2d9c530338efba20b05eb", 0),
     "check twosided --n 1": ("46d342e5a071806d716aea6e43e126e6c9b4299bd5a55c496ef7e81a95a6f981", 0),
     "check twosided --n 2": ("18e2e0d6731c2136c9a7be4747660fda5db2b04a281ec4de007eb07e04fbdc0c", 0),
     "check twosided --n 3": ("9aaaec8265ea0ac09bcf8a51f09c416eb682ceb6ec51077334f7a62328807b8f", 0),
     "check twosided --n 4": ("b13de9c94fd0ef958737ea325fa3a459150032b5a2b2d9c530338efba20b05eb", 0),
     "check twosided --n 5": ("77fc59ec1aba009db86ef0ce26b65cb8c154df4112e58904b6212bd494994f1c", 0),
+    "check twosided --n 6": ("22b337aa22aeda6e1f75b323ec41417ee20c3f12a0cb3e31ab184928b84df8be", 0),
     "ideal perm 12": ("c1c680472b58d1161b93f5af95134f4a4d6ebbb72d599204a78dfd4e60fd4168", 0),
     "ideal perm 16": ("caf7141c79c0513bd94c96cb7104acdb46c9b5e7ea3ee6b886ec38f4e39daf1e", 0),
     "ideal perm 20": ("47320c0f4175fad4b9fb9bdde8096dc67d937a1fe63b8951baf92f9e76abad9a", 0),
@@ -117,6 +126,8 @@ def test_every_command_is_pinned(tmp_path):
 def test_same_bytes_and_exit_code(capsys, monkeypatch, tmp_path, label):
     if "--n 10" in label:
         monkeypatch.setenv("PREPROJ_MAX_N", "10")
+    elif "--n 6" in label:
+        monkeypatch.setenv("PREPROJ_MAX_N", "7")
     code = main(argvs(tmp_path)[label])
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[label]
