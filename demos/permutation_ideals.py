@@ -7,7 +7,7 @@ Writes ideal_25341.svg next to this script.
 from pathlib import Path
 
 from preproj.finite import (
-    hom_dim,
+    hom_dims,
     ideal_of,
     ideal_via_word,
     is_tau_rigid_ideal,
@@ -15,7 +15,6 @@ from preproj.finite import (
     projective,
     strip,
     tau_sub,
-    to_rep,
     top_removable,
 )
 from preproj.render import RenderSpec, render_svg
@@ -53,11 +52,9 @@ print(f"w has {len(words)} reduced words; every one yields the same ideal:",
 
 print("\n== tau-rigidity ==")
 print("Hom((I_w)^i, P_j/(I_w)^j) vanishes for every pair:")
-subs = [to_rep(m) for m in ideal]
-quots = [to_rep(tau_sub(m)) for m in ideal]
-dims = [[hom_dim(a, b) for b in quots] for a in subs]
-for row in dims:
-    print("  ", row)
+quots = [tau_sub(m) for m in ideal]
+for m in ideal:
+    print("  ", hom_dims(m, quots))
 print("is_tau_rigid_ideal(w):", is_tau_rigid_ideal(w))
 
 out = Path(__file__).with_name("ideal_25341.svg")

@@ -7,7 +7,7 @@ Writes two_bubble_sheet.svg next to this script.
 from fractions import Fraction as F
 from pathlib import Path
 
-from preproj.finite import hom_dim, projective, to_rep
+from preproj.finite import projective
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.render import RenderSpec, render_svg
 from preproj.sheets import (
@@ -16,12 +16,12 @@ from preproj.sheets import (
     b_interval,
     codependence_class,
     decorous_cover,
+    end_dim,
     generators,
     in_range_of_codependence,
     is_brick,
     is_deep,
     is_sawtooth,
-    sawtooth_rep,
     sheet_new,
     sheet_support,
 )
@@ -62,7 +62,7 @@ st = is_sawtooth(peak, 0, 1)
 print("single-peak data is a sawtooth, hence a brick:", is_brick(st))
 print("a projective is deep, hence not a brick:",
       not is_brick(projective(2, 5)),
-      f"(End has dimension {hom_dim(to_rep(projective(2,5)), to_rep(projective(2,5)))})")
+      f"(End has dimension {end_dim(projective(2, 5))})")
 
 print("\nthe thin module of a W-shaped sawtooth has scalar endomorphisms:")
 w_teeth = SawtoothDesc(
@@ -70,8 +70,7 @@ w_teeth = SawtoothDesc(
     [(0, F(2, 5)), (F(1, 5), F(3, 5)), (F(2, 5), F(2, 5)),
      (F(3, 5), F(3, 5)), (F(4, 5), F(2, 5)), (1, F(3, 5))],
 )
-rep = sawtooth_rep(w_teeth, 5)
-print("  dims", rep.dims, "End dimension", hom_dim(rep, rep), "deep:", is_deep(rep))
+print("  End dimension", end_dim(w_teeth), "deep:", is_deep(w_teeth))
 
 print("\n== Interior sawtooth data is covered by a decorous submodule ==")
 st2 = SawtoothDesc(F(1, 4), F(3, 4), [(F(1, 4), F(1, 4)), (H, H), (F(3, 4), F(1, 4))])

@@ -18,11 +18,9 @@ from .finite import (
     CurveModule,
     DiamondCurve,
     Kind,
-    QuiverRep,
     bottom_boundary,
     curve_hom_dim,
     factors,
-    hom_dim,
     hom_dims,
     ideal_of,
     ideal_via_word,
@@ -32,7 +30,6 @@ from .finite import (
     strip,
     strip_letter,
     tau_sub,
-    to_rep,
     top_boundary,
     top_removable,
 )
@@ -71,7 +68,6 @@ from .sheets import (
     is_deep,
     is_deep_sheet,
     is_sawtooth,
-    sawtooth_rep,
     sheet_new,
     sheet_support,
 )

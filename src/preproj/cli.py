@@ -29,8 +29,8 @@ returns its task's lines, a bruhat row spliced from pieces encoded once
 per sweep and other records encoded by _line, with its counts of cases and
 failures; cmd_check writes them as they come, serially or from --jobs
 workers (capped at the CPU and task counts).  Per-sweep memos, cleared
-before each check, do each weak-order node (mizuno), Hom pair (taurigid,
-homvanish) and stripped summand (bridge) once per process.  A reader
+before and after each check, do each weak-order node (mizuno), Hom pair
+(taurigid, homvanish) and stripped summand (bridge) once per process.  A reader
 closing the pipe early ends the command with exit code 141.
 """
 
@@ -232,7 +232,7 @@ def _weak_node(ol: tuple[int, ...]) -> tuple[tuple, tuple | None, int]:
     every element of [e, w] exactly when it is stripping's empty word at e
     and every cover edge v s -> v (s a right descent of v) strips letter s
     from ideal_of(v s) to ideal_of(v).  The base fails as (e, None).  One
-    call per permutation and sweep: cmd_check clears it before each."""
+    call per permutation and sweep: cmd_check clears it before and after each."""
     curves = finite.ideal_curves(ol)
     ideal = tuple(map(_CURVES.setdefault, curves, curves))
     below = {s: _weak_node((*ol[:s - 1], ol[s], ol[s - 1], *ol[s + 1:]))
@@ -358,15 +358,19 @@ def _case_homvanish(task) -> tuple[str, int, int]:
     label, mu = _labelled(task)
     rows = [permuton.boundary_row(mu, t, 21) for t in range(1, 21)]
     steps = [list(map(sub, row[1:], row)) for row in rows]
-    certified = all(plfunc.rises_class(list(map(sub, s, t)))
-                    is not plfunc.MonotoneClass.NEITHER for s in steps for t in steps)
+    # the witness: the first apex pair (s, t) without a certificate, else
+    # the first pair of staircase summands (i, j) whose Hom does not vanish
+    apexes = next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps, 1)
+                   if plfunc.rises_class(list(map(sub, a, b)))
+                   is plfunc.MonotoneClass.NEITHER), None)
+    if apexes:
+        return _lines([_record("homvanish", label, "apexes", apexes)])
     # for m <= 4, also the solver on the staircase summands at the grid apexes t/8
     ideal = continuous.PermutonIdeal(mu)
     summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
-    ok = certified and finite.tau_rigid_witness(
-        [m.curve.units for m in summands], _HOMS) is None
-    return _lines([{"check": "homvanish", "case": label, "ok": ok}])
+    pair = finite.tau_rigid_witness([m.curve.units for m in summands], _HOMS)
+    return _lines([_record("homvanish", label, "pair", pair)])
 
 
 # name -> (task runner, task source, flags the check does not read)
@@ -387,6 +391,12 @@ _CHECKS = {
 }
 
 
+def _clear_memos() -> None:
+    """Empty the per-sweep memos."""
+    for clear in (_weak_node.cache_clear, _stripped.cache_clear, _HOMS.clear, _CURVES.clear):
+        clear()
+
+
 def cmd_check(args) -> int:
     name = args.name
     run, source, unread = _CHECKS[name]
@@ -398,18 +408,20 @@ def cmd_check(args) -> int:
         if getattr(args, flag) is not None:
             raise ParseError(f"check {name} does not read --{flag}")
     tasks = source(args)
-    for clear in (_weak_node.cache_clear, _stripped.cache_clear, _HOMS.clear, _CURVES.clear):
-        clear()  # the per-sweep memos
+    _clear_memos()
     jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
     cases = failures = 0
-    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        # Pool.map's chunks, ceil(tasks / 4 jobs); workers return finished text
-        results = (pool.imap(run, tasks, -(-len(tasks) // (4 * jobs))) if pool
-                   else map(run, tasks))
-        for text, count, failed in results:
-            sys.stdout.write(text)
-            cases += count
-            failures += failed
+    try:
+        with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+            # Pool.map's chunks, ceil(tasks / 4 jobs); workers return finished text
+            results = (pool.imap(run, tasks, -(-len(tasks) // (4 * jobs))) if pool
+                       else map(run, tasks))
+            for text, count, failed in results:
+                sys.stdout.write(text)
+                cases += count
+                failures += failed
+    finally:
+        _clear_memos()  # no later caller in this process reads this sweep's entries
     if not cases:  # nothing was written
         raise ParseError(f"check {name} has no cases for these flags")
     _emit({"summary": True, "check": name, "cases": cases,

@@ -9,9 +9,10 @@ factors in the submodule (below the curve) from those outside it.
 Sweeps compute on integer curves, tuples of units of 1/n (ideal_curves,
 strip_curves, word_curves, tau_rigid_witness), validated as a DiamondCurve
 only where they enter the library: JSON and public constructors (ideal_of).
-Hom is counted on bands (up, down), one source into many targets in one
-walk, each target in its own lane of an int (HomLanes), and deepness on
-bands too (sheets.is_deep); hom_dim on a QuiverRep is the reference.
+Modules are curves and the bands (up, down) they cut out; there is no
+second, basis-map representation.  Hom is counted on bands, one source into
+many targets in one walk, each target in its own lane of an int (HomLanes),
+and deepness on bands too (sheets.is_deep).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .lanes import pack
 from .limits import scale_limit
-from .linalg import rank_of_links
 from .rat import num_den
 from .symgroup import Perm, Word
 
@@ -249,154 +249,6 @@ def tau_sub(m: CurveModule) -> CurveModule:
     return CurveModule(Kind.QUOT, m.curve)
 
 
-BasisMap = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class QuiverRep:
-    """A module over the preprojective algebra, given in a basis that every
-    arrow sends to basis vectors or to zero, injectively.
-
-    alpha[e] : V_{e+1} -> V_{e+2} and alpha_star[e] : V_{e+2} -> V_{e+1}
-    (vertices 1-indexed, e = 0..n-3) are basis maps: entry c is the index of
-    the image of basis vector c, or -1 when it goes to zero.  The preprojective
-    relation alpha*_j alpha_j = alpha_{j-1} alpha*_{j-1} must hold at every
-    vertex.  Curve modules, simples and sawtooth modules all have such a basis.
-    """
-
-    n: int
-    dims: tuple[int, ...]
-    alpha: tuple[BasisMap, ...]
-    alpha_star: tuple[BasisMap, ...]
-
-    def __init__(self, n, dims, alpha, alpha_star) -> None:
-        n = int(n)
-        dims = tuple(int(d) for d in dims)
-        if n < 2 or len(dims) != n - 1:
-            raise DomainError(f"expected {n - 1} vertex dimensions")
-        alpha = tuple(tuple(f) for f in alpha)
-        alpha_star = tuple(tuple(f) for f in alpha_star)
-        if len(alpha) != n - 2 or len(alpha_star) != n - 2:
-            raise DomainError(f"expected {n - 2} arrow maps each way")
-        for e in range(n - 2):
-            _check_map(alpha[e], dims[e], dims[e + 1])
-            _check_map(alpha_star[e], dims[e + 1], dims[e])
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "alpha_star", alpha_star)
-        for j in range(n - 1):
-            if _right_loop(self, j) != _left_loop(self, j):
-                raise DomainError(f"preprojective relation fails at vertex {j + 1}")
-
-
-def _check_map(f: BasisMap, source: int, target: int) -> None:
-    if len(f) != source:
-        raise DomainError(f"arrow map must have {source} entries, got {len(f)}")
-    hits = [t for t in f if t != -1]
-    if not all(type(t) is int and 0 <= t < target for t in hits):
-        raise DomainError(f"arrow map entries must lie in -1..{target - 1}")
-    if len(set(hits)) != len(hits):
-        raise DomainError("arrow map sends two basis vectors to one")
-
-
-def _compose(g: BasisMap, f: BasisMap) -> BasisMap:
-    """The basis map g after f."""
-    return tuple(-1 if t == -1 else g[t] for t in f)
-
-
-def _right_loop(rep: QuiverRep, j: int) -> BasisMap:
-    """alpha*_j alpha_j on V_{j+1} (0-indexed j; zero past the right end)."""
-    if j >= rep.n - 2:
-        return (-1,) * rep.dims[j]
-    return _compose(rep.alpha_star[j], rep.alpha[j])
-
-
-def _left_loop(rep: QuiverRep, j: int) -> BasisMap:
-    """alpha_{j-1} alpha*_{j-1} on V_{j+1} (0-indexed j; zero at the left end)."""
-    if j == 0:
-        return (-1,) * rep.dims[j]
-    return _compose(rep.alpha[j - 1], rep.alpha_star[j - 1])
-
-
-def loop_action(rep: QuiverRep, j: int) -> BasisMap:
-    """The length-two loop at 1-indexed vertex j acting on V_j, as a basis map.
-
-    Both length-two loops at a vertex agree by the preprojective relation.
-    """
-    if not 1 <= j <= rep.n - 1:
-        raise IndexOutOfRange(f"vertex {j} outside 1..{rep.n - 1}")
-    return _right_loop(rep, j - 1)
-
-
-def factor_rep(n: int, positions: Iterable[tuple[int, int]]) -> QuiverRep:
-    """The representation with one basis vector per lattice factor (j, d),
-    ordered by depth within each column: alpha sends (j, d) to (j+1, d+1)
-    and alpha* sends (j+1, d) to (j, d+1) when that factor is present, and
-    to zero otherwise."""
-    cols: dict[int, list[int]] = {j: [] for j in range(1, n)}
-    for j, d in sorted(positions):
-        if j not in cols:
-            raise IndexOutOfRange(f"vertex {j} outside 1..{n - 1}")
-        cols[j].append(d)
-    index = {(j, d): t for j in range(1, n) for t, d in enumerate(cols[j])}
-    dims = tuple(len(cols[j]) for j in range(1, n))
-    alpha = tuple(
-        tuple(index.get((j + 1, d + 1), -1) for d in cols[j]) for j in range(1, n - 1)
-    )
-    alpha_star = tuple(
-        tuple(index.get((j, d + 1), -1) for d in cols[j + 1]) for j in range(1, n - 1)
-    )
-    return QuiverRep(n, dims, alpha, alpha_star)
-
-
-def to_rep(m: CurveModule) -> QuiverRep:
-    """The factor basis of a curve module."""
-    return factor_rep(m.n, factors(m))
-
-
-def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
-    """dim Hom(a, b): the solution space of the interchange conditions
-    phi_k a(f) = b(f) phi_j for every arrow f : j -> k, exact over the rationals.
-
-    The unknowns are the entries phi_j[r][c] (r over b's basis at j, c over
-    a's).  In basis maps the (r, c) entry of an interchange condition reads
-    phi_k[r][a(f)(c)] = phi_j[b(f)^-1(r)][c], where a side is 0 when the basis
-    vector goes to zero or r has no preimage; b(f) is injective, so there is
-    at most one preimage.  Each condition is therefore x = y, x = 0 or y = 0:
-    the rows are those of a signed incidence matrix of a graph on the unknowns
-    plus one zero node, with the zero node's column dropped.  Such rows have
-    rank over any field equal to the number of edges of a spanning forest
-    (``linalg.rank_of_links``), so dim Hom is the number of classes of
-    unknowns that are not joined to zero.
-    """
-    if a.n != b.n:
-        raise SizeMismatch(f"ranks {a.n} and {b.n} differ")
-    offsets = []
-    total = 0
-    for p, q in zip(b.dims, a.dims):
-        offsets.append(total)
-        total += p * q
-    links: list[tuple[int, int]] = []
-    for e in range(a.n - 2):
-        arrows = ((e, e + 1, a.alpha[e], b.alpha[e]),
-                  (e + 1, e, a.alpha_star[e], b.alpha_star[e]))
-        for j, k, fa, fb in arrows:
-            preimage = [-1] * b.dims[k]
-            for t, r in enumerate(fb):
-                if r != -1:
-                    preimage[r] = t
-            for r, t in enumerate(preimage):
-                # phi_k[r][s] is unknown row_k + s, phi_j[t][c] is row_j + c;
-                # -1 is the zero
-                row_k, row_j = offsets[k] + r * a.dims[k], offsets[j] + t * a.dims[j]
-                for c, s in enumerate(fa):
-                    if s != -1 or t != -1:
-                        links.append((-1 if s == -1 else row_k + s,
-                                      -1 if t == -1 else row_j + c))
-    return total - rank_of_links(total, links)
-
-
 @lru_cache(maxsize=None)
 def _lane_values(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple]:
     """HomLanes' lane width L at rank n and its lane values: the bits above
@@ -502,8 +354,7 @@ class HomLanes:
 
 def hom_dims(a: CurveModule, targets: Sequence[CurveModule]) -> list[int]:
     """[dim Hom(a, b) for b in targets], for curve modules of either kind,
-    read off their bands in one pass (HomLanes); it equals hom_dim(to_rep(a),
-    to_rep(b)) for each b."""
+    read off their bands in one pass (HomLanes)."""
     return HomLanes(map(band, targets)).dims(band(a)) if targets else []
 
 

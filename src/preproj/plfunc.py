@@ -224,16 +224,6 @@ def pointwise_sub(f: PLFunc, g: PLFunc) -> PLFunc:
     return _plfunc(_merged((x, a - b, w) for x, a, b, w in _walk(f, g)))
 
 
-def top_at(k, x) -> Fraction:
-    """Upper boundary of the diamond of P_k at x (shortest path length k -> x)."""
-    return abs(frac(x) - frac(k))
-
-
-def bottom_at(k, x) -> Fraction:
-    """Lower boundary of the diamond of P_k at x (sup of path lengths k -> x)."""
-    return 1 - abs(1 - frac(k) - frac(x))
-
-
 def top_curve(k) -> PLFunc:
     k = frac(k)
     return PLFunc(((ZERO, k), (k, ZERO), (ONE, 1 - k)))

@@ -4,7 +4,9 @@ A sheet is the image of a decorous submodule of P_k inside a decorous
 quotient of P_k; it is carried entirely by its two boundary curves.  Bricks
 are exactly the simple modules and the sawtooth modules (alternating +-1
 boundary data), and deep modules (nonzero length-two loop action) are never
-bricks.
+bricks.  end_dim and is_deep take module descriptors: a curve module is
+measured on its band, and simples and sawtooth data, thin by construction,
+are answered by type.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from .errors import (
     HypothesisFailed,
     NotDecorous,
     NotGenerator,
-    NotGridAligned,
     NotInSupport,
 )
-from .finite import (CurveModule, QuiverRep, band, curve_hom_dim, factor_rep, hom_dim,
-                     loop_action)
+from .finite import CurveModule, band, curve_hom_dim
 from .plfunc import BFunc, PLFunc, pointwise_max, pointwise_sub, to_bfunc, vshift
 from .rat import frac
 
@@ -189,17 +189,6 @@ def _leq_on(f: PLFunc, g: PLFunc, lo: Fraction, hi: Fraction) -> bool:
     )
 
 
-def is_deep(module) -> bool:
-    """Does some length-two loop act nonzero on a CurveModule or QuiverRep?
-    A loop sends the factor (j, d) through (j+1, d+1) to (j, d+2); a band's
-    +-1 curves hold the middle one whenever they hold both ends, so a curve
-    module is deep exactly when some column holds two factors."""
-    if isinstance(module, CurveModule):
-        up, down = band(module)
-        return any(b - a >= 4 for a, b in zip(up, down))
-    return any(t != -1 for j in range(1, module.n - 1) for t in loop_action(module, j))
-
-
 @dataclass(frozen=True)
 class SawtoothDesc:
     """Alternating +-1 boundary data on [a, b].
@@ -301,40 +290,27 @@ def decorous_cover(st: SawtoothDesc) -> BFunc:
     return to_bfunc(PLFunc(pts))
 
 
-def sawtooth_rep(st: SawtoothDesc, n: int) -> QuiverRep:
-    """The thin representation of a grid-aligned sawtooth: one factor per
-    interior grid column of [a, b], at the depth the teeth reach from the
-    first tooth in +-1 steps, so alpha acts on rising segments and alpha* on
-    falling ones."""
-    n = int(n)
-    cols = []
-    for x, _ in st.teeth:
-        if n % x.denominator:
-            raise NotGridAligned(f"tooth at {x} off the 1/{n} grid")
-        cols.append(x.numerator * (n // x.denominator))
-    depths = [0]  # depths[k] at column cols[0] + k
-    step = st.first_slope()
-    for c0, c1 in zip(cols, cols[1:]):
-        depths += [depths[-1] + step * t for t in range(1, c1 - c0 + 1)]
-        step = -step
-    lo, hi = cols[0], cols[-1]
-    first = lo if st.endpoint_flags[0] else lo + 1
-    last = hi if st.endpoint_flags[1] else hi - 1
-    return factor_rep(
-        n, [(j, depths[j - lo]) for j in range(max(first, 1), min(last, n - 1) + 1)]
-    )
-
-
 def end_dim(module) -> int:
     """dim End(module).  Simples and sawtooth modules have the field as
-    endomorphisms; a curve module is measured on its curve by curve_hom_dim,
-    any other QuiverRep by hom_dim."""
+    endomorphisms; a curve module is measured on its curve by curve_hom_dim."""
     if isinstance(module, (SimpleModule, SawtoothDesc)):
         return 1
     if isinstance(module, CurveModule):
         return curve_hom_dim(module, module)
-    if isinstance(module, QuiverRep):
-        return hom_dim(module, module)
+    raise DomainError(f"not a module descriptor: {module!r}")
+
+
+def is_deep(module) -> bool:
+    """Does some length-two loop act nonzero on the module?  A loop sends the
+    factor (j, d) through (j+1, d+1) to (j, d+2); a band's +-1 curves hold the
+    middle one whenever they hold both ends, so a curve module is deep exactly
+    when some column holds two factors.  Simples and sawtooth modules hold one
+    factor per column, so they are never deep."""
+    if isinstance(module, (SimpleModule, SawtoothDesc)):
+        return False
+    if isinstance(module, CurveModule):
+        up, down = band(module)
+        return any(b - a >= 4 for a, b in zip(up, down))
     raise DomainError(f"not a module descriptor: {module!r}")
 
 

@@ -10,18 +10,20 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import ge, le
+from typing import Iterable
 
 from preproj.continuous import (Certificate, DecorousSub, PermutonIdeal, hom_vanishing_cert,
                                 ideal_summand, left_act, staircase)
 from preproj.errors import (DomainError, IndexOutOfRange, NotGridAligned, NotLipschitz,
-                            ParseError)
-from preproj.finite import (CurveModule, DiamondCurve, QuiverRep, band, factor_rep, hom_dim,
-                            ideal_of, ideal_via_word, tau_sub, to_rep)
+                            ParseError, SizeMismatch)
+from preproj.finite import (CurveModule, DiamondCurve, band, factors, ideal_of, ideal_via_word,
+                            tau_sub)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
+from preproj.linalg import rank_of_links
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
-from preproj.plfunc import (BFunc, PLFunc, bottom_at, bottom_curve, pointwise_leq, to_bfunc,
-                            top_at, top_curve, vshift)
+from preproj.plfunc import (BFunc, PLFunc, bottom_curve, pointwise_leq, to_bfunc, top_curve,
+                            vshift)
 from preproj.rat import frac, rat_str
 from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
 from preproj.symgroup import (Perm, all_perms, all_reduced_words,
@@ -42,6 +44,199 @@ def random_curve(i: int, n: int, rng: random.Random) -> DiamondCurve:
             rng.choice([u for u in (units[-1] + 1, units[-1] - 1) if top <= u <= bottom])
         )
     return DiamondCurve(i, n, tuple(units))
+
+
+# The QuiverRep solver (formerly in preproj.finite): modules in a basis that
+# every arrow maps to basis vectors or zero, and dim Hom by union-find.  The
+# library counts Hom and deepness on bands; this is the oracle they are held to.
+
+
+BasisMap = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class QuiverRep:
+    """A module over the preprojective algebra, given in a basis that every
+    arrow sends to basis vectors or to zero, injectively.
+
+    alpha[e] : V_{e+1} -> V_{e+2} and alpha_star[e] : V_{e+2} -> V_{e+1}
+    (vertices 1-indexed, e = 0..n-3) are basis maps: entry c is the index of
+    the image of basis vector c, or -1 when it goes to zero.  The preprojective
+    relation alpha*_j alpha_j = alpha_{j-1} alpha*_{j-1} must hold at every
+    vertex.  Curve modules, simples and sawtooth modules all have such a basis.
+    """
+
+    n: int
+    dims: tuple[int, ...]
+    alpha: tuple[BasisMap, ...]
+    alpha_star: tuple[BasisMap, ...]
+
+    def __init__(self, n, dims, alpha, alpha_star) -> None:
+        n = int(n)
+        dims = tuple(int(d) for d in dims)
+        if n < 2 or len(dims) != n - 1:
+            raise DomainError(f"expected {n - 1} vertex dimensions")
+        alpha = tuple(tuple(f) for f in alpha)
+        alpha_star = tuple(tuple(f) for f in alpha_star)
+        if len(alpha) != n - 2 or len(alpha_star) != n - 2:
+            raise DomainError(f"expected {n - 2} arrow maps each way")
+        for e in range(n - 2):
+            _check_map(alpha[e], dims[e], dims[e + 1])
+            _check_map(alpha_star[e], dims[e + 1], dims[e])
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha_star", alpha_star)
+        for j in range(n - 1):
+            if _right_loop(self, j) != _left_loop(self, j):
+                raise DomainError(f"preprojective relation fails at vertex {j + 1}")
+
+
+def _check_map(f: BasisMap, source: int, target: int) -> None:
+    if len(f) != source:
+        raise DomainError(f"arrow map must have {source} entries, got {len(f)}")
+    hits = [t for t in f if t != -1]
+    if not all(type(t) is int and 0 <= t < target for t in hits):
+        raise DomainError(f"arrow map entries must lie in -1..{target - 1}")
+    if len(set(hits)) != len(hits):
+        raise DomainError("arrow map sends two basis vectors to one")
+
+
+def _compose(g: BasisMap, f: BasisMap) -> BasisMap:
+    """The basis map g after f."""
+    return tuple(-1 if t == -1 else g[t] for t in f)
+
+
+def _right_loop(rep: QuiverRep, j: int) -> BasisMap:
+    """alpha*_j alpha_j on V_{j+1} (0-indexed j; zero past the right end)."""
+    if j >= rep.n - 2:
+        return (-1,) * rep.dims[j]
+    return _compose(rep.alpha_star[j], rep.alpha[j])
+
+
+def _left_loop(rep: QuiverRep, j: int) -> BasisMap:
+    """alpha_{j-1} alpha*_{j-1} on V_{j+1} (0-indexed j; zero at the left end)."""
+    if j == 0:
+        return (-1,) * rep.dims[j]
+    return _compose(rep.alpha[j - 1], rep.alpha_star[j - 1])
+
+
+def loop_action(rep: QuiverRep, j: int) -> BasisMap:
+    """The length-two loop at 1-indexed vertex j acting on V_j, as a basis map.
+
+    Both length-two loops at a vertex agree by the preprojective relation.
+    """
+    if not 1 <= j <= rep.n - 1:
+        raise IndexOutOfRange(f"vertex {j} outside 1..{rep.n - 1}")
+    return _right_loop(rep, j - 1)
+
+
+def factor_rep(n: int, positions: Iterable[tuple[int, int]]) -> QuiverRep:
+    """The representation with one basis vector per lattice factor (j, d),
+    ordered by depth within each column: alpha sends (j, d) to (j+1, d+1)
+    and alpha* sends (j+1, d) to (j, d+1) when that factor is present, and
+    to zero otherwise."""
+    cols: dict[int, list[int]] = {j: [] for j in range(1, n)}
+    for j, d in sorted(positions):
+        if j not in cols:
+            raise IndexOutOfRange(f"vertex {j} outside 1..{n - 1}")
+        cols[j].append(d)
+    index = {(j, d): t for j in range(1, n) for t, d in enumerate(cols[j])}
+    dims = tuple(len(cols[j]) for j in range(1, n))
+    alpha = tuple(
+        tuple(index.get((j + 1, d + 1), -1) for d in cols[j]) for j in range(1, n - 1)
+    )
+    alpha_star = tuple(
+        tuple(index.get((j, d + 1), -1) for d in cols[j + 1]) for j in range(1, n - 1)
+    )
+    return QuiverRep(n, dims, alpha, alpha_star)
+
+
+def to_rep(m: CurveModule) -> QuiverRep:
+    """The factor basis of a curve module."""
+    return factor_rep(m.n, factors(m))
+
+
+def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
+    """dim Hom(a, b): the solution space of the interchange conditions
+    phi_k a(f) = b(f) phi_j for every arrow f : j -> k, exact over the rationals.
+
+    The unknowns are the entries phi_j[r][c] (r over b's basis at j, c over
+    a's).  In basis maps the (r, c) entry of an interchange condition reads
+    phi_k[r][a(f)(c)] = phi_j[b(f)^-1(r)][c], where a side is 0 when the basis
+    vector goes to zero or r has no preimage; b(f) is injective, so there is
+    at most one preimage.  Each condition is therefore x = y, x = 0 or y = 0:
+    the rows are those of a signed incidence matrix of a graph on the unknowns
+    plus one zero node, with the zero node's column dropped.  Such rows have
+    rank over any field equal to the number of edges of a spanning forest
+    (``linalg.rank_of_links``), so dim Hom is the number of classes of
+    unknowns that are not joined to zero.
+    """
+    if a.n != b.n:
+        raise SizeMismatch(f"ranks {a.n} and {b.n} differ")
+    offsets = []
+    total = 0
+    for p, q in zip(b.dims, a.dims):
+        offsets.append(total)
+        total += p * q
+    links: list[tuple[int, int]] = []
+    for e in range(a.n - 2):
+        arrows = ((e, e + 1, a.alpha[e], b.alpha[e]),
+                  (e + 1, e, a.alpha_star[e], b.alpha_star[e]))
+        for j, k, fa, fb in arrows:
+            preimage = [-1] * b.dims[k]
+            for t, r in enumerate(fb):
+                if r != -1:
+                    preimage[r] = t
+            for r, t in enumerate(preimage):
+                # phi_k[r][s] is unknown row_k + s, phi_j[t][c] is row_j + c;
+                # -1 is the zero
+                row_k, row_j = offsets[k] + r * a.dims[k], offsets[j] + t * a.dims[j]
+                for c, s in enumerate(fa):
+                    if s != -1 or t != -1:
+                        links.append((-1 if s == -1 else row_k + s,
+                                      -1 if t == -1 else row_j + c))
+    return total - rank_of_links(total, links)
+
+
+def rep_is_deep(rep: QuiverRep) -> bool:
+    """Does some length-two loop act nonzero on rep?  (formerly the QuiverRep
+    branch of ``sheets.is_deep``)"""
+    return any(t != -1 for j in range(1, rep.n - 1) for t in loop_action(rep, j))
+
+
+def top_at(k, x) -> Fraction:
+    """Upper boundary of the diamond of P_k at x (shortest path length k -> x)."""
+    return abs(frac(x) - frac(k))
+
+
+def bottom_at(k, x) -> Fraction:
+    """Lower boundary of the diamond of P_k at x (sup of path lengths k -> x)."""
+    return 1 - abs(1 - frac(k) - frac(x))
+
+
+def sawtooth_rep(st: SawtoothDesc, n: int) -> QuiverRep:
+    """The thin representation of a grid-aligned sawtooth: one factor per
+    interior grid column of [a, b], at the depth the teeth reach from the
+    first tooth in +-1 steps, so alpha acts on rising segments and alpha* on
+    falling ones."""
+    n = int(n)
+    cols = []
+    for x, _ in st.teeth:
+        if n % x.denominator:
+            raise NotGridAligned(f"tooth at {x} off the 1/{n} grid")
+        cols.append(x.numerator * (n // x.denominator))
+    depths = [0]  # depths[k] at column cols[0] + k
+    step = st.first_slope()
+    for c0, c1 in zip(cols, cols[1:]):
+        depths += [depths[-1] + step * t for t in range(1, c1 - c0 + 1)]
+        step = -step
+    lo, hi = cols[0], cols[-1]
+    first = lo if st.endpoint_flags[0] else lo + 1
+    last = hi if st.endpoint_flags[1] else hi - 1
+    return factor_rep(
+        n, [(j, depths[j - lo]) for j in range(max(first, 1), min(last, n - 1) + 1)]
+    )
 
 
 def sawtooth_rep_by_midpoints(st: SawtoothDesc, n: int) -> QuiverRep:

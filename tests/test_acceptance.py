@@ -10,7 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from conftest import as_plfunc, hom_lengths, is_full, is_zero_sub, random_curve
+from conftest import (as_plfunc, hom_dim, hom_lengths, is_full, is_zero_sub, random_curve,
+                      rep_is_deep, sawtooth_rep, to_rep)
 from preproj.continuous import (
     Certificate,
     PermutonIdeal,
@@ -23,16 +24,15 @@ from preproj.continuous import (
 from preproj.finite import (
     CurveModule,
     Kind,
-    hom_dim,
+    hom_dims,
     ideal_of,
     ideal_via_word,
     projective,
     tau_sub,
-    to_rep,
 )
 from preproj.permuton import boundary_function, from_perm, permuton_bruhat_leq, uniform
 from preproj.plfunc import PLFunc, pointwise_leq
-from preproj.sheets import SawtoothDesc, is_deep, sawtooth_rep
+from preproj.sheets import SawtoothDesc, end_dim, is_deep
 from preproj.symgroup import Perm, all_perms, all_reduced_words, bruhat_leq
 
 import test_properties
@@ -74,6 +74,8 @@ def test_criterion_2_tau_rigidity():
             for s in subs:
                 for q in quots:
                     assert hom_dim(s, q) == 0
+            taus = [tau_sub(m) for m in summands]
+            assert all(hom_dims(m, taus) == [0] * len(taus) for m in summands)
         rng = random.Random(0)
         sampled = rng.sample(list(all_perms(5)), 20)
         for w in sampled + [W]:
@@ -83,6 +85,8 @@ def test_criterion_2_tau_rigidity():
             for s in subs:
                 for q in quots:
                     assert hom_dim(s, q) == 0
+            taus = [tau_sub(m) for m in summands]
+            assert all(hom_dims(m, taus) == [0] * len(taus) for m in summands)
 
 
 def test_criterion_3_discrete_continuous_bridge():
@@ -216,6 +220,8 @@ def test_criterion_8_continuous_tau_rigidity():
                 rep = to_rep(subs[a])
                 for b in apexes:
                     assert hom_dim(rep, to_rep(tau_sub(subs[b]))) == 0
+                assert hom_dims(subs[a], [tau_sub(subs[b]) for b in apexes]) == [0] * len(
+                    apexes)
 
 
 def test_criterion_9_hom_length_table():
@@ -237,10 +243,11 @@ def test_criterion_9_hom_length_table():
         for n in range(2, 7):
             reps = {i: to_rep(projective(i, n)) for i in range(1, n)}
             for i in range(1, n):
+                lengths = [len(hom_lengths(j, i, n).lengths) for j in range(1, n)]
                 for j in range(1, n):
-                    assert hom_dim(reps[i], reps[j]) == len(
-                        hom_lengths(j, i, n).lengths
-                    )
+                    assert hom_dim(reps[i], reps[j]) == lengths[j - 1]
+                assert hom_dims(projective(i, n),
+                                [projective(j, n) for j in range(1, n)]) == lengths
 
 
 def _random_grid_sawtooth(rng: random.Random, n: int) -> SawtoothDesc:
@@ -264,8 +271,8 @@ def test_criterion_10_brick_and_deep_suite():
             n = rng.randint(3, 6)
             st = _random_grid_sawtooth(rng, n)
             rep = sawtooth_rep(st, n)
-            assert not is_deep(rep)
-            assert hom_dim(rep, rep) == 1
+            assert is_deep(st) is rep_is_deep(rep) is False
+            assert end_dim(st) == hom_dim(rep, rep) == 1
         found = 0
         while found < 50:
             n = rng.randint(4, 6)
@@ -276,8 +283,8 @@ def test_criterion_10_brick_and_deep_suite():
                 continue  # no column holds two factors
             found += 1
             rep = to_rep(m)
-            assert is_deep(rep)
-            assert hom_dim(rep, rep) >= 2
+            assert is_deep(m) is rep_is_deep(rep) is True
+            assert end_dim(m) == hom_dim(rep, rep) >= 2
 
 
 def test_criterion_11_property_suites():

@@ -265,16 +265,12 @@ class TestCheckCommand:
         assert lines[-1]["pass"]
 
     def test_homvanish_builds_each_apex_rep_once(self, capsys, monkeypatch):
-        built = []
-        to_rep = finite.to_rep
-        monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
         packings, homs = count_lanes(monkeypatch)
         code, lines = run(capsys, "check", "homvanish", "--perm", "2143")
         assert code == 0 and lines[-1]["pass"]
         # grid m = 4 at n = 8: apexes 1/4, 1/2, 3/4, one lane per (sub, quot)
-        # pair, the three quotients packed once; counted on the curves, so no
-        # representation is built
-        assert len(built) == 0 and len(homs) == 9 and len(packings) == 1
+        # pair, the three quotients packed once, counted on the curves
+        assert len(homs) == 9 and len(packings) == 1
         assert len({m for pair in homs for m in pair}) == 6
 
     @staticmethod
@@ -354,7 +350,8 @@ class TestCheckCommand:
         record = {"check": "homvanish", "case": "mu", "ok": True}
         assert records(cli._case_homvanish(("mu", mu))) == [record]
         monkeypatch.setattr(plfunc, "rises_class", one_unclassified)
-        assert records(cli._case_homvanish(("mu", mu))) == [{**record, "ok": False}]
+        assert records(cli._case_homvanish(("mu", mu))) == [
+            {**record, "ok": False, "apexes": [4, 11]}]
         assert len(hits) == 1
 
     def test_parser_built_once_and_flags_do_not_leak(self, capsys, monkeypatch, tmp_path):
@@ -997,9 +994,6 @@ class TestSummandMemos:
                 for a in finite.ideal_of(w) for b in finite.ideal_of(w)}
 
     def test_taurigid_solves_each_curve_pair_once(self, capsys, monkeypatch):
-        built = []
-        to_rep = finite.to_rep
-        monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
         packings, homs = count_lanes(monkeypatch)
         pairs = self.summand_pairs(5)
         # the cases that meet a pair no earlier case of the sweep met: the
@@ -1017,7 +1011,6 @@ class TestSummandMemos:
             assert code == 0 and lines[-1]["cases"] == 120
             assert len(homs) == sweep * len(pairs) < sweep * 120 * 16
             assert len(packings) == sweep * fresh  # no pass on a memoised case
-            assert len(built) == 0  # Hom is counted on the curves
         half = len(homs) // 2
         assert set(homs[:half]) == set(homs[half:]) == pairs
 
@@ -1088,8 +1081,39 @@ class TestSummandMemos:
 
 
 class TestFailureWitnesses:
-    """A failing bridge or twosided record names where the check broke: the
-    column, or the pair of apexes.  A passing record carries no witness."""
+    """A failing bridge, twosided or homvanish record names where the check
+    broke: the column, or the pair of apexes or of summands.  A passing
+    record carries no witness."""
+
+    def test_homvanish_names_the_first_apex_pair_without_a_certificate(self, capsys,
+                                                                      monkeypatch):
+        mu = from_perm(Perm((2, 5, 3, 4, 1)))
+        steps = {t: [b - a for a, b in zip(row, row[1:])]
+                 for t in range(1, 21) for row in [permuton.boundary_row(mu, t, 21)]}
+        difference = {(s, t): [a - b for a, b in zip(steps[s], steps[t])]
+                      for s in steps for t in steps}
+        bad = difference[11, 4]
+        classify = plfunc.rises_class
+        monkeypatch.setattr(plfunc, "rises_class", lambda rises: (
+            plfunc.MonotoneClass.NEITHER if list(rises) == bad else classify(rises)))
+        code, lines = run(capsys, "check", "homvanish", "--perm", "25341")
+        # the first pair, in order, whose difference was planted
+        first = next([s, t] for s in range(1, 21) for t in range(1, 21)
+                     if difference[s, t] == bad)
+        assert code == 1 and first[0] <= 11
+        assert lines[0] == {"check": "homvanish", "case": "perm:25341", "ok": False,
+                            "apexes": first}
+
+    def test_homvanish_names_the_staircase_pair(self, capsys, monkeypatch):
+        code, lines = run(capsys, "check", "homvanish")
+        assert code == 0 and all(r.keys() == {"check", "case", "ok"} for r in lines[:-1])
+        witness = finite.tau_rigid_witness
+        monkeypatch.setattr(finite, "tau_rigid_witness", lambda curves, memo=None: (
+            witness(curves, memo) or (curves[-1][0], curves[0][0]) if curves else None))
+        code, lines = run(capsys, "check", "homvanish", "--perm", "2143")
+        # grid m = 4 at n = 8: the staircase summands at the apexes 2/8, 4/8, 6/8
+        assert code == 1 and lines[0] == {"check": "homvanish", "case": "perm:2143",
+                                          "ok": False, "pair": [6, 2]}
 
     def test_bridge_names_the_first_column_of_a_planted_strip(self, capsys, monkeypatch):
         rep0, i0 = Perm((1, 3, 4, 2, 5)), 2
@@ -1150,6 +1174,71 @@ class TestFailureWitnesses:
             {"check": "twosided", "case": "mu", "ok": False, "pair": [2, None]}]
 
 
+class TestMemosAfterASweep:
+    """cmd_check empties the per-sweep memos after a sweep, as well as before
+    it, whether the sweep passed, failed or stopped: no later caller in the
+    process reads its entries."""
+
+    FLAGS = {"mizuno": ["--n", "4"], "taurigid": ["--n", "4"], "bridge": ["--n", "4"],
+             "homvanish": []}
+
+    @staticmethod
+    def sizes() -> tuple[int, int, int, int]:
+        return (cli._weak_node.cache_info().currsize, cli._stripped.cache_info().currsize,
+                len(cli._HOMS), len(cli._CURVES))
+
+    def sweep(self, capsys, monkeypatch, name) -> tuple[int, list]:
+        """Run the check in process, recording the memo sizes after each task."""
+        seen = []
+        run_task, source, unread = cli._CHECKS[name]
+        monkeypatch.setitem(cli._CHECKS, name, (
+            lambda task: (run_task(task), seen.append(self.sizes()))[0], source, unread))
+        code, _ = run(capsys, "check", name, *self.FLAGS[name])
+        return code, seen
+
+    @staticmethod
+    def plant(monkeypatch, name) -> None:
+        """A fault that fails some of the check's cases and leaves its memos filled."""
+        if name == "mizuno":
+            strip = finite.strip_curves
+            monkeypatch.setattr(finite, "strip_curves",
+                                lambda curves, s: curves if s == 2 else strip(curves, s))
+        elif name == "bridge":
+            monkeypatch.setattr(symgroup, "canonical_reduced_word_of_rep", lambda u, i: ())
+        else:
+            witness = finite.tau_rigid_witness
+            monkeypatch.setattr(finite, "tau_rigid_witness",
+                                lambda curves, memo=None: witness(curves, memo) or (0, 0))
+
+    @pytest.mark.parametrize("name", list(FLAGS))
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_memos_empty_after_the_sweep(self, capsys, monkeypatch, name, fault):
+        if fault:
+            self.plant(monkeypatch, name)
+        code, seen = self.sweep(capsys, monkeypatch, name)
+        assert code == (1 if fault else 0)
+        assert any(map(any, seen))  # the sweep filled some memo
+        assert self.sizes() == (0, 0, 0, 0)
+        assert cli._HOMS == {} and cli._CURVES == {}
+
+    @pytest.mark.parametrize("name", list(FLAGS))
+    def test_memos_empty_after_a_stopped_sweep(self, capsys, monkeypatch, name):
+        run_task = cli._CHECKS[name][0]
+        tasks = []
+
+        def stops(task):
+            tasks.append(task)
+            out = run_task(task)
+            if len(tasks) == 2:
+                assert any(self.sizes())  # stopped with some memo filled
+                raise ParseError("stopped")
+            return out
+
+        monkeypatch.setitem(cli._CHECKS, name, (stops, *cli._CHECKS[name][1:]))
+        assert main(["check", name, *self.FLAGS[name]]) == 2
+        assert self.sizes() == (0, 0, 0, 0)
+
+
 class TestBrickAndSheet:
     def test_brick_check_simple(self, capsys, tmp_path):
         path = write_json(tmp_path, "m.json", {"type": "simple", "x": "1/3"})
@@ -1175,14 +1264,10 @@ class TestBrickAndSheet:
 
     def test_brick_check_solves_one_endomorphism_space(self, capsys, tmp_path,
                                                          monkeypatch):
-        built, homs, solves = [], [], []
-        to_rep, curve_hom_dim, hom_dim = finite.to_rep, finite.curve_hom_dim, finite.hom_dim
-        monkeypatch.setattr(finite, "to_rep", lambda m: built.append(m) or to_rep(m))
+        homs, curve_hom_dim = [], finite.curve_hom_dim
         for module in (finite, sheets):
             monkeypatch.setattr(module, "curve_hom_dim",
                                 lambda a, b: homs.append((a, b)) or curve_hom_dim(a, b))
-            monkeypatch.setattr(module, "hom_dim",
-                                lambda a, b: solves.append((a, b)) or hom_dim(a, b))
         path = write_json(
             tmp_path,
             "m.json",
@@ -1191,7 +1276,7 @@ class TestBrickAndSheet:
         code, lines = run(capsys, "brick", "check", path)
         assert code == 0 and lines[0]["end_dim"] == 3 and lines[0]["deep"]
         # one endomorphism count on the curve; deepness read off its band
-        assert len(built) == 0 and len(homs) == 1 and len(solves) == 0
+        assert len(homs) == 1
         assert homs == [(projective(3, 8),) * 2]
 
     def test_sheet_analyze(self, capsys, tmp_path):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (as_plfunc, bridge_by_plfuncs, discretize, is_full, is_zero_sub, member,
-                      member_quot, random_bfunc, random_permuton, u_quot)
+from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim, is_full,
+                      is_zero_sub, member, member_quot, random_bfunc, random_permuton, to_rep,
+                      top_at, u_quot)
 from preproj import continuous, permuton
 from preproj.continuous import (
     Certificate,
@@ -21,15 +22,13 @@ from preproj.continuous import (
     tau_rigidity_cert,
 )
 from preproj.errors import DomainError, NotGridAligned, SizeMismatch
-from preproj.finite import hom_dim, ideal_of, projective, tau_sub, to_rep
+from preproj.finite import hom_dims, ideal_of, projective, tau_sub
 from preproj.permuton import boundary_function, from_perm, permuton_bruhat_leq, uniform
 from preproj.plfunc import (
     BFunc,
     PLFunc,
-    bottom_at,
     bottom_curve,
     pointwise_leq,
-    top_at,
     top_curve,
 )
 from preproj.symgroup import Perm, all_perms, bruhat_leq
@@ -397,3 +396,5 @@ class TestDiscreteCorroboration:
                 for b in apexes:
                     quot = to_rep(tau_sub(subs[b]))
                     assert hom_dim(rep, quot) == 0
+                assert hom_dims(subs[a], [tau_sub(subs[b]) for b in apexes]) == [0] * len(
+                    apexes)

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import (curve_hom_dim_by_pair, hom_dim_by_elimination, hom_lengths,
-                      random_curve, sawtooth_rep_by_midpoints, simple_rep, zero_rep)
+from conftest import (QuiverRep, curve_hom_dim_by_pair, factor_rep, hom_dim,
+                      hom_dim_by_elimination, hom_lengths, loop_action, random_curve,
+                      rep_is_deep, sawtooth_rep, sawtooth_rep_by_midpoints, simple_rep,
+                      to_rep, zero_rep)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,20 +26,16 @@ from preproj.finite import (
     DiamondCurve,
     HomLanes,
     Kind,
-    QuiverRep,
     band,
     bottom_boundary,
     curve_hom_dim,
-    factor_rep,
     factors,
-    hom_dim,
     hom_dims,
     ideal_curves,
     ideal_of,
     ideal_via_word,
     is_tau_rigid_ideal,
     is_zero,
-    loop_action,
     projective,
     strip,
     strip_curves,
@@ -45,11 +43,10 @@ from preproj.finite import (
     summand_via_word,
     tau_rigid_witness,
     tau_sub,
-    to_rep,
     top_removable,
     word_curves,
 )
-from preproj.sheets import SawtoothDesc, is_deep, sawtooth_rep
+from preproj.sheets import SawtoothDesc, is_deep
 from preproj.symgroup import Perm, all_perms, all_reduced_words, apply_word, bruhat_leq
 
 W = Perm((2, 5, 3, 4, 1))
@@ -760,11 +757,11 @@ class TestBandDeepness:
         modules = [m for n in range(2, 9) for m in all_curve_modules(n)]
         verdicts = [is_deep(m) for m in modules]
         assert len(modules) == 988
-        assert verdicts == [is_deep(to_rep(m)) for m in modules]
+        assert verdicts == [rep_is_deep(to_rep(m)) for m in modules]
         assert 0 < sum(verdicts) < len(modules)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 20), st.sampled_from(Kind), st.randoms(use_true_random=False))
     def test_random_modules_match_their_reps(self, n, kind, rng):
         m = CurveModule(kind, random_curve(rng.randint(1, n - 1), n, rng))
-        assert is_deep(m) == is_deep(to_rep(m))
+        assert is_deep(m) == rep_is_deep(to_rep(m))

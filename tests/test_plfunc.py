@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     at_by_fractions,
+    bottom_at,
     leq_by_at,
     leq_by_fractions,
     max_by_at,
@@ -20,6 +21,7 @@ from conftest import (
     slopes_by_fractions,
     sub_by_at,
     sub_by_fractions,
+    top_at,
     xs_with_crossings,
 )
 from preproj.errors import DegenerateEndpoints, DomainError, NotLipschitz
@@ -27,7 +29,6 @@ from preproj.plfunc import (
     BFunc,
     MonotoneClass,
     PLFunc,
-    bottom_at,
     bottom_curve,
     is_lipschitz1,
     monotone_class,
@@ -36,7 +37,6 @@ from preproj.plfunc import (
     pointwise_min,
     pointwise_sub,
     to_bfunc,
-    top_at,
     top_curve,
     vshift,
 )

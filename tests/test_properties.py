@@ -9,9 +9,10 @@ definition on grid-aligned sheets.  Seeded RNG keeps them reproducible.
 import random
 from fractions import Fraction as F
 
-from conftest import as_plfunc, member, member_quot, random_bfunc, random_curve, u_quot
+from conftest import (as_plfunc, bottom_at, member, member_quot, random_bfunc, random_curve,
+                      top_at, u_quot)
 from preproj.continuous import d_sub
-from preproj.plfunc import BFunc, bottom_at, top_at
+from preproj.plfunc import BFunc
 from preproj.sheets import generators, sheet_new, sheet_support
 
 CASES = 1000

@@ -3,12 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (
+    QuiverRep,
     cone_contains,
+    hom_dim,
     leq_on_by_at,
     positive_intervals_by_at,
     random_curve,
     random_signed_plfunc,
+    rep_is_deep,
+    sawtooth_rep,
     simple_rep,
+    to_rep,
 )
 
 from preproj.errors import (
@@ -20,14 +25,7 @@ from preproj.errors import (
     NotGridAligned,
     NotInSupport,
 )
-from preproj.finite import (
-    CurveModule,
-    Kind,
-    QuiverRep,
-    hom_dim,
-    projective,
-    to_rep,
-)
+from preproj.finite import CurveModule, Kind, projective
 from preproj import sheets
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, pointwise_sub, top_curve
 from preproj.sheets import (
@@ -42,11 +40,11 @@ from preproj.sheets import (
     elementary_exists,
     generators,
     in_range_of_codependence,
+    end_dim,
     is_brick,
     is_deep,
     is_deep_sheet,
     is_sawtooth,
-    sawtooth_rep,
     sheet_new,
     sheet_support,
 )
@@ -286,18 +284,33 @@ class TestElementary:
 
 class TestDeep:
     def test_simple_not_deep(self):
-        assert not is_deep(simple_rep(2, 5))
+        assert not is_deep(SimpleModule(F(2, 5)))
+        assert not rep_is_deep(simple_rep(2, 5))
 
     def test_projective_deep(self):
-        assert is_deep(to_rep(projective(2, 5)))
+        assert is_deep(projective(2, 5))
+        assert rep_is_deep(to_rep(projective(2, 5)))
 
     def test_hand_built_deep(self):
         # P_2 at n = 4 in its factor basis: V_1 = <a>, V_2 = <b, c>, V_3 = <d>,
         # a -> c, b -> d forward; b -> a, d -> c backward; both loops at
         # vertex 2 send b to c
         rep = QuiverRep(4, (1, 2, 1), ((1,), (0, -1)), ((0, -1), (1,)))
-        assert is_deep(rep)
-        assert not is_deep(QuiverRep(4, (1, 2, 1), ((1,), (-1, -1)), ((-1, -1), (1,))))
+        assert rep == to_rep(projective(2, 4))
+        assert rep_is_deep(rep) and is_deep(projective(2, 4))
+        assert not rep_is_deep(QuiverRep(4, (1, 2, 1), ((1,), (-1, -1)), ((-1, -1), (1,))))
+
+    def test_thin_descriptors_are_not_deep(self):
+        # one factor per column, as end_dim answers 1 by type
+        st = SawtoothDesc(0, 1, [(0, F(1, 5)), (F(4, 5), 1), (1, F(4, 5))])
+        for module in (SimpleModule(F(1, 3)), st):
+            assert is_deep(module) is False and end_dim(module) == 1
+
+    @pytest.mark.parametrize("module", [QuiverRep(2, (1,), (), ()), "P_2", None, 3])
+    def test_other_arguments_are_not_modules(self, module):
+        for measure in (is_deep, end_dim):
+            with pytest.raises(DomainError, match="not a module descriptor"):
+                measure(module)
 
     def test_nonzero_sheets_deep(self):
         assert is_deep_sheet(FULL)
@@ -397,8 +410,8 @@ class TestBricks:
         )
         rep = sawtooth_rep(st, 5)
         assert rep.dims == (1, 1, 1, 1)
-        assert hom_dim(rep, rep) == 1
-        assert not is_deep(rep)
+        assert hom_dim(rep, rep) == end_dim(st) == 1
+        assert not rep_is_deep(rep) and not is_deep(st)
 
     def test_sawtooth_rep_needs_grid(self):
         st = SawtoothDesc(0, 1, [(0, F(1, 3)), (F(1, 3), 0), (1, F(2, 3))])
@@ -421,6 +434,6 @@ class TestBricks:
                 continue
             found += 1
             rep = to_rep(m)
-            assert is_deep(rep)
+            assert rep_is_deep(rep) and is_deep(m)
             assert not is_brick(m)
-            assert hom_dim(rep, rep) >= 2
+            assert hom_dim(rep, rep) == end_dim(m) >= 2
