@@ -47,7 +47,6 @@ from functools import lru_cache
 from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import factorial, lcm
-from multiprocessing import Pool
 from operator import add, gt, le, sub
 from typing import NamedTuple
 
@@ -333,22 +332,30 @@ def _labelled(task) -> tuple[str, permuton.GridPermuton]:
 
 
 def _case_twosided(task) -> tuple[str, int, int]:
-    # f_p <= left_act(f_q, p) = min(bottom_p, f_q + |p - q|) for grid apexes
-    # p != q: all three are linear between columns, so the rows decide it
+    """f_p <= left_act(f_q, p) = min(bottom_p, f_q + |p - q|/m) for the grid
+    apexes p != q, read on the rows at the columns c/m, between which all
+    three are linear.  That is f_p <= bottom_p for every p and
+    |f_p - f_{p+1}| <= 1/m in every column: the pairs p, p + 1 are among the
+    pairs, and they give every other pair by the triangle inequality,
+    |f_p - f_q| <= |f_p - f_{p+1}| + ... + |f_{q-1} - f_q| <= |p - q|/m.  So
+    two passes of O(m^2) decide it, and only a failing case looks for its
+    witness, in the order of the statement: p, then bottom_p (q None), then
+    q ascending.  The grid apexes decide every apex pair: on an off-diagonal
+    cell of rows f_a - f_b - |a - b| is affine in a and in b, inside one row
+    |f_a - f_b| <= |a - b| for every mu, and f_a is affine in a between rows
+    while bottom_a is concave in a."""
     label, mu = _labelled(task)
     m, unit = mu.m, mu.m * mu.m * mu.den  # unit: 1/m over the rows' m^3 den
-    rows = {p: permuton.boundary_row(mu, p, m) for p in range(1, m)}
-    pair = None
-    for p, f_p in rows.items():
-        bottom = [(m - abs(m - p - c)) * unit for c in range(m + 1)]
-        shifted = {q: list(map(add, f_q, repeat(abs(p - q) * unit)))
-                   for q, f_q in rows.items() if q != p}
-        # bottom_p twice: min needs two rows where there is no q
-        if not all(map(le, f_p, map(min, bottom, bottom, *shifted.values()))):
-            # the witness (p, q), q None where f_p leaves the diamond
-            pair = next((p, q) for q, g in {None: bottom, **shifted}.items()
-                        if any(map(gt, f_p, g)))
-            break
+    rows = [permuton.boundary_row(mu, p, m) for p in range(1, m)]
+    # bottom_p rises by 1/m from p/m at x = 0 to 1 at x = 1 - p/m, then falls
+    bottoms = [[*range(p * unit, m * unit, unit), *range(m * unit, (m - p - 1) * unit, -unit)]
+               for p in range(1, m)]
+    holds = (all(all(map(le, f, b)) for f, b in zip(rows, bottoms))
+             and all(max(map(abs, map(sub, f, g))) <= unit for f, g in zip(rows, rows[1:])))
+    pair = None if holds else next(
+        (p, q) for p, f_p in enumerate(rows, 1) for q in (None, *range(1, m))
+        if q != p and any(map(gt, f_p, bottoms[p - 1] if q is None
+                              else map(add, rows[q - 1], repeat(abs(p - q) * unit)))))
     return _lines([_record("twosided", label, "pair", pair)])
 
 
@@ -360,9 +367,9 @@ def _case_homvanish(task) -> tuple[str, int, int]:
     steps = [list(map(sub, row[1:], row)) for row in rows]
     # the witness: the first apex pair (s, t) without a certificate, else
     # the first pair of staircase summands (i, j) whose Hom does not vanish
+    classify, neither = plfunc.rises_class, plfunc.MonotoneClass.NEITHER
     apexes = next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps, 1)
-                   if plfunc.rises_class(list(map(sub, a, b)))
-                   is plfunc.MonotoneClass.NEITHER), None)
+                   if classify(list(map(sub, a, b))) is neither), None)
     if apexes:
         return _lines([_record("homvanish", label, "apexes", apexes)])
     # for m <= 4, also the solver on the staircase summands at the grid apexes t/8
@@ -395,6 +402,11 @@ def _clear_memos() -> None:
     """Empty the per-sweep memos."""
     for clear in (_weak_node.cache_clear, _stripped.cache_clear, _HOMS.clear, _CURVES.clear):
         clear()
+
+
+def Pool(jobs: int):
+    from multiprocessing import Pool  # imported only when a check asks for workers
+    return Pool(jobs)
 
 
 def cmd_check(args) -> int:

@@ -12,7 +12,10 @@ call, and ``from_perm`` and ``uniform`` write no literals.
 Every CDF query reads one integer corner-sum table built with the permuton:
 ``cum[r][c] / den`` is mu([0,c/m] x [0,r/m]), r, c = 0..m.  The CDF is bilinear
 within each cell, so ``_cdf_ints`` reads any point by interpolating the table
-along y, then x; values leave as Fractions.
+along y, then x, one row of points at a time; values leave as Fractions.  A
+boundary row sits on the columns, so it reads one or two rows of ``cum``
+directly; the order on two grids reads the union grid row by row and stops at
+the first row where it fails.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, count, repeat
 from math import lcm
 from operator import add, ge, mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .lanes import Lanes
@@ -106,14 +109,12 @@ def uniform(m: int) -> GridPermuton:
     return GridPermuton.__new__(GridPermuton)._fill(m, m * m, ((1,) * m,) * m)
 
 
-def _cdf_ints(mu: GridPermuton, ys, xs, s: int) -> list[list[int]]:
-    """s^2 den cdf at every (x, y) of xs x ys, one row per y; (i, r) is (i + r/s)/m."""
-    out = []
+def _cdf_ints(mu: GridPermuton, ys, xs, s: int) -> Iterator[list[int]]:
+    """s^2 den cdf at every (x, y) of xs x ys, one row per y, each built as it
+    is asked for; (i, r) is (i + r/s)/m."""
     for i, r in ys:  # r = 0 at i = m
         row = [(s - r) * a + r * b for a, b in zip(mu.cum[i], mu.cum[min(i + 1, mu.m)])]
-        out.append([(s - g) * row[j] + g * row[j + 1] if g else s * row[j]
-                    for j, g in xs])
-    return out
+        yield [(s - g) * row[j] + g * row[j + 1] if g else s * row[j] for j, g in xs]
 
 
 def cdf(mu: GridPermuton, a, b) -> Fraction:
@@ -123,16 +124,23 @@ def cdf(mu: GridPermuton, a, b) -> Fraction:
         raise DomainError(f"({a},{b}) outside the unit square")
     s = lcm(a.denominator, b.denominator)
     y, x = (divmod(t.numerator * (s // t.denominator) * mu.m, s) for t in (b, a))
-    return Fraction(_cdf_ints(mu, [y], [x], s)[0][0], s * s * mu.den)
+    return Fraction(next(_cdf_ints(mu, [y], [x], s))[0], s * s * mu.den)
 
 
 def boundary_row(mu: GridPermuton, p: int, q: int) -> list[int]:
     """The samples at c/m, c = 0..m, of the boundary curve of mu at apex
     p/q, 0 < p < q, each one integer over q^2 den m; the curve is linear
-    between them, so they decide every pointwise question about it."""
+    between them, so they decide every pointwise question about it.  The cdf
+    is read off rows i and i + 1 of ``cum``, p/q = (i + r/q)/m (row i alone
+    when r = 0)."""
     m, den = mu.m, mu.den
-    row = _cdf_ints(mu, [divmod(p * m, q)], [(c, 0) for c in range(m + 1)], q)[0]
-    return [(p * q * den - 2 * v) * m + c * q * q * den for c, v in enumerate(row)]
+    i, r = divmod(p * m, q)
+    line = count(p * q * den * m, q * q * den)  # p/q + c/m
+    if not r:
+        k = 2 * q * q * m
+        return [t - k * a for t, a in zip(line, mu.cum[i])]
+    k, s = 2 * q * m, q - r
+    return [t - k * (s * a + r * b) for t, a, b in zip(line, mu.cum[i], mu.cum[i + 1])]
 
 
 def boundary_function(mu: GridPermuton, y) -> BFunc:
@@ -172,14 +180,13 @@ def permuton_bruhat_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
     square's boundary, so its interior corners decide the order exactly.  On
     a common grid those are the corners of the two ``cum`` tables, over a
     common den: the one-target case of Lanes.  Otherwise both sides are
-    integers over their own den, so they compare crossed, in one flat pass."""
+    integers over their own den, so they compare crossed, one union-grid row
+    of each at a time, and no row past the first failing one is built."""
     m = mu.m
     if m == nu.m:
         den = lcm(mu.den, nu.den)
         return Lanes((corners(nu, den),), den).at_most(corners(mu, den)) != 0
     big, (at, at2) = _union_coords(m, nu.m)
-    a = chain.from_iterable(_cdf_ints(mu, at, at, big))
-    b = chain.from_iterable(_cdf_ints(nu, at2, at2, big))
-    if mu.den != nu.den:
-        a, b = map(mul, a, repeat(nu.den)), map(mul, b, repeat(mu.den))
-    return all(map(ge, a, b))
+    da, db = repeat(nu.den), repeat(mu.den)
+    return all(all(map(ge, map(mul, a, da), map(mul, b, db)))
+               for a, b in zip(_cdf_ints(mu, at, at, big), _cdf_ints(nu, at2, at2, big)))

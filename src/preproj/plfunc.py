@@ -32,6 +32,9 @@ class MonotoneClass(Enum):
     NEITHER = "neither"
 
 
+_INCREASING, _DECREASING, _CONSTANT, _NEITHER = MonotoneClass  # in definition order
+
+
 def _point(x: int, y: int, w: int) -> tuple[int, int, int]:
     g = gcd(x, y, w)  # w > 0
     return x // g, y // g, w // g
@@ -154,16 +157,13 @@ def monotone_class(f: PLFunc) -> MonotoneClass:
 
 
 def rises_class(rises: Sequence[int]) -> MonotoneClass:
-    """Classify by the signs of the rises over consecutive linear pieces."""
-    inc = all(r >= 0 for r in rises)
-    dec = all(r <= 0 for r in rises)
-    if inc and dec:
-        return MonotoneClass.CONSTANT
-    if inc:
-        return MonotoneClass.WEAKLY_INCREASING
-    if dec:
-        return MonotoneClass.WEAKLY_DECREASING
-    return MonotoneClass.NEITHER
+    """Classify by the least and the greatest rise over consecutive linear pieces."""
+    if not rises:
+        return _CONSTANT
+    lo, hi = min(rises), max(rises)
+    if lo >= 0:
+        return _INCREASING if hi > 0 else _CONSTANT
+    return _NEITHER if hi > 0 else _DECREASING
 
 
 def vshift(f: PLFunc, a) -> PLFunc:

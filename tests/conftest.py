@@ -22,8 +22,8 @@ from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.linalg import rank_of_links
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
-from preproj.plfunc import (BFunc, PLFunc, bottom_curve, pointwise_leq, to_bfunc, top_curve,
-                            vshift)
+from preproj.plfunc import (BFunc, MonotoneClass, PLFunc, bottom_curve, pointwise_leq, to_bfunc,
+                            top_curve, vshift)
 from preproj.rat import frac, rat_str
 from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
 from preproj.symgroup import (Perm, all_perms, all_reduced_words,
@@ -668,6 +668,20 @@ def at_by_fractions(f: PLFunc, x: Fraction) -> Fraction:
 def slopes_by_fractions(f: PLFunc) -> list[Fraction]:
     pts = f.breakpoints
     return [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+
+
+def rises_class_by_all(rises) -> MonotoneClass:
+    """The class of the rises by two ``all``s over their signs (the library's
+    former classifier)."""
+    inc = all(r >= 0 for r in rises)
+    dec = all(r <= 0 for r in rises)
+    if inc and dec:
+        return MonotoneClass.CONSTANT
+    if inc:
+        return MonotoneClass.WEAKLY_INCREASING
+    if dec:
+        return MonotoneClass.WEAKLY_DECREASING
+    return MonotoneClass.NEITHER
 
 
 PRIMES = [p for p in range(2, 400) if all(p % d for d in range(2, p))]

@@ -448,6 +448,20 @@ class TestCheckCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_workers_imported_only_when_asked_for(self):
+        src = Path(cli.__file__).parents[1]
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [path])])}
+        program = ("import sys; from preproj.cli import main; code = main(); "
+                   "print('multiprocessing' in sys.modules); sys.exit(code)")
+        # --jobs 2 starts workers wherever there are two cores to run them
+        for jobs, imported in (("1", "False"), ("2", str((os.cpu_count() or 1) > 1))):
+            argv = [sys.executable, "-c", program, "check", "taurigid", "--n", "3",
+                    "--jobs", jobs]
+            proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == imported
+
     def test_jobs_capped_at_case_count(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-case check started worker processes")
@@ -1172,6 +1186,50 @@ class TestFailureWitnesses:
         monkeypatch.setattr(permuton, "boundary_row", raised)
         assert records(cli._case_twosided(("mu", mu))) == [
             {"check": "twosided", "case": "mu", "ok": False, "pair": [2, None]}]
+
+
+class TestTwosidedOnAdjacentApexes:
+    """twosided decides on the bottoms and the adjacent apexes; its record
+    equals the all-pairs PLFunc oracle's, witness included."""
+
+    @staticmethod
+    def pair(mu) -> list | None:
+        [r] = records(cli._case_twosided(("mu", mu)))
+        return r.get("pair")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 24), st.sampled_from([1, 4, 10**15]),
+           st.sampled_from([0, F(1, 10), F(1, 3)]), st.integers(0, 10**6),
+           st.randoms(use_true_random=False))
+    def test_matches_all_pairs_oracle(self, m, max_weight, share, seed, rng):
+        mu = random_permuton(rng, m, max_weight)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permuton, "boundary_row", perturbed_rows(seed, share))
+            assert self.pair(mu) == twosided_pair_by_plfuncs(mu)
+
+    def test_first_witness_may_be_far_apart(self):
+        # a planted row can fail first against an apex two or more rows
+        # away, while its neighbours still hold
+        rng, gaps = random.Random(2), set()
+        for t in range(80):
+            mu = random_permuton(rng, rng.randint(3, 12), rng.choice([4, 10**6]))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(permuton, "boundary_row", perturbed_rows(t, F(1, 3)))
+                pair = self.pair(mu)
+                assert pair == twosided_pair_by_plfuncs(mu), t
+            if pair and pair[1] is not None:
+                gaps.add(abs(pair[0] - pair[1]))
+        assert 1 in gaps and max(gaps) >= 2
+
+    def test_rows_lifted_together_fail_on_the_bottom(self, monkeypatch):
+        # the reversal's curves are the diamonds' bottoms; lifting every row
+        # at one column keeps the adjacent differences, so only the bottoms
+        # see it (raw rows: no 1-Lipschitz curve with these ends can)
+        mu, true_row = from_perm(Perm((5, 4, 3, 2, 1))), permuton.boundary_row
+        assert self.pair(mu) is None
+        monkeypatch.setattr(permuton, "boundary_row", lambda mu, p, q: [
+            v + (c == 3) for c, v in enumerate(true_row(mu, p, q))])
+        assert self.pair(mu) == [1, None]
 
 
 class TestMemosAfterASweep:

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
+from operator import lt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
                       bruhat_leq_on_union_grid, cdf_grid_by_fractions, cell_sum_cdf,
-                      count_cdf_oracle, fraction_cum, permuton_by_literals,
+                      count_cdf_oracle, fraction_cum, merge_by_fractions,
+                      permuton_by_literals,
                       permuton_equal, permuton_to_json, random_permuton, refine,
                       uniform_by_literals)
 from preproj import jsonio, permuton
@@ -23,6 +25,7 @@ from preproj.permuton import (
     from_perm,
     permuton_bruhat_leq,
     uniform,
+    union_ticks,
 )
 from preproj.plfunc import PLFunc, bottom_curve, top_curve
 from preproj.rat import num_den, rat_str
@@ -413,6 +416,112 @@ class TestCdfLanes:
             mu, nu = random_permuton(rng, m, 10**15), random_permuton(rng, m, 4)
             assert permuton_bruhat_leq(mu, nu) == bruhat_leq_by_rows(mu, nu)
             assert permuton_bruhat_leq(mu, mu)
+
+
+@st.composite
+def grid_permutons(draw, max_m: int = 24) -> GridPermuton:
+    """A random, uniform or permutation permuton on m x m cells, m <= max_m."""
+    m = draw(st.integers(1, max_m))
+    kind = draw(st.sampled_from(["random", "uniform", "perm"]))
+    if kind == "uniform":
+        return uniform(m)
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "perm":
+        return from_perm(Perm(rng.sample(range(1, m + 1), m)))
+    return random_permuton(rng, m, draw(st.sampled_from([1, 4, 10**15])))
+
+
+class TestBoundaryRowOracles:
+    """boundary_row, read off one or two rows of ``cum``, against the
+    Fraction CDF readers: at every apex p/q, q <= 30, on and off the grid."""
+
+    APEXES = [(p, q) for q in range(2, 31) for p in range(1, q)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid_permutons())
+    def test_rows_are_the_fraction_cdf(self, mu):
+        m = mu.m
+        ys = sorted({F(p, q) for p, q in self.APEXES})
+        table = cdf_grid_by_fractions(mu, [divmod(y * m, 1) for y in ys],
+                                      [(c, F(0)) for c in range(m + 1)])
+        expected = {y: [-2 * v + y + F(c, m) for c, v in enumerate(row)]
+                    for y, row in zip(ys, table)}
+        for p, q in self.APEXES:
+            row = permuton.boundary_row(mu, p, q)
+            assert [F(v, q * q * mu.den * m) for v in row] == expected[F(p, q)], (p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_permutons(), st.integers(2, 30), st.data())
+    def test_rows_merge_to_the_fraction_curve(self, mu, q, data):
+        p = data.draw(st.integers(1, q - 1))
+        scale = q * q * mu.den * mu.m
+        points = [(F(c, mu.m), F(v, scale))
+                  for c, v in enumerate(permuton.boundary_row(mu, p, q))]
+        assert merge_by_fractions(points) == boundary_points_by_fractions(mu, F(p, q))
+
+
+def first_failing_row(mu: GridPermuton, nu: GridPermuton) -> int | None:
+    """The first row of union-grid corners where cdf(mu) < cdf(nu) somewhere,
+    read through the Fraction CDF reader; None when there is none."""
+    big, ticks = union_ticks(mu.m, nu.m)
+    at, at2 = ([divmod(F(k, big) * p, 1) for k in ticks] for p in (mu.m, nu.m))
+    rows = zip(cdf_grid_by_fractions(mu, at, at), cdf_grid_by_fractions(nu, at2, at2))
+    return next((r for r, (a, b) in enumerate(rows) if any(map(lt, a, b))), None)
+
+
+class TestOrderStopsEarly:
+    """On two grids the order reads the union grid one row of each side at a
+    time and stops at the first failing row."""
+
+    @staticmethod
+    def rows_built(mu, nu) -> tuple[bool, list[int]]:
+        """The order of mu and nu, and the grid size of each row built."""
+        true, built = permuton._cdf_ints, []
+
+        def counting(mu, ys, xs, s):
+            for row in true(mu, ys, xs, s):
+                built.append(mu.m)
+                yield row
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permuton, "_cdf_ints", counting)
+            return permuton_bruhat_leq(mu, nu), built
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(2, 24), st.sampled_from([1, 4, 10**15]),
+           st.randoms(use_true_random=False))
+    def test_coprime_grids_match_oracles(self, m, m2, max_weight, rng):
+        assume(gcd(m, m2) == 1)
+        mu, nu = random_permuton(rng, m, max_weight), random_permuton(rng, m2, max_weight)
+        # uniform(m) and uniform(m2) are one measure: every row is read
+        for a, b in ((mu, nu), (nu, mu), (uniform(m), uniform(m2))):
+            got, built = self.rows_built(a, b)
+            first = first_failing_row(a, b)
+            assert got == (first is None) == bruhat_leq_on_union_grid(a, b)
+            assert got == bruhat_leq_by_rows(a, b)
+            rows = len(union_ticks(m, m2)[1]) if got else first + 1
+            assert sorted(built) == sorted([m, m2] * rows)
+        assert got
+
+    def test_first_failing_row_ends_the_order(self):
+        top, bottom = from_perm(Perm((5, 4, 3, 2, 1))), from_perm(Perm.identity(7))
+        # at the first union-grid row, y = 1/35, the reversal's CDF is 0 left
+        # of x = 34/35 and the identity's is not
+        assert first_failing_row(top, bottom) == 0
+        assert self.rows_built(top, bottom) == (False, [5, 7])
+        leq, built = self.rows_built(bottom, top)
+        assert leq and built == [7, 5] * 10 and len(union_ticks(5, 7)[1]) == 10
+
+    def test_late_failures_build_the_rows_up_to_theirs(self):
+        rng, seen = random.Random(4), set()
+        for _ in range(40):
+            mu, nu = drawn_pair(rng, rng.randint(2, 8), "coprime", 4)
+            first = first_failing_row(mu, nu)
+            leq, built = self.rows_built(mu, nu)
+            rows = len(union_ticks(mu.m, nu.m)[1]) if first is None else first + 1
+            assert leq == (first is None) and sorted(built) == sorted([mu.m, nu.m] * rows)
+            seen.add(first)
+        assert 0 in seen and max(r for r in seen if r is not None) > 1
 
 
 class TestIntegerTables:

@@ -18,6 +18,7 @@ from conftest import (
     random_bfunc,
     random_lipschitz_plfunc,
     random_mixed_pair,
+    rises_class_by_all,
     slopes_by_fractions,
     sub_by_at,
     sub_by_fractions,
@@ -36,6 +37,7 @@ from preproj.plfunc import (
     pointwise_max,
     pointwise_min,
     pointwise_sub,
+    rises_class,
     to_bfunc,
     top_curve,
     vshift,
@@ -298,6 +300,31 @@ class TestMonotoneClass:
         assert monotone_class(pointwise_sub(f, PLFunc.constant(0))) is (
             MonotoneClass.WEAKLY_DECREASING
         )
+
+
+class TestRisesClass:
+    """rises_class, read from the least and the greatest rise, against the
+    two-``all`` classifier it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30),
+                              st.sampled_from([-10**30, 10**30, 0])), max_size=12))
+    def test_matches_two_alls(self, rises):
+        assert rises_class(rises) is rises_class_by_all(rises)
+
+    @pytest.mark.parametrize("rises,cls", [
+        ([], MonotoneClass.CONSTANT), ([0], MonotoneClass.CONSTANT),
+        ([0] * 7, MonotoneClass.CONSTANT), ([5], MonotoneClass.WEAKLY_INCREASING),
+        ([-5], MonotoneClass.WEAKLY_DECREASING), ([0, 10**30, 0], MonotoneClass.WEAKLY_INCREASING),
+        ([-10**30, 0], MonotoneClass.WEAKLY_DECREASING), ([10**30, -1], MonotoneClass.NEITHER),
+        ([-1, 0, 10**30 + 1], MonotoneClass.NEITHER)])
+    def test_edge_lists(self, rises, cls):
+        assert rises_class(rises) is rises_class_by_all(rises) is cls
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(plfuncs(), wide_plfuncs()))
+    def test_monotone_class_unchanged(self, f):
+        assert monotone_class(f) is rises_class_by_all(slopes_by_fractions(f))
 
 
 class TestBFunc:
