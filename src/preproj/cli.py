@@ -12,12 +12,22 @@ Commands::
     preproj sheet analyze <file.json> [--against FILE] [--cone y,a] [--codep y,a]
     preproj render <spec.json> -o out.svg
 
+argv is read against one table, _COMMANDS, keyed by (command, what): a
+check's name is its what, and render has none.  Flags may come in any order
+after the what; a flag takes the next token as its value, even one like -1,
+except --files, which takes the tokens up to the next flag of the command
+(one at least); --flag=value is the same as --flag value, the last of a
+repeated flag wins, -o is --output, --jobs defaults to 1, and flags are never
+abbreviated.  -h or --help prints the command list above.  Every malformed
+argv (unknown command, check or flag, missing or non-integer value, missing
+--at or -o, wrong number of operands) exits 2 with an error line on stderr.
+
 Permutations are digit strings for n <= 9 ("25341") and JSON arrays
 otherwise.  Check reports are JSON lines followed by a summary record; the
 exit code is 0 exactly when every case passed.  A flag the check does not
 read (README lists them) is an error, and so are --perm beside --sample, an
---n that differs from the size of --perm, an empty --perm, a --files with
-no path and flags that leave the check with no cases.  Sweeps over all of
+--n that differs from the size of --perm, an empty --perm and flags that
+leave the check with no cases.  Sweeps over all of
 S_n, a --sample as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5
 by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 
@@ -36,7 +46,6 @@ closing the pipe early ends the command with exit code 141.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -48,6 +57,7 @@ from itertools import repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import factorial, lcm
 from operator import add, gt, le, sub
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
@@ -117,15 +127,8 @@ def _emit(obj: dict) -> None:
 def cmd_ideal_perm(args) -> int:
     w = parse_perm(args.w)
     summands = finite.ideal_of(w)
-    out = {
-        "w": str(w),
-        "n": w.n,
-        "summands": [
-            {**jsonio.curve_module_to_json(m), "zero": finite.is_zero(m)}
-            for m in summands
-        ],
-    }
-    _emit(out)
+    _emit({"w": str(w), "n": w.n, "summands": [
+        {**jsonio.curve_module_to_json(m), "zero": finite.is_zero(m)} for m in summands]})
     if args.svg:
         spec = render.RenderSpec(1000, tuple(("curve_module", m) for m in summands))
         _write_text(args.svg, render.render_svg(spec))
@@ -366,9 +369,11 @@ def _case_homvanish(task) -> tuple[str, int, int]:
     rows = [permuton.boundary_row(mu, t, 21) for t in range(1, 21)]
     steps = [list(map(sub, row[1:], row)) for row in rows]
     # the witness: the first apex pair (s, t) without a certificate, else
-    # the first pair of staircase summands (i, j) whose Hom does not vanish
+    # the first pair of staircase summands (i, j) whose Hom does not vanish.
+    # Only s < t is classified: (s, s) is CONSTANT and (t, s) is NEITHER
+    # exactly when (s, t) is, so the first failing ordered pair has s < t
     classify, neither = plfunc.rises_class, plfunc.MonotoneClass.NEITHER
-    apexes = next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps, 1)
+    apexes = next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps[s:], s + 1)
                    if classify(list(map(sub, a, b))) is neither), None)
     if apexes:
         return _lines([_record("homvanish", label, "apexes", apexes)])
@@ -410,7 +415,7 @@ def Pool(jobs: int):
 
 
 def cmd_check(args) -> int:
-    name = args.name
+    name = args.what
     run, source, unread = _CHECKS[name]
     for flag in ("n", "sample", "jobs"):
         value = getattr(args, flag)
@@ -478,9 +483,7 @@ def cmd_sheet_analyze(args) -> int:
         out["cone"] = {
             "y": rat_str(y),
             "a": rat_str(a),
-            "b_interval": None
-            if interval is None
-            else [rat_str(interval[0]), rat_str(interval[1])],
+            "b_interval": None if interval is None else [*map(rat_str, interval)],
             "elementary": y in sheets.generators(sheet)
             and sheets.elementary_exists(sheet, against, y, a),
         }
@@ -508,70 +511,73 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="preproj",
-        description="Permutation ideals in preprojective algebras of type A, "
-        "their permuton analogues, and the verification suites.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_CHECK_FLAGS = {"--n": ("n", int), "--perm": ("perm", str), "--sample": ("sample", int),
+                "--files": ("files", list), "--jobs": ("jobs", int)}
 
-    ideal = sub.add_parser("ideal", help="compute ideals")
-    ideal_sub = ideal.add_subparsers(dest="what", required=True)
-    ip = ideal_sub.add_parser("perm", help="permutation ideal curves")
-    ip.add_argument("w")
-    ip.add_argument("--svg", help="also render the summands to this SVG file")
-    ip.set_defaults(func=cmd_ideal_perm)
-    ipn = ideal_sub.add_parser("permuton", help="permuton ideal summand")
-    ipn.add_argument("file")
-    ipn.add_argument("--at", required=True, help="apex in (0,1), e.g. 2/5")
-    ipn.set_defaults(func=cmd_ideal_permuton)
+# (command, what) -> (handler, positional names, {flag: (dest, kind)}, required
+# dests); what is the check's name for check, and None for render
+_COMMANDS = {
+    ("ideal", "perm"): (cmd_ideal_perm, ("w",), {"--svg": ("svg", str)}, ()),
+    ("ideal", "permuton"): (cmd_ideal_permuton, ("file",), {"--at": ("at", str)}, ("at",)),
+    **{("order", what): (cmd_order, ("a", "b"), {}, ()) for what in _ORDERS},
+    **{("check", name): (cmd_check, (), _CHECK_FLAGS, ()) for name in _CHECKS},
+    ("brick", "check"): (cmd_brick_check, ("file",), {}, ()),
+    ("sheet", "analyze"): (cmd_sheet_analyze, ("file",), {
+        "--against": ("against", str), "--cone": ("cone", str), "--codep": ("codep", str)}, ()),
+    ("render", None): (cmd_render, ("spec",),
+                       {"-o": ("output", str), "--output": ("output", str)}, ("output",)),
+}
 
-    order = sub.add_parser("order", help="order comparisons")
-    order_sub = order.add_subparsers(dest="what", required=True)
-    for what in _ORDERS:
-        op = order_sub.add_parser(what)
-        op.add_argument("a")
-        op.add_argument("b")
-        op.set_defaults(func=cmd_order)
 
-    check = sub.add_parser("check", help="verification sweeps")
-    check.add_argument("name", choices=list(_CHECKS))
-    check.add_argument("--n", type=int)
-    check.add_argument("--perm", help="restrict to one permutation")
-    check.add_argument("--sample", type=int, help="random sample size")
-    check.add_argument("--files", nargs="+", help="extra permuton JSON files")
-    check.add_argument("--jobs", type=int, default=1, help="worker processes")
-    check.set_defaults(func=cmd_check)
+def cmd_help(args) -> int:
+    sys.stdout.write(__doc__.split("\n\n")[2] + "\n")  # the command list
+    return 0
 
-    brick = sub.add_parser("brick", help="brick classification")
-    brick_sub = brick.add_subparsers(dest="what", required=True)
-    bc = brick_sub.add_parser("check")
-    bc.add_argument("file")
-    bc.set_defaults(func=cmd_brick_check)
 
-    sheet = sub.add_parser("sheet", help="sheet analysis")
-    sheet_sub = sheet.add_subparsers(dest="what", required=True)
-    sa = sheet_sub.add_parser("analyze")
-    sa.add_argument("file")
-    sa.add_argument("--against", help="target sheet (defaults to the sheet itself)")
-    sa.add_argument("--cone", help="y,a: headroom interval and elementary test")
-    sa.add_argument("--codep", help="y,a: codependence class")
-    sa.set_defaults(func=cmd_sheet_analyze)
-
-    rend = sub.add_parser("render", help="render a spec to SVG")
-    rend.add_argument("spec")
-    rend.add_argument("-o", "--output", required=True)
-    rend.set_defaults(func=cmd_render)
-
-    return parser
+def parse_args(argv: list[str]):
+    """(handler, args) for argv, read against _COMMANDS by the rules of the
+    module docstring; a malformed argv raises ParseError."""
+    if "-h" in argv or "--help" in argv:
+        return cmd_help, None
+    key = tuple(argv[:2]) if tuple(argv[:2]) in _COMMANDS else (*argv[:1], None)
+    if key not in _COMMANDS:
+        raise ParseError(f"unknown command {' '.join(argv[:2])!r}; see preproj --help")
+    handler, names, flags, required = _COMMANDS[key]
+    shape = " ".join(filter(None, key))
+    rest = [part for token in argv[1 if key[1] is None else 2:]  # --flag=value: two tokens
+            for part in (token.split("=", 1) if token[:1] == "-" else (token,))]
+    values = {dest: 1 if dest == "jobs" else None for dest, _ in flags.values()}
+    positional, i = [], 0
+    while i < len(rest):
+        token, i = rest[i], i + 1
+        if token[:1] != "-" or token == "-":
+            positional.append(token)
+            continue
+        if token not in flags:
+            raise ParseError(f"{shape} takes no flag {token!r}")
+        (dest, kind), start = flags[token], i  # one token, or a list up to a known flag
+        i = start + 1 if kind is not list else next(
+            (j for j in range(i, len(rest)) if rest[j] in flags), len(rest))
+        if not rest[start:i]:
+            raise ParseError(f"{token} needs a value")
+        try:
+            values[dest] = rest[start:i] if kind is list else kind(rest[start])
+        except ValueError:
+            raise ParseError(f"{token} takes an integer, got {rest[start][:40]!r}") from None
+    if len(positional) != len(names):
+        raise ParseError(f"{shape} takes {len(names)} positional argument(s) "
+                         f"({' '.join(names).upper() or 'none'}), got {len(positional)}")
+    missing = [flag for flag, (dest, _) in flags.items()
+               if dest in required and values[dest] is None]
+    if missing:
+        raise ParseError(f"{shape} needs {' or '.join(missing)}")
+    return handler, SimpleNamespace(what=key[1], **dict(zip(names, positional)), **values)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        handler, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        code = handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at shutdown
         return code
     except PreprojError as exc:

@@ -50,29 +50,26 @@ def _need_rows(obj: dict, key: str, width: int) -> list[list]:
     return rows
 
 
-def plfunc_to_json(f: PLFunc) -> dict:
-    return {"breakpoints": [[rat_str(x), rat_str(y)] for x, y in f.breakpoints]}
-
-
-def plfunc_from_json(obj: dict) -> PLFunc:
-    pts = _need_rows(obj, "breakpoints", 2)
-    return PLFunc((frac(x), frac(y)) for x, y in pts)
-
-
-def bfunc_to_json(b: BFunc) -> dict:
-    out = {"k": rat_str(b.k)}
-    out.update(plfunc_to_json(b.f))
-    return out
-
-
-def bfunc_from_json(obj: dict) -> BFunc:
-    return BFunc(frac(_need(obj, "k")), plfunc_from_json(obj))
-
-
 def _unit_str(u: int, n: int) -> str:
     """u/n, n > 0, in the wire's lowest terms."""
     g = gcd(u, n)
     return str(u // g) if g == n else f"{u // g}/{n // g}"
+
+
+def plfunc_to_json(f: PLFunc) -> dict:
+    return {"breakpoints": [[_unit_str(x, w), _unit_str(y, w)] for x, y, w in f._pts]}
+
+
+def plfunc_from_json(obj: dict) -> PLFunc:
+    return PLFunc(_need_rows(obj, "breakpoints", 2))
+
+
+def bfunc_to_json(b: BFunc) -> dict:
+    return {"k": rat_str(b.k), **plfunc_to_json(b.f)}
+
+
+def bfunc_from_json(obj: dict) -> BFunc:
+    return BFunc(frac(_need(obj, "k")), plfunc_from_json(obj))
 
 
 def curve_module_to_json(m: CurveModule) -> dict:

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DegenerateEndpoints, DomainError, NotLipschitz
-from .rat import frac
+from .rat import frac, num_den
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -82,17 +82,14 @@ class PLFunc:
     _pts: tuple[tuple[int, int, int], ...]
 
     def __init__(self, breakpoints: Iterable) -> None:
-        pts = [(frac(x), frac(y)) for x, y in breakpoints]
+        pts = [(*num_den(x), *num_den(y)) for x, y in breakpoints]  # (p, q, r, s): p/q, r/s
         if len(pts) < 2:
             raise DomainError("need breakpoints at x=0 and x=1")
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if x0 >= x1:
-                raise DomainError("breakpoint x-coordinates must strictly increase")
-        if pts[0][0] != 0 or pts[-1][0] != 1:
+        if any(p0 * q1 >= p1 * q0 for (p0, q0, _, _), (p1, q1, _, _) in zip(pts, pts[1:])):
+            raise DomainError("breakpoint x-coordinates must strictly increase")
+        if pts[0][0] != 0 or pts[-1][:2] != (1, 1):
             raise DomainError("domain must be exactly [0,1]")
-        object.__setattr__(self, "_pts", _merged(
-            (x.numerator * y.denominator, y.numerator * x.denominator,
-             x.denominator * y.denominator) for x, y in pts))
+        object.__setattr__(self, "_pts", _merged((p * s, r * q, q * s) for p, q, r, s in pts))
 
     @cached_property
     def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -12,6 +12,7 @@ from fractions import Fraction
 from operator import ge, le
 from typing import Iterable
 
+from preproj import permuton, plfunc
 from preproj.continuous import (Certificate, DecorousSub, PermutonIdeal, hom_vanishing_cert,
                                 ideal_summand, left_act, staircase)
 from preproj.errors import (DomainError, IndexOutOfRange, NotGridAligned, NotLipschitz,
@@ -22,8 +23,8 @@ from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.linalg import rank_of_links
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
-from preproj.plfunc import (BFunc, MonotoneClass, PLFunc, bottom_curve, pointwise_leq, to_bfunc,
-                            top_curve, vshift)
+from preproj.plfunc import (BFunc, MonotoneClass, PLFunc, _merged, bottom_curve, pointwise_leq,
+                            to_bfunc, top_curve, vshift)
 from preproj.rat import frac, rat_str
 from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
 from preproj.symgroup import (Perm, all_perms, all_reduced_words,
@@ -1099,3 +1100,36 @@ def curve_module_to_json_by_fractions(m: CurveModule) -> dict:
     (formerly ``jsonio.curve_module_to_json``)."""
     return {"n": m.n, "i": m.i, "kind": m.kind.value,
             "curve": [rat_str(v) for v in m.curve.values]}
+
+
+def plfunc_to_json_by_breakpoints(f: PLFunc) -> dict:
+    """A PLFunc's JSON, each breakpoint a pair of Fractions through ``rat_str``
+    (formerly ``jsonio.plfunc_to_json``)."""
+    return {"breakpoints": [[rat_str(x), rat_str(y)] for x, y in f.breakpoints]}
+
+
+def plfunc_pts_by_fractions(breakpoints) -> tuple[tuple[int, int, int], ...]:
+    """The integer points ``PLFunc(breakpoints)`` stores, each literal read as
+    a Fraction by ``frac`` and the order and domain checked on Fractions
+    (formerly ``PLFunc.__init__``); it raises what that raised."""
+    pts = [(frac(x), frac(y)) for x, y in breakpoints]
+    if len(pts) < 2:
+        raise DomainError("need breakpoints at x=0 and x=1")
+    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        if x0 >= x1:
+            raise DomainError("breakpoint x-coordinates must strictly increase")
+    if pts[0][0] != 0 or pts[-1][0] != 1:
+        raise DomainError("domain must be exactly [0,1]")
+    return _merged((x.numerator * y.denominator, y.numerator * x.denominator,
+                    x.denominator * y.denominator) for x, y in pts)
+
+
+def homvanish_apexes_by_all_pairs(mu: GridPermuton) -> list | None:
+    """The apex witness of check homvanish by the former loop over all 400
+    ordered pairs of the apexes t/21: the first (s, t) whose difference of
+    row steps ``plfunc.rises_class`` calls NEITHER, or None."""
+    rows = [permuton.boundary_row(mu, t, 21) for t in range(1, 21)]
+    steps = [[b - a for a, b in zip(row, row[1:])] for row in rows]
+    return next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps, 1)
+                 if plfunc.rises_class([x - y for x, y in zip(a, b)])
+                 is MonotoneClass.NEITHER), None)

@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -13,13 +12,15 @@ from functools import cached_property
 from math import factorial
 from multiprocessing.pool import Pool
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_row_by_records,
-                      frac_by_fraction_parse, homvanish_by_plfuncs, line_by_dumps,
+                      frac_by_fraction_parse, homvanish_apexes_by_all_pairs,
+                      homvanish_by_plfuncs, line_by_dumps,
                       mizuno_by_words, permuton_to_json, random_permuton,
                       sample_by_listing, sheet_to_json, twosided_by_plfuncs,
                       twosided_pair_by_plfuncs)
@@ -369,7 +370,6 @@ class TestCheckCommand:
         code, lines = run(capsys, "check", "twosided", "--n", "3")
         assert code == 0 and lines[-1]["cases"] == 8
         assert seen == [[path], None]
-        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("flags,perms", [
         (["--n", "3"], 6), (["--n", "4", "--sample", "2"], 2), (["--sample", "3"], 3),
@@ -443,10 +443,9 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("name", ["twosided", "homvanish"])
     def test_files_flag_needs_a_path(self, capsys, name):
-        with pytest.raises(SystemExit) as exc:
-            main(["check", name, "--files"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert main(["check", name, "--files"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --files needs a value\n"
 
     def test_workers_imported_only_when_asked_for(self):
         src = Path(cli.__file__).parents[1]
@@ -512,7 +511,7 @@ class TestCheckCommand:
     def test_sample_picks_what_the_listing_picked(self, monkeypatch, n):
         monkeypatch.setenv("PREPROJ_MAX_N", "8")
         for k in sorted({1, 2, 5, 17, factorial(n) - 1} & set(range(1, factorial(n)))):
-            args = argparse.Namespace(perm=None, n=n, sample=k)
+            args = SimpleNamespace(perm=None, n=n, sample=k)
             assert cli._perms(args, 4) == sample_by_listing(n, k)
 
     def test_sample_lists_no_symmetric_group(self, capsys, monkeypatch):
@@ -974,10 +973,13 @@ class TestSummandRows:
         assert code == 1 and lines[-1]["failures"] == 1
 
     def test_swapped_class_fails_kernel_and_oracle(self, monkeypatch):
+        # the kernel classifies the pairs s < t, whose differences start at
+        # (s - t)/21 < 0 and end at (t - s)/21 > 0: never constant, and
+        # increasing on a passing permuton, so that is the class swapped
         mu = from_perm(Perm((2, 5, 3, 4, 1)))
         classify = plfunc.rises_class
-        swap = {plfunc.MonotoneClass.CONSTANT: plfunc.MonotoneClass.NEITHER,
-                plfunc.MonotoneClass.NEITHER: plfunc.MonotoneClass.CONSTANT}
+        swap = {plfunc.MonotoneClass.WEAKLY_INCREASING: plfunc.MonotoneClass.NEITHER,
+                plfunc.MonotoneClass.NEITHER: plfunc.MonotoneClass.WEAKLY_INCREASING}
 
         def swapped(rises):
             cls = classify(rises)
@@ -1106,14 +1108,15 @@ class TestFailureWitnesses:
                  for t in range(1, 21) for row in [permuton.boundary_row(mu, t, 21)]}
         difference = {(s, t): [a - b for a, b in zip(steps[s], steps[t])]
                       for s in steps for t in steps}
-        bad = difference[11, 4]
+        # planted as rises_class classifies: (11, 4) and its negation (4, 11)
+        bad = (difference[11, 4], difference[4, 11])
         classify = plfunc.rises_class
         monkeypatch.setattr(plfunc, "rises_class", lambda rises: (
-            plfunc.MonotoneClass.NEITHER if list(rises) == bad else classify(rises)))
+            plfunc.MonotoneClass.NEITHER if list(rises) in bad else classify(rises)))
         code, lines = run(capsys, "check", "homvanish", "--perm", "25341")
         # the first pair, in order, whose difference was planted
         first = next([s, t] for s in range(1, 21) for t in range(1, 21)
-                     if difference[s, t] == bad)
+                     if difference[s, t] in bad)
         assert code == 1 and first[0] <= 11
         assert lines[0] == {"check": "homvanish", "case": "perm:25341", "ok": False,
                             "apexes": first}
@@ -1607,8 +1610,8 @@ class TestDeepJson:
 
 
 def test_readme_flag_table_matches_the_registry():
-    """README's table of the flags each check reads is the check parser's
-    options less each _CHECKS entry's unread flags."""
+    """README's table of the flags each check reads is each check's options
+    in the command table less its _CHECKS entry's unread flags."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| check | flags |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
     documented = {}
@@ -1616,8 +1619,164 @@ def test_readme_flag_table_matches_the_registry():
         names, flags = row.strip("|").split("|")
         documented.update((name, re.findall(r"`(--\w+)`", flags))
                           for name in re.findall(r"`(\w+)`", names))
-    check = cli.build_parser()._subparsers._group_actions[0].choices["check"]
-    options = [a.option_strings[-1] for a in check._actions
-               if a.option_strings and a.dest != "help"]
-    assert documented == {name: [o for o in options if o[2:] not in unread]
+    options = {name: list(cli._COMMANDS["check", name][2]) for name in cli._CHECKS}
+    assert documented == {name: [o for o in options[name] if o[2:] not in unread]
                           for name, (_, _, unread) in cli._CHECKS.items()}
+
+
+# argv that the command table refuses: an unknown command, check or flag (no
+# prefix abbreviations), a missing or non-integer value, a missing required
+# flag and a wrong number of operands
+BAD_ARGVS = [
+    [], ["nope"], ["ideal"], ["ideal", "nope", "21"], ["check"], ["check", "nope"],
+    ["check", "--n", "3", "mizuno"], ["order"], ["order", "bruhat", "21"],
+    ["order", "bruhat", "21", "12", "3"], ["order", "bruhat", "-21", "12"],
+    ["order", "bruhat", "21", "12", "--n", "3"], ["ideal", "perm"],
+    ["ideal", "perm", "21", "--nope"], ["ideal", "perm", "21", "--svg"],
+    ["ideal", "permuton", "mu.json"], ["ideal", "permuton", "mu.json", "--at"],
+    ["ideal", "permuton", "--at", "1/2"], ["render", "spec.json"], ["render", "spec.json", "-o"],
+    ["render", "-o", "out.svg"], ["render", "spec.json", "-o", "out.svg", "extra"],
+    ["check", "mizuno", "--n"], ["check", "mizuno", "--n", "x"], ["check", "mizuno", "--n=x"],
+    ["check", "mizuno", "--n", "3.0"], ["check", "mizuno", "--n", ""],
+    ["check", "mizuno", "--sam", "3"],
+    ["check", "mizuno", "--j", "1"], ["check", "mizuno", "-n", "3"], ["check", "mizuno", "extra"],
+    ["check", "twosided", "--files"], ["check", "twosided", "--files", "--n", "3"],
+    ["check", "twosided", "--files", "--jobs=1"], ["check", "mizuno", "--jobs", "2", "--jobs"],
+    ["brick", "check"], ["brick", "check", "a.json", "b.json"], ["sheet", "analyze"],
+    ["sheet", "analyze", "a.json", "--cone"], ["sheet", "analyze", "a.json", "--against"],
+]
+
+
+class TestCommandTable:
+    """argv is read against one table; every malformed argv exits 2."""
+
+    @pytest.mark.parametrize("argv", BAD_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+    def test_malformed_argv_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)  # no file is read or written
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["nope"], "unknown command 'nope'; see preproj --help"),
+        (["check", "nope"], "unknown command 'check nope'; see preproj --help"),
+        (["check", "mizuno", "--sam", "3"], "check mizuno takes no flag '--sam'"),
+        (["check", "mizuno", "--n"], "--n needs a value"),
+        (["check", "mizuno", "--n", "x"], "--n takes an integer, got 'x'"),
+        (["order", "bruhat", "21"], "order bruhat takes 2 positional argument(s) (A B), got 1"),
+        (["ideal", "permuton", "mu.json"], "ideal permuton needs --at"),
+        (["render", "spec.json"], "render needs -o or --output"),
+    ])
+    def test_error_names_what_is_wrong(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_value_like_a_flag_is_a_value(self, capsys):
+        for flag in ("--n", "--sample", "--jobs"):
+            assert main(["check", "mizuno", flag, "-1"]) == 2
+            assert capsys.readouterr().err == f"error: {flag} must be at least 1, got -1\n"
+        assert main(["check", "mizuno", "--perm", "--n"]) == 2
+        assert "cannot parse permutation '--n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,same", [
+        (["check", "mizuno", "--n=3", "--jobs=1"], ["check", "mizuno", "--n", "3", "--jobs", "1"]),
+        (["check", "mizuno", "--n", "2", "--n", "3"], ["check", "mizuno", "--n", "3"]),
+        (["check", "mizuno", "--jobs", "1", "--n", "3"], ["check", "mizuno", "--n", "3"]),
+        (["check", "bridge", "--n", "4", "--sample", "2", "--sample", "1"],
+         ["check", "bridge", "--sample", "1", "--n", "4"]),
+        (["check", "mizuno", "--n", " 3 "], ["check", "mizuno", "--n", "3"]),
+        (["ideal", "perm", "--svg=", "2413"], ["ideal", "perm", "2413"]),
+    ])
+    def test_equivalent_spellings(self, capsys, argv, same):
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert main(same) == 0
+        assert capsys.readouterr() == first
+
+    def test_output_aliases(self, tmp_path):
+        spec = write_json(tmp_path, "spec.json", {"items": [
+            {"type": "curve_module", **jsonio.curve_module_to_json(projective(1, 4))}]})
+        a, b, c, d, x = (str(tmp_path / f"{name}.svg") for name in "abcdx")
+        for argv in (["-o", a], ["--output", b], [f"--output={c}"], ["-o", x, "--output", d]):
+            assert main(["render", spec, *argv]) == 0
+        assert len({Path(path).read_bytes() for path in (a, b, c, d)}) == 1
+        assert not Path(x).exists()
+
+    def test_files_take_tokens_up_to_the_next_flag(self, capsys, tmp_path):
+        paths = [write_json(tmp_path, f"mu{m}.json", permuton_to_json(uniform(m)))
+                 for m in (2, 3)]
+        code, lines = run(capsys, "check", "twosided", "--files", *paths, "--jobs", "1")
+        assert code == 0 and [r["case"] for r in lines[:-1]] == paths
+        code, lines = run(capsys, "check", "twosided", "--files", paths[0], "--files", paths[1])
+        assert code == 0 and [r["case"] for r in lines[:-1]] == paths[1:]
+        code, lines = run(capsys, "check", "twosided", "--files=" + paths[0], "--perm", "21")
+        assert code == 0 and [r["case"] for r in lines[:-1]] == ["perm:21", paths[0]]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["check", "mizuno", "-h"],
+                                      ["render", "--help"], ["nope", "--help"]])
+    def test_help_prints_the_command_list(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        listed = cli.__doc__.split("Commands::\n\n", 1)[1].split("\n\n", 1)[0]
+        assert captured.out == listed + "\n" and captured.err == ""
+        assert len(captured.out.splitlines()) == 9
+        assert all(line.startswith("    preproj ") for line in captured.out.splitlines())
+
+    def test_every_shape_is_a_table_entry(self):
+        assert set(cli._COMMANDS) == {
+            ("ideal", "perm"), ("ideal", "permuton"), ("brick", "check"),
+            ("sheet", "analyze"), ("render", None),
+            *(("order", what) for what in cli._ORDERS),
+            *(("check", name) for name in cli._CHECKS)}
+
+    def test_argparse_not_imported(self):
+        src = Path(cli.__file__).parents[1]
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [path])])}
+        program = ("import sys; from preproj.cli import main; "
+                   "code = main(['order', 'bruhat', '21', '12']); "
+                   "print('argparse' in sys.modules); sys.exit(code)")
+        proc = subprocess.run([sys.executable, "-c", program], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout.splitlines() == [
+            '{"leq": false, "geq": true, "comparable": true}', "False"]
+
+
+class TestHomvanishPairs:
+    """homvanish classifies the 190 apex pairs s < t and names the same
+    first failing pair as the loop over all 400 ordered pairs."""
+
+    def test_each_unordered_pair_classified_once(self, monkeypatch):
+        seen = []
+        classify = plfunc.rises_class
+        monkeypatch.setattr(plfunc, "rises_class", lambda rises: seen.append(1) or classify(rises))
+        for w in ("25341", "2413"):
+            seen.clear()
+            assert records(cli._case_homvanish(parse_perm(w)))[0]["ok"]
+            assert len(seen) == 190
+
+    def test_witness_matches_all_pairs_loop(self, monkeypatch):
+        rng = random.Random(23)
+        kinds = set()
+        for t in range(150):
+            mu = random_permuton(rng, rng.randint(2, 9), rng.choice([4, 10**6]))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(permuton, "boundary_row",
+                           perturbed_rows(t, rng.choice([F(1, 20), F(1, 6), F(1, 2)])))
+                [record] = records(cli._case_homvanish((f"mu{t}", mu)))
+                expected = homvanish_apexes_by_all_pairs(mu)
+            assert record.get("apexes") == expected, (t, mu)
+            kinds.add(None if expected is None else min(expected[1] - expected[0], 2))
+        assert kinds == {None, 1, 2}  # adjacent first pairs, and farther ones
+
+    def test_planted_rows_over_s5(self, monkeypatch):
+        monkeypatch.setattr(permuton, "boundary_row", perturbed_rows(5, F(1, 8)))
+        failed = 0
+        for w in all_perms(5):
+            [record] = records(cli._case_homvanish(w))
+            assert record.get("apexes") == homvanish_apexes_by_all_pairs(from_perm(w)), w
+            failed += "apexes" in record
+        assert failed > 20

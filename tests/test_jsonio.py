@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (curve_from_values_by_fractions, curve_module_to_json_by_fractions,
-                      frac_by_fraction_parse, module_to_json, permuton_to_json, random_bfunc,
+                      frac_by_fraction_parse, module_to_json, permuton_to_json,
+                      plfunc_pts_by_fractions, plfunc_to_json_by_breakpoints, random_bfunc,
                       random_curve, sawtooth_to_json, sheet_to_json)
 from preproj import jsonio
 from preproj.cli import parse_perm
@@ -370,3 +371,103 @@ class TestLoaderFuzz:
             parse_perm(text)
         except PreprojError:
             pass
+
+
+BIG = 10**30
+RATIONALS = (st.builds(F, st.integers(-BIG, BIG), st.integers(1, BIG))
+             | st.builds(F, st.integers(-40, 40), st.integers(1, 12)))
+# a/(a + b) for a, b >= 1: strictly inside (0, 1)
+INTERIOR = st.one_of(st.tuples(st.integers(1, top), st.integers(1, top))
+                     for top in (BIG, 11)).map(lambda ab: F(ab[0], sum(ab)))
+REJECTED = [0.5, True, None, "x", "1/0", "1e99999", "1/5/2", [1]]
+
+
+@st.composite
+def literals(draw, value: F):
+    """value as the wire may write it: a Fraction, an int, "p/q" in or out of
+    lowest terms, signed and padded, or with an exponent."""
+    p, q = value.numerator, value.denominator
+    k = draw(st.integers(2, 9))
+    forms = [value, rat_str(value), f"{p * k}/{q * k}", f" {'+' if p >= 0 else ''}{p}/{q} "]
+    if q == 1:
+        forms.append(p)
+    e = next((e for e in range(7) if 10**e % q == 0), None)
+    if e is not None:
+        forms.append(f"{p * 10**e // q}e-{e}")
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def breakpoint_lists(draw):
+    """Breakpoint lists in literals: most valid, some with two x swapped or
+    repeated, an end off 0 or 1, too few points or a rejected literal."""
+    inner = sorted(draw(st.lists(INTERIOR, max_size=5, unique=True)))
+    pts = [[x, draw(RATIONALS)] for x in [F(0), *inner, F(1)]]
+    fault = draw(st.sampled_from(["none", "none", "swap", "repeat", "end", "short", "junk"]))
+    c = draw(st.integers(0, len(pts) - 1))
+    if fault == "swap" and c:
+        pts[c - 1][0], pts[c][0] = pts[c][0], pts[c - 1][0]
+    elif fault == "repeat" and c:
+        pts[c][0] = pts[c - 1][0]
+    elif fault == "end":
+        pts[-c or -1][0] = draw(RATIONALS)
+    elif fault == "short":
+        pts = pts[:draw(st.integers(0, 1))]
+    elif fault == "junk":
+        pts[c][draw(st.integers(0, 1))] = draw(st.sampled_from(REJECTED))
+    return [[v if isinstance(v, (list, float, bool, str)) or v is None else draw(literals(v))
+             for v in pt] for pt in pts]
+
+
+class TestPLFuncWire:
+    """The integer breakpoint writer and reader against the Fraction ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(INTERIOR, RATIONALS), max_size=6, unique_by=lambda t: t[0]),
+           RATIONALS, RATIONALS)
+    def test_writer_strings(self, inner, y0, y1):
+        f = PLFunc([(0, y0), *sorted(inner), (1, y1)])
+        assert jsonio.plfunc_to_json(f) == plfunc_to_json_by_breakpoints(f)
+
+    def test_writer_strings_of_boundary_curves(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            b = random_bfunc(rng, rng.choice([8, 30]))
+            assert jsonio.bfunc_to_json(b) == {"k": rat_str(b.k),
+                                               **plfunc_to_json_by_breakpoints(b.f)}
+
+    def test_writer_reduces_each_coordinate(self):
+        # (1/2, 1/3) is stored as (3, 2, 6): both coordinates need their own gcd
+        f = PLFunc([(0, 0), ("1/2", "1/3"), (1, "-4/6")])
+        assert f._pts[1] == (3, 2, 6)
+        assert jsonio.plfunc_to_json(f) == {
+            "breakpoints": [["0", "0"], ["1/2", "1/3"], ["1", "-2/3"]]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(breakpoint_lists())
+    def test_reader_points_and_errors(self, pts):
+        got = outcome(lambda p: PLFunc(p)._pts, pts)
+        assert got == outcome(plfunc_pts_by_fractions, pts)
+        assert outcome(lambda p: jsonio.plfunc_from_json({"breakpoints": p})._pts, pts) == got
+
+    @pytest.mark.parametrize("pts,error", [
+        ([[0, 0], ["1/2", 0], ["1/3", 0], [1, 0]], DomainError),
+        ([[0, 0], ["2/4", 0], [" +1/2 ", 0], [1, 0]], DomainError),
+        ([[0, 0], ["5e-1", 0], ["1/2", 1], [1, 0]], DomainError),
+        ([["1/2", 0], [0, 0], [1, 0]], DomainError),
+        ([[0, 0], ["1", 0], ["2/2", 0]], DomainError),
+        ([[0, 0], [1, 0], ["3/2", 0]], DomainError),
+        ([[0, 0], ["2/3", 0]], DomainError),
+        ([["-0/5", 0]], DomainError),
+        ([], DomainError),
+        ([[0, 0], [1, 0.5]], ParseError),
+        ([[0, "1/0"], ["1/2", 0], ["1/3", 0]], ParseError),
+    ])
+    def test_rejected_as_before(self, pts, error):
+        got = outcome(lambda p: PLFunc(p)._pts, pts)
+        assert got == outcome(plfunc_pts_by_fractions, pts) and got[0] is error
+
+    def test_non_canonical_literals_read_as_their_values(self):
+        f = PLFunc([["0", " +1/2 "], ["2/4", "5e-1"], [" 1 ", "-0/7"]])
+        assert f._pts == ((0, 1, 2), (1, 1, 2), (1, 0, 1))
+        assert f == PLFunc([(0, F(1, 2)), (F(1, 2), F(1, 2)), (1, 0)])
