@@ -53,12 +53,12 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import factorial, lcm
 from operator import add, gt, le, sub
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
@@ -176,10 +176,24 @@ def _guard(n: int, exhaustive: bool = False) -> None:
         )
 
 
-def _perms(args, default_n: int) -> list[Perm]:
-    """--perm W alone, or all of S_n, or a seeded --sample of S_n, with
-    n = --n or default_n; guarded at the size enumerated.  --perm takes no
-    --sample, and an --n beside it must be the size of W."""
+class _Sized:
+    """Tasks made as the sweep reaches them, and their number: cmd_check
+    sizes the pool and its chunks by len(), and holds none ahead."""
+
+    def __init__(self, tasks: Iterable, size: int) -> None:
+        self.tasks, self.size = tasks, size
+
+    def __iter__(self) -> Iterator:
+        return iter(self.tasks)
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def _perms(args, default_n: int) -> list[Perm] | _Sized:
+    """--perm W alone, or all of S_n as the sweep reaches it, or a seeded
+    --sample of S_n, with n = --n or default_n; guarded at the size
+    enumerated.  --perm takes no --sample, and an --n beside it is W's size."""
     if args.perm is not None:
         w = parse_perm(args.perm)
         if args.sample is not None:
@@ -193,12 +207,12 @@ def _perms(args, default_n: int) -> list[Perm]:
     size = factorial(n)
     if args.sample is None or args.sample >= size:
         _guard(n, exhaustive=True)  # a sample as large as S_n is a full sweep
-        return list(symgroup.all_perms(n))
+        return _Sized(symgroup.all_perms(n), size)
     picked = random.Random(0).sample(range(size), args.sample)
     return [symgroup.perm_at(n, t) for t in sorted(picked)]
 
 
-def _permutons(args, default_perms) -> list:
+def _permutons(args, default_perms) -> _Sized:
     """The permutations of default_perms() (which reads --perm, --n, --sample)
     and (path, permuton) for each of --files, which alone takes no
     permutations; without --perm and --files, also the uniform permutons on
@@ -208,7 +222,7 @@ def _permutons(args, default_perms) -> list:
     uniforms = [] if args.perm is not None or args.files is not None else [
         (f"uniform:{m}", permuton.uniform(m)) for m in (2, 4)]
     files = [(path, _load_permuton(path)) for path in args.files or []]
-    return perms + files + uniforms
+    return _Sized(chain(perms, files, uniforms), len(perms) + len(files) + len(uniforms))
 
 
 def _record(check: str, case: str, key: str, witness, **counters) -> dict:
@@ -294,9 +308,10 @@ _FAIL = {True: ', "ok": false, "tableau": true, "cdf": false}\n',
          False: ', "ok": false, "tableau": false, "cdf": true}\n'}
 
 
-def _sources(perms: list[Perm]) -> list[tuple[_Rows, int]]:
-    """(rows, i) for each source perms[i], rows their one _Rows; each
-    permuton is built once, to read its corners."""
+def _sources(perms: Iterable[Perm]) -> list[tuple[_Rows, int]]:
+    """(rows, i) for each source perms[i], rows their one _Rows, packed up
+    front; each permuton is built once, to read its corners."""
+    perms = list(perms)
     mus = [permuton.from_perm(w) for w in perms]
     den = lcm(*(mu.den for mu in mus))
     top = max(perms[0].n, den)  # the two routes' lanes have one width
@@ -426,7 +441,9 @@ def cmd_check(args) -> int:
             raise ParseError(f"check {name} does not read --{flag}")
     tasks = source(args)
     _clear_memos()
-    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:  # os.cpu_count reads sysfs: only a pool asks for it
+        jobs = min(jobs, os.cpu_count() or 1)
     cases = failures = 0
     try:
         with Pool(jobs) if jobs > 1 else nullcontext() as pool:

@@ -8,9 +8,9 @@ last.  Words are plain tuples of letters i denoting the transposition s_i.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -102,54 +102,62 @@ def perm_at(n: int, rank: int) -> Perm:
 
 def length(w: Perm) -> int:
     """Coxeter length = number of inversions."""
-    ol = w.one_line
-    return sum(1 for i in range(w.n) for j in range(i + 1, w.n) if ol[i] > ol[j])
+    return _inversions(w.one_line)
 
 
-def _check_letters(word: Word, n: int) -> None:
+def _inversions(one_line: Sequence[int]) -> int:
+    """The number of inversions: each value against the larger ones before
+    it, by bisection into their sorted list, O(n log n) comparisons."""
+    seen: list[int] = []
+    count = 0
+    for k, v in enumerate(one_line):
+        at = bisect(seen, v)
+        seen.insert(at, v)
+        count += k - at
+    return count
+
+
+def _letters(word: Iterable[int], n: int) -> Word:
+    """The word as a tuple, once every letter lies in 1..n - 1."""
+    word = tuple(word)
     for letter in word:
         if not 1 <= letter <= n - 1:
             raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
+    return word
+
+
+def _spell(word: Iterable[int], n: int) -> list[int]:
+    """The word's product in one-line notation, letters unchecked: appending
+    letter j multiplies on the right, i.e. swaps positions j, j+1."""
+    ol = list(range(1, n + 1))
+    for j in word:
+        ol[j - 1], ol[j] = ol[j], ol[j - 1]
+    return ol
 
 
 def apply_word(word: Iterable[int], n: int) -> Perm:
     """Product of adjacent transpositions, leftmost letter applied last."""
-    word = tuple(word)
-    _check_letters(word, n)
-    ol = list(range(1, n + 1))
-    # appending letter j multiplies on the right, i.e. swaps positions j, j+1
-    for j in word:
-        ol[j - 1], ol[j] = ol[j], ol[j - 1]
-    return Perm(ol)
+    return Perm(_spell(_letters(word, n), n))
 
 
 def is_reduced(word: Iterable[int], n: int) -> bool:
-    word = tuple(word)
-    return length(apply_word(word, n)) == len(word)
+    word = _letters(word, n)
+    return _inversions(_spell(word, n)) == len(word)
 
 
 def all_reduced_words(w: Perm) -> frozenset[Word]:
-    """Every reduced word for w, by recursion on right descents."""
+    """Every reduced word for w, by recursion on right descents, each
+    permutation on the way once."""
     if w.n > scale_limit():
         raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
-    memo: dict[tuple[int, ...], frozenset[Word]] = {}
 
+    @lru_cache(maxsize=None)
     def rec(ol: tuple[int, ...]) -> frozenset[Word]:
-        cached = memo.get(ol)
-        if cached is not None:
-            return cached
-        words: set[Word] = set()
-        descent_free = True
-        for i in range(len(ol) - 1):
-            if ol[i] > ol[i + 1]:
-                descent_free = False
-                shorter = list(ol)
-                shorter[i], shorter[i + 1] = shorter[i + 1], shorter[i]
-                for word in rec(tuple(shorter)):
-                    words.add(word + (i + 1,))
-        result = frozenset(words) if not descent_free else frozenset({()})
-        memo[ol] = result
-        return result
+        descents = [s for s in range(1, len(ol)) if ol[s - 1] > ol[s]]
+        if not descents:
+            return frozenset({()})
+        return frozenset(word + (s,) for s in descents
+                         for word in rec((*ol[:s - 1], ol[s], ol[s - 1], *ol[s + 1:])))
 
     return rec(w.one_line)
 
@@ -180,13 +188,15 @@ def min_coset_rep(w: Perm, i: int) -> Perm:
 
 def canonical_reduced_word_of_rep(u: Perm, i: int) -> Word:
     """The block reduced word (s_i..s_{u^{-1}(i)-1})...(s_1..s_{u^{-1}(1)-1})
-    of a minimal coset representative u."""
-    if min_coset_rep(u, i) != u:
+    of a minimal coset representative u, read off the positions of 1..i in
+    u's one-line notation, which holds them in increasing order."""
+    ol = u.one_line
+    if not 1 <= i <= len(ol) - 1:
+        raise IndexOutOfRange(f"vertex {i} outside 1..{len(ol) - 1}")
+    if min_coset_line(ol, i) != ol:
         raise NotMinimalRep(f"{u} is not minimal in its coset for vertex {i}")
-    inv = u.inverse()
-    word: list[int] = []
-    for t in range(i, 0, -1):
-        word.extend(range(t, inv(t)))
-    result = tuple(word)
-    assert is_reduced(result, u.n) and apply_word(result, u.n) == u
-    return result
+    ends = [p for p, v in enumerate(ol, start=1) if v <= i]  # u^{-1}(1..i)
+    word = [s for t in range(i, 0, -1) for s in range(t, ends[t - 1])]
+    spelled = _spell(word, len(ol))
+    assert spelled == [*ol] and _inversions(spelled) == len(word)
+    return tuple(word)

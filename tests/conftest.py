@@ -15,8 +15,8 @@ from typing import Iterable
 from preproj import permuton, plfunc
 from preproj.continuous import (Certificate, DecorousSub, PermutonIdeal, hom_vanishing_cert,
                                 ideal_summand, left_act, staircase)
-from preproj.errors import (DomainError, IndexOutOfRange, NotGridAligned, NotLipschitz,
-                            ParseError, SizeMismatch)
+from preproj.errors import (DomainError, IndexOutOfRange, LetterOutOfRange, NotGridAligned,
+                            NotLipschitz, NotMinimalRep, ParseError, SizeMismatch)
 from preproj.finite import (CurveModule, DiamondCurve, band, factors, ideal_of, ideal_via_word,
                             tau_sub)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
@@ -274,6 +274,78 @@ def sawtooth_rep_by_midpoints(st: SawtoothDesc, n: int) -> QuiverRep:
         alpha.append((0,) if rising else (-1,) * dims[e])
         alpha_star.append((0,) if linked and not rising else (-1,) * dims[e + 1])
     return QuiverRep(n, dims, alpha, alpha_star)
+
+
+# The word layer as it was before it moved onto one-line lists (formerly in
+# preproj.symgroup): every word spelled into a validated Perm, its length
+# counted over all pairs, the canonical word read off the inverse.  The
+# library's list-based layer is held to these.
+
+
+def length_by_pairs(w: Perm) -> int:
+    """Coxeter length = number of inversions, every pair compared."""
+    ol = w.one_line
+    return sum(1 for i in range(w.n) for j in range(i + 1, w.n) if ol[i] > ol[j])
+
+
+def apply_word_by_perm(word: Iterable[int], n: int) -> Perm:
+    """Product of adjacent transpositions, leftmost letter applied last."""
+    word = tuple(word)
+    for letter in word:
+        if not 1 <= letter <= n - 1:
+            raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
+    ol = list(range(1, n + 1))
+    for j in word:
+        ol[j - 1], ol[j] = ol[j], ol[j - 1]
+    return Perm(ol)
+
+
+def is_reduced_by_perm(word: Iterable[int], n: int) -> bool:
+    word = tuple(word)
+    return length_by_pairs(apply_word_by_perm(word, n)) == len(word)
+
+
+def canonical_word_by_inverse(u: Perm, i: int) -> tuple[int, ...]:
+    """The block reduced word (s_i..s_{u^{-1}(i)-1})...(s_1..s_{u^{-1}(1)-1})
+    of a minimal coset representative u."""
+    if min_coset_rep(u, i) != u:
+        raise NotMinimalRep(f"{u} is not minimal in its coset for vertex {i}")
+    inv = u.inverse()
+    word: list[int] = []
+    for t in range(i, 0, -1):
+        word.extend(range(t, inv(t)))
+    result = tuple(word)
+    assert is_reduced_by_perm(result, u.n) and apply_word_by_perm(result, u.n) == u
+    return result
+
+
+def reduced_word(n: int, picks: list[int]) -> tuple[int, ...]:
+    """A reduced word at rank n: each letter swaps an ascent of the word's
+    permutation so far, so the length rises with every letter."""
+    one_line, word = list(range(1, n + 1)), []
+    for pick in picks:
+        ascents = [s for s in range(1, n) if one_line[s - 1] < one_line[s]]
+        if not ascents:
+            break
+        s = ascents[pick % len(ascents)]
+        one_line[s - 1], one_line[s] = one_line[s], one_line[s - 1]
+        word.append(s)
+    return tuple(word)
+
+
+def bruhat_below(v: Perm, rng, steps: int) -> Perm:
+    """A permutation at or below v in Bruhat order: up to steps times, swap
+    two values that stand in decreasing order (an inversion), which makes it
+    shorter."""
+    ol = list(v.one_line)
+    for _ in range(steps):
+        inversions = [(p, q) for p in range(len(ol)) for q in range(p + 1, len(ol))
+                      if ol[p] > ol[q]]
+        if not inversions:
+            break
+        p, q = rng.choice(inversions)
+        ol[p], ol[q] = ol[q], ol[p]
+    return Perm(ol)
 
 
 def bruhat_by_covers(n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], bool]:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction as F
 from functools import cached_property
 from math import factorial
@@ -469,6 +470,22 @@ class TestCheckCommand:
         code, lines = run(capsys, "check", "taurigid", "--perm", "2413", "--jobs", "64")
         assert code == 0 and lines[-1]["cases"] == 1
 
+    def test_cpu_count_read_only_for_a_pool(self, capsys, monkeypatch):
+        def no_count():
+            raise AssertionError("--jobs 1 read the CPU count")
+
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        code, lines = run(capsys, "check", "bridge", "--n", "3", "--jobs", "1")
+        assert code == 0 and lines[-1]["cases"] == 12
+        # with more jobs asked for, the pool is still capped at the CPU count
+        pools = []
+        monkeypatch.setattr(cli, "Pool", lambda jobs: pools.append(jobs) or nullcontext())
+        for cpus in (None, 1, 2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, lines = run(capsys, "check", "bridge", "--n", "3", "--jobs", "64")
+            assert code == 0 and lines[-1]["cases"] == 12
+        assert pools == [2, 3]
+
     def test_bruhat_builds_each_permuton_once_per_sweep(self, capsys, monkeypatch):
         built = []
 
@@ -828,6 +845,31 @@ class TestPermutonTasks:
             ("line", "uniform:2"), ("line", "uniform:4"), ("line", "summary")]
 
 
+class TestLazySweeps:
+    @pytest.mark.parametrize("name,after", [("mizuno", 1), ("taurigid", 1), ("bridge", 3),
+                                            ("twosided", 1)])
+    def test_full_sweeps_make_each_perm_as_they_reach_it(self, monkeypatch, name, after):
+        made, written = [], []
+        true_all_perms = symgroup.all_perms
+
+        def recording(n):
+            for w in true_all_perms(n):
+                made.append(w)
+                yield w
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                written.extend([len(made)] * text.count("\n"))
+                return super().write(text)
+
+        monkeypatch.setattr(symgroup, "all_perms", recording)
+        monkeypatch.setattr(sys, "stdout", Recording())
+        assert main(["check", name, "--n", "4"]) == 0
+        # the k-th permutation's lines are written before the next one is made
+        assert written[:24 * after] == [k for k in range(1, 25) for _ in range(after)]
+        assert len(made) == 24
+
+
 class TestWindowedFeed:
     """Under --jobs the pool gets the tasks in Pool.map's chunks (windows)
     of ceil(tasks / 4 jobs), and each worker returns its tasks' finished text."""
@@ -1074,6 +1116,28 @@ class TestSummandMemos:
             assert code == 0 and lines[-1]["cases"] == 480
             assert len(words) == sweep * (2 ** 5 - 2)  # one per (rep, i)
         assert sorted(words[:30]) == sorted(words[30:])
+
+    def test_bridge_at_10_builds_perms_only_for_w_and_each_strip(self, capsys, monkeypatch):
+        # the canonical words are read and checked on one-line lists: a Perm
+        # for the parsed w and one per strip memo miss, none thrown away
+        built = []
+        init = Perm.__init__
+
+        def counting(self, one_line):
+            init(self, one_line)
+            built.append(self.one_line)
+
+        def forbidden(*args):
+            raise AssertionError("the bridge spelled a Perm it did not need")
+
+        monkeypatch.setattr(Perm, "__init__", counting)
+        for name in ("apply_word", "min_coset_rep"):
+            monkeypatch.setattr(symgroup, name, forbidden)
+        monkeypatch.setenv("PREPROJ_MAX_N", "10")
+        ol = (3, 10, 1, 7, 5, 2, 9, 4, 8, 6)
+        code, lines = run(capsys, "check", "bridge", "--perm", json.dumps(ol))
+        assert code == 0 and lines[-1]["cases"] == 9
+        assert built == [ol] + [symgroup.min_coset_line(ol, i) for i in range(1, 10)]
 
     def test_planted_strip_fails_every_case_with_that_summand(self, capsys, monkeypatch):
         rep0, i0 = Perm((1, 3, 4, 2, 5)), 2

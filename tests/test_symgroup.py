@@ -1,3 +1,6 @@
+import itertools
+import random
+from functools import partial
 from math import factorial
 from operator import le
 
@@ -5,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_leq_by_dominance,
-                      dominance, dominance_by_cells, dominance_table, mul)
+from conftest import (apply_word_by_perm, bruhat_below, bruhat_by_covers, bruhat_by_subwords,
+                      bruhat_leq_by_dominance, canonical_word_by_inverse, dominance,
+                      dominance_by_cells, dominance_table, is_reduced_by_perm, length_by_pairs,
+                      mul, reduced_word)
+from preproj import symgroup
 from preproj.errors import (
     DomainError,
     IndexOutOfRange,
     LetterOutOfRange,
     NotMinimalRep,
+    PreprojError,
     SizeMismatch,
     TooLarge,
 )
@@ -201,21 +208,6 @@ class TestDominanceTable:
                                      for j in range(1, u.n))
 
 
-def bruhat_below(v: Perm, rng, steps: int) -> Perm:
-    """A permutation at or below v in Bruhat order: up to steps times, swap
-    two values that stand in decreasing order (an inversion), which makes it
-    shorter."""
-    ol = list(v.one_line)
-    for _ in range(steps):
-        inversions = [(p, q) for p in range(len(ol)) for q in range(p + 1, len(ol))
-                      if ol[p] > ol[q]]
-        if not inversions:
-            break
-        p, q = rng.choice(inversions)
-        ol[p], ol[q] = ol[q], ol[p]
-    return Perm(ol)
-
-
 perms_up_to_12 = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.permutations(range(1, n + 1))
 ).map(Perm)
@@ -310,3 +302,93 @@ class TestCanonicalWord:
                 word = canonical_reduced_word_of_rep(rep, i)
                 assert is_reduced(word, 5)
                 assert apply_word(word, 5) == rep
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the library error it raises."""
+    try:
+        return f(*args)
+    except PreprojError as exc:
+        return type(exc)
+
+
+# a rank up to 30 and a word at it: reduced, mostly not reduced, or with
+# letters out of range too
+drawn_words = st.integers(1, 30).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+    st.lists(st.integers(0, 10 ** 6), max_size=n * (n - 1) // 2).map(
+        lambda picks: reduced_word(n, picks)),
+    st.lists(st.integers(1, max(n - 1, 1)), max_size=3 * n).map(tuple),
+    st.lists(st.integers(-1, n + 1), max_size=2 * n).map(tuple))))
+
+
+def minimal_rep(n: int, i: int, low) -> Perm:
+    """The minimal coset representative for vertex i with the values 1..i,
+    increasing, at the positions low (from 0), and i+1..n increasing on the
+    rest; every one is such."""
+    ones, values = iter(range(1, i + 1)), iter(range(i + 1, n + 1))
+    return Perm(next(ones) if p in low else next(values) for p in range(n))
+
+
+def word_layer_mismatches(word, n: int) -> list[str]:
+    """The functions of the word layer whose result or error type differs
+    from its former Perm route's on (word, n)."""
+    spelled = outcome(apply_word_by_perm, word, n)
+    pairs = [("apply_word", outcome(apply_word, word, n), spelled),
+             ("is_reduced", outcome(is_reduced, word, n), outcome(is_reduced_by_perm, word, n))]
+    if isinstance(spelled, Perm):
+        pairs.append(("length", length(spelled), length_by_pairs(spelled)))
+    return [name for name, got, expected in pairs if got != expected]
+
+
+class TestWordLayerOnLists:
+    """apply_word, is_reduced, length and the canonical word, spelled on
+    one-line lists, against their former routes through Perm."""
+
+    @given(drawn_words)
+    @settings(max_examples=400, deadline=None)
+    def test_words_match_the_perm_route(self, drawn):
+        n, word = drawn
+        assert word_layer_mismatches(word, n) == []
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    @settings(max_examples=200, deadline=None)
+    def test_length_matches_all_pairs(self, one_line):
+        w = Perm(one_line)
+        assert length(w) == length_by_pairs(w)
+
+    @pytest.mark.parametrize("n", range(1, 31, 7))
+    def test_reduced_words_are_reduced(self, n):
+        rng = random.Random(n)
+        word = reduced_word(n, [rng.randrange(n * n) for _ in range(n * (n - 1) // 2)])
+        assert is_reduced(word, n) and length(apply_word(word, n)) == len(word)
+        assert not is_reduced(word + word[-1:], n) if word else is_reduced((), n)
+
+    def test_an_inversion_count_missing_a_pair_is_caught(self, monkeypatch):
+        inversions = symgroup._inversions
+        monkeypatch.setattr(symgroup, "_inversions",
+                            lambda one_line: max(inversions(one_line) - 1, 0))
+        assert word_layer_mismatches((1, 2, 4, 3, 2, 4), 5) == ["is_reduced", "length"]
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_minimal_rep_up_to_7(self, n):
+        for i in range(1, n):
+            for rep in map(partial(minimal_rep, n, i), itertools.combinations(range(n), i)):
+                assert canonical_reduced_word_of_rep(rep, i) == canonical_word_by_inverse(rep, i)
+
+    @given(st.integers(2, 30), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_random_reps_up_to_30(self, n, rng):
+        i = rng.randrange(1, n)
+        rep = minimal_rep(n, i, set(rng.sample(range(n), i)))
+        word = canonical_reduced_word_of_rep(rep, i)
+        assert word == canonical_word_by_inverse(rep, i)
+        assert apply_word(word, n) == rep and is_reduced(word, n)
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.permutations(range(1, n + 1))),
+           st.integers(-1, 31))
+    @settings(max_examples=300, deadline=None)
+    def test_errors_match_the_perm_route(self, one_line, i):
+        # a random u is seldom minimal, and i runs past both ends
+        u = Perm(one_line)
+        assert outcome(canonical_reduced_word_of_rep, u, i) == outcome(
+            canonical_word_by_inverse, u, i)
