@@ -2,7 +2,6 @@
 type A and their continuous, permuton-indexed analogues."""
 
 from .continuous import (
-    Certificate,
     DecorousSub,
     PermutonIdeal,
     d_sub,

@@ -34,14 +34,15 @@ by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 A check runs tasks: a permutation (mizuno, taurigid, bridge), a source
 (rows, i) against every target (bruhat), or a permutation or a (label,
 permuton) (twosided, homvanish).  A runner decides on integers (curve
-units, one-line tuples, boundary rows), builds no validated curve, and
-returns its task's lines, a bruhat row spliced from pieces encoded once
-per sweep and other records encoded by _line, with its counts of cases and
-failures; cmd_check writes them as they come, serially or from --jobs
-workers (capped at the CPU and task counts).  Per-sweep memos, cleared
-before and after each check, do each weak-order node (mizuno), Hom pair
-(taurigid, homvanish) and stripped summand (bridge) once per process.  A reader
-closing the pipe early ends the command with exit code 141.
+units, one-line tuples, boundary rows), itself or by a decider of the
+library, builds no validated curve, and returns its task's lines, a bruhat
+row spliced from pieces encoded once per sweep and other records encoded by
+_line, with its counts of cases and failures; cmd_check writes them as they
+come, serially or from --jobs workers (capped at the CPU and task counts).
+Per-sweep memos, cleared before and after each check, do each weak-order
+node (mizuno), Hom pair (taurigid, homvanish) and stripped summand (bridge)
+once per process.  A reader closing the pipe early ends the command with
+exit code 141.
 """
 
 from __future__ import annotations
@@ -53,14 +54,13 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import factorial, lcm
-from operator import add, gt, le, sub
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
-from . import continuous, finite, jsonio, permuton, plfunc, render, sheets, symgroup
+from . import continuous, finite, jsonio, permuton, render, sheets, symgroup
 from .errors import ParseError, PreprojError, TooLarge
 from .lanes import Lanes
 from .limits import scale_limit
@@ -350,49 +350,18 @@ def _labelled(task) -> tuple[str, permuton.GridPermuton]:
 
 
 def _case_twosided(task) -> tuple[str, int, int]:
-    """f_p <= left_act(f_q, p) = min(bottom_p, f_q + |p - q|/m) for the grid
-    apexes p != q, read on the rows at the columns c/m, between which all
-    three are linear.  That is f_p <= bottom_p for every p and
-    |f_p - f_{p+1}| <= 1/m in every column: the pairs p, p + 1 are among the
-    pairs, and they give every other pair by the triangle inequality,
-    |f_p - f_q| <= |f_p - f_{p+1}| + ... + |f_{q-1} - f_q| <= |p - q|/m.  So
-    two passes of O(m^2) decide it, and only a failing case looks for its
-    witness, in the order of the statement: p, then bottom_p (q None), then
-    q ascending.  The grid apexes decide every apex pair: on an off-diagonal
-    cell of rows f_a - f_b - |a - b| is affine in a and in b, inside one row
-    |f_a - f_b| <= |a - b| for every mu, and f_a is affine in a between rows
-    while bottom_a is concave in a."""
     label, mu = _labelled(task)
-    m, unit = mu.m, mu.m * mu.m * mu.den  # unit: 1/m over the rows' m^3 den
-    rows = [permuton.boundary_row(mu, p, m) for p in range(1, m)]
-    # bottom_p rises by 1/m from p/m at x = 0 to 1 at x = 1 - p/m, then falls
-    bottoms = [[*range(p * unit, m * unit, unit), *range(m * unit, (m - p - 1) * unit, -unit)]
-               for p in range(1, m)]
-    holds = (all(all(map(le, f, b)) for f, b in zip(rows, bottoms))
-             and all(max(map(abs, map(sub, f, g))) <= unit for f, g in zip(rows, rows[1:])))
-    pair = None if holds else next(
-        (p, q) for p, f_p in enumerate(rows, 1) for q in (None, *range(1, m))
-        if q != p and any(map(gt, f_p, bottoms[p - 1] if q is None
-                              else map(add, rows[q - 1], repeat(abs(p - q) * unit)))))
-    return _lines([_record("twosided", label, "pair", pair)])
+    return _lines([_record("twosided", label, "pair", continuous.twosided_witness(mu))])
 
 
 def _case_homvanish(task) -> tuple[str, int, int]:
-    # hom_vanishing_cert's certificate for the curves at t/21: f - g is linear
-    # between columns, so the signs of its rises there classify it
-    label, mu = _labelled(task)
-    rows = [permuton.boundary_row(mu, t, 21) for t in range(1, 21)]
-    steps = [list(map(sub, row[1:], row)) for row in rows]
     # the witness: the first apex pair (s, t) without a certificate, else
-    # the first pair of staircase summands (i, j) whose Hom does not vanish.
-    # Only s < t is classified: (s, s) is CONSTANT and (t, s) is NEITHER
-    # exactly when (s, t) is, so the first failing ordered pair has s < t
-    classify, neither = plfunc.rises_class, plfunc.MonotoneClass.NEITHER
-    apexes = next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps[s:], s + 1)
-                   if classify(list(map(sub, a, b))) is neither), None)
+    # the first staircase pair (i, j) whose Hom does not vanish, for m <= 4:
+    label, mu = _labelled(task)
+    apexes = continuous.uncertified_apexes(mu)
     if apexes:
         return _lines([_record("homvanish", label, "apexes", apexes)])
-    # for m <= 4, also the solver on the staircase summands at the grid apexes t/8
+    # Hom on the curves (HomLanes) of the summands' staircases at the apexes t/8
     ideal = continuous.PermutonIdeal(mu)
     summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]

@@ -10,25 +10,18 @@ the lengths with top(x) <= l < f(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, gt, le, sub
 
 from .errors import CertificateFailure, DomainError, NotGridAligned, SizeMismatch
-from . import symgroup
-from .finite import CurveModule, DiamondCurve, Kind, summand_via_word
+from . import permuton, plfunc, symgroup
+from .finite import CurveModule, DiamondCurve, Kind, _diamond, summand_via_word
 from .permuton import (GridPermuton, boundary_function, boundary_row, from_perm,
                        permuton_bruhat_leq, union_ticks)
-from .plfunc import (
-    BFunc,
-    MonotoneClass,
-    bottom_curve,
-    monotone_class,
-    pointwise_leq,
-    pointwise_min,
-    pointwise_sub,
-    vshift,
-)
+from .plfunc import (BFunc, MonotoneClass, bottom_curve, monotone_class, pointwise_leq,
+                     pointwise_min, pointwise_sub, vshift)
 from .rat import frac
 from .symgroup import Perm
 
@@ -131,40 +124,76 @@ def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None,
     return bridge_mismatch(w, i, mu, stripped) is None
 
 
-class Certificate(Enum):
-    INCREASING = "increasing"
-    DECREASING = "decreasing"
-    CONSTANT = "constant"
-    NO_CERTIFICATE = "none"
+def twosided_witness(mu: GridPermuton) -> list | None:
+    """The first grid apex pair [p, q], p != q, where f_p <= left_act(f_q, p)
+    = min(bottom_p, f_q + |p - q|/m) fails, q None for bottom_p, or None:
+    read on the rows at the columns c/m, between which all three are linear.
+    That is f_p <= bottom_p for every p and |f_p - f_{p+1}| <= 1/m in every
+    column: the pairs p, p + 1 are among the pairs, and they give every other
+    pair by the triangle inequality, |f_p - f_q| <= |f_p - f_{p+1}| + ... +
+    |f_{q-1} - f_q| <= |p - q|/m.  So two passes of O(m^2) decide it, and
+    only a failing case looks for its witness, in the order of the
+    statement: p, then bottom_p (q None), then q ascending.  The grid apexes
+    decide every apex pair: on an off-diagonal cell of rows f_a - f_b - |a -
+    b| is affine in a and in b, inside one row |f_a - f_b| <= |a - b| for
+    every mu, and f_a is affine in a between rows while bottom_a is concave
+    in a."""
+    m, unit = mu.m, mu.m * mu.m * mu.den  # unit: 1/m over the rows' m^3 den
+    rows = [permuton.boundary_row(mu, p, m) for p in range(1, m)]
+    bottoms = [[u * unit for u in _diamond(p, m)[1]] for p in range(1, m)]
+    if (all(all(map(le, f, b)) for f, b in zip(rows, bottoms))
+            and all(max(map(abs, map(sub, f, g))) <= unit for f, g in zip(rows, rows[1:]))):
+        return None
+    return next([p, q] for p, f_p in enumerate(rows, 1) for q in (None, *range(1, m))
+                if q != p and any(map(gt, f_p, bottoms[p - 1] if q is None
+                                      else map(add, rows[q - 1], repeat(abs(p - q) * unit)))))
 
 
-_CLASS_TO_CERT = {
-    MonotoneClass.WEAKLY_INCREASING: Certificate.INCREASING,
-    MonotoneClass.WEAKLY_DECREASING: Certificate.DECREASING,
-    MonotoneClass.CONSTANT: Certificate.CONSTANT,
-    MonotoneClass.NEITHER: Certificate.NO_CERTIFICATE,
-}
-
-
-def hom_vanishing_cert(f: BFunc, g: BFunc) -> Certificate:
+def hom_vanishing_cert(f: BFunc, g: BFunc) -> MonotoneClass:
     """Monotonicity certificate for Hom(D_f, U_g) = 0: a weakly monotone
-    difference f - g forces vanishing.  NO_CERTIFICATE only means the
-    criterion does not apply."""
-    return _CLASS_TO_CERT[monotone_class(pointwise_sub(f.f, g.f))]
+    difference f - g forces vanishing; NEITHER: the criterion does not apply."""
+    return monotone_class(pointwise_sub(f.f, g.f))
 
 
-def tau_rigidity_cert(mu: GridPermuton, a, b) -> Certificate:
+def _rises(mu: GridPermuton, p: int, q: int, scale: int) -> list[int]:
+    """scale times the rises of boundary_row(mu, p, q) from column to column."""
+    row = permuton.boundary_row(mu, p, q)
+    return [scale * (b - a) for a, b in zip(row, row[1:])]
+
+
+def _difference_class(a: list[int], b: list[int]) -> MonotoneClass:
+    """The class of f - g from the rises a of f and b of g on one scale: f - g
+    is linear between the columns, so the signs of its rises there classify it."""
+    return plfunc.rises_class(list(map(sub, a, b)))
+
+
+_APEXES = 21  # uncertified_apexes samples the curves at the apexes t/21, 0 < t < 21
+
+
+def uncertified_apexes(mu: GridPermuton) -> list[int] | None:
+    """The first apex pair [s, t], s < t, among the t/21, whose difference
+    f_s - f_t has no monotone certificate, or None.  Only s < t is
+    classified: (s, s) is CONSTANT and (t, s) is NEITHER exactly when (s, t)
+    is, so the first failing ordered pair has s < t."""
+    steps = [_rises(mu, t, _APEXES, 1) for t in range(1, _APEXES)]
+    classify, neither = _difference_class, MonotoneClass.NEITHER  # bound once: 190 pairs
+    return next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps[s:], s + 1)
+                 if classify(a, b) is neither), None)
+
+
+def tau_rigidity_cert(mu: GridPermuton, a, b) -> MonotoneClass:
     """Certificate that Hom(D_mu^a, U_mu^b) = 0; always exists, increasing
-    for a <= b and decreasing for a >= b."""
+    for a <= b and decreasing for a >= b.  The rows at a = p/q and b = r/s
+    are over q^2 den m and s^2 den m, so their rises are scaled by s^2 and
+    q^2: both curves are linear between the columns c/m."""
     a, b = frac(a), frac(b)
     if not (0 < a < 1 and 0 < b < 1):
         raise DomainError("apexes must lie in (0,1)")
-    cert = hom_vanishing_cert(boundary_function(mu, a), boundary_function(mu, b))
-    if cert is Certificate.NO_CERTIFICATE:
-        raise CertificateFailure(
-            f"no monotone certificate for apexes ({a},{b}); this contradicts "
-            "the rigidity of permuton ideals and indicates a library bug"
-        )
+    (p, q), (r, s) = a.as_integer_ratio(), b.as_integer_ratio()
+    cert = _difference_class(_rises(mu, p, q, s * s), _rises(mu, r, s, q * q))
+    if cert is MonotoneClass.NEITHER:
+        raise CertificateFailure(f"no monotone certificate for apexes ({a},{b}); this contradicts "
+                                 "the rigidity of permuton ideals and indicates a library bug")
     return cert
 
 

@@ -219,7 +219,8 @@ def summand_via_word(word: Word, n: int, i: int) -> Units:
 def strip_letter(ideal: Sequence[CurveModule], letter: int) -> tuple[CurveModule, ...]:
     """The ideal one letter further along a word: stripping ``letter`` from
     the ideal of a reduced word u gives the ideal of u + (letter,) when that
-    word is reduced.  The mizuno check walks the right weak order with it."""
+    word is reduced.  (The mizuno check walks the right weak order with its
+    integer core, strip_curves, in cli._weak_node.)"""
     n = ideal[0].n if ideal else 1
     if not 1 <= letter <= n - 1:
         raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")

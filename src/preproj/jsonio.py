@@ -14,14 +14,13 @@ Formats:
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Any
 
 from .errors import ParseError
 from .finite import CurveModule, DiamondCurve, Kind
 from .permuton import GridPermuton
 from .plfunc import BFunc, PLFunc
-from .rat import frac, rat_str
+from .rat import frac, rat_str, ratio_str
 from .sheets import SawtoothDesc, Sheet, SimpleModule, sheet_new
 
 
@@ -50,14 +49,8 @@ def _need_rows(obj: dict, key: str, width: int) -> list[list]:
     return rows
 
 
-def _unit_str(u: int, n: int) -> str:
-    """u/n, n > 0, in the wire's lowest terms."""
-    g = gcd(u, n)
-    return str(u // g) if g == n else f"{u // g}/{n // g}"
-
-
 def plfunc_to_json(f: PLFunc) -> dict:
-    return {"breakpoints": [[_unit_str(x, w), _unit_str(y, w)] for x, y, w in f._pts]}
+    return {"breakpoints": [[ratio_str(x, w), ratio_str(y, w)] for x, y, w in f._pts]}
 
 
 def plfunc_from_json(obj: dict) -> PLFunc:
@@ -77,7 +70,7 @@ def curve_module_to_json(m: CurveModule) -> dict:
         "n": m.n,
         "i": m.i,
         "kind": m.kind.value,
-        "curve": [_unit_str(u, m.n) for u in m.curve.units],
+        "curve": [ratio_str(u, m.n) for u in m.curve.units],
     }
 
 

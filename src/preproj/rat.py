@@ -4,7 +4,8 @@ Public values and the wire format are ``fractions.Fraction``, the kernels
 integers; floats are rejected at the boundary so no rounding can sneak in.
 ``num_den`` is the one literal reader and returns integer lowest terms (p, q):
 a wire literal "p" or "p/q" (ASCII digits, optional "-") costs one regex, ``int``
-and a gcd, any other goes through ``Fraction``.  ``frac`` and ``rat_str`` wrap it.
+and a gcd, any other goes through ``Fraction``.  ``frac`` wraps it; ``ratio_str``
+writes every "p" or "p/q" of the wire, ``rat_str`` the one of a value.
 """
 
 from __future__ import annotations
@@ -60,7 +61,12 @@ def frac(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(*num_den(value))
 
 
+def ratio_str(p: int, q: int) -> str:
+    """p/q, q > 0, in lowest terms as "p/q", or just "p" for integers."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def rat_str(value: Fraction) -> str:
     """Render as "p/q", or just "p" for integers."""
-    p, q = num_den(value)
-    return str(p) if q == 1 else f"{p}/{q}"
+    return ratio_str(*num_den(value))

@@ -15,6 +15,7 @@ from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    CertificateFailure,
     DomainError,
     IndexOutOfRange,
     LetterOutOfRange,
@@ -198,5 +199,6 @@ def canonical_reduced_word_of_rep(u: Perm, i: int) -> Word:
     ends = [p for p, v in enumerate(ol, start=1) if v <= i]  # u^{-1}(1..i)
     word = [s for t in range(i, 0, -1) for s in range(t, ends[t - 1])]
     spelled = _spell(word, len(ol))
-    assert spelled == [*ol] and _inversions(spelled) == len(word)
+    if spelled != [*ol] or _inversions(spelled) != len(word):
+        raise CertificateFailure(f"the block word of {u} at vertex {i} is not a reduced word of it")
     return tuple(word)

@@ -13,8 +13,8 @@ from operator import ge, le
 from typing import Iterable
 
 from preproj import permuton, plfunc
-from preproj.continuous import (Certificate, DecorousSub, PermutonIdeal, hom_vanishing_cert,
-                                ideal_summand, left_act, staircase)
+from preproj.continuous import (DecorousSub, PermutonIdeal, hom_vanishing_cert, ideal_summand,
+                                left_act, staircase)
 from preproj.errors import (DomainError, IndexOutOfRange, LetterOutOfRange, NotGridAligned,
                             NotLipschitz, NotMinimalRep, ParseError, SizeMismatch)
 from preproj.finite import (CurveModule, DiamondCurve, band, factors, ideal_of, ideal_via_word,
@@ -478,7 +478,7 @@ def homvanish_by_plfuncs(mu: GridPermuton) -> bool:
                     for r in range(1, mu.m) if (Fraction(r, mu.m) * 8).denominator == 1]
         solver_ok = all(hom_dim(to_rep(a), to_rep(tau_sub(b))) == 0
                         for a in summands for b in summands)
-    return Certificate.NO_CERTIFICATE not in certs and solver_ok
+    return MonotoneClass.NEITHER not in certs and solver_ok
 
 
 def bruhat_leq_on_union_grid(mu: GridPermuton, nu: GridPermuton) -> bool:

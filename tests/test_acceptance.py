@@ -13,7 +13,6 @@ from fractions import Fraction as F
 from conftest import (as_plfunc, hom_dim, hom_lengths, is_full, is_zero_sub, random_curve,
                       rep_is_deep, sawtooth_rep, to_rep)
 from preproj.continuous import (
-    Certificate,
     PermutonIdeal,
     ideal_leq,
     ideal_summand,
@@ -31,7 +30,7 @@ from preproj.finite import (
     tau_sub,
 )
 from preproj.permuton import boundary_function, from_perm, permuton_bruhat_leq, uniform
-from preproj.plfunc import PLFunc, pointwise_leq
+from preproj.plfunc import MonotoneClass, PLFunc, pointwise_leq
 from preproj.sheets import SawtoothDesc, end_dim, is_deep
 from preproj.symgroup import Perm, all_perms, all_reduced_words, bruhat_leq
 
@@ -206,7 +205,7 @@ def test_criterion_8_continuous_tau_rigidity():
             for a in grid:
                 for b in grid:
                     cert = tau_rigidity_cert(mu, a, b)
-                    assert cert is not Certificate.NO_CERTIFICATE
+                    assert cert is not MonotoneClass.NEITHER
         # discrete corroboration: staircase discretisations at n = 8
         n = 8
         for mu in [uniform(2), uniform(4)] + [from_perm(w) for w in all_perms(4)]:

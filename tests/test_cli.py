@@ -326,21 +326,23 @@ class TestCheckCommand:
 
     def test_homvanish_fails_without_certificate(self, monkeypatch):
         mu = from_perm(Perm((2, 5, 3, 4, 1)))
-        cert = continuous.hom_vanishing_cert
         bad = (F(4, 21), F(11, 21))
-
-        def one_missing(f, g):
-            if (f.k, g.k) == bad:
-                return continuous.Certificate.NO_CERTIFICATE
-            return cert(f, g)
-
-        monkeypatch.setattr(continuous, "hom_vanishing_cert", one_missing)
-        with pytest.raises(CertificateFailure):
-            continuous.tau_rigidity_cert(mu, *bad)
         # the check classifies f - g by the rises of its samples at c/m
         f, g = (permuton.boundary_row(mu, t, 21) for t in (4, 11))
         d = [a - b for a, b in zip(f, g)]
         bad_rises = [b - a for a, b in zip(d, d[1:])]
+        cert = continuous._difference_class
+
+        def one_missing(a, b):
+            # tau_rigidity_cert scales the rises of both rows at t/21 by 21^2
+            if [x - y for x, y in zip(a, b)] == [441 * r for r in bad_rises]:
+                return plfunc.MonotoneClass.NEITHER
+            return cert(a, b)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(continuous, "_difference_class", one_missing)
+            with pytest.raises(CertificateFailure):
+                continuous.tau_rigidity_cert(mu, *bad)
         classify, hits = plfunc.rises_class, []
 
         def one_unclassified(rises):

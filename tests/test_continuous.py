@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim, is_full,
                       is_zero_sub, member, member_quot, random_bfunc, random_permuton, to_rep,
-                      top_at, u_quot)
+                      top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs, u_quot)
 from preproj import continuous, permuton
 from preproj.continuous import (
-    Certificate,
     PermutonIdeal,
     d_sub,
     finite_vs_continuous,
@@ -20,18 +19,23 @@ from preproj.continuous import (
     left_act,
     staircase,
     tau_rigidity_cert,
+    twosided_witness,
+    uncertified_apexes,
 )
 from preproj.errors import DomainError, NotGridAligned, SizeMismatch
 from preproj.finite import hom_dims, ideal_of, projective, tau_sub
-from preproj.permuton import boundary_function, from_perm, permuton_bruhat_leq, uniform
+from preproj.permuton import (GridPermuton, boundary_function, from_perm, permuton_bruhat_leq,
+                              uniform)
 from preproj.plfunc import (
     BFunc,
+    MonotoneClass,
     PLFunc,
     bottom_curve,
     pointwise_leq,
     top_curve,
 )
 from preproj.symgroup import Perm, all_perms, bruhat_leq
+from test_cli import perturbed_rows
 
 W = Perm((2, 5, 3, 4, 1))
 HALF = F(1, 2)
@@ -294,26 +298,26 @@ class TestBridgeOnRows:
 
 class TestCertificates:
     def test_equal_curves_constant(self):
-        assert hom_vanishing_cert(TOP_HALF, TOP_HALF) is Certificate.CONSTANT
+        assert hom_vanishing_cert(TOP_HALF, TOP_HALF) is MonotoneClass.CONSTANT
 
     def test_permuton_pair_increasing(self):
         mu = from_perm(W)
         cert = hom_vanishing_cert(
             boundary_function(mu, F(1, 5)), boundary_function(mu, F(3, 5))
         )
-        assert cert is Certificate.INCREASING
+        assert cert is MonotoneClass.WEAKLY_INCREASING
 
     def test_tent_vs_constant_no_certificate(self):
-        assert hom_vanishing_cert(TOP_HALF, CHORD_HALF) is Certificate.NO_CERTIFICATE
+        assert hom_vanishing_cert(TOP_HALF, CHORD_HALF) is MonotoneClass.NEITHER
 
     def test_rigidity_cert_uniform(self):
-        assert tau_rigidity_cert(uniform(2), F(1, 4), F(3, 4)) is Certificate.INCREASING
+        assert tau_rigidity_cert(uniform(2), F(1, 4), F(3, 4)) is MonotoneClass.WEAKLY_INCREASING
 
     def test_rigidity_cert_equal_apexes(self):
-        assert tau_rigidity_cert(from_perm(W), F(2, 5), F(2, 5)) is Certificate.CONSTANT
+        assert tau_rigidity_cert(from_perm(W), F(2, 5), F(2, 5)) is MonotoneClass.CONSTANT
 
     def test_rigidity_cert_decreasing(self):
-        assert tau_rigidity_cert(from_perm(W), F(4, 5), F(1, 5)) is Certificate.DECREASING
+        assert tau_rigidity_cert(from_perm(W), F(4, 5), F(1, 5)) is MonotoneClass.WEAKLY_DECREASING
 
     def test_grid_sweep_never_fails(self):
         mus = [from_perm(W), uniform(2), uniform(4), from_perm(Perm((2, 4, 1, 3)))]
@@ -323,11 +327,76 @@ class TestCertificates:
                 for b in grid:
                     cert = tau_rigidity_cert(mu, a, b)
                     if a < b:
-                        assert cert is Certificate.INCREASING
+                        assert cert is MonotoneClass.WEAKLY_INCREASING
                     elif a > b:
-                        assert cert is Certificate.DECREASING
+                        assert cert is MonotoneClass.WEAKLY_DECREASING
                     else:
-                        assert cert is Certificate.CONSTANT
+                        assert cert is MonotoneClass.CONSTANT
+
+
+def uncertified_by_certs(mu) -> list | None:
+    """The first ordered apex pair [s, t] of all 400 among the t/21 where
+    hom_vanishing_cert finds no certificate for the boundary functions."""
+    curves = [boundary_function(mu, F(t, 21)) for t in range(1, 21)]
+    return next(([s, t] for s, f in enumerate(curves, 1) for t, g in enumerate(curves, 1)
+                 if hom_vanishing_cert(f, g) is MonotoneClass.NEITHER), None)
+
+
+def rotated(mu: GridPermuton) -> GridPermuton:
+    """mu turned by a half turn: (x, y) -> (1 - x, 1 - y)."""
+    return GridPermuton(mu.m, [row[::-1] for row in reversed(mu.mass)])
+
+
+class TestDecidersOnLargerGrids:
+    """twosided_witness and uncertified_apexes against their PLFunc routes
+    on random grid permutons up to m = 24, under planted rows too, and
+    tau_rigidity_cert against the rotated permuton, whose summand at apex y
+    is x -> f_{1-y}(1 - x)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_twosided_witness_matches_left_act(self, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for t in range(6):
+            mu = random_permuton(rng, rng.randint(10, 24), rng.choice([4, 10**6]))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(permuton, "boundary_row", perturbed_rows(t, F(t % 3, 20)))
+                witness = twosided_witness(mu)
+                assert (witness is None) is twosided_by_plfuncs(mu), (seed, t)
+                assert witness == twosided_pair_by_plfuncs(mu), (seed, t)
+            seen.add(witness is None)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uncertified_apexes_match_hom_vanishing_cert(self, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for t in range(6):
+            mu = random_permuton(rng, rng.randint(10, 24), rng.choice([4, 10**6]))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(permuton, "boundary_row", perturbed_rows(t, F(t % 3, 20)))
+                apexes = uncertified_apexes(mu)
+                assert apexes == uncertified_by_certs(mu), (seed, t)
+            seen.add(apexes is None)
+        assert seen == {True, False}
+
+    def test_rotation_swaps_the_direction(self):
+        rng = random.Random(25)
+        swap = {MonotoneClass.WEAKLY_INCREASING: MonotoneClass.WEAKLY_DECREASING,
+                MonotoneClass.WEAKLY_DECREASING: MonotoneClass.WEAKLY_INCREASING,
+                MonotoneClass.CONSTANT: MonotoneClass.CONSTANT}
+        for _ in range(250):
+            mu = random_permuton(rng, rng.randint(1, 24), rng.choice([4, 10**6]))
+            turned = rotated(mu)
+            for _ in range(3):
+                a, b = (F(rng.randint(1, d - 1), d) for d in rng.choices(range(2, 60), k=2))
+                cert = tau_rigidity_cert(mu, a, b)
+                assert cert is hom_vanishing_cert(boundary_function(mu, a),
+                                                  boundary_function(mu, b))
+                assert cert is (MonotoneClass.CONSTANT if a == b else
+                                MonotoneClass.WEAKLY_INCREASING if a < b else
+                                MonotoneClass.WEAKLY_DECREASING)
+                assert tau_rigidity_cert(turned, 1 - a, 1 - b) is swap[cert]
 
 
 class TestDiscretize:

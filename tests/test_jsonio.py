@@ -17,7 +17,7 @@ from preproj.errors import DomainError, ParseError, PreprojError
 from preproj.finite import CurveModule, DiamondCurve, Kind, ideal_of, projective
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
-from preproj.rat import frac, num_den, rat_str
+from preproj.rat import frac, num_den, rat_str, ratio_str
 from preproj.render import spec_from_json
 from preproj.sheets import SawtoothDesc, SimpleModule, sheet_new
 from preproj.symgroup import Perm
@@ -33,6 +33,11 @@ class TestRat:
     def test_floats_rejected(self):
         with pytest.raises(ParseError):
             frac(0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    def test_integer_pairs_write_what_fractions_write(self, p, q):
+        assert ratio_str(p, q) == rat_str(F(p, q)) == str(F(p, q))
 
     def test_junk_rejected(self):
         with pytest.raises(ParseError):

@@ -1,8 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import partial
 from math import factorial
 from operator import le
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +17,9 @@ from conftest import (apply_word_by_perm, bruhat_below, bruhat_by_covers, bruhat
                       dominance_by_cells, dominance_table, is_reduced_by_perm, length_by_pairs,
                       mul, reduced_word)
 from preproj import symgroup
+from preproj.cli import main
 from preproj.errors import (
+    CertificateFailure,
     DomainError,
     IndexOutOfRange,
     LetterOutOfRange,
@@ -302,6 +308,27 @@ class TestCanonicalWord:
                 word = canonical_reduced_word_of_rep(rep, i)
                 assert is_reduced(word, 5)
                 assert apply_word(word, 5) == rep
+
+    def test_a_wrong_inversion_count_fails_the_self_check(self, monkeypatch, capsys):
+        monkeypatch.setattr(symgroup, "_inversions", lambda one_line: -1)
+        with pytest.raises(CertificateFailure):
+            canonical_reduced_word_of_rep(Perm((1, 3, 2)), 2)
+        assert main(["check", "bridge", "--perm", "132"]) == 2
+        assert capsys.readouterr().err.startswith("error: the block word of ")
+
+    def test_the_self_check_survives_optimised_mode(self):
+        # python -O strips assert statements, not this check
+        src = Path(symgroup.__file__).parents[1]
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), *filter(None, [path])])}
+        program = ("import sys; from preproj import symgroup; from preproj.cli import main; "
+                   "symgroup._inversions = lambda one_line: -1; "
+                   "sys.exit(main(['check', 'bridge', '--perm', '132']))")
+        proc = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: the block word of ")
 
 
 def outcome(f, *args):
