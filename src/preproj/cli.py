@@ -61,9 +61,9 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
 from . import continuous, finite, jsonio, permuton, render, sheets, symgroup
-from .errors import ParseError, PreprojError, TooLarge
+from .errors import ParseError, PreprojError
 from .lanes import Lanes
-from .limits import scale_limit
+from .limits import guard
 from .rat import frac, rat_str
 from .symgroup import Perm
 
@@ -167,15 +167,6 @@ def cmd_order(args) -> int:
 # ---------------------------------------------------------------- check
 
 
-def _guard(n: int, exhaustive: bool = False) -> None:
-    # exhaustive sweeps over all of S_n stop one rank earlier than targeted runs
-    limit = scale_limit() - 1 if exhaustive else scale_limit()
-    if n > limit:
-        raise TooLarge(
-            f"n={n} exceeds the guard ({limit}); set PREPROJ_MAX_N to override"
-        )
-
-
 class _Sized:
     """Tasks made as the sweep reaches them, and their number: cmd_check
     sizes the pool and its chunks by len(), and holds none ahead."""
@@ -200,13 +191,13 @@ def _perms(args, default_n: int) -> list[Perm] | _Sized:
             raise ParseError("--perm does not combine with --sample")
         if args.n is not None and args.n != w.n:
             raise ParseError(f"--n {args.n} differs from the size {w.n} of --perm {w}")
-        _guard(w.n)
+        guard(w.n)
         return [w]
     n = args.n or default_n
-    _guard(n, exhaustive=args.sample is None)
+    guard(n, exhaustive=args.sample is None)
     size = factorial(n)
     if args.sample is None or args.sample >= size:
-        _guard(n, exhaustive=True)  # a sample as large as S_n is a full sweep
+        guard(n, exhaustive=True)  # a sample as large as S_n is a full sweep
         return _Sized(symgroup.all_perms(n), size)
     picked = random.Random(0).sample(range(size), args.sample)
     return [symgroup.perm_at(n, t) for t in sorted(picked)]

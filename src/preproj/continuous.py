@@ -18,8 +18,7 @@ from operator import add, gt, le, sub
 from .errors import CertificateFailure, DomainError, NotGridAligned, SizeMismatch
 from . import permuton, plfunc, symgroup
 from .finite import CurveModule, DiamondCurve, Kind, _diamond, summand_via_word
-from .permuton import (GridPermuton, boundary_function, boundary_row, from_perm,
-                       permuton_bruhat_leq, union_ticks)
+from .permuton import GridPermuton, boundary_function, permuton_bruhat_leq, union_ticks
 from .plfunc import (BFunc, MonotoneClass, bottom_curve, monotone_class, pointwise_leq,
                      pointwise_min, pointwise_sub, vshift)
 from .rat import frac
@@ -107,14 +106,14 @@ def bridge_mismatch(w: Perm, i: int, mu: GridPermuton | None = None,
     n = w.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"vertex {i} outside 1..{n - 1}")
-    mu = from_perm(w) if mu is None else mu
+    mu = permuton.from_perm(w) if mu is None else mu
     if mu.m != n:
         raise SizeMismatch(f"permuton on the 1/{mu.m} grid, not w's 1/{n} grid")
     discrete = stripped(symgroup.min_coset_line(w.one_line, i), i)
     g = gcd(i, n)
     p, q = i // g, n // g
     scale = q * q * mu.den
-    return next((c for c, (u, v) in enumerate(zip(discrete, boundary_row(mu, p, q)))
+    return next((c for c, (u, v) in enumerate(zip(discrete, permuton.boundary_row(mu, p, q)))
                  if u * scale != v), None)
 
 

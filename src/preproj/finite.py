@@ -32,11 +32,10 @@ from .errors import (
     NoTopSimple,
     NotReduced,
     SizeMismatch,
-    TooLarge,
     WrongKind,
 )
 from .lanes import pack
-from .limits import scale_limit
+from .limits import guard
 from .rat import num_den
 from .symgroup import Perm, Word
 
@@ -393,6 +392,5 @@ def tau_rigid_witness(curves: Sequence[Units],
 
 def is_tau_rigid_ideal(w: Perm) -> bool:
     """Hom((I_w)^i, P_j/(I_w)^j) = 0 for all i, j."""
-    if w.n > scale_limit():
-        raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
+    guard(w.n)
     return tau_rigid_witness(ideal_curves(w.one_line)) is None

@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import ParseError
+from .errors import ParseError, TooLarge
 
 DEFAULT_MAX_N = 6
 
@@ -19,3 +19,11 @@ def scale_limit() -> int:
     if limit < 1:
         raise ParseError(f"PREPROJ_MAX_N must be at least 1, got {raw!r}")
     return limit
+
+
+def guard(n: int, exhaustive: bool = False) -> None:
+    """Refuse n above the scale limit; exhaustive sweeps over all of S_n stop
+    one rank earlier than targeted runs."""
+    limit = scale_limit() - 1 if exhaustive else scale_limit()
+    if n > limit:
+        raise TooLarge(f"n={n} exceeds the guard ({limit}); set PREPROJ_MAX_N to override")

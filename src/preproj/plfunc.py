@@ -212,6 +212,24 @@ def pointwise_max(f: PLFunc, g: PLFunc) -> PLFunc:
     return _plfunc(_merged((x, max(a, b), w) for x, a, b, w in _crossed(f, g)))
 
 
+def positive_intervals(f: PLFunc, g: PLFunc) -> list[tuple[Fraction, Fraction]]:
+    """Maximal open intervals where f > g, with exact rational endpoints.
+
+    f - g is linear between the points of _crossed and its roots are among
+    them, so it keeps one sign inside each gap: a gap is positive when one of
+    its ends is, and a zero at a shared point ends one interval there."""
+    out: list[tuple[Fraction, Fraction]] = []
+    lo = None
+    pts = _crossed(f, g)
+    for (x0, a0, b0, w0), (x1, a1, b1, w1) in zip(pts, pts[1:]):
+        if lo is None and (a0 > b0 or a1 > b1):
+            lo = Fraction(x0, w0)
+        if lo is not None and (a1 <= b1 or x1 == w1):  # x1 == w1 at x = 1
+            out.append((lo, Fraction(x1, w1)))
+            lo = None
+    return out
+
+
 def pointwise_leq(f: PLFunc, g: PLFunc) -> bool:
     """f <= g everywhere; the union breakpoint grid decides it exactly."""
     return all(a <= b for _, a, b, _ in _walk(f, g))

@@ -25,7 +25,7 @@ from .errors import (
     NotInSupport,
 )
 from .finite import CurveModule, band, curve_hom_dim
-from .plfunc import BFunc, PLFunc, pointwise_max, pointwise_sub, to_bfunc, vshift
+from .plfunc import BFunc, PLFunc, pointwise_sub, positive_intervals, to_bfunc, vshift
 from .rat import frac
 
 ZERO = Fraction(0)
@@ -40,20 +40,17 @@ class Sheet:
 
     ``up`` bounds the submodule from above, ``down`` the quotient from below;
     the sheet is supported where up < down and is zero elsewhere.  ``support``
-    holds those maximal open intervals, found once at construction,
-    ``generators`` the generating positions, scanned once on first use, and
-    ``headroom`` each ``b_interval`` answer, keyed by (target, y, a).
+    holds those maximal open intervals, found once at construction, and
+    ``generators`` the generating positions, scanned once on first use.
     """
 
     k: Fraction
     up: BFunc
     down: BFunc
     support: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
-    headroom: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        gap = pointwise_sub(self.down.f, self.up.f)
-        object.__setattr__(self, "support", tuple(_positive_intervals(gap)))
+        object.__setattr__(self, "support", tuple(positive_intervals(self.down.f, self.up.f)))
 
     @cached_property
     def generators(self) -> tuple[Fraction, ...]:
@@ -71,25 +68,6 @@ def sheet_new(k, up: BFunc, down: BFunc) -> Sheet:
     if up.k != k or down.k != k:
         raise NotDecorous(f"boundary curves must live at apex {k}")
     return Sheet(k, up, down)
-
-
-_ZERO_FN = PLFunc.constant(ZERO)
-
-
-def _positive_intervals(d: PLFunc) -> list[Interval]:
-    """Maximal open intervals where d > 0, with exact rational endpoints.
-
-    max(d, 0) breaks at every root of d, so d keeps one sign inside each of
-    its segments: a segment is positive when one of its ends is, and a zero
-    at a shared breakpoint splits the support there."""
-    out: list[Interval] = []
-    pts = pointwise_max(d, _ZERO_FN).breakpoints
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if y0 > 0 and out:  # continues the interval that ends at x0
-            out[-1] = (out[-1][0], x1)
-        elif y0 > 0 or y1 > 0:
-            out.append((x0, x1))
-    return out
 
 
 def sheet_support(s: Sheet) -> list[Interval]:
@@ -119,7 +97,7 @@ def generators(s: Sheet) -> tuple[Fraction, ...]:
 
 
 def delta_fn(s: Sheet, s_prime: Sheet, a) -> PLFunc:
-    """Headroom function Delta(y) = down'(y) - (a + up(y))."""
+    """Delta(y) = down'(y) - (a + up(y)), positive on B_a(y) (``b_interval``)."""
     return vshift(pointwise_sub(s_prime.down.f, s.up.f), -frac(a))
 
 
@@ -128,17 +106,14 @@ def b_interval(s: Sheet, s_prime: Sheet, y, a) -> Optional[Interval]:
     y, a = frac(y), frac(a)
     if not _in_support(s, y):
         raise NotInSupport(f"{y} is outside the support of the source sheet")
-    key = (s_prime, y, a)
-    if key not in s.headroom:
-        # y lies in a positive interval of Delta exactly when Delta(y) > 0
-        s.headroom[key] = next((iv for iv in _positive_intervals(
-            delta_fn(s, s_prime, a)) if iv[0] < y < iv[1]), None)
-    return s.headroom[key]
+    # y lies in a positive interval of Delta exactly when Delta(y) > 0
+    return next((iv for iv in positive_intervals(s_prime.down.f, vshift(s.up.f, a))
+                 if iv[0] < y < iv[1]), None)
 
 
 def codependence_class(s: Sheet, s_prime: Sheet, y, a) -> tuple[Fraction, ...]:
     """Generators of the source sheet pinned together at shift a: those inside
-    the headroom interval around y."""
+    the interval B_a(y) around y."""
     interval = b_interval(s, s_prime, y, a)
     if interval is None:
         return ()
@@ -164,7 +139,7 @@ def in_range_of_codependence(s: Sheet, s_prime: Sheet, y, a, b) -> bool:
 def elementary_exists(s: Sheet, s_prime: Sheet, y, a) -> bool:
     """Does an elementary morphism sending the generator at y to height
     a + up(y) exist?  Requires the image to land in the target sheet and the
-    shifted boundaries to nest over the whole headroom interval:
+    shifted boundaries to nest over the whole interval B_a(y):
     up' <= a + up < down' <= a + down on B_a(y)."""
     y, a = frac(y), frac(a)
     if y not in s.generators:
@@ -183,10 +158,8 @@ def elementary_exists(s: Sheet, s_prime: Sheet, y, a) -> bool:
 
 
 def _leq_on(f: PLFunc, g: PLFunc, lo: Fraction, hi: Fraction) -> bool:
-    """f <= g on [lo, hi], lo < hi: no positive interval of f - g meets it."""
-    return not any(
-        a < hi and lo < b for a, b in _positive_intervals(pointwise_sub(f, g))
-    )
+    """f <= g on [lo, hi], lo < hi: no interval where f > g meets it."""
+    return not any(a < hi and lo < b for a, b in positive_intervals(f, g))
 
 
 @dataclass(frozen=True)

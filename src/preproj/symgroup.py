@@ -21,10 +21,9 @@ from .errors import (
     LetterOutOfRange,
     NotMinimalRep,
     SizeMismatch,
-    TooLarge,
 )
 from .lanes import Lanes
-from .limits import scale_limit
+from .limits import guard
 
 Word = tuple[int, ...]
 
@@ -149,8 +148,7 @@ def is_reduced(word: Iterable[int], n: int) -> bool:
 def all_reduced_words(w: Perm) -> frozenset[Word]:
     """Every reduced word for w, by recursion on right descents, each
     permutation on the way once."""
-    if w.n > scale_limit():
-        raise TooLarge(f"n={w.n} exceeds the guard ({scale_limit()})")
+    guard(w.n)
 
     @lru_cache(maxsize=None)
     def rec(ol: tuple[int, ...]) -> frozenset[Word]:

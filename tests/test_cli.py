@@ -504,6 +504,8 @@ class TestCheckCommand:
     def test_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("PREPROJ_MAX_N", "4")
         assert main(["check", "bridge", "--n", "5"]) == 2
+        assert ("n=5 exceeds the guard (3); set PREPROJ_MAX_N to override"
+                in capsys.readouterr().err)
 
     def test_exhaustive_guard_is_tighter_than_targeted(self, capsys):
         # default limits: exhaustive sweeps stop at n=5, single-perm runs at n=6
@@ -800,8 +802,7 @@ class TestBridgePermutons:
             built.append(w.one_line)
             return true_from_perm(w)
 
-        for module in (permuton, continuous):
-            monkeypatch.setattr(module, "from_perm", counting)
+        monkeypatch.setattr(permuton, "from_perm", counting)
         code, lines = run(capsys, "check", "bridge", "--n", "5")
         assert code == 0 and lines[-1]["cases"] == 480
         assert len(built) == len(set(built)) == 120
@@ -1213,8 +1214,7 @@ class TestFailureWitnesses:
         assert not any("column" in r for r in lines[:-1] if r["ok"])
 
     def test_bridge_names_the_first_column_of_a_perturbed_row(self, monkeypatch):
-        for module in (permuton, continuous):  # continuous holds its own name
-            monkeypatch.setattr(module, "boundary_row", perturbed_rows(3, F(1, 3)))
+        monkeypatch.setattr(permuton, "boundary_row", perturbed_rows(3, F(1, 3)))
         cli._stripped.cache_clear()  # the runner reads the sweep's memo, as a sweep does
         seen = set()
         for w in all_perms(5):
@@ -1441,16 +1441,7 @@ class TestBrickAndSheet:
         assert code == 0 and lines[0]["cone"]["elementary"] is True
         assert len(scans) == 1
 
-    def test_sheet_analyze_finds_one_headroom_interval(self, capsys, tmp_path,
-                                                       monkeypatch):
-        deltas = []
-        delta_fn = sheets.delta_fn
-
-        def counting(s, s_prime, a):
-            deltas.append(a)
-            return delta_fn(s, s_prime, a)
-
-        monkeypatch.setattr(sheets, "delta_fn", counting)
+    def test_sheet_analyze_finds_one_headroom_interval(self, capsys, tmp_path):
         h = F(1, 2)
         sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
         path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
@@ -1458,7 +1449,6 @@ class TestBrickAndSheet:
                           "--cone", "1/2,1/4", "--codep", "1/2,1/4")
         assert code == 0 and lines[0]["cone"]["b_interval"] == ["1/8", "7/8"]
         assert lines[0]["codependence"]["class"] == ["1/2"]
-        assert len(deltas) == 1
 
     def test_sheet_analyze_many_prime_denominators(self, capsys, tmp_path):
         # a zigzag through x_t = t/N + 1/(4 N p_t), p_t the first primes above

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim, is_full,
                       is_zero_sub, member, member_quot, random_bfunc, random_permuton, to_rep,
                       top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs, u_quot)
-from preproj import continuous, permuton
+from preproj import permuton
 from preproj.continuous import (
     PermutonIdeal,
     d_sub,
@@ -270,8 +270,7 @@ class TestBridgeOnRows:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_perturbed_rows(self, monkeypatch, seed):
-        for module in (permuton, continuous):
-            monkeypatch.setattr(module, "boundary_row", perturbed_row(seed, F(1, 3)))
+        monkeypatch.setattr(permuton, "boundary_row", perturbed_row(seed, F(1, 3)))
         rng = random.Random(seed)
         seen = set()
         for n in range(2, 8):
@@ -290,8 +289,7 @@ class TestBridgeOnRows:
         mu = from_perm(w)
         true_row = permuton.boundary_row
         for c in range(6):
-            for module in (permuton, continuous):
-                monkeypatch.setattr(module, "boundary_row", moved_sample(true_row, c, delta))
+            monkeypatch.setattr(permuton, "boundary_row", moved_sample(true_row, c, delta))
             for i in range(1, 5):
                 assert finite_vs_continuous(w, i, mu) is bridge_by_plfuncs(w, i, mu) is False
 

@@ -745,7 +745,8 @@ class TestTauRigidity:
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv("PREPROJ_MAX_N", "4")
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge,
+                           match=r"n=5 exceeds the guard \(4\); set PREPROJ_MAX_N to override"):
             is_tau_rigid_ideal(Perm.identity(5))
 
 

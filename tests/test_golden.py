@@ -9,6 +9,12 @@ every case), the homvanish and twosided defaults, ideal perm at n = 12, 16, 20, 
 curve-module files at the same sizes.  Two sampled sweeps at n = 10, under
 PREPROJ_MAX_N=10, pin the JSON-array form of the labels; their digests were
 taken from the program that still picked a sample from the listed S_n.
+
+Sheet analyze on fixed sheets (two bubbles, curves touching at a breakpoint,
+curves crossing between breakpoints, a second sheet as target, and shifts
+that split or empty the headroom interval), ideal permuton at an apex off
+its grid, and both permuton orders on a pair on coprime grids were pinned
+while every sign question of a sheet was still read off max(d, 0).
 """
 
 import hashlib
@@ -43,13 +49,70 @@ def deep_sub_units(i: int, n: int) -> list[int]:
     return [max(abs(j - i), d - (d - i - j) % 2) for j in range(n + 1)]
 
 
-def curve_file(tmp_path, name: str, i: int, n: int, units: list[int]) -> str:
-    """A curve-module JSON file, its values written by Fraction itself."""
-    payload = {"type": "curve_module", "n": n, "i": i, "kind": "sub",
-               "curve": [str(Fraction(u, n)) for u in units]}
+def json_file(tmp_path, name: str, payload: dict) -> str:
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def curve_file(tmp_path, name: str, i: int, n: int, units: list[int]) -> str:
+    """A curve-module JSON file, its values written by Fraction itself."""
+    return json_file(tmp_path, name, {"type": "curve_module", "n": n, "i": i, "kind": "sub",
+                                      "curve": [str(Fraction(u, n)) for u in units]})
+
+
+def curve(*points: tuple[str, str]) -> dict:
+    """A boundary curve at apex 1/2 through the given (x, y) literals."""
+    return {"k": "1/2", "breakpoints": [list(p) for p in points]}
+
+
+# sheets at apex 1/2: (up, down)
+SHEETS = {
+    # up has valleys at 1/4 and 3/4; down meets it at 1/2, a breakpoint of both
+    "two-bubble": (
+        curve(("0", "1/2"), ("1/4", "1/4"), ("1/2", "1/2"), ("3/4", "1/4"), ("1", "1/2")),
+        curve(("0", "1/2"), ("1/4", "3/4"), ("1/2", "1/2"), ("3/4", "3/4"), ("1", "1/2")),
+    ),
+    # down touches up at 1/2, a breakpoint of both, and stays below it elsewhere
+    "touch": (
+        curve(("0", "1/2"), ("3/10", "1/5"), ("1/2", "2/5"), ("1", "1/2")),
+        curve(("0", "1/2"), ("1/5", "7/10"), ("1/2", "2/5"), ("3/4", "13/20"), ("1", "1/2")),
+    ),
+    # down crosses up at 2/5 and 3/5, where neither curve breaks
+    "cross": (
+        curve(("0", "1/2"), ("1/10", "2/5"), ("1/5", "1/2"), ("1", "1/2")),
+        curve(("0", "1/2"), ("1/5", "7/10"), ("1/2", "2/5"), ("4/5", "7/10"), ("1", "1/2")),
+    ),
+    # up has valleys at 2/5 and 3/5, down dips between them
+    "roof": (
+        curve(("0", "1/2"), ("2/5", "1/10"), ("1/2", "1/5"), ("3/5", "1/10"), ("1", "1/2")),
+        curve(("0", "1/2"), ("2/5", "9/10"), ("1/2", "4/5"), ("3/5", "9/10"), ("1", "1/2")),
+    ),
+}
+
+# label -> (sheet, target sheet or None, --cone, --codep)
+SHEET_RUNS = {
+    "two-bubble": ("two-bubble", None, "1/4,0", "3/4,1/8"),
+    "touch": ("touch", None, "3/10,0", "3/10,1/10"),
+    "cross": ("cross", None, "1/10,0", "1/10,1/20"),
+    "against": ("roof", "two-bubble", "2/5,0", "3/5,1/10"),
+    "split": ("roof", None, "2/5,7/10", "3/5,7/10"),
+    "empty": ("roof", None, "2/5,1", "1/2,4/5"),
+}
+
+# permutons on coprime grids, 2 and 3: "three" is incomparable with "two" and
+# comparable with "anti"
+PERMUTONS = {
+    "two": {"m": 2, "mass": [["3/8", "1/8"], ["1/8", "3/8"]]},
+    "anti": {"m": 2, "mass": [["1/8", "3/8"], ["3/8", "1/8"]]},
+    "three": {"m": 3, "mass": [["1/6", "1/6", "0"], ["1/6", "0", "1/6"],
+                               ["0", "1/6", "1/6"]]},
+}
+
+
+def sheet_file(tmp_path, name: str) -> str:
+    up, down = SHEETS[name]
+    return json_file(tmp_path, f"sheet-{name}", {"k": "1/2", "up": up, "down": down})
 
 
 def argvs(tmp_path) -> dict[str, list[str]]:
@@ -69,6 +132,16 @@ def argvs(tmp_path) -> dict[str, list[str]]:
                             ("deep", deep_sub_units(i, n))):
             path = curve_file(tmp_path, f"{name}{n}", i, n, units)
             runs[f"brick check {name} {n}"] = ["brick", "check", path]
+    for label, (name, target, cone, codep) in SHEET_RUNS.items():
+        argv = ["sheet", "analyze", sheet_file(tmp_path, name), "--cone", cone, "--codep", codep]
+        if target is not None:
+            argv += ["--against", sheet_file(tmp_path, target)]
+        runs[f"sheet analyze {label}"] = argv
+    files = {name: json_file(tmp_path, name, mu) for name, mu in PERMUTONS.items()}
+    runs["ideal permuton --at 2/7"] = ["ideal", "permuton", files["three"], "--at", "2/7"]
+    for what in ("ideal", "permuton"):
+        for name in ("two", "anti"):
+            runs[f"order {what} {name} three"] = ["order", what, files[name], files["three"]]
     return runs
 
 
@@ -115,6 +188,17 @@ GOLDEN = {
     "ideal perm 12": ("c1c680472b58d1161b93f5af95134f4a4d6ebbb72d599204a78dfd4e60fd4168", 0),
     "ideal perm 16": ("caf7141c79c0513bd94c96cb7104acdb46c9b5e7ea3ee6b886ec38f4e39daf1e", 0),
     "ideal perm 20": ("47320c0f4175fad4b9fb9bdde8096dc67d937a1fe63b8951baf92f9e76abad9a", 0),
+    "ideal permuton --at 2/7": ("812ac566327aa09b8c628b78230382e73ad441b9f21ab73ceba56e451027339a", 0),
+    "order ideal anti three": ("a11a05b22e2cea3694e79e5093c6af2b5c11991e33e546a45d62c04d67f2ef97", 0),
+    "order ideal two three": ("c2a8f721700752023d5f5c8f168ef3e9eeb29527ed7a25177033d105726ff2e3", 0),
+    "order permuton anti three": ("729d7f5168c01c455080683319c6f18de133d825e225920798e7b8654231ef6e", 0),
+    "order permuton two three": ("c2a8f721700752023d5f5c8f168ef3e9eeb29527ed7a25177033d105726ff2e3", 0),
+    "sheet analyze against": ("d340ea12a7bb6ce063d0e0384082524ee5582c62c05465161ef58df84574e576", 0),
+    "sheet analyze cross": ("ef688b1b3846c16e9afe01057652e4edbad83c2f53cb5d602ac00056d842849a", 0),
+    "sheet analyze empty": ("6d62ef75a208f337b17d22ee67101f0da0d080ac926c89fbcf00ddbacc52958e", 0),
+    "sheet analyze split": ("f1f38599eb1c6892c9f6813718163e1c8c156150dfa72965465243aa66256ad0", 0),
+    "sheet analyze touch": ("0f0f07d00b4a8793f3575f74ed5e27cf62d5182bf0be975d5d5a2214dd657b90", 0),
+    "sheet analyze two-bubble": ("1cd4c4b8ebcfbf0cc7645c5fbe10672baba89b6ec6fe02448719cd746aae1b32", 0),
 }
 
 

@@ -27,12 +27,12 @@ from preproj.errors import (
 )
 from preproj.finite import CurveModule, Kind, projective
 from preproj import sheets
-from preproj.plfunc import BFunc, PLFunc, bottom_curve, pointwise_sub, top_curve
+from preproj.plfunc import (BFunc, PLFunc, bottom_curve, pointwise_sub, positive_intervals,
+                            top_curve)
 from preproj.sheets import (
     SawtoothDesc,
     SimpleModule,
     _leq_on,
-    _positive_intervals,
     b_interval,
     codependence_class,
     decorous_cover,
@@ -100,14 +100,60 @@ class TestSheetBasics:
         assert sheet_support(sheet) == [(F(0), F(2, 5)), (F(3, 5), F(1))]
 
 
+def meeting_kinds(d: PLFunc) -> set[str]:
+    """How the two curves with difference d meet, read off d's breakpoints."""
+    ys = [y for _, y in d.breakpoints]
+    kinds = {"cross" for y0, y1 in zip(ys, ys[1:]) if y0 * y1 < 0}
+    kinds |= {"segment" for y0, y1 in zip(ys, ys[1:]) if y0 == y1 == 0}
+    kinds |= {"touch" for y in ys if y == 0}
+    return kinds or {"apart"}
+
+
+def random_sheet(rng: random.Random, i: int, n: int) -> sheets.Sheet:
+    """A sheet at apex i/n on two random lattice curves, which may cross."""
+    k = F(i, n)
+    up, down = (BFunc(k, PLFunc.from_lattice(n, random_curve(i, n, rng).units, n))
+                for _ in range(2))
+    return sheet_new(k, up, down)
+
+
 class TestSignRoutes:
-    """The breakpoint scan of max(d, 0) against the at-based routes it replaced."""
+    """plfunc.positive_intervals, the one reader of every sign question of a
+    sheet, against the at-based routes it replaced."""
 
     def test_positive_intervals_match_oracle(self):
         rng = random.Random(8)
-        for _ in range(5000):
+        kinds = set()
+        for t in range(5000):
             d = random_signed_plfunc(rng)
-            assert _positive_intervals(d) == positive_intervals_by_at(d), d
+            f = random_signed_plfunc(rng, 4)
+            g = pointwise_sub(f, d)  # f - g = d
+            if t % 2:  # two curves on unrelated grids
+                g = random_signed_plfunc(rng)
+                d = pointwise_sub(f, g)
+            assert positive_intervals(f, g) == positive_intervals_by_at(d), (f, g)
+            kinds |= meeting_kinds(d)
+        assert kinds == {"cross", "touch", "segment", "apart"}
+
+    def test_b_interval_matches_oracle(self):
+        rng = random.Random(10)
+        found = set()
+        for _ in range(400):
+            n = rng.randint(2, 8)
+            i = rng.randint(1, n - 1)
+            s = random_sheet(rng, i, n)
+            scale = rng.randint(1, 3)
+            target = random_sheet(rng, i * scale, n * scale)
+            ys = [y for y in (F(t, 4 * n) for t in range(1, 4 * n))
+                  if any(lo < y < hi for lo, hi in s.support)]
+            if not ys:
+                continue
+            y, a = rng.choice(ys), F(rng.randint(-2, 2 * n), 2 * n)
+            expected = next((iv for iv in positive_intervals_by_at(delta_fn(s, target, a))
+                             if iv[0] < y < iv[1]), None)
+            assert b_interval(s, target, y, a) == expected, (s, target, y, a)
+            found.add(expected is None)
+        assert found == {True, False}
 
     def test_leq_on_matches_oracle(self):
         rng = random.Random(9)
@@ -129,10 +175,10 @@ class TestSignRoutes:
     def test_support_found_once(self, monkeypatch):
         sheet = sheet_new(H, W_UP, M_ROOF)
 
-        def refuse(d):
+        def refuse(f, g):
             raise AssertionError("support recomputed")
 
-        monkeypatch.setattr(sheets, "_positive_intervals", refuse)
+        monkeypatch.setattr(sheets, "positive_intervals", refuse)
         assert sheet_support(sheet) == list(sheet.support)
         assert is_deep_sheet(sheet)
         assert generators(sheet) == (F(2, 5), F(3, 5))

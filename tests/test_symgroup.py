@@ -127,7 +127,8 @@ class TestAllReducedWords:
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv("PREPROJ_MAX_N", "4")
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge,
+                           match=r"n=5 exceeds the guard \(4\); set PREPROJ_MAX_N to override"):
             all_reduced_words(Perm.identity(5))
 
     def test_guard_override(self, monkeypatch):
