@@ -5,14 +5,7 @@ Run:  python demos/permuton_bridge.py
 
 from fractions import Fraction as F
 
-from preproj.continuous import (
-    PermutonIdeal,
-    finite_vs_continuous,
-    ideal_leq,
-    ideal_summand,
-    left_act,
-    tau_rigidity_cert,
-)
+from preproj.continuous import bridge_mismatch, ideal_leq, left_act, tau_rigidity_cert
 from preproj.permuton import boundary_function, from_perm, permuton_bruhat_leq, uniform
 from preproj.plfunc import pointwise_leq
 from preproj.symgroup import Perm, all_perms, bruhat_leq
@@ -28,15 +21,15 @@ for j in range(1, 5):
 
 print("\n== The bridge: curves of I_w equal permuton boundary curves ==")
 print("at apex i/5 the permuton summand reproduces the ideal curve exactly:")
-print("  all i:", all(finite_vs_continuous(w, i) for i in range(1, 5)))
+print("  all i:", all(bridge_mismatch(w, i) is None for i in range(1, 5)))
 print("  every w in S_5, every i:",
-      all(finite_vs_continuous(v, i) for v in all_perms(5) for i in range(1, 5)))
+      all(bridge_mismatch(v, i) is None for v in all_perms(5) for i in range(1, 5)))
 
 print("\n== Worked permutons ==")
 print("uniform measure: every summand is the chord from (0,a) to (1,1-a):")
 for a in (F(1, 4), F(1, 2)):
-    d = ideal_summand(PermutonIdeal(uniform(4)), a)
-    print(f"  a={a}:", [(str(x), str(v)) for x, v in d.b.f.breakpoints])
+    d = boundary_function(uniform(4), a)
+    print(f"  a={a}:", [(str(x), str(v)) for x, v in d.f.breakpoints])
 
 print("\n== The permuton Bruhat order restricts to the classical one ==")
 agree = all(
@@ -46,8 +39,7 @@ agree = all(
 )
 print("  576 ordered pairs in S_4 agree:", agree)
 print("  and ideal inclusion runs opposite to the order:",
-      ideal_leq(PermutonIdeal(from_perm(Perm((3, 2, 1)))),
-                PermutonIdeal(from_perm(Perm((2, 3, 1))))))
+      ideal_leq(from_perm(Perm((3, 2, 1))), from_perm(Perm((2, 3, 1)))))
 
 print("\n== Two-sidedness of the ideal ==")
 pushed = left_act(boundary_function(mu, F(3, 5)), F(2, 5))

@@ -2,13 +2,8 @@
 type A and their continuous, permuton-indexed analogues."""
 
 from .continuous import (
-    DecorousSub,
-    PermutonIdeal,
-    d_sub,
-    finite_vs_continuous,
     hom_vanishing_cert,
     ideal_leq,
-    ideal_summand,
     left_act,
     staircase,
     tau_rigidity_cert,

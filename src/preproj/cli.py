@@ -137,8 +137,7 @@ def cmd_ideal_perm(args) -> int:
 
 def cmd_ideal_permuton(args) -> int:
     mu = _load_permuton(args.file)
-    summand = continuous.ideal_summand(continuous.PermutonIdeal(mu), frac(args.at))
-    _emit(jsonio.bfunc_to_json(summand.b))
+    _emit(jsonio.bfunc_to_json(permuton.boundary_function(mu, args.at)))
     return 0
 
 
@@ -149,10 +148,7 @@ def cmd_ideal_permuton(args) -> int:
 _ORDERS = {
     "bruhat": (parse_perm, symgroup.bruhat_leq),
     "permuton": (_load_permuton, permuton.permuton_bruhat_leq),
-    "ideal": (
-        lambda path: continuous.PermutonIdeal(_load_permuton(path)),
-        continuous.ideal_leq,
-    ),
+    "ideal": (_load_permuton, continuous.ideal_leq),
 }
 
 
@@ -353,8 +349,7 @@ def _case_homvanish(task) -> tuple[str, int, int]:
     if apexes:
         return _lines([_record("homvanish", label, "apexes", apexes)])
     # Hom on the curves (HomLanes) of the summands' staircases at the apexes t/8
-    ideal = continuous.PermutonIdeal(mu)
-    summands = [continuous.staircase(continuous.ideal_summand(ideal, Fraction(t, 8)), 8)
+    summands = [continuous.staircase(permuton.boundary_function(mu, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
     pair = finite.tau_rigid_witness([m.curve.units for m in summands], _HOMS)
     return _lines([_record("homvanish", label, "pair", pair)])

@@ -1,15 +1,15 @@
 """Decorous sub/quotient modules of continuous projectives and permuton ideals.
 
-A decorous submodule of the continuous projective P_k is determined by a
-boundary curve in the class of P_k (a BFunc at apex k): the pathlike element
-of length l in column x belongs to the submodule iff f(x) <= l < bottom(x),
-where bottom is the lower boundary of the diamond.  The quotient by it keeps
-the lengths with top(x) <= l < f(x).
+A decorous submodule of the continuous projective P_k is its boundary curve,
+a BFunc at apex k: the pathlike element of length l in column x belongs to
+the submodule iff f(x) <= l < bottom(x), where bottom is the lower boundary
+of the diamond.  The quotient by it keeps the lengths with top(x) <= l < f(x).
+A permuton ideal is its GridPermuton mu; its summand inside P_a is
+boundary_function(mu, a).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
@@ -23,32 +23,6 @@ from .plfunc import (BFunc, MonotoneClass, bottom_curve, monotone_class, pointwi
                      pointwise_min, pointwise_sub, vshift)
 from .rat import frac
 from .symgroup import Perm
-
-
-@dataclass(frozen=True)
-class DecorousSub:
-    """Decorous submodule of P_k, boundary from above (deeper lengths kept)."""
-
-    b: BFunc
-
-
-def d_sub(f: BFunc) -> DecorousSub:
-    return DecorousSub(f)
-
-
-@dataclass(frozen=True)
-class PermutonIdeal:
-    """The two-sided ideal of a permuton; summands materialised per query."""
-
-    mu: GridPermuton
-
-
-def ideal_summand(ideal: PermutonIdeal, a) -> DecorousSub:
-    """The summand of the ideal inside P_a."""
-    a = frac(a)
-    if not 0 < a < 1:
-        raise DomainError(f"apex {a} outside (0,1)")
-    return d_sub(boundary_function(ideal.mu, a))
 
 
 def left_act(f: BFunc, p) -> BFunc:
@@ -65,14 +39,13 @@ def left_act(f: BFunc, p) -> BFunc:
     return BFunc(p, g)
 
 
-def ideal_leq(a: PermutonIdeal, b: PermutonIdeal) -> bool:
+def ideal_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
     """Ideal inclusion I_mu <= I_nu, decided two ways and cross-checked:
     summand curves of mu dominate those of nu at every interior apex y of the
     union grid, equivalently cdf(mu) <= cdf(nu) everywhere.  Those apexes
     suffice: the curve gap at (x, y) is 2 (cdf(nu) - cdf(mu)), which for fixed
     x is linear in y between union rows (both CDFs are bilinear on union
     cells) and vanishes at y = 0 and y = 1."""
-    mu, nu = a.mu, b.mu
     big, ticks = union_ticks(mu.m, nu.m)
     by_curves = all(
         pointwise_leq(boundary_function(nu, y).f, boundary_function(mu, y).f)
@@ -115,12 +88,6 @@ def bridge_mismatch(w: Perm, i: int, mu: GridPermuton | None = None,
     scale = q * q * mu.den
     return next((c for c, (u, v) in enumerate(zip(discrete, permuton.boundary_row(mu, p, q)))
                  if u * scale != v), None)
-
-
-def finite_vs_continuous(w: Perm, i: int, mu: GridPermuton | None = None,
-                         stripped=stripped_summand) -> bool:
-    """Does bridge_mismatch find no column: the two curves agree?"""
-    return bridge_mismatch(w, i, mu, stripped) is None
 
 
 def twosided_witness(mu: GridPermuton) -> list | None:
@@ -196,18 +163,18 @@ def tau_rigidity_cert(mu: GridPermuton, a, b) -> MonotoneClass:
     return cert
 
 
-def staircase(d: DecorousSub, n: int) -> CurveModule:
+def staircase(b: BFunc, n: int) -> CurveModule:
     """Discretise with refinement: replace the boundary by the finest +-1
     staircase above it on the 1/n grid (largest lattice value <= f at each
     column, on the parity lattice of the diamond)."""
-    n = int(n)
-    k = d.b.k
+    permuton._check_size(n)
+    k = b.k
     if (k * n).denominator != 1:
         raise NotGridAligned(f"apex {k} not on the 1/{n} grid")
     i = int(k * n)
     units = []
     for j in range(n + 1):
-        t = d.b.f.at(Fraction(j, n)) * n
+        t = b.f.at(Fraction(j, n)) * n
         fl = t.numerator // t.denominator
         if (fl - i - j) % 2:
             fl -= 1

@@ -126,9 +126,6 @@ class PLFunc:
         a, b, c = _line(pts[lo], pts[hi])
         return Fraction(-(a * p + c * q), b * q)
 
-    def slopes(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(rise, run) for rise, run in _steps(self))
-
     def on(self, lo, hi) -> list[tuple[Fraction, Fraction]]:
         """The points of f restricted to [lo, hi]: both ends and every
         breakpoint strictly between."""
@@ -272,9 +269,6 @@ class BFunc:
             raise DomainError("curve endpoints must be f(0)=k, f(1)=1-k")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "f", f)
-
-    def at(self, x) -> Fraction:
-        return self.f.at(x)
 
 
 def to_bfunc(f: PLFunc) -> BFunc:

@@ -25,7 +25,7 @@ from .errors import (
     NotInSupport,
 )
 from .finite import CurveModule, band, curve_hom_dim
-from .plfunc import BFunc, PLFunc, pointwise_sub, positive_intervals, to_bfunc, vshift
+from .plfunc import BFunc, PLFunc, _steps, pointwise_sub, positive_intervals, to_bfunc, vshift
 from .rat import frac
 
 ZERO = Fraction(0)
@@ -54,13 +54,13 @@ class Sheet:
 
     @cached_property
     def generators(self) -> tuple[Fraction, ...]:
-        """The scan behind ``sheets.generators``, which documents it."""
-        slopes = self.up.f.slopes()
-        pts = self.up.f.breakpoints
-        return tuple(
-            pts[t][0] for t in range(1, len(pts) - 1)
-            if slopes[t - 1] < 1 and slopes[t] > -1 and _in_support(self, pts[t][0])
-        )
+        """The scan behind ``sheets.generators``, which documents it, on the
+        integer (rise, run) of the segments either side of each interior
+        breakpoint: slope < 1 is rise < run and slope > -1 is rise > -run."""
+        steps = _steps(self.up.f)
+        return tuple(y for (x, _, w), (rise0, run0), (rise1, run1)
+                     in zip(self.up.f._pts[1:], steps, steps[1:])
+                     if rise0 < run0 and rise1 > -run1 and _in_support(self, y := Fraction(x, w)))
 
 
 def sheet_new(k, up: BFunc, down: BFunc) -> Sheet:
@@ -106,9 +106,12 @@ def b_interval(s: Sheet, s_prime: Sheet, y, a) -> Optional[Interval]:
     y, a = frac(y), frac(a)
     if not _in_support(s, y):
         raise NotInSupport(f"{y} is outside the support of the source sheet")
-    # y lies in a positive interval of Delta exactly when Delta(y) > 0
-    return next((iv for iv in positive_intervals(s_prime.down.f, vshift(s.up.f, a))
-                 if iv[0] < y < iv[1]), None)
+    return _around(y, s_prime.down.f, vshift(s.up.f, a))
+
+
+def _around(y: Fraction, f: PLFunc, g: PLFunc) -> Optional[Interval]:
+    """The maximal open interval around y where f > g; None if f(y) <= g(y)."""
+    return next((iv for iv in positive_intervals(f, g) if iv[0] < y < iv[1]), None)
 
 
 def codependence_class(s: Sheet, s_prime: Sheet, y, a) -> tuple[Fraction, ...]:
@@ -140,21 +143,19 @@ def elementary_exists(s: Sheet, s_prime: Sheet, y, a) -> bool:
     """Does an elementary morphism sending the generator at y to height
     a + up(y) exist?  Requires the image to land in the target sheet and the
     shifted boundaries to nest over the whole interval B_a(y):
-    up' <= a + up < down' <= a + down on B_a(y)."""
+    up' <= a + up < down' <= a + down on B_a(y).  B_a(y) exists exactly when
+    a + up(y) < down'(y), and it contains y, so _leq_on decides up'(y) <=
+    a + up(y) too."""
     y, a = frac(y), frac(a)
     if y not in s.generators:
         raise NotGenerator(f"{y} is not a generator of the source sheet")
-    if not (s_prime.up.f.at(y) <= a + s.up.f.at(y) < s_prime.down.f.at(y)):
-        return False
-    interval = b_interval(s, s_prime, y, a)
+    up = vshift(s.up.f, a)
+    interval = _around(y, s_prime.down.f, up)
     if interval is None:
         return False
     lo, hi = interval
-    up_shift = vshift(s.up.f, a)
-    down_shift = vshift(s.down.f, a)
-    return _leq_on(s_prime.up.f, up_shift, lo, hi) and _leq_on(
-        s_prime.down.f, down_shift, lo, hi
-    )
+    return (_leq_on(s_prime.up.f, up, lo, hi)
+            and _leq_on(s_prime.down.f, vshift(s.down.f, a), lo, hi))
 
 
 def _leq_on(f: PLFunc, g: PLFunc, lo: Fraction, hi: Fraction) -> bool:

@@ -13,8 +13,7 @@ from operator import ge, le
 from typing import Iterable
 
 from preproj import permuton, plfunc
-from preproj.continuous import (DecorousSub, PermutonIdeal, hom_vanishing_cert, ideal_summand,
-                                left_act, staircase)
+from preproj.continuous import hom_vanishing_cert, left_act, staircase
 from preproj.errors import (DomainError, IndexOutOfRange, LetterOutOfRange, NotGridAligned,
                             NotLipschitz, NotMinimalRep, ParseError, SizeMismatch)
 from preproj.finite import (CurveModule, DiamondCurve, band, factors, ideal_of, ideal_via_word,
@@ -26,7 +25,7 @@ from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_f
 from preproj.plfunc import (BFunc, MonotoneClass, PLFunc, _merged, bottom_curve, pointwise_leq,
                             to_bfunc, top_curve, vshift)
 from preproj.rat import frac, rat_str
-from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
+from preproj.sheets import SawtoothDesc, Sheet, SimpleModule, _leq_on, b_interval
 from preproj.symgroup import (Perm, all_perms, all_reduced_words,
                               canonical_reduced_word_of_rep, length, min_coset_rep)
 
@@ -473,8 +472,7 @@ def homvanish_by_plfuncs(mu: GridPermuton) -> bool:
     certs = {hom_vanishing_cert(f, g) for f in curves for g in curves}
     solver_ok = True
     if mu.m <= 4:
-        ideal = PermutonIdeal(mu)
-        summands = [staircase(ideal_summand(ideal, Fraction(r, mu.m)), 8)
+        summands = [staircase(boundary_function(mu, Fraction(r, mu.m)), 8)
                     for r in range(1, mu.m) if (Fraction(r, mu.m) * 8).denominator == 1]
         solver_ok = all(hom_dim(to_rep(a), to_rep(tau_sub(b))) == 0
                         for a in summands for b in summands)
@@ -1004,48 +1002,37 @@ def zero_rep(n: int) -> QuiverRep:
     return factor_rep(n, ())
 
 
-@dataclass(frozen=True)
-class DecorousQuot:
-    """Decorous quotient of P_k, boundary from below (shallower lengths kept);
-    formerly ``continuous.DecorousQuot``."""
-
-    b: BFunc
-
-
-def u_quot(f: BFunc) -> DecorousQuot:
-    return DecorousQuot(f)
-
-
-def member(d: DecorousSub, x, length) -> bool:
-    """Does the pathlike of the given length at column x lie in the submodule?
-    (formerly ``continuous.member``)"""
+def member(b: BFunc, x, length) -> bool:
+    """Does the pathlike of the given length at column x lie in the decorous
+    submodule bounded by b?  (formerly ``continuous.member``)"""
     x, length = frac(x), frac(length)
     if not 0 < x < 1:
         raise DomainError(f"column {x} outside (0,1)")
     if length < 0:
         raise DomainError("lengths are nonnegative")
-    return d.b.f.at(x) <= length < bottom_at(d.b.k, x)
+    return b.f.at(x) <= length < bottom_at(b.k, x)
 
 
-def member_quot(u: DecorousQuot, x, length) -> bool:
+def member_quot(b: BFunc, x, length) -> bool:
     """Does the pathlike of the given length at column x survive in the
-    quotient?  (formerly ``continuous.member_quot``)"""
+    decorous quotient by the submodule bounded by b, boundary from below
+    (shallower lengths kept)?  (formerly ``continuous.member_quot``)"""
     x, length = frac(x), frac(length)
     if not 0 < x < 1:
         raise DomainError(f"column {x} outside (0,1)")
     if length < 0:
         raise DomainError("lengths are nonnegative")
-    return top_at(u.b.k, x) <= length < u.b.f.at(x)
+    return top_at(b.k, x) <= length < b.f.at(x)
 
 
-def is_full(d: DecorousSub) -> bool:
+def is_full(b: BFunc) -> bool:
     """All of P_k: the boundary is the diamond's top curve."""
-    return d.b.f == top_curve(d.b.k)
+    return b.f == top_curve(b.k)
 
 
-def is_zero_sub(d: DecorousSub) -> bool:
+def is_zero_sub(b: BFunc) -> bool:
     """The zero submodule: the boundary is the diamond's bottom curve."""
-    return d.b.f == bottom_curve(d.b.k)
+    return b.f == bottom_curve(b.k)
 
 
 def cone_contains(s: Sheet, s_prime: Sheet, y, a, z, b) -> bool:
@@ -1131,19 +1118,19 @@ def module_to_json(module) -> dict:
     raise ParseError(f"not a module descriptor: {module!r}")
 
 
-def discretize(d: DecorousSub, n: int) -> CurveModule:
+def discretize(b: BFunc, n: int) -> CurveModule:
     """Read an already grid-aligned boundary as a diamond curve: its
     staircase, which must trace the boundary exactly (apex i/n, breakpoints
     on the 1/n grid, +-1 slopes between samples); formerly
     ``continuous.discretize``."""
-    module = staircase(d, n)
-    if as_plfunc(module.curve) != d.b.f:
+    module = staircase(b, n)
+    if as_plfunc(module.curve) != b.f:
         raise NotGridAligned(f"boundary is not a +-1 staircase on the 1/{n} grid")
     return module
 
 
 def bridge_by_plfuncs(w: Perm, i: int, mu: GridPermuton) -> bool:
-    """finite_vs_continuous's former route: summand i of the whole stripped
+    """The bridge verdict by its former route: summand i of the whole stripped
     ideal, as a PLFunc, against the permuton's boundary function at i/n.  A
     row that is no boundary curve (BFunc refuses it) is no summand's curve."""
     rep = min_coset_rep(w, i)
@@ -1205,3 +1192,29 @@ def homvanish_apexes_by_all_pairs(mu: GridPermuton) -> list | None:
     return next(([s, t] for s, a in enumerate(steps, 1) for t, b in enumerate(steps, 1)
                  if plfunc.rises_class([x - y for x, y in zip(a, b)])
                  is MonotoneClass.NEITHER), None)
+
+
+def generators_by_slopes(s: Sheet) -> tuple[Fraction, ...]:
+    """The breakpoints of the upper boundary inside the support whose left
+    slope is < 1 and right slope is > -1, read on Fraction breakpoints and
+    slopes (the former ``Sheet.generators`` scan)."""
+    slopes = slopes_by_fractions(s.up.f)
+    pts = s.up.f.breakpoints
+    return tuple(pts[t][0] for t in range(1, len(pts) - 1)
+                 if slopes[t - 1] < 1 and slopes[t] > -1
+                 and any(lo < pts[t][0] < hi for lo, hi in s.support))
+
+
+def elementary_exists_by_at(s: Sheet, s_prime: Sheet, y, a) -> bool:
+    """The elementary-morphism verdict with its former pointwise pre-check
+    up'(y) <= a + up(y) < down'(y), read by ``at``, and the interval test
+    behind it on up shifted twice (the former ``sheets.elementary_exists``)."""
+    y, a = frac(y), frac(a)
+    if not (s_prime.up.f.at(y) <= a + s.up.f.at(y) < s_prime.down.f.at(y)):
+        return False
+    interval = b_interval(s, s_prime, y, a)
+    if interval is None:
+        return False
+    lo, hi = interval
+    return (_leq_on(s_prime.up.f, vshift(s.up.f, a), lo, hi)
+            and _leq_on(s_prime.down.f, vshift(s.down.f, a), lo, hi))

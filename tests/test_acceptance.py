@@ -12,14 +12,7 @@ from fractions import Fraction as F
 
 from conftest import (as_plfunc, hom_dim, hom_lengths, is_full, is_zero_sub, random_curve,
                       rep_is_deep, sawtooth_rep, to_rep)
-from preproj.continuous import (
-    PermutonIdeal,
-    ideal_leq,
-    ideal_summand,
-    left_act,
-    staircase,
-    tau_rigidity_cert,
-)
+from preproj.continuous import ideal_leq, left_act, staircase, tau_rigidity_cert
 from preproj.finite import (
     CurveModule,
     Kind,
@@ -136,7 +129,7 @@ def test_criterion_4_bruhat_equivalence():
 def test_criterion_5_ideal_inclusion_routes():
     with criterion(5, "ideal-inclusion-vs-order", 60.0):
         perms = list(all_perms(4))
-        ideals = {w.one_line: PermutonIdeal(from_perm(w)) for w in perms}
+        ideals = {w.one_line: from_perm(w) for w in perms}
         curves = {w.one_line: ideal_of(w) for w in perms}
         for u in perms:
             for v in perms:
@@ -151,15 +144,15 @@ def test_criterion_5_ideal_inclusion_routes():
 
 def test_criterion_6_worked_permuton_examples():
     with criterion(6, "worked-permuton-examples", 30.0):
-        identity = PermutonIdeal(from_perm(Perm.identity(5)))
+        identity = from_perm(Perm.identity(5))
         for a in (F(1, 5), F(2, 5), F(3, 5), F(4, 5)):
-            assert is_full(ideal_summand(identity, a))
-        reversal = PermutonIdeal(from_perm(Perm((5, 4, 3, 2, 1))))
+            assert is_full(boundary_function(identity, a))
+        reversal = from_perm(Perm((5, 4, 3, 2, 1)))
         for a in (F(1, 5), F(2, 5), F(3, 5), F(4, 5)):
-            assert is_zero_sub(ideal_summand(reversal, a))
-        flat = PermutonIdeal(uniform(4))
+            assert is_zero_sub(boundary_function(reversal, a))
+        flat = uniform(4)
         for a in (F(1, 4), F(1, 2), F(3, 4)):
-            assert ideal_summand(flat, a).b.f == PLFunc([(0, a), (1, 1 - a)])
+            assert boundary_function(flat, a).f == PLFunc([(0, a), (1, 1 - a)])
 
         # the four drawn summand paths for w = 25341, as printed (y upward);
         # our curves use y increasing downwards, so flip y -> 1 - y, and the
@@ -209,12 +202,11 @@ def test_criterion_8_continuous_tau_rigidity():
         # discrete corroboration: staircase discretisations at n = 8
         n = 8
         for mu in [uniform(2), uniform(4)] + [from_perm(w) for w in all_perms(4)]:
-            ideal = PermutonIdeal(mu)
             apexes = [
                 F(r, mu.m) for r in range(1, mu.m)
                 if (F(r, mu.m) * n).denominator == 1
             ]
-            subs = {a: staircase(ideal_summand(ideal, a), n) for a in apexes}
+            subs = {a: staircase(boundary_function(mu, a), n) for a in apexes}
             for a in apexes:
                 rep = to_rep(subs[a])
                 for b in apexes:

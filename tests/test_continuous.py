@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim, is_full,
-                      is_zero_sub, member, member_quot, random_bfunc, random_permuton, to_rep,
-                      top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs, u_quot)
+                      is_zero_sub, member, member_quot, random_bfunc, random_permuton, refine,
+                      to_rep, top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs)
 from preproj import permuton
 from preproj.continuous import (
-    PermutonIdeal,
-    d_sub,
-    finite_vs_continuous,
+    bridge_mismatch,
     hom_vanishing_cert,
     ideal_leq,
-    ideal_summand,
     left_act,
     staircase,
     tau_rigidity_cert,
@@ -46,33 +43,28 @@ CHORD_HALF = BFunc(HALF, PLFunc.constant(HALF))
 
 class TestMembership:
     def test_full_projective_contains_generator(self):
-        d = d_sub(TOP_HALF)
-        assert is_full(d)
-        assert member(d, HALF, 0)
+        assert is_full(TOP_HALF)
+        assert member(TOP_HALF, HALF, 0)
 
     def test_lengths_stop_at_bottom(self):
-        d = d_sub(TOP_HALF)
         assert bottom_at(HALF, HALF) == 1
-        assert not member(d, HALF, 1)
+        assert not member(TOP_HALF, HALF, 1)
 
     def test_bottom_half_membership(self):
-        d = d_sub(CHORD_HALF)
-        assert not member(d, HALF, F(1, 4))
-        assert member(d, HALF, HALF)
+        assert not member(CHORD_HALF, HALF, F(1, 4))
+        assert member(CHORD_HALF, HALF, HALF)
 
     def test_zero_submodule(self):
-        d = d_sub(BOTTOM_HALF)
-        assert is_zero_sub(d)
-        assert not member(d, HALF, F(3, 4))
+        assert is_zero_sub(BOTTOM_HALF)
+        assert not member(BOTTOM_HALF, HALF, F(3, 4))
 
     def test_quotient_membership(self):
-        u = u_quot(CHORD_HALF)
-        assert member_quot(u, HALF, F(1, 4))
-        assert not member_quot(u, HALF, HALF)
+        assert member_quot(CHORD_HALF, HALF, F(1, 4))
+        assert not member_quot(CHORD_HALF, HALF, HALF)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            member(d_sub(TOP_HALF), F(0), F(1, 2))
+            member(TOP_HALF, F(0), F(1, 2))
 
     def test_ses_complementarity(self):
         rng = random.Random(21)
@@ -82,7 +74,7 @@ class TestMembership:
             lo, hi = top_at(b.k, x), bottom_at(b.k, x)
             span = hi - lo
             length = lo + span * F(rng.randint(0, 11), 12)
-            assert member(d_sub(b), x, length) != member_quot(u_quot(b), x, length)
+            assert member(b, x, length) != member_quot(b, x, length)
 
     def test_downward_closure(self):
         rng = random.Random(22)
@@ -90,37 +82,37 @@ class TestMembership:
             b = random_bfunc(rng)
             x = F(rng.randint(1, 23), 24)
             length = b.f.at(x)
-            if member(d_sub(b), x, length):
+            if member(b, x, length):
                 deeper = length + (bottom_at(b.k, x) - length) * F(1, 3)
                 if deeper < bottom_at(b.k, x):
-                    assert member(d_sub(b), x, deeper)
+                    assert member(b, x, deeper)
 
 
 class TestIdealSummands:
     def test_identity_permuton_gives_whole_algebra(self):
         # grid apexes of the grid identity permuton; an arbitrary rational
         # apex is covered by choosing a grid that contains it
-        ideal = PermutonIdeal(from_perm(Perm.identity(5)))
+        ideal = from_perm(Perm.identity(5))
         for a in (F(1, 5), F(2, 5), F(4, 5)):
-            assert is_full(ideal_summand(ideal, a))
-        assert is_full(ideal_summand(PermutonIdeal(from_perm(Perm.identity(4))), F(3, 4)))
+            assert is_full(boundary_function(ideal, a))
+        assert is_full(boundary_function(from_perm(Perm.identity(4)), F(3, 4)))
 
     def test_reversal_gives_zero_ideal(self):
-        ideal = PermutonIdeal(from_perm(Perm((5, 4, 3, 2, 1))))
+        ideal = from_perm(Perm((5, 4, 3, 2, 1)))
         for a in (F(1, 5), F(3, 5), F(4, 5)):
-            assert is_zero_sub(ideal_summand(ideal, a))
-        rev3 = PermutonIdeal(from_perm(Perm((3, 2, 1))))
-        assert is_zero_sub(ideal_summand(rev3, F(1, 3)))
+            assert is_zero_sub(boundary_function(ideal, a))
+        rev3 = from_perm(Perm((3, 2, 1)))
+        assert is_zero_sub(boundary_function(rev3, F(1, 3)))
 
     def test_uniform_gives_corner_chords(self):
-        ideal = PermutonIdeal(uniform(4))
+        ideal = uniform(4)
         for a in (F(1, 4), F(1, 2), F(3, 4)):
-            assert ideal_summand(ideal, a).b.f == PLFunc([(0, a), (1, 1 - a)])
+            assert boundary_function(ideal, a).f == PLFunc([(0, a), (1, 1 - a)])
 
     def test_25341_summand_at_three_fifths(self):
         # the drawn path (0,2/5)..(1,3/5) read in y-down coordinates
-        d = ideal_summand(PermutonIdeal(from_perm(W)), F(3, 5))
-        assert d.b.f == PLFunc(
+        d = boundary_function(from_perm(W), F(3, 5))
+        assert d.f == PLFunc(
             [
                 (0, F(3, 5)),
                 (F(1, 5), F(2, 5)),
@@ -133,14 +125,14 @@ class TestIdealSummands:
 
     def test_apex_domain(self):
         with pytest.raises(DomainError):
-            ideal_summand(PermutonIdeal(uniform(2)), F(0))
+            boundary_function(uniform(2), F(0))
 
 
 class TestLeftAct:
     def test_push_top_down(self):
         g = left_act(TOP_HALF, F(1, 4))
         assert g.k == F(1, 4)
-        assert g.at(F(1, 4)) == F(1, 2)
+        assert g.f.at(F(1, 4)) == F(1, 2)
 
     def test_zero_stays_zero(self):
         g = left_act(BOTTOM_HALF, F(1, 4))
@@ -171,19 +163,19 @@ class TestLeftAct:
 
 class TestIdealOrder:
     def test_everything_inside_identity_ideal(self):
-        gid = PermutonIdeal(from_perm(Perm.identity(3)))
+        gid = from_perm(Perm.identity(3))
         for v in all_perms(3):
-            assert ideal_leq(PermutonIdeal(from_perm(v)), gid)
+            assert ideal_leq(from_perm(v), gid)
 
     def test_321_vs_231(self):
-        i321 = PermutonIdeal(from_perm(Perm((3, 2, 1))))
-        i231 = PermutonIdeal(from_perm(Perm((2, 3, 1))))
+        i321 = from_perm(Perm((3, 2, 1)))
+        i231 = from_perm(Perm((2, 3, 1)))
         assert ideal_leq(i321, i231)
         assert not ideal_leq(i231, i321)
 
     def test_matches_reversed_bruhat_on_s4(self):
         perms = list(all_perms(4))
-        ideals = {w.one_line: PermutonIdeal(from_perm(w)) for w in perms}
+        ideals = {w.one_line: from_perm(w) for w in perms}
         for u in perms:
             for v in perms:
                 assert ideal_leq(ideals[u.one_line], ideals[v.one_line]) == bruhat_leq(
@@ -198,29 +190,29 @@ class TestIdealOrder:
         for m, k in sizes:
             mu, nu = random_permuton(rng, m), random_permuton(rng, k)
             for x, y in ((mu, nu), (nu, mu), (mu, from_perm(Perm.identity(k)))):
-                assert ideal_leq(PermutonIdeal(x), PermutonIdeal(y)) == (
+                assert ideal_leq(x, y) == (
                     permuton_bruhat_leq(y, x)
                 )
 
 
 class TestBridge:
     def test_25341(self):
-        assert finite_vs_continuous(W, 2)
-        assert finite_vs_continuous(W, 1)
+        assert bridge_mismatch(W, 2) is None
+        assert bridge_mismatch(W, 1) is None
 
     def test_identity(self):
         for i in range(1, 5):
-            assert finite_vs_continuous(Perm.identity(5), i)
+            assert bridge_mismatch(Perm.identity(5), i) is None
 
     def test_exhaustive_s4(self):
         for w in all_perms(4):
             for i in range(1, 4):
-                assert finite_vs_continuous(w, i)
+                assert bridge_mismatch(w, i) is None
 
     def test_permuton_off_the_grid_of_w(self):
         for mu in (uniform(4), from_perm(Perm.identity(6))):
             with pytest.raises(SizeMismatch):
-                finite_vs_continuous(W, 2, mu)
+                bridge_mismatch(W, 2, mu)
 
 
 def perturbed_row(seed: int, share: F):
@@ -258,7 +250,8 @@ class TestBridgeOnRows:
             for w in all_perms(n):
                 mu = from_perm(w)
                 for i in range(1, n):
-                    assert finite_vs_continuous(w, i, mu) is bridge_by_plfuncs(w, i, mu) is True
+                    verdict = bridge_mismatch(w, i, mu) is None
+                    assert verdict is bridge_by_plfuncs(w, i, mu) is True
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
@@ -266,7 +259,7 @@ class TestBridgeOnRows:
         w = Perm(one_line)
         mu = from_perm(w)
         for i in range(1, w.n):
-            assert finite_vs_continuous(w, i, mu) is bridge_by_plfuncs(w, i, mu) is True
+            assert (bridge_mismatch(w, i, mu) is None) is bridge_by_plfuncs(w, i, mu) is True
 
     @pytest.mark.parametrize("seed", range(3))
     def test_perturbed_rows(self, monkeypatch, seed):
@@ -278,7 +271,7 @@ class TestBridgeOnRows:
             for w in rng.sample(perms, min(30, len(perms))):
                 mu = from_perm(w)
                 for i in range(1, n):
-                    verdict = finite_vs_continuous(w, i, mu)
+                    verdict = bridge_mismatch(w, i, mu) is None
                     assert verdict is bridge_by_plfuncs(w, i, mu), (w, i)
                     seen.add(verdict)
         assert seen == {True, False}
@@ -291,7 +284,7 @@ class TestBridgeOnRows:
         for c in range(6):
             monkeypatch.setattr(permuton, "boundary_row", moved_sample(true_row, c, delta))
             for i in range(1, 5):
-                assert finite_vs_continuous(w, i, mu) is bridge_by_plfuncs(w, i, mu) is False
+                assert (bridge_mismatch(w, i, mu) is None) is bridge_by_plfuncs(w, i, mu) is False
 
 
 class TestCertificates:
@@ -397,53 +390,74 @@ class TestDecidersOnLargerGrids:
                 assert tau_rigidity_cert(turned, 1 - a, 1 - b) is swap[cert]
 
 
+class TestRefinement:
+    """Splitting every cell of mu into k x k uniform subcells keeps the
+    measure, so nothing read off the ideal may change."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 4), st.randoms(use_true_random=False))
+    def test_refine_changes_no_verdict(self, m, k, rng):
+        mu = random_permuton(rng, m, rng.choice([4, 10**6]))
+        fine = refine(mu, k)
+        for p in range(1, m):
+            assert boundary_function(fine, F(p, m)) == boundary_function(mu, F(p, m))
+        assert ideal_leq(fine, mu) and ideal_leq(mu, fine)
+        assert (twosided_witness(fine) is None) is (twosided_witness(mu) is None)
+        assert uncertified_apexes(fine) == uncertified_apexes(mu)
+
+
 class TestDiscretize:
     def test_full_projective(self):
-        d = d_sub(BFunc(F(2, 5), top_curve(F(2, 5))))
+        d = BFunc(F(2, 5), top_curve(F(2, 5)))
         assert discretize(d, 5) == projective(2, 5)
 
     def test_ideal_summand_matches_discrete_ideal(self):
-        d = ideal_summand(PermutonIdeal(from_perm(W)), F(2, 5))
+        d = boundary_function(from_perm(W), F(2, 5))
         assert discretize(d, 5) == ideal_of(W)[1]
 
     def test_flat_curve_needs_refinement(self):
         with pytest.raises(NotGridAligned):
-            discretize(d_sub(CHORD_HALF), 4)
+            discretize(CHORD_HALF, 4)
 
     def test_off_grid_apex(self):
         with pytest.raises(NotGridAligned):
-            discretize(d_sub(BFunc(F(1, 3), top_curve(F(1, 3)))), 4)
+            discretize(BFunc(F(1, 3), top_curve(F(1, 3))), 4)
 
     def test_staircase_of_flat_chord(self):
-        cm = staircase(d_sub(CHORD_HALF), 8)
+        cm = staircase(CHORD_HALF, 8)
         assert cm.curve.units == (4, 3, 4, 3, 4, 3, 4, 3, 4)
 
     def test_staircase_fixes_grid_curves(self):
-        d = ideal_summand(PermutonIdeal(from_perm(W)), F(2, 5))
+        d = boundary_function(from_perm(W), F(2, 5))
         assert staircase(d, 5) == discretize(d, 5)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_discretize_is_staircase_on_ideal_curves(self, n):
         modules = {m for w in all_perms(n) for m in ideal_of(w)}
         for m in modules:
-            d = d_sub(BFunc(F(m.i, n), as_plfunc(m.curve)))
+            d = BFunc(F(m.i, n), as_plfunc(m.curve))
             assert discretize(d, n) == staircase(d, n) == m
 
     def test_off_grid_breakpoints(self):
         # +-1 slopes throughout, turning at 3/8 and 5/8, off the 1/4 grid
-        d = d_sub(BFunc(F(1, 2), PLFunc([(0, F(1, 2)), (F(3, 8), F(1, 8)),
-                                          (F(5, 8), F(3, 8)), (F(3, 4), F(1, 4)),
-                                          (1, F(1, 2))])))
+        d = BFunc(F(1, 2), PLFunc([(0, F(1, 2)), (F(3, 8), F(1, 8)),
+                                    (F(5, 8), F(3, 8)), (F(3, 4), F(1, 4)),
+                                    (1, F(1, 2))]))
         with pytest.raises(NotGridAligned):
             discretize(d, 4)
         assert discretize(d, 8) == staircase(d, 8)
 
+    @pytest.mark.parametrize("n", [8.9, "8", True, 0])
+    def test_staircase_needs_a_positive_int_grid(self, n):
+        with pytest.raises(DomainError):
+            staircase(CHORD_HALF, n)
+
     def test_staircase_sits_weakly_above(self):
         for a in (F(1, 4), F(1, 2), F(3, 4)):
-            d = ideal_summand(PermutonIdeal(uniform(4)), a)
+            d = boundary_function(uniform(4), a)
             cm = staircase(d, 8)
             for j, v in enumerate(cm.curve.values):
-                assert 0 <= d.b.f.at(F(j, 8)) - v < F(2, 8)
+                assert 0 <= d.f.at(F(j, 8)) - v < F(2, 8)
 
 
 class TestDiscreteCorroboration:
@@ -451,13 +465,12 @@ class TestDiscreteCorroboration:
         cases = [(uniform(2), 8), (uniform(4), 8)]
         cases += [(from_perm(w), 8) for w in all_perms(4)]
         for mu, n in cases:
-            ideal = PermutonIdeal(mu)
             apexes = [
                 F(r, mu.m)
                 for r in range(1, mu.m)
                 if (F(r, mu.m) * n).denominator == 1
             ]
-            subs = {a: staircase(ideal_summand(ideal, a), n) for a in apexes}
+            subs = {a: staircase(boundary_function(mu, a), n) for a in apexes}
             for a in apexes:
                 rep = to_rep(subs[a])
                 for b in apexes:

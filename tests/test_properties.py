@@ -10,8 +10,7 @@ import random
 from fractions import Fraction as F
 
 from conftest import (as_plfunc, bottom_at, member, member_quot, random_bfunc, random_curve,
-                      top_at, u_quot)
-from preproj.continuous import d_sub
+                      top_at)
 from preproj.plfunc import BFunc
 from preproj.sheets import generators, sheet_new, sheet_support
 
@@ -45,7 +44,7 @@ def test_decorous_ses_complementarity():
         x, length = _interior_point(rng, b)
         if length >= bottom_at(b.k, x):
             continue
-        assert member(d_sub(b), x, length) != member_quot(u_quot(b), x, length)
+        assert member(b, x, length) != member_quot(b, x, length)
 
 
 def test_submodule_downward_closure():
@@ -54,12 +53,12 @@ def test_submodule_downward_closure():
     while done < CASES:
         b = random_bfunc(rng)
         x, length = _interior_point(rng, b)
-        if not member(d_sub(b), x, length):
+        if not member(b, x, length):
             continue
         hi = bottom_at(b.k, x)
         deeper = length + (hi - length) * F(rng.randint(1, 11), 12)
         if deeper < hi:
-            assert member(d_sub(b), x, deeper)
+            assert member(b, x, deeper)
             done += 1
 
 

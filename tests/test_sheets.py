@@ -5,15 +5,19 @@ import pytest
 from conftest import (
     QuiverRep,
     cone_contains,
+    elementary_exists_by_at,
+    generators_by_slopes,
     hom_dim,
     leq_on_by_at,
     positive_intervals_by_at,
+    random_bfunc,
     random_curve,
     random_signed_plfunc,
     rep_is_deep,
     sawtooth_rep,
     simple_rep,
     to_rep,
+    union_xs,
 )
 
 from preproj.errors import (
@@ -109,12 +113,26 @@ def meeting_kinds(d: PLFunc) -> set[str]:
     return kinds or {"apart"}
 
 
+def lattice_bfunc(rng: random.Random, i: int, n: int) -> BFunc:
+    return BFunc(F(i, n), PLFunc.from_lattice(n, random_curve(i, n, rng).units, n))
+
+
 def random_sheet(rng: random.Random, i: int, n: int) -> sheets.Sheet:
     """A sheet at apex i/n on two random lattice curves, which may cross."""
-    k = F(i, n)
-    up, down = (BFunc(k, PLFunc.from_lattice(n, random_curve(i, n, rng).units, n))
-                for _ in range(2))
-    return sheet_new(k, up, down)
+    up = lattice_bfunc(rng, i, n)
+    return sheet_new(F(i, n), up, lattice_bfunc(rng, i, n))
+
+
+def random_mean_sheet(rng: random.Random, i: int, n: int) -> sheets.Sheet:
+    """A sheet at apex i/n whose boundaries are each the mean of two random
+    lattice curves, one on the 1/n grid and one on a 1-3x finer grid: flat
+    segments as well as +-1 ones, and breakpoints off the 1/n grid."""
+    def mean() -> BFunc:
+        scale = rng.randint(1, 3)
+        f, g = lattice_bfunc(rng, i, n).f, lattice_bfunc(rng, i * scale, n * scale).f
+        return BFunc(F(i, n), PLFunc((x, (f.at(x) + g.at(x)) / 2) for x in union_xs(f, g)))
+
+    return sheet_new(F(i, n), mean(), mean())
 
 
 class TestSignRoutes:
@@ -203,17 +221,35 @@ class TestGenerators:
     def test_scanned_once_per_sheet(self, monkeypatch):
         sheet = sheet_new(H, W_SHEET.up, W_SHEET.down)
         scans = []
-        true_slopes = PLFunc.slopes
+        true_steps = sheets._steps
 
         def counting(f):
             scans.append(f)
-            return true_slopes(f)
+            return true_steps(f)
 
-        monkeypatch.setattr(PLFunc, "slopes", counting)
+        monkeypatch.setattr(sheets, "_steps", counting)
         y = generators(sheet)[0]
         codependence_class(sheet, sheet, y, 0)
         elementary_exists(sheet, sheet, y, 0)
         assert generators(sheet) == (F(2, 5), F(3, 5)) and len(scans) == 1
+
+    def test_integer_scan_matches_fraction_scan(self):
+        rng = random.Random(14)
+        sizes = set()
+        for t in range(3000):
+            n = rng.randint(2, 8)
+            i = rng.randint(1, n - 1)
+            if t % 3 == 0:
+                sheet = random_sheet(rng, i, n)
+            elif t % 3 == 1:
+                sheet = random_mean_sheet(rng, i, n)
+            else:  # slopes strictly inside (-1, 1) too, on an apex off the grids above
+                up = random_bfunc(rng)
+                sheet = sheet_new(up.k, up, BFunc(up.k, bottom_curve(up.k)))
+            found = generators(sheet)
+            assert found == generators_by_slopes(sheet), sheet
+            sizes.add(min(len(found), 2))
+        assert sizes == {0, 1, 2}
 
     def test_quantified_definition_on_grid(self):
         # brute force |y - z| > up(y) - up(z) over the support for the W sheet
@@ -326,6 +362,26 @@ class TestElementary:
     def test_self_maps_at_each_generator(self):
         for y in generators(W_SHEET):
             assert elementary_exists(W_SHEET, W_SHEET, y, 0)
+
+    def test_matches_the_pointwise_precheck_route(self):
+        # targets on 1-3x finer grids; the shifts run from below zero to
+        # past the depth of the diamond
+        rng = random.Random(15)
+        verdicts = []
+        for t in range(3000):
+            n = rng.randint(2, 8)
+            i = rng.randint(1, n - 1)
+            source = (random_sheet if t % 2 else random_mean_sheet)(rng, i, n)
+            if not generators(source):
+                continue
+            scale = rng.randint(1, 3)
+            target = random_sheet(rng, i * scale, n * scale)
+            y = rng.choice(generators(source))
+            a = F(rng.randint(-2, 2 * n * scale), 2 * n * scale)
+            verdict = elementary_exists(source, target, y, a)
+            assert verdict == elementary_exists_by_at(source, target, y, a), (source, target, y, a)
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
 
 
 class TestDeep:
