@@ -12,42 +12,40 @@ from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.render import RenderSpec, render_svg
 from preproj.sheets import (
     SawtoothDesc,
+    Sheet,
     SimpleModule,
     b_interval,
     codependence_class,
     decorous_cover,
     end_dim,
-    generators,
     in_range_of_codependence,
     is_brick,
     is_deep,
     is_sawtooth,
-    sheet_new,
-    sheet_support,
 )
 
 H = F(1, 2)
 
 print("== Sheets are cut out by two boundary curves ==")
-full = sheet_new(H, BFunc(H, top_curve(H)), BFunc(H, bottom_curve(H)))
-print("all of P_{1/2}: support", sheet_support(full), "generators", generators(full))
+full = Sheet(H, BFunc(H, top_curve(H)), BFunc(H, bottom_curve(H)))
+print("all of P_{1/2}: support", list(full.support), "generators", full.generators)
 
-two_bubble = sheet_new(
+two_bubble = Sheet(
     H,
     BFunc(H, PLFunc.constant(H)),
     BFunc(H, PLFunc([(0, H), (F(1, 4), F(3, 4)), (H, H), (F(3, 4), F(3, 4)), (1, H)])),
 )
 print("a sheet whose boundaries touch in the middle decomposes:")
-print("  support:", [(str(a), str(b)) for a, b in sheet_support(two_bubble)])
+print("  support:", [(str(a), str(b)) for a, b in two_bubble.support])
 
 print("\n== Codependence of generators ==")
 w_up = BFunc(H, PLFunc([(0, H), (F(2, 5), F(1, 10)), (H, F(1, 5)), (F(3, 5), F(1, 10)), (1, H)]))
-source = sheet_new(H, w_up, BFunc(H, bottom_curve(H)))
-target = sheet_new(
+source = Sheet(H, w_up, BFunc(H, bottom_curve(H)))
+target = Sheet(
     H, w_up,
     BFunc(H, PLFunc([(0, H), (F(2, 5), F(9, 10)), (H, F(4, 5)), (F(3, 5), F(9, 10)), (1, H)])),
 )
-print("source generators:", [str(g) for g in generators(source)])
+print("source generators:", [str(g) for g in source.generators])
 for a in (F(0), F(7, 10)):
     cls = codependence_class(source, target, F(2, 5), a)
     print(f"  shift {a}: headroom {b_interval(source, target, F(2,5), a)}"

@@ -2,7 +2,6 @@
 type A and their continuous, permuton-indexed analogues."""
 
 from .continuous import (
-    hom_vanishing_cert,
     ideal_leq,
     left_act,
     staircase,
@@ -56,14 +55,10 @@ from .sheets import (
     decorous_cover,
     delta_fn,
     elementary_exists,
-    generators,
     in_range_of_codependence,
     is_brick,
     is_deep,
-    is_deep_sheet,
     is_sawtooth,
-    sheet_new,
-    sheet_support,
 )
 from .symgroup import (
     Perm,

@@ -445,9 +445,9 @@ def cmd_sheet_analyze(args) -> int:
         jsonio.sheet_from_json(_load_json(args.against)) if args.against else sheet
     )
     out: dict = {
-        "support": [[rat_str(lo), rat_str(hi)] for lo, hi in sheets.sheet_support(sheet)],
-        "generators": [rat_str(g) for g in sheets.generators(sheet)],
-        "deep": sheets.is_deep_sheet(sheet),
+        "support": [[rat_str(lo), rat_str(hi)] for lo, hi in sheet.support],
+        "generators": [rat_str(g) for g in sheet.generators],
+        "deep": sheets.is_deep(sheet),
     }
     if args.cone:
         y, a = _parse_pair(args.cone)
@@ -456,7 +456,7 @@ def cmd_sheet_analyze(args) -> int:
             "y": rat_str(y),
             "a": rat_str(a),
             "b_interval": None if interval is None else [*map(rat_str, interval)],
-            "elementary": y in sheets.generators(sheet)
+            "elementary": y in sheet.generators
             and sheets.elementary_exists(sheet, against, y, a),
         }
     if args.codep:

@@ -19,8 +19,7 @@ from .errors import CertificateFailure, DomainError, NotGridAligned, SizeMismatc
 from . import permuton, plfunc, symgroup
 from .finite import CurveModule, DiamondCurve, Kind, _diamond, summand_via_word
 from .permuton import GridPermuton, boundary_function, permuton_bruhat_leq, union_ticks
-from .plfunc import (BFunc, MonotoneClass, bottom_curve, monotone_class, pointwise_leq,
-                     pointwise_min, pointwise_sub, vshift)
+from .plfunc import BFunc, MonotoneClass, bottom_curve, pointwise_leq, pointwise_min, vshift
 from .rat import frac
 from .symgroup import Perm
 
@@ -113,12 +112,6 @@ def twosided_witness(mu: GridPermuton) -> list | None:
     return next([p, q] for p, f_p in enumerate(rows, 1) for q in (None, *range(1, m))
                 if q != p and any(map(gt, f_p, bottoms[p - 1] if q is None
                                       else map(add, rows[q - 1], repeat(abs(p - q) * unit)))))
-
-
-def hom_vanishing_cert(f: BFunc, g: BFunc) -> MonotoneClass:
-    """Monotonicity certificate for Hom(D_f, U_g) = 0: a weakly monotone
-    difference f - g forces vanishing; NEITHER: the criterion does not apply."""
-    return monotone_class(pointwise_sub(f.f, g.f))
 
 
 def _rises(mu: GridPermuton, p: int, q: int, scale: int) -> list[int]:

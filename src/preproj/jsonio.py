@@ -21,7 +21,7 @@ from .finite import CurveModule, DiamondCurve, Kind
 from .permuton import GridPermuton
 from .plfunc import BFunc, PLFunc
 from .rat import frac, rat_str, ratio_str
-from .sheets import SawtoothDesc, Sheet, SimpleModule, sheet_new
+from .sheets import SawtoothDesc, Sheet, SimpleModule
 
 
 def _need(obj: dict, key: str, kind: type = object) -> Any:
@@ -92,7 +92,7 @@ def permuton_from_json(obj: dict) -> GridPermuton:
 
 
 def sheet_from_json(obj: dict) -> Sheet:
-    return sheet_new(
+    return Sheet(
         frac(_need(obj, "k")),
         bfunc_from_json(_need(obj, "up")),
         bfunc_from_json(_need(obj, "down")),

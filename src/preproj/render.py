@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ParseError
-from .finite import CurveModule, bottom_boundary, factors, projective
+from .finite import CurveModule, band, factors, projective
 from .jsonio import (
     _get,
     _need,
@@ -127,13 +127,11 @@ def _render_curve_module(panel: _Panel, m: CurveModule, width: str) -> list[str]
             (cx, cy - half),
         ]
         out.append(panel.polyline(square, GREY, "0.5"))
+    # fill the module's band: curve to bottom for a sub, top to curve for a quot
+    up, down = ([(Fraction(j, n), Fraction(u, n)) for j, u in enumerate(units)]
+                for units in band(m))
+    out.append(panel.polygon(up + down[::-1], FILL, FILL_OPACITY))
     curve = [(Fraction(j, n), v) for j, v in enumerate(m.curve.values)]
-    bottom = [
-        (Fraction(j, n), v)
-        for j, v in enumerate(bottom_boundary(i, n).values)
-    ]
-    region = curve + bottom[::-1]
-    out.append(panel.polygon(region, FILL, FILL_OPACITY))
     out.append(panel.polyline(curve, INK, width))
     return out
 

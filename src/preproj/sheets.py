@@ -6,7 +6,7 @@ are exactly the simple modules and the sawtooth modules (alternating +-1
 boundary data), and deep modules (nonzero length-two loop action) are never
 bricks.  end_dim and is_deep take module descriptors: a curve module is
 measured on its band, and simples and sawtooth data, thin by construction,
-are answered by type.
+are answered by type; is_deep also takes a sheet.
 """
 
 from __future__ import annotations
@@ -39,9 +39,10 @@ class Sheet:
     """Image of a composition D -> P_k -> U for decorous D and U.
 
     ``up`` bounds the submodule from above, ``down`` the quotient from below;
-    the sheet is supported where up < down and is zero elsewhere.  ``support``
-    holds those maximal open intervals, found once at construction, and
-    ``generators`` the generating positions, scanned once on first use.
+    both must live at apex k (NotDecorous otherwise).  The sheet is supported
+    where up < down and is zero elsewhere.  ``support`` holds those maximal
+    open intervals, found once at construction, and ``generators`` the
+    generating positions, scanned once on first use.
     """
 
     k: Fraction
@@ -50,50 +51,32 @@ class Sheet:
     support: tuple[Interval, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        k = frac(self.k)
+        if self.up.k != k or self.down.k != k:
+            raise NotDecorous(f"boundary curves must live at apex {k}")
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "support", tuple(positive_intervals(self.down.f, self.up.f)))
 
     @cached_property
     def generators(self) -> tuple[Fraction, ...]:
-        """The scan behind ``sheets.generators``, which documents it, on the
-        integer (rise, run) of the segments either side of each interior
-        breakpoint: slope < 1 is rise < run and slope > -1 is rise > -run."""
+        """Generating positions of the sheet: breakpoints of the upper boundary
+        inside the support whose left slope is < 1 and right slope is > -1.
+
+        The 1-Lipschitz bound propagates strictness along segments, so this
+        breakpoint scan decides the quantified generator condition; a segment
+        with slope strictly inside (-1,1) generates at all its points and is
+        represented here by its endpoints.  Each interior breakpoint is
+        classified on the integer (rise, run) of the segments either side of
+        it: slope < 1 is rise < run and slope > -1 is rise > -run.
+        """
         steps = _steps(self.up.f)
         return tuple(y for (x, _, w), (rise0, run0), (rise1, run1)
                      in zip(self.up.f._pts[1:], steps, steps[1:])
                      if rise0 < run0 and rise1 > -run1 and _in_support(self, y := Fraction(x, w)))
 
 
-def sheet_new(k, up: BFunc, down: BFunc) -> Sheet:
-    k = frac(k)
-    if up.k != k or down.k != k:
-        raise NotDecorous(f"boundary curves must live at apex {k}")
-    return Sheet(k, up, down)
-
-
-def sheet_support(s: Sheet) -> list[Interval]:
-    """Maximal open intervals where the sheet is nonzero (up < down)."""
-    return list(s.support)
-
-
-def is_deep_sheet(s: Sheet) -> bool:
-    """Every nonzero sheet is deep: a short loop acts nonzero on its interior."""
-    return bool(s.support)
-
-
 def _in_support(s: Sheet, y: Fraction) -> bool:
     return any(lo < y < hi for lo, hi in s.support)
-
-
-def generators(s: Sheet) -> tuple[Fraction, ...]:
-    """Generating positions of the sheet: breakpoints of the upper boundary
-    inside the support whose left slope is < 1 and right slope is > -1.
-
-    The 1-Lipschitz bound propagates strictness along segments, so this
-    breakpoint scan decides the quantified generator condition; a segment
-    with slope strictly inside (-1,1) generates at all its points and is
-    represented here by its endpoints.
-    """
-    return s.generators
 
 
 def delta_fn(s: Sheet, s_prime: Sheet, a) -> PLFunc:
@@ -185,17 +168,15 @@ class SawtoothDesc:
             raise DomainError("a sawtooth needs at least two teeth")
         if not (0 <= a < b <= 1) or pts[0][0] != a or pts[-1][0] != b:
             raise DomainError("teeth must span [a, b] inside [0, 1]")
-        slopes = []
+        rises = []
         for (x0, v0), (x1, v1) in zip(pts, pts[1:]):
             if x0 >= x1:
                 raise DomainError("teeth must strictly increase")
-            slope = (v1 - v0) / (x1 - x0)
-            if slope != 1 and slope != -1:
+            if abs(v1 - v0) != x1 - x0:
                 raise DomainError("sawtooth slopes must be exactly +-1")
-            slopes.append(slope)
-        for s0, s1 in zip(slopes, slopes[1:]):
-            if s0 == s1:
-                raise DomainError("sawtooth slopes must alternate")
+            rises.append(v1 > v0)
+        if any(r0 == r1 for r0, r1 in zip(rises, rises[1:])):
+            raise DomainError("sawtooth slopes must alternate")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "teeth", pts)
@@ -203,17 +184,6 @@ class SawtoothDesc:
         if len(flags) != 2 or not all(isinstance(f, bool) for f in flags):
             raise DomainError(f"endpoint_flags must be a pair of bools, got {flags!r}")
         object.__setattr__(self, "endpoint_flags", flags)
-
-    def first_slope(self) -> int:
-        return 1 if self.teeth[1][1] > self.teeth[0][1] else -1
-
-    def min_index_odd(self) -> bool:
-        # slope -1 leaves an even-indexed tooth, slope +1 an odd-indexed one
-        return self.first_slope() == 1
-
-    def max_index_odd(self) -> bool:
-        flips = len(self.teeth) - 1
-        return self.min_index_odd() ^ (flips % 2 == 1)
 
 
 @dataclass(frozen=True)
@@ -238,10 +208,8 @@ def is_sawtooth(f: PLFunc, a, b) -> Optional[SawtoothDesc]:
     # Breakpoints of f strictly inside (a, b) are genuine slope changes, so
     # these points are the teeth once every slope is known to be +-1.
     pts = f.on(a, b)
-    for (x0, v0), (x1, v1) in zip(pts, pts[1:]):
-        slope = (v1 - v0) / (x1 - x0)
-        if slope != 1 and slope != -1:
-            return None
+    if any(abs(v1 - v0) != x1 - x0 for (x0, v0), (x1, v1) in zip(pts, pts[1:])):
+        return None
     return SawtoothDesc(a, b, pts)
 
 
@@ -252,11 +220,12 @@ def decorous_cover(st: SawtoothDesc) -> BFunc:
     Fails when the sawtooth starts (ends) with a rising (falling) ray pinned
     to the boundary of [0, 1]; no covering projective exists there.
     """
-    if st.a == 0 and st.min_index_odd():
+    teeth = st.teeth
+    if st.a == 0 and teeth[1][1] > teeth[0][1]:
         raise HypothesisFailed("sawtooth starts at 0 on an odd tooth")
-    if st.b == 1 and st.max_index_odd():
+    if st.b == 1 and teeth[-1][1] < teeth[-2][1]:
         raise HypothesisFailed("sawtooth ends at 1 on an odd tooth")
-    pts = list(st.teeth)
+    pts = list(teeth)
     if st.a > 0:
         pts.insert(0, (ZERO, pts[0][1]))
     if st.b < 1:
@@ -279,12 +248,15 @@ def is_deep(module) -> bool:
     factor (j, d) through (j+1, d+1) to (j, d+2); a band's +-1 curves hold the
     middle one whenever they hold both ends, so a curve module is deep exactly
     when some column holds two factors.  Simples and sawtooth modules hold one
-    factor per column, so they are never deep."""
+    factor per column, so they are never deep.  Every nonzero sheet is deep:
+    a short loop acts nonzero on the interior of its support."""
     if isinstance(module, (SimpleModule, SawtoothDesc)):
         return False
     if isinstance(module, CurveModule):
         up, down = band(module)
         return any(b - a >= 4 for a, b in zip(up, down))
+    if isinstance(module, Sheet):
+        return bool(module.support)
     raise DomainError(f"not a module descriptor: {module!r}")
 
 

@@ -13,7 +13,7 @@ from operator import ge, le
 from typing import Iterable
 
 from preproj import permuton, plfunc
-from preproj.continuous import hom_vanishing_cert, left_act, staircase
+from preproj.continuous import left_act, staircase
 from preproj.errors import (DomainError, IndexOutOfRange, LetterOutOfRange, NotGridAligned,
                             NotLipschitz, NotMinimalRep, ParseError, SizeMismatch)
 from preproj.finite import (CurveModule, DiamondCurve, band, factors, ideal_of, ideal_via_word,
@@ -227,10 +227,9 @@ def sawtooth_rep(st: SawtoothDesc, n: int) -> QuiverRep:
             raise NotGridAligned(f"tooth at {x} off the 1/{n} grid")
         cols.append(x.numerator * (n // x.denominator))
     depths = [0]  # depths[k] at column cols[0] + k
-    step = st.first_slope()
-    for c0, c1 in zip(cols, cols[1:]):
+    for c0, c1, (_, v0), (_, v1) in zip(cols, cols[1:], st.teeth, st.teeth[1:]):
+        step = 1 if v1 > v0 else -1
         depths += [depths[-1] + step * t for t in range(1, c1 - c0 + 1)]
-        step = -step
     lo, hi = cols[0], cols[-1]
     first = lo if st.endpoint_flags[0] else lo + 1
     last = hi if st.endpoint_flags[1] else hi - 1
@@ -462,6 +461,14 @@ def twosided_pair_by_plfuncs(mu: GridPermuton) -> list | None:
             if q != p and not pointwise_leq(f_p, vshift(f_q, Fraction(abs(p - q), m))):
                 return [p, q]
     return None
+
+
+def hom_vanishing_cert(f: BFunc, g: BFunc) -> MonotoneClass:
+    """Monotonicity certificate for Hom(D_f, U_g) = 0 by PL algebra on any
+    two BFuncs: a weakly monotone difference f - g forces vanishing; NEITHER:
+    the criterion does not apply.  (formerly ``continuous.hom_vanishing_cert``,
+    the oracle of the row route)"""
+    return plfunc.monotone_class(plfunc.pointwise_sub(f.f, g.f))
 
 
 def homvanish_by_plfuncs(mu: GridPermuton) -> bool:

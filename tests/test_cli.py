@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_row_by_records,
-                      frac_by_fraction_parse, homvanish_apexes_by_all_pairs,
+                      frac_by_fraction_parse, hom_vanishing_cert, homvanish_apexes_by_all_pairs,
                       homvanish_by_plfuncs, line_by_dumps,
                       mizuno_by_words, permuton_to_json, random_permuton,
                       sample_by_listing, sheet_to_json, twosided_by_plfuncs,
@@ -34,7 +34,7 @@ from preproj.limits import scale_limit
 from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.rat import rat_str
-from preproj.sheets import sheet_new
+from preproj.sheets import Sheet
 from preproj.symgroup import Perm, all_perms
 
 
@@ -320,7 +320,7 @@ class TestCheckCommand:
             assert record["ok"] == by_pairs(mu)
             for _ in range(20):
                 a, b = (F(rng.randint(1, d - 1), d) for d in rng.choices(range(2, 50), k=2))
-                assert continuous.hom_vanishing_cert(
+                assert hom_vanishing_cert(
                     permuton.boundary_function(mu, a), permuton.boundary_function(mu, b)
                 ) is continuous.tau_rigidity_cert(mu, a, b)
 
@@ -1408,7 +1408,7 @@ class TestBrickAndSheet:
 
     def test_sheet_analyze(self, capsys, tmp_path):
         h = F(1, 2)
-        sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
+        sheet = Sheet(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
         path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         code, lines = run(
             capsys, "sheet", "analyze", path,
@@ -1434,7 +1434,7 @@ class TestBrickAndSheet:
         counted.__set_name__(sheets.Sheet, "generators")
         monkeypatch.setattr(sheets.Sheet, "generators", counted)
         h = F(1, 2)
-        sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
+        sheet = Sheet(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
         path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         code, lines = run(capsys, "sheet", "analyze", path,
                           "--cone", "1/2,0", "--codep", "1/2,0")
@@ -1443,7 +1443,7 @@ class TestBrickAndSheet:
 
     def test_sheet_analyze_finds_one_headroom_interval(self, capsys, tmp_path):
         h = F(1, 2)
-        sheet = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
+        sheet = Sheet(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
         path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         code, lines = run(capsys, "sheet", "analyze", path,
                           "--cone", "1/2,1/4", "--codep", "1/2,1/4")
@@ -1464,7 +1464,7 @@ class TestBrickAndSheet:
         xs = [F(t, n) + F(1, 4 * n * p) for t, p in enumerate(primes, start=1)]
         up = PLFunc([(0, h), *((x, h + F(t % 2, 4 * n)) for t, x in enumerate(xs, 1)),
                      (1, h)])
-        sheet = sheet_new(h, BFunc(h, up), BFunc(h, bottom_curve(h)))
+        sheet = Sheet(h, BFunc(h, up), BFunc(h, bottom_curve(h)))
         path = write_json(tmp_path, "s.json", sheet_to_json(sheet))
         y = rat_str(xs[n // 2])
         start = time.perf_counter()
@@ -1516,7 +1516,7 @@ class TestWriter:
         h = F(1, 2)
         up = PLFunc([(0, h), (F(1, 4), h + F(1, 8)), (F(1, 2), h), (1, h)])
         write_json(tmp_path, "s.json", sheet_to_json(
-            sheet_new(h, BFunc(h, up), BFunc(h, bottom_curve(h)))))
+            Sheet(h, BFunc(h, up), BFunc(h, bottom_curve(h)))))
         return tmp_path
 
     @pytest.mark.parametrize("argv", CHECK_ARGVS, ids=" ".join)

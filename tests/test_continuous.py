@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim, is_full,
-                      is_zero_sub, member, member_quot, random_bfunc, random_permuton, refine,
+from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim,
+                      hom_vanishing_cert, is_full, is_zero_sub, member, member_quot, random_bfunc, random_permuton, refine,
                       to_rep, top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs)
 from preproj import permuton
 from preproj.continuous import (
     bridge_mismatch,
-    hom_vanishing_cert,
     ideal_leq,
     left_act,
     staircase,

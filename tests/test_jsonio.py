@@ -19,7 +19,7 @@ from preproj.permuton import from_perm, uniform
 from preproj.plfunc import BFunc, PLFunc, bottom_curve, top_curve
 from preproj.rat import frac, num_den, rat_str, ratio_str
 from preproj.render import spec_from_json
-from preproj.sheets import SawtoothDesc, SimpleModule, sheet_new
+from preproj.sheets import SawtoothDesc, Sheet, SimpleModule
 from preproj.symgroup import Perm
 
 
@@ -197,7 +197,7 @@ class TestRoundTrips:
 
     def test_sheet(self):
         h = F(1, 2)
-        s = sheet_new(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
+        s = Sheet(h, BFunc(h, top_curve(h)), BFunc(h, bottom_curve(h)))
         assert _roundtrip(s, sheet_to_json, jsonio.sheet_from_json) == s
 
     def test_sawtooth(self):
@@ -335,7 +335,7 @@ VALID = [
     {"type": "curve_module", **jsonio.curve_module_to_json(ideal_of(Perm((2, 3, 1)))[0])},
     {"type": "sawtooth", **sawtooth_to_json(
         SawtoothDesc(0, 1, [(0, F(2, 5)), (F(2, 5), 0), (1, F(3, 5))]))},
-    sheet_to_json(sheet_new(_H, BFunc(_H, top_curve(_H)), BFunc(_H, bottom_curve(_H)))),
+    sheet_to_json(Sheet(_H, BFunc(_H, top_curve(_H)), BFunc(_H, bottom_curve(_H)))),
     {"type": "simple", "x": "1/3"},
     {"width_px": 10, "items": [{"type": "bfunc", **jsonio.bfunc_to_json(BFunc(_H, top_curve(_H)))}]},
 ]

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from conftest import (as_plfunc, bottom_at, member, member_quot, random_bfunc, random_curve,
                       top_at)
 from preproj.plfunc import BFunc
-from preproj.sheets import generators, sheet_new, sheet_support
+from preproj.sheets import Sheet
 
 CASES = 1000
 
@@ -77,7 +77,7 @@ def _quantified_generators(sheet, n: int):
     midpoints of the segments they cut.
     """
     up = sheet.up.f
-    support = sheet_support(sheet)
+    support = sheet.support
     zs = []
     for lo, hi in support:
         cuts = sorted(
@@ -105,6 +105,6 @@ def test_generator_scan_matches_definition_on_grids():
         down = _grid_bfunc(rng, n)
         if up.k != down.k:
             continue
-        sheet = sheet_new(up.k, up, down)
-        assert generators(sheet) == _quantified_generators(sheet, n)
+        sheet = Sheet(up.k, up, down)
+        assert sheet.generators == _quantified_generators(sheet, n)
         done += 1

@@ -4,11 +4,11 @@ import pytest
 
 from conftest import sheet_to_json
 from preproj.errors import ParseError
-from preproj.finite import ideal_of, projective
+from preproj.finite import CurveModule, DiamondCurve, Kind, ideal_of, projective
 from preproj.plfunc import BFunc, bottom_curve, top_curve
-from preproj.render import RenderSpec, render_svg, spec_from_json
+from preproj.render import FILL, FILL_OPACITY, RenderSpec, _Panel, render_svg, spec_from_json
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
-from preproj.sheets import sheet_new
+from preproj.sheets import Sheet
 from preproj.symgroup import Perm
 
 H = F(1, 2)
@@ -36,8 +36,25 @@ class TestRenderSvg:
         svg = render_svg(_ideal_spec())
         assert 'viewBox="0 0 4000 1000"' in svg
 
+    def test_quotient_fills_from_top_to_curve(self):
+        # a sub is shaded from its curve down to the diamond's bottom, a
+        # quotient from the diamond's top down to its curve
+        curve = DiamondCurve(2, 5, (2, 3, 2, 3, 4, 3))
+        top, bottom = (2, 1, 0, 1, 2, 3), (2, 3, 4, 5, 4, 3)
+
+        def region(upper, lower):
+            pts = [[(F(j, 5), F(u, 5)) for j, u in enumerate(units)] for units in (upper, lower)]
+            return _Panel(0, 1000).polygon(pts[0] + pts[1][::-1], FILL, FILL_OPACITY)
+
+        sub, quot = (render_svg(RenderSpec(1000, (("curve_module", CurveModule(kind, curve)),)))
+                     for kind in (Kind.SUB, Kind.QUOT))
+        assert sub != quot
+        assert region(curve.units, bottom) in sub.splitlines()
+        assert region(top, curve.units) in quot.splitlines()
+        assert region(curve.units, bottom) not in quot.splitlines()
+
     def test_bfunc_and_sheet_items(self):
-        sheet = sheet_new(H, BFunc(H, top_curve(H)), BFunc(H, bottom_curve(H)))
+        sheet = Sheet(H, BFunc(H, top_curve(H)), BFunc(H, bottom_curve(H)))
         spec = RenderSpec(
             500,
             (("bfunc", BFunc(H, top_curve(H))), ("sheet", sheet)),
@@ -52,7 +69,7 @@ class TestRenderSvg:
         down = PLFunc(
             [(0, H), (F(1, 4), F(3, 4)), (H, H), (F(3, 4), F(3, 4)), (1, H)]
         )
-        sheet = sheet_new(H, BFunc(H, PLFunc.constant(H)), BFunc(H, down))
+        sheet = Sheet(H, BFunc(H, PLFunc.constant(H)), BFunc(H, down))
         svg = render_svg(RenderSpec(500, (("sheet", sheet),)))
         assert svg.count("<polygon") == 2
 
@@ -63,7 +80,7 @@ class TestRenderSvg:
 
 class TestSpecFromJson:
     def test_parses_all_item_kinds(self):
-        sheet = sheet_new(H, BFunc(H, top_curve(H)), BFunc(H, bottom_curve(H)))
+        sheet = Sheet(H, BFunc(H, top_curve(H)), BFunc(H, bottom_curve(H)))
         raw = {
             "width_px": 640,
             "items": [

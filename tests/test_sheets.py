@@ -35,6 +35,7 @@ from preproj.plfunc import (BFunc, PLFunc, bottom_curve, pointwise_sub, positive
                             top_curve)
 from preproj.sheets import (
     SawtoothDesc,
+    Sheet,
     SimpleModule,
     _leq_on,
     b_interval,
@@ -42,24 +43,20 @@ from preproj.sheets import (
     decorous_cover,
     delta_fn,
     elementary_exists,
-    generators,
     in_range_of_codependence,
     end_dim,
     is_brick,
     is_deep,
-    is_deep_sheet,
     is_sawtooth,
-    sheet_new,
-    sheet_support,
 )
 
 H = F(1, 2)
 TOP = BFunc(H, top_curve(H))
 BOTTOM = BFunc(H, bottom_curve(H))
-FULL = sheet_new(H, TOP, BOTTOM)
-ZERO = sheet_new(H, TOP, TOP)
+FULL = Sheet(H, TOP, BOTTOM)
+ZERO = Sheet(H, TOP, TOP)
 # upper boundary flat at 1/2, lower boundary dipping back to 1/2 at the middle
-TWO_BUBBLE = sheet_new(
+TWO_BUBBLE = Sheet(
     H,
     BFunc(H, PLFunc.constant(H)),
     BFunc(H, PLFunc([(0, H), (F(1, 4), F(3, 4)), (H, H), (F(3, 4), F(3, 4)), (1, H)])),
@@ -68,30 +65,42 @@ TWO_BUBBLE = sheet_new(
 W_UP = BFunc(
     H, PLFunc([(0, H), (F(2, 5), F(1, 10)), (H, F(1, 5)), (F(3, 5), F(1, 10)), (1, H)])
 )
-W_SHEET = sheet_new(H, W_UP, BOTTOM)
+W_SHEET = Sheet(H, W_UP, BOTTOM)
 # same upper boundary, lower boundary dipping between the two generators
 M_ROOF = BFunc(
     H,
     PLFunc([(0, H), (F(2, 5), F(9, 10)), (H, F(4, 5)), (F(3, 5), F(9, 10)), (1, H)]),
 )
-M_SHEET = sheet_new(H, W_UP, M_ROOF)
+M_SHEET = Sheet(H, W_UP, M_ROOF)
 
 
 class TestSheetBasics:
     def test_apex_mismatch(self):
-        with pytest.raises(NotDecorous):
-            sheet_new(F(1, 3), TOP, BOTTOM)
+        with pytest.raises(NotDecorous, match="boundary curves must live at apex 1/3"):
+            Sheet(F(1, 3), TOP, BOTTOM)
+
+    def test_each_boundary_must_live_at_the_apex(self):
+        third = F(1, 3)
+        for up, down in ((BFunc(third, top_curve(third)), BOTTOM),
+                         (TOP, BFunc(third, bottom_curve(third)))):
+            with pytest.raises(NotDecorous, match="boundary curves must live at apex 1/2"):
+                Sheet(H, up, down)
+
+    def test_apex_is_read_as_a_rational(self):
+        sheet = Sheet("1/2", TOP, BOTTOM)
+        assert sheet.k == F(1, 2) and type(sheet.k) is F
+        assert sheet == FULL
 
     def test_full_support(self):
-        assert sheet_support(FULL) == [(F(0), F(1))]
+        assert FULL.support == ((F(0), F(1)),)
 
     def test_zero_sheet(self):
-        assert sheet_support(ZERO) == []
-        assert not is_deep_sheet(ZERO)
+        assert ZERO.support == ()
+        assert is_deep(ZERO) is False
 
     def test_two_bubbles(self):
-        assert sheet_support(TWO_BUBBLE) == [(F(0), H), (H, F(1))]
-        assert is_deep_sheet(TWO_BUBBLE)
+        assert TWO_BUBBLE.support == ((F(0), H), (H, F(1)))
+        assert is_deep(TWO_BUBBLE) is True
 
     def test_boundaries_agreeing_on_a_segment(self):
         # up = down on [2/5, 3/5]: the whole flat stretch leaves the support
@@ -100,8 +109,8 @@ class TestSheetBasics:
             PLFunc([(0, H), (F(1, 5), F(7, 10)), (F(2, 5), H),
                     (F(3, 5), H), (F(4, 5), F(7, 10)), (1, H)]),
         )
-        sheet = sheet_new(H, BFunc(H, PLFunc.constant(H)), down)
-        assert sheet_support(sheet) == [(F(0), F(2, 5)), (F(3, 5), F(1))]
+        sheet = Sheet(H, BFunc(H, PLFunc.constant(H)), down)
+        assert sheet.support == ((F(0), F(2, 5)), (F(3, 5), F(1)))
 
 
 def meeting_kinds(d: PLFunc) -> set[str]:
@@ -120,7 +129,7 @@ def lattice_bfunc(rng: random.Random, i: int, n: int) -> BFunc:
 def random_sheet(rng: random.Random, i: int, n: int) -> sheets.Sheet:
     """A sheet at apex i/n on two random lattice curves, which may cross."""
     up = lattice_bfunc(rng, i, n)
-    return sheet_new(F(i, n), up, lattice_bfunc(rng, i, n))
+    return Sheet(F(i, n), up, lattice_bfunc(rng, i, n))
 
 
 def random_mean_sheet(rng: random.Random, i: int, n: int) -> sheets.Sheet:
@@ -132,7 +141,7 @@ def random_mean_sheet(rng: random.Random, i: int, n: int) -> sheets.Sheet:
         f, g = lattice_bfunc(rng, i, n).f, lattice_bfunc(rng, i * scale, n * scale).f
         return BFunc(F(i, n), PLFunc((x, (f.at(x) + g.at(x)) / 2) for x in union_xs(f, g)))
 
-    return sheet_new(F(i, n), mean(), mean())
+    return Sheet(F(i, n), mean(), mean())
 
 
 class TestSignRoutes:
@@ -191,23 +200,23 @@ class TestSignRoutes:
         assert outcomes == {True, False}
 
     def test_support_found_once(self, monkeypatch):
-        sheet = sheet_new(H, W_UP, M_ROOF)
+        sheet = Sheet(H, W_UP, M_ROOF)
 
         def refuse(f, g):
             raise AssertionError("support recomputed")
 
         monkeypatch.setattr(sheets, "positive_intervals", refuse)
-        assert sheet_support(sheet) == list(sheet.support)
-        assert is_deep_sheet(sheet)
-        assert generators(sheet) == (F(2, 5), F(3, 5))
+        assert sheet.support == ((F(0), F(1)),)
+        assert is_deep(sheet)
+        assert sheet.generators == (F(2, 5), F(3, 5))
 
 
 class TestGenerators:
     def test_projective_generated_at_apex(self):
-        assert generators(FULL) == (H,)
+        assert FULL.generators == (H,)
 
     def test_two_valleys(self):
-        assert generators(W_SHEET) == (F(2, 5), F(3, 5))
+        assert W_SHEET.generators == (F(2, 5), F(3, 5))
 
     def test_unit_slope_peak_excluded(self):
         # valleys generate; the interior peak fails the strict slope test
@@ -215,11 +224,11 @@ class TestGenerators:
             H,
             PLFunc([(0, H), (F(1, 4), F(1, 4)), (H, H), (F(3, 4), F(1, 4)), (1, H)]),
         )
-        sheet = sheet_new(H, up, BOTTOM)
-        assert generators(sheet) == (F(1, 4), F(3, 4))
+        sheet = Sheet(H, up, BOTTOM)
+        assert sheet.generators == (F(1, 4), F(3, 4))
 
     def test_scanned_once_per_sheet(self, monkeypatch):
-        sheet = sheet_new(H, W_SHEET.up, W_SHEET.down)
+        sheet = Sheet(H, W_SHEET.up, W_SHEET.down)
         scans = []
         true_steps = sheets._steps
 
@@ -228,10 +237,10 @@ class TestGenerators:
             return true_steps(f)
 
         monkeypatch.setattr(sheets, "_steps", counting)
-        y = generators(sheet)[0]
+        y = sheet.generators[0]
         codependence_class(sheet, sheet, y, 0)
         elementary_exists(sheet, sheet, y, 0)
-        assert generators(sheet) == (F(2, 5), F(3, 5)) and len(scans) == 1
+        assert sheet.generators == (F(2, 5), F(3, 5)) and len(scans) == 1
 
     def test_integer_scan_matches_fraction_scan(self):
         rng = random.Random(14)
@@ -245,8 +254,8 @@ class TestGenerators:
                 sheet = random_mean_sheet(rng, i, n)
             else:  # slopes strictly inside (-1, 1) too, on an apex off the grids above
                 up = random_bfunc(rng)
-                sheet = sheet_new(up.k, up, BFunc(up.k, bottom_curve(up.k)))
-            found = generators(sheet)
+                sheet = Sheet(up.k, up, BFunc(up.k, bottom_curve(up.k)))
+            found = sheet.generators
             assert found == generators_by_slopes(sheet), sheet
             sizes.add(min(len(found), 2))
         assert sizes == {0, 1, 2}
@@ -254,14 +263,14 @@ class TestGenerators:
     def test_quantified_definition_on_grid(self):
         # brute force |y - z| > up(y) - up(z) over the support for the W sheet
         up = W_SHEET.up.f
-        (lo0, hi0), = sheet_support(W_SHEET)
+        (lo0, hi0), = W_SHEET.support
         grid = [F(t, 40) for t in range(1, 40)]
         zs = [z for z in grid if lo0 < z < hi0]
         brute = []
         for y in [x for x, _ in up.breakpoints if lo0 < x < hi0]:
             if all(abs(y - z) > up.at(y) - up.at(z) for z in zs if z != y):
                 brute.append(y)
-        assert tuple(brute) == generators(W_SHEET)
+        assert tuple(brute) == W_SHEET.generators
 
 
 class TestCones:
@@ -352,7 +361,7 @@ class TestElementary:
         assert not elementary_exists(FULL, FULL, H, 2)
 
     def test_nested_sheets(self):
-        inner = sheet_new(H, BFunc(H, PLFunc.constant(H)), BOTTOM)
+        inner = Sheet(H, BFunc(H, PLFunc.constant(H)), BOTTOM)
         assert elementary_exists(FULL, inner, H, H)
 
     def test_requires_generator(self):
@@ -360,7 +369,7 @@ class TestElementary:
             elementary_exists(FULL, FULL, F(1, 4), 0)
 
     def test_self_maps_at_each_generator(self):
-        for y in generators(W_SHEET):
+        for y in W_SHEET.generators:
             assert elementary_exists(W_SHEET, W_SHEET, y, 0)
 
     def test_matches_the_pointwise_precheck_route(self):
@@ -372,11 +381,11 @@ class TestElementary:
             n = rng.randint(2, 8)
             i = rng.randint(1, n - 1)
             source = (random_sheet if t % 2 else random_mean_sheet)(rng, i, n)
-            if not generators(source):
+            if not source.generators:
                 continue
             scale = rng.randint(1, 3)
             target = random_sheet(rng, i * scale, n * scale)
-            y = rng.choice(generators(source))
+            y = rng.choice(source.generators)
             a = F(rng.randint(-2, 2 * n * scale), 2 * n * scale)
             verdict = elementary_exists(source, target, y, a)
             assert verdict == elementary_exists_by_at(source, target, y, a), (source, target, y, a)
@@ -415,8 +424,9 @@ class TestDeep:
                 measure(module)
 
     def test_nonzero_sheets_deep(self):
-        assert is_deep_sheet(FULL)
-        assert is_deep_sheet(W_SHEET)
+        assert is_deep(FULL) is True
+        assert is_deep(W_SHEET) is True
+        assert is_deep(ZERO) is False
 
 
 class TestSawtooth:
@@ -425,7 +435,11 @@ class TestSawtooth:
         st = is_sawtooth(f, 0, 1)
         assert st is not None
         assert st.teeth == ((F(0), F(1, 5)), (F(4, 5), F(1)), (F(1), F(4, 5)))
-        assert st.min_index_odd() and st.max_index_odd()
+        # it rises out of 0 and falls into 1: no covering projective
+        with pytest.raises(HypothesisFailed, match="starts at 0"):
+            decorous_cover(st)
+        with pytest.raises(HypothesisFailed, match="ends at 1"):
+            decorous_cover(SawtoothDesc(F(4, 5), 1, st.teeth[1:]))
 
     def test_w_shape(self):
         f = PLFunc(
@@ -434,7 +448,10 @@ class TestSawtooth:
         )
         st = is_sawtooth(f, 0, 1)
         assert st is not None and len(st.teeth) == 6
-        assert st.min_index_odd()  # the first segment rises
+        with pytest.raises(HypothesisFailed, match="starts at 0"):  # the first segment rises
+            decorous_cover(st)
+        # without its first tooth it falls out of 1/5 and rises into 1
+        assert decorous_cover(SawtoothDesc(F(1, 5), 1, st.teeth[1:])).k == H
 
     def test_constant_rejected(self):
         assert is_sawtooth(PLFunc.constant(H), 0, 1) is None
@@ -491,6 +508,30 @@ class TestDecorousCover:
         st = SawtoothDesc(0, 1, [(0, F(1, 5)), (F(4, 5), 1), (1, F(4, 5))])
         with pytest.raises(HypothesisFailed):
             decorous_cover(st)
+
+    @pytest.mark.parametrize("values", [(2, 3, 2, 3, 2, 3), (3, 2, 3, 2, 3, 2)], ids=["W", "M"])
+    def test_fails_exactly_on_an_odd_tooth_at_0_or_1(self, values):
+        # every run of the teeth of one W (M) across [0, 1].  A tooth is odd
+        # when a rising segment leaves it; parity alternates tooth by tooth,
+        # so the last of r teeth is odd exactly when the first is and r is
+        # odd, or the first is not and r is even
+        teeth = [(F(t, 5), F(v, 5)) for t, v in enumerate(values)]
+        verdicts = set()
+        for lo in range(6):
+            for hi in range(lo + 1, 6):
+                run = teeth[lo:hi + 1]
+                st = SawtoothDesc(run[0][0], run[-1][0], run)
+                first_odd = run[1][1] > run[0][1]
+                last_odd = first_odd ^ (len(run) % 2 == 0)
+                fails = (lo == 0 and first_odd) or (hi == 5 and last_odd)
+                if fails:
+                    with pytest.raises(HypothesisFailed):
+                        decorous_cover(st)
+                else:  # the cover runs through the teeth, shifted
+                    cover = decorous_cover(st).f
+                    assert len({cover.at(x) - v for x, v in run}) == 1
+                verdicts.add(fails)
+        assert verdicts == {True, False}
 
 
 class TestBricks:
