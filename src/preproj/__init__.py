@@ -11,8 +11,6 @@ from .finite import (
     CurveModule,
     DiamondCurve,
     Kind,
-    bottom_boundary,
-    curve_hom_dim,
     factors,
     hom_dims,
     ideal_of,
@@ -21,15 +19,12 @@ from .finite import (
     is_zero,
     projective,
     strip,
-    strip_letter,
     tau_sub,
-    top_boundary,
     top_removable,
 )
 from .permuton import (
     GridPermuton,
     boundary_function,
-    cdf,
     from_perm,
     permuton_bruhat_leq,
     uniform,
@@ -39,9 +34,7 @@ from .plfunc import (
     MonotoneClass,
     PLFunc,
     is_lipschitz1,
-    monotone_class,
     pointwise_leq,
-    pointwise_max,
     pointwise_min,
     to_bfunc,
     vshift,
@@ -53,7 +46,6 @@ from .sheets import (
     b_interval,
     codependence_class,
     decorous_cover,
-    delta_fn,
     elementary_exists,
     in_range_of_codependence,
     is_brick,
@@ -63,12 +55,9 @@ from .sheets import (
 from .symgroup import (
     Perm,
     all_reduced_words,
-    apply_word,
     bruhat_leq,
     canonical_reduced_word_of_rep,
     is_reduced,
-    length,
-    min_coset_rep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,10 +35,11 @@ A check runs tasks: a permutation (mizuno, taurigid, bridge), a source
 (rows, i) against every target (bruhat), or a permutation or a (label,
 permuton) (twosided, homvanish).  A runner decides on integers (curve
 units, one-line tuples, boundary rows), itself or by a decider of the
-library, builds no validated curve, and returns its task's lines, a bruhat
-row spliced from pieces encoded once per sweep and other records encoded by
-_line, with its counts of cases and failures; cmd_check writes them as they
-come, serially or from --jobs workers (capped at the CPU and task counts).
+library, and validates no curve but homvanish's staircase summands; it
+returns its task's lines, a bruhat row spliced from pieces encoded once per
+sweep and other records encoded by _line, with its counts of cases and
+failures; cmd_check writes them as they come, serially or from --jobs
+workers (capped at the CPU and task counts).
 Per-sweep memos, cleared before and after each check, do each weak-order
 node (mizuno), Hom pair (taurigid, homvanish) and stripped summand (bridge)
 once per process.  A reader closing the pipe early ends the command with
@@ -127,11 +128,11 @@ def _emit(obj: dict) -> None:
 def cmd_ideal_perm(args) -> int:
     w = parse_perm(args.w)
     summands = finite.ideal_of(w)
-    _emit({"w": str(w), "n": w.n, "summands": [
-        {**jsonio.curve_module_to_json(m), "zero": finite.is_zero(m)} for m in summands]})
-    if args.svg:
+    if args.svg:  # first, so a figure that cannot be written leaves stdout empty
         spec = render.RenderSpec(1000, tuple(("curve_module", m) for m in summands))
         _write_text(args.svg, render.render_svg(spec))
+    _emit({"w": str(w), "n": w.n, "summands": [
+        {**jsonio.curve_module_to_json(m), "zero": finite.is_zero(m)} for m in summands]})
     return 0
 
 

@@ -18,7 +18,7 @@ from operator import add, gt, le, sub
 from .errors import CertificateFailure, DomainError, NotGridAligned, SizeMismatch
 from . import permuton, plfunc, symgroup
 from .finite import CurveModule, DiamondCurve, Kind, _diamond, summand_via_word
-from .permuton import GridPermuton, boundary_function, permuton_bruhat_leq, union_ticks
+from .permuton import GridPermuton, union_ticks
 from .plfunc import BFunc, MonotoneClass, bottom_curve, pointwise_leq, pointwise_min, vshift
 from .rat import frac
 from .symgroup import Perm
@@ -44,13 +44,14 @@ def ideal_leq(mu: GridPermuton, nu: GridPermuton) -> bool:
     union grid, equivalently cdf(mu) <= cdf(nu) everywhere.  Those apexes
     suffice: the curve gap at (x, y) is 2 (cdf(nu) - cdf(mu)), which for fixed
     x is linear in y between union rows (both CDFs are bilinear on union
-    cells) and vanishes at y = 0 and y = 1."""
+    cells) and vanishes at y = 0 and y = 1.  Both routes are read off the
+    permuton module at call time, as the other deciders read their rows."""
     big, ticks = union_ticks(mu.m, nu.m)
     by_curves = all(
-        pointwise_leq(boundary_function(nu, y).f, boundary_function(mu, y).f)
+        pointwise_leq(permuton.boundary_function(nu, y).f, permuton.boundary_function(mu, y).f)
         for y in (Fraction(k, big) for k in ticks)
     )
-    by_cdf = permuton_bruhat_leq(nu, mu)
+    by_cdf = permuton.permuton_bruhat_leq(nu, mu)
     if by_curves != by_cdf:
         raise CertificateFailure(
             "curve and CDF routes disagree on ideal inclusion"

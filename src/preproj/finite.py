@@ -28,7 +28,6 @@ from . import symgroup
 from .errors import (
     DomainError,
     IndexOutOfRange,
-    LetterOutOfRange,
     NoTopSimple,
     NotReduced,
     SizeMismatch,
@@ -120,17 +119,9 @@ def _diamond(i: int, n: int) -> Band:
             tuple(n - abs(n - i - j) for j in range(n + 1)))
 
 
-def top_boundary(i: int, n: int) -> DiamondCurve:
-    return DiamondCurve(i, n, _diamond(i, n)[0])
-
-
-def bottom_boundary(i: int, n: int) -> DiamondCurve:
-    return DiamondCurve(i, n, _diamond(i, n)[1])
-
-
 def projective(i: int, n: int) -> CurveModule:
     """All of P_i: the submodule whose curve is the diamond's top boundary."""
-    return CurveModule(Kind.SUB, top_boundary(i, n))
+    return CurveModule(Kind.SUB, DiamondCurve(i, n, _diamond(i, n)[0]))
 
 
 def band(m: CurveModule) -> Band:
@@ -213,17 +204,6 @@ def summand_via_word(word: Word, n: int, i: int) -> Units:
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
     return word_curves(word, n, (i,))[0]
-
-
-def strip_letter(ideal: Sequence[CurveModule], letter: int) -> tuple[CurveModule, ...]:
-    """The ideal one letter further along a word: stripping ``letter`` from
-    the ideal of a reduced word u gives the ideal of u + (letter,) when that
-    word is reduced.  (The mizuno check walks the right weak order with its
-    integer core, strip_curves, in cli._weak_node.)"""
-    n = ideal[0].n if ideal else 1
-    if not 1 <= letter <= n - 1:
-        raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
-    return _sub_modules(n, strip_curves([m.curve.units for m in ideal], letter))
 
 
 def ideal_curves(one_line: Sequence[int]) -> tuple[Units, ...]:
@@ -356,11 +336,6 @@ def hom_dims(a: CurveModule, targets: Sequence[CurveModule]) -> list[int]:
     """[dim Hom(a, b) for b in targets], for curve modules of either kind,
     read off their bands in one pass (HomLanes)."""
     return HomLanes(map(band, targets)).dims(band(a)) if targets else []
-
-
-def curve_hom_dim(a: CurveModule, b: CurveModule) -> int:
-    """dim Hom(a, b) for two curve modules: hom_dims with one target."""
-    return hom_dims(a, (b,))[0]
 
 
 def tau_rigid_witness(curves: Sequence[Units],

@@ -4,24 +4,23 @@ A GridPermuton carries an m x m matrix of cell masses, uniform within each
 cell, with every row and column summing to 1/m.  Rows index the vertical
 coordinate y (increasing downwards) and columns the horizontal coordinate x,
 so ``cells[r][c] / den`` is the measure of ((c/m, (c+1)/m] x (r/m, (r+1)/m]),
-den = lcm(m, mass denominators); ``mass`` is the same matrix of Fractions, built
-on first use.  Every permuton is checked and gets its tables on one path from
-its integer cells; the constructor reads each distinct cell literal once per
-call, and ``from_perm`` and ``uniform`` write no literals.
+den = lcm(m, mass denominators).  Every permuton is checked and gets its
+tables on one path from its integer cells; the constructor reads each
+distinct cell literal once per call, and ``from_perm`` and ``uniform`` write
+no literals.
 
 Every CDF query reads one integer corner-sum table built with the permuton:
 ``cum[r][c] / den`` is mu([0,c/m] x [0,r/m]), r, c = 0..m.  The CDF is bilinear
 within each cell, so ``_cdf_ints`` reads any point by interpolating the table
-along y, then x, one row of points at a time; values leave as Fractions.  A
-boundary row sits on the columns, so it reads one or two rows of ``cum``
-directly; the order on two grids reads the union grid row by row and stops at
-the first row where it fails.
+along y, then x, one row of points at a time.  A boundary row sits on the
+columns, so it reads one or two rows of ``cum`` directly; the order on two
+grids reads the union grid row by row and stops at the first row where it
+fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, count, repeat
 from math import lcm
@@ -83,11 +82,6 @@ class GridPermuton:
         return self
 
     @cached_property
-    def mass(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The cell masses as Fractions, ``cells`` over ``den``."""
-        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.cells)
-
-    @cached_property
     def interior(self) -> tuple[int, ...]:
         """The CDF at the interior grid corners (c/m, r/m), 0 < r, c < m,
         row after row, over ``den``: ``cum`` without its boundary, which is
@@ -115,16 +109,6 @@ def _cdf_ints(mu: GridPermuton, ys, xs, s: int) -> Iterator[list[int]]:
     for i, r in ys:  # r = 0 at i = m
         row = [(s - r) * a + r * b for a, b in zip(mu.cum[i], mu.cum[min(i + 1, mu.m)])]
         yield [(s - g) * row[j] + g * row[j + 1] if g else s * row[j] for j, g in xs]
-
-
-def cdf(mu: GridPermuton, a, b) -> Fraction:
-    """Measure of [0,a] x [0,b], bilinear within each cell."""
-    a, b = frac(a), frac(b)
-    if not (0 <= a <= 1 and 0 <= b <= 1):
-        raise DomainError(f"({a},{b}) outside the unit square")
-    s = lcm(a.denominator, b.denominator)
-    y, x = (divmod(t.numerator * (s // t.denominator) * mu.m, s) for t in (b, a))
-    return Fraction(next(_cdf_ints(mu, [y], [x], s))[0], s * s * mu.den)
 
 
 def boundary_row(mu: GridPermuton, p: int, q: int) -> list[int]:

@@ -145,11 +145,6 @@ def is_lipschitz1(f: PLFunc) -> bool:
     return all(-run <= rise <= run for rise, run in _steps(f))
 
 
-def monotone_class(f: PLFunc) -> MonotoneClass:
-    """Classify by segment slopes; CONSTANT when the function is flat."""
-    return rises_class([rise for rise, _ in _steps(f)])
-
-
 def rises_class(rises: Sequence[int]) -> MonotoneClass:
     """Classify by the least and the greatest rise over consecutive linear pieces."""
     if not rises:
@@ -189,7 +184,7 @@ def _walk(f: PLFunc, g: PLFunc) -> Iterable[tuple[int, int, int, int]]:
 
 def _crossed(f: PLFunc, g: PLFunc) -> list[tuple[int, int, int, int]]:
     # f - g is linear between union breakpoints; insert its interior roots
-    # so that min/max stay piecewise linear: where it goes from d0 to d1 of
+    # so that min stays piecewise linear: where it goes from d0 to d1 of
     # the other sign, the root is |d1| p0 + |d0| p1, on both segments.
     pts = list(_walk(f, g))
     out = pts[:1]
@@ -203,10 +198,6 @@ def _crossed(f: PLFunc, g: PLFunc) -> list[tuple[int, int, int, int]]:
 
 def pointwise_min(f: PLFunc, g: PLFunc) -> PLFunc:
     return _plfunc(_merged((x, min(a, b), w) for x, a, b, w in _crossed(f, g)))
-
-
-def pointwise_max(f: PLFunc, g: PLFunc) -> PLFunc:
-    return _plfunc(_merged((x, max(a, b), w) for x, a, b, w in _crossed(f, g)))
 
 
 def positive_intervals(f: PLFunc, g: PLFunc) -> list[tuple[Fraction, Fraction]]:
@@ -230,10 +221,6 @@ def positive_intervals(f: PLFunc, g: PLFunc) -> list[tuple[Fraction, Fraction]]:
 def pointwise_leq(f: PLFunc, g: PLFunc) -> bool:
     """f <= g everywhere; the union breakpoint grid decides it exactly."""
     return all(a <= b for _, a, b, _ in _walk(f, g))
-
-
-def pointwise_sub(f: PLFunc, g: PLFunc) -> PLFunc:
-    return _plfunc(_merged((x, a - b, w) for x, a, b, w in _walk(f, g)))
 
 
 def top_curve(k) -> PLFunc:

@@ -24,8 +24,8 @@ from .errors import (
     NotGenerator,
     NotInSupport,
 )
-from .finite import CurveModule, band, curve_hom_dim
-from .plfunc import BFunc, PLFunc, _steps, pointwise_sub, positive_intervals, to_bfunc, vshift
+from .finite import CurveModule, band, hom_dims
+from .plfunc import BFunc, PLFunc, _steps, positive_intervals, to_bfunc, vshift
 from .rat import frac
 
 ZERO = Fraction(0)
@@ -79,13 +79,9 @@ def _in_support(s: Sheet, y: Fraction) -> bool:
     return any(lo < y < hi for lo, hi in s.support)
 
 
-def delta_fn(s: Sheet, s_prime: Sheet, a) -> PLFunc:
-    """Delta(y) = down'(y) - (a + up(y)), positive on B_a(y) (``b_interval``)."""
-    return vshift(pointwise_sub(s_prime.down.f, s.up.f), -frac(a))
-
-
 def b_interval(s: Sheet, s_prime: Sheet, y, a) -> Optional[Interval]:
-    """Largest open interval around y on which Delta > 0; None if Delta(y) <= 0."""
+    """B_a(y): the largest open interval around y on which the headroom
+    Delta = down' - (a + up) is positive; None if Delta(y) <= 0."""
     y, a = frac(y), frac(a)
     if not _in_support(s, y):
         raise NotInSupport(f"{y} is outside the support of the source sheet")
@@ -235,11 +231,12 @@ def decorous_cover(st: SawtoothDesc) -> BFunc:
 
 def end_dim(module) -> int:
     """dim End(module).  Simples and sawtooth modules have the field as
-    endomorphisms; a curve module is measured on its curve by curve_hom_dim."""
+    endomorphisms; a curve module is measured on its band by hom_dims, with
+    itself as the one target."""
     if isinstance(module, (SimpleModule, SawtoothDesc)):
         return 1
     if isinstance(module, CurveModule):
-        return curve_hom_dim(module, module)
+        return hom_dims(module, (module,))[0]
     raise DomainError(f"not a module descriptor: {module!r}")
 
 

@@ -100,11 +100,6 @@ def perm_at(n: int, rank: int) -> Perm:
     return Perm(ol)
 
 
-def length(w: Perm) -> int:
-    """Coxeter length = number of inversions."""
-    return _inversions(w.one_line)
-
-
 def _inversions(one_line: Sequence[int]) -> int:
     """The number of inversions: each value against the larger ones before
     it, by bisection into their sorted list, O(n log n) comparisons."""
@@ -117,15 +112,6 @@ def _inversions(one_line: Sequence[int]) -> int:
     return count
 
 
-def _letters(word: Iterable[int], n: int) -> Word:
-    """The word as a tuple, once every letter lies in 1..n - 1."""
-    word = tuple(word)
-    for letter in word:
-        if not 1 <= letter <= n - 1:
-            raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
-    return word
-
-
 def _spell(word: Iterable[int], n: int) -> list[int]:
     """The word's product in one-line notation, letters unchecked: appending
     letter j multiplies on the right, i.e. swaps positions j, j+1."""
@@ -135,13 +121,11 @@ def _spell(word: Iterable[int], n: int) -> list[int]:
     return ol
 
 
-def apply_word(word: Iterable[int], n: int) -> Perm:
-    """Product of adjacent transpositions, leftmost letter applied last."""
-    return Perm(_spell(_letters(word, n), n))
-
-
 def is_reduced(word: Iterable[int], n: int) -> bool:
-    word = _letters(word, n)
+    word = tuple(word)
+    for letter in word:
+        if not 1 <= letter <= n - 1:
+            raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
     return _inversions(_spell(word, n)) == len(word)
 
 
@@ -171,18 +155,12 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
 
 
 def min_coset_line(one_line: Sequence[int], i: int) -> tuple[int, ...]:
-    """min_coset_rep on a one-line notation, as one: the values 1..i, then
-    i+1..n, each set in increasing order within its positions."""
+    """The minimal-length representative of the coset of w with respect to
+    the subgroup generated by all adjacent transpositions except s_i, in
+    one-line notation, from w's: the values 1..i, then i+1..n, each set in
+    increasing order within its positions."""
     low, high = itertools.count(1), itertools.count(i + 1)
     return tuple(next(low) if v <= i else next(high) for v in one_line)
-
-
-def min_coset_rep(w: Perm, i: int) -> Perm:
-    """Minimal-length representative of the coset of w w.r.t. the subgroup
-    generated by all adjacent transpositions except s_i (min_coset_line)."""
-    if not 1 <= i <= w.n - 1:
-        raise IndexOutOfRange(f"vertex {i} outside 1..{w.n - 1}")
-    return Perm(min_coset_line(w.one_line, i))
 
 
 def canonical_reduced_word_of_rep(u: Perm, i: int) -> Word:

@@ -9,30 +9,37 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import ge, le
 from typing import Iterable
 
-from preproj import permuton, plfunc
+from preproj import permuton, plfunc, symgroup
 from preproj.continuous import left_act, staircase
 from preproj.errors import (DomainError, IndexOutOfRange, LetterOutOfRange, NotGridAligned,
                             NotLipschitz, NotMinimalRep, ParseError, SizeMismatch)
-from preproj.finite import (CurveModule, DiamondCurve, band, factors, ideal_of, ideal_via_word,
-                            tau_sub)
+from preproj.finite import (CurveModule, DiamondCurve, _diamond, band, factors, ideal_of,
+                            ideal_via_word, tau_sub)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.linalg import rank_of_links
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
-from preproj.plfunc import (BFunc, MonotoneClass, PLFunc, _merged, bottom_curve, pointwise_leq,
-                            to_bfunc, top_curve, vshift)
+from preproj.plfunc import (BFunc, MonotoneClass, PLFunc, _merged, _plfunc, _walk, bottom_curve,
+                            pointwise_leq, to_bfunc, top_curve, vshift)
 from preproj.rat import frac, rat_str
 from preproj.sheets import SawtoothDesc, Sheet, SimpleModule, _leq_on, b_interval
 from preproj.symgroup import (Perm, all_perms, all_reduced_words,
-                              canonical_reduced_word_of_rep, length, min_coset_rep)
+                              canonical_reduced_word_of_rep, min_coset_line)
 
 
 def as_plfunc(curve: DiamondCurve) -> PLFunc:
     """The curve as a PL function (formerly ``DiamondCurve.as_plfunc``)."""
     return PLFunc.from_lattice(curve.n, curve.units, curve.n)
+
+
+def bottom_boundary(i: int, n: int) -> DiamondCurve:
+    """The bottom boundary of P_i's diamond, the curve of its zero
+    submodule (formerly ``finite.bottom_boundary``)."""
+    return DiamondCurve(i, n, _diamond(i, n)[1])
 
 
 def random_curve(i: int, n: int, rng: random.Random) -> DiamondCurve:
@@ -277,7 +284,22 @@ def sawtooth_rep_by_midpoints(st: SawtoothDesc, n: int) -> QuiverRep:
 # The word layer as it was before it moved onto one-line lists (formerly in
 # preproj.symgroup): every word spelled into a validated Perm, its length
 # counted over all pairs, the canonical word read off the inverse.  The
-# library's list-based layer is held to these.
+# library's list-based layer is held to these.  length and min_coset_rep
+# are the Perm forms of symgroup's one-line functions, which only tests read
+# (formerly in preproj.symgroup).
+
+
+def length(w: Perm) -> int:
+    """Coxeter length = number of inversions."""
+    return symgroup._inversions(w.one_line)
+
+
+def min_coset_rep(w: Perm, i: int) -> Perm:
+    """Minimal-length representative of the coset of w w.r.t. the subgroup
+    generated by all adjacent transpositions except s_i (min_coset_line)."""
+    if not 1 <= i <= w.n - 1:
+        raise IndexOutOfRange(f"vertex {i} outside 1..{w.n - 1}")
+    return Perm(min_coset_line(w.one_line, i))
 
 
 def length_by_pairs(w: Perm) -> int:
@@ -402,11 +424,28 @@ def mizuno_by_words(w: Perm) -> dict:
     return {"case": str(w), "ok": ok, "words": len(words)}
 
 
+def mass(mu: GridPermuton) -> tuple[tuple[Fraction, ...], ...]:
+    """The cell masses as Fractions, ``cells`` over ``den`` (formerly
+    ``GridPermuton.mass``)."""
+    return tuple(tuple(Fraction(v, mu.den) for v in row) for row in mu.cells)
+
+
+def cdf(mu: GridPermuton, a, b) -> Fraction:
+    """Measure of [0,a] x [0,b], bilinear within each cell, read off the
+    library's integer table (formerly ``permuton.cdf``)."""
+    a, b = frac(a), frac(b)
+    if not (0 <= a <= 1 and 0 <= b <= 1):
+        raise DomainError(f"({a},{b}) outside the unit square")
+    s = lcm(a.denominator, b.denominator)
+    y, x = (divmod(t.numerator * (s // t.denominator) * mu.m, s) for t in (b, a))
+    return Fraction(next(permuton._cdf_ints(mu, [y], [x], s))[0], s * s * mu.den)
+
+
 def fraction_cum(mu: GridPermuton) -> list[list[Fraction]]:
     """cum[r][c] = mu([0,c/m] x [0,r/m]) as Fractions, by running sums of the
     masses (the library's former table)."""
     cum = [[Fraction(0)] * (mu.m + 1)]
-    for row in mu.mass:
+    for row in mass(mu):
         run = itertools.accumulate(row, initial=Fraction(0))
         cum.append([a + b for a, b in zip(cum[-1], run)])
     return cum
@@ -463,12 +502,25 @@ def twosided_pair_by_plfuncs(mu: GridPermuton) -> list | None:
     return None
 
 
+def monotone_class(f: PLFunc) -> MonotoneClass:
+    """Classify by segment slopes; CONSTANT when the function is flat
+    (formerly ``plfunc.monotone_class``).  It reads plfunc's classifier at
+    call time, so a plant on ``plfunc.rises_class`` reaches it."""
+    return plfunc.rises_class([rise for rise, _ in plfunc._steps(f)])
+
+
+def pointwise_sub(f: PLFunc, g: PLFunc) -> PLFunc:
+    """f - g, read at the union breakpoints in the library's one forward
+    walk (formerly ``plfunc.pointwise_sub``)."""
+    return _plfunc(_merged((x, a - b, w) for x, a, b, w in _walk(f, g)))
+
+
 def hom_vanishing_cert(f: BFunc, g: BFunc) -> MonotoneClass:
     """Monotonicity certificate for Hom(D_f, U_g) = 0 by PL algebra on any
     two BFuncs: a weakly monotone difference f - g forces vanishing; NEITHER:
     the criterion does not apply.  (formerly ``continuous.hom_vanishing_cert``,
     the oracle of the row route)"""
-    return plfunc.monotone_class(plfunc.pointwise_sub(f.f, g.f))
+    return monotone_class(pointwise_sub(f.f, g.f))
 
 
 def homvanish_by_plfuncs(mu: GridPermuton) -> bool:
@@ -526,9 +578,9 @@ def cell_sum_cdf(mu: GridPermuton, a: Fraction, b: Fraction) -> Fraction:
     def clamp(v: Fraction) -> Fraction:
         return min(max(v, Fraction(0)), Fraction(1))
 
-    m = mu.m
+    m, cells = mu.m, mass(mu)
     return sum(
-        (mu.mass[r][c] * clamp(a * m - c) * clamp(b * m - r)
+        (cells[r][c] * clamp(a * m - c) * clamp(b * m - r)
          for r in range(m) for c in range(m)),
         Fraction(0),
     )
@@ -543,10 +595,10 @@ def refine(mu: GridPermuton, factor: int) -> GridPermuton:
     """Split every cell into factor x factor uniform subcells; same measure."""
     if factor == 1:
         return mu
-    m2 = mu.m * factor
+    m2, cells = mu.m * factor, mass(mu)
     scale = Fraction(1, factor * factor)
     return GridPermuton(
-        m2, [[mu.mass[r // factor][c // factor] * scale for c in range(m2)]
+        m2, [[cells[r // factor][c // factor] * scale for c in range(m2)]
              for r in range(m2)])
 
 
@@ -721,10 +773,6 @@ def min_by_fractions(f: PLFunc, g: PLFunc) -> list:
     return merge_by_fractions((x, min(a, b)) for x, a, b in crossed_by_fractions(f, g))
 
 
-def max_by_fractions(f: PLFunc, g: PLFunc) -> list:
-    return merge_by_fractions((x, max(a, b)) for x, a, b in crossed_by_fractions(f, g))
-
-
 def sub_by_fractions(f: PLFunc, g: PLFunc) -> list:
     return merge_by_fractions((x, a - b) for x, a, b in walk_by_fractions(f, g))
 
@@ -818,10 +866,6 @@ def xs_with_crossings(f: PLFunc, g: PLFunc) -> list[Fraction]:
 
 def min_by_at(f: PLFunc, g: PLFunc) -> PLFunc:
     return PLFunc((x, min(f.at(x), g.at(x))) for x in xs_with_crossings(f, g))
-
-
-def max_by_at(f: PLFunc, g: PLFunc) -> PLFunc:
-    return PLFunc((x, max(f.at(x), g.at(x))) for x in xs_with_crossings(f, g))
 
 
 def leq_by_at(f: PLFunc, g: PLFunc) -> bool:
@@ -1042,6 +1086,12 @@ def is_zero_sub(b: BFunc) -> bool:
     return b.f == bottom_curve(b.k)
 
 
+def delta_fn(s: Sheet, s_prime: Sheet, a) -> PLFunc:
+    """Delta(y) = down'(y) - (a + up(y)), positive on B_a(y) (``b_interval``);
+    formerly ``sheets.delta_fn``."""
+    return vshift(pointwise_sub(s_prime.down.f, s.up.f), -frac(a))
+
+
 def cone_contains(s: Sheet, s_prime: Sheet, y, a, z, b) -> bool:
     """Is (z, b) in the cone C_a(y) of the target sheet: a pathlike of length
     b in the target at z, reachable from height a + up(y) at y?"""
@@ -1099,7 +1149,7 @@ def uniform_by_literals(m: int) -> GridPermuton:
 
 
 def permuton_to_json(mu: GridPermuton) -> dict:
-    return {"m": mu.m, "mass": [[rat_str(v) for v in row] for row in mu.mass]}
+    return {"m": mu.m, "mass": [[rat_str(v) for v in row] for row in mass(mu)]}
 
 
 def sheet_to_json(s: Sheet) -> dict:

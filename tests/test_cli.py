@@ -183,6 +183,28 @@ class TestOrderCommands:
         assert lines[0] == {"leq": True, "geq": False, "comparable": True}
 
 
+class TestIdealCrossCheck:
+    """ideal_leq reads both of its routes off permuton when it is called, so
+    either one planted wrong there makes them disagree: CertificateFailure,
+    and order ideal exits 2 with its error line and nothing on stdout."""
+
+    @pytest.mark.parametrize("route", ["boundary_function", "permuton_bruhat_leq"])
+    def test_a_wrong_route_fails_the_cross_check(self, capsys, tmp_path, monkeypatch, route):
+        i321, i231 = from_perm(Perm((3, 2, 1))), from_perm(Perm((2, 3, 1)))
+        true = getattr(permuton, route)
+        monkeypatch.setattr(permuton, route, {
+            "boundary_function": lambda mu, y: BFunc(y, top_curve(y)),  # always P_y
+            "permuton_bruhat_leq": lambda mu, nu: not true(mu, nu),
+        }[route])
+        with pytest.raises(CertificateFailure, match="curve and CDF routes disagree"):
+            continuous.ideal_leq(i231, i321)  # I_231 is not inside I_321
+        a = write_json(tmp_path, "a.json", permuton_to_json(i321))
+        b = write_json(tmp_path, "b.json", permuton_to_json(i231))
+        assert main(["order", "ideal", a, b]) == 2
+        assert capsys.readouterr() == (
+            "", "error: curve and CDF routes disagree on ideal inclusion\n")
+
+
 def _off_canonical(literal: str, k: int) -> str:
     """An equal cell literal off the wire's canonical form, chosen by k."""
     q = F(literal)
@@ -921,7 +943,7 @@ class TestWindowedFeed:
             tuple(sorted(ol)) if ol == u.one_line else ol))
         # a zero first summand: its curve is the diamond's bottom at vertex 1
         monkeypatch.setattr(finite, "tau_rigid_witness", lambda curves, homs: (
-            (1, 1) if curves and curves[0] == finite.bottom_boundary(1, len(curves[0]) - 1).units
+            (1, 1) if curves and curves[0] == finite._diamond(1, len(curves[0]) - 1)[1]
             else witness(curves, homs)))
         monkeypatch.setattr(symgroup, "canonical_reduced_word_of_rep",
                             lambda w, i: () if (w, i) == (rep0, 2) else word_of(w, i))
@@ -1130,12 +1152,7 @@ class TestSummandMemos:
             init(self, one_line)
             built.append(self.one_line)
 
-        def forbidden(*args):
-            raise AssertionError("the bridge spelled a Perm it did not need")
-
         monkeypatch.setattr(Perm, "__init__", counting)
-        for name in ("apply_word", "min_coset_rep"):
-            monkeypatch.setattr(symgroup, name, forbidden)
         monkeypatch.setenv("PREPROJ_MAX_N", "10")
         ol = (3, 10, 1, 7, 5, 2, 9, 4, 8, 6)
         code, lines = run(capsys, "check", "bridge", "--perm", json.dumps(ol))
@@ -1391,10 +1408,10 @@ class TestBrickAndSheet:
 
     def test_brick_check_solves_one_endomorphism_space(self, capsys, tmp_path,
                                                          monkeypatch):
-        homs, curve_hom_dim = [], finite.curve_hom_dim
+        homs, hom_dims = [], finite.hom_dims
         for module in (finite, sheets):
-            monkeypatch.setattr(module, "curve_hom_dim",
-                                lambda a, b: homs.append((a, b)) or curve_hom_dim(a, b))
+            monkeypatch.setattr(module, "hom_dims", lambda a, targets: homs.append(
+                (a, *targets)) or hom_dims(a, targets))
         path = write_json(
             tmp_path,
             "m.json",
@@ -1619,7 +1636,8 @@ class TestRenderCommand:
                                **jsonio.curve_module_to_json(projective(1, 4))}]}
             argv = ["render", write_json(tmp_path, "spec.json", spec), "-o", target]
         assert main(argv) == 2
-        assert f"cannot write {target}" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert f"cannot write {target}" in err and out == ""
 
     @pytest.mark.parametrize(
         "spec",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim,
+from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim, mass,
                       hom_vanishing_cert, is_full, is_zero_sub, member, member_quot, random_bfunc, random_permuton, refine,
                       to_rep, top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs)
 from preproj import permuton
@@ -334,7 +334,7 @@ def uncertified_by_certs(mu) -> list | None:
 
 def rotated(mu: GridPermuton) -> GridPermuton:
     """mu turned by a half turn: (x, y) -> (1 - x, 1 - y)."""
-    return GridPermuton(mu.m, [row[::-1] for row in reversed(mu.mass)])
+    return GridPermuton(mu.m, [row[::-1] for row in reversed(mass(mu))])
 
 
 class TestDecidersOnLargerGrids:

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import (QuiverRep, curve_hom_dim_by_pair, factor_rep, hom_dim,
+from conftest import (QuiverRep, apply_word_by_perm, bottom_boundary, curve_hom_dim_by_pair,
+                      factor_rep, hom_dim,
                       hom_dim_by_elimination, hom_lengths, loop_action, random_curve,
                       rep_is_deep, sawtooth_rep, sawtooth_rep_by_midpoints, simple_rep,
                       to_rep, zero_rep)
@@ -27,8 +28,6 @@ from preproj.finite import (
     HomLanes,
     Kind,
     band,
-    bottom_boundary,
-    curve_hom_dim,
     factors,
     hom_dims,
     ideal_curves,
@@ -39,7 +38,6 @@ from preproj.finite import (
     projective,
     strip,
     strip_curves,
-    strip_letter,
     summand_via_word,
     tau_rigid_witness,
     tau_sub,
@@ -47,7 +45,7 @@ from preproj.finite import (
     word_curves,
 )
 from preproj.sheets import SawtoothDesc, is_deep
-from preproj.symgroup import Perm, all_perms, all_reduced_words, apply_word, bruhat_leq
+from preproj.symgroup import Perm, all_perms, all_reduced_words, bruhat_leq
 
 W = Perm((2, 5, 3, 4, 1))
 
@@ -61,7 +59,7 @@ def descent_walk_word(w: Perm, rng: random.Random) -> tuple[int, ...]:
         descents = [p for p in range(len(ol) - 1) if ol[p] > ol[p + 1]]
         if not descents:
             word = tuple(reversed(undone))
-            assert apply_word(word, w.n) == w
+            assert apply_word_by_perm(word, w.n) == w
             return word
         p = rng.choice(descents)
         ol[p], ol[p + 1] = ol[p + 1], ol[p]
@@ -207,24 +205,27 @@ class TestSummandViaWord:
 
 
 class TestStripLetter:
+    """One more letter on the curves of an ideal: strip_curves, the one
+    single-letter step, against word_curves along the longer word."""
+
     def test_extends_every_reduced_word_s4(self):
         # appending an ascent s to a reduced word keeps it reduced
         for w in all_perms(4):
             for word in all_reduced_words(w):
                 for s in range(1, 4):
                     if w(s) < w(s + 1):
-                        assert strip_letter(ideal_via_word(word, 4), s) == \
-                            ideal_via_word(word + (s,), 4)
+                        assert strip_curves(word_curves(word, 4, range(1, 4)), s) == \
+                            word_curves(word + (s,), 4, range(1, 4))
 
     def test_leaves_its_argument_alone(self):
-        ideal = ideal_via_word((2,), 5)
-        assert strip_letter(ideal, 1) != ideal
-        assert ideal == ideal_via_word((2,), 5)
+        curves = word_curves((2,), 5, range(1, 5))
+        assert strip_curves(curves, 1) != curves
+        assert curves == word_curves((2,), 5, range(1, 5))
 
     @pytest.mark.parametrize("n,letter", [(5, 0), (5, 5), (1, 1)])
     def test_rejects_letters_outside_the_range(self, n, letter):
         with pytest.raises(LetterOutOfRange):
-            strip_letter(ideal_via_word((), n), letter)
+            word_curves((letter,), n, range(1, n))
 
 
 class TestIdealOf:
@@ -561,7 +562,8 @@ def all_curve_modules(n: int) -> list[CurveModule]:
 
 
 class TestCurveHomDim:
-    """curve_hom_dim, counted on the curves, against hom_dim on to_rep."""
+    """hom_dims with one target (the route of sheets.end_dim), counted on
+    the curves, against hom_dim on to_rep."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_every_pair_matches_hom_dim(self, n):
@@ -570,7 +572,7 @@ class TestCurveHomDim:
         assert len(modules) == 2 * (2 ** n - 2)  # C(n, i) curves at vertex i
         for a in modules:
             for b in modules:
-                assert curve_hom_dim(a, b) == hom_dim(reps[a], reps[b]), (a, b)
+                assert hom_dims(a, [b]) == [hom_dim(reps[a], reps[b])], (a, b)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 20), st.sampled_from(Kind), st.sampled_from(Kind),
@@ -579,7 +581,7 @@ class TestCurveHomDim:
         a = CurveModule(kind_a, random_curve(rng.randint(1, n - 1), n, rng))
         b = CurveModule(kind_b, random_curve(rng.randint(1, n - 1), n, rng))
         for x, y in ((a, b), (b, a), (a, a), (b, b)):
-            assert curve_hom_dim(x, y) == hom_dim(to_rep(x), to_rep(y))
+            assert hom_dims(x, [y]) == [hom_dim(to_rep(x), to_rep(y))]
 
     @pytest.mark.parametrize("n", [10, 14, 18])
     def test_ideal_summand_pairs_match_hom_dim(self, n):
@@ -590,18 +592,18 @@ class TestCurveHomDim:
             reps = {m: to_rep(m) for m in modules}
             for a in modules:
                 for b in modules:
-                    assert curve_hom_dim(a, b) == hom_dim(reps[a], reps[b])
+                    assert hom_dims(a, [b]) == [hom_dim(reps[a], reps[b])]
 
     def test_projective_endomorphisms(self):
         for n in range(2, 12):
             for i in range(1, n):
-                assert curve_hom_dim(projective(i, n), projective(i, n)) == min(i, n - i)
+                assert hom_dims(projective(i, n), [projective(i, n)]) == [min(i, n - i)]
 
     def test_size_mismatch(self):
         for a, b in ((projective(1, 4), projective(1, 5)),
                      (tau_sub(projective(2, 6)), projective(2, 5))):
             with pytest.raises(SizeMismatch):
-                curve_hom_dim(a, b)
+                hom_dims(a, [b])
 
 
 class TestHomLanes:

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
-                      bruhat_leq_on_union_grid, cdf_grid_by_fractions, cell_sum_cdf,
-                      count_cdf_oracle, fraction_cum, merge_by_fractions,
+                      bruhat_leq_on_union_grid, cdf, cdf_grid_by_fractions, cell_sum_cdf,
+                      count_cdf_oracle, fraction_cum, mass, merge_by_fractions,
                       permuton_by_literals,
                       permuton_equal, permuton_to_json, random_permuton, refine,
                       uniform_by_literals)
@@ -20,7 +20,6 @@ from preproj.permuton import (
     GridPermuton,
     _union_coords,
     boundary_function,
-    cdf,
     corners,
     from_perm,
     permuton_bruhat_leq,
@@ -38,20 +37,21 @@ class TestGridPermuton:
     def test_from_perm_cells(self):
         mu = from_perm(W)
         fifth = F(1, 5)
-        assert mu.mass[1][0] == fifth  # w(1)=2: row 2, column 1
-        assert mu.mass[4][1] == fifth
-        assert mu.mass[2][2] == fifth
-        assert mu.mass[3][3] == fifth
-        assert mu.mass[0][4] == fifth
-        assert sum(v for row in mu.mass for v in row) == 1
+        cells = mass(mu)
+        assert cells[1][0] == fifth  # w(1)=2: row 2, column 1
+        assert cells[4][1] == fifth
+        assert cells[2][2] == fifth
+        assert cells[3][3] == fifth
+        assert cells[0][4] == fifth
+        assert sum(v for row in cells for v in row) == 1
 
     def test_identity_and_reversal(self):
-        assert from_perm(Perm((1, 2))).mass == ((F(1, 2), 0), (0, F(1, 2)))
-        assert from_perm(Perm((2, 1))).mass == ((0, F(1, 2)), (F(1, 2), 0))
+        assert mass(from_perm(Perm((1, 2)))) == ((F(1, 2), 0), (0, F(1, 2)))
+        assert mass(from_perm(Perm((2, 1)))) == ((0, F(1, 2)), (F(1, 2), 0))
 
     def test_uniform(self):
-        assert uniform(1).mass == ((F(1),),)
-        assert uniform(2).mass == ((F(1, 4),) * 2,) * 2
+        assert mass(uniform(1)) == ((F(1),),)
+        assert mass(uniform(2)) == ((F(1, 4),) * 2,) * 2
 
     def test_marginals_validated(self):
         with pytest.raises(DomainError):
@@ -119,25 +119,25 @@ class TestCellReading:
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 9), st.integers(2, 6), st.randoms(use_true_random=False))
     def test_input_forms_agree(self, m, scale, rng):
-        mass = random_permuton(rng, m, 6).mass
+        values = mass(random_permuton(rng, m, 6))
         forms = [
-            [[rat_str(v) for v in row] for row in mass],
+            [[rat_str(v) for v in row] for row in values],
             [[f"{v.numerator * scale}/{v.denominator * scale}" for v in row]
-             for row in mass],
+             for row in values],
             [[rng.choice([f" +{v.numerator}/{v.denominator} ",
                           f"{v.numerator * scale}/{v.denominator * scale}", v,
                           int(v) if v.denominator == 1 else v, "-0" if v == 0 else v])
-              for v in row] for row in mass],
-            [[int(v) if v.denominator == 1 else v for v in row] for row in mass],
+              for v in row] for row in values],
+            [[int(v) if v.denominator == 1 else v for v in row] for row in values],
         ]
-        reference = GridPermuton(m, mass)
+        reference = GridPermuton(m, values)
         for cells in forms:
             mu = GridPermuton(m, cells)
             assert mu == reference and hash(mu) == hash(reference)
             assert (mu.den, mu.cells, mu.cum) == (reference.den, reference.cells,
                                                  reference.cum)
-            assert mu.mass == reference.mass == mass
-            assert mu.den == lcm(m, *(v.denominator for row in mass for v in row))
+            assert mass(mu) == mass(reference) == values
+            assert mu.den == lcm(m, *(v.denominator for row in values for v in row))
 
     def test_each_distinct_literal_read_once(self, monkeypatch):
         rng = random.Random(13)
@@ -319,7 +319,7 @@ class TestPermutonBruhat:
             assert permuton_bruhat_leq(nu, mu) == all(
                 ta[r][c] <= tb[r][c] for r, c in inner
             )
-            assert permuton_equal(mu, nu) == (a.mass == b.mass)
+            assert permuton_equal(mu, nu) == (mass(a) == mass(b))
         assert permuton_equal(*pairs[-3]) and permuton_equal(*pairs[-2])
 
 
@@ -549,12 +549,12 @@ class TestIntegerTables:
 
 def _prefix_sums(mu):
     """cdf at the grid corners (c/m, r/m), indexed [r][c], from the masses."""
-    m = mu.m
+    m, cells = mu.m, mass(mu)
     table = [[F(0)] * (m + 1) for _ in range(m + 1)]
     for r in range(m):
         for c in range(m):
             table[r + 1][c + 1] = (
-                table[r][c + 1] + table[r + 1][c] - table[r][c] + mu.mass[r][c]
+                table[r][c + 1] + table[r + 1][c] - table[r][c] + cells[r][c]
             )
     return table
 

@@ -11,10 +11,10 @@ from conftest import (
     bottom_at,
     leq_by_at,
     leq_by_fractions,
-    max_by_at,
-    max_by_fractions,
     min_by_at,
     min_by_fractions,
+    monotone_class,
+    pointwise_sub,
     random_bfunc,
     random_lipschitz_plfunc,
     random_mixed_pair,
@@ -32,11 +32,8 @@ from preproj.plfunc import (
     PLFunc,
     bottom_curve,
     is_lipschitz1,
-    monotone_class,
     pointwise_leq,
-    pointwise_max,
     pointwise_min,
-    pointwise_sub,
     rises_class,
     to_bfunc,
     top_curve,
@@ -174,9 +171,8 @@ def plfuncs(draw):
 
 @given(plfuncs(), plfuncs(), st.fractions(min_value=0, max_value=1, max_denominator=40))
 @settings(max_examples=150, deadline=None)
-def test_min_max_agree_pointwise(f, g, x):
+def test_min_agrees_pointwise(f, g, x):
     assert pointwise_min(f, g).at(x) == min(f.at(x), g.at(x))
-    assert pointwise_max(f, g).at(x) == max(f.at(x), g.at(x))
 
 
 @given(plfuncs(), plfuncs(), plfuncs())
@@ -212,10 +208,9 @@ def test_one_pass_ops_match_at_route(f, g):
     both functions with ``at`` at the union breakpoints and crossings."""
     for a, b in ((f, g), (g, f), (f, f)):
         assert pointwise_min(a, b) == min_by_at(a, b)
-        assert pointwise_max(a, b) == max_by_at(a, b)
         assert pointwise_sub(a, b) == sub_by_at(a, b)
         assert pointwise_leq(a, b) == leq_by_at(a, b)
-        assert pointwise_leq(a, pointwise_max(a, b))
+        assert pointwise_leq(pointwise_min(a, b), a)
 
 
 @given(st.randoms(use_true_random=False))
@@ -226,7 +221,6 @@ def test_integer_kernel_matches_fraction_oracles(rng):
     f, g = random_mixed_pair(rng)
     for a, b in ((f, g), (g, f), (f, f)):
         assert pointwise_min(a, b).breakpoints == tuple(min_by_fractions(a, b))
-        assert pointwise_max(a, b).breakpoints == tuple(max_by_fractions(a, b))
         assert pointwise_sub(a, b).breakpoints == tuple(sub_by_fractions(a, b))
         assert pointwise_leq(a, b) == leq_by_fractions(a, b)
     slopes = slopes_by_fractions(f)
@@ -251,7 +245,7 @@ class TestIntegerStorage:
         zero = PLFunc.constant(0)
         padded = PLFunc([self.POINTS[0], (F(1, 6), F(19, 70)), *self.POINTS[1:]])
         same = [padded, vshift(vshift(f, F(3, 10**20 + 39)), F(-3, 10**20 + 39)),
-                pointwise_sub(f, zero), pointwise_max(f, f), pointwise_min(f, f)]
+                pointwise_sub(f, zero), pointwise_min(f, f)]
         for g in same:
             assert g == f and hash(g) == hash(f)
 
@@ -280,10 +274,12 @@ def test_crossings_inserted():
     xs = xs_with_crossings(f, g)
     assert len(xs) > len({x for x, _ in f.breakpoints + g.breakpoints})
     assert pointwise_min(f, g) == min_by_at(f, g)
-    assert pointwise_max(f, g) == max_by_at(f, g)
 
 
 class TestMonotoneClass:
+    """rises_class on the rises of a function's segments (_steps), the
+    library's one classifier, through the test helper monotone_class."""
+
     def test_increasing(self):
         f = PLFunc([(0, 0), (F(1, 3), 0), (F(2, 3), F(1, 6)), (1, F(1, 2))])
         assert monotone_class(f) is MonotoneClass.WEAKLY_INCREASING

@@ -5,10 +5,12 @@ import pytest
 from conftest import (
     QuiverRep,
     cone_contains,
+    delta_fn,
     elementary_exists_by_at,
     generators_by_slopes,
     hom_dim,
     leq_on_by_at,
+    pointwise_sub,
     positive_intervals_by_at,
     random_bfunc,
     random_curve,
@@ -31,8 +33,7 @@ from preproj.errors import (
 )
 from preproj.finite import CurveModule, Kind, projective
 from preproj import sheets
-from preproj.plfunc import (BFunc, PLFunc, bottom_curve, pointwise_sub, positive_intervals,
-                            top_curve)
+from preproj.plfunc import BFunc, PLFunc, bottom_curve, positive_intervals, top_curve
 from preproj.sheets import (
     SawtoothDesc,
     Sheet,
@@ -41,7 +42,6 @@ from preproj.sheets import (
     b_interval,
     codependence_class,
     decorous_cover,
-    delta_fn,
     elementary_exists,
     in_range_of_codependence,
     end_dim,

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import (apply_word_by_perm, bruhat_below, bruhat_by_covers, bruhat_by_subwords,
                       bruhat_leq_by_dominance, canonical_word_by_inverse, dominance,
-                      dominance_by_cells, dominance_table, is_reduced_by_perm, length_by_pairs,
-                      mul, reduced_word)
+                      dominance_by_cells, dominance_table, is_reduced_by_perm, length,
+                      length_by_pairs, mul, reduced_word)
 from preproj import symgroup
 from preproj.cli import main
 from preproj.errors import (
@@ -33,12 +33,10 @@ from preproj.symgroup import (
     Perm,
     all_perms,
     all_reduced_words,
-    apply_word,
     bruhat_leq,
     canonical_reduced_word_of_rep,
     is_reduced,
-    length,
-    min_coset_rep,
+    min_coset_line,
     perm_at,
 )
 
@@ -89,20 +87,24 @@ class TestLength:
 
 
 class TestWords:
+    """The one product of letters, symgroup._spell, on one-line lists."""
+
     def test_paper_word(self):
-        assert apply_word((1, 2, 4, 3, 2, 4), 5) == W
-        assert apply_word((1, 2, 3, 4, 3, 2), 5) == W
+        assert symgroup._spell((1, 2, 4, 3, 2, 4), 5) == [*W.one_line]
+        assert symgroup._spell((1, 2, 3, 4, 3, 2), 5) == [*W.one_line]
 
     def test_empty_word(self):
-        assert apply_word((), 4) == Perm.identity(4)
+        assert symgroup._spell((), 4) == [1, 2, 3, 4]
 
     def test_cancellation_not_reduced(self):
         assert not is_reduced((1, 1), 3)
         assert is_reduced((1, 2, 4, 3, 2, 4), 5)
 
     def test_letter_range(self):
-        with pytest.raises(LetterOutOfRange):
-            apply_word((4,), 4)
+        # is_reduced checks every letter before it spells the word
+        for word in ((4,), (0,), (1, 2, 4), (-1, 1)):
+            with pytest.raises(LetterOutOfRange):
+                is_reduced(word, 4)
 
 
 class TestAllReducedWords:
@@ -123,7 +125,7 @@ class TestAllReducedWords:
         for w in all_perms(4):
             for word in all_reduced_words(w):
                 assert is_reduced(word, 4)
-                assert apply_word(word, 4) == w
+                assert apply_word_by_perm(word, 4) == w
 
     def test_guard(self, monkeypatch):
         monkeypatch.setenv("PREPROJ_MAX_N", "4")
@@ -267,19 +269,19 @@ class TestTableau:
 
 class TestCosetReps:
     def test_paper_examples(self):
-        assert min_coset_rep(W, 2) == Perm((1, 3, 4, 5, 2))
-        assert min_coset_rep(W, 3) == Perm((1, 4, 2, 5, 3))
+        assert min_coset_line(W.one_line, 2) == (1, 3, 4, 5, 2)
+        assert min_coset_line(W.one_line, 3) == (1, 4, 2, 5, 3)
 
     def test_identity_fixed(self):
         e = Perm.identity(5)
         for i in range(1, 5):
-            assert min_coset_rep(e, i) == e
+            assert min_coset_line(e.one_line, i) == e.one_line
 
     def test_length_additivity_s5(self):
         # length(w) = length(w rep^{-1}) + length(rep) for every vertex
         for w in all_perms(5):
             for i in range(1, 5):
-                rep = min_coset_rep(w, i)
+                rep = Perm(min_coset_line(w.one_line, i))
                 stabiliser_part = mul(w, rep.inverse())
                 assert length(w) == length(stabiliser_part) + length(rep)
 
@@ -293,7 +295,7 @@ class TestCanonicalWord:
         # it the same permutation as the factorization (3,2,4)
         word = canonical_reduced_word_of_rep(Perm((1, 4, 2, 5, 3)), 3)
         assert word == (3, 4, 2)
-        assert apply_word(word, 5) == apply_word((3, 2, 4), 5)
+        assert symgroup._spell(word, 5) == symgroup._spell((3, 2, 4), 5)
 
     def test_identity_empty(self):
         assert canonical_reduced_word_of_rep(Perm.identity(4), 1) == ()
@@ -305,10 +307,10 @@ class TestCanonicalWord:
     def test_reduced_and_evaluates_everywhere(self):
         for w in all_perms(5):
             for i in range(1, 5):
-                rep = min_coset_rep(w, i)
+                rep = Perm(min_coset_line(w.one_line, i))
                 word = canonical_reduced_word_of_rep(rep, i)
                 assert is_reduced(word, 5)
-                assert apply_word(word, 5) == rep
+                assert apply_word_by_perm(word, 5) == rep
 
     def test_a_wrong_inversion_count_fails_the_self_check(self, monkeypatch, capsys):
         monkeypatch.setattr(symgroup, "_inversions", lambda one_line: -1)
@@ -359,17 +361,18 @@ def minimal_rep(n: int, i: int, low) -> Perm:
 
 def word_layer_mismatches(word, n: int) -> list[str]:
     """The functions of the word layer whose result or error type differs
-    from its former Perm route's on (word, n)."""
+    from its former Perm route's on (word, n); _spell, which reads its
+    letters unchecked, only on a word whose letters the Perm route takes."""
     spelled = outcome(apply_word_by_perm, word, n)
-    pairs = [("apply_word", outcome(apply_word, word, n), spelled),
-             ("is_reduced", outcome(is_reduced, word, n), outcome(is_reduced_by_perm, word, n))]
+    pairs = [("is_reduced", outcome(is_reduced, word, n), outcome(is_reduced_by_perm, word, n))]
     if isinstance(spelled, Perm):
+        pairs.append(("_spell", symgroup._spell(word, n), [*spelled.one_line]))
         pairs.append(("length", length(spelled), length_by_pairs(spelled)))
     return [name for name, got, expected in pairs if got != expected]
 
 
 class TestWordLayerOnLists:
-    """apply_word, is_reduced, length and the canonical word, spelled on
+    """_spell, is_reduced, the inversion count and the canonical word, on
     one-line lists, against their former routes through Perm."""
 
     @given(drawn_words)
@@ -388,7 +391,7 @@ class TestWordLayerOnLists:
     def test_reduced_words_are_reduced(self, n):
         rng = random.Random(n)
         word = reduced_word(n, [rng.randrange(n * n) for _ in range(n * (n - 1) // 2)])
-        assert is_reduced(word, n) and length(apply_word(word, n)) == len(word)
+        assert is_reduced(word, n) and length(apply_word_by_perm(word, n)) == len(word)
         assert not is_reduced(word + word[-1:], n) if word else is_reduced((), n)
 
     def test_an_inversion_count_missing_a_pair_is_caught(self, monkeypatch):
@@ -410,7 +413,7 @@ class TestWordLayerOnLists:
         rep = minimal_rep(n, i, set(rng.sample(range(n), i)))
         word = canonical_reduced_word_of_rep(rep, i)
         assert word == canonical_word_by_inverse(rep, i)
-        assert apply_word(word, n) == rep and is_reduced(word, n)
+        assert apply_word_by_perm(word, n) == rep and is_reduced(word, n)
 
     @given(st.integers(1, 30).flatmap(lambda n: st.permutations(range(1, n + 1))),
            st.integers(-1, 31))

@@ -21,7 +21,7 @@ from bisect import insort
 from fractions import Fraction
 
 import pytest
-from conftest import bruhat_below, random_permuton, reduced_word
+from conftest import bruhat_below, mass, random_permuton, reduced_word
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,15 +31,15 @@ from preproj.symgroup import Perm, all_perms, bruhat_leq
 
 
 def rot(mu: GridPermuton) -> GridPermuton:
-    return GridPermuton(mu.m, [row[::-1] for row in mu.mass[::-1]])
+    return GridPermuton(mu.m, [row[::-1] for row in mass(mu)[::-1]])
 
 
 def tr(mu: GridPermuton) -> GridPermuton:
-    return GridPermuton(mu.m, list(zip(*mu.mass)))
+    return GridPermuton(mu.m, list(zip(*mass(mu))))
 
 
 def flip(mu: GridPermuton) -> GridPermuton:
-    return GridPermuton(mu.m, mu.mass[::-1])
+    return GridPermuton(mu.m, mass(mu)[::-1])
 
 
 def uncrossed(mu: GridPermuton, rng: random.Random, steps: int) -> GridPermuton:
