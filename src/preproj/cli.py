@@ -57,7 +57,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from math import factorial, lcm
+from math import factorial
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple
 
@@ -298,15 +298,15 @@ _FAIL = {True: ', "ok": false, "tableau": true, "cdf": false}\n',
 
 def _sources(perms: Iterable[Perm]) -> list[tuple[_Rows, int]]:
     """(rows, i) for each source perms[i], rows their one _Rows, packed up
-    front; each permuton is built once, to read its corners."""
+    front; each permuton is built once, to read its corners.  A permutation's
+    permuton has den = n, so its corners are its interior and every entry of
+    either route is at most n."""
     perms = list(perms)
-    mus = [permuton.from_perm(w) for w in perms]
-    den = lcm(*(mu.den for mu in mus))
-    top = max(perms[0].n, den)  # the two routes' lanes have one width
+    top = perms[0].n  # the two routes' lanes have one width
     labels = [w.label for w in perms]
     rows = _Rows(labels, [encode_basestring_ascii(v)[1:] + _PASS for v in labels],
                  Lanes([w.tableau for w in perms], top),
-                 Lanes([permuton.corners(mu, den) for mu in mus], top))
+                 Lanes([permuton.from_perm(w).interior for w in perms], top))
     return [(rows, i) for i in range(len(perms))]
 
 

@@ -15,7 +15,7 @@ from itertools import repeat
 from math import gcd
 from operator import add, gt, le, sub
 
-from .errors import CertificateFailure, DomainError, NotGridAligned, SizeMismatch
+from .errors import CertificateFailure, DomainError
 from . import permuton, plfunc, symgroup
 from .finite import CurveModule, DiamondCurve, Kind, _diamond, summand_via_word
 from .permuton import GridPermuton, union_ticks
@@ -81,7 +81,7 @@ def bridge_mismatch(w: Perm, i: int, mu: GridPermuton | None = None,
         raise DomainError(f"vertex {i} outside 1..{n - 1}")
     mu = permuton.from_perm(w) if mu is None else mu
     if mu.m != n:
-        raise SizeMismatch(f"permuton on the 1/{mu.m} grid, not w's 1/{n} grid")
+        raise DomainError(f"permuton on the 1/{mu.m} grid, not w's 1/{n} grid")
     discrete = stripped(symgroup.min_coset_line(w.one_line, i), i)
     g = gcd(i, n)
     p, q = i // g, n // g
@@ -164,7 +164,7 @@ def staircase(b: BFunc, n: int) -> CurveModule:
     permuton._check_size(n)
     k = b.k
     if (k * n).denominator != 1:
-        raise NotGridAligned(f"apex {k} not on the 1/{n} grid")
+        raise DomainError(f"apex {k} not on the 1/{n} grid")
     i = int(k * n)
     units = []
     for j in range(n + 1):

@@ -1,81 +1,25 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library: one class for each thing a
+caller can do about an error, and a message that names the condition that
+failed (1-Lipschitz, decorous, the sawtooth covering hypothesis, minimal
+coset representative, ...).  The class says what to fix, not which rule
+broke."""
 
 
 class PreprojError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DomainError(PreprojError, ValueError):
-    """An argument lies outside the domain of the operation."""
-
-
 class ParseError(PreprojError, ValueError):
-    """Malformed textual or JSON input."""
+    """Malformed text or JSON input: fix the input."""
 
 
-class NotLipschitz(PreprojError, ValueError):
-    """A curve has a segment of slope outside [-1, 1]."""
-
-
-class DegenerateEndpoints(PreprojError, ValueError):
-    """f(1) = f(0) +- 1, so the curve pins no interior apex."""
-
-
-class LetterOutOfRange(PreprojError, ValueError):
-    """A word letter does not name an adjacent transposition of the ambient group."""
-
-
-class SizeMismatch(PreprojError, ValueError):
-    """Operands live over different ranks."""
-
-
-class IndexOutOfRange(PreprojError, ValueError):
-    """A vertex or position index is out of range."""
-
-
-class NotMinimalRep(PreprojError, ValueError):
-    """The permutation is not a minimal-length coset representative."""
+class DomainError(PreprojError, ValueError):
+    """An argument lies outside the domain of the operation: fix the argument."""
 
 
 class TooLarge(PreprojError, ValueError):
-    """Instance exceeds the desk-scale guard (see PREPROJ_MAX_N)."""
-
-
-class NoTopSimple(PreprojError, ValueError):
-    """Stripping was requested at a vertex whose simple is not in the top."""
-
-
-class NotReduced(PreprojError, ValueError):
-    """The word is not a reduced expression."""
-
-
-class WrongKind(PreprojError, ValueError):
-    """Operation applies to the other kind of curve module."""
-
-
-class NotGridAligned(PreprojError, ValueError):
-    """Data does not lie on the requested 1/n grid."""
+    """Instance exceeds the desk-scale guard: raise PREPROJ_MAX_N."""
 
 
 class CertificateFailure(PreprojError, RuntimeError):
-    """A certificate that is guaranteed to exist could not be produced."""
-
-
-class NotDecorous(PreprojError, ValueError):
-    """Boundary data does not describe a decorous module."""
-
-
-class NotInSupport(PreprojError, ValueError):
-    """The point is outside the support of the sheet."""
-
-
-class BadShift(PreprojError, ValueError):
-    """Shift arguments violate b >= a."""
-
-
-class NotGenerator(PreprojError, ValueError):
-    """The point is not a generator of the sheet."""
-
-
-class HypothesisFailed(PreprojError, ValueError):
-    """The covering construction's hypothesis excludes this sawtooth."""
+    """A certificate that is guaranteed to exist could not be produced: a library bug."""

@@ -25,14 +25,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from . import symgroup
-from .errors import (
-    DomainError,
-    IndexOutOfRange,
-    NoTopSimple,
-    NotReduced,
-    SizeMismatch,
-    WrongKind,
-)
+from .errors import DomainError
 from .lanes import pack
 from .limits import guard
 from .rat import num_den
@@ -59,7 +52,7 @@ class DiamondCurve:
     def __post_init__(self) -> None:
         i, n, units = self.i, self.n, tuple(self.units)
         if not 1 <= i <= n - 1:
-            raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
+            raise DomainError(f"vertex {i} outside 1..{n - 1}")
         if len(units) != n + 1:
             raise DomainError(f"expected {n + 1} grid values, got {len(units)}")
         for a, b in zip(units, units[1:]):
@@ -152,7 +145,7 @@ def top_removable(m: CurveModule) -> frozenset[int]:
     factor just below the curve at column j is in the top exactly when the
     curve peaks there."""
     if m.kind is not Kind.SUB:
-        raise WrongKind("top removal applies to submodules of projectives")
+        raise DomainError("top removal applies to submodules of projectives")
     units = m.curve.units
     return frozenset(j for j in range(1, m.n) if _peaks(units, j))
 
@@ -168,7 +161,7 @@ def strip_curves(curves: Sequence[Units], letter: int) -> tuple[Units, ...]:
 def strip(m: CurveModule, j: int) -> CurveModule:
     """Remove the top copy of S_j from m, pushing the curve down two steps."""
     if j not in top_removable(m):
-        raise NoTopSimple(f"S_{j} is not in the top of this module")
+        raise DomainError(f"S_{j} is not in the top of this module")
     [units] = strip_curves((m.curve.units,), j)
     return CurveModule(Kind.SUB, DiamondCurve(m.i, m.n, units))
 
@@ -184,7 +177,7 @@ def word_curves(word: Word, n: int, vertices: Iterable[int]) -> tuple[Units, ...
     """The curve units of the reduced word's ideal at the given vertices."""
     word = tuple(word)
     if not symgroup.is_reduced(word, n):
-        raise NotReduced(f"{word} is not reduced")
+        raise DomainError(f"{word} is not reduced")
     curves = tuple(_diamond(i, n)[0] for i in vertices)
     for letter in word:
         curves = strip_curves(curves, letter)
@@ -202,7 +195,7 @@ def summand_via_word(word: Word, n: int, i: int) -> Units:
     """The curve units of ideal_via_word(word, n)[i - 1], stripped alone (a
     letter acts on each summand by itself): what the bridge check reads."""
     if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"vertex {i} outside 1..{n - 1}")
+        raise DomainError(f"vertex {i} outside 1..{n - 1}")
     return word_curves(word, n, (i,))[0]
 
 
@@ -225,7 +218,7 @@ def ideal_of(w: Perm) -> tuple[CurveModule, ...]:
 def tau_sub(m: CurveModule) -> CurveModule:
     """tau of a submodule of P_i is the quotient P_i/m: same curve, other side."""
     if m.kind is not Kind.SUB:
-        raise WrongKind("tau is computed here for submodules of projectives")
+        raise DomainError("tau is computed here for submodules of projectives")
     return CurveModule(Kind.QUOT, m.curve)
 
 
@@ -273,7 +266,7 @@ class HomLanes:
         self.targets = targets = tuple(targets)
         n = len(targets[0][0]) - 1 if targets else 1
         if any(len(up) != n + 1 for up, _ in targets):
-            raise SizeMismatch("targets of different ranks")
+            raise DomainError("targets of different ranks")
         width, above, below, parities = _lane_values(n)
         self.n, self.width = n, width
         # lo[x]: the bits above up_b(x) + n; hi[x]: the bits below
@@ -288,7 +281,7 @@ class HomLanes:
         lane not selected is not computed and reads 0."""
         ua, da = a
         if len(ua) - 1 != self.n:
-            raise SizeMismatch(f"ranks {len(ua) - 1} and {self.n} differ")
+            raise DomainError(f"ranks {len(ua) - 1} and {self.n} differ")
         width, lo, hi = self.width, self.lo, self.hi
         full = (1 << width) - 1
         keep = self.parity[ua[0] % 2]

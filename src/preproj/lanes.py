@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import SizeMismatch
+from .errors import DomainError
 
 
 def pack(rows: Sequence[Sequence[int]], width: int) -> Sequence[int]:
@@ -41,7 +41,7 @@ class Lanes:
         self.size = len(vectors)
         self.length = len(vectors[0]) if vectors else 0
         if any(len(v) != self.length for v in vectors):
-            raise SizeMismatch("vectors of different lengths")
+            raise DomainError("vectors of different lengths")
         self.width = width = top.bit_length() + 1
         self.cols = pack(vectors, width)
         self.ones = ((1 << self.size * width) - 1) // ((1 << width) - 1)
@@ -49,7 +49,7 @@ class Lanes:
 
     def _check(self, a: Sequence[int]) -> None:
         if self.size and len(a) != self.length:
-            raise SizeMismatch(f"lengths {len(a)} and {self.length} differ")
+            raise DomainError(f"lengths {len(a)} and {self.length} differ")
 
     def at_least(self, a: Sequence[int]) -> int:
         """The guard bits of the lanes whose vector is >= a entrywise."""

@@ -18,7 +18,7 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import DegenerateEndpoints, DomainError, NotLipschitz
+from .errors import DomainError
 from .rat import frac, num_den
 
 ZERO = Fraction(0)
@@ -250,7 +250,7 @@ class BFunc:
         if not 0 < p < q:
             raise DomainError(f"apex {k} outside (0,1)")
         if not is_lipschitz1(f):
-            raise NotLipschitz("boundary curve must be 1-Lipschitz")
+            raise DomainError("boundary curve must be 1-Lipschitz")
         (_, y0, w0), (_, y1, w1) = f._pts[0], f._pts[-1]
         if y0 * q != p * w0 or y1 * q != (q - p) * w1:
             raise DomainError("curve endpoints must be f(0)=k, f(1)=1-k")
@@ -265,9 +265,9 @@ def to_bfunc(f: PLFunc) -> BFunc:
     f'(1) = 1 - k; curves with f(1) = f(0) +- 1 admit no interior apex.
     """
     if not is_lipschitz1(f):
-        raise NotLipschitz("only 1-Lipschitz curves determine a boundary class")
+        raise DomainError("only 1-Lipschitz curves determine a boundary class")
     y0, y1 = f.at(ZERO), f.at(ONE)
     if y1 == y0 + 1 or y1 == y0 - 1:
-        raise DegenerateEndpoints("f(1) = f(0) +- 1 is excluded")
+        raise DomainError("f(1) = f(0) +- 1 is excluded")
     k = (1 + y0 - y1) / 2
     return BFunc(k, vshift(f, k - y0))

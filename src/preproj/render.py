@@ -87,11 +87,10 @@ class _Panel:
         return f"{_fmt(px)},{_fmt(py)}"
 
     def polyline(self, pts: Iterable[tuple[Fraction, Fraction]], stroke: str,
-                 width: str, fill: str = "none", opacity: str = "") -> str:
+                 width: str) -> str:
         d = " ".join(self.pt(x, y) for x, y in pts)
-        extra = f' fill-opacity="{opacity}"' if opacity else ""
         return (
-            f'<polyline points="{d}" fill="{fill}"{extra} stroke="{stroke}" '
+            f'<polyline points="{d}" fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"/>'
         )
 

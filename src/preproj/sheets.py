@@ -16,14 +16,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (
-    BadShift,
-    DomainError,
-    HypothesisFailed,
-    NotDecorous,
-    NotGenerator,
-    NotInSupport,
-)
+from .errors import DomainError
 from .finite import CurveModule, band, hom_dims
 from .plfunc import BFunc, PLFunc, _steps, positive_intervals, to_bfunc, vshift
 from .rat import frac
@@ -39,7 +32,7 @@ class Sheet:
     """Image of a composition D -> P_k -> U for decorous D and U.
 
     ``up`` bounds the submodule from above, ``down`` the quotient from below;
-    both must live at apex k (NotDecorous otherwise).  The sheet is supported
+    both must live at apex k (a DomainError otherwise).  The sheet is supported
     where up < down and is zero elsewhere.  ``support`` holds those maximal
     open intervals, found once at construction, and ``generators`` the
     generating positions, scanned once on first use.
@@ -53,7 +46,7 @@ class Sheet:
     def __post_init__(self) -> None:
         k = frac(self.k)
         if self.up.k != k or self.down.k != k:
-            raise NotDecorous(f"boundary curves must live at apex {k}")
+            raise DomainError(f"boundary curves must live at apex {k}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "support", tuple(positive_intervals(self.down.f, self.up.f)))
 
@@ -84,7 +77,7 @@ def b_interval(s: Sheet, s_prime: Sheet, y, a) -> Optional[Interval]:
     Delta = down' - (a + up) is positive; None if Delta(y) <= 0."""
     y, a = frac(y), frac(a)
     if not _in_support(s, y):
-        raise NotInSupport(f"{y} is outside the support of the source sheet")
+        raise DomainError(f"{y} is outside the support of the source sheet")
     return _around(y, s_prime.down.f, vshift(s.up.f, a))
 
 
@@ -108,7 +101,7 @@ def in_range_of_codependence(s: Sheet, s_prime: Sheet, y, a, b) -> bool:
     survive at shift b land in one common class."""
     a, b = frac(a), frac(b)
     if b < a:
-        raise BadShift(f"shift {b} below the base shift {a}")
+        raise DomainError(f"shift {b} below the base shift {a}")
     base = codependence_class(s, s_prime, y, a)
     classes = []
     for z in base:
@@ -127,7 +120,7 @@ def elementary_exists(s: Sheet, s_prime: Sheet, y, a) -> bool:
     a + up(y) too."""
     y, a = frac(y), frac(a)
     if y not in s.generators:
-        raise NotGenerator(f"{y} is not a generator of the source sheet")
+        raise DomainError(f"{y} is not a generator of the source sheet")
     up = vshift(s.up.f, a)
     interval = _around(y, s_prime.down.f, up)
     if interval is None:
@@ -218,9 +211,9 @@ def decorous_cover(st: SawtoothDesc) -> BFunc:
     """
     teeth = st.teeth
     if st.a == 0 and teeth[1][1] > teeth[0][1]:
-        raise HypothesisFailed("sawtooth starts at 0 on an odd tooth")
+        raise DomainError("sawtooth starts at 0 on an odd tooth")
     if st.b == 1 and teeth[-1][1] < teeth[-2][1]:
-        raise HypothesisFailed("sawtooth ends at 1 on an odd tooth")
+        raise DomainError("sawtooth ends at 1 on an odd tooth")
     pts = list(teeth)
     if st.a > 0:
         pts.insert(0, (ZERO, pts[0][1]))

@@ -14,14 +14,7 @@ from functools import cached_property, lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    CertificateFailure,
-    DomainError,
-    IndexOutOfRange,
-    LetterOutOfRange,
-    NotMinimalRep,
-    SizeMismatch,
-)
+from .errors import CertificateFailure, DomainError
 from .lanes import Lanes
 from .limits import guard
 
@@ -40,24 +33,14 @@ class Perm:
             raise DomainError(f"not a permutation of 1..{len(ol)}: {ol}")
         object.__setattr__(self, "one_line", ol)
 
-    @staticmethod
-    def identity(n: int) -> "Perm":
-        return Perm(range(1, n + 1))
-
     @property
     def n(self) -> int:
         return len(self.one_line)
 
     def __call__(self, i: int) -> int:
         if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"position {i} outside 1..{self.n}")
+            raise DomainError(f"position {i} outside 1..{self.n}")
         return self.one_line[i - 1]
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.n
-        for i, v in enumerate(self.one_line, start=1):
-            inv[v - 1] = i
-        return Perm(inv)
 
     @cached_property
     def tableau(self) -> tuple[int, ...]:
@@ -92,7 +75,7 @@ def perm_at(n: int, rank: int) -> Perm:
     order is lexicographic, so the digits of rank in the factorial number
     system pick each value among those left."""
     if not 0 <= rank < factorial(n):
-        raise IndexOutOfRange(f"rank {rank} outside 0..{n}! - 1")
+        raise DomainError(f"rank {rank} outside 0..{n}! - 1")
     left, ol = list(range(1, n + 1)), []
     for k in range(n - 1, -1, -1):
         digit, rank = divmod(rank, factorial(k))
@@ -125,7 +108,7 @@ def is_reduced(word: Iterable[int], n: int) -> bool:
     word = tuple(word)
     for letter in word:
         if not 1 <= letter <= n - 1:
-            raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
+            raise DomainError(f"letter {letter} outside 1..{n - 1}")
     return _inversions(_spell(word, n)) == len(word)
 
 
@@ -150,7 +133,7 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     every entry of u's tableau is at most v's (Bjorner-Brenti, Combinatorics
     of Coxeter Groups, Thm 2.6.3); the one-target case of Lanes."""
     if len(u.one_line) != len(v.one_line):
-        raise SizeMismatch(f"sizes {u.n} and {v.n} differ")
+        raise DomainError(f"sizes {u.n} and {v.n} differ")
     return Lanes((v.tableau,), v.n).at_least(u.tableau) != 0
 
 
@@ -169,9 +152,9 @@ def canonical_reduced_word_of_rep(u: Perm, i: int) -> Word:
     u's one-line notation, which holds them in increasing order."""
     ol = u.one_line
     if not 1 <= i <= len(ol) - 1:
-        raise IndexOutOfRange(f"vertex {i} outside 1..{len(ol) - 1}")
+        raise DomainError(f"vertex {i} outside 1..{len(ol) - 1}")
     if min_coset_line(ol, i) != ol:
-        raise NotMinimalRep(f"{u} is not minimal in its coset for vertex {i}")
+        raise DomainError(f"{u} is not minimal in its coset for vertex {i}")
     ends = [p for p, v in enumerate(ol, start=1) if v <= i]  # u^{-1}(1..i)
     word = [s for t in range(i, 0, -1) for s in range(t, ends[t - 1])]
     spelled = _spell(word, len(ol))

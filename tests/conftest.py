@@ -15,8 +15,7 @@ from typing import Iterable
 
 from preproj import permuton, plfunc, symgroup
 from preproj.continuous import left_act, staircase
-from preproj.errors import (DomainError, IndexOutOfRange, LetterOutOfRange, NotGridAligned,
-                            NotLipschitz, NotMinimalRep, ParseError, SizeMismatch)
+from preproj.errors import DomainError, ParseError
 from preproj.finite import (CurveModule, DiamondCurve, _diamond, band, factors, ideal_of,
                             ideal_via_word, tau_sub)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
@@ -134,7 +133,7 @@ def loop_action(rep: QuiverRep, j: int) -> BasisMap:
     Both length-two loops at a vertex agree by the preprojective relation.
     """
     if not 1 <= j <= rep.n - 1:
-        raise IndexOutOfRange(f"vertex {j} outside 1..{rep.n - 1}")
+        raise DomainError(f"vertex {j} outside 1..{rep.n - 1}")
     return _right_loop(rep, j - 1)
 
 
@@ -146,7 +145,7 @@ def factor_rep(n: int, positions: Iterable[tuple[int, int]]) -> QuiverRep:
     cols: dict[int, list[int]] = {j: [] for j in range(1, n)}
     for j, d in sorted(positions):
         if j not in cols:
-            raise IndexOutOfRange(f"vertex {j} outside 1..{n - 1}")
+            raise DomainError(f"vertex {j} outside 1..{n - 1}")
         cols[j].append(d)
     index = {(j, d): t for j in range(1, n) for t, d in enumerate(cols[j])}
     dims = tuple(len(cols[j]) for j in range(1, n))
@@ -180,7 +179,7 @@ def hom_dim(a: QuiverRep, b: QuiverRep) -> int:
     unknowns that are not joined to zero.
     """
     if a.n != b.n:
-        raise SizeMismatch(f"ranks {a.n} and {b.n} differ")
+        raise DomainError(f"ranks {a.n} and {b.n} differ")
     offsets = []
     total = 0
     for p, q in zip(b.dims, a.dims):
@@ -231,7 +230,7 @@ def sawtooth_rep(st: SawtoothDesc, n: int) -> QuiverRep:
     cols = []
     for x, _ in st.teeth:
         if n % x.denominator:
-            raise NotGridAligned(f"tooth at {x} off the 1/{n} grid")
+            raise DomainError(f"tooth at {x} off the 1/{n} grid")
         cols.append(x.numerator * (n // x.denominator))
     depths = [0]  # depths[k] at column cols[0] + k
     for c0, c1, (_, v0), (_, v1) in zip(cols, cols[1:], st.teeth, st.teeth[1:]):
@@ -252,7 +251,7 @@ def sawtooth_rep_by_midpoints(st: SawtoothDesc, n: int) -> QuiverRep:
     n = int(n)
     for x, _ in st.teeth:
         if (x * n).denominator != 1:
-            raise NotGridAligned(f"tooth at {x} off the 1/{n} grid")
+            raise DomainError(f"tooth at {x} off the 1/{n} grid")
     lo, hi = int(st.a * n), int(st.b * n)
     cols = [j for j in range(max(lo, 1), min(hi, n - 1) + 1)]
     if not st.endpoint_flags[0] and lo >= 1 and lo in cols:
@@ -268,7 +267,7 @@ def sawtooth_rep_by_midpoints(st: SawtoothDesc, n: int) -> QuiverRep:
         for (x0, v0), (x1, v1) in zip(st.teeth, st.teeth[1:]):
             if x0 <= mid <= x1:
                 return (v1 - v0) / (x1 - x0)
-        raise NotGridAligned(f"column {j} outside the sawtooth domain")
+        raise DomainError(f"column {j} outside the sawtooth domain")
 
     alpha = []
     alpha_star = []
@@ -289,6 +288,19 @@ def sawtooth_rep_by_midpoints(st: SawtoothDesc, n: int) -> QuiverRep:
 # (formerly in preproj.symgroup).
 
 
+def identity(n: int) -> Perm:
+    """The identity permutation of 1..n (formerly ``Perm.identity``)."""
+    return Perm(range(1, n + 1))
+
+
+def inverse(w: Perm) -> Perm:
+    """The inverse permutation (formerly ``Perm.inverse``)."""
+    inv = [0] * w.n
+    for i, v in enumerate(w.one_line, start=1):
+        inv[v - 1] = i
+    return Perm(inv)
+
+
 def length(w: Perm) -> int:
     """Coxeter length = number of inversions."""
     return symgroup._inversions(w.one_line)
@@ -298,7 +310,7 @@ def min_coset_rep(w: Perm, i: int) -> Perm:
     """Minimal-length representative of the coset of w w.r.t. the subgroup
     generated by all adjacent transpositions except s_i (min_coset_line)."""
     if not 1 <= i <= w.n - 1:
-        raise IndexOutOfRange(f"vertex {i} outside 1..{w.n - 1}")
+        raise DomainError(f"vertex {i} outside 1..{w.n - 1}")
     return Perm(min_coset_line(w.one_line, i))
 
 
@@ -313,7 +325,7 @@ def apply_word_by_perm(word: Iterable[int], n: int) -> Perm:
     word = tuple(word)
     for letter in word:
         if not 1 <= letter <= n - 1:
-            raise LetterOutOfRange(f"letter {letter} outside 1..{n - 1}")
+            raise DomainError(f"letter {letter} outside 1..{n - 1}")
     ol = list(range(1, n + 1))
     for j in word:
         ol[j - 1], ol[j] = ol[j], ol[j - 1]
@@ -329,8 +341,8 @@ def canonical_word_by_inverse(u: Perm, i: int) -> tuple[int, ...]:
     """The block reduced word (s_i..s_{u^{-1}(i)-1})...(s_1..s_{u^{-1}(1)-1})
     of a minimal coset representative u."""
     if min_coset_rep(u, i) != u:
-        raise NotMinimalRep(f"{u} is not minimal in its coset for vertex {i}")
-    inv = u.inverse()
+        raise DomainError(f"{u} is not minimal in its coset for vertex {i}")
+    inv = inverse(u)
     word: list[int] = []
     for t in range(i, 0, -1):
         word.extend(range(t, inv(t)))
@@ -1038,7 +1050,7 @@ def hom_lengths(i: int, j: int, n: int) -> HomLengths:
     """Path lengths |i-j| + 2t for 0 <= t < min(i, j, n-i, n-j): the table
     hom_dim must reproduce (formerly ``finite.hom_lengths``)."""
     if not (1 <= i <= n - 1 and 1 <= j <= n - 1):
-        raise IndexOutOfRange(f"vertices {i},{j} outside 1..{n - 1}")
+        raise DomainError(f"vertices {i},{j} outside 1..{n - 1}")
     count = min(i, j, n - i, n - j)
     return HomLengths(i, j, n, tuple(abs(i - j) + 2 * t for t in range(count)))
 
@@ -1182,7 +1194,7 @@ def discretize(b: BFunc, n: int) -> CurveModule:
     ``continuous.discretize``."""
     module = staircase(b, n)
     if as_plfunc(module.curve) != b.f:
-        raise NotGridAligned(f"boundary is not a +-1 staircase on the 1/{n} grid")
+        raise DomainError(f"boundary is not a +-1 staircase on the 1/{n} grid")
     return module
 
 
@@ -1195,7 +1207,7 @@ def bridge_by_plfuncs(w: Perm, i: int, mu: GridPermuton) -> bool:
     discrete = as_plfunc(ideal_via_word(word, w.n)[i - 1].curve)
     try:
         return discrete == boundary_function(mu, Fraction(i, w.n)).f
-    except (DomainError, NotLipschitz):
+    except DomainError:
         return False
 
 

@@ -10,8 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from conftest import (as_plfunc, hom_dim, hom_lengths, is_full, is_zero_sub, random_curve,
-                      rep_is_deep, sawtooth_rep, to_rep)
+from conftest import (as_plfunc, hom_dim, hom_lengths, identity, is_full, is_zero_sub,
+                      random_curve, rep_is_deep, sawtooth_rep, to_rep)
 from preproj.continuous import ideal_leq, left_act, staircase, tau_rigidity_cert
 from preproj.finite import (
     CurveModule,
@@ -144,9 +144,9 @@ def test_criterion_5_ideal_inclusion_routes():
 
 def test_criterion_6_worked_permuton_examples():
     with criterion(6, "worked-permuton-examples", 30.0):
-        identity = from_perm(Perm.identity(5))
+        gid = from_perm(identity(5))
         for a in (F(1, 5), F(2, 5), F(3, 5), F(4, 5)):
-            assert is_full(boundary_function(identity, a))
+            assert is_full(boundary_function(gid, a))
         reversal = from_perm(Perm((5, 4, 3, 2, 1)))
         for a in (F(1, 5), F(2, 5), F(3, 5), F(4, 5)):
             assert is_zero_sub(boundary_function(reversal, a))

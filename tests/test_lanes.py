@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from preproj.errors import SizeMismatch
+from preproj.errors import DomainError
 from preproj.lanes import Lanes, pack
 
 
@@ -48,9 +48,9 @@ class TestLanes:
         assert lanes.size == lanes.at_least(()) == lanes.at_most(()) == 0
 
     def test_lengths_must_agree(self):
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DomainError, match="vectors of different lengths"):
             Lanes([(1, 2), (1,)], 2)
-        with pytest.raises(SizeMismatch):
+        with pytest.raises(DomainError, match="lengths 1 and 2 differ"):
             Lanes([(1, 2)], 2).at_least((1,))
 
     def test_pack_puts_row_t_in_lane_t(self):

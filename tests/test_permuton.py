@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
                       bruhat_leq_on_union_grid, cdf, cdf_grid_by_fractions, cell_sum_cdf,
-                      count_cdf_oracle, fraction_cum, mass, merge_by_fractions,
+                      count_cdf_oracle, fraction_cum, identity, mass, merge_by_fractions,
                       permuton_by_literals,
                       permuton_equal, permuton_to_json, random_permuton, refine,
                       uniform_by_literals)
@@ -206,7 +206,7 @@ class TestCdf:
 
 class TestBoundaryFunction:
     def test_identity_permuton_gives_top_curves(self):
-        mu = from_perm(Perm.identity(5))
+        mu = from_perm(identity(5))
         for j in range(1, 5):
             y = F(j, 5)
             assert boundary_function(mu, y).f == top_curve(y)
@@ -259,13 +259,13 @@ class TestRefine:
 
 class TestPermutonBruhat:
     def test_identity_is_minimum(self):
-        gid = from_perm(Perm.identity(4))
+        gid = from_perm(identity(4))
         for v in all_perms(4):
             assert permuton_bruhat_leq(gid, from_perm(v))
 
     def test_identity_below_uniform(self):
-        assert permuton_bruhat_leq(from_perm(Perm.identity(2)), uniform(2))
-        assert not permuton_bruhat_leq(uniform(2), from_perm(Perm.identity(2)))
+        assert permuton_bruhat_leq(from_perm(identity(2)), uniform(2))
+        assert not permuton_bruhat_leq(uniform(2), from_perm(identity(2)))
 
     def test_321_vs_231(self):
         assert not permuton_bruhat_leq(
@@ -298,7 +298,7 @@ class TestPermutonBruhat:
                         assert permuton_bruhat_leq(a, c)
 
     def test_mixed_grids(self):
-        assert permuton_bruhat_leq(from_perm(Perm.identity(3)), uniform(2))
+        assert permuton_bruhat_leq(from_perm(identity(3)), uniform(2))
 
     def test_orders_and_equality_match_lcm_reference(self):
         rng = random.Random(11)
@@ -307,7 +307,7 @@ class TestPermutonBruhat:
         pairs = [(random_permuton(rng, m), random_permuton(rng, k)) for m, k in sizes]
         mixed = random_permuton(rng, 6)
         pairs += [(uniform(4), uniform(9)), (mixed, refine(mixed, 2))]
-        pairs += [(from_perm(Perm.identity(7)), random_permuton(rng, 12))]
+        pairs += [(from_perm(identity(7)), random_permuton(rng, 12))]
         for mu, nu in pairs:
             common = lcm(mu.m, nu.m)
             a, b = (refine(p, common // p.m) for p in (mu, nu))
@@ -504,7 +504,7 @@ class TestOrderStopsEarly:
         assert got
 
     def test_first_failing_row_ends_the_order(self):
-        top, bottom = from_perm(Perm((5, 4, 3, 2, 1))), from_perm(Perm.identity(7))
+        top, bottom = from_perm(Perm((5, 4, 3, 2, 1))), from_perm(identity(7))
         # at the first union-grid row, y = 1/35, the reversal's CDF is 0 left
         # of x = 34/35 and the identity's is not
         assert first_failing_row(top, bottom) == 0

@@ -21,7 +21,8 @@ def named_attributes() -> set[str]:
 
 def test_the_readme_names_module_attributes():
     names = named_attributes()
-    assert {"permuton.boundary_row", "finite._diamond"} <= names
+    assert {"permuton.boundary_row", "finite._diamond", "errors.ParseError",
+            "errors.DomainError", "errors.TooLarge", "errors.CertificateFailure"} <= names
 
 
 def test_every_attribute_the_readme_names_exists():

@@ -3,12 +3,16 @@ outside the tests: the library itself, a demo or the benchmark.  A reader is
 an import of the name from preproj, a module.name read whose owner names a
 preproj module (finite.hom_dims, lib.finite.ideal_via_word,
 modules["plfunc"].PLFunc), or the bare name used in the module that defines
-it.  src/preproj less __init__, demos/ and perfbench/ are read with ast;
-tests/ are not, so a name that only tests call shows up here as unread."""
+it.  So has every public method and property of an exported class (dataclass
+fields, Enum members and dunders aside): its reader is an attribute read of
+that name.  src/preproj less __init__, demos/ and perfbench/ are read with
+ast; tests/ are not, so a name that only tests call shows up here as unread."""
 
 import ast
+import dataclasses
 import sys
 import types
+from functools import cached_property
 from pathlib import Path
 
 import preproj
@@ -76,6 +80,25 @@ def unread_exports() -> list[str]:
     return sorted(unread)
 
 
+def members(cls: type) -> list[str]:
+    """The public methods and properties cls defines itself, less its
+    dataclass fields; an Enum member is no function, so it is not one."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    kinds = (types.FunctionType, staticmethod, classmethod, property, cached_property)
+    return [name for name, value in vars(cls).items()
+            if not name.startswith("_") and name not in fields and isinstance(value, kinds)]
+
+
+def unread_members() -> list[str]:
+    """Class.member for each member of an exported class that no scanned
+    file reads as an attribute."""
+    read = {node.attr for tree in scanned().values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name}.{member}" for name in preproj.__all__
+                  if isinstance(cls := getattr(preproj, name), type)
+                  for member in members(cls) if member not in read)
+
+
 def test_the_scan_sees_each_kind_of_reader():
     found = {path.relative_to(ROOT).as_posix(): reads(tree) for path, tree in scanned().items()}
     assert "CurveModule" in found["src/preproj/sheets.py"][0]  # from .finite import
@@ -99,3 +122,20 @@ def test_a_planted_export_is_unread(monkeypatch):
     monkeypatch.setattr(preproj, "planted", planted, raising=False)
     monkeypatch.setattr(preproj, "__all__", [*preproj.__all__, "planted"])
     assert unread_exports() == ["planted"]
+
+
+def test_members_are_methods_and_properties():
+    assert {"n", "tableau", "label"} <= set(members(preproj.Perm))  # property, cached
+    assert "from_lattice" in members(preproj.PLFunc)  # classmethod
+    assert "one_line" not in members(preproj.Perm)  # a dataclass field
+    assert "support" not in members(preproj.Sheet)  # a field set after init
+    assert members(preproj.MonotoneClass) == []  # Enum members only
+
+
+def test_every_public_member_has_a_reader():
+    assert unread_members() == []
+
+
+def test_a_planted_method_is_unread(monkeypatch):
+    monkeypatch.setattr(preproj.Perm, "planted", lambda self: None, raising=False)
+    assert unread_members() == ["Perm.planted"]

@@ -21,7 +21,7 @@ from bisect import insort
 from fractions import Fraction
 
 import pytest
-from conftest import bruhat_below, mass, random_permuton, reduced_word
+from conftest import bruhat_below, inverse, mass, random_permuton, reduced_word
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,7 +75,7 @@ def bruhat_symmetry_faults(u: Perm, v: Perm) -> list[str]:
     """The maps whose image of (u, v) bruhat_leq decides otherwise than u <= v
     (w0 u with the pair reversed)."""
     verdict = bruhat_leq(u, v)
-    images = {"inverse": bruhat_leq(u.inverse(), v.inverse()),
+    images = {"inverse": bruhat_leq(inverse(u), inverse(v)),
               "w0 u w0": bruhat_leq(w0_conjugate(u), w0_conjugate(v)),
               "w0 u": bruhat_leq(w0_times(v), w0_times(u))}
     return [name for name, image in images.items() if image is not verdict]
