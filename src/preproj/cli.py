@@ -82,8 +82,9 @@ def parse_perm(text: str) -> Perm:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb", buffering=0) as fh:  # decoded once, newlines as text mode's
+            text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 

@@ -22,13 +22,14 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from . import symgroup
 from .errors import DomainError
 from .lanes import pack
 from .limits import guard
-from .rat import num_den
+from .rat import num_den, ratio_str
 from .symgroup import Perm, Word
 
 # a curve in integer units of 1/n (units[0] is its vertex), and a band
@@ -55,22 +56,29 @@ class DiamondCurve:
             raise DomainError(f"vertex {i} outside 1..{n - 1}")
         if len(units) != n + 1:
             raise DomainError(f"expected {n + 1} grid values, got {len(units)}")
-        for a, b in zip(units, units[1:]):
-            if abs(b - a) != 1:
-                raise DomainError("curve steps must be exactly +-1/n")
-        for j, u in enumerate(units):
-            if not abs(j - i) <= u <= n - abs(n - i - j):
-                raise DomainError(f"curve leaves the diamond at column {j}")
+        if not set(map(sub, units[1:], units)) <= {1, -1}:
+            raise DomainError("curve steps must be exactly +-1/n")
+        # +-1 steps from i to n - i keep within the diamond, which pins both ends
+        if units[0] != i or units[n] != n - i:
+            j = next(j for j, u in enumerate(units) if not abs(j - i) <= u <= n - abs(n - i - j))
+            raise DomainError(f"curve leaves the diamond at column {j}")
         object.__setattr__(self, "units", units)
 
     @classmethod
     def from_values(cls, i: int, n: int, values: Sequence) -> "DiamondCurve":
-        """The curve through the rationals values[j] = c(j/n), each on the 1/n grid."""
-        units = []
-        for p, q in map(num_den, values):
-            if p * n % q:
-                raise DomainError(f"curve value {p}/{q} is off the 1/{n} grid")
-            units.append(p * n // q)
+        """The curve through the rationals values[j] = c(j/n), each on the 1/n
+        grid; canonical literals are read off the rank's table (_literals)."""
+        try:  # the table only for a curve that can be valid: n >= 2, n + 1 values
+            units = tuple(map(_literals(n)[1].__getitem__, values)) if (
+                n >= 2 and len(values) == n + 1) else None
+        except (KeyError, TypeError):  # some value not canonical, or unhashable
+            units = None
+        if units is None:
+            units = []
+            for p, q in map(num_den, values):
+                if p * n % q:
+                    raise DomainError(f"curve value {p}/{q} is off the 1/{n} grid")
+                units.append(p * n // q)
         return cls(i, n, tuple(units))
 
     @property
@@ -110,6 +118,13 @@ def _diamond(i: int, n: int) -> Band:
     """The top and bottom boundaries of P_i's diamond, in units of 1/n."""
     return (tuple(abs(j - i) for j in range(n + 1)),
             tuple(n - abs(n - i - j) for j in range(n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _literals(n: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The wire literals of u/n for u = 0..n, and the u of each."""
+    wire = tuple(ratio_str(u, n) for u in range(n + 1))
+    return wire, dict(zip(wire, range(n + 1)))
 
 
 def projective(i: int, n: int) -> CurveModule:
@@ -174,14 +189,17 @@ def _sub_modules(n: int, curves: Sequence[Units]) -> tuple[CurveModule, ...]:
 
 
 def word_curves(word: Word, n: int, vertices: Iterable[int]) -> tuple[Units, ...]:
-    """The curve units of the reduced word's ideal at the given vertices."""
+    """The curve units of the reduced word's ideal at the given vertices, each
+    stripped alone in place by strip_curves' rule (a letter acts on each)."""
     word = tuple(word)
     if not symgroup.is_reduced(word, n):
         raise DomainError(f"{word} is not reduced")
-    curves = tuple(_diamond(i, n)[0] for i in vertices)
-    for letter in word:
-        curves = strip_curves(curves, letter)
-    return curves
+    curves = [list(_diamond(i, n)[0]) for i in vertices]
+    for units in curves:
+        for letter in word:
+            if _peaks(units, letter):
+                units[letter] += 2
+    return tuple(map(tuple, curves))
 
 
 def ideal_via_word(word: Word, n: int) -> tuple[CurveModule, ...]:
@@ -276,17 +294,14 @@ class HomLanes:
                         for up, down in targets], width)
         self.parity = pack([parities[up[0] % 2] for up, _ in targets], width)
 
-    def dims(self, a: Band, lanes: Iterable[int] | None = None) -> list[int]:
-        """dim Hom(a, targets[t]) for each t in lanes (all by default); a
-        lane not selected is not computed and reads 0."""
+    def dims(self, a: Band) -> list[int]:
+        """dim Hom(a, targets[t]) for every target t, in one pass."""
         ua, da = a
         if len(ua) - 1 != self.n:
             raise DomainError(f"ranks {len(ua) - 1} and {self.n} differ")
         width, lo, hi = self.width, self.lo, self.hi
         full = (1 << width) - 1
         keep = self.parity[ua[0] % 2]
-        if lanes is not None:
-            keep &= sum(full << t * width for t in set(lanes))
         closed = []  # runs that ended, to be counted per lane
         alive = before = 0  # alive: the runs through column x - 1 not joined to zero
         for x in range(1, self.n):
@@ -337,22 +352,20 @@ def tau_rigid_witness(curves: Sequence[Units],
     Hom(M^i, tau M^j) != 0 for the submodules M^i, M^j of projectives cut
     out by the given curves (the sub of curve c is the band (c, bottom), its
     tau (top, c)), or None when their direct sum is tau-rigid.  memo maps
-    a sub's curve to {a quotient's curve: Hom vanishes}; pairs it holds are
-    not computed again.  The quotients are packed into lanes once, when some
-    pair is missing, and each sub then makes one pass over the lanes of its
-    missing pairs."""
+    a sub's curve to {a quotient's curve: Hom vanishes}; a sub whose pairs it
+    all holds is not computed again.  The quotients are packed into lanes
+    once, when some pair is missing, and a sub with a missing pair makes one
+    pass over every lane and records them all."""
     memo = {} if memo is None else memo
     quots = None
     for key in curves:
         known = memo.setdefault(key, {})
         vanishes = list(map(known.get, curves))  # None: not known yet
         if None in vanishes:
-            missing = [t for t, v in enumerate(vanishes) if v is None]
             n = len(key) - 1
             quots = quots or HomLanes([(_diamond(c[0], n)[0], c) for c in curves])
-            dims = quots.dims((key, _diamond(key[0], n)[1]), missing)
-            for t in missing:
-                known[curves[t]] = vanishes[t] = dims[t] == 0
+            vanishes = [d == 0 for d in quots.dims((key, _diamond(key[0], n)[1]))]
+            known.update(zip(curves, vanishes))
         if not all(vanishes):
             return key[0], curves[vanishes.index(False)][0]
     return None

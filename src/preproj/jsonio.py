@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from .errors import ParseError
-from .finite import CurveModule, DiamondCurve, Kind
+from .finite import CurveModule, DiamondCurve, Kind, _literals
 from .permuton import GridPermuton
 from .plfunc import BFunc, PLFunc
 from .rat import frac, rat_str, ratio_str
@@ -70,7 +70,7 @@ def curve_module_to_json(m: CurveModule) -> dict:
         "n": m.n,
         "i": m.i,
         "kind": m.kind.value,
-        "curve": [ratio_str(u, m.n) for u in m.curve.units],
+        "curve": list(map(_literals(m.n)[0].__getitem__, m.curve.units)),
     }
 
 

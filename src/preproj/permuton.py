@@ -67,14 +67,15 @@ class GridPermuton:
         cum = [(0,) * (m + 1)]
         for row in cells:
             cum.append(tuple(map(add, cum[-1], accumulate(row, initial=0))))
-        # the row and column sums are differences along the last column and row
+        # rows and columns sum to 1/m iff cum's last column and row read 0, 1/m, .., 1
         target = den // m
-        for r in range(m):
-            if cum[r + 1][m] - cum[r][m] != target:
-                raise DomainError(f"row {r} does not sum to 1/{m}")
-        for c in range(m):
-            if cum[m][c + 1] - cum[m][c] != target:
-                raise DomainError(f"column {c} does not sum to 1/{m}")
+        marks = list(range(0, m * target + 1, target))
+        if [row[m] for row in cum] != marks:
+            r = next(r for r in range(m) if cum[r + 1][m] - cum[r][m] != target)
+            raise DomainError(f"row {r} does not sum to 1/{m}")
+        if list(cum[m]) != marks:
+            c = next(c for c in range(m) if cum[m][c + 1] - cum[m][c] != target)
+            raise DomainError(f"column {c} does not sum to 1/{m}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "cells", cells)

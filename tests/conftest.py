@@ -10,21 +10,21 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import ge, le
+from operator import add, ge, le
 from typing import Iterable
 
 from preproj import permuton, plfunc, symgroup
 from preproj.continuous import left_act, staircase
 from preproj.errors import DomainError, ParseError
 from preproj.finite import (CurveModule, DiamondCurve, _diamond, band, factors, ideal_of,
-                            ideal_via_word, tau_sub)
+                            ideal_via_word, strip_curves, tau_sub)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.linalg import rank_of_links
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
 from preproj.plfunc import (BFunc, MonotoneClass, PLFunc, _merged, _plfunc, _walk, bottom_curve,
                             pointwise_leq, to_bfunc, top_curve, vshift)
-from preproj.rat import frac, rat_str
+from preproj.rat import frac, num_den, rat_str, ratio_str
 from preproj.sheets import SawtoothDesc, Sheet, SimpleModule, _leq_on, b_interval
 from preproj.symgroup import (Perm, all_perms, all_reduced_words,
                               canonical_reduced_word_of_rep, min_coset_line)
@@ -1228,6 +1228,84 @@ def curve_module_to_json_by_fractions(m: CurveModule) -> dict:
     (formerly ``jsonio.curve_module_to_json``)."""
     return {"n": m.n, "i": m.i, "kind": m.kind.value,
             "curve": [rat_str(v) for v in m.curve.values]}
+
+
+def curve_units_by_columns(i: int, n: int, units) -> tuple[int, ...]:
+    """The units of DiamondCurve(i, n, units), checked one step and one
+    column at a time, with the same errors in the same order (formerly
+    ``DiamondCurve.__post_init__``)."""
+    units = tuple(units)
+    if not 1 <= i <= n - 1:
+        raise DomainError(f"vertex {i} outside 1..{n - 1}")
+    if len(units) != n + 1:
+        raise DomainError(f"expected {n + 1} grid values, got {len(units)}")
+    for a, b in zip(units, units[1:]):
+        if abs(b - a) != 1:
+            raise DomainError("curve steps must be exactly +-1/n")
+    for j, u in enumerate(units):
+        if not abs(j - i) <= u <= n - abs(n - i - j):
+            raise DomainError(f"curve leaves the diamond at column {j}")
+    return units
+
+
+def curve_units_by_num_den(i: int, n: int, values) -> tuple[int, ...]:
+    """The units of the curve through values[j] = c(j/n), every value read
+    by num_den and checked by columns (formerly ``DiamondCurve.from_values``,
+    before the per-rank literal table)."""
+    units = []
+    for p, q in map(num_den, values):
+        if p * n % q:
+            raise DomainError(f"curve value {p}/{q} is off the 1/{n} grid")
+        units.append(p * n // q)
+    return curve_units_by_columns(i, n, units)
+
+
+def curve_module_to_json_by_ratio_str(m: CurveModule) -> dict:
+    """A curve module's JSON, each unit written by ``ratio_str`` (formerly
+    ``jsonio.curve_module_to_json``, before the per-rank literal table)."""
+    return {"n": m.n, "i": m.i, "kind": m.kind.value,
+            "curve": [ratio_str(u, m.n) for u in m.curve.units]}
+
+
+def word_curves_by_strip(word, n: int, vertices) -> tuple[tuple[int, ...], ...]:
+    """word_curves as a fold of strip_curves over the letters, every curve
+    rebuilt per letter (formerly ``finite.word_curves``)."""
+    word = tuple(word)
+    if not symgroup.is_reduced(word, n):
+        raise DomainError(f"{word} is not reduced")
+    curves = tuple(_diamond(i, n)[0] for i in vertices)
+    for letter in word:
+        curves = strip_curves(curves, letter)
+    return curves
+
+
+def cum_by_row_and_column_loops(m: int, den: int, cells) -> tuple[tuple[int, ...], ...]:
+    """The ``cum`` table GridPermuton._fill builds, its sums checked one row
+    and one column at a time, with the same errors in the same order
+    (formerly the checks of ``GridPermuton._fill``)."""
+    if min(map(min, cells)) < 0:
+        raise DomainError("cell masses must be nonnegative")
+    cum = [(0,) * (m + 1)]
+    for row in cells:
+        cum.append(tuple(map(add, cum[-1], itertools.accumulate(row, initial=0))))
+    target = den // m
+    for r in range(m):
+        if cum[r + 1][m] - cum[r][m] != target:
+            raise DomainError(f"row {r} does not sum to 1/{m}")
+    for c in range(m):
+        if cum[m][c + 1] - cum[m][c] != target:
+            raise DomainError(f"column {c} does not sum to 1/{m}")
+    return tuple(cum)
+
+
+def load_json_by_text_mode(path: str):
+    """A JSON file read through a UTF-8 text-mode file object, or the
+    ParseError it gives (formerly ``cli._load_json``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def plfunc_to_json_by_breakpoints(f: PLFunc) -> dict:

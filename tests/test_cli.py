@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_row_by_records,
                       frac_by_fraction_parse, hom_vanishing_cert, homvanish_apexes_by_all_pairs,
-                      homvanish_by_plfuncs, line_by_dumps,
+                      homvanish_by_plfuncs, line_by_dumps, load_json_by_text_mode,
                       mizuno_by_words, permuton_to_json, random_permuton,
                       sample_by_listing, sheet_to_json, twosided_by_plfuncs,
                       twosided_pair_by_plfuncs)
@@ -69,10 +69,9 @@ def count_lanes(monkeypatch) -> tuple[list, list]:
         init(self, targets)
         packings.append(self.targets)
 
-    def counting(self, a, lanes=None):
-        chosen = range(len(self.targets)) if lanes is None else sorted(set(lanes))
-        pairs.extend((a, self.targets[t]) for t in chosen)
-        return dims(self, a, lanes)
+    def counting(self, a):
+        pairs.extend((a, b) for b in self.targets)
+        return dims(self, a)
 
     monkeypatch.setattr(finite.HomLanes, "__init__", packing)
     monkeypatch.setattr(finite.HomLanes, "dims", counting)
@@ -133,16 +132,43 @@ class TestIdealCommands:
         assert main(["ideal", "permuton", path, "--at", "1e-4300"]) == 2
         assert "more than 4300 digits" in capsys.readouterr().err
 
+    @staticmethod
+    def text_mode_error(path) -> str:
+        """The error line of a file read in text mode, the route it replaced."""
+        with pytest.raises(ParseError) as exc:
+            load_json_by_text_mode(str(path))
+        assert str(exc.value).startswith(f"cannot read JSON from {path}: ")
+        return f"error: {exc.value}\n"
+
     @pytest.mark.parametrize(
         "content",
-        [b'{"m": ' + b"1" * 5000 + b', "mass": []}', b"\xff\xfe{"],
-        ids=["integer-over-digit-limit", "not-utf8"],
+        [b'{"m": ' + b"1" * 5000 + b', "mass": []}', b"\xff\xfe{",
+         b'\xef\xbb\xbf{"m": 1, "mass": [["1"]]}', b'{"m": 1, "mass": [["1"',
+         b'{"m": 1,\r\n "mass":\r\n [["1"]],,\r\n}', b'{"m": 1,\r "mass":\r [["1"]],,\r}',
+         b'{"m": 1, "mass": [["\r\n"]]}', b" " * 9000 + b'{"m": 1, "mass": \xe2\x82'],
+        ids=["integer-over-digit-limit", "not-utf8", "utf8-bom", "truncated", "crlf-syntax",
+             "cr-syntax", "crlf-in-string", "cut-utf8-past-a-buffer"],
     )
     def test_unreadable_json_file(self, capsys, tmp_path, content):
         path = tmp_path / "mu.json"
         path.write_bytes(content)
         assert main(["ideal", "permuton", str(path), "--at", "1/2"]) == 2
-        assert "cannot read JSON" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", self.text_mode_error(path))
+
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_json_path(self, capsys, tmp_path, where):
+        path = tmp_path / "m.json"
+        if where == "directory":
+            path.mkdir()
+        assert main(["brick", "check", str(path)]) == 2
+        assert capsys.readouterr() == ("", self.text_mode_error(path))
+
+    def test_newlines_read_as_text_mode_reads_them(self, capsys, tmp_path):
+        payload = {"type": "curve_module", **jsonio.curve_module_to_json(projective(2, 5))}
+        path = tmp_path / "m.json"
+        path.write_bytes(json.dumps(payload, indent=1).replace("\n", "\r\n").encode())
+        assert main(["brick", "check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["end_dim"] == 2
 
     @pytest.mark.parametrize(
         "text", ["[1,2.7,3]", "[true,2]", '["1","2"]', "[1,[2]]", "", "[]"]
@@ -1089,10 +1115,20 @@ class TestSummandMemos:
             fresh += bool(new)
             seen |= new
         assert 0 < fresh < 120
+        # a sub with a pair the sweep has not met makes one pass over all
+        # four lanes of its case and records every one of them
+        known, passes = set(), 0
+        for w in all_perms(5):
+            curves = finite.ideal_curves(w.one_line)
+            for a in curves:
+                if any((a, b) not in known for b in curves):
+                    passes += 1
+                    known |= {(a, b) for b in curves}
+        assert passes == 240 and len(pairs) == 330
         for sweep in (1, 2):  # a second check recomputes: the memo is emptied
             code, lines = run(capsys, "check", "taurigid", "--n", "5")
             assert code == 0 and lines[-1]["cases"] == 120
-            assert len(homs) == sweep * len(pairs) < sweep * 120 * 16
+            assert len(homs) == sweep * 4 * passes < sweep * 120 * 16
             assert len(packings) == sweep * fresh  # no pass on a memoised case
         half = len(homs) // 2
         assert set(homs[:half]) == set(homs[half:]) == pairs
@@ -1109,12 +1145,9 @@ class TestSummandMemos:
         source, quot = finite.band(sub), finite.band(finite.tau_sub(other))
         dims = finite.HomLanes.dims
 
-        def planted(self, a, lanes=None):
-            out = dims(self, a, lanes)
-            chosen = range(len(out)) if lanes is None else set(lanes)
-            return [1 if t in chosen and a == source and (
-                quot_vertex is None or self.targets[t] == quot) else d
-                for t, d in enumerate(out)]
+        def planted(self, a):
+            return [1 if a == source and (quot_vertex is None or b == quot) else d
+                    for b, d in zip(self.targets, dims(self, a))]
 
         monkeypatch.setattr(finite.HomLanes, "dims", planted)
         code, lines = run(capsys, "check", "taurigid", "--n", "5")
@@ -1393,6 +1426,30 @@ class TestBrickAndSheet:
         payload = {"type": "curve_module", **jsonio.curve_module_to_json(projective(2, 5))}
         path = write_json(tmp_path, "m.json", {**payload, "i": "x"})
         assert main(["brick", "check", path]) == 2
+
+    @pytest.mark.parametrize("n,curve,line", [
+        (0, ["0"], "vertex 1 outside 1..-1"),
+        (-1, [], "vertex 1 outside 1..-2"),
+        (10**9, ["0", "1"], "expected 1000000001 grid values, got 2"),
+        (4, ["1/4", "x", "1/4"], "bad rational literal 'x'"),
+    ], ids=["rank-0", "rank-minus-1", "rank-1e9", "count-and-literal"])
+    def test_brick_check_malformed_curve_module(self, capsys, tmp_path, monkeypatch,
+                                                 n, curve, line):
+        # the literal table is built only for a curve that can be valid
+        asked, table = [], finite._literals
+
+        def spy(n):  # never builds a table for a huge rank
+            asked.append(n)
+            assert 2 <= n <= 64, f"literal table asked for at rank {n}"
+            return table(n)
+
+        monkeypatch.setattr(finite, "_literals", spy)
+        path = write_json(tmp_path, "m.json", {"type": "curve_module", "n": n, "i": 1,
+                                               "kind": "sub", "curve": curve})
+        start = time.perf_counter()
+        assert main(["brick", "check", path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"error: {line}\n") and asked == []
 
     def test_brick_check_projective(self, capsys, tmp_path):
         path = write_json(

@@ -4,10 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 from conftest import (QuiverRep, apply_word_by_perm, bottom_boundary, curve_hom_dim_by_pair,
-                      factor_rep, hom_dim, identity,
+                      curve_units_by_columns, factor_rep, hom_dim, identity,
                       hom_dim_by_elimination, hom_lengths, loop_action, random_curve,
                       rep_is_deep, sawtooth_rep, sawtooth_rep_by_midpoints, simple_rep,
-                      to_rep, zero_rep)
+                      to_rep, word_curves_by_strip, zero_rep)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -311,6 +311,69 @@ class TestIntegerCore:
         stripped = strip_curves(curves, 3)
         assert [a is b for a, b in zip(curves, stripped)] == [
             not (a[2] == a[3] + 1 == a[4]) for a in curves]
+
+
+def outcome(read, *args):
+    """What read(*args) returns, or the type and text of the DomainError it raises."""
+    try:
+        return read(*args)
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+class TestWholeTupleRoutes:
+    """The whole-tuple curve checks and the in-place strip against the
+    element-by-element routes they replaced."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2, 16), st.randoms(use_true_random=False))
+    def test_curve_checks_match_the_column_loop(self, n, rng):
+        i = rng.randint(1, n - 1)
+        units = list(random_curve(i, n, rng).units)
+        for _ in range(rng.choice([0, 1, 1, 2])):  # planted bad steps and columns
+            j = rng.randrange(n + 1)
+            units[j] += rng.choice([-2, -1, 1, 2])
+        if rng.random() < 0.2:  # the whole curve shifted: good steps, off the diamond
+            shift = rng.choice([-2, 2])
+            units = [u + shift for u in units]
+        if rng.random() < 0.1:
+            units = units[:-1] if rng.random() < 0.5 else units + [units[-1] + 1]
+        i = i if rng.random() < 0.9 else rng.choice([0, n, -1])
+        assert outcome(lambda: DiamondCurve(i, n, units).units) == outcome(
+            curve_units_by_columns, i, n, units)
+
+    def test_every_column_of_every_curve_at_4(self):
+        # every +-1 walk of five values from each start 0..4, at every vertex
+        seen = set()
+        for i in range(1, 4):
+            for start in range(5):
+                for steps in itertools.product((1, -1), repeat=4):
+                    units = tuple(itertools.accumulate(steps, initial=start))
+                    got = outcome(lambda: DiamondCurve(i, 4, units).units)
+                    assert got == outcome(curve_units_by_columns, i, 4, units)
+                    seen.add(got[1] if got[0] is DomainError else "valid")
+        # one step from its vertex a curve is still inside: column 1 never fails first
+        assert seen == {"valid", *(f"curve leaves the diamond at column {j}"
+                                   for j in (0, 2, 3, 4))}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 16).flatmap(lambda n: st.permutations(range(1, n + 1))),
+        st.randoms(use_true_random=False),
+    )
+    def test_word_curves_match_the_strip_fold(self, one_line, rng):
+        w = Perm(one_line)
+        word = descent_walk_word(w, rng)
+        word = word[:rng.randint(0, len(word))]  # reduced too
+        for vertices in (range(1, w.n), *((i,) for i in range(1, w.n))):
+            assert word_curves(word, w.n, vertices) == word_curves_by_strip(
+                word, w.n, vertices)
+
+    def test_non_reduced_words_match_the_strip_fold(self):
+        for word in ((1, 1), (2, 1, 2, 1), (3, 1, 3)):
+            assert outcome(word_curves, word, 5, range(1, 5)) == outcome(
+                word_curves_by_strip, word, 5, range(1, 5)) == (
+                DomainError, f"{word} is not reduced")
 
 
 class TestTau:
@@ -641,22 +704,22 @@ class TestHomLanes:
 
         a = module()
         targets = [module() for _ in range(data.draw(st.integers(1, max(1, n - 1))))]
-        chosen = data.draw(st.sets(st.integers(0, len(targets) - 1)))
         lanes = HomLanes(map(band, targets))
         expected = [curve_hom_dim_by_pair(a, b) for b in targets]
         assert lanes.dims(band(a)) == expected == hom_dims(a, targets)
-        assert lanes.dims(band(a), chosen) == [d if t in chosen else 0
-                                         for t, d in enumerate(expected)]
+        # each lane as its target alone: no lane reads its neighbours
+        assert [HomLanes([band(b)]).dims(band(a)) for b in targets] == [[d] for d in expected]
 
-    def test_unselected_lanes_are_not_computed(self):
+    def test_every_lane_is_counted(self):
+        # a pass counts every lane; there is no option to pick some of them
         for n in range(2, 12):
             for i in range(1, n):
                 p = band(projective(i, n))
                 lanes = HomLanes([p, band(tau_sub(projective(i, n))), p, p])
                 ends = min(i, n - i)
                 assert lanes.dims(p) == [ends, 0, ends, ends]
-                assert lanes.dims(p, [2]) == [0, 0, ends, 0]
-                assert lanes.dims(p, []) == [0] * 4
+        with pytest.raises(TypeError):
+            lanes.dims(p, [2])
 
     def test_lanes_of_empty_columns(self):
         # a target empty at a column where the source holds two or more
@@ -698,15 +761,17 @@ class TestTauRigidWitness:
         monkeypatch.setattr(HomLanes, "__init__",
                             lambda self, targets: packed.append(targets) or init(self, targets))
         assert tau_rigid_witness(curves, memo) is None and packed == []
-        # one pair forgotten: one packing, one pass with that one lane
+        # one pair forgotten: one packing, and one pass over every lane that
+        # records the whole pass again
         del memo[curves[2]][curves[0]]
         dims = HomLanes.dims
         passes = []
         monkeypatch.setattr(HomLanes, "dims",
-                            lambda self, a, lanes=None: passes.append((a, list(lanes)))
-                            or dims(self, a, lanes))
+                            lambda self, a: passes.append((a, len(self.targets)))
+                            or dims(self, a))
         assert tau_rigid_witness(curves, memo) is None and len(packed) == 1
-        assert passes == [(band(ideal_of(W)[2]), [0])]
+        assert passes == [(band(ideal_of(W)[2]), 4)]
+        assert memo == {a: {b: True for b in curves} for a in curves}
 
     def test_first_failing_pair(self):
         keys = ideal_curves(W.one_line)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (curve_from_values_by_fractions, curve_module_to_json_by_fractions,
+                      curve_module_to_json_by_ratio_str, curve_units_by_num_den,
                       frac_by_fraction_parse, module_to_json, permuton_to_json,
                       plfunc_pts_by_fractions, plfunc_to_json_by_breakpoints, random_bfunc,
                       random_curve, sawtooth_to_json, sheet_to_json)
-from preproj import jsonio
+from preproj import finite, jsonio
 from preproj.cli import parse_perm
 from preproj.errors import DomainError, ParseError, PreprojError
 from preproj.finite import CurveModule, DiamondCurve, Kind, ideal_of, projective
@@ -254,6 +255,70 @@ class TestCurveUnitsWire:
                         assert got == outcome(curve_from_values_by_fractions, i, n, edited)
                         seen.add(got[0] if isinstance(got, tuple) else DiamondCurve)
         assert seen == {DiamondCurve, DomainError, ParseError}
+
+
+def literal_forms(u: int, n: int, rng: random.Random) -> list:
+    """Ways to write u/n: canonical, unreduced, padded, a Fraction, and an
+    int where it is whole."""
+    canonical, k = ratio_str(u, n), rng.randint(2, 5)
+    forms = [canonical, f"{u * k}/{n * k}", f" {canonical}", f"{canonical} ", F(u, n)]
+    return forms + [u // n] if u % n == 0 else forms
+
+
+class TestCurveLiteralTable:
+    """The per-rank literal table against the num_den reader and the
+    ratio_str writer it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_table_is_ratio_str(self, n):
+        wire, units = finite._literals(n)
+        assert wire == tuple(ratio_str(u, n) for u in range(n + 1))
+        assert units == {literal: u for u, literal in enumerate(wire)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 16), st.sampled_from(Kind), st.randoms(use_true_random=False))
+    def test_writer_bytes(self, n, kind, rng):
+        m = CurveModule(kind, random_curve(rng.randint(1, n - 1), n, rng))
+        assert json.dumps(jsonio.curve_module_to_json(m)) == json.dumps(
+            curve_module_to_json_by_ratio_str(m))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2, 16), st.randoms(use_true_random=False))
+    def test_reader_matches_num_den(self, n, rng):
+        i = rng.randint(1, n - 1)
+        units = list(random_curve(i, n, rng).units)
+        if rng.random() < 0.3:  # a planted bad step or column, still canonical
+            j = rng.randrange(n + 1)
+            units[j] = min(n, max(0, units[j] + rng.choice([-2, -1, 1, 2])))
+        forms = rng.random() < 0.5  # some values in another form than canonical
+        values = [rng.choice(literal_forms(u, n, rng)) if forms and rng.random() < 0.3
+                  else ratio_str(u, n) for u in units]
+        if rng.random() < 0.2:  # a bad literal
+            values[rng.randrange(n + 1)] = rng.choice(CURVE_LITERALS)
+        if rng.random() < 0.2:  # a wrong count
+            values = values[:-1] if rng.random() < 0.5 else values + ["0"]
+        i = i if rng.random() < 0.9 else rng.choice([0, n, -1])
+        assert outcome(lambda: DiamondCurve.from_values(i, n, values).units) == outcome(
+            curve_units_by_num_den, i, n, values)
+
+    @pytest.mark.parametrize("n,values", [
+        (0, ["0"]), (-1, []), (1, ["0", "1"]), (10**9, ["0", "1"]), (4, ["1/4", "x", "1/4"]),
+        (4, ["1/4", "0", "1/4", "1/2", "3/4", "1"]), (3, ["1/3", [], "1/3", "2/3"])],
+        ids=["rank-0", "rank-minus-1", "rank-1", "rank-1e9", "count-and-literal",
+             "one-value-over", "unhashable"])
+    def test_no_table_for_a_curve_that_cannot_be_valid(self, monkeypatch, n, values):
+        asked, table = [], finite._literals
+
+        def spy(n):  # never builds a table for a huge rank
+            asked.append(n)
+            assert 2 <= n <= 16, f"literal table asked for at rank {n}"
+            return table(n)
+
+        monkeypatch.setattr(finite, "_literals", spy)
+        got = outcome(lambda: DiamondCurve.from_values(1, n, values).units)
+        assert got == outcome(curve_units_by_num_den, 1, n, values)
+        assert got[0] in (DomainError, ParseError)
+        assert asked == ([] if n < 2 or len(values) != n + 1 else [n])
 
 
 class TestErrors:

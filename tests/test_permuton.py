@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
                       bruhat_leq_on_union_grid, cdf, cdf_grid_by_fractions, cell_sum_cdf,
-                      count_cdf_oracle, fraction_cum, identity, mass, merge_by_fractions,
+                      count_cdf_oracle, cum_by_row_and_column_loops, fraction_cum, identity,
+                      mass, merge_by_fractions,
                       permuton_by_literals,
                       permuton_equal, permuton_to_json, random_permuton, refine,
                       uniform_by_literals)
@@ -105,6 +106,58 @@ class TestIntegerCells:
             GridPermuton.__new__(GridPermuton)._fill(4, 4, tuple(map(tuple, cells)))
         with pytest.raises(DomainError, match="grid size must be positive"):
             from_perm(Perm(()))
+
+
+class TestFillChecks:
+    """_fill's whole-row checks of the sums against the row-by-row and
+    column-by-column loops they replaced."""
+
+    @staticmethod
+    def outcome(m: int, den: int, cells):
+        try:
+            return GridPermuton.__new__(GridPermuton)._fill(m, den, cells).cum
+        except DomainError as exc:
+            return DomainError, str(exc)
+
+    @staticmethod
+    def expected(m: int, den: int, cells):
+        try:
+            return cum_by_row_and_column_loops(m, den, cells)
+        except DomainError as exc:
+            return DomainError, str(exc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 16), st.randoms(use_true_random=False))
+    def test_planted_rows_columns_and_cells(self, m, rng):
+        mu = random_permuton(rng, m, rng.choice([1, 4, 12]))
+        cells = [list(row) for row in mu.cells]
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            r, c, r2, c2 = (rng.randrange(m) for _ in range(4))
+            plant = rng.choice(["row", "column", "cell", "negative"])
+            if plant == "row":  # mass moved along a column: two rows off
+                cells[r][c] += 1
+                cells[r2][c] -= 1
+            elif plant == "column":  # mass moved along a row: two columns off
+                cells[r][c] += 1
+                cells[r][c2] -= 1
+            elif plant == "cell":
+                cells[r][c] += rng.choice([-1, 1])
+            else:
+                cells[r][c] = -cells[r][c] or -1
+        cells = tuple(map(tuple, cells))
+        assert self.outcome(m, mu.den, cells) == self.expected(m, mu.den, cells)
+
+    def test_each_message_is_met(self):
+        cells = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        cases = {((1, 0, 0), (0, 1, 0), (0, 1, 0)): "column 1 does not sum to 1/3",
+                 ((1, 0, 0), (0, 0, 0), (0, 1, 1)): "row 1 does not sum to 1/3",
+                 ((1, 0, 0), (0, 2, -1), (0, -1, 2)): "cell masses must be nonnegative",
+                 ((0, 1, 0), (1, 0, 0), (0, 0, 2)): "row 2 does not sum to 1/3",
+                 cells: None}
+        for planted, message in cases.items():
+            got = self.outcome(3, 3, planted)
+            assert got == self.expected(3, 3, planted)
+            assert got == (DomainError, message) if message else got[-1] == (0, 1, 2, 3)
 
 
 class TestCellReading:
