@@ -36,14 +36,14 @@ A check runs tasks: a permutation (mizuno, taurigid, bridge), a source
 permuton) (twosided, homvanish).  A runner decides on integers (curve
 units, one-line tuples, boundary rows), itself or by a decider of the
 library, and validates no curve but homvanish's staircase summands; it
-returns its task's lines, a bruhat row spliced from pieces encoded once per
-sweep and other records encoded by _line, with its counts of cases and
-failures; cmd_check writes them as they come, serially or from --jobs
-workers (capped at the CPU and task counts).
-Per-sweep memos, cleared before and after each check, do each weak-order
-node (mizuno), Hom pair (taurigid, homvanish) and stripped summand (bridge)
-once per process.  A reader closing the pipe early ends the command with
-exit code 141.
+returns its task's lines (a passing one spliced from pieces, a bruhat row's
+encoded once per sweep; a failing record by _line) and its counts of cases
+and failures; cmd_check writes them as they come, serially or from --jobs
+workers (capped at the CPU and task counts).  Per-sweep memos, cleared before
+and after each check, do each weak-order node (mizuno), Hom pair (taurigid,
+homvanish; a full taurigid sweep's tasks carry one Hom table of every curve
+at rank n, one pass per sub curve) and stripped summand (bridge) once per
+process.  A reader closing the pipe early ends the command with exit 141.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import factorial
 from types import SimpleNamespace
@@ -111,11 +111,6 @@ _ENCODE = c_make_encoder and c_make_encoder(
 def _line(obj) -> str:
     """json.dumps(obj) and a newline: one output line."""
     return ("".join(_ENCODE(obj, 0)) if _ENCODE else json.dumps(obj)) + "\n"
-
-
-def _lines(records: list[dict]) -> tuple[str, int, int]:
-    """The records' output lines, with their numbers of cases and of failures."""
-    return "".join(map(_line, records)), len(records), sum(not r["ok"] for r in records)
 
 
 def _emit(obj: dict) -> None:
@@ -214,12 +209,20 @@ def _permutons(args, default_perms) -> _Sized:
     return _Sized(chain(perms, files, uniforms), len(perms) + len(files) + len(uniforms))
 
 
-def _record(check: str, case: str, key: str, witness, **counters) -> dict:
-    """A case's record, ok when witness is None and naming it under key if not."""
-    record = {"check": check, "case": case, "ok": witness is None, **counters}
-    if witness is not None:
-        record[key] = witness
-    return record
+def _lines(check: str, key: str, cases: list, **counters) -> tuple[str, int, int]:
+    """The lines of cases [(case, witness)], ok if witness is None, else naming it
+    under key after the int counters, and their numbers of cases and failures:
+    a failing record encoded by _line, a passing line spliced from its parts."""
+    head = '{"check": "' + check + '", "case": '
+    tail = ', "ok": true' + "".join([f', "{k}": {v}' for k, v in counters.items()]) + "}\n"
+    lines, failures = [], 0
+    for case, found in cases:
+        if found is None:
+            lines.append(head + encode_basestring_ascii(case) + tail)
+        else:
+            lines.append(_line({"check": check, "case": case, "ok": False, **counters, key: found}))
+            failures += 1
+    return "".join(lines), len(lines), failures
 
 
 # each distinct curve of a sweep (2^n - 2 at most) once, emptied by cmd_check
@@ -254,7 +257,7 @@ def _weak_node(ol: tuple[int, ...]) -> tuple[tuple, tuple | None, int]:
 
 def _case_mizuno(w: Perm) -> tuple[str, int, int]:
     _, witness, words = _weak_node(w.one_line)
-    return _lines([_record("mizuno", str(w), "edge", witness, words=words)])
+    return _lines("mizuno", "edge", [(w.label, witness)], words=words)
 
 
 # {sub's curve units: {quotient's curve units: Hom vanishes}}: each distinct
@@ -262,9 +265,28 @@ def _case_mizuno(w: Perm) -> tuple[str, int, int]:
 _HOMS: dict[finite.Units, dict[finite.Units, bool]] = {}
 
 
-def _case_taurigid(w: Perm) -> tuple[str, int, int]:
-    pair = finite.tau_rigid_witness(finite.ideal_curves(w.one_line), _HOMS)
-    return _lines([_record("taurigid", str(w), "pair", pair)])
+def _taurigid_tasks(args) -> list[Perm] | _Sized:
+    """--perm and smaller --sample runs' permutations; or all of S_n, each w as
+    (table, w), table one HomLanes of the 2^n - 2 curves at rank n as quotients:
+    i + j - 2 |D & [1, j]| for the nonempty proper subsets D of 1..n, i = |D|."""
+    perms, n = _perms(args, 4), args.n or 4
+    if isinstance(perms, list):
+        return perms
+    curves = [tuple(accumulate([-1 if d >> j & 1 else 1 for j in range(n)], initial=d.bit_count()))
+              for d in range(1, 2 ** n - 1)]
+    table = finite.HomLanes([(finite._diamond(c[0], n)[0], c) for c in curves])
+    return _Sized(((table, w) for w in perms), len(perms))
+
+
+def _case_taurigid(task) -> tuple[str, int, int]:
+    """w, or (table, w) in a sweep: a sub curve _HOMS lacks gets its table row in one pass."""
+    table, w = task if isinstance(task, tuple) else (None, task)
+    curves = finite.ideal_curves(w.one_line)
+    for key in curves if table else ():
+        if key not in _HOMS:
+            row = table.dims((key, finite._diamond(key[0], len(key) - 1)[1]))
+            _HOMS[key] = {c: d == 0 for (_, c), d in zip(table.targets, row)}
+    return _lines("taurigid", "pair", [(w.label, finite.tau_rigid_witness(curves, _HOMS))])
 
 
 # one strip per (min coset rep's one-line notation, vertex) and sweep
@@ -272,22 +294,22 @@ _stripped = lru_cache(maxsize=None)(continuous.stripped_summand)
 
 
 def _case_bridge(w: Perm) -> tuple[str, int, int]:
-    mu = permuton.from_perm(w)
-    return _lines([_record("bridge", f"{w}@{i}", "column",
-                           continuous.bridge_mismatch(w, i, mu, _stripped))
-                   for i in range(1, w.n)])
+    mu, label = permuton.from_perm(w), w.label
+    return _lines("bridge", "column", [(f"{label}@{i}", continuous.bridge_mismatch(
+        w, i, mu, _stripped)) for i in range(1, w.n)])
 
 
 class _Rows(NamedTuple):
-    """A bruhat sweep's two routes with one lane per permutation: the
-    Ehresmann tableaux (symgroup) and the permutons' interior CDF corners
-    (permuton), on lanes of one width; each permutation's label, and the
-    end of a passing line with it as the target, JSON-encoded."""
+    """A bruhat sweep's two routes, the Ehresmann tableaux (symgroup) and the
+    permutons' interior CDF corners (permuton), as sources and in lanes of one
+    width, one per permutation; each permutation's label, and the end of a
+    passing line with it as the target, JSON-encoded."""
 
     labels: list[str]
     tails: list[str]
     tableaux: Lanes
     cdfs: Lanes
+    sources: list[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
 # the end of a bruhat line after its target's label: passing, and failing
@@ -305,9 +327,10 @@ def _sources(perms: Iterable[Perm]) -> list[tuple[_Rows, int]]:
     perms = list(perms)
     top = perms[0].n  # the two routes' lanes have one width
     labels = [w.label for w in perms]
+    tableaux = [w.tableau for w in perms]
+    cdfs = [permuton.from_perm(w).interior for w in perms]
     rows = _Rows(labels, [encode_basestring_ascii(v)[1:] + _PASS for v in labels],
-                 Lanes([w.tableau for w in perms], top),
-                 Lanes([permuton.from_perm(w).interior for w in perms], top))
+                 Lanes(tableaux, top), Lanes(cdfs, top), list(zip(tableaux, cdfs)))
     return [(rows, i) for i in range(len(perms))]
 
 
@@ -317,9 +340,9 @@ def _case_bruhat(task: tuple[_Rows, int]) -> tuple[str, int, int]:
     perms[j], and a failing line carries each route's verdict.  Every line
     is the source's prefix and a target's tail: JSON escapes a string
     character by character, so these are json.dumps' bytes."""
-    (labels, tails, tableaux, cdfs), i = task
-    tableau = tableaux.at_least(tableaux.lane(i))
-    differ = tableau ^ cdfs.at_most(cdfs.lane(i))
+    (labels, tails, tableaux, cdfs, sources), i = task
+    tableau = tableaux.at_least(sources[i][0])
+    differ = tableau ^ cdfs.at_most(sources[i][1])
     failures, tails = differ.bit_count(), tails.copy()
     while differ:  # the guard bits of the targets where the routes disagree
         bit = differ.bit_length() - 1
@@ -340,7 +363,7 @@ def _labelled(task) -> tuple[str, permuton.GridPermuton]:
 
 def _case_twosided(task) -> tuple[str, int, int]:
     label, mu = _labelled(task)
-    return _lines([_record("twosided", label, "pair", continuous.twosided_witness(mu))])
+    return _lines("twosided", "pair", [(label, continuous.twosided_witness(mu))])
 
 
 def _case_homvanish(task) -> tuple[str, int, int]:
@@ -349,18 +372,18 @@ def _case_homvanish(task) -> tuple[str, int, int]:
     label, mu = _labelled(task)
     apexes = continuous.uncertified_apexes(mu)
     if apexes:
-        return _lines([_record("homvanish", label, "apexes", apexes)])
+        return _lines("homvanish", "apexes", [(label, apexes)])
     # Hom on the curves (HomLanes) of the summands' staircases at the apexes t/8
     summands = [continuous.staircase(permuton.boundary_function(mu, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
     pair = finite.tau_rigid_witness([m.curve.units for m in summands], _HOMS)
-    return _lines([_record("homvanish", label, "pair", pair)])
+    return _lines("homvanish", "pair", [(label, pair)])
 
 
 # name -> (task runner, task source, flags the check does not read)
 _CHECKS = {
     "mizuno": (_case_mizuno, lambda args: _perms(args, 4), ("files",)),
-    "taurigid": (_case_taurigid, lambda args: _perms(args, 4), ("files",)),
+    "taurigid": (_case_taurigid, _taurigid_tasks, ("files",)),
     "bridge": (_case_bridge, lambda args: _perms(args, 5), ("files",)),
     "bruhat": (_case_bruhat, lambda args: _sources(_perms(args, 4)), ("files",)),
     "twosided": (

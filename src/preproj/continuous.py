@@ -11,6 +11,7 @@ boundary_function(mu, a).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import gcd
 from operator import add, gt, le, sub
@@ -85,9 +86,15 @@ def bridge_mismatch(w: Perm, i: int, mu: GridPermuton | None = None,
     discrete = stripped(symgroup.min_coset_line(w.one_line, i), i)
     g = gcd(i, n)
     p, q = i // g, n // g
-    scale = q * q * mu.den
-    return next((c for c, (u, v) in enumerate(zip(discrete, permuton.boundary_row(mu, p, q)))
-                 if u * scale != v), None)
+    scale, row = q * q * mu.den, permuton.boundary_row(mu, p, q)
+    scaled = [u * scale for u in discrete]  # the failing column only on a mismatch
+    return None if scaled == row else next(c for c, u in enumerate(scaled) if u != row[c])
+
+
+@lru_cache(maxsize=None)
+def _bottoms(m: int, unit: int) -> tuple[tuple[int, ...], ...]:
+    """The bottoms of the diamonds of P_1..P_{m-1} at the columns c/m, in units of unit."""
+    return tuple(tuple(u * unit for u in _diamond(p, m)[1]) for p in range(1, m))
 
 
 def twosided_witness(mu: GridPermuton) -> list | None:
@@ -106,7 +113,7 @@ def twosided_witness(mu: GridPermuton) -> list | None:
     in a."""
     m, unit = mu.m, mu.m * mu.m * mu.den  # unit: 1/m over the rows' m^3 den
     rows = [permuton.boundary_row(mu, p, m) for p in range(1, m)]
-    bottoms = [[u * unit for u in _diamond(p, m)[1]] for p in range(1, m)]
+    bottoms = _bottoms(m, unit)
     if (all(all(map(le, f, b)) for f, b in zip(rows, bottoms))
             and all(max(map(abs, map(sub, f, g))) <= unit for f, g in zip(rows, rows[1:]))):
         return None

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from . import symgroup
@@ -217,15 +216,22 @@ def summand_via_word(word: Word, n: int, i: int) -> Units:
     return word_curves(word, n, (i,))[0]
 
 
+@lru_cache(maxsize=None)
+def _steps(n: int) -> tuple[Units, ...]:
+    """Row p - 1, p = 1..n: +1 at the columns j < p and -1 from p on."""
+    return tuple((1,) * p + (-1,) * (n + 1 - p) for p in range(1, n + 1))
+
+
 def ideal_curves(one_line: Sequence[int]) -> tuple[Units, ...]:
     """The curves of the ideal of w, given in one-line notation, one per
     projective, in O(n^2): in units of 1/n the summand at vertex i has the
-    curve c_i(j) = i + j - 2 #{a <= j : w(a) <= i}, the boundary function of
-    the permuton of w at apex i/n.  Stripping along a reduced word
-    (word_curves) stays the definition: the mizuno check holds this closed
-    form to it across every cover edge of the right weak order."""
-    return tuple(tuple(accumulate([1 if v > i else -1 for v in one_line], initial=i))
-                 for i in range(1, len(one_line)))
+    curve c_i(j) = i + j - 2 #{a <= j : w(a) <= i} = c_{i-1}(j) + _steps(n)[w^{-1}(i) - 1][j],
+    the boundary function of the permuton of w at apex i/n.  Stripping along
+    a reduced word (word_curves) stays the definition: the mizuno check holds
+    this closed form to it across every cover edge of the right weak order."""
+    steps, curve = _steps(len(one_line)), range(len(one_line) + 1)
+    return tuple([curve := tuple(map(add, curve, steps[q]))  # q = w^{-1}(i) - 1, i < n
+                  for q in sorted(range(len(one_line)), key=one_line.__getitem__)[:-1]])
 
 
 def ideal_of(w: Perm) -> tuple[CurveModule, ...]:

@@ -70,8 +70,3 @@ class Lanes:
             if not acc:
                 break
         return acc
-
-    def lane(self, t: int) -> tuple[int, ...]:
-        """Vector t, read back from its lane."""
-        shift, full = t * self.width, (1 << self.width - 1) - 1
-        return tuple(col >> shift & full for col in self.cols)

@@ -21,7 +21,7 @@ fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 from itertools import accumulate, chain, count, repeat
 from math import lcm
 from operator import add, ge, mul
@@ -76,27 +76,27 @@ class GridPermuton:
         if list(cum[m]) != marks:
             c = next(c for c in range(m) if cum[m][c + 1] - cum[m][c] != target)
             raise DomainError(f"column {c} does not sum to 1/{m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "cum", tuple(cum))
+        self.__dict__.update(m=m, den=den, cells=cells, cum=tuple(cum))  # frozen: no setattr
         return self
 
-    @cached_property
+    @property
     def interior(self) -> tuple[int, ...]:
         """The CDF at the interior grid corners (c/m, r/m), 0 < r, c < m,
         row after row, over ``den``: ``cum`` without its boundary, which is
-        the same for every permuton on m x m cells; built on first use."""
+        the same for every permuton on m x m cells; built on each read."""
         return tuple(chain.from_iterable(row[1:-1] for row in self.cum[1:-1]))
 
 
+@lru_cache(maxsize=None)
+def _one_hot(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row c, c = 0..n - 1: a 1 in column c of n."""
+    return tuple((0,) * c + (1,) + (0,) * (n - 1 - c) for c in range(n))
+
+
 def from_perm(w: Perm) -> GridPermuton:
-    """Mass 1/n on the cell in row w(i), column i, for each i."""
-    n = w.n
-    cells = [[0] * n for _ in range(n)]
-    for i, v in enumerate(w.one_line):
-        cells[v - 1][i] = 1
-    return GridPermuton.__new__(GridPermuton)._fill(n, n, tuple(map(tuple, cells)))
+    """Mass 1/n on the cell in row w(i), column i, for each i: _one_hot rows."""
+    rows = map(_one_hot(w.n).__getitem__, sorted(range(w.n), key=w.one_line.__getitem__))
+    return GridPermuton.__new__(GridPermuton)._fill(w.n, w.n, tuple(rows))
 
 
 def uniform(m: int) -> GridPermuton:

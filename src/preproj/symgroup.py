@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect, insort
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -29,7 +29,7 @@ class Perm:
 
     def __init__(self, one_line: Iterable[int]) -> None:
         ol = tuple(one_line)
-        if any(type(v) is not int for v in ol) or sorted(ol) != list(range(1, len(ol) + 1)):
+        if not {*map(type, ol)} <= {int} or sorted(ol) != list(range(1, len(ol) + 1)):
             raise DomainError(f"not a permutation of 1..{len(ol)}: {ol}")
         object.__setattr__(self, "one_line", ol)
 
@@ -42,11 +42,11 @@ class Perm:
             raise DomainError(f"position {i} outside 1..{self.n}")
         return self.one_line[i - 1]
 
-    @cached_property
+    @property
     def tableau(self) -> tuple[int, ...]:
         """Ehresmann's tableau, flat: the sorted values u(1..i) for
-        i = 1..n - 1, row after row, n(n - 1)/2 entries; built once per
-        permutation.  Row n is the same for every permutation of 1..n."""
+        i = 1..n - 1, row after row, n(n - 1)/2 entries, built on each read.
+        Row n is the same for every permutation of 1..n."""
         prefix: list[int] = []
         flat: list[int] = []
         for v in self.one_line[:-1]:
@@ -54,12 +54,11 @@ class Perm:
             flat += prefix
         return tuple(flat)
 
-    @cached_property
+    @property
     def label(self) -> str:
-        """Digits for n <= 9, a JSON array otherwise; built once per permutation."""
-        if self.n <= 9:
-            return "".join(str(v) for v in self.one_line)
-        return "[" + ",".join(str(v) for v in self.one_line) + "]"
+        """Digits for n <= 9, a JSON array otherwise, built on each read."""
+        digits = map(str, self.one_line)
+        return "".join(digits) if self.n <= 9 else "[" + ",".join(digits) + "]"
 
     def __str__(self) -> str:
         return self.label
@@ -142,8 +141,13 @@ def min_coset_line(one_line: Sequence[int], i: int) -> tuple[int, ...]:
     the subgroup generated by all adjacent transpositions except s_i, in
     one-line notation, from w's: the values 1..i, then i+1..n, each set in
     increasing order within its positions."""
-    low, high = itertools.count(1), itertools.count(i + 1)
-    return tuple(next(low) if v <= i else next(high) for v in one_line)
+    low, high, line = 0, i, []
+    for v in one_line:
+        if v <= i:
+            line.append(low := low + 1)
+        else:
+            line.append(high := high + 1)
+    return tuple(line)
 
 
 def canonical_reduced_word_of_rep(u: Perm, i: int) -> Word:

@@ -19,6 +19,7 @@ from preproj.errors import DomainError, ParseError
 from preproj.finite import (CurveModule, DiamondCurve, _diamond, band, factors, ideal_of,
                             ideal_via_word, strip_curves, tau_sub)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
+from preproj.lanes import Lanes
 from preproj.linalg import rank_of_links
 from preproj.permuton import (GridPermuton, _cdf_ints, _union_coords, boundary_function,
                               permuton_bruhat_leq, union_ticks, uniform)
@@ -1112,17 +1113,33 @@ def cone_contains(s: Sheet, s_prime: Sheet, y, a, z, b) -> bool:
     return in_target and b - (a + s.up.f.at(y)) >= abs(y - z)
 
 
+def record_by_dict(check: str, case: str, key: str, witness, **counters) -> dict:
+    """A case's record, ok when witness is None and naming it under key if not
+    (formerly ``cli._record``, whose records ``json.dumps`` encoded)."""
+    record = {"check": check, "case": case, "ok": witness is None, **counters}
+    if witness is not None:
+        record[key] = witness
+    return record
+
+
 def line_by_dumps(obj) -> str:
     """``json.dumps(obj)`` and a newline (the CLI's former encoder)."""
     return json.dumps(obj) + "\n"
 
 
+def lane(lanes: Lanes, t: int) -> tuple[int, ...]:
+    """Vector t of lanes, read back from its lane (formerly ``Lanes.lane``)."""
+    shift, full = t * lanes.width, (1 << lanes.width - 1) - 1
+    return tuple(col >> shift & full for col in lanes.cols)
+
+
 def bruhat_row_by_records(task) -> str:
     """A bruhat task's lines by the former route: a record per target, with
-    both routes' verdicts where they differ, each encoded by json.dumps."""
+    both routes' verdicts where they differ, each encoded by json.dumps, and
+    the source's vectors read back from the lanes."""
     rows, i = task
-    tableau = rows.tableaux.at_least(rows.tableaux.lane(i))
-    cdf = rows.cdfs.at_most(rows.cdfs.lane(i))
+    tableau = rows.tableaux.at_least(lane(rows.tableaux, i))
+    cdf = rows.cdfs.at_most(lane(rows.cdfs, i))
     lines = []
     for j, target in enumerate(rows.labels):
         guard = (j + 1) * rows.tableaux.width - 1
@@ -1365,3 +1382,42 @@ def elementary_exists_by_at(s: Sheet, s_prime: Sheet, y, a) -> bool:
     lo, hi = interval
     return (_leq_on(s_prime.up.f, vshift(s.up.f, a), lo, hi)
             and _leq_on(s_prime.down.f, vshift(s.down.f, a), lo, hi))
+
+
+def ideal_curves_by_accumulate(one_line) -> tuple[tuple[int, ...], ...]:
+    """The curves of the ideal of w, each accumulated from its vertex over
+    the steps +-1 of w's one-line notation (formerly ``finite.ideal_curves``)."""
+    return tuple(tuple(itertools.accumulate([1 if v > i else -1 for v in one_line], initial=i))
+                 for i in range(1, len(one_line)))
+
+
+def min_coset_line_by_counters(one_line, i: int) -> tuple[int, ...]:
+    """The minimal coset representative's one-line notation, drawn from two
+    counters by a generator (formerly ``symgroup.min_coset_line``)."""
+    low, high = itertools.count(1), itertools.count(i + 1)
+    return tuple(next(low) if v <= i else next(high) for v in one_line)
+
+
+def perm_refusal_by_any(one_line) -> str | None:
+    """The DomainError text the former ``Perm`` type test (one ``type`` test
+    per value, then the sorted values) gives one_line, or None."""
+    ol = tuple(one_line)
+    if any(type(v) is not int for v in ol) or sorted(ol) != list(range(1, len(ol) + 1)):
+        return f"not a permutation of 1..{len(ol)}: {ol}"
+    return None
+
+
+def from_perm_by_cells(w: Perm) -> GridPermuton:
+    """The permuton of w from a zero matrix with a 1 set in row w(i), column
+    i, for each i (formerly ``permuton.from_perm``)."""
+    n = w.n
+    cells = [[0] * n for _ in range(n)]
+    for i, v in enumerate(w.one_line):
+        cells[v - 1][i] = 1
+    return GridPermuton.__new__(GridPermuton)._fill(n, n, tuple(map(tuple, cells)))
+
+
+def bridge_column_by_zip(discrete, row, scale: int) -> int | None:
+    """The first column c with discrete[c] * scale != row[c], or None, read
+    pair by pair (the former end of ``continuous.bridge_mismatch``)."""
+    return next((c for c, (u, v) in enumerate(zip(discrete, row)) if u * scale != v), None)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import (bruhat_by_covers, bruhat_by_subwords, bruhat_row_by_records,
                       frac_by_fraction_parse, hom_vanishing_cert, homvanish_apexes_by_all_pairs,
                       homvanish_by_plfuncs, line_by_dumps, load_json_by_text_mode,
-                      mizuno_by_words, permuton_to_json, random_permuton,
+                      mizuno_by_words, permuton_to_json, random_permuton, record_by_dict,
                       sample_by_listing, sheet_to_json, twosided_by_plfuncs,
                       twosided_pair_by_plfuncs)
 from preproj import cli, continuous, finite, jsonio, permuton, plfunc, sheets, symgroup
@@ -687,12 +687,10 @@ class TestMizunoWalk:
 
 
 def plant_tableau(monkeypatch, wrong) -> None:
-    """Perm.tableau becomes wrong(w, the true tableau of w), still built
-    once per permutation."""
-    true = Perm.tableau.func
-    planted = cached_property(lambda w: wrong(w, true(w)))
-    planted.__set_name__(Perm, "tableau")
-    monkeypatch.setattr(Perm, "tableau", planted)
+    """Perm.tableau becomes wrong(w, the true tableau of w), still a plain
+    property, so wrong runs on each read."""
+    true = Perm.tableau.fget
+    monkeypatch.setattr(Perm, "tableau", property(lambda w: wrong(w, true(w))))
 
 
 class TestBruhatTables:
@@ -713,16 +711,15 @@ class TestBruhatTables:
         assert sorted(passes) == ["at_least"] * 120 + ["at_most"] * 120
 
     def test_each_label_built_once_per_sweep(self, capsys, monkeypatch):
+        # a plain property: the sweep reads each permutation's label once
         built = []
-        label = Perm.label.func
+        label = Perm.label.fget
 
         def counting(w):
             built.append(w.one_line)
             return label(w)
 
-        counted = cached_property(counting)
-        counted.__set_name__(Perm, "label")
-        monkeypatch.setattr(Perm, "label", counted)
+        monkeypatch.setattr(Perm, "label", property(counting))
         code, lines = run(capsys, "check", "bruhat", "--n", "5")
         assert code == 0 and lines[-1]["cases"] == 14400
         assert len(built) == len(set(built)) == 120
@@ -1102,36 +1099,88 @@ class TestSummandMemos:
         return {(finite.band(a), finite.band(finite.tau_sub(b))) for w in all_perms(n)
                 for a in finite.ideal_of(w) for b in finite.ideal_of(w)}
 
+    @staticmethod
+    def passes_per_case(perms) -> tuple[int, int]:
+        """(packings, passes) of the per-case route over perms, one memo: a
+        case packs its quotients when some pair is missing, and each sub
+        with a missing pair makes one pass over all its lanes."""
+        known, packings, passes = set(), 0, 0
+        for w in perms:
+            curves = finite.ideal_curves(w.one_line)
+            missing = [a for a in curves if any((a, b) not in known for b in curves)]
+            packings += bool(missing)
+            passes += len(missing)
+            known |= {(a, b) for a in missing for b in curves}
+        return packings, passes
+
     def test_taurigid_solves_each_curve_pair_once(self, capsys, monkeypatch):
+        # a sweep over all of S_5 packs one Hom table of every curve at rank
+        # 5, 2^5 - 2 = 30 lanes, and each distinct sub curve makes one pass
+        # over all of it, where the per-case route made 240 passes of 4 lanes
         packings, homs = count_lanes(monkeypatch)
         pairs = self.summand_pairs(5)
-        # the cases that meet a pair no earlier case of the sweep met: the
-        # only ones that pack their quotients
-        seen, fresh = set(), 0
-        for w in all_perms(5):
-            ideal = finite.ideal_of(w)
-            new = {(finite.band(a), finite.band(finite.tau_sub(b)))
-                   for a in ideal for b in ideal} - seen
-            fresh += bool(new)
-            seen |= new
-        assert 0 < fresh < 120
-        # a sub with a pair the sweep has not met makes one pass over all
-        # four lanes of its case and records every one of them
-        known, passes = set(), 0
-        for w in all_perms(5):
-            curves = finite.ideal_curves(w.one_line)
-            for a in curves:
-                if any((a, b) not in known for b in curves):
-                    passes += 1
-                    known |= {(a, b) for b in curves}
-        assert passes == 240 and len(pairs) == 330
+        curves = {c for w in all_perms(5) for c in finite.ideal_curves(w.one_line)}
+        assert len(curves) == 2 ** 5 - 2 and len(pairs) == 330
+        assert self.passes_per_case(all_perms(5)) == (93, 240)
         for sweep in (1, 2):  # a second check recomputes: the memo is emptied
             code, lines = run(capsys, "check", "taurigid", "--n", "5")
             assert code == 0 and lines[-1]["cases"] == 120
-            assert len(homs) == sweep * 4 * passes < sweep * 120 * 16
-            assert len(packings) == sweep * fresh  # no pass on a memoised case
+            assert len(packings) == sweep and len(packings[-1]) == 30
+            assert {c for _, c in packings[-1]} == curves  # as quotients (top, c)
+            assert len(homs) == sweep * 30 * 30
         half = len(homs) // 2
-        assert set(homs[:half]) == set(homs[half:]) == pairs
+        assert set(homs[:half]) == set(homs[half:]) >= pairs
+        assert sorted(a[0] for a, _ in homs[:half:30]) == sorted(curves)
+
+    @pytest.mark.parametrize("flags,sweep", [(["--perm", "25341"], False),
+                                             (["--n", "5", "--sample", "7"], False),
+                                             (["--n", "4", "--sample", "24"], True),
+                                             (["--n", "4", "--sample", "99"], True)])
+    def test_only_a_sweep_over_all_of_s_n_packs_the_table(self, capsys, monkeypatch,
+                                                         flags, sweep):
+        packings, homs = count_lanes(monkeypatch)
+        code, lines = run(capsys, "check", "taurigid", *flags)
+        assert code == 0
+        if sweep:  # one table of all 2^4 - 2 curves, one pass per sub curve
+            assert [len(p) for p in packings] == [14] and len(homs) == 14 * 14
+            return
+        perms = [Perm(tuple(map(int, r["case"]))) for r in lines[:-1]]
+        expected = self.passes_per_case(perms)
+        assert expected == ((1, 4) if flags[0] == "--perm" else (7, 28))
+        assert (len(packings), len(homs)) == (expected[0], 4 * expected[1])
+        assert {len(p) for p in packings} == {4}
+
+    def test_targeted_taurigid_at_14_packs_its_own_case(self, capsys, monkeypatch):
+        # never the 2^14 - 2 lanes of a table: one case, 13 lanes
+        monkeypatch.setenv("PREPROJ_MAX_N", "14")
+        packings, homs = count_lanes(monkeypatch)
+        w = [5, 12, 1, 9, 14, 3, 7, 11, 2, 13, 6, 10, 4, 8]
+        code, lines = run(capsys, "check", "taurigid", "--perm", json.dumps(w))
+        assert code == 0 and lines[-1]["cases"] == 1
+        assert [len(p) for p in packings] == [13] and len(homs) <= 13 * 13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_table_gives_each_case_its_per_case_witness(self, capsys, monkeypatch, n):
+        # with a planted fault in HomLanes.dims that gives some pairs a
+        # Hom of dimension 1 or 2, the table and the per-case route still
+        # agree on every case's verdict and witness
+        monkeypatch.setenv("PREPROJ_MAX_N", "8")
+        dims = finite.HomLanes.dims
+
+        def planted(self, a):
+            return [1 + sum(b[1]) % 2 if (sum(a[0]) * 3 + sum(b[1])) % 11 == 0 else d
+                    for b, d in zip(self.targets, dims(self, a))]
+
+        monkeypatch.setattr(finite.HomLanes, "dims", planted)
+        code, lines = run(capsys, "check", "taurigid", "--n", str(n))
+        expected = [finite.tau_rigid_witness(finite.ideal_curves(w.one_line))
+                    for w in all_perms(n)]
+        got = [None if r["ok"] else tuple(r["pair"]) for r in lines[:-1]]
+        assert [r["case"] for r in lines[:-1]] == [str(w) for w in all_perms(n)]
+        assert got == expected
+        failed = sum(p is not None for p in expected)
+        assert lines[-1]["failures"] == failed and (failed > 0) is (n >= 3)
+        assert code == (1 if failed else 0)
 
     @pytest.mark.parametrize("quot_vertex,count", [(None, 12), (4, 4)])
     def test_planted_hom_fails_every_case_with_that_summand(self, capsys, monkeypatch,
@@ -1626,6 +1675,58 @@ class TestWriter:
         code, out = former_writer_agrees(capsys, ("check", "twosided", "--files", name))
         assert code == 0
         assert '"case": "m\\u00fc \\"q\\" \\\\ \\u00f8.json"' in out
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["mizuno", "taurigid", "bridge", "twosided", "homvanish"]),
+           st.text() | st.sampled_from([10, 12]).flatmap(
+               lambda n: st.permutations(range(1, n + 1))).map(lambda ol: Perm(ol).label),
+           st.none() | st.integers(0, 30) | st.lists(st.integers(-1, 21), max_size=2)
+           | st.tuples(st.text(max_size=6), st.none() | st.integers(1, 9)).map(list),
+           st.none() | st.integers(0, 10**30))
+    def test_spliced_lines_match_json_dumps(self, check, case, witness, words):
+        # passing and failing records, any label (JSON arrays at n = 10, 12
+        # among them), and the words counter
+        key = {"mizuno": "edge", "bridge": "column", "homvanish": "apexes"}.get(check, "pair")
+        counters = {} if words is None else {"words": words}
+        assert cli._lines(check, key, [(case, witness)], **counters) == (
+            line_by_dumps(record_by_dict(check, case, key, witness, **counters)), 1,
+            witness is not None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=6), st.none() | st.integers(0, 9)), max_size=6))
+    def test_spliced_lines_of_many_cases(self, cases):
+        # bridge's n - 1 cases per task: the lines in order, and their counts
+        text, count, failed = cli._lines("bridge", "column", cases)
+        assert text == "".join(line_by_dumps(record_by_dict("bridge", case, "column", c))
+                               for case, c in cases)
+        assert (count, failed) == (len(cases), sum(c is not None for _, c in cases))
+
+    @pytest.mark.parametrize("name", ["taurigid", "bridge", "twosided"])
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_array_labels_splice_as_json_dumps(self, capsys, monkeypatch, name, n):
+        monkeypatch.setenv("PREPROJ_MAX_N", "12")
+        code, out = former_writer_agrees(capsys, ("check", name, "--n", str(n), "--sample", "2"))
+        cases = [json.loads(line).get("case", "") for line in out.splitlines()]
+        assert code == 0 and sum("[" in case for case in cases) == (
+            2 * (n - 1) if name == "bridge" else 2)
+        assert all(line == json.dumps(json.loads(line)) for line in out.splitlines())
+
+    @pytest.mark.parametrize("name", ["twosided", "homvanish"])
+    def test_escaped_paths_splice_as_json_dumps(self, capsys, files, monkeypatch, name):
+        # a path that JSON escapes, on a passing case and, with a planted
+        # witness, a failing one
+        path = 'p\u00e4th "\t" \\ \u2603.json'
+        (files / path).write_text((files / "mu.json").read_text(), encoding="utf-8")
+        code, out = former_writer_agrees(capsys, ("check", name, "--files", path))
+        record = json.loads(out.splitlines()[0])
+        assert code == 0 and record == {"check": name, "case": path, "ok": True}
+        assert out.splitlines()[0] == json.dumps(record)
+        decider = "twosided_witness" if name == "twosided" else "uncertified_apexes"
+        monkeypatch.setattr(continuous, decider, lambda mu: [1, 2])
+        code, out = former_writer_agrees(capsys, ("check", name, "--files", path))
+        record = json.loads(out.splitlines()[0])
+        assert code == 1 and record["case"] == path and record["ok"] is False
+        assert out.splitlines()[0] == json.dumps(record)
 
     def test_case_lines_stream_before_the_sweep_ends(self, monkeypatch):
         out, seen = io.StringIO(), []

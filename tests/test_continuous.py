@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, discretize, hom_dim, mass,
+from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, bridge_column_by_zip, discretize,
+                      hom_dim, mass,
                       hom_vanishing_cert, identity, is_full, is_zero_sub, member, member_quot, random_bfunc, random_permuton, refine,
                       to_rep, top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs)
 from preproj import permuton
@@ -14,6 +16,7 @@ from preproj.continuous import (
     ideal_leq,
     left_act,
     staircase,
+    stripped_summand,
     tau_rigidity_cert,
     twosided_witness,
     uncertified_apexes,
@@ -30,7 +33,7 @@ from preproj.plfunc import (
     pointwise_leq,
     top_curve,
 )
-from preproj.symgroup import Perm, all_perms, bruhat_leq
+from preproj.symgroup import Perm, all_perms, bruhat_leq, min_coset_line
 from test_cli import perturbed_rows
 
 W = Perm((2, 5, 3, 4, 1))
@@ -477,3 +480,25 @@ class TestDiscreteCorroboration:
                     assert hom_dim(rep, quot) == 0
                 assert hom_dims(subs[a], [tau_sub(subs[b]) for b in apexes]) == [0] * len(
                     apexes)
+
+
+class TestBridgeWholeRow:
+    """bridge_mismatch compares the whole scaled row first and looks up the
+    failing column only on a mismatch, against the former pair-by-pair read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 14).flatmap(lambda n: st.tuples(
+        st.permutations(range(1, n + 1)), st.integers(1, n - 1),
+        st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1))))
+    def test_any_moved_summand(self, drawn):
+        ol, i, moves = drawn
+        w, n = Perm(ol), len(ol)
+        mu = from_perm(w)
+        summand = stripped_summand(min_coset_line(ol, i), i)
+        moved = tuple(u + d for u, d in zip(summand, moves))
+        got = bridge_mismatch(w, i, mu, lambda rep, vertex: moved)
+        q = n // gcd(i, n)
+        row = permuton.boundary_row(mu, i // gcd(i, n), q)
+        assert bridge_column_by_zip(summand, row, q * q * n) is None
+        assert got == bridge_column_by_zip(moved, row, q * q * n)
+        assert (got is None) is (not any(moves))

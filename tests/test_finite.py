@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from conftest import (QuiverRep, apply_word_by_perm, bottom_boundary, curve_hom_dim_by_pair,
                       curve_units_by_columns, factor_rep, hom_dim, identity,
-                      hom_dim_by_elimination, hom_lengths, loop_action, random_curve,
+                      hom_dim_by_elimination, hom_lengths, ideal_curves_by_accumulate,
+                      loop_action, random_curve,
                       rep_is_deep, sawtooth_rep, sawtooth_rep_by_midpoints, simple_rep,
                       to_rep, word_curves_by_strip, zero_rep)
 from hypothesis import given, settings
@@ -827,3 +828,19 @@ class TestBandDeepness:
     def test_random_modules_match_their_reps(self, n, kind, rng):
         m = CurveModule(kind, random_curve(rng.randint(1, n - 1), n, rng))
         assert is_deep(m) == rep_is_deep(to_rep(m))
+
+
+class TestIdealCurvesBySteps:
+    """ideal_curves adds a row of the per-rank step table per vertex, against
+    the former accumulation of each curve from its vertex."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_all_of_s_n(self, n):
+        for ol in itertools.permutations(range(1, n + 1)):
+            assert ideal_curves(ol) == ideal_curves_by_accumulate(ol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 20).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_up_to_20(self, ol):
+        assert ideal_curves(ol) == ideal_curves_by_accumulate(ol)
+        assert ideal_curves(tuple(ol)) == ideal_curves_by_accumulate(tuple(ol))

@@ -8,7 +8,11 @@ from the program that still built a validated curve for every summand of
 every case), the homvanish and twosided defaults, ideal perm at n = 12, 16, 20, and brick check on fixed
 curve-module files at the same sizes.  Two sampled sweeps at n = 10, under
 PREPROJ_MAX_N=10, pin the JSON-array form of the labels; their digests were
-taken from the program that still picked a sample from the listed S_n.
+taken from the program that still picked a sample from the listed S_n.  The
+taurigid and twosided sweeps at n = 7, under PREPROJ_MAX_N=8, were taken from
+the program that still packed each taurigid case's own quotients, built a
+permutation's cells from a zero matrix and its diamond bottoms per call, and
+encoded every passing record through a dict.
 
 Sheet analyze on fixed sheets (two bubbles, curves touching at a breakpoint,
 curves crossing between breakpoints, a second sheet as target, and shifts
@@ -28,6 +32,8 @@ from preproj.cli import main
 CHECKS = ("mizuno", "taurigid", "bridge", "bruhat", "twosided")
 # the sweeps pinned at n = 6 too, where the memos and shared curves matter
 CHECKS_AT_6 = ("mizuno", "taurigid", "bridge", "twosided")
+# and at n = 7: the taurigid Hom table and the permutations' permutons
+CHECKS_AT_7 = ("taurigid", "twosided")
 
 # a fixed permutation per size, as a JSON array
 PERMS = {
@@ -119,6 +125,7 @@ def argvs(tmp_path) -> dict[str, list[str]]:
     runs = {f"check {name} --n {n}": ["check", name, "--n", str(n)]
             for name in CHECKS for n in range(1, 6)}
     runs.update({f"check {name} --n 6": ["check", name, "--n", "6"] for name in CHECKS_AT_6})
+    runs.update({f"check {name} --n 7": ["check", name, "--n", "7"] for name in CHECKS_AT_7})
     runs["check bruhat --n 10 --sample 12"] = ["check", "bruhat", "--n", "10",
                                                "--sample", "12"]
     runs["check bridge --n 10 --sample 4"] = ["check", "bridge", "--n", "10",
@@ -178,6 +185,7 @@ GOLDEN = {
     "check taurigid --n 4": ("851e8031697b4673e3ef3a52084a7b0a5febf79b4d5c2f84e7e8d6c27757a5be", 0),
     "check taurigid --n 5": ("fc82bc504651334184ef8d409db95d4d948f63ecf0fd92d4c2681585dee1011b", 0),
     "check taurigid --n 6": ("c027f98a7b0fdf7721d703cafce09d61de7bff7c38fd6c29c0f0c339601e5cf0", 0),
+    "check taurigid --n 7": ("0deaedc86a249d1d40fd5814c9442102c84d74a7f6105b097ee71e7d48bf3048", 0),
     "check twosided": ("b13de9c94fd0ef958737ea325fa3a459150032b5a2b2d9c530338efba20b05eb", 0),
     "check twosided --n 1": ("46d342e5a071806d716aea6e43e126e6c9b4299bd5a55c496ef7e81a95a6f981", 0),
     "check twosided --n 2": ("18e2e0d6731c2136c9a7be4747660fda5db2b04a281ec4de007eb07e04fbdc0c", 0),
@@ -185,6 +193,7 @@ GOLDEN = {
     "check twosided --n 4": ("b13de9c94fd0ef958737ea325fa3a459150032b5a2b2d9c530338efba20b05eb", 0),
     "check twosided --n 5": ("77fc59ec1aba009db86ef0ce26b65cb8c154df4112e58904b6212bd494994f1c", 0),
     "check twosided --n 6": ("22b337aa22aeda6e1f75b323ec41417ee20c3f12a0cb3e31ab184928b84df8be", 0),
+    "check twosided --n 7": ("19fea7c0785a937d54045e61c5f7ad5d3e7c0489413cd2c56bde336b5d29e5a8", 0),
     "ideal perm 12": ("c1c680472b58d1161b93f5af95134f4a4d6ebbb72d599204a78dfd4e60fd4168", 0),
     "ideal perm 16": ("caf7141c79c0513bd94c96cb7104acdb46c9b5e7ea3ee6b886ec38f4e39daf1e", 0),
     "ideal perm 20": ("47320c0f4175fad4b9fb9bdde8096dc67d937a1fe63b8951baf92f9e76abad9a", 0),
@@ -212,6 +221,8 @@ def test_same_bytes_and_exit_code(capsys, monkeypatch, tmp_path, label):
         monkeypatch.setenv("PREPROJ_MAX_N", "10")
     elif "--n 6" in label:
         monkeypatch.setenv("PREPROJ_MAX_N", "7")
+    elif "--n 7" in label:
+        monkeypatch.setenv("PREPROJ_MAX_N", "8")
     code = main(argvs(tmp_path)[label])
     out = capsys.readouterr().out
     assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN[label]

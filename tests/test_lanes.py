@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lane
 from preproj.errors import DomainError
 from preproj.lanes import Lanes, pack
 
@@ -26,7 +27,7 @@ class TestLanes:
         lanes = Lanes(targets, max([top, *a, *(x for v in targets for x in v)]))
         assert lanes_of(lanes.at_least(a), lanes) == [all(map(ge, v, a)) for v in targets]
         assert lanes_of(lanes.at_most(a), lanes) == [all(map(le, v, a)) for v in targets]
-        assert [lanes.lane(t) for t in range(len(targets))] == [tuple(v) for v in targets]
+        assert [lane(lanes, t) for t in range(len(targets))] == [tuple(v) for v in targets]
 
     @given(st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3), min_size=1,
                     max_size=8))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (boundary_points_by_fractions, bruhat_leq_by_rows,
                       bruhat_leq_on_union_grid, cdf, cdf_grid_by_fractions, cell_sum_cdf,
-                      count_cdf_oracle, cum_by_row_and_column_loops, fraction_cum, identity,
+                      count_cdf_oracle, cum_by_row_and_column_loops, fraction_cum,
+                      from_perm_by_cells, identity,
                       mass, merge_by_fractions,
                       permuton_by_literals,
                       permuton_equal, permuton_to_json, random_permuton, refine,
@@ -460,7 +461,7 @@ class TestCdfLanes:
         table = fraction_cum(mu)
         assert [F(v, den) for v in corners(mu, den)] == [
             table[r][c] for r in range(1, m) for c in range(1, m)]
-        assert corners(mu, mu.den) is mu.interior is mu.interior  # built once
+        assert corners(mu, mu.den) == mu.interior  # a plain property, built on each read
 
     def test_common_grid_reads_the_tables(self, monkeypatch):
         monkeypatch.setattr(permuton, "_cdf_ints", None)
@@ -635,3 +636,25 @@ class TestBFuncInvariant:
                 y = F(rng.randint(1, 19), 20)
                 b = boundary_function(mu, y)
                 assert b.k == y
+
+
+class TestFromPermOneHot:
+    """from_perm's cells from the per-rank one-hot rows, against the former
+    zero matrix with one 1 set per column."""
+
+    @staticmethod
+    def same(w: Perm) -> None:
+        mu, former = from_perm(w), from_perm_by_cells(w)
+        assert (mu.m, mu.den, mu.cells, mu.cum, mu.interior) == (
+            former.m, former.den, former.cells, former.cum, former.interior)
+        assert mu == former and all(type(row) is tuple for row in mu.cells)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_all_of_s_n(self, n):
+        for w in all_perms(n):
+            self.same(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_up_to_20(self, ol):
+        self.same(Perm(ol))

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import (apply_word_by_perm, bruhat_below, bruhat_by_covers, bruhat_by_subwords,
                       bruhat_leq_by_dominance, canonical_word_by_inverse, dominance,
                       dominance_by_cells, dominance_table, identity, inverse,
-                      is_reduced_by_perm, length, length_by_pairs, mul, reduced_word)
+                      is_reduced_by_perm, length, length_by_pairs, min_coset_line_by_counters,
+                      mul, perm_refusal_by_any, reduced_word)
 from preproj import symgroup
 from preproj.cli import main
 from preproj.errors import (
@@ -224,7 +225,7 @@ class TestTableau:
 
     def test_25341(self):
         assert W.tableau == (2, 2, 5, 2, 3, 5, 2, 3, 4, 5)
-        assert W.tableau is W.tableau  # built once per permutation
+        assert W.tableau == W.tableau  # a plain property: built again, equal, on each read
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sizes(self, n):
@@ -420,3 +421,40 @@ class TestWordLayerOnLists:
         u = Perm(one_line)
         assert outcome(canonical_reduced_word_of_rep, u, i) == outcome(
             canonical_word_by_inverse, u, i)
+
+
+class TestLoopKernels:
+    """min_coset_line's two-counter loop and Perm's one type test per set of
+    types, against the routes they replace."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_min_coset_line_at_every_vertex_of_s_n(self, n):
+        for ol in itertools.permutations(range(1, n + 1)):
+            for i in range(n + 1):
+                assert min_coset_line(ol, i) == min_coset_line_by_counters(ol, i)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+        st.permutations(range(1, n + 1)), st.integers(0, n))))
+    def test_min_coset_line_up_to_20(self, drawn):
+        ol, i = drawn
+        assert min_coset_line(ol, i) == min_coset_line_by_counters(ol, i)
+
+    @pytest.mark.parametrize("one_line", [
+        (), (1,), (2, 1, 3), (True,), (1, False), (2, True), (1.0,), (2, 1.0), (1, 1),
+        (2, 2, 1), (0,), (0, 1), (1, 3), (3, 1, 2, 4, 5, 6, 7, 8, 9, 11), ("1",), (None,),
+        (1, 2**70), (-1, 1)])
+    def test_perm_refuses_as_before(self, one_line):
+        refusal = perm_refusal_by_any(one_line)
+        if refusal is None:
+            assert Perm(one_line).one_line == tuple(one_line)
+        else:
+            with pytest.raises(DomainError) as info:
+                Perm(one_line)
+            assert str(info.value) == refusal
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1, 12) | st.booleans() | st.floats(0, 12), max_size=10)
+           | st.integers(0, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+    def test_perm_refuses_as_before_on_any_list(self, one_line):
+        self.test_perm_refuses_as_before(one_line)
