@@ -31,19 +31,19 @@ leave the check with no cases.  Sweeps over all of
 S_n, a --sample as large as S_n included, stop at n = PREPROJ_MAX_N - 1 (5
 by default); --perm and smaller --sample runs stop at n = PREPROJ_MAX_N.
 
-A check runs tasks: a permutation (mizuno, taurigid, bridge), a source
-(rows, i) against every target (bruhat), or a permutation or a (label,
-permuton) (twosided, homvanish).  A runner decides on integers (curve
-units, one-line tuples, boundary rows), itself or by a decider of the
-library, and validates no curve but homvanish's staircase summands; it
-returns its task's lines (a passing one spliced from pieces, a bruhat row's
-encoded once per sweep; a failing record by _line) and its counts of cases
-and failures; cmd_check writes them as they come, serially or from --jobs
-workers (capped at the CPU and task counts).  Per-sweep memos, cleared before
-and after each check, do each weak-order node (mizuno), Hom pair (taurigid,
-homvanish; a full taurigid sweep's tasks carry one Hom table of every curve
-at rank n, one pass per sub curve) and stripped summand (bridge) once per
-process.  A reader closing the pipe early ends the command with exit 141.
+A check runs tasks: a permutation (mizuno, bridge), a permutation w and the
+Hom rows it reads (taurigid), a source (rows, i) against every target
+(bruhat), or a permutation or a (label, permuton) (twosided, homvanish).  A
+runner decides on integers (curve units, one-line tuples, boundary rows),
+itself or by a decider of the library, and validates no curve but
+homvanish's staircase summands; it returns its task's lines (a passing one
+spliced from pieces, a bruhat row's encoded once per sweep; a failing record
+by _line) and its counts of cases and failures; cmd_check writes them as
+they come, serially or from --jobs workers (capped at the CPU and task
+counts).  Per-sweep memos, cleared before and after each check, do each
+weak-order node (mizuno) and stripped summand (bridge) once per process; a
+taurigid run over all of S_n reads every case off one finite.vanishing_rows
+of every curve at rank n.  A reader closing the pipe early exits 141.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import factorial
 from types import SimpleNamespace
@@ -260,33 +260,19 @@ def _case_mizuno(w: Perm) -> tuple[str, int, int]:
     return _lines("mizuno", "edge", [(w.label, witness)], words=words)
 
 
-# {sub's curve units: {quotient's curve units: Hom vanishes}}: each distinct
-# pair's Hom once per sweep (taurigid, homvanish), emptied by cmd_check
-_HOMS: dict[finite.Units, dict[finite.Units, bool]] = {}
-
-
-def _taurigid_tasks(args) -> list[Perm] | _Sized:
-    """--perm and smaller --sample runs' permutations; or all of S_n, each w as
-    (table, w), table one HomLanes of the 2^n - 2 curves at rank n as quotients:
-    i + j - 2 |D & [1, j]| for the nonempty proper subsets D of 1..n, i = |D|."""
+def _taurigid_tasks(args) -> _Sized:
+    """(rows, w) for each w of the run: a run over all of S_n reads every
+    curve at rank n, so rows are theirs, made once; any other run's rows are
+    None, and each case reads its own curves'."""
     perms, n = _perms(args, 4), args.n or 4
-    if isinstance(perms, list):
-        return perms
-    curves = [tuple(accumulate([-1 if d >> j & 1 else 1 for j in range(n)], initial=d.bit_count()))
-              for d in range(1, 2 ** n - 1)]
-    table = finite.HomLanes([(finite._diamond(c[0], n)[0], c) for c in curves])
-    return _Sized(((table, w) for w in perms), len(perms))
+    rows = finite.vanishing_rows(finite.rank_curves(n)) if len(perms) == factorial(n) else None
+    return _Sized(((rows, w) for w in perms), len(perms))
 
 
-def _case_taurigid(task) -> tuple[str, int, int]:
-    """w, or (table, w) in a sweep: a sub curve _HOMS lacks gets its table row in one pass."""
-    table, w = task if isinstance(task, tuple) else (None, task)
-    curves = finite.ideal_curves(w.one_line)
-    for key in curves if table else ():
-        if key not in _HOMS:
-            row = table.dims((key, finite._diamond(key[0], len(key) - 1)[1]))
-            _HOMS[key] = {c: d == 0 for (_, c), d in zip(table.targets, row)}
-    return _lines("taurigid", "pair", [(w.label, finite.tau_rigid_witness(curves, _HOMS))])
+def _case_taurigid(task: tuple[dict | None, Perm]) -> tuple[str, int, int]:
+    rows, w = task
+    pair = finite.tau_rigid_witness(finite.ideal_curves(w.one_line), rows)
+    return _lines("taurigid", "pair", [(w.label, pair)])
 
 
 # one strip per (min coset rep's one-line notation, vertex) and sweep
@@ -376,7 +362,7 @@ def _case_homvanish(task) -> tuple[str, int, int]:
     # Hom on the curves (HomLanes) of the summands' staircases at the apexes t/8
     summands = [continuous.staircase(permuton.boundary_function(mu, Fraction(t, 8)), 8)
                 for t in range(1, 8) if mu.m <= 4 and t * mu.m % 8 == 0]
-    pair = finite.tau_rigid_witness([m.curve.units for m in summands], _HOMS)
+    pair = finite.tau_rigid_witness([m.curve.units for m in summands])
     return _lines("homvanish", "pair", [(label, pair)])
 
 
@@ -400,7 +386,7 @@ _CHECKS = {
 
 def _clear_memos() -> None:
     """Empty the per-sweep memos."""
-    for clear in (_weak_node.cache_clear, _stripped.cache_clear, _HOMS.clear, _CURVES.clear):
+    for clear in (_weak_node.cache_clear, _stripped.cache_clear, _CURVES.clear):
         clear()
 
 

@@ -167,17 +167,17 @@ def tau_rigidity_cert(mu: GridPermuton, a, b) -> MonotoneClass:
 def staircase(b: BFunc, n: int) -> CurveModule:
     """Discretise with refinement: replace the boundary by the finest +-1
     staircase above it on the 1/n grid (largest lattice value <= f at each
-    column, on the parity lattice of the diamond)."""
+    column, on the parity lattice of the diamond), f(j/n) n = -(a j + c n) / b
+    read off the line a x + b y + c w = 0 of b.f's segment at j/n."""
     permuton._check_size(n)
     k = b.k
     if (k * n).denominator != 1:
         raise DomainError(f"apex {k} not on the 1/{n} grid")
-    i = int(k * n)
-    units = []
+    i, pts, s = int(k * n), b.f._pts, 1
+    line, units = plfunc._line(pts[0], pts[1]), []
     for j in range(n + 1):
-        t = b.f.at(Fraction(j, n)) * n
-        fl = t.numerator // t.denominator
-        if (fl - i - j) % 2:
-            fl -= 1
-        units.append(fl)
+        while pts[s][0] * n < j * pts[s][2]:  # j/n lies past the segment's end
+            line, s = plfunc._line(pts[s], pts[s + 1]), s + 1
+        fl = -(line[0] * j + line[2] * n) // line[1]
+        units.append(fl - (fl - i - j) % 2)
     return CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units)))

@@ -7,12 +7,13 @@ summand inside P_i is encoded by the +-1-slope grid curve separating the
 factors in the submodule (below the curve) from those outside it.
 
 Sweeps compute on integer curves, tuples of units of 1/n (ideal_curves,
-strip_curves, word_curves, tau_rigid_witness), validated as a DiamondCurve
-only where they enter the library: JSON and public constructors (ideal_of).
-Modules are curves and the bands (up, down) they cut out; there is no
-second, basis-map representation.  Hom is counted on bands, one source into
-many targets in one walk, each target in its own lane of an int (HomLanes),
-and deepness on bands too (sheets.is_deep).
+rank_curves, strip_curves, word_curves, vanishing_rows, tau_rigid_witness),
+validated as a DiamondCurve only where they enter the library: JSON and
+public constructors (ideal_of).  Modules are curves and the bands (up, down)
+they cut out; there is no second, basis-map representation.  Hom is counted
+on bands, one source into many targets in one walk, each target in its own
+lane of an int (HomLanes), and deepness on bands too (sheets.is_deep); tau
+rigidity reads Hom vanishing through vanishing_rows alone.
 """
 
 from __future__ import annotations
@@ -352,28 +353,40 @@ def hom_dims(a: CurveModule, targets: Sequence[CurveModule]) -> list[int]:
     return HomLanes(map(band, targets)).dims(band(a)) if targets else []
 
 
-def tau_rigid_witness(curves: Sequence[Units],
-                      memo: dict | None = None) -> tuple[int, int] | None:
+def rank_curves(n: int) -> list[Units]:
+    """The 2^n - 2 curves at rank n, i + j - 2 |D & [1, j]| at vertex i = |D|
+    for the nonempty proper subsets D of 1..n in the order of their bitmasks
+    (bit p - 1 for p): the curve of D less its lowest p plus _steps(n)[p - 1]."""
+    steps, curves = _steps(n), [tuple(range(n + 1))]
+    for d in range(1, 2 ** n - 1):
+        low = d & -d
+        curves.append(tuple(map(add, curves[d ^ low], steps[low.bit_length() - 1])))
+    return curves[1:]
+
+
+def vanishing_rows(curves: Iterable[Units]) -> dict[Units, dict[Units, bool]]:
+    """{c: {d: Hom(sub c, tau sub d) vanishes}} over the curves c, d of one
+    rank (sub c the band (c, bottom), tau sub d the band (top, d)): the
+    distinct quotients packed into one HomLanes, one pass per distinct sub."""
+    curves = list(dict.fromkeys(curves))
+    if not curves:  # no packing
+        return {}
+    n = len(curves[0]) - 1
+    quots = HomLanes([(_diamond(d[0], n)[0], d) for d in curves])
+    return {c: dict(zip(curves, [h == 0 for h in quots.dims((c, _diamond(c[0], n)[1]))]))
+            for c in curves}
+
+
+def tau_rigid_witness(curves: Sequence[Units], rows: dict | None = None) -> tuple[int, int] | None:
     """The vertices (i, j) of the first pair, in order, with
     Hom(M^i, tau M^j) != 0 for the submodules M^i, M^j of projectives cut
-    out by the given curves (the sub of curve c is the band (c, bottom), its
-    tau (top, c)), or None when their direct sum is tau-rigid.  memo maps
-    a sub's curve to {a quotient's curve: Hom vanishes}; a sub whose pairs it
-    all holds is not computed again.  The quotients are packed into lanes
-    once, when some pair is missing, and a sub with a missing pair makes one
-    pass over every lane and records them all."""
-    memo = {} if memo is None else memo
-    quots = None
-    for key in curves:
-        known = memo.setdefault(key, {})
-        vanishes = list(map(known.get, curves))  # None: not known yet
-        if None in vanishes:
-            n = len(key) - 1
-            quots = quots or HomLanes([(_diamond(c[0], n)[0], c) for c in curves])
-            vanishes = [d == 0 for d in quots.dims((key, _diamond(key[0], n)[1]))]
-            known.update(zip(curves, vanishes))
-        if not all(vanishes):
-            return key[0], curves[vanishes.index(False)][0]
+    out by the given curves, or None when their direct sum is tau-rigid:
+    read off rows, vanishing_rows of the curves (the default) or of a
+    superset of them."""
+    rows = vanishing_rows(curves) if rows is None else rows
+    for c in curves:
+        if not all(map(rows[c].__getitem__, curves)):
+            return c[0], next(d[0] for d in curves if not rows[c][d])
     return None
 
 

@@ -16,8 +16,8 @@ from typing import Iterable
 from preproj import permuton, plfunc, symgroup
 from preproj.continuous import left_act, staircase
 from preproj.errors import DomainError, ParseError
-from preproj.finite import (CurveModule, DiamondCurve, _diamond, band, factors, ideal_of,
-                            ideal_via_word, strip_curves, tau_sub)
+from preproj.finite import (CurveModule, DiamondCurve, HomLanes, Kind, _diamond, band, factors,
+                            ideal_of, ideal_via_word, strip_curves, tau_sub)
 from preproj.jsonio import bfunc_to_json, curve_module_to_json
 from preproj.lanes import Lanes
 from preproj.linalg import rank_of_links
@@ -1421,3 +1421,51 @@ def bridge_column_by_zip(discrete, row, scale: int) -> int | None:
     """The first column c with discrete[c] * scale != row[c], or None, read
     pair by pair (the former end of ``continuous.bridge_mismatch``)."""
     return next((c for c, (u, v) in enumerate(zip(discrete, row)) if u * scale != v), None)
+
+
+def staircase_by_at(b: BFunc, n: int) -> CurveModule:
+    """The staircase of b on the 1/n grid, each column's value read by
+    ``PLFunc.at`` as a Fraction (formerly ``continuous.staircase``)."""
+    permuton._check_size(n)
+    k = b.k
+    if (k * n).denominator != 1:
+        raise DomainError(f"apex {k} not on the 1/{n} grid")
+    i = int(k * n)
+    units = []
+    for j in range(n + 1):
+        t = b.f.at(Fraction(j, n)) * n
+        fl = t.numerator // t.denominator
+        if (fl - i - j) % 2:
+            fl -= 1
+        units.append(fl)
+    return CurveModule(Kind.SUB, DiamondCurve(i, n, tuple(units)))
+
+
+def tau_rigid_witness_by_memo(curves, memo: dict | None = None) -> tuple[int, int] | None:
+    """The first pair (i, j) with Hom(M^i, tau M^j) != 0, read through a memo
+    {sub's curve: {quotient's curve: Hom vanishes}} that callers may share
+    across cases: the quotients packed lazily, once, when some pair is
+    missing, and one pass for each sub with a missing pair (formerly
+    ``finite.tau_rigid_witness``)."""
+    memo = {} if memo is None else memo
+    quots = None
+    for key in curves:
+        known = memo.setdefault(key, {})
+        vanishes = list(map(known.get, curves))  # None: not known yet
+        if None in vanishes:
+            n = len(key) - 1
+            quots = quots or HomLanes([(_diamond(c[0], n)[0], c) for c in curves])
+            vanishes = [d == 0 for d in quots.dims((key, _diamond(key[0], n)[1]))]
+            known.update(zip(curves, vanishes))
+        if not all(vanishes):
+            return key[0], curves[vanishes.index(False)][0]
+    return None
+
+
+def rank_curves_by_bits(n: int) -> list[tuple[int, ...]]:
+    """The 2^n - 2 curves at rank n, i + j - 2 |D & [1, j]| for the bitmasks
+    d = 1 .. 2^n - 2 of D, each accumulated over its steps (formerly a
+    comprehension in ``cli._taurigid_tasks``)."""
+    return [tuple(itertools.accumulate([-1 if d >> j & 1 else 1 for j in range(n)],
+                                       initial=d.bit_count()))
+            for d in range(1, 2 ** n - 1)]

@@ -965,9 +965,9 @@ class TestWindowedFeed:
         monkeypatch.setattr(finite, "ideal_curves", lambda ol: true_ideal_curves(
             tuple(sorted(ol)) if ol == u.one_line else ol))
         # a zero first summand: its curve is the diamond's bottom at vertex 1
-        monkeypatch.setattr(finite, "tau_rigid_witness", lambda curves, homs: (
+        monkeypatch.setattr(finite, "tau_rigid_witness", lambda curves, rows=None: (
             (1, 1) if curves and curves[0] == finite._diamond(1, len(curves[0]) - 1)[1]
-            else witness(curves, homs)))
+            else witness(curves, rows)))
         monkeypatch.setattr(symgroup, "canonical_reduced_word_of_rep",
                             lambda w, i: () if (w, i) == (rep0, 2) else word_of(w, i))
         plant_tableau(monkeypatch, lambda w, t: (2,) + t[1:] if w.label == "1234" else t)
@@ -1158,6 +1158,19 @@ class TestSummandMemos:
         code, lines = run(capsys, "check", "taurigid", "--perm", json.dumps(w))
         assert code == 0 and lines[-1]["cases"] == 1
         assert [len(p) for p in packings] == [13] and len(homs) <= 13 * 13
+
+    def test_targeted_runs_build_no_rank_curves(self, capsys, monkeypatch, tmp_path):
+        # only a run over all of S_n reads the 2^n - 2 curves at rank n
+        monkeypatch.setenv("PREPROJ_MAX_N", "14")
+        calls, rank_curves = [], finite.rank_curves
+        monkeypatch.setattr(finite, "rank_curves", lambda n: calls.append(n) or rank_curves(n))
+        path = write_json(tmp_path, "p.json", {"type": "curve_module",
+                                               **jsonio.curve_module_to_json(projective(5, 12))})
+        assert run(capsys, "brick", "check", path)[0] == 0
+        w = [5, 12, 1, 9, 14, 3, 7, 11, 2, 13, 6, 10, 4, 8]
+        assert run(capsys, "check", "taurigid", "--perm", json.dumps(w))[0] == 0
+        assert calls == []
+        assert run(capsys, "check", "taurigid", "--n", "4")[0] == 0 and calls == [4]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_table_gives_each_case_its_per_case_witness(self, capsys, monkeypatch, n):
@@ -1407,11 +1420,13 @@ class TestMemosAfterASweep:
 
     FLAGS = {"mizuno": ["--n", "4"], "taurigid": ["--n", "4"], "bridge": ["--n", "4"],
              "homvanish": []}
+    # the checks that keep a per-sweep memo: taurigid and homvanish fill none
+    FILLS = {"mizuno", "bridge"}
 
     @staticmethod
-    def sizes() -> tuple[int, int, int, int]:
+    def sizes() -> tuple[int, int, int]:
         return (cli._weak_node.cache_info().currsize, cli._stripped.cache_info().currsize,
-                len(cli._HOMS), len(cli._CURVES))
+                len(cli._CURVES))
 
     def sweep(self, capsys, monkeypatch, name) -> tuple[int, list]:
         """Run the check in process, recording the memo sizes after each task."""
@@ -1434,7 +1449,7 @@ class TestMemosAfterASweep:
         else:
             witness = finite.tau_rigid_witness
             monkeypatch.setattr(finite, "tau_rigid_witness",
-                                lambda curves, memo=None: witness(curves, memo) or (0, 0))
+                                lambda curves, rows=None: witness(curves, rows) or (0, 0))
 
     @pytest.mark.parametrize("name", list(FLAGS))
     @pytest.mark.parametrize("fault", [False, True])
@@ -1443,9 +1458,9 @@ class TestMemosAfterASweep:
             self.plant(monkeypatch, name)
         code, seen = self.sweep(capsys, monkeypatch, name)
         assert code == (1 if fault else 0)
-        assert any(map(any, seen))  # the sweep filled some memo
-        assert self.sizes() == (0, 0, 0, 0)
-        assert cli._HOMS == {} and cli._CURVES == {}
+        assert any(map(any, seen)) is (name in self.FILLS)  # filled, where the check has one
+        assert self.sizes() == (0, 0, 0)
+        assert cli._CURVES == {}
 
     @pytest.mark.parametrize("name", list(FLAGS))
     def test_memos_empty_after_a_stopped_sweep(self, capsys, monkeypatch, name):
@@ -1456,13 +1471,13 @@ class TestMemosAfterASweep:
             tasks.append(task)
             out = run_task(task)
             if len(tasks) == 2:
-                assert any(self.sizes())  # stopped with some memo filled
+                assert any(self.sizes()) is (name in self.FILLS)  # stopped with its memo filled
                 raise ParseError("stopped")
             return out
 
         monkeypatch.setitem(cli._CHECKS, name, (stops, *cli._CHECKS[name][1:]))
         assert main(["check", name, *self.FLAGS[name]]) == 2
-        assert self.sizes() == (0, 0, 0, 0)
+        assert self.sizes() == (0, 0, 0)
 
 
 class TestBrickAndSheet:

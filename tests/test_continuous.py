@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (as_plfunc, bottom_at, bridge_by_plfuncs, bridge_column_by_zip, discretize,
                       hom_dim, mass,
                       hom_vanishing_cert, identity, is_full, is_zero_sub, member, member_quot, random_bfunc, random_permuton, refine,
-                      to_rep, top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs)
+                      staircase_by_at, to_rep, top_at, twosided_by_plfuncs, twosided_pair_by_plfuncs)
 from preproj import permuton
 from preproj.continuous import (
     bridge_mismatch,
@@ -460,6 +460,24 @@ class TestDiscretize:
             cm = staircase(d, 8)
             for j, v in enumerate(cm.curve.values):
                 assert 0 <= d.f.at(F(j, 8)) - v < F(2, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 24), st.randoms(use_true_random=False))
+    def test_staircase_matches_the_at_route(self, m, n, rng):
+        # the integer walk over b.f's segments against PLFunc.at per column,
+        # on apexes of the 1/n grid and off it
+        mu = random_permuton(rng, m)
+        q = rng.choice([n, 2 * n, m * n, rng.randint(2, 30)])
+        if q < 2:
+            return
+        b = boundary_function(mu, F(rng.randint(1, q - 1), q))
+        outcomes = []
+        for route in (staircase, staircase_by_at):
+            try:
+                outcomes.append(route(b, n).curve.units)
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestDiscreteCorroboration:

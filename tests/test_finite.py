@@ -6,9 +6,9 @@ import pytest
 from conftest import (QuiverRep, apply_word_by_perm, bottom_boundary, curve_hom_dim_by_pair,
                       curve_units_by_columns, factor_rep, hom_dim, identity,
                       hom_dim_by_elimination, hom_lengths, ideal_curves_by_accumulate,
-                      loop_action, random_curve,
+                      loop_action, random_curve, rank_curves_by_bits,
                       rep_is_deep, sawtooth_rep, sawtooth_rep_by_midpoints, simple_rep,
-                      to_rep, word_curves_by_strip, zero_rep)
+                      tau_rigid_witness_by_memo, to_rep, word_curves_by_strip, zero_rep)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,12 +30,14 @@ from preproj.finite import (
     is_tau_rigid_ideal,
     is_zero,
     projective,
+    rank_curves,
     strip,
     strip_curves,
     summand_via_word,
     tau_rigid_witness,
     tau_sub,
     top_removable,
+    vanishing_rows,
     word_curves,
 )
 from preproj.sheets import SawtoothDesc, is_deep
@@ -744,35 +746,40 @@ class TestHomLanes:
 
 
 class TestTauRigidWitness:
-    """tau_rigid_witness over the summands' integer curves, with its
-    per-sweep memo keyed by those curves."""
+    """tau_rigid_witness over the summands' integer curves, read off the
+    complete rows of vanishing_rows."""
 
-    def test_memo_holds_each_pair_by_units(self):
-        curves = ideal_curves(W.one_line)
-        memo = {}
-        assert tau_rigid_witness(curves, memo) is None
-        assert memo == {a: {b: True for b in curves} for a in curves}
-
-    def test_memoised_case_packs_nothing(self, monkeypatch):
-        curves = ideal_curves(W.one_line)
-        memo = {}
-        assert tau_rigid_witness(curves, memo) is None
-        packed = []
-        init = HomLanes.__init__
+    @staticmethod
+    def count_lanes(monkeypatch) -> tuple[list, list]:
+        """Record each HomLanes packing's targets and each pass's source."""
+        packed, passes = [], []
+        init, dims = HomLanes.__init__, HomLanes.dims
         monkeypatch.setattr(HomLanes, "__init__",
-                            lambda self, targets: packed.append(targets) or init(self, targets))
-        assert tau_rigid_witness(curves, memo) is None and packed == []
-        # one pair forgotten: one packing, and one pass over every lane that
-        # records the whole pass again
-        del memo[curves[2]][curves[0]]
-        dims = HomLanes.dims
-        passes = []
-        monkeypatch.setattr(HomLanes, "dims",
-                            lambda self, a: passes.append((a, len(self.targets)))
-                            or dims(self, a))
-        assert tau_rigid_witness(curves, memo) is None and len(packed) == 1
-        assert passes == [(band(ideal_of(W)[2]), 4)]
-        assert memo == {a: {b: True for b in curves} for a in curves}
+                            lambda self, targets: init(self, targets) or packed.append(self.targets))
+        monkeypatch.setattr(HomLanes, "dims", lambda self, a: passes.append(a) or dims(self, a))
+        return packed, passes
+
+    def test_rows_hold_each_pair_by_units(self, monkeypatch):
+        # one packing of the four quotients, one pass per sub, complete rows
+        curves = ideal_curves(W.one_line)
+        packed, passes = self.count_lanes(monkeypatch)
+        rows = vanishing_rows(curves)
+        assert rows == {a: {b: True for b in curves} for a in curves}
+        assert [len(p) for p in packed] == [4]
+        assert passes == [band(m) for m in ideal_of(W)]
+
+    def test_given_rows_pack_nothing(self, monkeypatch):
+        curves = ideal_curves(W.one_line)
+        rows = vanishing_rows(curves)
+        packed, passes = self.count_lanes(monkeypatch)
+        assert tau_rigid_witness(curves, rows) is None and packed == passes == []
+        assert tau_rigid_witness(curves[1:3], rows) is None and packed == passes == []
+        # no curves: no rows and no packing, with or without given rows
+        assert vanishing_rows([]) == {} and tau_rigid_witness(()) is None
+        assert tau_rigid_witness((), rows) is None and packed == passes == []
+        # rows of its own: one packing, one pass over every lane per sub
+        assert tau_rigid_witness(curves) is None
+        assert [len(p) for p in packed] == [4] and len(passes) == 4
 
     def test_first_failing_pair(self):
         keys = ideal_curves(W.one_line)
@@ -793,6 +800,67 @@ class TestTauRigidWitness:
                 bad[0] if bad else None)
             seen.add(bool(bad))
         assert seen == {True, False}
+
+
+class TestVanishingRows:
+    """vanishing_rows and rank_curves, tau-rigidity's one Hom route, against
+    hom_dims on the modules and against the routes they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 12), st.integers(0, 6), st.randoms(use_true_random=False))
+    def test_rows_match_hom_dims(self, n, size, rng):
+        # curves at a few vertices, so vertices and whole curves repeat
+        vertices = [rng.randint(1, n - 1) for _ in range(2)]
+        curves = [random_curve(rng.choice(vertices), n, rng).units for _ in range(size)]
+        curves += rng.sample(curves, min(size, 2))
+        rows = vanishing_rows(curves)
+        assert rows.keys() == set(curves) and all(row.keys() == set(curves) for row in rows.values())
+        for c in curves:
+            sub = CurveModule(Kind.SUB, DiamondCurve(c[0], n, c))
+            for d in curves:
+                [dim] = hom_dims(sub, [CurveModule(Kind.QUOT, DiamondCurve(d[0], n, d))])
+                assert rows[c][d] is (dim == 0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_rank_rows_give_each_case_its_witness(self, monkeypatch, n):
+        # a planted fault in HomLanes.dims gives some pairs a Hom of
+        # dimension 1 or 2, so that cases fail with different witnesses
+        dims = HomLanes.dims
+
+        def planted(self, a):
+            return [1 + sum(b[1]) % 2 if (sum(a[0]) * 3 + sum(b[1])) % 11 == 0 else d
+                    for b, d in zip(self.targets, dims(self, a))]
+
+        monkeypatch.setattr(HomLanes, "dims", planted)
+        table, memo, seen = vanishing_rows(rank_curves(n)), {}, set()
+        for w in all_perms(n):
+            curves = ideal_curves(w.one_line)
+            witness = tau_rigid_witness_by_memo(curves, memo)
+            assert tau_rigid_witness(curves, table) == tau_rigid_witness(curves) == witness
+            seen.add(witness)
+        assert None in seen and (len(seen) > 2) is (n >= 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 16), st.integers(0, 8), st.integers(0, 8),
+           st.randoms(use_true_random=False))
+    def test_rows_of_a_superset_give_the_witness(self, n, size, extra, rng):
+        def curve():
+            return random_curve(rng.randint(1, n - 1), n, rng).units
+
+        curves = tuple(curve() for _ in range(size))
+        superset = [*curves, *(curve() for _ in range(extra))]
+        rng.shuffle(superset)
+        witness = tau_rigid_witness_by_memo(curves)
+        assert tau_rigid_witness(curves, vanishing_rows(superset)) == witness
+        assert tau_rigid_witness(curves) == witness
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_rank_curves_are_every_curve_once(self, n):
+        # 2^n - 2 distinct valid curves: as many as the +-1 curves at rank n
+        curves = rank_curves(n)
+        assert curves == rank_curves_by_bits(n)
+        assert len(set(curves)) == len(curves) == 2 ** n - 2
+        assert all(DiamondCurve(c[0], n, c).units == c for c in curves)
 
 
 class TestTauRigidity:

@@ -5,8 +5,11 @@ preproj module (finite.hom_dims, lib.finite.ideal_via_word,
 modules["plfunc"].PLFunc), or the bare name used in the module that defines
 it.  So has every public method and property of an exported class (dataclass
 fields, Enum members and dunders aside): its reader is an attribute read of
-that name.  src/preproj less __init__, demos/ and perfbench/ are read with
-ast; tests/ are not, so a name that only tests call shows up here as unread."""
+that name.  So has every module-level function, class and assigned name of
+src/preproj (dunders aside), exported or not: its reader is a load of the
+bare name, an attribute read of it, or an import of it.  src/preproj less
+__init__, demos/ and perfbench/ are read with ast; tests/ are not, so a name
+that only tests call shows up here as unread."""
 
 import ast
 import dataclasses
@@ -139,3 +142,48 @@ def test_every_public_member_has_a_reader():
 def test_a_planted_method_is_unread(monkeypatch):
     monkeypatch.setattr(preproj.Perm, "planted", lambda self: None, raising=False)
     assert unread_members() == ["Perm.planted"]
+
+
+# module-level names with no reader outside the tests: linalg leaves the
+# library with ROADMAP item 1, as the benchmark still imports preproj.linalg
+UNREAD = ["linalg.rank_of_links"]
+
+
+def defined(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names of a module's top level,
+    dunders aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def unread_module_names(trees: dict[Path, ast.Module]) -> list[str]:
+    """module.name for each name that the package's modules among trees
+    define and no tree reads."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(f"{path.stem}.{name}" for path, tree in trees.items()
+                  if path.parent == PACKAGE for name in defined(tree) if name not in read)
+
+
+def test_every_module_level_name_has_a_reader():
+    assert unread_module_names(scanned()) == UNREAD
+
+
+def test_a_planted_module_level_name_is_unread():
+    trees = scanned()
+    path = PACKAGE / "cli.py"
+    trees[path] = ast.parse(path.read_text(encoding="utf-8") + "\n_HOMS: dict = {}\n")
+    assert unread_module_names(trees) == sorted([*UNREAD, "cli._HOMS"])
